@@ -344,11 +344,11 @@ func main() {
 			err   error
 		)
 		if *self {
-			pairs, stats, err = rcj.SelfJoinL1Context(ctx, ixP)
+			pairs, stats, err = rcj.SelfJoinL1(ctx, ixP)
 		} else {
 			ixQ := loadIndex(*qPath, *saveQ)
 			defer ixQ.Close()
-			pairs, stats, err = rcj.JoinL1Context(ctx, ixQ, ixP)
+			pairs, stats, err = rcj.JoinL1(ctx, ixQ, ixP)
 		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) {

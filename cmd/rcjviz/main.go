@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +48,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	ixP, err := rcj.BuildIndex(pPts, rcj.IndexConfig{})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ctx := context.Background()
+	ixP, err := eng.BuildIndex(pPts, rcj.IndexConfig{})
 	if err != nil {
 		fatalf("index P: %v", err)
 	}
@@ -55,15 +58,15 @@ func main() {
 
 	var pairs []rcj.Pair
 	if *self || *demo && qPts == nil {
-		pairs, _, err = rcj.SelfJoin(ixP, rcj.JoinOptions{})
+		pairs, _, err = eng.RunSelfCollect(ctx, ixP, rcj.Query{})
 	} else {
 		var ixQ *rcj.Index
-		ixQ, err = rcj.BuildIndex(qPts, rcj.IndexConfig{})
+		ixQ, err = eng.BuildIndex(qPts, rcj.IndexConfig{})
 		if err != nil {
 			fatalf("index Q: %v", err)
 		}
 		defer ixQ.Close()
-		pairs, _, err = rcj.Join(ixQ, ixP, rcj.JoinOptions{})
+		pairs, _, err = eng.RunCollect(ctx, ixQ, ixP, rcj.Query{})
 	}
 	if err != nil {
 		fatalf("join: %v", err)

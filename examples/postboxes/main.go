@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,19 +39,21 @@ func main() {
 		id++
 	}
 
-	ix, err := rcj.BuildIndex(buildings, rcj.IndexConfig{})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ix, err := eng.BuildIndex(buildings, rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ix.Close()
 
-	pairs, stats, err := rcj.SelfJoin(ix, rcj.JoinOptions{})
+	ctx := context.Background()
+	pairs, stats, err := eng.RunSelfCollect(ctx, ix, rcj.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("self-RCJ over %d buildings: %d postbox sites (Euclidean)\n", len(buildings), stats.Results)
 
-	l1Pairs, l1Stats, err := rcj.SelfJoinL1(ix)
+	l1Pairs, l1Stats, err := rcj.SelfJoinL1(ctx, ix)
 	if err != nil {
 		log.Fatal(err)
 	}

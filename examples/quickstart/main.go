@@ -30,18 +30,20 @@ func main() {
 		{X: 0.65, Y: 0.20, ID: 2}, // q2
 	}
 
-	ixP, err := rcj.BuildIndex(p, rcj.IndexConfig{})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ixP, err := eng.BuildIndex(p, rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ixP.Close()
-	ixQ, err := rcj.BuildIndex(q, rcj.IndexConfig{})
+	ixQ, err := eng.BuildIndex(q, rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ixQ.Close()
 
-	pairs, stats, err := rcj.Join(ixQ, ixP, rcj.JoinOptions{SortByDiameter: true})
+	ctx := context.Background()
+	pairs, stats, err := eng.RunCollect(ctx, ixQ, ixP, rcj.Query{SortByDiameter: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,21 +54,10 @@ func main() {
 			pr.P.ID, pr.Q.ID, pr.Center.X, pr.Center.Y, pr.Radius)
 	}
 
-	// The v2 request form: the same join as a constrained Query — here just
-	// the single tightest pair, computed with top-k pushdown instead of
-	// sorting the full result.
-	eng := rcj.NewEngine(rcj.EngineConfig{})
-	exP, err := eng.BuildIndex(p, rcj.IndexConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer exP.Close()
-	exQ, err := eng.BuildIndex(q, rcj.IndexConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer exQ.Close()
-	best, _, err := eng.RunCollect(context.Background(), exQ, exP, rcj.Query{TopK: 1})
+	// A constrained Query over the same indexes — here just the single
+	// tightest pair, computed with top-k pushdown instead of sorting the
+	// full result.
+	best, _, err := eng.RunCollect(ctx, ixQ, ixP, rcj.Query{TopK: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -59,19 +60,20 @@ func main() {
 		residences[i] = rcj.Point{X: x, Y: y, ID: int64(i)}
 	}
 
-	ixR, err := rcj.BuildIndex(restaurants, rcj.IndexConfig{})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ixR, err := eng.BuildIndex(restaurants, rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ixR.Close()
-	ixH, err := rcj.BuildIndex(residences, rcj.IndexConfig{})
+	ixH, err := eng.BuildIndex(residences, rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ixH.Close()
 
 	// Outer input: residences (Q); inner: restaurants (P).
-	pairs, stats, err := rcj.Join(ixH, ixR, rcj.JoinOptions{SortByDiameter: true})
+	pairs, stats, err := eng.RunCollect(context.Background(), ixH, ixR, rcj.Query{SortByDiameter: true})
 	if err != nil {
 		log.Fatal(err)
 	}

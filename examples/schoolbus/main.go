@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,13 +39,14 @@ func main() {
 		children[int64(i)] = float64(5 + rng.Intn(120))
 	}
 
-	ix, err := rcj.BuildIndex(estates, rcj.IndexConfig{})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ix, err := eng.BuildIndex(estates, rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ix.Close()
 
-	pairs, stats, err := rcj.SelfJoin(ix, rcj.JoinOptions{})
+	pairs, stats, err := eng.RunSelfCollect(context.Background(), ix, rcj.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,17 +50,18 @@ func main() {
 		}
 		return out
 	}
-	ixC, err := rcj.BuildIndex(toEuclid(cinemas), rcj.IndexConfig{})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ixC, err := eng.BuildIndex(toEuclid(cinemas), rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ixC.Close()
-	ixR, err := rcj.BuildIndex(toEuclid(restaurants), rcj.IndexConfig{})
+	ixR, err := eng.BuildIndex(toEuclid(restaurants), rcj.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ixR.Close()
-	eucPairs, _, err := rcj.Join(ixR, ixC, rcj.JoinOptions{})
+	eucPairs, _, err := eng.RunCollect(context.Background(), ixR, ixC, rcj.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

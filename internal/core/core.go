@@ -33,8 +33,9 @@ import (
 // SpatialIndex is the access-method contract the join algorithms run over:
 // a disk-paged hierarchy whose nodes carry either points (leaves) or
 // MBR-tagged child pointers. The R*-tree is the paper's instantiation;
-// Section 3 notes the methodology applies to any hierarchical spatial index
-// (e.g. a point quadtree), which internal/quadtree demonstrates.
+// Section 3 notes the methodology applies to any hierarchical spatial index.
+// The second implementation on the serving path is internal/live's merged
+// view: base tree, delta tree and tombstones presented as one hierarchy.
 type SpatialIndex interface {
 	// Root returns the root page, or storage.InvalidPageID when empty.
 	Root() storage.PageID

@@ -23,7 +23,12 @@ import (
 // The face rule here uses the *strict* interior: the guaranteed point on a
 // strictly-inside face is strictly inside the circle and therefore cannot be
 // either defining point (those lie on the boundary), so the removal never
-// needs the exclusion check a descent would perform.
+// needs the exclusion check a descent would perform. Rounding can break that
+// argument for one point only — a defining point itself, whose distance to
+// the rounded midpoint may fall short of the radius by more than CoverTol
+// when the pair is tiny against its coordinates — so a face corner that IS
+// a defining point never counts as inside: the subtree is descended and the
+// point excluded by id, as everywhere else.
 
 // candidate is one filtered pair undergoing verification. The excluded id is
 // side-dependent: P and Q have independent ID namespaces, so verification
@@ -190,7 +195,7 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 		}
 		if !j.opts.DisableFaceRule {
 			for _, c := range sub {
-				if c.alive && containsFaceStrict(c.pair.Circle, e.MBR) {
+				if c.alive && containsFaceStrict(&c.pair, e.MBR) {
 					c.alive = false
 				}
 			}
@@ -244,13 +249,14 @@ func (j *joiner) matchEntries(n *rtree.Node, cands []*candidate) [][]*candidate 
 	return matches
 }
 
-// containsFaceStrict reports whether some face of r lies strictly inside c.
-// See the package comment above for why the strict form is required.
-func containsFaceStrict(c geom.Circle, r geom.Rect) bool {
+// containsFaceStrict reports whether some face of r lies strictly inside
+// the pair's circle, ignoring corners that are one of the pair's own points.
+// See the comment at the top of the file for why both are required.
+func containsFaceStrict(pr *Pair, r geom.Rect) bool {
 	corners := r.Corners()
 	in := [4]bool{}
 	for i, pt := range corners {
-		in[i] = c.StrictlyInside(pt)
+		in[i] = pr.Circle.StrictlyInside(pt) && !pt.Equal(pr.P.P) && !pt.Equal(pr.Q.P)
 	}
 	for i := 0; i < 4; i++ {
 		if in[i] && in[(i+1)%4] {

@@ -5,8 +5,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,8 +29,7 @@ var optionsGuardAllowed = []string{
 // Resolve applies the planner, or pins a forced choice); constructing a
 // core.Options literal with an explicit Algorithm anywhere else bypasses
 // planning, cache keys, and the equivalence gate. Test files are exempt:
-// exercising core.Join directly (e.g. against the quadtree backend) is what
-// package tests are for.
+// exercising core.Join directly is what package tests are for.
 func TestNoDirectAlgorithmConstruction(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -94,4 +96,75 @@ func TestNoDirectAlgorithmConstruction(t *testing.T) {
 	for _, v := range violations {
 		t.Errorf("%s: core.Options{Algorithm: ...} constructed outside the planner boundary — use rcj.Query (Algorithm + ForceAlgorithm) so the plan resolves through Resolve", v)
 	}
+}
+
+// joinEntryPoints is the whole public surface for running a join: the
+// Query family on the engine (streaming, collecting, leaf-batched, each with
+// its self-join twin), the L1 join, and the scheduler's admission wrappers.
+var joinEntryPoints = map[string][]string{
+	"rcj": {
+		"Engine.Run", "Engine.RunBatches", "Engine.RunCollect",
+		"Engine.RunSelf", "Engine.RunSelfBatches", "Engine.RunSelfCollect",
+		"JoinL1", "SelfJoinL1",
+	},
+	"internal/sched": {"Scheduler.Run", "Scheduler.RunSelf"},
+}
+
+// pairResult matches the result types a join hands its pairs back in.
+var pairResult = regexp.MustCompile(`^(\[\](rcj\.)?(Pair|L1Pair)|iter\.Seq2\[(\[\])?(rcj\.)?Pair, error\])$`)
+
+// TestJoinEntryPoints is the guard on "one way to run a join": it lists
+// every exported function and method of rcj and internal/sched that takes a
+// *Index and returns pairs — a slice or an iterator of them — and fails when
+// that set is not exactly joinEntryPoints. A new way to run the join has to
+// be argued for here, next to the ones it duplicates.
+func TestJoinEntryPoints(t *testing.T) {
+	for dir, want := range joinEntryPoints {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", "..", dir),
+			func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || !fn.Name.IsExported() || !takesIndex(fn) || !returnsPairs(fn) {
+						continue
+					}
+					name := fn.Name.Name
+					if fn.Recv != nil {
+						name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+					}
+					got = append(got, name)
+				}
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s join entry points:\n got  %v\n want %v", dir, got, want)
+		}
+	}
+}
+
+func takesIndex(fn *ast.FuncDecl) bool {
+	for _, p := range fn.Type.Params.List {
+		if s := types.ExprString(p.Type); s == "*Index" || s == "*rcj.Index" {
+			return true
+		}
+	}
+	return false
+}
+
+func returnsPairs(fn *ast.FuncDecl) bool {
+	if fn.Type.Results == nil {
+		return false
+	}
+	for _, r := range fn.Type.Results.List {
+		if pairResult.MatchString(types.ExprString(r.Type)) {
+			return true
+		}
+	}
+	return false
 }

@@ -19,78 +19,21 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/rcj"
 )
-
-// joinRequest mirrors the worker's POST /join payload (internal/server);
-// the router accepts the same body a single rcjd would and forwards the
-// per-shard derivative of it.
-type joinRequest struct {
-	P           string `json:"p"`
-	Q           string `json:"q,omitempty"`
-	Self        bool   `json:"self,omitempty"`
-	Alg         string `json:"alg,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	TimeoutMS   int64  `json:"timeout_ms,omitempty"`
-	Format      string `json:"format,omitempty"`
-
-	MaxDiameter float64   `json:"max_diameter,omitempty"`
-	MinDistance float64   `json:"min_distance,omitempty"`
-	TopK        int       `json:"top_k,omitempty"`
-	Limit       int       `json:"limit,omitempty"`
-	Region      []float64 `json:"region,omitempty"`
-}
-
-// pairLine is one parsed worker result row (field layout fixed by the
-// worker's NDJSON encoder).
-type pairLine struct {
-	PID    int64   `json:"p_id"`
-	QID    int64   `json:"q_id"`
-	CX     float64 `json:"cx"`
-	CY     float64 `json:"cy"`
-	Radius float64 `json:"r"`
-}
-
-// pair rebuilds the rcj.Pair shape the shared CSV encoder expects. Worker
-// NDJSON floats are shortest-form, so the round trip is bit-exact and the
-// re-encoded CSV row matches a single-server response byte for byte.
-func (l pairLine) pair() rcj.Pair {
-	return rcj.Pair{
-		P:      rcj.Point{ID: l.PID},
-		Q:      rcj.Point{ID: l.QID},
-		Center: rcj.Point{X: l.CX, Y: l.CY},
-		Radius: l.Radius,
-	}
-}
 
 // row is one worker result: the parsed fields plus the original NDJSON
 // line, forwarded verbatim to NDJSON clients.
 type row struct {
-	line pairLine
+	line server.PairLine
 	raw  []byte // includes the trailing '\n'
 }
 
-// workerSummary is the subset of the worker's summary line the router
-// aggregates.
-type workerSummary struct {
-	Results      int64 `json:"results"`
-	Candidates   int64 `json:"candidates"`
-	NodeAccesses int64 `json:"node_accesses"`
-	PageFaults   int64 `json:"page_faults"`
-	NodesPruned  int64 `json:"nodes_pruned"`
-	BoundKilled  int64 `json:"bound_killed_candidates"`
-}
-
 // routerSummary terminates a successful NDJSON stream: worker statistics
-// summed across sub-queries, plus the router's own planning and merge
-// counters for this request.
+// summed across sub-queries (Results is the router's own count, after
+// boundary dedup and the global limit), plus the router's planning and
+// merge counters for this request.
 type routerSummary struct {
-	Results          int64 `json:"results"`
-	Candidates       int64 `json:"candidates"`
-	NodeAccesses     int64 `json:"node_accesses"`
-	PageFaults       int64 `json:"page_faults"`
-	NodesPruned      int64 `json:"nodes_pruned"`
-	BoundKilled      int64 `json:"bound_killed_candidates"`
+	server.Counts
 	ShardsContacted  int   `json:"shards_contacted"`
 	ShardsPruned     int   `json:"shards_pruned"`
 	SubqueryRetries  int64 `json:"subquery_retries"`
@@ -129,7 +72,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		rt.m.joinErrors.Add(1)
 		errorBody(w, status, code, msg, extras)
 	}
-	var req joinRequest
+	var req server.JoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("bad request body: %v", err), nil)
 		return
@@ -158,19 +101,10 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown index %q", req.P), nil)
 		return
 	}
-	csvFormat := false
-	switch req.Format {
-	case "", "ndjson":
-	case "csv":
-		csvFormat = true
-	default:
-		fail(http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown format %q (want ndjson or csv)", req.Format), nil)
-		return
-	}
-	if _, ok := map[string]bool{"": true, "auto": true, "obj": true, "bij": true, "inj": true, "brute": true}[req.Alg]; !ok {
-		fail(http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown algorithm %q (want auto, inj, bij, obj, or brute)", req.Alg), nil)
+	// The query fields mean what they mean to a worker: one shared check.
+	qry, csvFormat, err := req.Query()
+	if err != nil {
+		fail(http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
 	// "" / "auto" lets each worker's planner pick per shard — shards differ
@@ -180,18 +114,11 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if req.Alg == "" && rt.cfg.FixedPlan {
 		req.Alg = "obj"
 	}
-	if req.Parallelism < 0 || req.MinDistance < 0 || req.TopK < 0 || req.Limit < 0 {
-		fail(http.StatusBadRequest, "bad_request", "parallelism, min_distance, top_k, and limit must be >= 0", nil)
-		return
-	}
 	// The diameter bound is the sharding contract: the overlap margin only
 	// guarantees shard-local completeness for pairs at most MaxDiameter
 	// wide. An unbounded query inherits the manifest's bound; a looser one
 	// cannot be answered correctly and is refused with a typed error.
 	switch {
-	case req.MaxDiameter < 0:
-		fail(http.StatusBadRequest, "bad_request", "max_diameter must be >= 0", nil)
-		return
 	case req.MaxDiameter == 0:
 		req.MaxDiameter = rt.man.MaxDiameter
 	case req.MaxDiameter > rt.man.MaxDiameter:
@@ -201,19 +128,8 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var region *shard.Rect
-	if len(req.Region) > 0 {
-		if len(req.Region) != 4 {
-			fail(http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("region must be [min_x, min_y, max_x, max_y], got %d values", len(req.Region)), nil)
-			return
-		}
-		rg := shard.Rect{req.Region[0], req.Region[1], req.Region[2], req.Region[3]}
-		// The negated comparison also rejects NaN (mirrors rcj.Query.Validate).
-		if !(rg[0] <= rg[2] && rg[1] <= rg[3]) {
-			fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("empty region window %v", rg), nil)
-			return
-		}
-		region = &rg
+	if w := qry.Region; w != nil {
+		region = &shard.Rect{w.MinX, w.MinY, w.MaxX, w.MaxY}
 	}
 
 	subs, pruned := rt.plan(region)
@@ -230,8 +146,8 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 // subRequest derives the per-shard worker request: conventional shard index
 // names, the clipped cell as the region (ownership), always NDJSON, and the
 // current diameter bound.
-func (rt *Router) subRequest(req *joinRequest, sub subQuery, bound float64) *joinRequest {
-	sr := &joinRequest{
+func (rt *Router) subRequest(req *server.JoinRequest, sub subQuery, bound float64) *server.JoinRequest {
+	sr := &server.JoinRequest{
 		Alg:         req.Alg,
 		Parallelism: req.Parallelism,
 		TimeoutMS:   req.TimeoutMS,
@@ -254,7 +170,7 @@ func (rt *Router) subRequest(req *joinRequest, sub subQuery, bound float64) *joi
 // shard: its center bit-equals an interior grid cut in some axis. Workers
 // evaluate the closed region test on the exact same float64s (NDJSON
 // round-trips them bit-exactly), so this is a precise test, not a tolerance.
-func (rt *Router) suspect(l pairLine) bool {
+func (rt *Router) suspect(l server.PairLine) bool {
 	if _, ok := rt.xCuts[l.CX]; ok {
 		return true
 	}
@@ -266,7 +182,7 @@ func (rt *Router) suspect(l pairLine) bool {
 // rows go to onRow, the summary is returned. A non-nil error means the
 // shard's answer is incomplete (unless it is errStopStream, a deliberate
 // local abort).
-func (rt *Router) fetchSub(ctx context.Context, url string, body *joinRequest, onRow func(row) error) (*workerSummary, error) {
+func (rt *Router) fetchSub(ctx context.Context, url string, body *server.JoinRequest, onRow func(row) error) (*server.Summary, error) {
 	rt.m.subqueries.Add(1)
 	rt.m.perWorker[url].Add(1)
 	if rt.cfg.SubTimeout > 0 {
@@ -300,7 +216,7 @@ func (rt *Router) fetchSub(ctx context.Context, url string, body *joinRequest, o
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var summary *workerSummary
+	var summary *server.Summary
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -311,7 +227,7 @@ func (rt *Router) fetchSub(ctx context.Context, url string, body *joinRequest, o
 			if summary != nil {
 				return nil, errors.New("row after summary in worker stream")
 			}
-			var pl pairLine
+			var pl server.PairLine
 			if err := json.Unmarshal(line, &pl); err != nil {
 				return nil, fmt.Errorf("bad result row %.120q: %v", line, err)
 			}
@@ -322,7 +238,7 @@ func (rt *Router) fetchSub(ctx context.Context, url string, body *joinRequest, o
 			}
 		case bytes.HasPrefix(line, []byte(`{"summary":`)):
 			var s struct {
-				Summary workerSummary `json:"summary"`
+				Summary server.Summary `json:"summary"`
 			}
 			if err := json.Unmarshal(line, &s); err != nil {
 				return nil, fmt.Errorf("bad summary line: %v", err)
@@ -351,20 +267,17 @@ func (rt *Router) fetchSub(ctx context.Context, url string, body *joinRequest, o
 	return summary, nil
 }
 
-// aggStats sums worker summaries under the caller's lock.
-type aggStats struct {
-	candidates, nodeAccesses, pageFaults, nodesPruned, boundKilled int64
-}
-
-func (a *aggStats) add(s *workerSummary) {
+// addCounts sums one worker summary into a request's totals, under the
+// caller's lock. Results is not summed: the router counts what it emits.
+func addCounts(a *server.Counts, s *server.Summary) {
 	if s == nil {
 		return
 	}
-	a.candidates += s.Candidates
-	a.nodeAccesses += s.NodeAccesses
-	a.pageFaults += s.PageFaults
-	a.nodesPruned += s.NodesPruned
-	a.boundKilled += s.BoundKilled
+	a.Candidates += s.Candidates
+	a.NodeAccesses += s.NodeAccesses
+	a.PageFaults += s.PageFaults
+	a.NodesPruned += s.NodesPruned
+	a.BoundKilled += s.BoundKilled
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +300,7 @@ type streamSink struct {
 	dropped  int64                 // boundary duplicates dropped (this request)
 	retries  int64                 // sub-query retries (this request)
 	seen     map[[2]int64]struct{} // boundary-suspect pairs already forwarded
-	stats    aggStats
+	stats    server.Counts
 	buf      []byte // CSV re-encode scratch, reused under mu
 }
 
@@ -431,7 +344,7 @@ func (sk *streamSink) emit(rw row) (wrote, stop bool) {
 	sk.writeHeaderLocked()
 	out := rw.raw
 	if sk.csv {
-		sk.buf = server.AppendPairCSV(sk.buf[:0], rw.line.pair())
+		sk.buf = server.AppendPairCSV(sk.buf[:0], rw.line.Pair())
 		out = sk.buf
 	}
 	if _, err := sk.w.Write(out); err != nil {
@@ -456,7 +369,7 @@ func (sk *streamSink) ended() bool {
 	return sk.hitLimit || sk.dead
 }
 
-func (rt *Router) streamJoin(ctx context.Context, w http.ResponseWriter, req *joinRequest, subs []subQuery, pruned int, csvFormat bool) {
+func (rt *Router) streamJoin(ctx context.Context, w http.ResponseWriter, req *server.JoinRequest, subs []subQuery, pruned int, csvFormat bool) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -522,14 +435,9 @@ func (rt *Router) streamJoin(ctx context.Context, w http.ResponseWriter, req *jo
 	}
 	sink.writeHeaderLocked()
 	if !csvFormat {
+		sink.stats.Results = sink.emitted
 		sum := routerSummary{
-			Results:      sink.emitted,
-			Candidates:   sink.stats.candidates,
-			NodeAccesses: sink.stats.nodeAccesses,
-			PageFaults:   sink.stats.pageFaults,
-			NodesPruned:  sink.stats.nodesPruned,
-			BoundKilled:  sink.stats.boundKilled,
-
+			Counts:          sink.stats,
 			ShardsContacted: len(subs),
 			ShardsPruned:    pruned,
 			SubqueryRetries: sink.retries,
@@ -546,7 +454,7 @@ func (rt *Router) streamJoin(ctx context.Context, w http.ResponseWriter, req *jo
 // shard's owners, but only while nothing of this shard's stream has been
 // forwarded to the client (a half-forwarded stream cannot restart without
 // duplicating rows).
-func (rt *Router) streamSub(ctx context.Context, sub subQuery, req *joinRequest, sink *streamSink) *subError {
+func (rt *Router) streamSub(ctx context.Context, sub subQuery, req *server.JoinRequest, sink *streamSink) *subError {
 	owners := rt.owners[sub.shardID]
 	start := int(rt.rr.Add(1)-1) % len(owners)
 	attempts := rt.cfg.Retries + 1
@@ -573,7 +481,7 @@ func (rt *Router) streamSub(ctx context.Context, sub subQuery, req *joinRequest,
 		})
 		if err == nil || errors.Is(err, errStopStream) {
 			sink.mu.Lock()
-			sink.stats.add(sum)
+			addCounts(&sink.stats, sum)
 			sink.mu.Unlock()
 			return nil
 		}
@@ -601,7 +509,7 @@ type gatherState struct {
 	mu    sync.Mutex
 	rows  []row // deduped, kept sorted+trimmed to k once it first fills
 	seen  map[[2]int64]struct{}
-	stats aggStats
+	stats server.Counts
 
 	retries int64
 	dropped int64
@@ -610,7 +518,7 @@ type gatherState struct {
 	bound atomic.Uint64 // float64 bits of the current diameter bound
 }
 
-func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *joinRequest, subs []subQuery, pruned int, csvFormat bool) {
+func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *server.JoinRequest, subs []subQuery, pruned int, csvFormat bool) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -672,7 +580,7 @@ func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *jo
 	var buf []byte
 	for _, rw := range st.rows {
 		if csvFormat {
-			buf = server.AppendPairCSV(buf[:0], rw.line.pair())
+			buf = server.AppendPairCSV(buf[:0], rw.line.Pair())
 			w.Write(buf)
 		} else {
 			w.Write(rw.raw)
@@ -680,14 +588,9 @@ func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *jo
 	}
 	rt.m.pairsEmitted.Add(int64(len(st.rows)))
 	if !csvFormat {
+		st.stats.Results = int64(len(st.rows))
 		sum := routerSummary{
-			Results:      int64(len(st.rows)),
-			Candidates:   st.stats.candidates,
-			NodeAccesses: st.stats.nodeAccesses,
-			PageFaults:   st.stats.pageFaults,
-			NodesPruned:  st.stats.nodesPruned,
-			BoundKilled:  st.stats.boundKilled,
-
+			Counts:           st.stats,
 			ShardsContacted:  len(subs),
 			ShardsPruned:     pruned,
 			SubqueryRetries:  st.retries,
@@ -706,7 +609,7 @@ func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *jo
 // gatherSub collects one shard's local top-k. Nothing is forwarded until
 // every shard answers, so failover is always transparent here; each attempt
 // restarts with an empty local buffer.
-func (rt *Router) gatherSub(ctx context.Context, sub subQuery, req *joinRequest, st *gatherState) *subError {
+func (rt *Router) gatherSub(ctx context.Context, sub subQuery, req *server.JoinRequest, st *gatherState) *subError {
 	owners := rt.owners[sub.shardID]
 	start := int(rt.rr.Add(1)-1) % len(owners)
 	attempts := rt.cfg.Retries + 1
@@ -745,10 +648,10 @@ func (rt *Router) gatherSub(ctx context.Context, sub subQuery, req *joinRequest,
 // tightened diameter bound when the k-th best so far improved on it. Dedup
 // must precede the k-th lookup: a boundary pair counted twice would fake a
 // tighter k-th radius and over-prune later shards.
-func (st *gatherState) merge(rt *Router, k int, local []row, sum *workerSummary) {
+func (st *gatherState) merge(rt *Router, k int, local []row, sum *server.Summary) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.stats.add(sum)
+	addCounts(&st.stats, sum)
 	for _, rw := range local {
 		if rt.suspect(rw.line) {
 			key := [2]int64{rw.line.PID, rw.line.QID}

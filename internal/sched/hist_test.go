@@ -63,7 +63,11 @@ func TestSchedulerHistograms(t *testing.T) {
 	ctx := context.Background()
 	const joins = 4
 	for i := 0; i < joins; i++ {
-		if _, _, err := s.JoinCollect(ctx, q, p, rcj.JoinOptions{}); err != nil {
+		seq, err := s.Run(ctx, q, p, rcj.Query{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rcj.Collect(seq); err != nil {
 			t.Fatal(err)
 		}
 	}

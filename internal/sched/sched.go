@@ -14,8 +14,12 @@
 // to completion; Drain additionally waits for the last slot to free. This
 // is the SIGTERM path of cmd/rcjd.
 //
+// Requests are rcj.Query values admitted through Run (two datasets) or
+// RunSelf (one): the scheduler resolves the plan against its own load,
+// waits for a slot, and returns the engine's stream.
+//
 // Per-request statistics ride on the engine's tagged buffer attribution
-// (rcj.JoinOptions.Stats): each admitted join reports its exact node
+// (rcj.Query.Stats): each admitted join reports its exact node
 // accesses, page faults, and buffer hit rate even while other joins hammer
 // the same pool, and the scheduler aggregates them into a Snapshot for the
 // /metrics endpoint.
@@ -202,7 +206,7 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // admission control rejects the request (ErrOverloaded, ErrQueueTimeout,
 // ErrDraining). On success the returned release function must be called
 // exactly once when the work is done; it is idempotent. Acquire is exported
-// for callers scheduling non-Join work (e.g. L1 joins) under the same
+// for callers scheduling other work (e.g. L1 joins) under the same
 // admission bounds.
 func (s *Scheduler) Acquire(ctx context.Context) (release func(), err error) {
 	start := time.Now()
@@ -345,31 +349,6 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// Join admits a streaming join: it blocks in admission control (so typed
-// rejections surface before any result bytes are produced), then returns a
-// single-use iterator streaming the pairs exactly as rcj.Engine.Join would.
-// The slot is held until the iterator terminates — completion, error, or
-// the consumer breaking out — and is released automatically then; callers
-// must consume (or at least begin and break out of) the iterator. When
-// stats is non-nil it receives the join's exact per-request statistics once
-// the iterator has terminated.
-func (s *Scheduler) Join(ctx context.Context, q, p *rcj.Index, opts rcj.JoinOptions, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	return s.admit(ctx, stats, func(jctx context.Context, st *rcj.Stats) iter.Seq2[rcj.Pair, error] {
-		o := opts
-		o.Stats = st
-		return s.eng.Join(jctx, q, p, o)
-	})
-}
-
-// SelfJoin is Join for the self-join of one index.
-func (s *Scheduler) SelfJoin(ctx context.Context, ix *rcj.Index, opts rcj.JoinOptions, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	return s.admit(ctx, stats, func(jctx context.Context, st *rcj.Stats) iter.Seq2[rcj.Pair, error] {
-		o := opts
-		o.Stats = st
-		return s.eng.SelfJoin(jctx, ix, o)
-	})
-}
-
 // resolve routes an unforced query through the cost-based planner, feeding
 // it the scheduler's live pressure (free slots, queue depth) so the chosen
 // fan-out respects concurrent load — and so the batch key downstream groups
@@ -405,52 +384,31 @@ func (s *Scheduler) Observe(q, p *rcj.Index) rcj.PlanObserved {
 	return obs
 }
 
-// Run admits a streaming v2 query (predicate pushdown: top-k, max-diameter,
-// region window, limit) under the same admission control as Join. See Join
-// for the slot lifecycle and stats contract.
+// Run admits a streaming join: it blocks in admission control (so typed
+// rejections surface before any result bytes are produced), then returns a
+// single-use iterator streaming the pairs exactly as rcj.Engine.Run would.
+// The slot is held until the iterator terminates — completion, error, or
+// the consumer breaking out — and is released automatically then; callers
+// must consume (or at least begin and break out of) the iterator. When
+// stats is non-nil it receives the join's exact per-request statistics once
+// the iterator has terminated.
 func (s *Scheduler) Run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	qry = s.resolve(q, p, qry, false)
-	if seq, err, handled := s.runBatched(ctx, q, p, qry, false, stats); handled {
-		return seq, err
-	}
-	return s.admit(ctx, stats, func(jctx context.Context, st *rcj.Stats) iter.Seq2[rcj.Pair, error] {
-		r := qry
-		r.Stats = st
-		return s.eng.Run(jctx, q, p, r)
-	})
+	return s.run(ctx, q, p, qry, false, stats)
 }
 
 // RunSelf is Run for the self-join of one index.
 func (s *Scheduler) RunSelf(ctx context.Context, ix *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	qry = s.resolve(ix, ix, qry, true)
-	if seq, err, handled := s.runBatched(ctx, ix, ix, qry, true, stats); handled {
+	return s.run(ctx, ix, ix, qry, true, stats)
+}
+
+// run is the admission pipeline around one streaming join: resolve the
+// plan, ride a forming batch if one fits (batch.go), otherwise acquire a
+// slot, apply the per-request deadline, stream, account, release.
+func (s *Scheduler) run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, self bool, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
+	qry = s.resolve(q, p, qry, self)
+	if seq, err, handled := s.runBatched(ctx, q, p, qry, self, stats); handled {
 		return seq, err
 	}
-	return s.admit(ctx, stats, func(jctx context.Context, st *rcj.Stats) iter.Seq2[rcj.Pair, error] {
-		r := qry
-		r.Stats = st
-		return s.eng.RunSelf(jctx, ix, r)
-	})
-}
-
-// JoinCollect is the materializing convenience over Join, for callers that
-// do not stream (batch tools, tests).
-func (s *Scheduler) JoinCollect(ctx context.Context, q, p *rcj.Index, opts rcj.JoinOptions) ([]rcj.Pair, rcj.Stats, error) {
-	var st rcj.Stats
-	seq, err := s.Join(ctx, q, p, opts, &st)
-	if err != nil {
-		return nil, rcj.Stats{}, err
-	}
-	pairs, err := rcj.Collect(seq)
-	if err != nil {
-		return nil, st, err
-	}
-	return pairs, st, nil
-}
-
-// admit runs the admission pipeline around one streaming join: acquire a
-// slot, apply the per-request deadline, stream, account, release.
-func (s *Scheduler) admit(ctx context.Context, stats *rcj.Stats, mk func(context.Context, *rcj.Stats) iter.Seq2[rcj.Pair, error]) (iter.Seq2[rcj.Pair, error], error) {
 	release, err := s.Acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -467,9 +425,16 @@ func (s *Scheduler) admit(ctx context.Context, stats *rcj.Stats, mk func(context
 		defer cancel()
 
 		var st rcj.Stats
+		qry.Stats = &st
+		var seq iter.Seq2[rcj.Pair, error]
+		if self {
+			seq = s.eng.RunSelf(jctx, q, qry)
+		} else {
+			seq = s.eng.Run(jctx, q, p, qry)
+		}
 		var pairs int64
 		var failed bool
-		for pr, err := range mk(jctx, &st) {
+		for pr, err := range seq {
 			if err != nil {
 				failed = true
 				yield(pr, err)

@@ -245,17 +245,17 @@ func TestDrainContextExpiry(t *testing.T) {
 }
 
 // TestJoinMatchesEngine checks a scheduled streaming join returns exactly
-// Engine.JoinCollect's result set and reports exact per-request stats.
+// Engine.RunCollect's result set and reports exact per-request stats.
 func TestJoinMatchesEngine(t *testing.T) {
 	eng, q, p := newTestEngine(t)
-	want, wantStats, err := eng.JoinCollect(context.Background(), q, p, rcj.JoinOptions{})
+	want, wantStats, err := eng.RunCollect(context.Background(), q, p, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s := New(eng, Config{MaxConcurrent: 2, MaxQueue: 2})
 	var st rcj.Stats
-	seq, err := s.Join(context.Background(), q, p, rcj.JoinOptions{}, &st)
+	seq, err := s.Run(context.Background(), q, p, rcj.Query{}, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestJoinBreakReleasesSlot(t *testing.T) {
 	eng, q, p := newTestEngine(t)
 	s := New(eng, Config{MaxConcurrent: 1, MaxQueue: 0})
 
-	seq, err := s.Join(context.Background(), q, p, rcj.JoinOptions{}, nil)
+	seq, err := s.Run(context.Background(), q, p, rcj.Query{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestJoinTimeout(t *testing.T) {
 	defer ix.Close()
 
 	s := New(eng, Config{MaxConcurrent: 1, JoinTimeout: time.Nanosecond})
-	seq, err := s.SelfJoin(context.Background(), ix, rcj.JoinOptions{}, nil)
+	seq, err := s.RunSelf(context.Background(), ix, rcj.Query{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestJoinTimeout(t *testing.T) {
 // per-request tagged buffer stats that sum to the scheduler's aggregate.
 func TestConcurrentJoinsExactStats(t *testing.T) {
 	eng, q, p := newTestEngine(t)
-	want, _, err := eng.JoinCollect(context.Background(), q, p, rcj.JoinOptions{})
+	want, _, err := eng.RunCollect(context.Background(), q, p, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestConcurrentJoinsExactStats(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			seq, err := s.Join(context.Background(), q, p, rcj.JoinOptions{}, &stats[i])
+			seq, err := s.Run(context.Background(), q, p, rcj.Query{}, &stats[i])
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return

@@ -71,11 +71,11 @@ func joinBody(t *testing.T, ts *httptest.Server, body string) string {
 }
 
 // splitSummary separates an NDJSON body into pair lines and the summary line.
-func splitSummary(t *testing.T, body string) (pairLines string, summary summaryLine) {
+func splitSummary(t *testing.T, body string) (pairLines string, summary Summary) {
 	t.Helper()
 	lines := strings.SplitAfter(strings.TrimRight(body, "\n"), "\n")
 	last := strings.TrimSpace(lines[len(lines)-1])
-	var wrapped map[string]summaryLine
+	var wrapped map[string]Summary
 	if err := json.Unmarshal([]byte(last), &wrapped); err != nil {
 		t.Fatalf("last line is not a summary: %q: %v", last, err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"os/signal"
@@ -66,7 +67,7 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qIx.Close()
-	want, _, err := rcj.Join(qIx, pIx, rcj.JoinOptions{})
+	want, _, err := rcj.NewEngine(rcj.EngineConfig{}).RunCollect(context.Background(), qIx, pIx, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 			}
 			for k := range pairSet(t, pairs) {
 				if wantSet[k] == 0 {
-					t.Errorf("client %d: pair not in JoinCollect result: %s", i, k)
+					t.Errorf("client %d: pair not in RunCollect result: %s", i, k)
 					return
 				}
 			}
@@ -126,6 +127,32 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 		case <-firstLine:
 		case <-time.After(10 * time.Second):
 			t.Fatal("admitted clients never started streaming")
+		}
+	}
+	// ...and until the other six have reached admission: a request that
+	// arrives after the signal is (correctly) answered 503, so the drain
+	// contract only covers requests the scheduler already holds. They are
+	// queued while the two streams block on their clients — or already
+	// admitted in turn, when the kernel's socket buffers swallowed a whole
+	// response and freed its slot early.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Sched sched.Snapshot `json:"sched"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Sched.Admitted+int64(m.Sched.Queued) == clients {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("scheduler holds %d admitted + %d queued requests, want %d", m.Sched.Admitted, m.Sched.Queued, clients)
 		}
 	}
 

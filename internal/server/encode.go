@@ -66,9 +66,12 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendPairNDJSON appends one pairLine exactly as json.Encoder would
-// (field order fixed by the struct, trailing newline included).
-func appendPairNDJSON(b []byte, pr rcj.Pair) []byte {
+// AppendPairNDJSON appends one PairLine exactly as json.Encoder would
+// (field order fixed by the struct, trailing newline included). It and
+// AppendPairCSV are exported for the scatter-gather router, which re-emits
+// worker rows to its own clients and must produce byte-identical lines (the
+// CI gates diff router output against rcjjoin directly).
+func AppendPairNDJSON(b []byte, pr rcj.Pair) []byte {
 	b = append(b, `{"p_id":`...)
 	b = strconv.AppendInt(b, pr.P.ID, 10)
 	b = append(b, `,"q_id":`...)
@@ -83,9 +86,9 @@ func appendPairNDJSON(b []byte, pr rcj.Pair) []byte {
 	return b
 }
 
-// appendPairCSV appends one CSV row in the /join CSV format: ids, then the
+// AppendPairCSV appends one CSV row in the /join CSV format: ids, then the
 // center and radius with six fixed decimals.
-func appendPairCSV(b []byte, pr rcj.Pair) []byte {
+func AppendPairCSV(b []byte, pr rcj.Pair) []byte {
 	b = strconv.AppendInt(b, pr.P.ID, 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, pr.Q.ID, 10)
@@ -98,12 +101,3 @@ func appendPairCSV(b []byte, pr rcj.Pair) []byte {
 	b = append(b, '\n')
 	return b
 }
-
-// AppendPairCSV and AppendPairNDJSON are the exported forms of the pooled
-// line encoders: the scatter-gather router re-emits worker rows to its own
-// clients and must produce byte-identical lines (the CI gates diff router
-// output against rcjjoin directly).
-func AppendPairCSV(b []byte, pr rcj.Pair) []byte { return appendPairCSV(b, pr) }
-
-// AppendPairNDJSON appends one NDJSON result row; see AppendPairCSV.
-func AppendPairNDJSON(b []byte, pr rcj.Pair) []byte { return appendPairNDJSON(b, pr) }

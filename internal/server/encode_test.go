@@ -52,12 +52,12 @@ func TestAppendPairNDJSONMatchesEncoder(t *testing.T) {
 			Center: rcj.Point{X: rng.NormFloat64() * 1e4, Y: rng.NormFloat64() * 1e-8},
 			Radius: math.Abs(rng.NormFloat64()) * math.Pow(10, float64(rng.Intn(40)-20)),
 		}
-		want, err := json.Marshal(pairLine{PID: pr.P.ID, QID: pr.Q.ID, CX: pr.Center.X, CY: pr.Center.Y, Radius: pr.Radius})
+		want, err := json.Marshal(PairLine{PID: pr.P.ID, QID: pr.Q.ID, CX: pr.Center.X, CY: pr.Center.Y, Radius: pr.Radius})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, '\n') // json.Encoder terminates each value with \n
-		if got := appendPairNDJSON(nil, pr); string(got) != string(want) {
+		if got := AppendPairNDJSON(nil, pr); string(got) != string(want) {
 			t.Fatalf("pair %d:\n got %q\nwant %q", i, got, want)
 		}
 	}
@@ -78,7 +78,7 @@ func TestAppendPairCSVMatchesFprintf(t *testing.T) {
 			strconv.FormatFloat(pr.Center.X, 'f', 6, 64),
 			strconv.FormatFloat(pr.Center.Y, 'f', 6, 64),
 			strconv.FormatFloat(pr.Radius, 'f', 6, 64))
-		if got := appendPairCSV(nil, pr); string(got) != want {
+		if got := AppendPairCSV(nil, pr); string(got) != want {
 			t.Fatalf("pair %d:\n got %q\nwant %q", i, got, want)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkEncodePairJSONEncoder(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pr := benchPairs[i%len(benchPairs)]
-		enc.Encode(pairLine{PID: pr.P.ID, QID: pr.Q.ID, CX: pr.Center.X, CY: pr.Center.Y, Radius: pr.Radius})
+		enc.Encode(PairLine{PID: pr.P.ID, QID: pr.Q.ID, CX: pr.Center.X, CY: pr.Center.Y, Radius: pr.Radius})
 	}
 }
 
@@ -116,7 +116,7 @@ func BenchmarkEncodePairPooled(b *testing.B) {
 	defer putLineBuf(buf)
 	for i := 0; i < b.N; i++ {
 		*buf = (*buf)[:0]
-		*buf = appendPairNDJSON(*buf, benchPairs[i%len(benchPairs)])
+		*buf = AppendPairNDJSON(*buf, benchPairs[i%len(benchPairs)])
 		io.Discard.Write(*buf)
 	}
 }
@@ -139,7 +139,7 @@ func BenchmarkEncodePairCSVPooled(b *testing.B) {
 	defer putLineBuf(buf)
 	for i := 0; i < b.N; i++ {
 		*buf = (*buf)[:0]
-		*buf = appendPairCSV(*buf, benchPairs[i%len(benchPairs)])
+		*buf = AppendPairCSV(*buf, benchPairs[i%len(benchPairs)])
 		io.Discard.Write(*buf)
 	}
 }

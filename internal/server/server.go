@@ -688,67 +688,9 @@ func writePromHistogram(w http.ResponseWriter, name, help string, h sched.Histog
 	fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.SumSeconds, name, cum)
 }
 
-// joinRequest is the POST /join payload. Exactly one of {"q"} or
-// {"self": true} selects a two-set or self join; "p" is always required.
-// The predicate fields are pushed down into the index traversal — a top-k
-// request prunes the join instead of computing it fully and truncating.
-type joinRequest struct {
-	P           string `json:"p"`
-	Q           string `json:"q"`
-	Self        bool   `json:"self"`
-	Alg         string `json:"alg"`         // "inj", "bij", "obj" (default)
-	Parallelism int    `json:"parallelism"` // worker goroutines, default 1
-	TimeoutMS   int64  `json:"timeout_ms"`  // per-request cap under the server's JoinTimeout
-	Format      string `json:"format"`      // "ndjson" (default) or "csv"
-
-	MaxDiameter float64   `json:"max_diameter"` // > 0: only pairs at most this wide
-	MinDistance float64   `json:"min_distance"` // > 0: drop pairs tighter than this
-	TopK        int       `json:"top_k"`        // > 0: the k tightest pairs, ascending
-	Limit       int       `json:"limit"`        // > 0: stop after this many pairs
-	Region      []float64 `json:"region"`       // [min_x, min_y, max_x, max_y] window on the circle center
-}
-
-// pairLine is one NDJSON result row.
-type pairLine struct {
-	PID    int64   `json:"p_id"`
-	QID    int64   `json:"q_id"`
-	CX     float64 `json:"cx"`
-	CY     float64 `json:"cy"`
-	Radius float64 `json:"r"`
-}
-
-// summaryLine terminates a successful NDJSON stream: the request's exact
-// statistics, attributed to it alone even under concurrent joins.
-// NodesPruned shows how much traversal the request's predicates saved —
-// pushdown effectiveness, observable per query.
-type summaryLine struct {
-	Results      int64 `json:"results"`
-	Candidates   int64 `json:"candidates"`
-	NodeAccesses int64 `json:"node_accesses"`
-	PageFaults   int64 `json:"page_faults"`
-	NodesPruned  int64 `json:"nodes_pruned"`
-	// BoundKilled is Stats.BoundKilledCandidates: candidates a TopK run's
-	// tightened diameter bound killed before verification.
-	BoundKilled int64   `json:"bound_killed_candidates"`
-	BufferHit   float64 `json:"buffer_hit_ratio"`
-	ElapsedMS   int64   `json:"elapsed_ms"`
-	// Alg and Parallelism are the EFFECTIVE values the join ran with — the
-	// resolved plan's algorithm, and the worker fan-out after the planner's
-	// choice and the server-side GOMAXPROCS clamp (which used to apply
-	// silently; now every response reports what actually ran).
-	Alg         string `json:"alg"`
-	Parallelism int    `json:"parallelism"`
-	// Plan is the resolved plan decision, human-readable: rule, predicate
-	// order, prefetch depth, cost estimate ("rule=fixed" for forced runs).
-	Plan string `json:"plan"`
-	// Cached marks a stream replayed from the result cache; the statistics
-	// above are the original run's.
-	Cached bool `json:"cached,omitempty"`
-}
-
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.requests.inc("join")
-	var req joinRequest
+	var req JoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -761,52 +703,15 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, `exactly one of "q" or "self" is required`)
 		return
 	}
-	// "" and "auto" leave the algorithm to the cost-based planner; a named
-	// algorithm is forced verbatim (the old hard-coded-OBJ default is now
-	// spelled "obj").
-	alg, ok := map[string]rcj.Algorithm{"": 0, "auto": 0, "obj": rcj.OBJ, "bij": rcj.BIJ, "inj": rcj.INJ, "brute": rcj.Brute}[req.Alg]
-	if !ok {
-		errorJSON(w, http.StatusBadRequest, "unknown algorithm %q (want auto, inj, bij, obj, or brute)", req.Alg)
-		return
-	}
-	forced := req.Alg != "" && req.Alg != "auto"
-	csvFormat := false
-	switch req.Format {
-	case "", "ndjson":
-	case "csv":
-		csvFormat = true
-	default:
-		errorJSON(w, http.StatusBadRequest, "unknown format %q (want ndjson or csv)", req.Format)
-		return
-	}
-	if req.Parallelism < 0 {
-		errorJSON(w, http.StatusBadRequest, "parallelism must be >= 0")
+	qry, csvFormat, err := req.Query()
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Clamp worker fan-out server-side: admission control bounds *joins*, so
 	// one request must not multiply itself past the hardware underneath.
-	if maxPar := runtime.GOMAXPROCS(0); req.Parallelism > maxPar {
-		req.Parallelism = maxPar
-	}
-	qry := rcj.Query{
-		Algorithm:      alg,
-		ForceAlgorithm: forced,
-		Parallelism:    req.Parallelism,
-		MaxDiameter:    req.MaxDiameter,
-		MinDistance:    req.MinDistance,
-		TopK:           req.TopK,
-		Limit:          req.Limit,
-	}
-	if len(req.Region) > 0 {
-		if len(req.Region) != 4 {
-			errorJSON(w, http.StatusBadRequest, "region must be [min_x, min_y, max_x, max_y], got %d values", len(req.Region))
-			return
-		}
-		qry.Region = &rcj.Rect{MinX: req.Region[0], MinY: req.Region[1], MaxX: req.Region[2], MaxY: req.Region[3]}
-	}
-	if err := qry.Validate(); err != nil {
-		errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
+	if maxPar := runtime.GOMAXPROCS(0); qry.Parallelism > maxPar {
+		qry.Parallelism = maxPar
 	}
 	// Pin the indexes for the lifetime of the stream so a concurrent
 	// DELETE /indexes/{name} cannot unmap pages a running traversal reads.
@@ -870,7 +775,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 	var st rcj.Stats
 	var seq iter.Seq2[rcj.Pair, error]
-	var err error
 	if req.Self {
 		seq, err = s.sched.RunSelf(ctx, ixP.ix, qry, &st)
 	} else {
@@ -911,9 +815,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 		*buf = (*buf)[:0]
 		if csvFormat {
-			*buf = appendPairCSV(*buf, pr)
+			*buf = AppendPairCSV(*buf, pr)
 		} else {
-			*buf = appendPairNDJSON(*buf, pr)
+			*buf = AppendPairNDJSON(*buf, pr)
 		}
 		w.Write(*buf)
 		if cacheOK {
@@ -932,19 +836,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.cache.put(&cachedResult{key: ckey, names: names, pairs: collect, stats: st, plan: dec})
 	}
 	if !csvFormat {
-		enc.Encode(map[string]summaryLine{"summary": {
-			Results:      st.Results,
-			Candidates:   st.Candidates,
-			NodeAccesses: st.NodeAccesses,
-			PageFaults:   st.PageFaults,
-			NodesPruned:  st.NodesPruned,
-			BoundKilled:  st.BoundKilledCandidates,
-			BufferHit:    st.BufferHitRatio(),
-			ElapsedMS:    time.Since(start).Milliseconds(),
-			Alg:          strings.ToLower(dec.Algorithm.String()),
-			Parallelism:  dec.Parallelism,
-			Plan:         dec.String(),
-		}})
+		sum := newSummary(st, dec)
+		sum.ElapsedMS = time.Since(start).Milliseconds()
+		enc.Encode(map[string]Summary{"summary": sum})
 	}
 	flush()
 }
@@ -964,27 +858,16 @@ func (s *Server) writeCachedJoin(w http.ResponseWriter, res *cachedResult, csvFo
 	for _, pr := range res.pairs {
 		*buf = (*buf)[:0]
 		if csvFormat {
-			*buf = appendPairCSV(*buf, pr)
+			*buf = AppendPairCSV(*buf, pr)
 		} else {
-			*buf = appendPairNDJSON(*buf, pr)
+			*buf = AppendPairNDJSON(*buf, pr)
 		}
 		w.Write(*buf)
 	}
 	if !csvFormat {
-		st := res.stats
-		json.NewEncoder(w).Encode(map[string]summaryLine{"summary": {
-			Results:      st.Results,
-			Candidates:   st.Candidates,
-			NodeAccesses: st.NodeAccesses,
-			PageFaults:   st.PageFaults,
-			NodesPruned:  st.NodesPruned,
-			BoundKilled:  st.BoundKilledCandidates,
-			BufferHit:    st.BufferHitRatio(),
-			Alg:          strings.ToLower(res.plan.Algorithm.String()),
-			Parallelism:  res.plan.Parallelism,
-			Plan:         res.plan.String(),
-			Cached:       true,
-		}})
+		sum := newSummary(res.stats, res.plan)
+		sum.Cached = true
+		json.NewEncoder(w).Encode(map[string]Summary{"summary": sum})
 	}
 	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()

@@ -81,10 +81,10 @@ func postJoin(t *testing.T, ts *httptest.Server, body string) *http.Response {
 }
 
 // decodeStream splits an NDJSON join response into pairs and the summary.
-func decodeStream(t *testing.T, r io.Reader) ([]rcj.Pair, *summaryLine) {
+func decodeStream(t *testing.T, r io.Reader) ([]rcj.Pair, *Summary) {
 	t.Helper()
 	var pairs []rcj.Pair
-	var summary *summaryLine
+	var summary *Summary
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -95,14 +95,14 @@ func decodeStream(t *testing.T, r io.Reader) ([]rcj.Pair, *summaryLine) {
 		}
 		switch {
 		case probe["summary"] != nil:
-			summary = new(summaryLine)
+			summary = new(Summary)
 			if err := json.Unmarshal(probe["summary"], summary); err != nil {
 				t.Fatal(err)
 			}
 		case probe["error"] != nil:
 			t.Fatalf("stream error: %s", line)
 		default:
-			var pl pairLine
+			var pl PairLine
 			if err := json.Unmarshal(line, &pl); err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestJoinStreamMatchesCollect(t *testing.T) {
 
 	pIx, _ := srv.lookup("p")
 	qIx, _ := srv.lookup("q")
-	want, wantStats, err := srv.Scheduler().Engine().JoinCollect(context.Background(), qIx.ix, pIx.ix, rcj.JoinOptions{})
+	want, wantStats, err := srv.Scheduler().Engine().RunCollect(context.Background(), qIx.ix, pIx.ix, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestJoinStreamMatchesCollect(t *testing.T) {
 }
 
 // pairsOf drains a 200 response into a pair set plus summary.
-func pairsOf(t *testing.T, resp *http.Response) (map[string]int, *summaryLine, int) {
+func pairsOf(t *testing.T, resp *http.Response) (map[string]int, *Summary, int) {
 	t.Helper()
 	pairs, summary := decodeStream(t, resp.Body)
 	set := make(map[string]int, len(pairs))
@@ -219,7 +219,7 @@ func TestSelfJoinAndCSVFormat(t *testing.T) {
 	}
 
 	pIx, _ := srv.lookup("p")
-	want, _, err := srv.Scheduler().Engine().SelfJoinCollect(context.Background(), pIx.ix, rcj.JoinOptions{})
+	want, _, err := srv.Scheduler().Engine().RunSelfCollect(context.Background(), pIx.ix, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,9 @@ func TestJoinRequestValidation(t *testing.T) {
 		{`{"q":"q"}`, http.StatusBadRequest},                     // missing p
 		{`{"p":"p"}`, http.StatusBadRequest},                     // neither q nor self
 		{`{"p":"p","q":"q","self":true}`, http.StatusBadRequest}, // both
+		// One row for JoinRequest.Query's rejections (all of them 400); the
+		// rules themselves are tabled in router.TestJoinRequestOneDefinition.
 		{`{"p":"p","q":"q","alg":"warp"}`, http.StatusBadRequest},
-		{`{"p":"p","q":"q","format":"xml"}`, http.StatusBadRequest},
 		{`{"p":"nope","q":"q"}`, http.StatusNotFound},
 		{`{"p":"p","q":"nope"}`, http.StatusNotFound},
 		{`not json`, http.StatusBadRequest},
@@ -432,7 +433,7 @@ func TestHealthzFlipsOnDrain(t *testing.T) {
 // TestConcurrentClientsOverloadAndDrain is the acceptance integration test:
 // ≥8 concurrent HTTP clients against maxConcurrent=2, a bounded queue
 // producing typed 429 rejections for the excess, every admitted stream
-// byte-identical to Engine.JoinCollect, and a graceful drain completing
+// byte-identical to Engine.RunCollect, and a graceful drain completing
 // while clients are still streaming.
 func TestConcurrentClientsOverloadAndDrain(t *testing.T) {
 	const (
@@ -444,7 +445,7 @@ func TestConcurrentClientsOverloadAndDrain(t *testing.T) {
 
 	pIx, _ := srv.lookup("p")
 	qIx, _ := srv.lookup("q")
-	want, _, err := srv.Scheduler().Engine().JoinCollect(context.Background(), qIx.ix, pIx.ix, rcj.JoinOptions{})
+	want, _, err := srv.Scheduler().Engine().RunCollect(context.Background(), qIx.ix, pIx.ix, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +516,7 @@ func TestConcurrentClientsOverloadAndDrain(t *testing.T) {
 	}
 
 	// Phase 5: free the slots; every queued client must stream to
-	// completion with results identical to Engine.JoinCollect, and only
+	// completion with results identical to Engine.RunCollect, and only
 	// then may the drain finish.
 	releaseA()
 	releaseB()

@@ -1,6 +1,6 @@
 // Package stream bridges a callback-producing join into a pull-based
 // iterator. It exists because every streaming surface of this repo
-// (rcj.Engine.Join, rcjnet.JoinSeq) needs the same subtle goroutine
+// (rcj.Engine.Run, rcjnet.JoinSeq) needs the same subtle goroutine
 // lifecycle: a producer emitting through a bounded channel, cancellation on
 // early break, and a guarantee that the producer goroutine is joined before
 // the iterator returns.

@@ -7,9 +7,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/stream"
 )
 
 // EffectiveAlgorithm resolves the algorithm the query will actually run:
@@ -116,47 +114,19 @@ func (q Query) Canonical() string {
 // the scheduler's cross-request batching demultiplexes: each member filters
 // every slice with its own Query.Matches.
 func (e *Engine) RunBatches(ctx context.Context, q, p *Index, qry Query) iter.Seq2[[]Pair, error] {
-	return batchSeq(ctx, q, p, qry, false)
+	return runStream(ctx, q, p, qry, false, batchSink)
 }
 
 // RunSelfBatches is RunBatches for the self-join of one dataset.
 func (e *Engine) RunSelfBatches(ctx context.Context, ix *Index, qry Query) iter.Seq2[[]Pair, error] {
-	return batchSeq(ctx, ix, ix, qry, true)
+	return runStream(ctx, ix, ix, qry, true, batchSink)
 }
 
-// batchSeq is querySeq with batch-granular emission: the producer converts
-// each core batch once and hands the slice over the stream bridge, so the
-// whole-batch cost is one channel send instead of one per pair.
-func batchSeq(ctx context.Context, q, p *Index, qry Query, self bool) iter.Seq2[[]Pair, error] {
-	if err := qry.Validate(); err != nil {
-		return func(yield func([]Pair, error) bool) { yield(nil, err) }
-	}
-	qry, dec := qry.Resolve(q, p, self)
-	if qry.PlanOut != nil {
-		*qry.PlanOut = dec
-	}
-	return stream.Seq2(ctx, streamBuffer, func(runCtx context.Context, emit func([]Pair)) error {
-		coreOpts := qry.coreOptions(self)
-		coreOpts.OnBatch = func(cb []core.Pair) {
-			out := make([]Pair, len(cb))
-			for i, cp := range cb {
-				out[i] = fromCorePair(cp)
-			}
-			emit(out)
-		}
-		// One shared traversal pins ONE snapshot for every batch member —
-		// each member was admitted before this point, so the snapshot is
-		// current within every member's request window.
-		var rec buffer.TagStats
-		tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
-		if err != nil {
-			return err
-		}
-		defer release()
-		_, st, err := core.JoinContext(runCtx, tq, tp, coreOpts)
-		if qry.Stats != nil {
-			*qry.Stats = statsFrom(st, &rec)
-		}
-		return err
-	})
+// batchSink converts each core batch once and hands the slice over the
+// stream bridge: one channel send per verification batch instead of one per
+// pair. A shared traversal pins ONE snapshot for every batch member — each
+// member was admitted before the traversal starts, so the snapshot is
+// current within every member's request window.
+func batchSink(co *core.Options, emit func([]Pair)) {
+	co.OnBatch = func(cb []core.Pair) { emit(fromCorePairs(cb)) }
 }

@@ -1,7 +1,6 @@
 package rcj
 
 import (
-	"context"
 	"iter"
 	"sync/atomic"
 
@@ -22,7 +21,7 @@ import (
 //	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: 4096})
 //	restaurants, _ := eng.BuildIndex(pointsP, rcj.IndexConfig{})
 //	residences, _ := eng.BuildIndex(pointsQ, rcj.IndexConfig{})
-//	for pair, err := range eng.Join(ctx, residences, restaurants, rcj.JoinOptions{}) {
+//	for pair, err := range eng.Run(ctx, residences, restaurants, rcj.Query{}) {
 //		if err != nil { ... }
 //		serve(pair)
 //	}
@@ -109,43 +108,11 @@ func (e *Engine) BufferShards() int { return e.pool.Shards() }
 // cancelled consumer stops the producer within a leaf or two.
 const streamBuffer = 64
 
-// Join computes the ring-constrained join of the datasets of p and q,
-// streaming each result pair as the join confirms it. The returned iterator
-// is single-use. Cancelling ctx aborts the join; the iterator then yields
-// the context's error. Breaking out of the loop early also aborts the join
-// and releases its goroutines. JoinOptions.SortByDiameter and OnPair are
-// meaningless in streaming mode and ignored; use JoinCollect for a sorted
-// slice.
-func (e *Engine) Join(ctx context.Context, q, p *Index, opts JoinOptions) iter.Seq2[Pair, error] {
-	return joinSeq(ctx, q, p, opts, false)
-}
-
-// SelfJoin streams the ring-constrained self-join of one dataset, each
-// unordered pair reported once with P.ID < Q.ID.
-func (e *Engine) SelfJoin(ctx context.Context, ix *Index, opts JoinOptions) iter.Seq2[Pair, error] {
-	return joinSeq(ctx, ix, ix, opts, true)
-}
-
-// JoinCollect is the materializing convenience wrapper around Join,
-// preserving the signature of the package-level rcj.Join: it runs the join
-// to completion under ctx and returns all pairs plus run statistics. The
-// buffer counters in Stats are attributed to this join exactly via
-// per-request access tagging, even while other joins run concurrently on
-// the shared pool.
-func (e *Engine) JoinCollect(ctx context.Context, q, p *Index, opts JoinOptions) ([]Pair, Stats, error) {
-	return runJoin(ctx, q, p, opts, false)
-}
-
-// SelfJoinCollect is the materializing wrapper around SelfJoin.
-func (e *Engine) SelfJoinCollect(ctx context.Context, ix *Index, opts JoinOptions) ([]Pair, Stats, error) {
-	return runJoin(ctx, ix, ix, opts, true)
-}
-
 // Collect drains a streaming join into a slice, stopping at the first
-// error. It is the bridge from the iterator form back to today's
-// slice-returning form: for any join, Collect(eng.Join(...)) returns
-// exactly the pairs eng.JoinCollect(...) does (in unspecified order when
-// parallel).
+// error. It is the bridge from the iterator form back to the slice-returning
+// form: for any query, Collect(eng.Run(...)) returns exactly the pairs
+// eng.RunCollect(...) does (in unspecified order when parallel, and without
+// SortByDiameter).
 func Collect(seq iter.Seq2[Pair, error]) ([]Pair, error) {
 	var out []Pair
 	for pr, err := range seq {
@@ -155,9 +122,4 @@ func Collect(seq iter.Seq2[Pair, error]) ([]Pair, error) {
 		out = append(out, pr)
 	}
 	return out, nil
-}
-
-// joinSeq bridges the v1 streaming entry points onto the v2 query executor.
-func joinSeq(ctx context.Context, q, p *Index, opts JoinOptions, self bool) iter.Seq2[Pair, error] {
-	return querySeq(ctx, q, p, opts.query(), self)
 }

@@ -56,7 +56,7 @@ func TestEngineConcurrentJoins(t *testing.T) {
 	defer ixP.Close()
 	defer ixQ.Close()
 
-	want, _, err := Join(mustIndex(t, pointsOf(t, ixQ), IndexConfig{}), mustIndex(t, pointsOf(t, ixP), IndexConfig{}), JoinOptions{})
+	want, _, err := testEng.RunCollect(bg, mustIndex(t, pointsOf(t, ixQ), IndexConfig{}), mustIndex(t, pointsOf(t, ixP), IndexConfig{}), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,14 @@ func TestEngineConcurrentJoins(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := JoinOptions{}
+			opts := Query{}
 			if i%3 == 1 {
 				opts.Parallelism = 4 // mix parallel joins into the load
 			}
 			if i%2 == 0 {
-				results[i], _, errs[i] = eng.JoinCollect(context.Background(), ixQ, ixP, opts)
+				results[i], _, errs[i] = eng.RunCollect(context.Background(), ixQ, ixP, opts)
 			} else {
-				results[i], errs[i] = Collect(eng.Join(context.Background(), ixQ, ixP, opts))
+				results[i], errs[i] = Collect(eng.Run(context.Background(), ixQ, ixP, opts))
 			}
 		}(i)
 	}
@@ -111,12 +111,12 @@ func TestEngineStreamMatchesCollect(t *testing.T) {
 	defer ixQ.Close()
 
 	for _, par := range []int{0, 4} {
-		opts := JoinOptions{Parallelism: par}
-		collected, _, err := eng.JoinCollect(context.Background(), ixQ, ixP, opts)
+		opts := Query{Parallelism: par}
+		collected, _, err := eng.RunCollect(context.Background(), ixQ, ixP, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := Collect(eng.Join(context.Background(), ixQ, ixP, opts))
+		streamed, err := Collect(eng.Run(context.Background(), ixQ, ixP, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,11 +130,11 @@ func TestEngineSelfJoinStream(t *testing.T) {
 	ix, _ := eng.BuildIndex(testPoints(rng, 300, 0), IndexConfig{})
 	defer ix.Close()
 
-	collected, _, err := eng.SelfJoinCollect(context.Background(), ix, JoinOptions{})
+	collected, _, err := eng.RunSelfCollect(context.Background(), ix, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := Collect(eng.SelfJoin(context.Background(), ix, JoinOptions{}))
+	streamed, err := Collect(eng.RunSelf(context.Background(), ix, Query{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestEngineCancellation(t *testing.T) {
 	defer ixP.Close()
 	defer ixQ.Close()
 
-	total, _, err := eng.JoinCollect(context.Background(), ixQ, ixP, JoinOptions{})
+	total, _, err := eng.RunCollect(context.Background(), ixQ, ixP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestEngineCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var got int
 			var sawErr error
-			for pr, err := range eng.Join(ctx, ixQ, ixP, JoinOptions{Parallelism: par}) {
+			for pr, err := range eng.Run(ctx, ixQ, ixP, Query{Parallelism: par}) {
 				if err != nil {
 					sawErr = err
 					break
@@ -221,7 +221,7 @@ func TestEngineEarlyBreak(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		base := runtime.NumGoroutine()
 		got := 0
-		for pr, err := range eng.Join(context.Background(), ixQ, ixP, JoinOptions{Parallelism: par}) {
+		for pr, err := range eng.Run(context.Background(), ixQ, ixP, Query{Parallelism: par}) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +245,7 @@ func TestEnginePreCancelled(t *testing.T) {
 	defer ix.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pairs, err := Collect(eng.SelfJoin(ctx, ix, JoinOptions{}))
+	pairs, err := Collect(eng.RunSelf(ctx, ix, Query{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -266,13 +266,13 @@ func TestEngineOwnersIsolated(t *testing.T) {
 	if a.owner == b.owner {
 		t.Fatalf("indexes share owner id %d", a.owner)
 	}
-	got, _, err := eng.JoinCollect(context.Background(), a, b, JoinOptions{})
+	got, _, err := eng.RunCollect(context.Background(), a, b, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantA := mustIndex(t, pointsOf(t, a), IndexConfig{})
 	wantB := mustIndex(t, pointsOf(t, b), IndexConfig{})
-	want, _, err := Join(wantA, wantB, JoinOptions{})
+	want, _, err := testEng.RunCollect(bg, wantA, wantB, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rcj_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,8 @@ func Example() {
 	}
 	defer ixQ.Close()
 
-	pairs, _, err := rcj.Join(ixQ, ixP, rcj.JoinOptions{SortByDiameter: true})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	pairs, _, err := eng.RunCollect(context.Background(), ixQ, ixP, rcj.Query{SortByDiameter: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,10 +45,10 @@ func Example() {
 	// <p2, q2>
 }
 
-// ExampleSelfJoin places postboxes among buildings: each unordered pair of
-// buildings whose enclosing circle contains no third building gets a box at
-// the midpoint.
-func ExampleSelfJoin() {
+// ExampleEngine_RunSelfCollect places postboxes among buildings: each
+// unordered pair of buildings whose enclosing circle contains no third
+// building gets a box at the midpoint.
+func ExampleEngine_RunSelfCollect() {
 	buildings := []rcj.Point{
 		{X: 0, Y: 0, ID: 1},
 		{X: 4, Y: 0, ID: 2},
@@ -57,7 +59,8 @@ func ExampleSelfJoin() {
 		log.Fatal(err)
 	}
 	defer ix.Close()
-	pairs, _, err := rcj.SelfJoin(ix, rcj.JoinOptions{SortByDiameter: true})
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	pairs, _, err := eng.RunSelfCollect(context.Background(), ix, rcj.Query{SortByDiameter: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,9 +102,9 @@ func ExampleVerifyPair() {
 	// pair <p1, q1> qualifies: false
 }
 
-// ExampleTopKByDiameter streams the join and keeps only the tightest pairs,
-// in O(k) memory.
-func ExampleTopKByDiameter() {
+// ExampleQuery_topK asks for the tightest pairs only: the TopK bound is
+// pushed into the traversal, which keeps O(k) pairs and prunes the rest.
+func ExampleQuery_topK() {
 	var p, q []rcj.Point
 	for i := 0; i < 10; i++ {
 		p = append(p, rcj.Point{X: float64(i) * 10, Y: 0, ID: int64(i)})
@@ -118,7 +121,8 @@ func ExampleTopKByDiameter() {
 	}
 	defer ixQ.Close()
 
-	top, err := rcj.TopKByDiameter(ixQ, ixP, 2)
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	top, _, err := eng.RunCollect(context.Background(), ixQ, ixP, rcj.Query{TopK: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

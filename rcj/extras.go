@@ -1,37 +1,25 @@
 package rcj
 
 import (
-	"context"
-
+	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/rtree"
 )
 
 // VerifyPair checks the ring constraint for one specific candidate pair
 // without running the full join: it reports whether the smallest circle
 // enclosing p (from the p index's dataset) and q (from the q index's
 // dataset) covers no other point of either dataset. Use it to validate a
-// proposed middleman location.
+// proposed middleman location. On a mutable index the check runs against
+// the epoch current at the call, like a join's traversal.
 func VerifyPair(q, p *Index, pPoint, qPoint Point) (bool, error) {
-	return core.VerifyPair(q.tree, p.tree,
-		rtree.PointEntry{P: geom.Point{X: pPoint.X, Y: pPoint.Y}, ID: pPoint.ID},
-		rtree.PointEntry{P: geom.Point{X: qPoint.X, Y: qPoint.Y}, ID: qPoint.ID},
-		q == p)
-}
-
-// TopKByDiameter computes the k ring-constrained join pairs with the
-// smallest enclosing-circle diameters — the head of the paper's
-// tourist-recommendation browsing order — without materializing the full
-// result set. It runs a Query with TopK pushdown, so the traversal itself
-// is bounded (branch-and-bound), not just the memory. The returned slice
-// is in ascending diameter order.
-func TopKByDiameter(q, p *Index, k int) ([]Pair, error) {
-	if k <= 0 {
-		return nil, nil
+	var rec buffer.TagStats
+	var coreOpts core.Options
+	tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
+	if err != nil {
+		return false, err
 	}
-	pairs, _, err := runQuery(context.Background(), q, p, Query{TopK: k}, false, nil)
-	return pairs, err
+	defer release()
+	return core.VerifyPair(tq, tp, pPoint.entry(), qPoint.entry(), q == p)
 }
 
 // IndexStats describes the physical shape of an index.
@@ -46,8 +34,14 @@ type IndexStats struct {
 	PageSize int
 }
 
-// Stats returns the physical shape of the index.
+// Stats returns the physical shape of the index. A mutable index has no one
+// tree to describe — its sealed base and in-memory delta change with every
+// batch and compaction — so it reports its current point count only;
+// LiveStats has the epoch decomposition.
 func (ix *Index) Stats() IndexStats {
+	if ls, ok := ix.LiveStats(); ok {
+		return IndexStats{Points: ls.Points}
+	}
 	return IndexStats{
 		Points:   ix.pts,
 		Height:   ix.tree.Height(),

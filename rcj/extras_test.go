@@ -12,7 +12,7 @@ func TestVerifyPair(t *testing.T) {
 	qs := randomPoints(rng, 120)
 	ixP := mustIndex(t, ps, IndexConfig{})
 	ixQ := mustIndex(t, qs, IndexConfig{})
-	pairs, _, err := Join(ixQ, ixP, JoinOptions{})
+	pairs, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,12 @@ func TestTopKByDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ixP := mustIndex(t, randomPoints(rng, 200), IndexConfig{})
 	ixQ := mustIndex(t, randomPoints(rng, 200), IndexConfig{})
-	all, _, err := Join(ixQ, ixP, JoinOptions{SortByDiameter: true})
+	all, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 5, 25, len(all), len(all) + 100} {
-		top, err := TopKByDiameter(ixQ, ixP, k)
+		top, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{TopK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,9 +81,6 @@ func TestTopKByDiameter(t *testing.T) {
 				t.Fatalf("k=%d: rank %d radius %g, want %g", k, i, top[i].Radius, all[i].Radius)
 			}
 		}
-	}
-	if got, err := TopKByDiameter(ixQ, ixP, 0); err != nil || got != nil {
-		t.Fatalf("k=0: %v %v", got, err)
 	}
 }
 
@@ -109,11 +106,11 @@ func TestParallelJoinPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ixP := mustIndex(t, randomPoints(rng, 300), IndexConfig{})
 	ixQ := mustIndex(t, randomPoints(rng, 300), IndexConfig{})
-	seq, _, err := Join(ixQ, ixP, JoinOptions{})
+	seq, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := Join(ixQ, ixP, JoinOptions{Parallelism: 4})
+	par, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

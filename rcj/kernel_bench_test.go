@@ -68,12 +68,12 @@ func BenchmarkLeafKernels(b *testing.B) {
 		eng := NewEngine(EngineConfig{})
 		ix := open(b, eng, paths["v2-p"])
 		defer ix.Close()
-		if _, _, err := eng.SelfJoinCollect(ctx, ix, JoinOptions{}); err != nil {
+		if _, _, err := eng.RunSelfCollect(ctx, ix, Query{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.SelfJoinCollect(ctx, ix, JoinOptions{}); err != nil {
+			if _, _, err := eng.RunSelfCollect(ctx, ix, Query{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,12 +86,12 @@ func BenchmarkLeafKernels(b *testing.B) {
 			defer ixP.Close()
 			ixQ := open(b, eng, paths[format+"-q"])
 			defer ixQ.Close()
-			if _, _, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{}); err != nil {
+			if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{}); err != nil {
+				if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
 					b.Fatal(err)
 				}
 			}

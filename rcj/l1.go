@@ -20,36 +20,29 @@ type L1Pair struct {
 
 // JoinL1 computes the Manhattan-metric ring-constrained join between the
 // datasets of q and p: all pairs whose smallest enclosing L1 ball contains
-// no other point of either dataset.
-func JoinL1(q, p *Index) ([]L1Pair, Stats, error) {
-	return runJoinL1(context.Background(), q, p, false)
-}
-
-// JoinL1Context is JoinL1 under a context, aborting promptly with ctx.Err()
-// on cancellation.
-func JoinL1Context(ctx context.Context, q, p *Index) ([]L1Pair, Stats, error) {
-	return runJoinL1(ctx, q, p, false)
+// no other point of either dataset. It aborts promptly with ctx.Err() on
+// cancellation. Like every join it traverses joinViews' tagged views, so
+// the statistics are exact under concurrency and a mutable index is read at
+// the epoch current when the traversal starts.
+func JoinL1(ctx context.Context, q, p *Index) ([]L1Pair, Stats, error) {
+	return runL1(ctx, q, p, false)
 }
 
 // SelfJoinL1 computes the Manhattan-metric self-join of one dataset; each
 // unordered pair is reported once with P.ID < Q.ID.
-func SelfJoinL1(ix *Index) ([]L1Pair, Stats, error) {
-	return runJoinL1(context.Background(), ix, ix, true)
+func SelfJoinL1(ctx context.Context, ix *Index) ([]L1Pair, Stats, error) {
+	return runL1(ctx, ix, ix, true)
 }
 
-// SelfJoinL1Context is SelfJoinL1 under a context.
-func SelfJoinL1Context(ctx context.Context, ix *Index) ([]L1Pair, Stats, error) {
-	return runJoinL1(ctx, ix, ix, true)
-}
-
-func runJoinL1(ctx context.Context, q, p *Index, self bool) ([]L1Pair, Stats, error) {
+func runL1(ctx context.Context, q, p *Index, self bool) ([]L1Pair, Stats, error) {
+	coreOpts := core.Options{SelfJoin: self, Collect: true}
 	var rec buffer.TagStats
-	tq := q.tree.Tagged(&rec)
-	tp := tq
-	if p.tree != q.tree {
-		tp = p.tree.Tagged(&rec)
+	tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	pairs, st, err := core.JoinL1Context(ctx, tq, tp, core.Options{SelfJoin: self, Collect: true})
+	defer release()
+	pairs, st, err := core.JoinL1Context(ctx, tq, tp, coreOpts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -62,9 +55,5 @@ func runJoinL1(ctx context.Context, q, p *Index, self bool) ([]L1Pair, Stats, er
 			Radius: cp.Ball.Radius,
 		}
 	}
-	stats := Stats{Candidates: st.Candidates, Results: st.Results}
-	recStats := rec.Stats()
-	stats.PageFaults = recStats.Misses
-	stats.NodeAccesses = recStats.Accesses
-	return out, stats, nil
+	return out, statsFrom(st, &rec), nil
 }

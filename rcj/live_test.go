@@ -13,6 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -342,7 +345,7 @@ func TestLiveEquivalenceSubscription(t *testing.T) {
 
 	freshP := mustIndex(t, modelPoints(modelP), IndexConfig{})
 	freshQ := mustIndex(t, modelPoints(modelQ), IndexConfig{})
-	want, _, err := Join(freshQ, freshP, JoinOptions{})
+	want, _, err := testEng.RunCollect(bg, freshQ, freshP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +393,7 @@ func TestLiveSubscriptionSelfJoin(t *testing.T) {
 	}
 	ix.Close()
 	fresh := mustIndex(t, modelPoints(model), IndexConfig{})
-	want, _, err := SelfJoin(fresh, JoinOptions{})
+	want, _, err := testEng.RunSelfCollect(bg, fresh, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,6 +545,121 @@ func TestMutableAPIErrors(t *testing.T) {
 	}
 	if err := ix.Save(t.TempDir() + "/x.rcjx"); err == nil {
 		t.Fatal("Save on a mutable index succeeded; want the compaction-owns-persistence error")
+	}
+	// A monitor inserts into the indexes' own trees; a mutable index has
+	// none to offer (SubscribeLive is its continuous query).
+	if _, err := NewMonitor(frozen, ix); !errors.Is(err, ErrMutableIndex) {
+		t.Fatalf("NewMonitor with a mutable side: %v", err)
+	}
+	if _, err := NewSelfMonitor(ix); !errors.Is(err, ErrMutableIndex) {
+		t.Fatalf("NewSelfMonitor on a mutable index: %v", err)
+	}
+}
+
+// TestLiveReadsBesideTheJoin covers the reads that used to bypass the pinned
+// merged view and crash on a mutable index: JoinL1/SelfJoinL1, VerifyPair
+// and Index.Stats. Over a live index holding a delta and tombstones each
+// must see exactly the current point set — checked against the index-free
+// L1 oracle and a brute ring test over Index.Points().
+func TestLiveReadsBesideTheJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	eng := NewEngine(EngineConfig{})
+	p, err := eng.NewMutableIndex(randomPoints(rng, 150), MutableConfig{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Insert(randomPointsAt(rng, 60, 1000)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Delete(3, 17, 42, 77, 1001); err != nil {
+		t.Fatal(err)
+	}
+	if ls, _ := p.LiveStats(); ls.DeltaPoints == 0 || ls.Tombstones == 0 {
+		t.Fatalf("want a delta and tombstones, have %+v", ls)
+	}
+	q := mustIndex(t, randomPoints(rng, 120), IndexConfig{})
+
+	entriesOf := func(ix *Index) []rtree.PointEntry {
+		pts, err := ix.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]rtree.PointEntry, len(pts))
+		for i, pt := range pts {
+			out[i] = pt.entry()
+		}
+		return out
+	}
+	ps, qs := entriesOf(p), entriesOf(q)
+
+	if st := p.Stats(); st.Points != len(ps) || st.Points != 150+60-5 {
+		t.Errorf("Stats().Points = %d, Points() has %d, want %d", st.Points, len(ps), 150+60-5)
+	}
+
+	l1Keys := func(pairs []L1Pair) map[[2]int64]bool {
+		m := make(map[[2]int64]bool, len(pairs))
+		for _, pr := range pairs {
+			m[[2]int64{pr.P.ID, pr.Q.ID}] = true
+		}
+		return m
+	}
+	oracleKeys := func(pairs []core.L1Pair) map[[2]int64]bool {
+		m := make(map[[2]int64]bool, len(pairs))
+		for _, pr := range pairs {
+			m[[2]int64{pr.P.ID, pr.Q.ID}] = true
+		}
+		return m
+	}
+	got, st, err := JoinL1(bg, q, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleKeys(core.BruteForceL1Pairs(ps, qs, false)); !sameKeys(l1Keys(got), want) {
+		t.Errorf("JoinL1 over a live P: %s", diffKeys(l1Keys(got), want))
+	}
+	if st.NodeAccesses == 0 || st.Results != int64(len(got)) {
+		t.Errorf("JoinL1 stats not tagged: %+v for %d pairs", st, len(got))
+	}
+	gotSelf, _, err := SelfJoinL1(bg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleKeys(core.BruteForceL1Pairs(ps, ps, true)); !sameKeys(l1Keys(gotSelf), want) {
+		t.Errorf("SelfJoinL1 over a live index: %s", diffKeys(l1Keys(gotSelf), want))
+	}
+
+	ringEmpty := func(a, b rtree.PointEntry) bool {
+		c := geom.EnclosingCircle(a.P, b.P)
+		for _, x := range ps {
+			if x.ID != a.ID && c.Covers(x.P) {
+				return false
+			}
+		}
+		for _, x := range qs {
+			if x.ID != b.ID && c.Covers(x.P) {
+				return false
+			}
+		}
+		return true
+	}
+	valid := 0
+	for i := 0; i < len(ps); i += 3 {
+		for j := 0; j < len(qs); j += 3 {
+			a, b := ps[i], qs[j]
+			ok, err := VerifyPair(q, p, Point{X: a.P.X, Y: a.P.Y, ID: a.ID}, Point{X: b.P.X, Y: b.P.Y, ID: b.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ringEmpty(a, b); ok != want {
+				t.Errorf("VerifyPair(<%d,%d>) = %v, brute check says %v", a.ID, b.ID, ok, want)
+			} else if ok {
+				valid++
+			}
+		}
+	}
+	if valid == 0 {
+		t.Error("no valid pair in the sampled cross product")
 	}
 }
 

@@ -30,8 +30,13 @@ type Monitor struct {
 }
 
 // NewMonitor computes the initial join between the datasets of q and p and
-// returns a monitor maintaining it.
+// returns a monitor maintaining it. The monitor inserts into the indexes'
+// own trees, so both must be immutable (ErrMutableIndex otherwise): a
+// mutable index is watched with SubscribeLive instead.
 func NewMonitor(q, p *Index) (*Monitor, error) {
+	if q.live != nil || p.live != nil {
+		return nil, ErrMutableIndex
+	}
 	cm, err := core.NewMonitor(q.tree, p.tree)
 	if err != nil {
 		return nil, err
@@ -41,26 +46,13 @@ func NewMonitor(q, p *Index) (*Monitor, error) {
 
 // NewSelfMonitor maintains the self-join of one dataset (postboxes-style);
 // pairs are canonical (P.ID < Q.ID).
-func NewSelfMonitor(ix *Index) (*Monitor, error) {
-	cm, err := core.NewMonitor(ix.tree, ix.tree)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{m: cm, self: true}, nil
-}
+func NewSelfMonitor(ix *Index) (*Monitor, error) { return NewMonitor(ix, ix) }
 
 // Len returns the current number of pairs.
 func (mo *Monitor) Len() int { return mo.m.Len() }
 
 // Pairs returns a snapshot of the current result set (unspecified order).
-func (mo *Monitor) Pairs() []Pair {
-	raw := mo.m.Pairs()
-	out := make([]Pair, len(raw))
-	for i, p := range raw {
-		out[i] = fromCorePair(p)
-	}
-	return out
-}
+func (mo *Monitor) Pairs() []Pair { return fromCorePairs(mo.m.Pairs()) }
 
 // AddP inserts a new point into dataset P, returning the pairs the
 // insertion created and the pairs it invalidated.
@@ -86,9 +78,5 @@ func convertPairs(raw []core.Pair) []Pair {
 	if raw == nil {
 		return nil
 	}
-	out := make([]Pair, len(raw))
-	for i, p := range raw {
-		out[i] = fromCorePair(p)
-	}
-	return out
+	return fromCorePairs(raw)
 }

@@ -15,7 +15,7 @@ func TestMonitorTracksJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, _, err := Join(ixQ, ixP, JoinOptions{})
+	baseline, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMonitorTracksJoin(t *testing.T) {
 	}
 	freshP := mustIndex(t, append(append([]Point(nil), ps...), extraP...), IndexConfig{})
 	freshQ := mustIndex(t, append(append([]Point(nil), qs...), extraQ...), IndexConfig{})
-	want, _, err := Join(freshQ, freshP, JoinOptions{})
+	want, _, err := testEng.RunCollect(bg, freshQ, freshP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSelfMonitor(t *testing.T) {
 		}
 	}
 	fresh := mustIndex(t, append(append([]Point(nil), pts...), extra...), IndexConfig{})
-	want, _, err := SelfJoin(fresh, JoinOptions{})
+	want, _, err := testEng.RunSelfCollect(bg, fresh, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/live"
 	"repro/internal/rtree"
 	"repro/internal/storage"
@@ -14,6 +13,10 @@ import (
 // (immutable) index. Only indexes opened with OpenMutableIndex or built
 // with NewMutableIndex accept Insert/Delete.
 var ErrImmutableIndex = errors.New("rcj: index is immutable")
+
+// ErrMutableIndex is returned by operations that need an index's own tree
+// and therefore cannot serve a mutable one (NewMonitor, NewSelfMonitor).
+var ErrMutableIndex = errors.New("rcj: not supported on a mutable index")
 
 // Typed live-mutation errors, re-exported from the epoch layer so callers
 // can match them without importing internals.
@@ -202,7 +205,7 @@ func (ix *Index) ApplyBatch(ins []Point, del []int64) (uint64, error) {
 	}
 	entries := make([]rtree.PointEntry, len(ins))
 	for i, p := range ins {
-		entries[i] = rtree.PointEntry{P: geom.Point{X: p.X, Y: p.Y}, ID: p.ID}
+		entries[i] = p.entry()
 	}
 	return ix.live.Apply(entries, del)
 }

@@ -53,7 +53,7 @@ func TestNodeCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ixQ.Close()
-		pairs, st, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{Algorithm: OBJ, ForceAlgorithm: true})
+		pairs, st, err := eng.RunCollect(ctx, ixQ, ixP, Query{Algorithm: OBJ, ForceAlgorithm: true})
 		return collectSorted(t, pairs, st, err), eng
 	}
 

@@ -47,7 +47,7 @@ func TestSavePackedRoundTrip(t *testing.T) {
 		t.Fatal("IsIndexFile(packed) = false")
 	}
 
-	wantPairs, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSavePackedRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			got, _, err := SelfJoin(re, JoinOptions{SortByDiameter: true})
+			got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestSavePackedRoundTrip(t *testing.T) {
 		if re.Backend() != BackendHTTP {
 			t.Fatalf("backend %s", re.Backend())
 		}
-		got, _, err := SelfJoin(re, JoinOptions{SortByDiameter: true})
+		got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func goldenV23Points() []Point {
 // writer drift that changes the bits fails here.
 func TestGoldenV2V3Fixtures(t *testing.T) {
 	fresh := mustIndex(t, goldenV23Points(), IndexConfig{})
-	wantPairs, _, err := SelfJoin(fresh, JoinOptions{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunSelfCollect(bg, fresh, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestGoldenV2V3Fixtures(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer ix.Close()
-				got, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+				got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func TestGoldenV2V3Fixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ix.Close()
-			got, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+			got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestSavePackedCrossFormatJoin(t *testing.T) {
 	if err := ixQ.SavePacked(qPath); err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, wantStats, wantErr := Join(ixQ, ixP, JoinOptions{})
+	wantPairs, wantStats, wantErr := testEng.RunCollect(bg, ixQ, ixP, Query{})
 	want := collectSorted(t, wantPairs, wantStats, wantErr)
 
 	reP, err := OpenIndex(pPath, IndexConfig{Backend: BackendFile})
@@ -238,7 +238,7 @@ func TestSavePackedCrossFormatJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reQ.Close()
-	gotPairs, gotStats, gotErr := Join(reQ, reP, JoinOptions{})
+	gotPairs, gotStats, gotErr := testEng.RunCollect(bg, reQ, reP, Query{})
 	got := collectSorted(t, gotPairs, gotStats, gotErr)
 	equalPairs(t, "mixed formats", got, want)
 }

@@ -79,7 +79,7 @@ func BenchmarkJoinBackends(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{}); err != nil {
+				if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
 					b.Fatal(err)
 				}
 				ixP.Close()
@@ -98,12 +98,12 @@ func BenchmarkJoinBackends(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ixQ.Close()
-			if _, _, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{}); err != nil {
+			if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
 				b.Fatal(err) // prime the pool outside the timer
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{}); err != nil {
+				if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -75,10 +75,10 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	algs := map[string]Algorithm{"inj": INJ, "bij": BIJ, "obj": OBJ}
 	want := map[string][]Pair{}
 	for name, alg := range algs {
-		pairs, st, err := build.JoinCollect(ctx, builtQ, builtP, JoinOptions{Algorithm: alg, ForceAlgorithm: true})
+		pairs, st, err := build.RunCollect(ctx, builtQ, builtP, Query{Algorithm: alg, ForceAlgorithm: true})
 		want[name] = collectSorted(t, pairs, st, err)
 	}
-	selfPairs, st, err := build.SelfJoinCollect(ctx, builtP, JoinOptions{})
+	selfPairs, st, err := build.RunSelfCollect(ctx, builtP, Query{})
 	want["self"] = collectSorted(t, selfPairs, st, err)
 	builtP.Close()
 	builtQ.Close()
@@ -100,10 +100,10 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 				t.Fatalf("reopened sizes %d/%d, want %d/%d", ixP.Len(), ixQ.Len(), len(ps), len(qs))
 			}
 			for name, alg := range algs {
-				pairs, st, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{Algorithm: alg, ForceAlgorithm: true})
+				pairs, st, err := eng.RunCollect(ctx, ixQ, ixP, Query{Algorithm: alg, ForceAlgorithm: true})
 				equalPairs(t, name, collectSorted(t, pairs, st, err), want[name])
 			}
-			pairs, st, err := eng.SelfJoinCollect(ctx, ixP, JoinOptions{})
+			pairs, st, err := eng.RunSelfCollect(ctx, ixP, Query{})
 			equalPairs(t, "self", collectSorted(t, pairs, st, err), want["self"])
 
 			// Points round-trip too (leaf order may differ from input order).
@@ -138,7 +138,7 @@ func TestOpenIndexConcurrentJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs, st, err := eng.JoinCollect(context.Background(), ixQ, ixP, JoinOptions{})
+		pairs, st, err := eng.RunCollect(context.Background(), ixQ, ixP, Query{})
 		wantLen := len(collectSorted(t, pairs, st, err))
 		if wantLen == 0 {
 			t.Fatal("test wants a non-empty join")
@@ -176,11 +176,11 @@ func testConcurrentOpens(t *testing.T, pathP, pathQ string, wantLen int) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					opts := JoinOptions{}
+					opts := Query{}
 					if w%2 == 1 {
 						opts.Parallelism = 2
 					}
-					pairs, _, err := eng.JoinCollect(context.Background(), ixQ, ixP, opts)
+					pairs, _, err := eng.RunCollect(context.Background(), ixQ, ixP, opts)
 					errs[w], lens[w] = err, len(pairs)
 				}(w)
 			}
@@ -277,11 +277,11 @@ func TestSaveOfFileBuiltIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	a, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+	a, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SelfJoin(re, JoinOptions{SortByDiameter: true})
+	b, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type PlanObserved = plan.Observed
 // observed state (buffer hit ratio, measured fault latency) from their
 // pools. Serving stacks with richer signals use ResolveObserved.
 func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
-	return q.ResolveObserved(qx, px, self, autoObserved(qx, px))
+	return q.ResolveObserved(qx, px, self, Observe(qx, px))
 }
 
 // ResolveObserved is Resolve with caller-supplied observed state. When the
@@ -126,17 +126,11 @@ func (ix *Index) applyPlan(dec PlanDecision) {
 
 // Observe derives planner feedback from the inputs' buffer pools: the hit
 // ratio predicts faults, and the measured per-miss load wait calibrates
-// what a fault costs on this backend. Serving stacks start from this and
+// what a fault costs on this backend. Resolve uses it as is; serving stacks
 // overlay their own signals (free slots, queue depth) before calling
 // ResolveObserved.
-func Observe(qx, px *Index) PlanObserved { return autoObserved(qx, px) }
-
-// autoObserved derives planner feedback from the inputs' buffer pools: the
-// hit ratio predicts faults, and the measured per-miss load wait (the
-// satellite of the cost-model fix) calibrates what a fault costs on this
-// backend.
-func autoObserved(qx, px *Index) plan.Observed {
-	var obs plan.Observed
+func Observe(qx, px *Index) PlanObserved {
+	var obs PlanObserved
 	pool := qx.pool
 	if pool == nil {
 		pool = px.pool

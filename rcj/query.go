@@ -184,107 +184,112 @@ func (q Query) coreOptions(self bool) core.Options {
 	return co
 }
 
-// Run computes the constrained ring-constrained join of the datasets of p
-// and q, streaming each qualifying pair as the executor confirms it (TopK
+// Run computes the ring-constrained join of the datasets of p and q under
+// qry, streaming each qualifying pair as the executor confirms it (TopK
 // pairs arrive together, in ranking order, when the traversal finishes).
 // The returned iterator is single-use; cancelling ctx or breaking out of
-// the loop aborts the join promptly. An invalid query yields ErrBadQuery as
-// the iterator's first element.
+// the loop aborts the join promptly without leaking goroutines, and the
+// iterator then yields the context's error. An invalid query yields
+// ErrBadQuery as the iterator's first element. qry.PlanOut is filled before
+// Run returns; qry.Stats when the iterator terminates.
 func (e *Engine) Run(ctx context.Context, q, p *Index, qry Query) iter.Seq2[Pair, error] {
-	return querySeq(ctx, q, p, qry, false)
+	return runStream(ctx, q, p, qry, false, pairSink)
 }
 
-// RunSelf is Run for the self-join of one dataset; each unordered pair is
-// reported once with P.ID < Q.ID.
+// RunSelf is Run for the self-join of one dataset (the paper's postboxes
+// scenario): unordered pairs of distinct points whose enclosing circle
+// contains no other dataset point, each reported once with P.ID < Q.ID.
 func (e *Engine) RunSelf(ctx context.Context, ix *Index, qry Query) iter.Seq2[Pair, error] {
-	return querySeq(ctx, ix, ix, qry, true)
+	return runStream(ctx, ix, ix, qry, true, pairSink)
 }
 
 // RunCollect is the materializing form of Run: it runs the query to
 // completion under ctx and returns all qualifying pairs plus run
-// statistics (exact per-request buffer attribution, as JoinCollect).
+// statistics. The buffer counters in Stats are attributed to this join
+// exactly via per-request access tagging, even while other joins run
+// concurrently on the shared pool.
 func (e *Engine) RunCollect(ctx context.Context, q, p *Index, qry Query) ([]Pair, Stats, error) {
-	return runQuery(ctx, q, p, qry, false, nil)
+	return runCollect(ctx, q, p, qry, false)
 }
 
 // RunSelfCollect is the materializing form of RunSelf.
 func (e *Engine) RunSelfCollect(ctx context.Context, ix *Index, qry Query) ([]Pair, Stats, error) {
-	return runQuery(ctx, ix, ix, qry, true, nil)
+	return runCollect(ctx, ix, ix, qry, true)
 }
 
-// runQuery executes one materializing (or OnPair-streaming) query: the
-// single execution path under every public join entry point, legacy and v2.
-func runQuery(ctx context.Context, q, p *Index, qry Query, self bool, onPair func(Pair)) ([]Pair, Stats, error) {
+// prepare is the single execution path under every join entry point. It
+// validates the query and resolves its plan at once — PlanOut is filled
+// when prepare returns, so a streaming caller may hand the plan out before
+// the stream is consumed — and returns the traversal itself: pin the two
+// views, run the executor, report the run's exact (tagged) statistics. The
+// entry points differ only in sink, which installs where confirmed pairs go
+// (core.Options.Collect, OnPair or OnBatch) before the traversal starts.
+func prepare(q, p *Index, qry Query, self bool) (func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error), error) {
 	if err := qry.Validate(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	qry, dec := qry.Resolve(q, p, self)
 	if qry.PlanOut != nil {
 		*qry.PlanOut = dec
 	}
-	coreOpts := qry.coreOptions(self)
-	coreOpts.Collect = onPair == nil
-	if onPair != nil {
-		coreOpts.OnPair = func(cp core.Pair) { onPair(fromCorePair(cp)) }
-	}
-	var rec buffer.TagStats
-	tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
+	return func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error) {
+		coreOpts := qry.coreOptions(self)
+		sink(&coreOpts)
+		var rec buffer.TagStats
+		tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		defer release()
+		pairs, st, err := core.JoinContext(ctx, tq, tp, coreOpts)
+		stats := statsFrom(st, &rec)
+		if qry.Stats != nil {
+			*qry.Stats = stats
+		}
+		return pairs, stats, err
+	}, nil
+}
+
+// runCollect is the collecting adapter: the executor appends in the
+// caller's goroutine, no channel in between.
+func runCollect(ctx context.Context, q, p *Index, qry Query, self bool) ([]Pair, Stats, error) {
+	run, err := prepare(q, p, qry, self)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer release()
-	pairs, st, err := core.JoinContext(ctx, tq, tp, coreOpts)
+	pairs, stats, err := run(ctx, func(co *core.Options) { co.Collect = true })
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	var out []Pair
-	if coreOpts.Collect {
-		out = make([]Pair, len(pairs))
-		for i, cp := range pairs {
-			out[i] = fromCorePair(cp)
-		}
-		if qry.SortByDiameter {
-			SortPairsByDiameter(out)
-		}
-	}
-	stats := statsFrom(st, &rec)
-	if qry.Stats != nil {
-		*qry.Stats = stats
+	out := fromCorePairs(pairs)
+	if qry.SortByDiameter {
+		SortPairsByDiameter(out)
 	}
 	return out, stats, nil
 }
 
-// querySeq runs the query in a producer goroutine bridged to the consumer
-// through stream.Seq2, so parallel joins (whose workers emit concurrently)
-// and sequential joins stream through the same iterator with no goroutine
-// outliving the range loop. When qry.Stats is set it is filled with this
-// run's exact (tagged) statistics before the iterator returns.
-func querySeq(ctx context.Context, q, p *Index, qry Query, self bool) iter.Seq2[Pair, error] {
-	if err := qry.Validate(); err != nil {
-		return func(yield func(Pair, error) bool) { yield(Pair{}, err) }
-	}
-	// Resolve eagerly (not in the producer goroutine): PlanOut is filled
-	// before the iterator is returned, so the caller may inspect the plan
-	// without racing the stream.
-	qry, dec := qry.Resolve(q, p, self)
-	if qry.PlanOut != nil {
-		*qry.PlanOut = dec
-	}
-	return stream.Seq2(ctx, streamBuffer, func(runCtx context.Context, emit func(Pair)) error {
-		coreOpts := qry.coreOptions(self)
-		coreOpts.OnPair = func(cp core.Pair) { emit(fromCorePair(cp)) }
-		var rec buffer.TagStats
-		tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
-		if err != nil {
-			return err
+// runStream is the streaming adapter: the traversal runs in a producer
+// goroutine bridged to the consumer through stream.Seq2, so parallel joins
+// (whose workers emit concurrently) and sequential joins stream through the
+// same iterator with no goroutine outliving the range loop. sink wires the
+// executor's callback to the bridge — per pair (pairSink) or per
+// verification batch (batchSink).
+func runStream[T any](ctx context.Context, q, p *Index, qry Query, self bool, sink func(*core.Options, func(T))) iter.Seq2[T, error] {
+	run, err := prepare(q, p, qry, self)
+	if err != nil {
+		return func(yield func(T, error) bool) {
+			var zero T
+			yield(zero, err)
 		}
-		defer release()
-		_, st, err := core.JoinContext(runCtx, tq, tp, coreOpts)
-		if qry.Stats != nil {
-			*qry.Stats = statsFrom(st, &rec)
-		}
+	}
+	return stream.Seq2(ctx, streamBuffer, func(runCtx context.Context, emit func(T)) error {
+		_, _, err := run(runCtx, func(co *core.Options) { sink(co, emit) })
 		return err
 	})
+}
+
+func pairSink(co *core.Options, emit func(Pair)) {
+	co.OnPair = func(cp core.Pair) { emit(fromCorePair(cp)) }
 }
 
 // joinViews resolves the executor inputs for one traversal: tagged views of

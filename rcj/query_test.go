@@ -80,9 +80,9 @@ func TestRunPushdownProperty(t *testing.T) {
 	for _, self := range []bool{false, true} {
 		var full []Pair
 		if self {
-			full, _, err = eng.SelfJoinCollect(ctx, ixP, JoinOptions{})
+			full, _, err = eng.RunSelfCollect(ctx, ixP, Query{})
 		} else {
-			full, _, err = eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{})
+			full, _, err = eng.RunCollect(ctx, ixQ, ixP, Query{})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRunLimitSubset(t *testing.T) {
 	defer ixQ.Close()
 
 	ctx := context.Background()
-	full, _, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{})
+	full, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRunPushdownSavesNodeAccesses(t *testing.T) {
 	defer ixQ.Close()
 
 	ctx := context.Background()
-	full, fullStats, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{})
+	full, fullStats, err := eng.RunCollect(ctx, ixQ, ixP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +268,10 @@ func TestQueryValidate(t *testing.T) {
 			t.Errorf("case %d: RunSelf stream error = %v, want ErrBadQuery", i, streamErr)
 		}
 	}
-
-	// The v1 surface never validated Parallelism (<= 1 ran sequentially);
-	// the wrapper must preserve that, not inherit v2's strictness.
-	if _, _, err := SelfJoin(ix, JoinOptions{Parallelism: -3}); err != nil {
-		t.Errorf("v1 SelfJoin with negative Parallelism: %v, want sequential run", err)
-	}
 }
 
-// TestTopKByDiameterPushdown pins the reimplemented convenience helper to
-// the pushdown path: same answer as sorting the full join, fewer node
-// accesses implied by NodesPruned in the underlying machinery (covered
+// TestTopKByDiameterPushdown pins a bare TopK query to the head of the
+// sorted full join, pair for pair (node-access savings are covered
 // elsewhere); here we check the contract only.
 func TestTopKByDiameterPushdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -287,18 +280,18 @@ func TestTopKByDiameterPushdown(t *testing.T) {
 	ixQ := mustIndex(t, randomPoints(rng, 200), IndexConfig{})
 	defer ixQ.Close()
 
-	full, _, err := Join(ixQ, ixP, JoinOptions{SortByDiameter: true})
+	full, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{0, 1, 5, len(full), len(full) + 3} {
-		got, err := TopKByDiameter(ixQ, ixP, k)
+	for _, k := range []int{1, 5, len(full), len(full) + 3} {
+		got, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{TopK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := full
 		if k < len(full) {
-			want = full[:max(k, 0)]
+			want = full[:k]
 		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(want))

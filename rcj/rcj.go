@@ -13,12 +13,20 @@
 //
 // Basic use:
 //
-//	restaurants, _ := rcj.BuildIndex(pointsP, rcj.IndexConfig{})
-//	residences, _ := rcj.BuildIndex(pointsQ, rcj.IndexConfig{})
-//	pairs, _, _ := rcj.Join(residences, restaurants, rcj.JoinOptions{})
+//	eng := rcj.NewEngine(rcj.EngineConfig{})
+//	restaurants, _ := eng.BuildIndex(pointsP, rcj.IndexConfig{})
+//	residences, _ := eng.BuildIndex(pointsQ, rcj.IndexConfig{})
+//	pairs, _, _ := eng.RunCollect(ctx, residences, restaurants, rcj.Query{})
 //	for _, pr := range pairs {
 //		fmt.Println("place a station at", pr.Center, "radius", pr.Radius)
 //	}
+//
+// A Query is the one way to ask for a join: Engine.Run streams its pairs,
+// RunCollect materializes them, RunBatches yields them a leaf at a time, and
+// the RunSelf forms join one dataset with itself (the postboxes scenario).
+// The zero Query is the full join under the planner's choice of algorithm;
+// its fields push top-k, diameter, distance and region predicates down into
+// the traversal.
 //
 // The join runs on disk-page R*-trees through an LRU buffer manager, so its
 // statistics (page faults, node accesses, candidate counts) mirror the
@@ -27,7 +35,6 @@
 package rcj
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -47,6 +54,11 @@ import (
 type Point struct {
 	X, Y float64
 	ID   int64
+}
+
+// entry is the point in the index layer's form.
+func (p Point) entry() rtree.PointEntry {
+	return rtree.PointEntry{P: geom.Point{X: p.X, Y: p.Y}, ID: p.ID}
 }
 
 // Pair is one ring-constrained join result: the two matched points and
@@ -173,7 +185,7 @@ func buildIndex(points []Point, cfg IndexConfig, pool *buffer.Pool, owner uint32
 			return nil, fmt.Errorf("rcj: duplicate point ID %d", p.ID)
 		}
 		seen[p.ID] = struct{}{}
-		entries[i] = rtree.PointEntry{P: geom.Point{X: p.X, Y: p.Y}, ID: p.ID}
+		entries[i] = p.entry()
 	}
 
 	var pager storage.Pager
@@ -338,76 +350,6 @@ func (s Stats) BufferHitRatio() float64 {
 	return 1 - float64(s.PageFaults)/float64(s.NodeAccesses)
 }
 
-// JoinOptions tunes a join. The zero value runs OBJ, the paper's best
-// algorithm, and collects all pairs.
-//
-// JoinOptions is the v1 request form, kept as a thin wrapper over Query:
-// Join(q, p, opts) is exactly RunCollect with the equivalent unconstrained
-// Query. New code that wants predicate pushdown (top-k, max-diameter,
-// region windows) should use Query with Engine.Run/RunCollect.
-type JoinOptions struct {
-	// Algorithm picks the strategy; zero value (INJ) is overridden to OBJ
-	// unless ForceAlgorithm is set, because OBJ dominates in every
-	// experiment.
-	Algorithm Algorithm
-	// ForceAlgorithm uses Algorithm verbatim even when it is the zero
-	// value (INJ).
-	ForceAlgorithm bool
-	// SortByDiameter orders the returned pairs by ascending ring diameter
-	// (the paper's tourist-recommendation browsing order).
-	SortByDiameter bool
-	// Parallelism, when > 1, runs the join across that many goroutines.
-	// The result set is identical; its order is not deterministic (apply
-	// SortByDiameter for a stable order).
-	Parallelism int
-	// OnPair, when non-nil, streams pairs as found; the returned slice is
-	// then nil (streaming mode).
-	OnPair func(Pair)
-	// Stats, when non-nil, receives the run's statistics. For the streaming
-	// Engine.Join/SelfJoin — which have no Stats return — it is filled when
-	// the iterator terminates (the write happens-before the range loop
-	// returns, so reading it afterwards is race-free). The buffer counters
-	// are exact for this join even under concurrent joins on one Engine.
-	Stats *Stats
-}
-
-// query translates the v1 options into the equivalent (unconstrained)
-// Query, the single execution path. v1 never validated Parallelism — any
-// value <= 1 ran sequentially — so negative values are clamped rather than
-// handed to Query.Validate's stricter v2 contract.
-func (o JoinOptions) query() Query {
-	par := o.Parallelism
-	if par < 0 {
-		par = 0
-	}
-	return Query{
-		Algorithm:      o.Algorithm,
-		ForceAlgorithm: o.ForceAlgorithm,
-		Parallelism:    par,
-		SortByDiameter: o.SortByDiameter,
-		Stats:          o.Stats,
-	}
-}
-
-// Join computes the ring-constrained join between the datasets of p and q:
-// all pairs <pi, qj> whose smallest enclosing circle contains no other point
-// of either dataset.
-func Join(q, p *Index, opts JoinOptions) ([]Pair, Stats, error) {
-	return runJoin(context.Background(), q, p, opts, false)
-}
-
-// SelfJoin computes the ring-constrained self-join of one dataset (the
-// paper's postboxes scenario): unordered pairs of distinct points whose
-// enclosing circle contains no other dataset point. Each pair is reported
-// once with P.ID < Q.ID.
-func SelfJoin(ix *Index, opts JoinOptions) ([]Pair, Stats, error) {
-	return runJoin(context.Background(), ix, ix, opts, true)
-}
-
-func runJoin(ctx context.Context, q, p *Index, opts JoinOptions, self bool) ([]Pair, Stats, error) {
-	return runQuery(ctx, q, p, opts.query(), self, opts.OnPair)
-}
-
 func fromCorePair(cp core.Pair) Pair {
 	return Pair{
 		P:      Point{X: cp.P.P.X, Y: cp.P.P.Y, ID: cp.P.ID},
@@ -415,6 +357,14 @@ func fromCorePair(cp core.Pair) Pair {
 		Center: Point{X: cp.Circle.Center.X, Y: cp.Circle.Center.Y},
 		Radius: cp.Circle.Radius,
 	}
+}
+
+func fromCorePairs(cps []core.Pair) []Pair {
+	out := make([]Pair, len(cps))
+	for i, cp := range cps {
+		out[i] = fromCorePair(cp)
+	}
+	return out
 }
 
 // SortPairsByDiameter orders pairs by ascending enclosing-circle diameter,

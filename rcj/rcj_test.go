@@ -1,11 +1,20 @@
 package rcj
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
 	"testing"
+)
+
+// testEng runs the joins of tests whose indexes are self-contained
+// (BuildIndex): the Run methods keep no engine state, so one engine serves
+// them all.
+var (
+	testEng = NewEngine(EngineConfig{})
+	bg      = context.Background()
 )
 
 func randomPoints(rng *rand.Rand, n int) []Point {
@@ -43,7 +52,7 @@ func TestJoinBasics(t *testing.T) {
 	p := mustIndex(t, ps, IndexConfig{})
 	q := mustIndex(t, qs, IndexConfig{})
 
-	pairs, stats, err := Join(q, p, JoinOptions{})
+	pairs, stats, err := testEng.RunCollect(bg, q, p, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestJoinBasics(t *testing.T) {
 	// Every algorithm yields the same result set.
 	base := keySet(pairs)
 	for _, alg := range []Algorithm{INJ, BIJ, OBJ} {
-		got, _, err := Join(q, p, JoinOptions{Algorithm: alg, ForceAlgorithm: true})
+		got, _, err := testEng.RunCollect(bg, q, p, Query{Algorithm: alg, ForceAlgorithm: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +123,7 @@ func TestSortByDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := mustIndex(t, randomPoints(rng, 100), IndexConfig{})
 	q := mustIndex(t, randomPoints(rng, 100), IndexConfig{})
-	pairs, _, err := Join(q, p, JoinOptions{SortByDiameter: true})
+	pairs, _, err := testEng.RunCollect(bg, q, p, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +151,7 @@ func TestRankPairsByWeight(t *testing.T) {
 func TestSelfJoinCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ix := mustIndex(t, randomPoints(rng, 120), IndexConfig{})
-	pairs, _, err := SelfJoin(ix, JoinOptions{})
+	pairs, _, err := testEng.RunSelfCollect(bg, ix, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +169,14 @@ func TestStreamingMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := mustIndex(t, randomPoints(rng, 80), IndexConfig{})
 	q := mustIndex(t, randomPoints(rng, 80), IndexConfig{})
-	collected, _, err := Join(q, p, JoinOptions{})
+	collected, _, err := testEng.RunCollect(bg, q, p, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var streamed []Pair
-	ret, stats, err := Join(q, p, JoinOptions{OnPair: func(pr Pair) { streamed = append(streamed, pr) }})
+	var stats Stats
+	streamed, err := Collect(testEng.Run(bg, q, p, Query{Stats: &stats}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ret != nil {
-		t.Fatal("streaming mode returned a slice")
 	}
 	if len(streamed) != len(collected) || stats.Results != int64(len(streamed)) {
 		t.Fatalf("streamed %d, collected %d, stats %d", len(streamed), len(collected), stats.Results)
@@ -185,11 +191,11 @@ func TestInsertBuildEqualsBulk(t *testing.T) {
 	bulkQ := mustIndex(t, qs, IndexConfig{})
 	insP := mustIndex(t, pts, IndexConfig{InsertBuild: true})
 	insQ := mustIndex(t, qs, IndexConfig{InsertBuild: true})
-	a, _, err := Join(bulkQ, bulkP, JoinOptions{})
+	a, _, err := testEng.RunCollect(bg, bulkQ, bulkP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Join(insQ, insP, JoinOptions{})
+	b, _, err := testEng.RunCollect(bg, insQ, insP, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +212,11 @@ func TestFileBackedIndex(t *testing.T) {
 	ixMem := mustIndex(t, pts, IndexConfig{})
 	qs := randomPoints(rng, 100)
 	q := mustIndex(t, qs, IndexConfig{})
-	a, _, err := Join(q, ixFile, JoinOptions{})
+	a, _, err := testEng.RunCollect(bg, q, ixFile, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Join(q, ixMem, JoinOptions{})
+	b, _, err := testEng.RunCollect(bg, q, ixMem, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +232,11 @@ func TestBoundedBufferSameResults(t *testing.T) {
 	tight := mustIndex(t, pts, IndexConfig{BufferPages: 2})
 	loose := mustIndex(t, pts, IndexConfig{})
 	q := mustIndex(t, qs, IndexConfig{})
-	a, statsTight, err := Join(q, tight, JoinOptions{})
+	a, statsTight, err := testEng.RunCollect(bg, q, tight, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, statsLoose, err := Join(q, loose, JoinOptions{})
+	b, statsLoose, err := testEng.RunCollect(bg, q, loose, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +275,7 @@ func TestJoinL1Basics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := mustIndex(t, randomPoints(rng, 100), IndexConfig{})
 	q := mustIndex(t, randomPoints(rng, 100), IndexConfig{})
-	pairs, stats, err := JoinL1(q, p)
+	pairs, stats, err := JoinL1(bg, q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +294,7 @@ func TestJoinL1Basics(t *testing.T) {
 func TestSelfJoinL1(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ix := mustIndex(t, randomPoints(rng, 80), IndexConfig{})
-	pairs, _, err := SelfJoinL1(ix)
+	pairs, _, err := SelfJoinL1(bg, ix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func BenchmarkRemoteJoin(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := eng.SelfJoinCollect(context.Background(), re, JoinOptions{}); err != nil {
+					if _, _, err := eng.RunSelfCollect(context.Background(), re, Query{}); err != nil {
 						b.Fatal(err)
 					}
 					re.Close()

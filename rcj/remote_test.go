@@ -60,7 +60,7 @@ func TestOpenIndexURLEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fileQ.Close()
-	wantPairs, _, err := fileEng.JoinCollect(ctx, fileQ, fileP, JoinOptions{})
+	wantPairs, _, err := fileEng.RunCollect(ctx, fileQ, fileP, Query{})
 	want := collectSorted(t, wantPairs, Stats{}, err)
 
 	srv := serveDir(t, dir, 200*time.Microsecond)
@@ -82,7 +82,7 @@ func TestOpenIndexURLEndToEnd(t *testing.T) {
 		t.Fatalf("remote sizes %d/%d, want %d/%d", ixP.Len(), ixQ.Len(), len(ps), len(qs))
 	}
 
-	gotPairs, st, err := eng.JoinCollect(ctx, ixQ, ixP, JoinOptions{})
+	gotPairs, st, err := eng.RunCollect(ctx, ixQ, ixP, Query{})
 	got := collectSorted(t, gotPairs, st, err)
 	equalPairs(t, "remote vs file", got, want)
 
@@ -121,11 +121,11 @@ func TestOpenIndexURLNoPrefetch(t *testing.T) {
 	if _, ok := re.PrefetchStats(); ok {
 		t.Fatal("prefetcher running despite PrefetchWorkers=-1")
 	}
-	a, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+	a, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SelfJoin(re, JoinOptions{SortByDiameter: true})
+	b, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGoldenV1Fixture(t *testing.T) {
 		t.Fatal("IsIndexFile(golden v1) = false")
 	}
 	fresh := mustIndex(t, goldenV1Points(), IndexConfig{})
-	wantPairs, _, err := SelfJoin(fresh, JoinOptions{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunSelfCollect(bg, fresh, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGoldenV1Fixture(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ix.Close()
-			got, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+			got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestGoldenV1Fixture(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
-		got, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+		got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestSaveRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, _, err := SelfJoin(ix, JoinOptions{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSaveRoundTripByteIdentical(t *testing.T) {
 			if !bytes.Equal(origBytes, resavedBytes) {
 				t.Fatalf("%s: re-saved file differs from original (%d vs %d bytes)", be, len(resavedBytes), len(origBytes))
 			}
-			got, _, err := SelfJoin(re, JoinOptions{SortByDiameter: true})
+			got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -130,7 +130,7 @@ func JoinContext(ctx context.Context, gr *Graph, P, Q []Point) ([]Pair, Stats, e
 }
 
 // JoinSeq streams the network join as an iterator, mirroring
-// rcj.Engine.Join: pairs are yielded as the join confirms them, cancelling
+// rcj.Engine.Run: pairs are yielded as the join confirms them, cancelling
 // ctx (or breaking out of the loop) aborts the join promptly, and no
 // goroutine outlives the range loop.
 func JoinSeq(ctx context.Context, gr *Graph, P, Q []Point) iter.Seq2[Pair, error] {
