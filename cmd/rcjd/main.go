@@ -7,7 +7,7 @@
 //
 //	rcjd -addr :8080 \
 //	     -index restaurants=restaurants.rcjx -index residences=residences.rcjx \
-//	     -backend mmap -buffer 4096 \
+//	     -backend file -buffer 4096 \
 //	     -max-concurrent 4 -max-queue 64 -queue-timeout 2s -join-timeout 1m
 //
 //	# Serve indexes hosted by any range-capable HTTP server (no shared
@@ -54,7 +54,7 @@
 // Adaptive planning (on by default): a join that names no algorithm
 // ("alg" absent or "auto") is planned per query by the cost-based planner
 // from index metadata and live scheduler load; naming one ("obj", "inj",
-// "bij", "brute") forces it verbatim. Each NDJSON summary reports the
+// "brute") forces it verbatim. Each NDJSON summary reports the
 // resolved plan ("alg", "parallelism", "plan"); /metrics reports
 // rcjd_plan_auto_total, rcjd_plan_fixed_total, and per-algorithm/-rule
 // breakdowns.
@@ -79,7 +79,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		backend       = flag.String("backend", "mem", "pager backend for saved indexes: mem, file, mmap, or http (implied by URL indexes)")
+		backend       = flag.String("backend", "mem", "pager backend for saved indexes: mem, file, or http (implied by URL indexes)")
 		bufPages      = flag.Int("buffer", 4096, "shared buffer pool size in pages (0 = unbounded)")
 		bufShards     = flag.Int("buffer-shards", 0, "buffer LRU shards (0 = auto from GOMAXPROCS)")
 		maxConcurrent = flag.Int("max-concurrent", 2, "joins running simultaneously")
@@ -91,7 +91,6 @@ func main() {
 		batchMax      = flag.Int("batch-max", sched.DefaultBatchMaxRequests, "max requests one shared traversal may serve")
 		cacheEntries  = flag.Int("result-cache", 256, "memoized result sets for bounded (top_k/limit) queries (0 = off)")
 		cachePairs    = flag.Int("result-cache-pairs", server.DefaultResultCachePairs, "max pairs per memoized result")
-		nodeCache     = flag.Int("node-cache", 0, "second-level decoded-node cache in nodes, serving buffer misses without re-reading pages (0 = off)")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
 		manifest      = flag.String("manifest", "", "shard manifest (.rcjm) to serve as a sharded-deployment worker")
 		shardIDs      = flag.String("shards", "", "comma-separated shard ids of -manifest to own (default: all populated shards)")
@@ -166,7 +165,6 @@ func main() {
 		Backend:             be,
 		BufferPages:         *bufPages,
 		BufferShards:        *bufShards,
-		NodeCachePages:      *nodeCache,
 		PprofAddr:           *pprofAddr,
 		Sched: sched.Config{
 			MaxConcurrent: *maxConcurrent,

@@ -18,7 +18,7 @@
 //
 //	# Persist the built indexes, then join again without rebuilding:
 //	rcjjoin -p a.csv -q b.csv -save-index-p a.rcjx -save-index-q b.rcjx > out.csv
-//	rcjjoin -p a.rcjx -q b.rcjx -backend mmap > out.csv
+//	rcjjoin -p a.rcjx -q b.rcjx -backend mem > out.csv
 //
 //	# Same, but write the compact packed v3 format (delta/varint leaf
 //	# pages); every backend reads it transparently:
@@ -77,14 +77,13 @@ func main() {
 		self     = flag.Bool("self", false, "compute the self-join of P")
 		metric   = flag.String("metric", "l2", "distance metric: l2 (Euclidean) or l1 (Manhattan)")
 		sorted   = flag.Bool("sort", false, "sort output by ascending ring diameter (buffers all pairs)")
-		algStr   = flag.String("alg", "", "algorithm: auto, inj, bij, obj, brute (default: auto — the cost-based planner decides; or obj under -plan=fixed)")
-		planMode = flag.String("plan", "auto", `plan resolution when -alg names no algorithm: "auto" lets the cost-based planner pick, "fixed" pins the classic obj`)
+		algStr   = flag.String("alg", "", "algorithm: auto, inj, obj, brute (default: auto — the cost-based planner decides)")
 		parallel = flag.Int("parallel", 1, "worker goroutines for the join")
 		bufPages = flag.Int("buffer", 0, "shared buffer pool size in pages (0 = unbounded)")
 		saveP    = flag.String("save-index-p", "", "after building P's index, save it to this file (skip the build next run by passing it as -p)")
 		saveQ    = flag.String("save-index-q", "", "after building Q's index, save it to this file")
 		savePack = flag.Bool("save-packed", false, "write -save-index-* files in the packed v3 format (compressed leaf pages, ~half the size)")
-		backend  = flag.String("backend", "file", "pager backend for saved-index inputs: mem, file, mmap, or http (implied by URL inputs)")
+		backend  = flag.String("backend", "file", "pager backend for saved-index inputs: mem, file, or http (implied by URL inputs)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 		topK     = flag.Int("top-k", 0, "return only the k tightest pairs, in ascending ring-diameter order (pushdown)")
 		maxDiam  = flag.Float64("max-diameter", 0, "return only pairs with ring diameter at most this (pushdown)")
@@ -140,16 +139,9 @@ func main() {
 		fatalf("-save-index-q has no effect with -self (Q is never loaded); use -save-index-p")
 	}
 
-	if *planMode != "auto" && *planMode != "fixed" {
-		fatalf("-plan must be auto or fixed, got %q", *planMode)
-	}
-	alg, ok := map[string]rcj.Algorithm{"": 0, "auto": 0, "inj": rcj.INJ, "bij": rcj.BIJ, "obj": rcj.OBJ, "brute": rcj.Brute}[*algStr]
+	alg, ok := map[string]rcj.Algorithm{"": 0, "auto": 0, "inj": rcj.INJ, "obj": rcj.OBJ, "brute": rcj.Brute}[*algStr]
 	if !ok {
-		fatalf("unknown algorithm %q", *algStr)
-	}
-	forced := *algStr != "" && *algStr != "auto"
-	if !forced && *planMode == "fixed" {
-		alg, forced = rcj.OBJ, true
+		fatalf("unknown algorithm %q (want auto, inj, obj, or brute)", *algStr)
 	}
 	be, err := rcj.ParseBackend(*backend)
 	if err != nil {
@@ -158,7 +150,7 @@ func main() {
 
 	qry := rcj.Query{
 		Algorithm:      alg,
-		ForceAlgorithm: forced,
+		ForceAlgorithm: *algStr != "" && *algStr != "auto",
 		Parallelism:    *parallel,
 		TopK:           *topK,
 		MaxDiameter:    *maxDiam,

@@ -45,7 +45,6 @@ func main() {
 		fanout     = flag.Int("fanout", 4, "max concurrent sub-queries per join")
 		retries    = flag.Int("retries", 1, "extra attempts per failed sub-query, each on the shard's next owner")
 		subTimeout = flag.Duration("subquery-timeout", 0, "per-sub-query deadline (0 = request deadline only)")
-		planMode   = flag.String("plan", "auto", `algorithm default for requests that name none: "auto" lets each worker's planner decide per shard, "fixed" pins the classic OBJ`)
 	)
 	var workers []router.Worker
 	flag.Func("worker", "rcjd worker, as url (owns all shards) or url=0,2,5 (owns those shards); repeatable", func(v string) error {
@@ -77,11 +76,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *planMode != "auto" && *planMode != "fixed" {
-		fmt.Fprintf(os.Stderr, "rcjrouter: -plan must be auto or fixed, got %q\n", *planMode)
-		flag.Usage()
-		os.Exit(2)
-	}
 	m, err := shard.Load(*manifest)
 	if err != nil {
 		fatalf("%v", err)
@@ -92,7 +86,6 @@ func main() {
 		Fanout:     *fanout,
 		Retries:    *retries,
 		SubTimeout: *subTimeout,
-		FixedPlan:  *planMode == "fixed",
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -108,7 +101,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	srv := &http.Server{Handler: rt.Handler()}
+	// A client that never finishes its request headers must not hold a
+	// connection forever.
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	populated := 0
 	for _, sh := range m.Shards {
 		if !sh.Empty() {

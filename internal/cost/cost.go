@@ -4,7 +4,7 @@
 // total number (including repeated) of R-tree node accesses". The harness
 // derives I/O time from the buffer pool's fault counter and measures CPU
 // time as wall time minus the pool's measured miss-load wait, so backends
-// whose faults take real time (file, mmap, HTTP) are charged once — at the
+// whose faults take real time (file, HTTP) are charged once — at the
 // modeled rate — rather than both modeled and measured.
 package cost
 
@@ -47,11 +47,11 @@ type Breakdown struct {
 	// IOTime is Faults × PageFaultCost, the paper's modeled I/O charge.
 	IOTime time.Duration
 	// CPUTime is the measured computation time of the run: wall time minus
-	// MeasuredIO. On backends where faults take real time (file, mmap,
-	// HTTP) this keeps fetch latency out of the CPU column, so Total does
-	// not charge it twice — once as wall time and once as the modeled
-	// 10 ms/fault. Clamped at zero when concurrent loads overlap enough
-	// that their summed waits exceed wall time.
+	// MeasuredIO. On backends where faults take real time (file, HTTP) this
+	// keeps fetch latency out of the CPU column, so Total does not charge
+	// it twice — once as wall time and once as the modeled 10 ms/fault.
+	// Clamped at zero when concurrent loads overlap enough that their
+	// summed waits exceed wall time.
 	CPUTime time.Duration
 	// MeasuredIO is the real time the run spent blocked in pager loads
 	// (buffer misses), summed across workers. Zero for purely in-memory

@@ -168,3 +168,32 @@ func returnsPairs(fn *ast.FuncDecl) bool {
 	}
 	return false
 }
+
+// commandFlags pins how many flags each serving command defines
+// (flag.String/Int/Bool/Duration/Float64 calls; the repeatable flag.Func
+// ones are deployment lists, not knobs). Every flag is a configuration the
+// tests and the benchmark must cover: a new one has to be argued for here,
+// against the workload that needs it.
+var commandFlags = map[string]int{"rcjd": 19, "rcjjoin": 24, "rcjrouter": 5}
+
+func TestCommandFlagCounts(t *testing.T) {
+	for cmd, want := range commandFlags {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", "cmd", cmd, "main.go"), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				switch types.ExprString(call.Fun) {
+				case "flag.String", "flag.Int", "flag.Bool", "flag.Duration", "flag.Float64":
+					got++
+				}
+			}
+			return true
+		})
+		if got != want {
+			t.Errorf("cmd/%s defines %d flags, want %d", cmd, got, want)
+		}
+	}
+}

@@ -62,6 +62,10 @@ func (e *subError) Error() string {
 	return fmt.Sprintf("shard %d (worker %s): %v", e.shard, e.worker, e.err)
 }
 
+// maxRequestBody bounds the /join body the router will read; a join request
+// is a few hundred bytes.
+const maxRequestBody = 1 << 20
+
 // errStopStream aborts a worker stream on purpose (limit satisfied or
 // client gone); it is a clean end, not a sub-query failure.
 var errStopStream = errors.New("router: stream stopped")
@@ -73,8 +77,14 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, status, code, msg, extras)
 	}
 	var req server.JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("bad request body: %v", err), nil)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			fail(http.StatusRequestEntityTooLarge, "request_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), nil)
+		} else {
+			fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("bad request body: %v", err), nil)
+		}
 		return
 	}
 	// The router fronts exactly one sharded dataset; the client addresses
@@ -107,13 +117,9 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
-	// "" / "auto" lets each worker's planner pick per shard — shards differ
-	// in size, so one request can legitimately run OBJ on a dense shard and
-	// brute on a near-empty one — unless the router is pinned to the classic
-	// fixed default.
-	if req.Alg == "" && rt.cfg.FixedPlan {
-		req.Alg = "obj"
-	}
+	// "" / "auto" lets each worker's planner pick per shard: shards differ in
+	// size, so one request can legitimately run OBJ on a dense shard and
+	// brute on a near-empty one.
 	// The diameter bound is the sharding contract: the overlap margin only
 	// guarantees shard-local completeness for pairs at most MaxDiameter
 	// wide. An unbounded query inherits the manifest's bound; a looser one
@@ -136,11 +142,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	rt.m.shardsPruned.Add(int64(pruned))
 	rt.m.shardsContacted.Add(int64(len(subs)))
 
-	if req.TopK > 0 {
-		rt.gatherJoin(r.Context(), w, &req, subs, pruned, csvFormat)
-	} else {
-		rt.streamJoin(r.Context(), w, &req, subs, pruned, csvFormat)
-	}
+	rt.answerJoin(r.Context(), w, &req, subs, pruned, csvFormat)
 }
 
 // subRequest derives the per-shard worker request: conventional shard index
@@ -280,253 +282,127 @@ func addCounts(a *server.Counts, s *server.Summary) {
 	a.BoundKilled += s.BoundKilled
 }
 
-// ---------------------------------------------------------------------------
-// Streaming path (no top-k): rows forward to the client as workers produce
-// them, interleaved across shards, with boundary dedup and a global limit.
-
-type streamSink struct {
-	rt      *Router
-	w       http.ResponseWriter
-	flusher http.Flusher
-	csv     bool
-	cancel  context.CancelFunc
-
-	mu       sync.Mutex
-	started  bool // response header written
-	dead     bool // client write failed; stop producing
-	hitLimit bool
-	limit    int64
-	emitted  int64
-	dropped  int64                 // boundary duplicates dropped (this request)
-	retries  int64                 // sub-query retries (this request)
-	seen     map[[2]int64]struct{} // boundary-suspect pairs already forwarded
-	stats    server.Counts
-	buf      []byte // CSV re-encode scratch, reused under mu
-}
-
-func (sk *streamSink) writeHeaderLocked() {
-	if sk.started {
-		return
-	}
-	if sk.csv {
-		sk.w.Header().Set("Content-Type", "text/csv")
-	} else {
-		sk.w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	sk.w.WriteHeader(http.StatusOK)
-	sk.started = true
-}
-
-func (sk *streamSink) flushLocked() {
-	if sk.flusher != nil {
-		sk.flusher.Flush()
-	}
-}
-
-// emit forwards one worker row. wrote reports whether bytes reached the
-// client (a forwarded shard stream can no longer fail over); stop asks the
-// producing stream to end (limit satisfied or client gone).
-func (sk *streamSink) emit(rw row) (wrote, stop bool) {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	if sk.hitLimit || sk.dead {
-		return false, true
-	}
-	if sk.rt.suspect(rw.line) {
-		key := [2]int64{rw.line.PID, rw.line.QID}
-		if _, dup := sk.seen[key]; dup {
-			sk.dropped++
-			sk.rt.m.dedupDropped.Add(1)
-			return false, false
-		}
-		sk.seen[key] = struct{}{}
-	}
-	sk.writeHeaderLocked()
-	out := rw.raw
-	if sk.csv {
-		sk.buf = server.AppendPairCSV(sk.buf[:0], rw.line.Pair())
-		out = sk.buf
-	}
-	if _, err := sk.w.Write(out); err != nil {
-		sk.dead = true
-		sk.cancel()
-		return false, true
-	}
-	sk.rt.m.pairsEmitted.Add(1)
-	sk.emitted++
-	sk.flushLocked()
-	if sk.limit > 0 && sk.emitted >= sk.limit {
-		sk.hitLimit = true
-		sk.cancel()
-		return true, true
-	}
-	return true, false
-}
-
-func (sk *streamSink) ended() bool {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	return sk.hitLimit || sk.dead
-}
-
-func (rt *Router) streamJoin(ctx context.Context, w http.ResponseWriter, req *server.JoinRequest, subs []subQuery, pruned int, csvFormat bool) {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	flusher, _ := w.(http.Flusher)
-	sink := &streamSink{
-		rt: rt, w: w, flusher: flusher, csv: csvFormat, cancel: cancel,
-		limit: int64(req.Limit), seen: map[[2]int64]struct{}{},
-	}
-
-	var firstFail *subError
-	var failMu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, rt.cfg.Fanout)
-	for _, sub := range subs {
-		wg.Add(1)
-		go func(sub subQuery) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				return
-			}
-			if serr := rt.streamSub(ctx, sub, req, sink); serr != nil {
-				failMu.Lock()
-				// A deliberate local end (limit, client gone) or a failure
-				// after one is already recorded is not a new incident.
-				if firstFail == nil && !sink.ended() {
-					firstFail = serr
-					rt.m.failures.Add(1)
-					cancel()
-				}
-				failMu.Unlock()
-			}
-		}(sub)
-	}
-	wg.Wait()
-
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	rt.m.retries.Add(sink.retries)
-	if firstFail != nil {
-		rt.m.joinErrors.Add(1)
-		rt.logf("router: join failed: %v", firstFail)
-		if !sink.started {
-			sink.mu.Unlock()
-			errorBody(w, http.StatusBadGateway, "shard_failure", firstFail.err.Error(),
-				map[string]any{"shard": firstFail.shard, "worker": firstFail.worker})
-			sink.mu.Lock()
-			return
-		}
-		// The status line is gone; NDJSON clients get a typed in-band error,
-		// CSV streams simply truncate (same contract as a single rcjd).
-		if !csvFormat {
-			line, _ := json.Marshal(streamError{
-				Error: firstFail.err.Error(), Code: "shard_failure",
-				Shard: firstFail.shard, Worker: firstFail.worker,
-			})
-			sink.w.Write(append(line, '\n'))
-		}
-		sink.flushLocked()
-		return
-	}
-	sink.writeHeaderLocked()
-	if !csvFormat {
-		sink.stats.Results = sink.emitted
-		sum := routerSummary{
-			Counts:          sink.stats,
-			ShardsContacted: len(subs),
-			ShardsPruned:    pruned,
-			SubqueryRetries: sink.retries,
-			DedupDropped:    sink.dropped,
-			ElapsedMS:       time.Since(start).Milliseconds(),
-		}
-		line, _ := json.Marshal(map[string]routerSummary{"summary": sum})
-		sink.w.Write(append(line, '\n'))
-	}
-	sink.flushLocked()
-}
-
-// streamSub answers one shard with failover: attempts rotate through the
-// shard's owners, but only while nothing of this shard's stream has been
-// forwarded to the client (a half-forwarded stream cannot restart without
-// duplicating rows).
-func (rt *Router) streamSub(ctx context.Context, sub subQuery, req *server.JoinRequest, sink *streamSink) *subError {
-	owners := rt.owners[sub.shardID]
-	start := int(rt.rr.Add(1)-1) % len(owners)
-	attempts := rt.cfg.Retries + 1
-	var lastErr error
-	lastURL := owners[start]
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			break
-		}
-		url := owners[(start+a)%len(owners)]
-		forwarded := false
-		sum, err := rt.fetchSub(ctx, url, rt.subRequest(req, sub, req.MaxDiameter), func(rw row) error {
-			wrote, stop := sink.emit(rw)
-			if wrote {
-				forwarded = true
-			}
-			if stop {
-				return errStopStream
-			}
-			return nil
-		})
-		if err == nil || errors.Is(err, errStopStream) {
-			sink.mu.Lock()
-			addCounts(&sink.stats, sum)
-			sink.mu.Unlock()
-			return nil
-		}
-		lastErr, lastURL = err, url
-		if forwarded {
-			break // rows already with the client: no transparent failover
-		}
-		if a+1 < attempts && ctx.Err() == nil {
-			sink.mu.Lock()
-			sink.retries++
-			sink.mu.Unlock()
-			rt.logf("router: shard %d attempt on %s failed (%v), retrying", sub.shardID, url, err)
-		}
-	}
-	return &subError{shard: sub.shardID, worker: lastURL, err: lastErr}
-}
-
-// ---------------------------------------------------------------------------
-// Gather path (top-k): per-shard local top-k sets merge under the engine's
-// deterministic ranking; each completed shard tightens the global diameter
-// bound, which later-dispatched sub-queries inherit (fan-out is bounded, so
+// merger is what one request does with the rows its sub-queries return.
+// Without top-k a row is forwarded the moment it arrives, interleaved across
+// shards, under boundary dedup and the global limit. With top-k a sub-query
+// attempt holds its rows until it completes; completed answers merge under
+// the engine's deterministic ranking, and each merge may tighten the
+// diameter bound later-dispatched sub-queries carry (fan-out is bounded, so
 // with more shards than slots the tightening reaches real work).
+type merger struct {
+	rt     *Router
+	out    *server.JoinWriter
+	cancel context.CancelFunc
+	k      int // top-k size; 0 = forward rows as they arrive
+	limit  int // global row limit (0 = none): forwarding stops at it, a top-k answer is cut to it
 
-type gatherState struct {
-	mu    sync.Mutex
-	rows  []row // deduped, kept sorted+trimmed to k once it first fills
-	seen  map[[2]int64]struct{}
-	stats server.Counts
-
-	retries int64
-	dropped int64
-	tight   int64
+	mu      sync.Mutex
+	seen    map[[2]int64]struct{} // boundary-suspect pairs already accepted
+	stats   server.Counts
+	retries int64 // sub-query retries (this request)
+	dropped int64 // boundary duplicates dropped (this request)
+	tight   int64 // bound tightenings republished (this request)
+	emitted int64 // rows forwarded so far
+	ended   bool  // limit satisfied or client gone: stop producing
+	held    []row // top-k: deduped, kept sorted+trimmed to k once it first fills
 
 	bound atomic.Uint64 // float64 bits of the current diameter bound
 }
 
-func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *server.JoinRequest, subs []subQuery, pruned int, csvFormat bool) {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st := &gatherState{seen: map[[2]int64]struct{}{}}
-	st.bound.Store(math.Float64bits(req.MaxDiameter))
+// attempt is one try at one shard: the rows it holds back for the merge, or
+// whether any of its rows already reached the client — after which the shard
+// can no longer fail over (a half-forwarded stream cannot restart without
+// duplicating rows).
+type attempt struct {
+	held      []row
+	forwarded bool
+}
 
+// duplicate reports — and counts — a boundary row some other shard already
+// delivered. Caller holds m.mu.
+func (m *merger) duplicate(rw row) bool {
+	if !m.rt.suspect(rw.line) {
+		return false
+	}
+	key := [2]int64{rw.line.PID, rw.line.QID}
+	if _, dup := m.seen[key]; dup {
+		m.dropped++
+		m.rt.m.dedupDropped.Add(1)
+		return true
+	}
+	m.seen[key] = struct{}{}
+	return false
+}
+
+// row takes one worker row: held for the merge under top-k, otherwise
+// forwarded and flushed now. errStopStream asks the producing stream to end
+// (limit satisfied or client gone).
+func (m *merger) row(at *attempt, rw row) error {
+	if m.k > 0 {
+		at.held = append(at.held, rw)
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ended {
+		return errStopStream
+	}
+	if m.duplicate(rw) {
+		return nil
+	}
+	if err := m.out.Pair(rw.line.Pair(), rw.raw); err != nil {
+		m.ended = true
+		m.cancel()
+		return errStopStream
+	}
+	at.forwarded = true
+	m.rt.m.pairsEmitted.Add(1)
+	m.emitted++
+	m.out.Flush()
+	if m.limit > 0 && m.emitted >= int64(m.limit) {
+		m.ended = true
+		m.cancel()
+		return errStopStream
+	}
+	return nil
+}
+
+// commit folds one completed attempt into the request: its work counters
+// and, under top-k, its rows — republishing a tightened diameter bound when
+// the k-th best so far improved on it. Dedup must precede the k-th lookup: a
+// boundary pair counted twice would fake a tighter k-th radius and
+// over-prune later shards.
+func (m *merger) commit(at *attempt, sum *server.Summary) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	addCounts(&m.stats, sum)
+	for _, rw := range at.held {
+		if !m.duplicate(rw) {
+			m.held = append(m.held, rw)
+		}
+	}
+	if m.k == 0 || len(m.held) < m.k {
+		return
+	}
+	sortRows(m.held)
+	m.held = m.held[:m.k] // beyond-k rows can never re-enter under the same total order
+	// Every pair still missing is at most as tight as the current k-th, so
+	// its diameter is bounded by twice that radius (exact: *2 only shifts
+	// the exponent). A zero k-th radius cannot be republished — the wire
+	// format reads max_diameter 0 as "unbounded".
+	newBound := 2 * m.held[m.k-1].line.Radius
+	if newBound > 0 && newBound < math.Float64frombits(m.bound.Load()) {
+		m.bound.Store(math.Float64bits(newBound))
+		m.tight++
+		m.rt.m.boundTightenings.Add(1)
+	}
+}
+
+// scatter answers every planned shard through m, at most Fanout at a time,
+// and returns the first shard failure (nil when every shard answered or the
+// request ended on purpose).
+func (rt *Router) scatter(ctx context.Context, req *server.JoinRequest, subs []subQuery, m *merger) *subError {
 	var firstFail *subError
-	var failMu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, rt.cfg.Fanout)
 	for _, sub := range subs {
@@ -539,77 +415,28 @@ func (rt *Router) gatherJoin(ctx context.Context, w http.ResponseWriter, req *se
 			case <-ctx.Done():
 				return
 			}
-			if serr := rt.gatherSub(ctx, sub, req, st); serr != nil {
-				failMu.Lock()
-				if firstFail == nil {
+			if serr := rt.answerShard(ctx, req, sub, m); serr != nil {
+				m.mu.Lock()
+				// A deliberate local end (limit, client gone) or a failure
+				// after one is already recorded is not a new incident.
+				if firstFail == nil && !m.ended {
 					firstFail = serr
 					rt.m.failures.Add(1)
-					cancel()
+					m.cancel()
 				}
-				failMu.Unlock()
+				m.mu.Unlock()
 			}
 		}(sub)
 	}
 	wg.Wait()
-
-	rt.m.retries.Add(st.retries)
-	if firstFail != nil {
-		// Nothing has been written (the gather buffers), so the failure is
-		// always a clean typed status, never a truncated 200.
-		rt.m.joinErrors.Add(1)
-		rt.logf("router: top-k join failed: %v", firstFail)
-		errorBody(w, http.StatusBadGateway, "shard_failure", firstFail.err.Error(),
-			map[string]any{"shard": firstFail.shard, "worker": firstFail.worker})
-		return
-	}
-
-	sortRows(st.rows)
-	n := req.TopK
-	if req.Limit > 0 && req.Limit < n {
-		n = req.Limit
-	}
-	if len(st.rows) > n {
-		st.rows = st.rows[:n]
-	}
-	if csvFormat {
-		w.Header().Set("Content-Type", "text/csv")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	var buf []byte
-	for _, rw := range st.rows {
-		if csvFormat {
-			buf = server.AppendPairCSV(buf[:0], rw.line.Pair())
-			w.Write(buf)
-		} else {
-			w.Write(rw.raw)
-		}
-	}
-	rt.m.pairsEmitted.Add(int64(len(st.rows)))
-	if !csvFormat {
-		st.stats.Results = int64(len(st.rows))
-		sum := routerSummary{
-			Counts:           st.stats,
-			ShardsContacted:  len(subs),
-			ShardsPruned:     pruned,
-			SubqueryRetries:  st.retries,
-			DedupDropped:     st.dropped,
-			BoundTightenings: st.tight,
-			ElapsedMS:        time.Since(start).Milliseconds(),
-		}
-		line, _ := json.Marshal(map[string]routerSummary{"summary": sum})
-		w.Write(append(line, '\n'))
-	}
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
+	return firstFail
 }
 
-// gatherSub collects one shard's local top-k. Nothing is forwarded until
-// every shard answers, so failover is always transparent here; each attempt
-// restarts with an empty local buffer.
-func (rt *Router) gatherSub(ctx context.Context, sub subQuery, req *server.JoinRequest, st *gatherState) *subError {
+// answerShard answers one shard with failover: attempts rotate through the
+// shard's owners, but only while nothing of this shard's stream has been
+// forwarded to the client. Each attempt carries the diameter bound current
+// when it is dispatched.
+func (rt *Router) answerShard(ctx context.Context, req *server.JoinRequest, sub subQuery, m *merger) *subError {
 	owners := rt.owners[sub.shardID]
 	start := int(rt.rr.Add(1)-1) % len(owners)
 	attempts := rt.cfg.Retries + 1
@@ -623,60 +450,76 @@ func (rt *Router) gatherSub(ctx context.Context, sub subQuery, req *server.JoinR
 			break
 		}
 		url := owners[(start+a)%len(owners)]
-		body := rt.subRequest(req, sub, math.Float64frombits(st.bound.Load()))
-		var local []row
-		sum, err := rt.fetchSub(ctx, url, body, func(rw row) error {
-			local = append(local, rw)
-			return nil
-		})
-		if err == nil {
-			st.merge(rt, req.TopK, local, sum)
+		var at attempt
+		body := rt.subRequest(req, sub, math.Float64frombits(m.bound.Load()))
+		sum, err := rt.fetchSub(ctx, url, body, func(rw row) error { return m.row(&at, rw) })
+		if err == nil || errors.Is(err, errStopStream) {
+			m.commit(&at, sum)
 			return nil
 		}
 		lastErr, lastURL = err, url
+		if at.forwarded {
+			break // rows already with the client: no transparent failover
+		}
 		if a+1 < attempts && ctx.Err() == nil {
-			st.mu.Lock()
-			st.retries++
-			st.mu.Unlock()
+			m.mu.Lock()
+			m.retries++
+			m.mu.Unlock()
 			rt.logf("router: shard %d attempt on %s failed (%v), retrying", sub.shardID, url, err)
 		}
 	}
 	return &subError{shard: sub.shardID, worker: lastURL, err: lastErr}
 }
 
-// merge folds one shard's answer into the running top-k and republishes a
-// tightened diameter bound when the k-th best so far improved on it. Dedup
-// must precede the k-th lookup: a boundary pair counted twice would fake a
-// tighter k-th radius and over-prune later shards.
-func (st *gatherState) merge(rt *Router, k int, local []row, sum *server.Summary) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	addCounts(&st.stats, sum)
-	for _, rw := range local {
-		if rt.suspect(rw.line) {
-			key := [2]int64{rw.line.PID, rw.line.QID}
-			if _, dup := st.seen[key]; dup {
-				st.dropped++
-				rt.m.dedupDropped.Add(1)
-				continue
-			}
-			st.seen[key] = struct{}{}
+// answerJoin scatters the request and writes the merged response.
+func (rt *Router) answerJoin(ctx context.Context, w http.ResponseWriter, req *server.JoinRequest, subs []subQuery, pruned int, csvFormat bool) {
+	start := time.Now()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	out := server.NewJoinWriter(w, csvFormat)
+	m := &merger{rt: rt, out: out, cancel: cancel, k: req.TopK, limit: req.Limit,
+		seen: map[[2]int64]struct{}{}}
+	m.bound.Store(math.Float64bits(req.MaxDiameter))
+
+	fail := rt.scatter(ctx, req, subs, m)
+	// Every sub-query goroutine has returned: m is this goroutine's alone.
+	rt.m.retries.Add(m.retries)
+	if fail != nil {
+		rt.m.joinErrors.Add(1)
+		rt.logf("router: join failed: %v", fail)
+		if !out.Started() {
+			// Nothing reached the client (a top-k gather never writes before
+			// every shard answered): a clean typed status.
+			errorBody(w, http.StatusBadGateway, "shard_failure", fail.err.Error(),
+				map[string]any{"shard": fail.shard, "worker": fail.worker})
+			return
 		}
-		st.rows = append(st.rows, rw)
-	}
-	if len(st.rows) < k {
+		out.Fail(streamError{Error: fail.err.Error(), Code: "shard_failure", Shard: fail.shard, Worker: fail.worker})
 		return
 	}
-	sortRows(st.rows)
-	st.rows = st.rows[:k] // beyond-k rows can never re-enter under the same total order
-	// Every pair still missing is at most as tight as the current k-th, so
-	// its diameter is bounded by twice that radius (exact: *2 only shifts
-	// the exponent). A zero k-th radius cannot be republished — the wire
-	// format reads max_diameter 0 as "unbounded".
-	newBound := 2 * st.rows[k-1].line.Radius
-	if newBound > 0 && newBound < math.Float64frombits(st.bound.Load()) {
-		st.bound.Store(math.Float64bits(newBound))
-		st.tight++
-		rt.m.boundTightenings.Add(1)
+	if m.k > 0 {
+		sortRows(m.held)
+		n := m.k
+		if m.limit > 0 && m.limit < n {
+			n = m.limit
+		}
+		if len(m.held) > n {
+			m.held = m.held[:n]
+		}
+		for _, rw := range m.held {
+			out.Pair(rw.line.Pair(), rw.raw)
+		}
+		m.emitted = int64(len(m.held))
+		rt.m.pairsEmitted.Add(m.emitted)
 	}
+	m.stats.Results = m.emitted
+	out.Summary(routerSummary{
+		Counts:           m.stats,
+		ShardsContacted:  len(subs),
+		ShardsPruned:     pruned,
+		SubqueryRetries:  m.retries,
+		DedupDropped:     m.dropped,
+		BoundTightenings: m.tight,
+		ElapsedMS:        time.Since(start).Milliseconds(),
+	})
 }

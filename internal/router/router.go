@@ -77,11 +77,6 @@ type Config struct {
 	Retries int
 	// SubTimeout caps each sub-query attempt (0 = request deadline only).
 	SubTimeout time.Duration
-	// FixedPlan pins sub-queries whose request named no algorithm to the
-	// paper's dominant OBJ instead of letting each worker's cost-based
-	// planner decide per shard ("-plan=fixed" in cmd/rcjrouter). An explicit
-	// algorithm in the request always forwards verbatim either way.
-	FixedPlan bool
 	// Client issues worker requests (default: a plain http.Client).
 	Client *http.Client
 	// Logf, when non-nil, receives router lifecycle messages.

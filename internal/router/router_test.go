@@ -222,7 +222,7 @@ func equivalenceCases() []queryCase {
 		{name: "region-cross", fields: map[string]any{"region": []float64{400, 400, 600, 600}, "max_diameter": 90.0}},
 		{name: "combo", fields: map[string]any{"max_diameter": 80.0, "min_distance": 10.0, "region": []float64{100, 0, 900, 800}}},
 		{name: "alg-inj", fields: map[string]any{"alg": "inj"}},
-		{name: "alg-bij-par", fields: map[string]any{"alg": "bij", "parallelism": 2}},
+		{name: "alg-obj-par", fields: map[string]any{"alg": "obj", "parallelism": 2}},
 		{name: "topk", fields: map[string]any{"top_k": 15}, ordered: true},
 		{name: "topk-region", fields: map[string]any{"top_k": 10, "region": []float64{0, 0, 600, 1000}}, ordered: true},
 		{name: "topk-diameter", fields: map[string]any{"top_k": 5, "max_diameter": 80.0}, ordered: true},
@@ -474,34 +474,134 @@ func TestRouterPartialFailure(t *testing.T) {
 }
 
 // TestRouterFailover: the same dead worker is survivable when a replica
-// owns its shards and retries are on — and the answer is still exact.
+// owns its shards and retries are on — and the answer is still exact, on
+// the forwarding path and on the top-k path alike.
 func TestRouterFailover(t *testing.T) {
-	d := newDeployment(t, false, 4, [][]int{nil, nil}, func(c *Config) { c.Retries = 1 })
-	d.workers[0].Close()
+	for _, tc := range []struct {
+		name, fields string
+		ordered      bool
+	}{
+		{"stream", ``, false},
+		{"topk", `,"top_k":5`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDeployment(t, false, 4, [][]int{nil, nil}, func(c *Config) { c.Retries = 1 })
+			d.workers[0].Close()
 
-	status, data := postJoin(t, d.router.URL, `{"p":"p","q":"q"}`)
+			status, data := postJoin(t, d.router.URL, `{"p":"p","q":"q"`+tc.fields+`}`)
+			if status != 200 {
+				t.Fatalf("status %d: %s", status, data)
+			}
+			got, _ := splitStream(t, data, false)
+			refStatus, refData := postJoin(t, d.reference.URL,
+				fmt.Sprintf(`{"p":"p","q":"q","max_diameter":%g%s}`, testMaxD, tc.fields))
+			if refStatus != 200 {
+				t.Fatalf("reference status %d", refStatus)
+			}
+			want, _ := splitStream(t, refData, false)
+			if !tc.ordered {
+				sort.Strings(got)
+				sort.Strings(want)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("failover run returned %d rows, reference %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("row %d differs after failover:\n%s\n%s", i, got[i], want[i])
+				}
+			}
+			if d.rt.m.retries.Load() == 0 {
+				t.Error("no retries recorded although half the first picks hit a dead worker")
+			}
+		})
+	}
+}
+
+// cutWorker serves a real worker's /join but drops the connection once
+// `rows` result lines have been written.
+func cutWorker(t *testing.T, inner http.Handler, rows int) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(&cutWriter{ResponseWriter: w, left: rows}, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// cutWriter forwards `left` writes (rcjd writes one line per call), then
+// hijacks the connection and closes it under the handler.
+type cutWriter struct {
+	http.ResponseWriter
+	left int
+	cut  bool
+}
+
+func (c *cutWriter) Write(b []byte) (int, error) {
+	if c.cut {
+		return 0, io.ErrClosedPipe
+	}
+	if c.left == 0 {
+		c.cut = true
+		c.ResponseWriter.(http.Flusher).Flush()
+		conn, _, err := c.ResponseWriter.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+		return 0, io.ErrClosedPipe
+	}
+	c.left--
+	return c.ResponseWriter.Write(b)
+}
+
+func (c *cutWriter) Flush() {
+	if !c.cut {
+		c.ResponseWriter.(http.Flusher).Flush()
+	}
+}
+
+// TestRouterNoFailoverAfterForwardedRow: a shard whose stream died after
+// some of its rows reached the client must not restart on a replica — the
+// replica would send those rows again. The router ends the stream with the
+// in-band shard_failure record instead, and counts no retry.
+func TestRouterNoFailoverAfterForwardedRow(t *testing.T) {
+	const rowsBeforeCut = 5
+	rng := rand.New(rand.NewSource(11))
+	dir := t.TempDir()
+	manPath := filepath.Join(dir, "deploy.rcjm")
+	man, err := shard.Build(manPath, testPoints(rng, 300, 0, 499), testPoints(rng, 300, 10000, 501),
+		shard.BuildConfig{Shards: 1, MaxDiameter: testMaxD, Name: "deploy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := newWorker(t, manPath, nil)
+	flaky := cutWorker(t, newWorker(t, manPath, nil).Config.Handler, rowsBeforeCut)
+	// One shard, so the round-robin cursor's first pick is owners[0]: the
+	// flaky worker, with the healthy replica next in line.
+	rt, err := New(Config{Manifest: man, Workers: []Worker{{URL: flaky.URL}, {URL: healthy.URL}}, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	status, data := postJoin(t, front.URL, `{"p":"p","q":"q"}`)
 	if status != 200 {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	got, _ := splitStream(t, data, false)
-	refStatus, refData := postJoin(t, d.reference.URL,
-		fmt.Sprintf(`{"p":"p","q":"q","max_diameter":%g}`, testMaxD))
-	if refStatus != 200 {
-		t.Fatalf("reference status %d", refStatus)
+	rows, extra := splitStream(t, data, false)
+	if len(rows) != rowsBeforeCut {
+		t.Errorf("%d rows reached the client, want the %d written before the cut", len(rows), rowsBeforeCut)
 	}
-	want, _ := splitStream(t, refData, false)
-	sort.Strings(got)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("failover run returned %d rows, reference %d", len(got), len(want))
+	assertNoDuplicates(t, rows)
+	if raw, ok := extra["code"]; !ok || string(raw) != `"shard_failure"` {
+		t.Errorf("stream ended without the in-band shard_failure record: %v", extra)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs after failover:\n%s\n%s", i, got[i], want[i])
-		}
+	if n := rt.m.retries.Load(); n != 0 {
+		t.Errorf("subquery_retries = %d, want 0: a half-forwarded shard must not fail over", n)
 	}
-	if d.rt.m.retries.Load() == 0 {
-		t.Error("no retries recorded although half the first picks hit a dead worker")
+	if n := rt.m.perWorker[healthy.URL].Load(); n != 0 {
+		t.Errorf("healthy replica received %d sub-queries, want 0", n)
 	}
 }
 
@@ -567,5 +667,20 @@ func TestRouterHealthAndShards(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz %d with workers down, want 503 (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestRouterOversizeBodyIs413: the router bounds the body it reads and
+// refuses a larger one with the typed 413 before planning anything.
+func TestRouterOversizeBodyIs413(t *testing.T) {
+	d := newDeployment(t, false, 4, [][]int{nil}, nil)
+	status, data := postJoin(t, d.router.URL, `{"p":"`+strings.Repeat("p", maxRequestBody)+`"}`)
+	var e struct{ Code string }
+	json.Unmarshal(data, &e)
+	if status != http.StatusRequestEntityTooLarge || e.Code != "request_too_large" {
+		t.Fatalf("router answered %d %s, want 413 request_too_large", status, data)
+	}
+	if n := d.rt.m.subqueries.Load(); n != 0 {
+		t.Errorf("%d sub-queries dispatched for a refused request", n)
 	}
 }

@@ -66,13 +66,15 @@ func TestJoinRequestOneDefinition(t *testing.T) {
 		{name: "plain", body: `{"p":"p","q":"q"}`, want: &rcj.Query{}},
 		{name: "auto", body: `{"p":"p","q":"q","alg":"auto","format":"ndjson"}`, want: &rcj.Query{}},
 		{name: "forced-inj", body: `{"p":"p","q":"q","alg":"inj"}`, want: &rcj.Query{Algorithm: rcj.INJ, ForceAlgorithm: true}},
-		{name: "bij-par-csv", body: `{"p":"p","q":"q","alg":"bij","parallelism":2,"format":"csv"}`,
-			want: &rcj.Query{Algorithm: rcj.BIJ, ForceAlgorithm: true, Parallelism: 2}, csv: true},
+		{name: "obj-par-csv", body: `{"p":"p","q":"q","alg":"obj","parallelism":2,"format":"csv"}`,
+			want: &rcj.Query{Algorithm: rcj.OBJ, ForceAlgorithm: true, Parallelism: 2}, csv: true},
 		{name: "predicates", body: `{"p":"p","q":"q","max_diameter":80,"min_distance":10,"region":[100,100,600,600]}`,
 			want: &rcj.Query{MaxDiameter: 80, MinDistance: 10, Region: window}},
 		{name: "topk-limit", body: `{"q":"q","top_k":8,"limit":3,"timeout_ms":500}`, want: &rcj.Query{TopK: 8, Limit: 3}},
 
 		{name: "bad-alg", body: `{"p":"p","q":"q","alg":"warp"}`},
+		// BIJ left the serving surface (it stays in internal/exp for Fig. 13).
+		{name: "removed-bij", body: `{"p":"p","q":"q","alg":"bij"}`},
 		{name: "bad-format", body: `{"p":"p","q":"q","format":"xml"}`},
 		{name: "neg-parallelism", body: `{"p":"p","q":"q","parallelism":-1}`},
 		{name: "neg-top-k", body: `{"p":"p","q":"q","top_k":-1}`},

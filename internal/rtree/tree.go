@@ -75,9 +75,6 @@ type Tree struct {
 	tag *buffer.TagStats // per-request attribution for reads; nil on the base tree
 
 	prefetch *buffer.Prefetcher // async readahead of child pages; nil = off
-
-	nodeCache  *NodeCache // second-level decoded-node cache; nil = off
-	cacheOwner uint64     // this tree's generation in nodeCache
 }
 
 // ErrEmptyTree is returned by operations that need at least one point.
@@ -314,17 +311,8 @@ func (t *Tree) offerChildRun(rr storage.PageRangeReader, first storage.PageID, n
 }
 
 // loadNode reads and decodes page id straight from the pager, bypassing the
-// buffer pool: the shared load path of demand reads and prefetches. With a
-// node cache attached, a pool miss is served from the cached decoded node
-// when possible — the pool's fault accounting is unchanged (this path only
-// runs on a miss), but the pager read and the decode are skipped.
+// buffer pool: the shared load path of demand reads and prefetches.
 func (t *Tree) loadNode(id storage.PageID) (any, error) {
-	nc := t.nodeCache
-	if nc != nil {
-		if n, ok := nc.Get(t.cacheOwner, id); ok {
-			return n, nil
-		}
-	}
 	buf := make([]byte, t.cfg.PageSize)
 	if err := t.pager.ReadPage(id, buf); err != nil {
 		return nil, err
@@ -333,20 +321,7 @@ func (t *Tree) loadNode(id storage.PageID) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nc != nil {
-		nc.Put(t.cacheOwner, id, n)
-	}
 	return n, nil
-}
-
-// SetNodeCache attaches a second-level decoded-node cache under the given
-// owner id (from NodeCache.NewOwner). The tree must be read-only from then
-// on: the cache is never updated by writes, so a mutated tree would serve
-// stale nodes. Call InvalidateOwner when the tree is closed. Tagged views
-// created afterwards inherit the cache.
-func (t *Tree) SetNodeCache(nc *NodeCache, owner uint64) {
-	t.nodeCache = nc
-	t.cacheOwner = owner
 }
 
 // ReadNode fetches the node stored at page id, consulting the buffer pool

@@ -48,9 +48,6 @@ type DaemonConfig struct {
 	// (rcj.EngineConfig semantics).
 	BufferPages  int
 	BufferShards int
-	// NodeCachePages sizes the engine's second-level decoded-node cache for
-	// opened indexes (rcj.EngineConfig semantics; 0 disables it).
-	NodeCachePages int
 	// PprofAddr, when non-empty, serves net/http/pprof on its own listener
 	// at this address (separate from the query port, so profiling is never
 	// exposed on the service address by accident).
@@ -98,15 +95,14 @@ func RunDaemon(ctx context.Context, cfg DaemonConfig, ready func(addr string)) e
 		go func() { _ = pprofSrv.Serve(pprofLn) }()
 	}
 
-	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: cfg.BufferPages, BufferShards: cfg.BufferShards,
-		NodeCachePages: cfg.NodeCachePages})
+	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: cfg.BufferPages, BufferShards: cfg.BufferShards})
 	sch := sched.New(eng, cfg.Sched)
 	srv := New(sch, Config{Backend: cfg.Backend,
 		ResultCacheEntries: cfg.ResultCacheEntries, ResultCachePairs: cfg.ResultCachePairs})
 	// Indexes are closed on exit unless a join may still be running:
-	// closing an mmap-backed index unmaps pages a still-wedged join could
-	// be reading, so an incomplete drain leaks them instead (the process
-	// is exiting anyway).
+	// closing an index pulls the pager out from under a still-wedged join,
+	// so an incomplete drain leaks them instead (the process is exiting
+	// anyway).
 	leakIndexes := false
 	defer func() {
 		if !leakIndexes {
@@ -160,7 +156,9 @@ func RunDaemon(ctx context.Context, cfg DaemonConfig, ready func(addr string)) e
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that never finishes its request headers must not hold a
+	// connection forever.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	logf("rcjd: serving on %s (maxConcurrent=%d maxQueue=%d)",
 		ln.Addr(), sch.Config().MaxConcurrent, sch.Config().MaxQueue)
 	if ready != nil {

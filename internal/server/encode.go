@@ -3,45 +3,19 @@ package server
 import (
 	"math"
 	"strconv"
-	"sync"
 
 	"repro/rcj"
 )
 
-// Pooled result-line encoding. The /join hot loop used to push every pair
-// through a fresh reflection pass in encoding/json (and an fmt.Fprintf for
-// CSV), allocating per line; a streamed join emits millions of lines, so
-// the encoder is serving-path CPU. These appenders build each line into a
-// sync.Pool'd buffer with strconv only — zero allocations per line in
-// steady state — while producing byte-identical output: appendJSONFloat
-// replicates encoding/json's float encoding exactly (verified against
-// json.Marshal in the tests), so clients, goldens, and the CI byte-diff
-// gates cannot tell the difference.
-
-// lineBufPool recycles per-line scratch buffers across requests. One line
-// is at most ~140 bytes (five numbers plus punctuation); the initial 256
-// covers it without regrowth.
-var lineBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	},
-}
-
-func getLineBuf() *[]byte {
-	b := lineBufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-func putLineBuf(b *[]byte) {
-	// Don't pool a buffer that grew pathologically (it cannot, today, but a
-	// wider line format later should not pin big allocations forever).
-	if cap(*b) > 4096 {
-		return
-	}
-	lineBufPool.Put(b)
-}
+// Result-line encoding. The /join hot loop used to push every pair through
+// a fresh reflection pass in encoding/json (and an fmt.Fprintf for CSV),
+// allocating per line; a streamed join emits millions of lines, so the
+// encoder is serving-path CPU. These appenders build each line into the
+// response writer's scratch buffer with strconv only — zero allocations per
+// line — while producing byte-identical output: appendJSONFloat replicates
+// encoding/json's float encoding exactly (verified against json.Marshal in
+// the tests), so clients, goldens, and the CI byte-diff gates cannot tell
+// the difference.
 
 // appendJSONFloat appends f exactly as encoding/json encodes a float64:
 // shortest round-trip form, 'f' notation except for magnitudes below 1e-6

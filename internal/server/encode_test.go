@@ -99,7 +99,7 @@ var benchPairs = func() []rcj.Pair {
 }()
 
 // BenchmarkEncodePairJSONEncoder is the before: one reflection-driven
-// json.Encoder.Encode per line, as /join shipped prior to the pooled path.
+// json.Encoder.Encode per line, as /join shipped prior to the appenders.
 func BenchmarkEncodePairJSONEncoder(b *testing.B) {
 	enc := json.NewEncoder(io.Discard)
 	b.ReportAllocs()
@@ -109,15 +109,13 @@ func BenchmarkEncodePairJSONEncoder(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodePairPooled is the after: strconv into a pooled buffer.
+// BenchmarkEncodePairPooled is the after: strconv into a reused buffer.
 func BenchmarkEncodePairPooled(b *testing.B) {
 	b.ReportAllocs()
-	buf := getLineBuf()
-	defer putLineBuf(buf)
+	buf := make([]byte, 0, 256)
 	for i := 0; i < b.N; i++ {
-		*buf = (*buf)[:0]
-		*buf = AppendPairNDJSON(*buf, benchPairs[i%len(benchPairs)])
-		io.Discard.Write(*buf)
+		buf = AppendPairNDJSON(buf[:0], benchPairs[i%len(benchPairs)])
+		io.Discard.Write(buf)
 	}
 }
 
@@ -135,11 +133,9 @@ func BenchmarkEncodePairCSVFprintf(b *testing.B) {
 
 func BenchmarkEncodePairCSVPooled(b *testing.B) {
 	b.ReportAllocs()
-	buf := getLineBuf()
-	defer putLineBuf(buf)
+	buf := make([]byte, 0, 256)
 	for i := 0; i < b.N; i++ {
-		*buf = (*buf)[:0]
-		*buf = AppendPairCSV(*buf, benchPairs[i%len(benchPairs)])
-		io.Discard.Write(*buf)
+		buf = AppendPairCSV(buf[:0], benchPairs[i%len(benchPairs)])
+		io.Discard.Write(buf)
 	}
 }

@@ -119,14 +119,14 @@ type mutatePoint struct {
 
 // handleMutate serves POST /indexes/{name}/points: apply one batch of point
 // insertions/deletions to a mutable index. The batch is atomic — any invalid
-// member (duplicate insert ID, unknown delete ID) rejects the whole batch
-// with 400 and no state change; mutating an immutable index is 409.
+// member (duplicate insert ID, unknown delete ID, non-finite coordinate)
+// rejects the whole batch with 400 and no state change; mutating an
+// immutable index is 409.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.requests.inc("indexes_mutate")
 	name := r.PathValue("name")
 	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxMutationBody, &req) {
 		return
 	}
 	// Pin the entry so a concurrent unload cannot close the index mid-batch.
@@ -145,7 +145,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, rcj.ErrImmutableIndex):
 			errorJSON(w, http.StatusConflict, "index %q is immutable: load it with \"mutable\": true to accept updates", name)
-		case errors.Is(err, rcj.ErrDuplicateID), errors.Is(err, rcj.ErrUnknownID):
+		case errors.Is(err, rcj.ErrDuplicateID), errors.Is(err, rcj.ErrUnknownID), errors.Is(err, rcj.ErrBadPoint):
 			errorJSON(w, http.StatusBadRequest, "%v", err)
 		default:
 			errorJSON(w, http.StatusInternalServerError, "%v", err)
@@ -202,8 +202,7 @@ type subscribeEvent struct {
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.requests.inc("subscribe")
 	var req subscribeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if req.P == "" {

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -386,4 +389,136 @@ func newHTTPServer(t *testing.T, srv *Server) string {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
+}
+
+// TestNonFinitePointsRejected drives one table of NaN/±Inf coordinates
+// through every door into an index: each refuses the whole input with
+// rcj.ErrBadPoint, and the live index behind the mutation doors keeps its
+// epoch and its points. JSON has no spelling for a non-finite number, so the
+// HTTP door sends what a client can: an overflowing literal, or a bare token.
+func TestNonFinitePointsRejected(t *testing.T) {
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	srv := New(sched.New(eng, sched.Config{MaxConcurrent: 1}), Config{})
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.LoadMutableIndex("live", "", -1, 0); err != nil {
+		t.Fatal(err)
+	}
+	base := newHTTPServer(t, srv)
+	e, _ := srv.lookup("live")
+	live := e.ix
+	good := rcj.Point{ID: 1, X: 1, Y: 1}
+	if _, err := live.Insert(good, rcj.Point{ID: 2, X: 2, Y: 2}); err != nil {
+		t.Fatal(err)
+	}
+	epoch, points := live.Epoch(), live.Len()
+
+	doors := []struct {
+		name string
+		try  func(pts []rcj.Point) error
+	}{
+		{"BuildIndex", func(pts []rcj.Point) error { _, err := rcj.BuildIndex(pts, rcj.IndexConfig{}); return err }},
+		{"Engine.BuildIndex", func(pts []rcj.Point) error { _, err := eng.BuildIndex(pts, rcj.IndexConfig{}); return err }},
+		{"NewMutableIndex", func(pts []rcj.Point) error {
+			_, err := eng.NewMutableIndex(pts, rcj.MutableConfig{CompactEvery: -1})
+			return err
+		}},
+		{"Insert", func(pts []rcj.Point) error { _, err := live.Insert(pts...); return err }},
+		{"ApplyBatch", func(pts []rcj.Point) error { _, err := live.ApplyBatch(pts, []int64{good.ID}); return err }},
+	}
+	for _, bad := range []struct {
+		name string
+		x, y float64
+		json string // the x coordinate as the HTTP door receives it
+	}{
+		{"nan-x", math.NaN(), 5, `NaN`},
+		{"nan-y", 5, math.NaN(), `5,"y":NaN`},
+		{"pos-inf", math.Inf(1), 5, `1e999`},
+		{"neg-inf", 5, math.Inf(-1), `5,"y":-1e999`},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			pts := []rcj.Point{{ID: 98, X: 3, Y: 3}, {ID: 99, X: bad.x, Y: bad.y}}
+			for _, door := range doors {
+				if err := door.try(pts); !errors.Is(err, rcj.ErrBadPoint) {
+					t.Errorf("%s: err = %v, want rcj.ErrBadPoint", door.name, err)
+				}
+			}
+			resp := postJSON(t, base, "/indexes/live/points",
+				`{"insert":[{"id":98,"x":3,"y":3},{"id":99,"x":`+bad.json+`}],"delete":[1]}`)
+			wantStatus(t, resp, http.StatusBadRequest)
+			if live.Epoch() != epoch || live.Len() != points {
+				t.Errorf("index changed: epoch %d -> %d, points %d -> %d", epoch, live.Epoch(), points, live.Len())
+			}
+		})
+	}
+}
+
+// TestOversizeBodyIs413: every JSON body rcjd reads is bounded; an oversize
+// one is refused with 413 before it is parsed, admits nothing, and the
+// mutation endpoint's larger bound still lets a big batch through.
+func TestOversizeBodyIs413(t *testing.T) {
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	srv := New(sched.New(eng, sched.Config{MaxConcurrent: 1}), Config{})
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.LoadMutableIndex("live", "", -1, 0); err != nil {
+		t.Fatal(err)
+	}
+	base := newHTTPServer(t, srv)
+	schedCounters := func() (admitted, inFlight float64) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m struct {
+			Sched map[string]any `json:"sched"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Sched["admitted"].(float64), m.Sched["in_flight"].(float64)
+	}
+	admitted, inFlight := schedCounters()
+
+	// A batch well past the query bound but inside the mutation bound.
+	var batch strings.Builder
+	batch.WriteString(`{"insert":[`)
+	for i := 0; batch.Len() <= maxRequestBody; i++ {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		fmt.Fprintf(&batch, `{"id":%d,"x":%d.5,"y":%d.25}`, i, i%1000, i/1000)
+	}
+	batch.WriteString(`]}`)
+	wantStatus(t, postJSON(t, base, "/indexes/live/points", batch.String()), http.StatusOK)
+
+	for _, tc := range []struct {
+		path  string
+		limit int
+	}{
+		{"/join", maxRequestBody},
+		{"/subscribe", maxRequestBody},
+		{"/indexes", maxRequestBody},
+		{"/indexes/live/points", maxMutationBody},
+	} {
+		// Valid JSON all the way: only its size is wrong.
+		body := io.MultiReader(strings.NewReader(`{"p":"`), io.LimitReader(zeros{}, int64(tc.limit)), strings.NewReader(`"}`))
+		resp, err := http.Post(base+tc.path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		wantStatus(t, resp, http.StatusRequestEntityTooLarge)
+	}
+	if a, f := schedCounters(); a != admitted || f != inFlight {
+		t.Errorf("sched admitted %v -> %v, in_flight %v -> %v: an oversize body reached admission", admitted, a, inFlight, f)
+	}
+}
+
+// zeros reads as an endless run of '0' characters.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }

@@ -13,6 +13,8 @@
 //	               region push down into the index traversal. Admission-
 //	               control rejections surface as 429 (overloaded, queue
 //	               timeout) or 503 (draining) before any result bytes.
+//	               Like every JSON body the server reads, the request is
+//	               size-bounded: 413 beyond the bound, before admission.
 //	GET  /indexes  list the loaded indexes (with in-flight reference counts).
 //	POST /indexes  load a saved index file: {"name": ..., "path": ...}.
 //	DELETE /indexes/{name}  unload an index, dropping its pages from the
@@ -230,7 +232,7 @@ func (s *Server) release(e *indexEntry) {
 // UnloadIndex removes the named index from the registry and drops its pages
 // from the engine's shared buffer pool. An index still referenced by
 // in-flight joins is not unloaded (ErrIndexBusy): the traversal owns its
-// pages — and, for mmap backends, its mapping — until the stream ends.
+// pages and its pager until the stream ends.
 func (s *Server) UnloadIndex(name string) error {
 	s.mu.Lock()
 	e, ok := s.indexes[name]
@@ -334,6 +336,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // errorJSON is the uniform error payload.
 func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// Request bodies are bounded before they are decoded, so a client cannot
+// make the daemon buffer what it sends. Query, subscription and load
+// requests are a few hundred bytes; a mutation batch carries ~60 bytes per
+// point, so its bound admits batches of a quarter-million points.
+const (
+	maxRequestBody  = 1 << 20
+	maxMutationBody = 16 << 20
+)
+
+// decodeBody decodes the request's JSON body into v, reading at most limit
+// bytes. On failure it has answered — 413 for an oversize body, 400 for a
+// malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		errorJSON(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -450,8 +478,7 @@ type loadRequest struct {
 func (s *Server) handleLoadIndex(w http.ResponseWriter, r *http.Request) {
 	s.requests.inc("indexes_load")
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if req.Manifest != "" {
@@ -542,10 +569,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"hit_ratio":     pool.HitRatio(),
 			"shards":        s.sched.Engine().BufferShards(),
 		},
-		"node_cache": func() map[string]any {
-			hits, misses := s.sched.Engine().NodeCacheStats()
-			return map[string]any{"hits": hits, "misses": misses}
-		}(),
 		"remote": map[string]any{
 			"indexes":                 remoteIndexes,
 			"fetches":                 remote.Fetches,
@@ -580,7 +603,6 @@ func (s *Server) writePromMetrics(w http.ResponseWriter, snap sched.Snapshot, po
 	remote rcj.RemoteStats, prefetch rcj.PrefetchStats, remoteIndexes int, cache cacheStats, lc liveCounters) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	nodeCacheHits, nodeCacheMisses := s.sched.Engine().NodeCacheStats()
 	b2i := func(v bool) int {
 		if v {
 			return 1
@@ -615,8 +637,6 @@ func (s *Server) writePromMetrics(w http.ResponseWriter, snap sched.Snapshot, po
 		{"rcjd_pool_prefetch_hits_total", "Pool hits served by async readahead.", "counter", pool.PrefetchHits},
 		{"rcjd_pool_shared_loads_total", "Demand misses that piggybacked on an in-flight load of the same page.", "counter", pool.SharedLoads},
 		{"rcjd_pool_shards", "LRU shards in the shared pool.", "gauge", int64(s.sched.Engine().BufferShards())},
-		{"rcjd_nodecache_hits_total", "Pool misses served from the decoded-node cache without a pager read.", "counter", nodeCacheHits},
-		{"rcjd_nodecache_misses_total", "Decoded-node cache misses (page read + decode).", "counter", nodeCacheMisses},
 		{"rcjd_remote_indexes", "Registered indexes served over HTTP ranges.", "gauge", int64(remoteIndexes)},
 		{"rcjd_remote_fetches_total", "HTTP range requests issued by remote indexes.", "counter", remote.Fetches},
 		{"rcjd_remote_shared_total", "Remote page reads collapsed into another reader's in-flight fetch.", "counter", remote.SharedFetches},
@@ -691,8 +711,7 @@ func writePromHistogram(w http.ResponseWriter, name, help string, h sched.Histog
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.requests.inc("join")
 	var req JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if req.P == "" {
@@ -786,44 +805,18 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	if csvFormat {
-		w.Header().Set("Content-Type", "text/csv")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	enc := json.NewEncoder(w)
+	out := NewJoinWriter(w, csvFormat)
 	var collect []rcj.Pair // tee for the result cache on a miss
-	buf := getLineBuf()
-	defer putLineBuf(buf)
 	for pr, err := range seq {
 		if err != nil {
-			// The status line is gone; report the failure in-band and stop.
-			// (CSV streams simply truncate — the client sees the closed body.)
-			if !csvFormat {
-				enc.Encode(map[string]string{"error": err.Error()})
-			}
-			flush()
+			out.Fail(map[string]string{"error": err.Error()})
 			return
 		}
-		*buf = (*buf)[:0]
-		if csvFormat {
-			*buf = AppendPairCSV(*buf, pr)
-		} else {
-			*buf = AppendPairNDJSON(*buf, pr)
-		}
-		w.Write(*buf)
+		out.Pair(pr, nil)
 		if cacheOK {
 			collect = append(collect, pr)
 		}
-		flush()
+		out.Flush()
 	}
 	if cacheOK {
 		// The stream completed cleanly while this handler held the indexes'
@@ -835,43 +828,22 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cache.put(&cachedResult{key: ckey, names: names, pairs: collect, stats: st, plan: dec})
 	}
-	if !csvFormat {
-		sum := newSummary(st, dec)
-		sum.ElapsedMS = time.Since(start).Milliseconds()
-		enc.Encode(map[string]Summary{"summary": sum})
-	}
-	flush()
+	sum := newSummary(st, dec)
+	sum.ElapsedMS = time.Since(start).Milliseconds()
+	out.Summary(sum)
 }
 
 // writeCachedJoin replays a memoized result set: the identical pair lines a
 // solo run of the query would stream (same bytes, same order), with the
 // original run's statistics in the summary marked "cached".
 func (s *Server) writeCachedJoin(w http.ResponseWriter, res *cachedResult, csvFormat bool) {
-	if csvFormat {
-		w.Header().Set("Content-Type", "text/csv")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	buf := getLineBuf()
-	defer putLineBuf(buf)
+	out := NewJoinWriter(w, csvFormat)
 	for _, pr := range res.pairs {
-		*buf = (*buf)[:0]
-		if csvFormat {
-			*buf = AppendPairCSV(*buf, pr)
-		} else {
-			*buf = AppendPairNDJSON(*buf, pr)
-		}
-		w.Write(*buf)
+		out.Pair(pr, nil)
 	}
-	if !csvFormat {
-		sum := newSummary(res.stats, res.plan)
-		sum.Cached = true
-		json.NewEncoder(w).Encode(map[string]Summary{"summary": sum})
-	}
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
+	sum := newSummary(res.stats, res.plan)
+	sum.Cached = true
+	out.Summary(sum)
 }
 
 // writeAdmissionError maps scheduler rejections to backpressure statuses:

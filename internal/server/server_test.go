@@ -254,7 +254,8 @@ func TestJoinRequestValidation(t *testing.T) {
 		{`{"p":"p","q":"q","self":true}`, http.StatusBadRequest}, // both
 		// One row for JoinRequest.Query's rejections (all of them 400); the
 		// rules themselves are tabled in router.TestJoinRequestOneDefinition.
-		{`{"p":"p","q":"q","alg":"warp"}`, http.StatusBadRequest},
+		// "bij" is the one that used to be accepted.
+		{`{"p":"p","q":"q","alg":"bij"}`, http.StatusBadRequest},
 		{`{"p":"nope","q":"q"}`, http.StatusNotFound},
 		{`{"p":"p","q":"nope"}`, http.StatusNotFound},
 		{`not json`, http.StatusBadRequest},

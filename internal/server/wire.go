@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"strings"
 
 	"repro/rcj"
@@ -9,9 +11,9 @@ import (
 
 // The POST /join wire format, defined once: rcjd serves it, and rcjrouter
 // both accepts it from clients and speaks it to its workers. The request
-// body, the NDJSON result row, the summary line and the function that turns
-// a request into the query it asks for all live here, so the two tiers
-// cannot drift apart.
+// body, the NDJSON result row, the summary line, the function that turns a
+// request into the query it asks for and the writer every response goes
+// through all live here, so the two tiers cannot drift apart.
 
 // JoinRequest is the POST /join payload. Exactly one of {"q"} or
 // {"self": true} selects a two-set or self join. The predicate fields are
@@ -21,7 +23,7 @@ type JoinRequest struct {
 	P           string `json:"p"`
 	Q           string `json:"q,omitempty"`
 	Self        bool   `json:"self,omitempty"`
-	Alg         string `json:"alg,omitempty"`         // "auto" (default), "inj", "bij", "obj", "brute"
+	Alg         string `json:"alg,omitempty"`         // "auto" (default), "inj", "obj", "brute"
 	Parallelism int    `json:"parallelism,omitempty"` // worker goroutines; 0 = planner decides
 	TimeoutMS   int64  `json:"timeout_ms,omitempty"`  // per-request cap under the server's JoinTimeout
 	Format      string `json:"format,omitempty"`      // "ndjson" (default) or "csv"
@@ -35,7 +37,7 @@ type JoinRequest struct {
 
 // algorithms maps the wire names to algorithms. "" and "auto" leave the
 // choice to the cost-based planner; a named algorithm is forced verbatim.
-var algorithms = map[string]rcj.Algorithm{"": 0, "auto": 0, "obj": rcj.OBJ, "bij": rcj.BIJ, "inj": rcj.INJ, "brute": rcj.Brute}
+var algorithms = map[string]rcj.Algorithm{"": 0, "auto": 0, "obj": rcj.OBJ, "inj": rcj.INJ, "brute": rcj.Brute}
 
 // Query validates the request's query fields and compiles them into the
 // rcj.Query they ask for, and reports whether the response format is CSV
@@ -44,7 +46,7 @@ var algorithms = map[string]rcj.Algorithm{"": 0, "auto": 0, "obj": rcj.OBJ, "bij
 func (r *JoinRequest) Query() (qry rcj.Query, csv bool, err error) {
 	alg, ok := algorithms[r.Alg]
 	if !ok {
-		return qry, false, fmt.Errorf("unknown algorithm %q (want auto, inj, bij, obj, or brute)", r.Alg)
+		return qry, false, fmt.Errorf("unknown algorithm %q (want auto, inj, obj, or brute)", r.Alg)
 	}
 	switch r.Format {
 	case "", "ndjson":
@@ -144,4 +146,94 @@ func newSummary(st rcj.Stats, dec rcj.PlanDecision) Summary {
 		Parallelism: dec.Parallelism,
 		Plan:        dec.String(),
 	}
+}
+
+// JoinWriter writes one /join response, whichever tier answers: rcjd
+// streaming a run or replaying its result cache, rcjrouter forwarding worker
+// rows or emitting a gathered top-k. It owns the content type, the 200 that
+// is written with the first byte of the body (so a caller that fails before
+// any row can still choose another status), the row encodings, how a stream
+// ends, and the flush call. Callers decide when to flush: per pair on a live
+// stream, once for an answer that was complete before its first write. Not
+// safe for concurrent use.
+type JoinWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher // nil when w cannot flush
+	csv     bool
+	started bool
+	buf     []byte // row scratch: no allocation per line
+}
+
+// NewJoinWriter returns a writer answering on w in CSV or NDJSON.
+func NewJoinWriter(w http.ResponseWriter, csv bool) *JoinWriter {
+	flusher, _ := w.(http.Flusher)
+	return &JoinWriter{w: w, flusher: flusher, csv: csv, buf: make([]byte, 0, 256)}
+}
+
+// Started reports whether the status line is gone: from then on a failure
+// can only be reported inside the stream (Fail).
+func (jw *JoinWriter) Started() bool { return jw.started }
+
+func (jw *JoinWriter) start() {
+	if jw.started {
+		return
+	}
+	if jw.csv {
+		jw.w.Header().Set("Content-Type", "text/csv")
+	} else {
+		jw.w.Header().Set("Content-Type", "application/x-ndjson")
+	}
+	jw.w.WriteHeader(http.StatusOK)
+	jw.started = true
+}
+
+// Pair writes one result row. ndjson, when non-nil, is the row as a worker
+// already encoded it (trailing newline included) and reaches NDJSON clients
+// verbatim; CSV rows are always encoded here, since CSV's six fixed decimals
+// exist in no upstream form. The error is the client connection's.
+func (jw *JoinWriter) Pair(pr rcj.Pair, ndjson []byte) error {
+	jw.start()
+	line := ndjson
+	switch {
+	case jw.csv:
+		jw.buf = AppendPairCSV(jw.buf[:0], pr)
+		line = jw.buf
+	case ndjson == nil:
+		jw.buf = AppendPairNDJSON(jw.buf[:0], pr)
+		line = jw.buf
+	}
+	_, err := jw.w.Write(line)
+	return err
+}
+
+// Flush pushes what has been written so far to the client.
+func (jw *JoinWriter) Flush() {
+	if jw.flusher != nil {
+		jw.flusher.Flush()
+	}
+}
+
+// Fail ends a stream that cannot complete. NDJSON clients get record as the
+// last line, in-band because the status line is (now) gone; a CSV stream has
+// nowhere to put it and simply truncates — the client sees the closed body.
+func (jw *JoinWriter) Fail(record any) {
+	jw.end(record)
+}
+
+// Summary ends a stream that completed: NDJSON clients get the
+// {"summary": sum} line, CSV clients nothing after their last row.
+func (jw *JoinWriter) Summary(sum any) {
+	jw.end(map[string]any{"summary": sum})
+}
+
+func (jw *JoinWriter) end(line any) {
+	jw.start()
+	if !jw.csv {
+		// The payloads are this package's and the router's own structs; one
+		// that cannot encode ends the stream without its last line.
+		if b, err := json.Marshal(line); err == nil {
+			jw.w.Write(append(b, '\n'))
+		}
+	}
+	jw.Flush()
 }

@@ -514,7 +514,7 @@ func SniffIndexFile(path string) bool {
 // is verified against the page checksum table (the mem backend verifies the
 // whole image once at load). Packed v3 files open on the same backends:
 // blobs decode to verbatim page images — eagerly for mem, per buffer-pool
-// miss for file and mmap — and verify against the same table. Validation
+// miss for file — and verify against the same table. Validation
 // failures carry the typed errors above.
 func OpenIndexFile(path string, backend Backend) (Pager, Superblock, error) {
 	f, err := os.Open(path)
@@ -574,16 +574,6 @@ func OpenIndexFile(path string, backend Backend) (Pager, Superblock, error) {
 			pager = &checksumPager{Pager: pager, table: table}
 		}
 		return pager, sb, nil
-	case BackendMmap:
-		pager, err := newMmapPager(f, sb.PageSize, offset, sb.NumPages)
-		f.Close()
-		if err != nil {
-			return nil, Superblock{}, err
-		}
-		if table != nil {
-			pager = &checksumPager{Pager: pager, table: table}
-		}
-		return pager, sb, nil
 	case BackendHTTP:
 		f.Close()
 		return nil, Superblock{}, fmt.Errorf("storage: http backend serves URLs, not local files (use OpenIndexURL)")
@@ -626,9 +616,6 @@ const (
 	// BackendFile serves pages with positional reads (pread) from the file:
 	// bounded memory, one syscall per buffer-pool miss.
 	BackendFile
-	// BackendMmap maps the file read-only and copies pages out of the
-	// mapping: bounded memory, page-cache-speed faults, no read syscalls.
-	BackendMmap
 	// BackendHTTP fetches pages over HTTP range requests from a URL:
 	// serving a shared index without a shared filesystem. See OpenIndexURL.
 	BackendHTTP
@@ -641,8 +628,6 @@ func (b Backend) String() string {
 		return "mem"
 	case BackendFile:
 		return "file"
-	case BackendMmap:
-		return "mmap"
 	case BackendHTTP:
 		return "http"
 	default:
@@ -650,19 +635,16 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend parses a flag-style backend name ("mem", "file", "mmap",
-// "http").
+// ParseBackend parses a flag-style backend name ("mem", "file", "http").
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "mem", "memory":
 		return BackendMem, nil
 	case "file":
 		return BackendFile, nil
-	case "mmap":
-		return BackendMmap, nil
 	case "http", "https":
 		return BackendHTTP, nil
 	default:
-		return 0, fmt.Errorf("storage: unknown backend %q (want mem, file, mmap, or http)", s)
+		return 0, fmt.Errorf("storage: unknown backend %q (want mem, file, or http)", s)
 	}
 }

@@ -135,7 +135,7 @@ func TestPageTableCorruption(t *testing.T) {
 // TestV2PageBitFlips is the per-page corruption table: flip one bit inside
 // each page of a v2 file and check every backend reports ErrBadChecksum
 // naming exactly the offending page — at open for the eagerly-loading mem
-// backend, at first read for the lazy file/mmap backends.
+// backend, at first read for the lazy file backend.
 func TestV2PageBitFlips(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.rcjx")
@@ -145,9 +145,6 @@ func TestV2PageBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends := []Backend{BackendMem, BackendFile}
-	if MmapSupported {
-		backends = append(backends, BackendMmap)
-	}
 	for page := 0; page < want.NumPages; page++ {
 		for _, be := range backends {
 			t.Run(fmt.Sprintf("page%d_%s", page, be), func(t *testing.T) {
@@ -246,9 +243,6 @@ func TestV1StillOpens(t *testing.T) {
 		t.Fatal("SniffIndexFile(v1) = false")
 	}
 	backends := []Backend{BackendMem, BackendFile}
-	if MmapSupported {
-		backends = append(backends, BackendMmap)
-	}
 	for _, be := range backends {
 		t.Run(be.String(), func(t *testing.T) {
 			pager, got, err := OpenIndexFile(path, be)
@@ -276,7 +270,7 @@ func TestParseBackend(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Backend
-	}{{"mem", BackendMem}, {"memory", BackendMem}, {"file", BackendFile}, {"mmap", BackendMmap}, {"http", BackendHTTP}, {"https", BackendHTTP}} {
+	}{{"mem", BackendMem}, {"memory", BackendMem}, {"file", BackendFile}, {"http", BackendHTTP}, {"https", BackendHTTP}} {
 		got, err := ParseBackend(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseBackend(%q) = %v, %v", tc.in, got, err)
@@ -285,8 +279,10 @@ func TestParseBackend(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseBackend("s3"); err == nil {
-		t.Fatal("ParseBackend(s3) succeeded")
+	for _, gone := range []string{"s3", "mmap"} {
+		if _, err := ParseBackend(gone); err == nil {
+			t.Fatalf("ParseBackend(%s) succeeded", gone)
+		}
 	}
 }
 
@@ -325,9 +321,6 @@ func TestIndexFileBackends(t *testing.T) {
 	want := writeTestIndexFile(t, path, 5)
 
 	backends := []Backend{BackendMem, BackendFile}
-	if MmapSupported {
-		backends = append(backends, BackendMmap)
-	}
 	for _, be := range backends {
 		t.Run(be.String(), func(t *testing.T) {
 			pager, sb, err := OpenIndexFile(path, be)

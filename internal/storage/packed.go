@@ -94,14 +94,7 @@ func openPackedIndexFile(f *os.File, size int64, sb Superblock, backend Backend)
 		f.Close()
 		return pager, err
 	case BackendFile:
-		return newPackedPager(f, f, sb.PageSize, dir, table), nil
-	case BackendMmap:
-		m, err := newMmapReaderAt(f, int64(dir[sb.NumPages]))
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		return newPackedPager(m, m, sb.PageSize, dir, table), nil
+		return &packedPager{f: f, pageSize: sb.PageSize, dir: dir, table: table}, nil
 	case BackendHTTP:
 		f.Close()
 		return nil, fmt.Errorf("storage: http backend serves URLs, not local files (use OpenIndexURL)")
@@ -136,23 +129,17 @@ func readPackedMemPager(f *os.File, sb Superblock, dir []uint64, table []uint32)
 	return &MemPager{pageSize: sb.PageSize, pages: pages}, nil
 }
 
-// packedPager serves a packed index from any random-access substrate: page i
-// is the blob at [dir[i], dir[i+1]), decoded to a verbatim page image and
-// verified against the checksum table on every read. The file backend hands
-// it the open file (one pread per miss); the mmap backend hands it the
-// mapping (no syscalls). Reads are lock-free and safe for concurrent use —
-// each decodes into the caller's buffer through a private blob copy.
+// packedPager serves a packed index from its open file: page i is the blob
+// at [dir[i], dir[i+1]), read with one pread per miss, decoded to a verbatim
+// page image and verified against the checksum table on every read. Reads
+// are lock-free and safe for concurrent use — each decodes into the caller's
+// buffer through a private blob copy.
 type packedPager struct {
-	r        io.ReaderAt
-	closer   io.Closer
+	f        *os.File
 	pageSize int
 	dir      []uint64
 	table    []uint32
 	reads    atomic.Int64
-}
-
-func newPackedPager(r io.ReaderAt, c io.Closer, pageSize int, dir []uint64, table []uint32) *packedPager {
-	return &packedPager{r: r, closer: c, pageSize: pageSize, dir: dir, table: table}
 }
 
 // PageSize returns the (uncompressed) page size in bytes.
@@ -182,7 +169,7 @@ func (p *packedPager) ReadPage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: read buffer %d smaller than page size %d", len(buf), p.pageSize)
 	}
 	blob := make([]byte, p.dir[id+1]-p.dir[id])
-	if _, err := p.r.ReadAt(blob, int64(p.dir[id])); err != nil {
+	if _, err := p.f.ReadAt(blob, int64(p.dir[id])); err != nil {
 		return fmt.Errorf("storage: read page %d blob: %w", id, err)
 	}
 	if err := pagecodec.DecodePage(buf[:p.pageSize], blob); err != nil {
@@ -199,5 +186,5 @@ func (p *packedPager) ReadPage(id PageID, buf []byte) error {
 // index never writes).
 func (p *packedPager) Stats() Stats { return Stats{Reads: p.reads.Load()} }
 
-// Close releases the underlying file or mapping.
-func (p *packedPager) Close() error { return p.closer.Close() }
+// Close releases the underlying file.
+func (p *packedPager) Close() error { return p.f.Close() }

@@ -13,13 +13,7 @@ import (
 )
 
 // packedBackends are the local backends a packed (v3) index must open on.
-func packedBackends() []Backend {
-	b := []Backend{BackendMem, BackendFile}
-	if MmapSupported {
-		b = append(b, BackendMmap)
-	}
-	return b
-}
+func packedBackends() []Backend { return []Backend{BackendMem, BackendFile} }
 
 // newPackedTestPager builds a MemPager shaped like a real index: mostly leaf
 // pages (sorted nearby coordinates, sequential ids — the compressible case)
@@ -142,7 +136,7 @@ func TestPackedIndexFileBackends(t *testing.T) {
 // TestPackedBitFlips corrupts single bytes of a packed file — in a blob, the
 // page directory, and the checksum table — and checks every backend refuses
 // the damaged page with a typed error (eagerly at open for mem, lazily at
-// read for file/mmap).
+// read for file).
 func TestPackedBitFlips(t *testing.T) {
 	const numPages = 4
 	src := newPackedTestPager(t, numPages)

@@ -1,15 +1,17 @@
 // Package storage provides the disk-page substrate the R-trees are built on:
 // fixed-size pages addressed by PageID, with an in-memory pager (the default
 // for experiments, where I/O cost is charged analytically per the paper's
-// 10 ms/page-fault model), a file-backed pager for durable indexes, and a
-// read-only mmap pager for zero-syscall serving. All pagers account every
-// physical read and write so the experiment harness can report I/O exactly.
+// 10 ms/page-fault model), a file-backed pager for durable indexes, and an
+// HTTP range-request pager for indexes served from object storage. All
+// pagers account every physical read and write so the experiment harness
+// can report I/O exactly.
 //
 // The package also defines the durable index file format (see format.go): a
 // versioned, checksummed superblock describing the tree (root page, entry
 // count, MBR) followed by the raw page image. WriteIndexFile persists a
-// pager; OpenIndexFile validates a file and reopens it behind any Backend
-// (mem, file, mmap) without rebuilding the tree.
+// pager; OpenIndexFile validates a file and reopens it behind a local
+// Backend (mem, file) without rebuilding the tree; OpenIndexURL does the same
+// for a remote one.
 package storage
 
 import (
@@ -34,7 +36,7 @@ const InvalidPageID PageID = 0xFFFFFFFF
 var ErrPageOutOfRange = errors.New("storage: page id out of range")
 
 // ErrReadOnly is returned by mutating operations on read-only pagers (index
-// files opened for serving, mmap mappings).
+// files and URLs opened for serving).
 var ErrReadOnly = errors.New("storage: pager is read-only")
 
 // Pager is a flat array of fixed-size pages. Implementations must be safe for

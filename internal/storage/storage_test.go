@@ -237,16 +237,12 @@ func TestFilePagerConcurrent(t *testing.T) {
 	}
 }
 
-// TestReadOnlyPagersConcurrent checks the serving-side pagers (file and
-// mmap over an index file) under concurrent readers. Run with -race.
+// TestReadOnlyPagersConcurrent checks the serving-side file pager over an
+// index file under concurrent readers. Run with -race.
 func TestReadOnlyPagersConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.rcjx")
 	want := writeTestIndexFile(t, path, 8)
-	backends := []Backend{BackendFile}
-	if MmapSupported {
-		backends = append(backends, BackendMmap)
-	}
-	for _, be := range backends {
+	for _, be := range []Backend{BackendFile} {
 		t.Run(be.String(), func(t *testing.T) {
 			pager, _, err := OpenIndexFile(path, be)
 			if err != nil {

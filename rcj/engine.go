@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/buffer"
-	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -33,7 +32,6 @@ import (
 type Engine struct {
 	pageSize  int
 	pool      *buffer.Pool
-	nodeCache *rtree.NodeCache // second-level decoded-node cache; nil = off
 	nextOwner atomic.Uint32
 }
 
@@ -50,15 +48,6 @@ type EngineConfig struct {
 	// gives the single-lock pool with exact global LRU (the deterministic
 	// choice for experiments).
 	BufferShards int
-	// NodeCachePages, when > 0, adds a second-level cache of that many
-	// decoded nodes shared by all indexes the engine opens from immutable
-	// files (Engine.OpenIndex). A buffer-pool miss still counts as a page
-	// fault — the paper's metric is untouched — but is served from the
-	// already-decoded node instead of re-reading and re-decoding the page
-	// (over the http backend: instead of another range request). Entries are
-	// invalidated wholesale when their index closes. Indexes the engine
-	// builds itself are never cached (they are mutable during build).
-	NodeCachePages int
 }
 
 // NewEngine returns an engine with an empty shared buffer pool.
@@ -71,19 +60,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 		capacity = -1
 	}
 	return &Engine{
-		pageSize:  cfg.PageSize,
-		pool:      buffer.NewShardedPool(capacity, cfg.BufferShards),
-		nodeCache: rtree.NewNodeCache(cfg.NodeCachePages),
+		pageSize: cfg.PageSize,
+		pool:     buffer.NewShardedPool(capacity, cfg.BufferShards),
 	}
-}
-
-// NodeCacheStats returns the second-level decoded-node cache's cumulative
-// hit/miss counters (zeros when the cache is disabled).
-func (e *Engine) NodeCacheStats() (hits, misses int64) {
-	if e.nodeCache == nil {
-		return 0, 0
-	}
-	return e.nodeCache.Stats()
 }
 
 // BuildIndex indexes the points in an R*-tree attached to the engine's

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkLeafKernels measures the warm join path the leaf kernels serve:
 // every page resident, so per-op cost is decode + filter + verify CPU work —
-// the columnar leaf representation, the decoded-node cache, the bulk
-// distance pass, and the leaf verify kernel, with no I/O in the loop.
+// the columnar leaf representation, the bulk distance pass, and the leaf
+// verify kernel, with no I/O in the loop.
 //
 //   - selfjoin/warm: the self-join over one opened index.
 //   - join/warm-v2 and join/warm-v3: the binary join over two opened

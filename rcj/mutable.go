@@ -196,16 +196,17 @@ func (ix *Index) Delete(ids ...int64) (uint64, error) {
 }
 
 // ApplyBatch applies inserts and deletes as one atomic batch: either every
-// mutation lands in one new epoch, or none does. Running queries keep their
-// pinned snapshots; queries started after ApplyBatch returns see the full
-// batch.
+// mutation lands in one new epoch, or none does (a duplicate or unknown ID,
+// or a non-finite coordinate — ErrBadPoint — rejects it whole). Running
+// queries keep their pinned snapshots; queries started after ApplyBatch
+// returns see the full batch.
 func (ix *Index) ApplyBatch(ins []Point, del []int64) (uint64, error) {
 	if ix.live == nil {
 		return 0, ErrImmutableIndex
 	}
-	entries := make([]rtree.PointEntry, len(ins))
-	for i, p := range ins {
-		entries[i] = p.entry()
+	entries, err := pointEntries(ins)
+	if err != nil {
+		return 0, err
 	}
 	return ix.live.Apply(entries, del)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSavePackedRoundTrip is the v2↔v3 equivalence gate: the same index
-// saved both ways must open on every backend (mem, file, mmap, http) with
+// saved both ways must open on every backend (mem, file, http) with
 // identical joins, and re-saving the packed copy as v2 must reproduce the v2
 // file byte for byte — the packed blobs decode to the exact raw page image.
 func TestSavePackedRoundTrip(t *testing.T) {

@@ -11,16 +11,14 @@ import (
 
 // Backend selects how a saved index's pages are accessed after OpenIndex:
 // loaded fully into memory (BackendMem, the default), served by positional
-// file reads (BackendFile), memory-mapped read-only (BackendMmap,
-// unix-only), or fetched over HTTP range requests (BackendHTTP). See
-// IndexConfig.Backend.
+// file reads (BackendFile), or fetched over HTTP range requests
+// (BackendHTTP). See IndexConfig.Backend.
 type Backend = storage.Backend
 
 // The available pager backends.
 const (
 	BackendMem  = storage.BackendMem
 	BackendFile = storage.BackendFile
-	BackendMmap = storage.BackendMmap
 	BackendHTTP = storage.BackendHTTP
 )
 
@@ -46,8 +44,7 @@ type PrefetchStats = buffer.PrefetchStats
 // wall clock flattens at 8 (150ms vs 219ms unprefetched; 16 buys nothing).
 const DefaultPrefetchWorkers = 8
 
-// ParseBackend parses a flag-style backend name ("mem", "file", "mmap",
-// "http").
+// ParseBackend parses a flag-style backend name ("mem", "file", "http").
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // IsIndexFile reports whether the file at path is a saved index (starts with
@@ -69,7 +66,7 @@ func (ix *Index) Save(path string) error { return ix.save(path, 0) }
 // SavePacked writes the index at path in the packed format (v3): leaf pages
 // delta/varint-compressed behind a page directory, typically around half the
 // v2 size on bulk-loaded indexes. The file reopens on every backend — mem,
-// file, mmap, and over HTTP, where each buffer-pool miss then fetches the
+// file, and over HTTP, where each buffer-pool miss then fetches the
 // compressed blob instead of a full page — and joins byte-identically to the
 // v2 form. Readers from before format v3 reject it (ErrBadVersion); Save
 // keeps emitting v2 for them.
@@ -123,18 +120,7 @@ func OpenIndex(src string, cfg IndexConfig) (*Index, error) {
 // checksum table, and hides round trips behind async readahead. See the
 // package-level OpenIndex for cfg semantics.
 func (e *Engine) OpenIndex(src string, cfg IndexConfig) (*Index, error) {
-	ix, err := openIndex(src, cfg, e.pool, e.nextOwner.Add(1), true)
-	if err != nil {
-		return nil, err
-	}
-	if e.nodeCache != nil {
-		// Opened indexes are immutable, so decoded nodes can be cached across
-		// buffer evictions under a generation retired when the index closes.
-		ix.nodeCache = e.nodeCache
-		ix.cacheOwner = e.nodeCache.NewOwner()
-		ix.tree.SetNodeCache(ix.nodeCache, ix.cacheOwner)
-	}
-	return ix, nil
+	return openIndex(src, cfg, e.pool, e.nextOwner.Add(1), true)
 }
 
 // openIndex is the shared reopen path: validate the file (or URL), stand up

@@ -58,7 +58,7 @@ func BenchmarkJoinBackends(b *testing.B) {
 		be := be
 		b.Run(fmt.Sprintf("%s/open", be), func(b *testing.B) {
 			// Open + close only: the cold-start reattach cost. mem pays a
-			// full page-image load; file and mmap are O(1) in index size.
+			// full page-image load; file is O(1) in index size.
 			eng := NewEngine(EngineConfig{BufferPages: bufferPages})
 			for i := 0; i < b.N; i++ {
 				ix, err := eng.OpenIndex(pathP, IndexConfig{Backend: be})

@@ -13,15 +13,8 @@ import (
 	"repro/internal/storage"
 )
 
-// saveBackends are the backends exercised by the persistence tests; mmap
-// only where the platform supports it.
-func saveBackends() []Backend {
-	b := []Backend{BackendMem, BackendFile}
-	if storage.MmapSupported {
-		b = append(b, BackendMmap)
-	}
-	return b
-}
+// saveBackends are the local backends exercised by the persistence tests.
+func saveBackends() []Backend { return []Backend{BackendMem, BackendFile} }
 
 func collectSorted(t *testing.T, pairs []Pair, stats Stats, err error) []Pair {
 	t.Helper()

@@ -61,6 +61,26 @@ func (p Point) entry() rtree.PointEntry {
 	return rtree.PointEntry{P: geom.Point{X: p.X, Y: p.Y}, ID: p.ID}
 }
 
+// ErrBadPoint is wrapped by every rejection of a point whose coordinates are
+// NaN or infinite. Such a point has no place in an MBR hierarchy (every
+// comparison against NaN is false, so it would silently vanish from — or
+// poison — pruning), so every door into an index refuses it: BuildIndex,
+// NewMutableIndex, Insert and ApplyBatch.
+var ErrBadPoint = errors.New("rcj: invalid point")
+
+// pointEntries converts points to the index layer's form, refusing the
+// whole slice if any coordinate is not finite.
+func pointEntries(points []Point) ([]rtree.PointEntry, error) {
+	entries := make([]rtree.PointEntry, len(points))
+	for i, p := range points {
+		entries[i] = p.entry()
+		if !geom.RectFromPoint(entries[i].P).Valid() {
+			return nil, fmt.Errorf("%w: point %d has non-finite coordinates (%g, %g)", ErrBadPoint, p.ID, p.X, p.Y)
+		}
+	}
+	return entries, nil
+}
+
 // Pair is one ring-constrained join result: the two matched points and
 // their smallest enclosing circle. Center is the derived fair middleman
 // location; Radius is its common distance to both endpoints, so 2·Radius is
@@ -106,10 +126,9 @@ type IndexConfig struct {
 	Path string
 	// Backend selects the page substrate OpenIndex serves a saved index
 	// from: BackendMem (default) loads the whole page image into memory,
-	// BackendFile reads pages from the file on each buffer miss,
-	// BackendMmap maps the file read-only, and BackendHTTP fetches pages by
-	// HTTP range request from a URL (implied when the source is an http(s)
-	// URL). Ignored by BuildIndex.
+	// BackendFile reads pages from the file on each buffer miss, and
+	// BackendHTTP fetches pages by HTTP range request from a URL (implied
+	// when the source is an http(s) URL). Ignored by BuildIndex.
 	Backend Backend
 	// HTTP tunes the remote pager of an http-backend index (client, retry
 	// bound, backoff). Zero value = serving defaults. Ignored by the local
@@ -136,9 +155,6 @@ type Index struct {
 	backend  Backend            // substrate of an opened index (mem for builds)
 	remote   *storage.HTTPPager // non-nil for http-backend indexes
 	prefetch *buffer.Prefetcher // non-nil when async readahead is running
-
-	nodeCache  *rtree.NodeCache // engine's decoded-node cache; nil = off
-	cacheOwner uint64           // this index's generation in nodeCache
 
 	// Planner metadata cache: the root MBR of an immutable tree never
 	// changes, so it is read once (one node access) on the first planned
@@ -178,14 +194,16 @@ func buildIndex(points []Point, cfg IndexConfig, pool *buffer.Pool, owner uint32
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = storage.DefaultPageSize
 	}
+	entries, err := pointEntries(points)
+	if err != nil {
+		return nil, err
+	}
 	seen := make(map[int64]struct{}, len(points))
-	entries := make([]rtree.PointEntry, len(points))
-	for i, p := range points {
+	for _, p := range points {
 		if _, dup := seen[p.ID]; dup {
 			return nil, fmt.Errorf("rcj: duplicate point ID %d", p.ID)
 		}
 		seen[p.ID] = struct{}{}
-		entries[i] = p.entry()
 	}
 
 	var pager storage.Pager
@@ -305,9 +323,6 @@ func (ix *Index) Close() error {
 	}
 	if ix.shared {
 		ix.pool.InvalidateOwner(ix.owner)
-	}
-	if ix.nodeCache != nil {
-		ix.nodeCache.InvalidateOwner(ix.cacheOwner)
 	}
 	if cerr := ix.pager.Close(); err == nil {
 		err = cerr
