@@ -12,11 +12,11 @@ import (
 // truth the index algorithms are validated against and is only practical on
 // small inputs.
 func (j *joiner) runBrute() error {
-	ps, err := j.tp.ScanAll()
+	ps, err := scanAll(j.tp)
 	if err != nil {
 		return err
 	}
-	qs, err := j.tq.ScanAll()
+	qs, err := scanAll(j.tq)
 	if err != nil {
 		return err
 	}
@@ -53,6 +53,16 @@ func (j *joiner) runBrute() error {
 		}
 	}
 	return nil
+}
+
+// scanAll returns every point of ix, in leaf order.
+func scanAll(ix SpatialIndex) ([]rtree.PointEntry, error) {
+	var out []rtree.PointEntry
+	_, err := rtree.VisitLeaves(ix, nil, func(_ storage.PageID, n *rtree.Node) error {
+		out = n.AppendPointsTo(out)
+		return nil
+	})
+	return out, err
 }
 
 // bruteValid verifies one pair with circle range searches on both trees.

@@ -34,19 +34,16 @@ import (
 // a disk-paged hierarchy whose nodes carry either points (leaves) or
 // MBR-tagged child pointers. The R*-tree is the paper's instantiation;
 // Section 3 notes the methodology applies to any hierarchical spatial index.
-// The second implementation on the serving path is internal/live's merged
-// view: base tree, delta tree and tombstones presented as one hierarchy.
+// Two methods make an index: every traversal the executor performs — the
+// filter's best-first descent, verification, the outer leaf walk
+// (rtree.VisitLeaves) — is built from them, so a view that wraps, merges or
+// traces an index (internal/live's base+delta view is one) implements these
+// and nothing else.
 type SpatialIndex interface {
 	// Root returns the root page, or storage.InvalidPageID when empty.
 	Root() storage.PageID
 	// ReadNode fetches one node, counting buffer accesses/faults.
 	ReadNode(storage.PageID) (*rtree.Node, error)
-	// VisitLeaves applies fn to every leaf in depth-first order.
-	VisitLeaves(fn func(*rtree.Node) error) error
-	// LeafPages lists all leaf pages in depth-first order.
-	LeafPages() ([]storage.PageID, error)
-	// ScanAll returns every indexed point.
-	ScanAll() ([]rtree.PointEntry, error)
 }
 
 var _ SpatialIndex = (*rtree.Tree)(nil)

@@ -127,15 +127,6 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 	return nil
 }
 
-// leafPruner is the optional access-method capability the Region pushdown
-// needs on the outer input: traversals that can skip whole subtrees by entry
-// MBR without reading them. The R*-tree implements it; an index that does
-// not simply runs the unpruned outer loop (still correct, just more work).
-type leafPruner interface {
-	VisitLeavesPruned(skip func(geom.Rect) bool, fn func(*rtree.Node) error) (int64, error)
-	LeafPagesPruned(skip func(geom.Rect) bool) ([]storage.PageID, int64, error)
-}
-
 // outerSkip compiles the Region window into an outer-traversal subtree
 // filter, or nil when the pushdown does not apply. A candidate circle's
 // center is the midpoint of a TQ point and a TP point, so the centers a TQ
@@ -148,9 +139,6 @@ type leafPruner interface {
 // estimator extrapolates from every k-th leaf of the *full* leaf list.
 func (j *joiner) outerSkip() func(geom.Rect) bool {
 	if j.opts.Region == nil || j.opts.LeafSampleEvery > 1 {
-		return nil
-	}
-	if _, ok := j.tq.(leafPruner); !ok {
 		return nil
 	}
 	root := j.tp.Root()
@@ -180,12 +168,11 @@ func (j *joiner) outerSkip() func(geom.Rect) bool {
 // the order is shuffled or sampled.
 func (j *joiner) forEachQLeaf(fn func(*rtree.Node) error) error {
 	if !j.opts.RandomLeafOrder && j.opts.LeafSampleEvery <= 1 {
-		if skip := j.outerSkip(); skip != nil {
-			skipped, err := j.tq.(leafPruner).VisitLeavesPruned(skip, fn)
-			j.stats.NodesPruned += skipped
-			return err
-		}
-		return j.tq.VisitLeaves(fn)
+		skipped, err := rtree.VisitLeaves(j.tq, j.outerSkip(), func(_ storage.PageID, n *rtree.Node) error {
+			return fn(n)
+		})
+		j.stats.NodesPruned += skipped
+		return err
 	}
 	pages, err := j.outerLeafPages()
 	if err != nil {
@@ -207,17 +194,12 @@ func (j *joiner) forEachQLeaf(fn func(*rtree.Node) error) error {
 // depth-first order (Region-pruned when the pushdown applies), shuffled when
 // the ablation asks for it, then sampled every k-th for the cost estimator.
 func (j *joiner) outerLeafPages() ([]storage.PageID, error) {
-	var (
-		pages []storage.PageID
-		err   error
-	)
-	if skip := j.outerSkip(); skip != nil {
-		var skipped int64
-		pages, skipped, err = j.tq.(leafPruner).LeafPagesPruned(skip)
-		j.stats.NodesPruned += skipped
-	} else {
-		pages, err = j.tq.LeafPages()
-	}
+	var pages []storage.PageID
+	skipped, err := rtree.VisitLeaves(j.tq, j.outerSkip(), func(id storage.PageID, _ *rtree.Node) error {
+		pages = append(pages, id)
+		return nil
+	})
+	j.stats.NodesPruned += skipped
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func JoinL1(tq, tp SpatialIndex, opts Options) ([]L1Pair, Stats, error) {
 // on cancellation.
 func JoinL1Context(ctx context.Context, tq, tp SpatialIndex, opts Options) ([]L1Pair, Stats, error) {
 	j := &l1Joiner{tq: tq, tp: tp, opts: opts, ctx: ctx}
-	err := tq.VisitLeaves(func(n *rtree.Node) error {
+	_, err := rtree.VisitLeaves(tq, nil, func(_ storage.PageID, n *rtree.Node) error {
 		for i := 0; i < n.NumPoints(); i++ {
 			q := n.EntryAt(i)
 			if err := ctxDone(j.ctx); err != nil {

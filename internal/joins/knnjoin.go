@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // KNNJoin computes the k-nearest-neighbor join of the pointsets indexed by
@@ -26,7 +27,7 @@ func KNNJoinStream(tp, tq *rtree.Tree, k int, fn func(Pair)) error {
 	if k <= 0 {
 		return nil
 	}
-	return tp.VisitLeaves(func(n *rtree.Node) error {
+	_, err := rtree.VisitLeaves(tp, nil, func(_ storage.PageID, n *rtree.Node) error {
 		for i := 0; i < n.NumPoints(); i++ {
 			p := n.EntryAt(i)
 			it := tq.NewINNIterator(p.P)
@@ -43,4 +44,5 @@ func KNNJoinStream(tp, tq *rtree.Tree, k int, fn func(Pair)) error {
 		}
 		return nil
 	})
+	return err
 }

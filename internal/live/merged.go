@@ -37,8 +37,11 @@ const (
 	syntheticRootPage = storage.PageID(0xFFFFFFF0)
 )
 
-// merged is the virtual SpatialIndex over one epoch. It is stateless after
-// construction and safe for the executor's concurrent workers.
+// merged is the virtual SpatialIndex over one epoch: Root and ReadNode are
+// the whole of it, and every traversal — the executor's, rtree.VisitLeaves —
+// walks the synthetic root (no buffer access), then the base, then the
+// delta. It is stateless after construction and safe for the executor's
+// concurrent workers.
 type merged struct {
 	base  *rtree.Tree // tagged view; nil when the base is empty
 	delta *rtree.Tree // tagged view; nil when the delta is empty
@@ -151,48 +154,4 @@ func (v *merged) filterLeaf(n *rtree.Node) *rtree.Node {
 		out.IDs = append(out.IDs, id)
 	}
 	return out
-}
-
-func (v *merged) VisitLeaves(fn func(*rtree.Node) error) error {
-	if v.base != nil {
-		if err := v.base.VisitLeaves(func(n *rtree.Node) error {
-			return fn(v.filterLeaf(n))
-		}); err != nil {
-			return err
-		}
-	}
-	if v.delta != nil {
-		return v.delta.VisitLeaves(fn)
-	}
-	return nil
-}
-
-func (v *merged) LeafPages() ([]storage.PageID, error) {
-	var out []storage.PageID
-	if v.base != nil {
-		pages, err := v.base.LeafPages()
-		if err != nil {
-			return nil, err
-		}
-		out = pages
-	}
-	if v.delta != nil {
-		pages, err := v.delta.LeafPages()
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pages {
-			out = append(out, p+deltaPageBase)
-		}
-	}
-	return out, nil
-}
-
-func (v *merged) ScanAll() ([]rtree.PointEntry, error) {
-	var out []rtree.PointEntry
-	err := v.VisitLeaves(func(n *rtree.Node) error {
-		out = n.AppendPointsTo(out)
-		return nil
-	})
-	return out, err
 }

@@ -197,3 +197,125 @@ func TestCommandFlagCounts(t *testing.T) {
 		}
 	}
 }
+
+// sourceFiles parses every non-test Go file under dir (relative to the
+// module root), recursively, skipping the benchmark's own module.
+func sourceFiles(t *testing.T, dir string) map[string]*ast.File {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" || name == "perf" || name == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// typeSpec finds the declaration of a named type among files.
+func typeSpec(files map[string]*ast.File, name string) ast.Expr {
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == name {
+					return ts.Type
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// leafWalkName matches the names the leaf walk used to be copied under.
+var leafWalkName = regexp.MustCompile(`(?i)^(visitleaves|leafpages)|leavespruned`)
+
+// TestOneReadPath is the guard on "one read path from index bytes to leaf
+// nodes": an index is two methods; three substrates (memory, local file,
+// HTTP ranges) serve pages and every format version reads through all of
+// them; the depth-first leaf walk exists once; and building an index takes
+// no more knobs than it did. A fourth pager, a second walker, a wider index
+// contract or a new IndexConfig field has to be argued for here.
+func TestOneReadPath(t *testing.T) {
+	index, ok := typeSpec(sourceFiles(t, "internal/core"), "SpatialIndex").(*ast.InterfaceType)
+	if !ok {
+		t.Fatal("core.SpatialIndex is not an interface")
+	}
+	var methods []string
+	for _, m := range index.Methods.List {
+		if len(m.Names) == 0 {
+			methods = append(methods, "embedded "+types.ExprString(m.Type))
+		}
+		for _, name := range m.Names {
+			methods = append(methods, name.Name)
+		}
+	}
+	slices.Sort(methods)
+	if want := []string{"ReadNode", "Root"}; !slices.Equal(methods, want) {
+		t.Errorf("core.SpatialIndex declares %v, want exactly %v", methods, want)
+	}
+
+	var pagers []string
+	for _, f := range sourceFiles(t, "internal/storage") {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "ReadPage" {
+				pagers = append(pagers, strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*"))
+			}
+		}
+	}
+	slices.Sort(pagers)
+	if want := []string{"HTTPPager", "MemPager", "preadPager"}; !slices.Equal(pagers, want) {
+		t.Errorf("types with a ReadPage method in internal/storage: %v, want exactly %v", pagers, want)
+	}
+
+	var walkers []string
+	for rel, f := range sourceFiles(t, ".") {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && leafWalkName.MatchString(fn.Name.Name) {
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+				}
+				walkers = append(walkers, filepath.ToSlash(filepath.Dir(rel))+"."+name)
+			}
+		}
+	}
+	slices.Sort(walkers)
+	if want := []string{"internal/rtree.VisitLeaves"}; !slices.Equal(walkers, want) {
+		t.Errorf("leaf walkers: %v, want exactly %v", walkers, want)
+	}
+
+	cfg, ok := typeSpec(sourceFiles(t, "rcj"), "IndexConfig").(*ast.StructType)
+	if !ok {
+		t.Fatal("rcj.IndexConfig is not a struct")
+	}
+	fields := 0
+	for _, f := range cfg.Fields.List {
+		fields += max(len(f.Names), 1)
+	}
+	if fields != 6 {
+		t.Errorf("rcj.IndexConfig has %d fields, want 6", fields)
+	}
+}

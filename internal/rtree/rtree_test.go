@@ -331,13 +331,19 @@ func TestVisitLeavesCoversEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := randomEntries(rng, 800)
 	tr := newTestTree(t, 0)
+	if n, err := VisitLeaves(tr, nil, nil); n != 0 || err != nil {
+		t.Fatalf("empty tree: skipped %d, err %v", n, err)
+	}
 	if err := tr.BulkLoad(pts, 0); err != nil {
 		t.Fatal(err)
 	}
 	var visited int
-	if err := tr.VisitLeaves(func(n *Node) error {
+	if _, err := VisitLeaves(tr, nil, func(id storage.PageID, n *Node) error {
 		if !n.Leaf {
 			t.Fatal("VisitLeaves yielded a non-leaf")
+		}
+		if at, err := tr.ReadNode(id); err != nil || at != n {
+			t.Fatalf("leaf handed out with page id %d, which reads as another node (%v)", id, err)
 		}
 		visited += n.NumPoints()
 		return nil
@@ -347,20 +353,39 @@ func TestVisitLeavesCoversEverything(t *testing.T) {
 	if visited != len(pts) {
 		t.Fatalf("leaves hold %d points, want %d", visited, len(pts))
 	}
-	pages, err := tr.LeafPages()
-	if err != nil {
+
+	// A skipped subtree is counted, never read, never visited: skipping
+	// everything left of x=5000 still reaches every point right of it.
+	var right int
+	for _, p := range pts {
+		if p.P.X >= 5000 {
+			right++
+		}
+	}
+	reads := tr.Pool().Stats().Accesses
+	visited = 0
+	skipped, err := VisitLeaves(tr, func(r geom.Rect) bool { return r.MaxX < 5000 }, func(_ storage.PageID, n *Node) error {
+		for i := 0; i < n.NumPoints(); i++ {
+			if n.EntryAt(i).P.X >= 5000 {
+				visited++
+			}
+		}
+		return nil
+	})
+	if err != nil || skipped == 0 || visited != right {
+		t.Fatalf("pruned walk: skipped %d, reached %d of %d points, err %v", skipped, visited, right, err)
+	}
+	if got := tr.Pool().Stats().Accesses - reads; got+skipped > int64(tr.NumPages()) {
+		t.Fatalf("pruned walk read %d nodes and skipped %d subtrees of a %d-page tree", got, skipped, tr.NumPages())
+	}
+
+	// A root leaf is tested against its own MBR.
+	one := newTestTree(t, 0)
+	if err := one.BulkLoad(pts[:3], 0); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, id := range pages {
-		n, err := tr.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n.NumPoints()
-	}
-	if total != len(pts) {
-		t.Fatalf("LeafPages holds %d points, want %d", total, len(pts))
+	if n, err := VisitLeaves(one, func(geom.Rect) bool { return true }, nil); n != 1 || err != nil {
+		t.Fatalf("skipped root leaf: skipped %d, err %v", n, err)
 	}
 }
 

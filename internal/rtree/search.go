@@ -124,173 +124,66 @@ func (t *Tree) anyRec(id storage.PageID, c geom.Circle, ex1, ex2 int64) (bool, e
 // leaf order. Useful for tests and for exporting datasets.
 func (t *Tree) ScanAll() ([]PointEntry, error) {
 	out := make([]PointEntry, 0, t.size)
-	err := t.VisitLeaves(func(n *Node) error {
+	_, err := VisitLeaves(t, nil, func(_ storage.PageID, n *Node) error {
 		out = n.AppendPointsTo(out)
 		return nil
 	})
 	return out, err
 }
 
-// VisitLeaves applies fn to every leaf node in depth-first order — the
-// traversal order Algorithm 5 of the paper prescribes for the outer join
-// input, chosen so consecutive filter/verification invocations touch nearby
-// tree paths and the buffer absorbs them.
-func (t *Tree) VisitLeaves(fn func(*Node) error) error {
-	return t.visitLeavesRec(t.root, fn)
+// NodeReader is all a hierarchy must offer to be walked — and all the join
+// executor asks of an index (core.SpatialIndex): where the root is, and how
+// to read a node.
+type NodeReader interface {
+	// Root returns the root page, or storage.InvalidPageID when empty.
+	Root() storage.PageID
+	// ReadNode fetches one node.
+	ReadNode(storage.PageID) (*Node, error)
 }
 
-func (t *Tree) visitLeavesRec(id storage.PageID, fn func(*Node) error) error {
-	if id == storage.InvalidPageID {
-		return nil
-	}
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		return fn(n)
-	}
-	for _, e := range n.Children {
-		if err := t.visitLeavesRec(e.Child, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// VisitLeavesPruned is VisitLeaves with a subtree filter: a subtree whose
-// entry MBR satisfies skip is neither read nor descended, and a root leaf is
-// tested against its own MBR. It returns the number of subtrees skipped.
-// The query executor uses it to push the Region window into the *outer*
-// traversal: a leaf of TQ whose midpoint rect with TP's MBR misses the
-// window cannot produce a qualifying circle center, so it is never read.
-func (t *Tree) VisitLeavesPruned(skip func(geom.Rect) bool, fn func(*Node) error) (int64, error) {
-	if t.root == storage.InvalidPageID {
+// VisitLeaves is the one leaf walk: it applies fn to every leaf of ix, with
+// the leaf's page id, in depth-first order — the traversal order Algorithm 5
+// of the paper prescribes for the outer join input, chosen so consecutive
+// filter/verification invocations touch nearby tree paths and the buffer
+// absorbs them. A subtree whose entry MBR satisfies skip (which may be nil)
+// is neither read nor descended, and a root leaf is tested against its own
+// MBR; the number of subtrees skipped is returned. The query executor uses
+// skip to push the Region window into the *outer* traversal: a leaf of TQ
+// whose midpoint rect with TP's MBR misses the window cannot produce a
+// qualifying circle center, so it is never read.
+func VisitLeaves(ix NodeReader, skip func(geom.Rect) bool, fn func(storage.PageID, *Node) error) (skipped int64, err error) {
+	root := ix.Root()
+	if root == storage.InvalidPageID {
 		return 0, nil
 	}
-	n, err := t.ReadNode(t.root)
+	n, err := ix.ReadNode(root)
 	if err != nil {
 		return 0, err
 	}
-	if n.Leaf {
-		if skip(n.MBR()) {
-			return 1, nil
+	if n.Leaf && skip != nil && skip(n.MBR()) {
+		return 1, nil
+	}
+	// walk visits the subtree under node n, already read from page id.
+	var walk func(id storage.PageID, n *Node) error
+	walk = func(id storage.PageID, n *Node) error {
+		if n.Leaf {
+			return fn(id, n)
 		}
-		return 0, fn(n)
-	}
-	var skipped int64
-	for _, e := range n.Children {
-		if skip(e.MBR) {
-			skipped++
-			continue
+		for _, e := range n.Children {
+			if skip != nil && skip(e.MBR) {
+				skipped++
+				continue
+			}
+			c, err := ix.ReadNode(e.Child)
+			if err != nil {
+				return err
+			}
+			if err := walk(e.Child, c); err != nil {
+				return err
+			}
 		}
-		if err := t.visitLeavesPrunedRec(e.Child, skip, fn, &skipped); err != nil {
-			return skipped, err
-		}
-	}
-	return skipped, nil
-}
-
-func (t *Tree) visitLeavesPrunedRec(id storage.PageID, skip func(geom.Rect) bool, fn func(*Node) error, skipped *int64) error {
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		return fn(n)
-	}
-	for _, e := range n.Children {
-		if skip(e.MBR) {
-			*skipped++
-			continue
-		}
-		if err := t.visitLeavesPrunedRec(e.Child, skip, fn, skipped); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LeafPagesPruned is LeafPages with the same subtree filter as
-// VisitLeavesPruned — the parallel outer loop schedules from a page list, so
-// the Region pushdown has to happen while the list is built. Returns the
-// surviving leaf pages and the number of subtrees skipped.
-func (t *Tree) LeafPagesPruned(skip func(geom.Rect) bool) ([]storage.PageID, int64, error) {
-	if t.root == storage.InvalidPageID {
-		return nil, 0, nil
-	}
-	var (
-		out     []storage.PageID
-		skipped int64
-	)
-	n, err := t.ReadNode(t.root)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n.Leaf {
-		if skip(n.MBR()) {
-			return nil, 1, nil
-		}
-		return []storage.PageID{t.root}, 0, nil
-	}
-	for _, e := range n.Children {
-		if skip(e.MBR) {
-			skipped++
-			continue
-		}
-		if err := t.leafPagesPrunedRec(e.Child, skip, &out, &skipped); err != nil {
-			return out, skipped, err
-		}
-	}
-	return out, skipped, nil
-}
-
-func (t *Tree) leafPagesPrunedRec(id storage.PageID, skip func(geom.Rect) bool, out *[]storage.PageID, skipped *int64) error {
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		*out = append(*out, id)
 		return nil
 	}
-	for _, e := range n.Children {
-		if skip(e.MBR) {
-			*skipped++
-			continue
-		}
-		if err := t.leafPagesPrunedRec(e.Child, skip, out, skipped); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LeafPages returns the page ids of all leaves in depth-first order. The
-// search-order ablation shuffles this list to quantify the cost of losing
-// access locality.
-func (t *Tree) LeafPages() ([]storage.PageID, error) {
-	var out []storage.PageID
-	err := t.leafPagesRec(t.root, &out)
-	return out, err
-}
-
-func (t *Tree) leafPagesRec(id storage.PageID, out *[]storage.PageID) error {
-	if id == storage.InvalidPageID {
-		return nil
-	}
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		*out = append(*out, id)
-		return nil
-	}
-	for _, e := range n.Children {
-		if err := t.leafPagesRec(e.Child, out); err != nil {
-			return err
-		}
-	}
-	return nil
+	err = walk(root, n)
+	return skipped, err
 }

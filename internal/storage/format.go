@@ -46,7 +46,8 @@ import (
 // — after blob decode, for v3 — before a single tree entry is decoded.
 // Version 1 files (no table) still open read-only; the writer emits version
 // 2 by default and version 3 on request (WriteIndexFile with
-// sb.Version = FormatVersion3).
+// sb.Version = FormatVersion3). Readers see all three as one layout with two
+// optional tables (layout.go): the directory and the checksum table.
 //
 // Superblock layout (little endian):
 //
@@ -74,7 +75,8 @@ const (
 	// table still covers the uncompressed images.
 	FormatVersion3 = 3
 	// FormatVersion is the version the writer emits by default. Version 3
-	// is opt-in: readers from before this release reject it.
+	// is opt-in (Index.SavePacked): readers that predate it reject the file
+	// with ErrBadVersion.
 	FormatVersion = FormatVersion2
 	// maxFormatVersion is the newest version this reader understands.
 	maxFormatVersion = FormatVersion3
@@ -170,8 +172,8 @@ func EncodeSuperblock(sb Superblock, buf []byte) error {
 }
 
 // DecodeSuperblock parses and validates a superblock. Failures carry one of
-// the typed errors above. Both format versions decode; Version records which
-// one the file carries.
+// the typed errors above. Every format version (1–3) decodes; Version
+// records which one the file carries.
 func DecodeSuperblock(buf []byte) (Superblock, error) {
 	if len(buf) < SuperblockSize {
 		return Superblock{}, fmt.Errorf("%w: %d bytes, superblock needs %d", ErrTruncated, len(buf), SuperblockSize)
@@ -263,7 +265,7 @@ func (sb Superblock) fileSize() int64 {
 }
 
 // PageChecksum returns the CRC-32 (IEEE) of one page image, the per-page
-// checksum format v2 stores in the page table.
+// checksum formats v2 and v3 store in the page table.
 func PageChecksum(page []byte) uint32 { return crc32.ChecksumIEEE(page) }
 
 // PageTableSize returns the encoded size in bytes of a page checksum table
@@ -370,20 +372,6 @@ func VerifyPage(table []uint32, id PageID, page []byte) error {
 	return nil
 }
 
-// checksumPager wraps a read-only Pager so every ReadPage is verified
-// against the v2 page checksum table before the caller sees a byte.
-type checksumPager struct {
-	Pager
-	table []uint32
-}
-
-func (c *checksumPager) ReadPage(id PageID, buf []byte) error {
-	if err := c.Pager.ReadPage(id, buf); err != nil {
-		return err
-	}
-	return VerifyPage(c.table, id, buf[:c.Pager.PageSize()])
-}
-
 // WriteIndexFile durably writes src's pages to path in the index file
 // format, prefixed by sb and (format v2, the default) followed by the page
 // checksum table. sb must describe src exactly (page size and page count);
@@ -484,17 +472,13 @@ func ReadSuperblockFile(path string) (Superblock, error) {
 		return Superblock{}, err
 	}
 	defer f.Close()
-	buf := make([]byte, SuperblockSize)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return Superblock{}, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	return DecodeSuperblock(buf)
+	return readSuperblock(f)
 }
 
 // SniffIndexFile reports whether the file at path begins with the index
 // magic (i.e. looks like an index file rather than, say, a CSV). It reads at
-// most 8 bytes and never fails on short or unreadable files. Both format
-// versions share the magic.
+// most 8 bytes and never fails on short or unreadable files. Every format
+// version shares the magic.
 func SniffIndexFile(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
@@ -506,104 +490,6 @@ func SniffIndexFile(path string) bool {
 		return false
 	}
 	return m == Magic
-}
-
-// OpenIndexFile validates the index file at path and returns a read-only
-// Pager over its pages, materialized by the chosen backend, plus the decoded
-// superblock. For format v2 files every page read through the returned pager
-// is verified against the page checksum table (the mem backend verifies the
-// whole image once at load). Packed v3 files open on the same backends:
-// blobs decode to verbatim page images — eagerly for mem, per buffer-pool
-// miss for file — and verify against the same table. Validation
-// failures carry the typed errors above.
-func OpenIndexFile(path string, backend Backend) (Pager, Superblock, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Superblock{}, fmt.Errorf("storage: open index file: %w", err)
-	}
-	sbBuf := make([]byte, SuperblockSize)
-	if _, err := io.ReadFull(f, sbBuf); err != nil {
-		f.Close()
-		return nil, Superblock{}, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	sb, err := DecodeSuperblock(sbBuf)
-	if err != nil {
-		f.Close()
-		return nil, Superblock{}, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, Superblock{}, fmt.Errorf("storage: stat index file: %w", err)
-	}
-	if need := sb.fileSize(); info.Size() < need {
-		f.Close()
-		return nil, Superblock{}, fmt.Errorf("%w: %d bytes, superblock promises %d", ErrTruncated, info.Size(), need)
-	}
-	if sb.Packed() {
-		pager, err := openPackedIndexFile(f, info.Size(), sb, backend)
-		if err != nil {
-			return nil, Superblock{}, err
-		}
-		return pager, sb, nil
-	}
-	var table []uint32
-	if sb.hasPageTable() {
-		tbuf := make([]byte, PageTableSize(sb.NumPages))
-		if _, err := f.ReadAt(tbuf, int64(sb.PageSize)*int64(1+sb.NumPages)); err != nil {
-			f.Close()
-			return nil, Superblock{}, fmt.Errorf("%w: page table: %v", ErrTruncated, err)
-		}
-		if table, err = DecodePageTable(tbuf, sb.NumPages); err != nil {
-			f.Close()
-			return nil, Superblock{}, err
-		}
-	}
-	offset := int64(sb.PageSize)
-	switch backend {
-	case BackendMem:
-		pager, err := readMemPager(f, sb, offset, table)
-		f.Close()
-		if err != nil {
-			return nil, Superblock{}, err
-		}
-		return pager, sb, nil
-	case BackendFile:
-		var pager Pager = openedFilePager(f, sb.PageSize, offset, sb.NumPages)
-		if table != nil {
-			pager = &checksumPager{Pager: pager, table: table}
-		}
-		return pager, sb, nil
-	case BackendHTTP:
-		f.Close()
-		return nil, Superblock{}, fmt.Errorf("storage: http backend serves URLs, not local files (use OpenIndexURL)")
-	default:
-		f.Close()
-		return nil, Superblock{}, fmt.Errorf("storage: unknown backend %d", backend)
-	}
-}
-
-// readMemPager loads every page of the open index file into a MemPager — so
-// subsequent reads never touch the file again — verifying each page against
-// the v2 checksum table when one is present.
-func readMemPager(f *os.File, sb Superblock, offset int64, table []uint32) (*MemPager, error) {
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("storage: seek index pages: %w", err)
-	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	pages := make([][]byte, sb.NumPages)
-	for i := range pages {
-		pages[i] = make([]byte, sb.PageSize)
-		if _, err := io.ReadFull(r, pages[i]); err != nil {
-			return nil, fmt.Errorf("%w: page %d: %v", ErrTruncated, i, err)
-		}
-		if table != nil {
-			if err := VerifyPage(table, PageID(i), pages[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &MemPager{pageSize: sb.PageSize, pages: pages}, nil
 }
 
 // Backend selects how an index file's pages are accessed after open.

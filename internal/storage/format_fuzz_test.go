@@ -2,6 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -93,6 +99,64 @@ func FuzzDecodePageTable(f *testing.F) {
 		}
 		if !bytes.Equal(out, data[:PageTableSize(numPages)]) {
 			t.Fatalf("re-encode differs:\n got %x\nwant %x", out, data[:PageTableSize(numPages)])
+		}
+	})
+}
+
+// FuzzOpenIndexFile throws whole mutated index files at the one function
+// that reads them, on both local backends: the open either fails with one of
+// the typed validation errors or returns a pager whose every ReadPage returns
+// nil or a typed error — never a panic, and never an allocation beyond a
+// small multiple of the file's length. Seeds are the committed fixtures of
+// all three format versions, plus two whose (CRC-valid) superblocks lie
+// about how much file follows.
+func FuzzOpenIndexFile(f *testing.F) {
+	for _, name := range []string{"golden_v1.rcjx", "golden_v2.rcjx", "golden_v3.rcjx"} {
+		golden, err := os.ReadFile(filepath.Join("..", "..", "rcj", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+		f.Add(golden[:len(golden)/2])
+		for _, lie := range []struct{ off, val int }{{16, 1 << 26}, {12, 1 << 24}} { // page count, page size
+			b := append([]byte(nil), golden...)
+			binary.LittleEndian.PutUint32(b[lie.off:], uint32(lie.val))
+			binary.LittleEndian.PutUint32(b[68:], crc32.ChecksumIEEE(b[:68]))
+			f.Add(b)
+		}
+	}
+	typed := func(err error) bool {
+		for _, want := range []error{ErrBadMagic, ErrBadVersion, ErrBadChecksum, ErrTruncated, ErrCorrupt} {
+			if errors.Is(err, want) {
+				return true
+			}
+		}
+		return false
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.rcjx")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range []Backend{BackendMem, BackendFile} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pager, sb, err := OpenIndexFile(path, be)
+			if err == nil {
+				buf := make([]byte, sb.PageSize)
+				for i := 0; i < pager.NumPages(); i++ {
+					if err := pager.ReadPage(PageID(i), buf); err != nil && !typed(err) {
+						t.Fatalf("%s: ReadPage(%d) = %v, want nil or a typed error", be, i, err)
+					}
+				}
+				pager.Close()
+			} else if !typed(err) {
+				t.Fatalf("%s: OpenIndexFile = %v, want a typed error", be, err)
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+1<<20 {
+				t.Fatalf("%s: allocated %d bytes over a %d-byte file", be, grew, len(data))
+			}
 		}
 	})
 }

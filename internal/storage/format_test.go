@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,63 +133,155 @@ func TestPageTableCorruption(t *testing.T) {
 	}
 }
 
-// TestV2PageBitFlips is the per-page corruption table: flip one bit inside
-// each page of a v2 file and check every backend reports ErrBadChecksum
-// naming exactly the offending page — at open for the eagerly-loading mem
-// backend, at first read for the lazy file backend.
+// allBackends are the substrates every format version must open on.
+var allBackends = []Backend{BackendMem, BackendFile, BackendHTTP}
+
+// openOn opens the index file at path on backend be: OpenIndexFile for the
+// local substrates, OpenIndexURL against a range-serving httptest origin
+// holding the same bytes for http.
+func openOn(t *testing.T, path string, be Backend) (Pager, Superblock, error) {
+	t.Helper()
+	if be != BackendHTTP {
+		return OpenIndexFile(path, be)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newFlakyIndexServer(data))
+	t.Cleanup(srv.Close)
+	return OpenIndexURL(srv.URL, fastCfg())
+}
+
+// checkOpens is one cell of the (format, backend) open table: the file
+// written from src under want opens on be with that superblock and shape,
+// every page reads back byte-identical to src, bounds are enforced, and the
+// serving substrates refuse writes.
+func checkOpens(t *testing.T, path string, want Superblock, src Pager, be Backend) Pager {
+	t.Helper()
+	pager, sb, err := openOn(t, path, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pager.Close() })
+	if sb != want {
+		t.Fatalf("superblock %+v, want %+v", sb, want)
+	}
+	if pager.NumPages() != want.NumPages || pager.PageSize() != want.PageSize {
+		t.Fatalf("pager shape %d×%d", pager.NumPages(), pager.PageSize())
+	}
+	buf, ref := make([]byte, want.PageSize), make([]byte, want.PageSize)
+	for i := 0; i < want.NumPages; i++ {
+		if err := pager.ReadPage(PageID(i), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.ReadPage(PageID(i), ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, ref) {
+			t.Fatalf("page %d differs from the source image", i)
+		}
+	}
+	if err := pager.ReadPage(PageID(want.NumPages), buf); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("out-of-range read = %v", err)
+	}
+	if err := pager.ReadPage(0, buf[:1]); err == nil {
+		t.Fatal("undersized read buffer accepted")
+	}
+	if be != BackendMem { // the mem backend copies; copies stay writable
+		if _, err := pager.Allocate(); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Allocate on %s = %v, want ErrReadOnly", be, err)
+		}
+		if err := pager.WritePage(0, buf); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("WritePage on %s = %v, want ErrReadOnly", be, err)
+		}
+	}
+	if st := pager.Stats(); st.Reads != int64(want.NumPages) {
+		t.Fatalf("Stats.Reads = %d, want %d", st.Reads, want.NumPages)
+	}
+	return pager
+}
+
+// checkResaves writes an opened pager back out under sb and compares the
+// file with want: whatever substrate and format the pages came through,
+// they are the same pages.
+func checkResaves(t *testing.T, pager Pager, sb Superblock, want string) {
+	t.Helper()
+	resaved := filepath.Join(t.TempDir(), "resaved.rcjx")
+	if err := WriteIndexFile(resaved, sb, pager); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBytes) {
+		t.Fatalf("re-saved v%d file differs from %s (%d vs %d bytes)", sb.Version, filepath.Base(want), len(got), len(wantBytes))
+	}
+}
+
+// checkPageDamage is one cell of the (format, backend) corruption table:
+// with the byte at off — inside page's stored bytes — flipped, backend be
+// must refuse exactly that page with a typed error naming it (at open for
+// the eagerly-loading mem backend, at first read for the lazy ones) and keep
+// serving every other page.
+func checkPageDamage(t *testing.T, pristine []byte, off int64, page PageID, be Backend) {
+	t.Helper()
+	b := append([]byte(nil), pristine...)
+	b[off] ^= 0x04
+	damaged := filepath.Join(t.TempDir(), "damaged.rcjx")
+	if err := os.WriteFile(damaged, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s = %v, want a checksum/corrupt error", what, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("page %d", page)) {
+			t.Fatalf("%s does not name page %d: %v", what, page, err)
+		}
+	}
+	pager, sb, err := openOn(t, damaged, be)
+	if be == BackendMem {
+		refused("mem open", err)
+		return
+	}
+	if err != nil {
+		t.Fatalf("lazy open = %v", err)
+	}
+	defer pager.Close()
+	buf := make([]byte, sb.PageSize)
+	for i := PageID(0); int(i) < sb.NumPages; i++ {
+		err := pager.ReadPage(i, buf)
+		if i == page {
+			refused("read of the damaged page", err)
+		} else if err != nil {
+			t.Fatalf("read clean page %d: %v", i, err)
+		}
+	}
+}
+
+// TestV2PageBitFlips flips one bit inside each page of a v2 file on every
+// backend, then one in the table trailer, which fails every open.
 func TestV2PageBitFlips(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.rcjx")
+	path := filepath.Join(t.TempDir(), "ix.rcjx")
 	want := writeTestIndexFile(t, path, 4)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []Backend{BackendMem, BackendFile}
 	for page := 0; page < want.NumPages; page++ {
-		for _, be := range backends {
+		for _, be := range allBackends {
 			t.Run(fmt.Sprintf("page%d_%s", page, be), func(t *testing.T) {
-				b := append([]byte(nil), pristine...)
-				b[want.PageSize*(1+page)+123] ^= 0x04 // one flipped bit mid-page
-				damaged := filepath.Join(t.TempDir(), "damaged.rcjx")
-				if err := os.WriteFile(damaged, b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				pager, _, err := OpenIndexFile(damaged, be)
-				if be == BackendMem {
-					if !errors.Is(err, ErrBadChecksum) {
-						t.Fatalf("mem open = %v, want ErrBadChecksum", err)
-					}
-					if !strings.Contains(err.Error(), fmt.Sprintf("page %d", page)) {
-						t.Fatalf("error does not name page %d: %v", page, err)
-					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("lazy open = %v", err)
-				}
-				defer pager.Close()
-				buf := make([]byte, want.PageSize)
-				// Undamaged pages still read clean.
-				for i := 0; i < want.NumPages; i++ {
-					err := pager.ReadPage(PageID(i), buf)
-					if i == page {
-						if !errors.Is(err, ErrBadChecksum) {
-							t.Fatalf("read damaged page = %v, want ErrBadChecksum", err)
-						}
-						if !strings.Contains(err.Error(), fmt.Sprintf("page %d", page)) {
-							t.Fatalf("error does not name page %d: %v", page, err)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("read clean page %d: %v", i, err)
-					}
-				}
+				checkPageDamage(t, pristine, int64(want.PageSize*(1+page)+123), PageID(page), be)
 			})
 		}
 	}
-	// A flipped bit in the table trailer itself fails the open everywhere.
 	t.Run("table trailer", func(t *testing.T) {
 		b := append([]byte(nil), pristine...)
 		b[want.PageSize*(1+want.NumPages)+2] ^= 0x40
@@ -196,8 +289,8 @@ func TestV2PageBitFlips(t *testing.T) {
 		if err := os.WriteFile(damaged, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, be := range backends {
-			if _, _, err := OpenIndexFile(damaged, be); !errors.Is(err, ErrBadChecksum) {
+		for _, be := range allBackends {
+			if _, _, err := openOn(t, damaged, be); !errors.Is(err, ErrBadChecksum) {
 				t.Fatalf("%s open with corrupt table = %v, want ErrBadChecksum", be, err)
 			}
 		}
@@ -208,17 +301,8 @@ func TestV2PageBitFlips(t *testing.T) {
 // read-only on every backend — backward compatibility with pre-v2 indexes.
 func TestV1StillOpens(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.rcjx")
-	src := NewMemPager(DefaultPageSize)
 	const numPages = 5
-	for i := 0; i < numPages; i++ {
-		id, err := src.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.WritePage(id, bytes.Repeat([]byte{byte(i + 1)}, DefaultPageSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	src := testPager(t, numPages)
 	sb := Superblock{
 		Version:  FormatVersion1,
 		PageSize: DefaultPageSize,
@@ -242,27 +326,8 @@ func TestV1StillOpens(t *testing.T) {
 	if !SniffIndexFile(path) {
 		t.Fatal("SniffIndexFile(v1) = false")
 	}
-	backends := []Backend{BackendMem, BackendFile}
-	for _, be := range backends {
-		t.Run(be.String(), func(t *testing.T) {
-			pager, got, err := OpenIndexFile(path, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pager.Close()
-			if got != sb {
-				t.Fatalf("superblock %+v, want %+v", got, sb)
-			}
-			buf := make([]byte, DefaultPageSize)
-			for i := 0; i < numPages; i++ {
-				if err := pager.ReadPage(PageID(i), buf); err != nil {
-					t.Fatal(err)
-				}
-				if buf[0] != byte(i+1) {
-					t.Fatalf("page %d contents differ", i)
-				}
-			}
-		})
+	for _, be := range allBackends {
+		t.Run(be.String(), func(t *testing.T) { checkResaves(t, checkOpens(t, path, sb, src, be), sb, path) })
 	}
 }
 
@@ -286,9 +351,9 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-// writeTestIndexFile builds a small page image with recognizable contents
-// and writes it in the index format.
-func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
+// testPager builds a small page image with recognizable contents: page i is
+// filled with byte i+1.
+func testPager(t *testing.T, numPages int) *MemPager {
 	t.Helper()
 	src := NewMemPager(DefaultPageSize)
 	for i := 0; i < numPages; i++ {
@@ -296,11 +361,16 @@ func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
 		if err != nil {
 			t.Fatal(err)
 		}
-		page := bytes.Repeat([]byte{byte(i + 1)}, DefaultPageSize)
-		if err := src.WritePage(id, page); err != nil {
+		if err := src.WritePage(id, bytes.Repeat([]byte{byte(i + 1)}, DefaultPageSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return src
+}
+
+// writeTestIndexFile writes testPager(numPages) in the index format.
+func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
+	t.Helper()
 	sb := Superblock{
 		PageSize: DefaultPageSize,
 		NumPages: numPages,
@@ -309,7 +379,7 @@ func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
 		Count:    int64(numPages * 3),
 		MBR:      [4]float64{0, 0, 1, 1},
 	}
-	if err := WriteIndexFile(path, sb, src); err != nil {
+	if err := WriteIndexFile(path, sb, testPager(t, numPages)); err != nil {
 		t.Fatal(err)
 	}
 	sb.Version = FormatVersion // the writer emits the current version
@@ -319,45 +389,8 @@ func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
 func TestIndexFileBackends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.rcjx")
 	want := writeTestIndexFile(t, path, 5)
-
-	backends := []Backend{BackendMem, BackendFile}
-	for _, be := range backends {
-		t.Run(be.String(), func(t *testing.T) {
-			pager, sb, err := OpenIndexFile(path, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pager.Close()
-			if sb != want {
-				t.Fatalf("superblock %+v, want %+v", sb, want)
-			}
-			if pager.NumPages() != want.NumPages || pager.PageSize() != want.PageSize {
-				t.Fatalf("pager shape %d×%d", pager.NumPages(), pager.PageSize())
-			}
-			buf := make([]byte, want.PageSize)
-			for i := 0; i < want.NumPages; i++ {
-				if err := pager.ReadPage(PageID(i), buf); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf, bytes.Repeat([]byte{byte(i + 1)}, want.PageSize)) {
-					t.Fatalf("page %d contents differ", i)
-				}
-			}
-			if err := pager.ReadPage(PageID(want.NumPages), buf); !errors.Is(err, ErrPageOutOfRange) {
-				t.Fatalf("out-of-range read = %v", err)
-			}
-			if be != BackendMem { // the mem backend copies; copies stay writable
-				if _, err := pager.Allocate(); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("Allocate on %s = %v, want ErrReadOnly", be, err)
-				}
-				if err := pager.WritePage(0, buf); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("WritePage on %s = %v, want ErrReadOnly", be, err)
-				}
-			}
-			if st := pager.Stats(); st.Reads < int64(want.NumPages) {
-				t.Fatalf("Stats.Reads = %d, want >= %d", st.Reads, want.NumPages)
-			}
-		})
+	for _, be := range allBackends {
+		t.Run(be.String(), func(t *testing.T) { checkResaves(t, checkOpens(t, path, want, testPager(t, 5), be), want, path) })
 	}
 }
 
@@ -372,8 +405,13 @@ func TestOpenIndexFileTruncated(t *testing.T) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := OpenIndexFile(path, BackendFile); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut=%d: OpenIndexFile = %v, want ErrTruncated", cut, err)
+		for _, be := range allBackends {
+			if be == BackendHTTP && cut < SuperblockSize {
+				continue // an origin too short for a superblock is a short body: ErrRemote
+			}
+			if _, _, err := openOn(t, path, be); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("cut=%d: open on %s = %v, want ErrTruncated", cut, be, err)
+			}
 		}
 	}
 }

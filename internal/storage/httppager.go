@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/pagecodec"
 )
 
 // ErrRemote is the typed failure of the HTTP pager: the server answered, but
@@ -122,24 +120,22 @@ func (s RemoteStats) Sub(o RemoteStats) RemoteStats {
 	}
 }
 
-// HTTPPager is a read-only Pager over an index file served by any HTTP
-// server that supports range requests (GET with a Range header): page i is
-// one ranged fetch — PageSize bytes at offset PageSize·(1+i), or for a
-// packed (v3) index the compressed blob its page directory locates, decoded
-// locally. Every fetched page of a format-v2/v3 index is verified against
-// the per-page checksum table before it is returned, so a corrupting
-// transport cannot hand the tree a bad node; transient failures (timeouts,
-// 5xx, short reads, checksum mismatches, undecodable blobs) are retried with
-// capped exponential backoff. Construct with OpenIndexURL. Safe for
-// concurrent use.
+// HTTPPager is the HTTP-range substrate: a read-only Pager over an index
+// file served by any HTTP server that supports range requests (GET with a
+// Range header). Page i is one ranged fetch of the bytes the file's layout
+// stores it in — the page image itself, or for a packed (v3) index its
+// compressed blob — decoded locally. Every fetched page of a format-v2/v3
+// index is verified against the per-page checksum table before it is
+// returned, so a corrupting transport cannot hand the tree a bad node;
+// transient failures (timeouts, 5xx, short reads, checksum mismatches,
+// undecodable blobs) are retried with capped exponential backoff. Construct
+// with OpenIndexURL. Safe for concurrent use.
 type HTTPPager struct {
+	layout
+	readOnly
 	url      string
 	cfg      HTTPPagerConfig
 	ownedCli bool // Close releases idle connections only for a private client
-	pageSize int
-	numPages int
-	table    []uint32 // per-page CRCs; nil for v1 files (unverified pages)
-	dir      []uint64 // packed (v3) blob offsets; nil for fixed-layout files
 
 	// ctx cancels every in-flight and future fetch when the pager closes,
 	// so Close (and the prefetcher drain above it) never waits out a retry
@@ -185,7 +181,10 @@ type pageFlight struct {
 // directory are fetched and verified up front; pages fetch lazily, one range
 // request per buffer-pool miss — for packed indexes that request covers the
 // compressed blob, typically under half the page size. Validation failures
-// carry the same typed errors as OpenIndexFile.
+// carry the same typed errors as OpenIndexFile — the same readLayout reads
+// both — and an origin that reports no total length for the object is
+// refused (ErrRemote): without it the superblock's page count cannot be
+// checked before the tables it sizes are fetched.
 //
 // Format v1 files open too, but carry no page table, so individual page
 // fetches cannot be verified — prefer re-saving as v2 before serving over a
@@ -198,65 +197,20 @@ func OpenIndexURL(url string, cfg HTTPPagerConfig) (*HTTPPager, Superblock, erro
 		inflight: make(map[PageID]*pageFlight)}
 	// The superblock is self-checksummed, so decoding doubles as transit
 	// verification: a corrupted fetch retries like any transient failure.
-	sbBuf, total, err := p.fetchVerified(0, SuperblockSize, func(b []byte) error {
-		_, err := DecodeSuperblock(b)
+	var sb Superblock
+	_, total, err := p.fetchVerified(0, SuperblockSize, func(b []byte) (err error) {
+		sb, err = DecodeSuperblock(b)
 		return err
 	})
 	if err != nil {
 		return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
 	}
-	sb, err := DecodeSuperblock(sbBuf)
+	p.layout, err = readLayout(func(off int64, n int, check func([]byte) error) error {
+		_, _, err := p.fetchVerified(off, n, check)
+		return err
+	}, total, sb)
 	if err != nil {
 		return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-	}
-	if need := sb.fileSize(); total >= 0 && total < need {
-		return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w: %d bytes, superblock promises %d", url, ErrTruncated, total, need)
-	}
-	p.pageSize = sb.PageSize
-	p.numPages = sb.NumPages
-	if sb.Packed() {
-		// Packed layout: fetch and validate the page directory, then the
-		// checksum table it locates. Each page read below becomes one ranged
-		// fetch of the blob, decoded and verified locally.
-		dbuf, _, err := p.fetchVerified(int64(sb.PageSize), PageDirSize(sb.NumPages),
-			func(b []byte) error {
-				_, err := DecodePageDir(b, sb)
-				return err
-			})
-		if err != nil {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-		}
-		if p.dir, err = DecodePageDir(dbuf, sb); err != nil {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-		}
-		if end := int64(p.dir[sb.NumPages]) + int64(PageTableSize(sb.NumPages)); total >= 0 && total < end {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w: %d bytes, page directory promises %d", url, ErrTruncated, total, end)
-		}
-		tbuf, _, err := p.fetchVerified(int64(p.dir[sb.NumPages]), PageTableSize(sb.NumPages),
-			func(b []byte) error {
-				_, err := DecodePageTable(b, sb.NumPages)
-				return err
-			})
-		if err != nil {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-		}
-		if p.table, err = DecodePageTable(tbuf, sb.NumPages); err != nil {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-		}
-		return p, sb, nil
-	}
-	if sb.hasPageTable() {
-		tbuf, _, err := p.fetchVerified(int64(sb.PageSize)*int64(1+sb.NumPages), PageTableSize(sb.NumPages),
-			func(b []byte) error {
-				_, err := DecodePageTable(b, sb.NumPages)
-				return err
-			})
-		if err != nil {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-		}
-		if p.table, err = DecodePageTable(tbuf, sb.NumPages); err != nil {
-			return nil, Superblock{}, fmt.Errorf("storage: open index url %s: %w", url, err)
-		}
 	}
 	return p, sb, nil
 }
@@ -264,25 +218,9 @@ func OpenIndexURL(url string, cfg HTTPPagerConfig) (*HTTPPager, Superblock, erro
 // URL returns the index URL the pager serves from.
 func (p *HTTPPager) URL() string { return p.url }
 
-// PageSize returns the page size in bytes.
-func (p *HTTPPager) PageSize() int { return p.pageSize }
-
-// NumPages returns the number of pages the index file carries.
-func (p *HTTPPager) NumPages() int { return p.numPages }
-
 // Verified reports whether fetched pages are checked against a per-page
-// checksum table (true for format v2 indexes).
+// checksum table (true for format v2 and v3 indexes; v1 carries none).
 func (p *HTTPPager) Verified() bool { return p.table != nil }
-
-// Allocate fails: the remote index is read-only.
-func (p *HTTPPager) Allocate() (PageID, error) {
-	return InvalidPageID, fmt.Errorf("%w: allocate", ErrReadOnly)
-}
-
-// WritePage fails: the remote index is read-only.
-func (p *HTTPPager) WritePage(id PageID, buf []byte) error {
-	return fmt.Errorf("%w: write page %d", ErrReadOnly, id)
-}
 
 // ReadPage fetches page id with one HTTP range request (plus bounded
 // retries), verifies it against the checksum table when present, and copies
@@ -293,11 +231,8 @@ func (p *HTTPPager) ReadPage(id PageID, buf []byte) error {
 	if p.closed.Load() {
 		return fmt.Errorf("storage: read page %d: pager is closed", id)
 	}
-	if int(id) >= p.numPages {
-		return fmt.Errorf("%w: read %d of %d", ErrPageOutOfRange, id, p.numPages)
-	}
-	if len(buf) < p.pageSize {
-		return fmt.Errorf("storage: read buffer %d smaller than page size %d", len(buf), p.pageSize)
+	if err := p.checkRead(id, buf); err != nil {
+		return err
 	}
 	p.sfMu.Lock()
 	if f, ok := p.inflight[id]; ok {
@@ -364,52 +299,25 @@ func (p *HTTPPager) ReadPageRange(first PageID, n int) ([][]byte, error) {
 		p.coalesced.Add(1)
 	}
 
+	// One ranged fetch of the run's span; each page decodes into its own
+	// buffer and verifies during the fetch's verification pass, so a corrupt
+	// page retries the run like any transit failure.
 	pages := make([][]byte, n)
-	var off int64
-	var length int
-	var verify func([]byte) error
-	if p.dir != nil {
-		// Packed: one ranged fetch of the blob run [dir[first], dir[first+n]);
-		// each blob decodes into its own page buffer and verifies during the
-		// fetch's verification pass, so a corrupt blob retries like any
-		// transit failure.
-		base := p.dir[first]
-		off, length = int64(base), int(p.dir[int(first)+n]-base)
-		verify = func(b []byte) error {
-			for i := 0; i < n; i++ {
-				if pages[i] == nil {
-					pages[i] = make([]byte, p.pageSize)
-				}
-				blob := b[p.dir[int(first)+i]-base : p.dir[int(first)+i+1]-base]
-				if err := p.decodePacked(first+PageID(i), pages[i], blob); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	} else {
-		off, length = p.pageOffset(first), n*p.pageSize
-		verify = func(b []byte) error {
-			if p.table == nil {
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				if err := VerifyPage(p.table, first+PageID(i), b[i*p.pageSize:(i+1)*p.pageSize]); err != nil {
-					p.checksumFail.Add(1)
-					return err
-				}
-			}
-			return nil
-		}
+	for i := range pages {
+		pages[i] = make([]byte, p.pageSize)
 	}
-	body, _, err := p.fetchVerified(off, length, verify)
-
-	if err == nil {
-		if p.dir == nil {
-			for i := range pages {
-				pages[i] = body[i*p.pageSize : (i+1)*p.pageSize : (i+1)*p.pageSize]
+	off, length := p.span(first, n)
+	_, _, err := p.fetchVerified(off, length, func(b []byte) error {
+		for i, page := range pages {
+			id := first + PageID(i)
+			at, m := p.span(id, 1)
+			if err := p.decodeFetched(id, b[at-off:at-off+int64(m)], page); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err == nil {
 		p.reads.Add(int64(n))
 	}
 	p.sfMu.Lock()
@@ -437,17 +345,14 @@ func (p *HTTPPager) ReadPageRange(first PageID, n int) ([][]byte, error) {
 	return pages, nil
 }
 
-// fetchPage fetches one page with a single ranged request (plus retries):
-// the fixed-offset page image directly, or — packed layout — the blob at
-// [dir[id], dir[id+1]), decoded and verified before it counts as fetched.
+// fetchPage fetches one page with a single ranged request (plus retries) of
+// the bytes the layout stores it in, decoded and verified before it counts
+// as fetched.
 func (p *HTTPPager) fetchPage(id PageID) ([]byte, error) {
-	if p.dir == nil {
-		body, _, err := p.fetchVerified(p.pageOffset(id), p.pageSize, p.verifyFor(id))
-		return body, err
-	}
 	page := make([]byte, p.pageSize)
-	_, _, err := p.fetchVerified(int64(p.dir[id]), int(p.dir[id+1]-p.dir[id]), func(b []byte) error {
-		return p.decodePacked(id, page, b)
+	off, n := p.span(id, 1)
+	_, _, err := p.fetchVerified(off, n, func(b []byte) error {
+		return p.decodeFetched(id, b, page)
 	})
 	if err != nil {
 		return nil, err
@@ -455,41 +360,20 @@ func (p *HTTPPager) fetchPage(id PageID) ([]byte, error) {
 	return page, nil
 }
 
-// decodePacked decodes one fetched blob into page and verifies the result
-// against the checksum table. Both failure modes are reported as
-// ErrBadChecksum: over a ranged fetch a malformed blob is indistinguishable
-// from transit corruption, so it must stay retryable.
-func (p *HTTPPager) decodePacked(id PageID, page, blob []byte) error {
-	if err := pagecodec.DecodePage(page, blob); err != nil {
-		p.checksumFail.Add(1)
-		return fmt.Errorf("%w: page %d: %v", ErrBadChecksum, id, err)
-	}
-	if err := VerifyPage(p.table, id, page); err != nil {
-		p.checksumFail.Add(1)
-		return err
-	}
-	return nil
-}
-
-// pageOffset returns the file offset of page id (pages start after the
-// superblock's leading page).
-func (p *HTTPPager) pageOffset(id PageID) int64 {
-	return int64(p.pageSize) * int64(1+int64(id))
-}
-
-// verifyFor returns the per-page CRC verification hook for page id (a no-op
-// for v1 files, which carry no table).
-func (p *HTTPPager) verifyFor(id PageID) func([]byte) error {
-	if p.table == nil {
-		return func([]byte) error { return nil }
-	}
-	return func(b []byte) error {
-		if err := VerifyPage(p.table, id, b); err != nil {
-			p.checksumFail.Add(1)
-			return err
-		}
+// decodeFetched is layout.decode for bytes that crossed the network. Both
+// failure modes are reported as ErrBadChecksum: over a ranged fetch a blob
+// that does not decode is indistinguishable from transit corruption, so it
+// must stay retryable.
+func (p *HTTPPager) decodeFetched(id PageID, stored, page []byte) error {
+	err := p.decode(id, stored, page)
+	if err == nil {
 		return nil
 	}
+	p.checksumFail.Add(1)
+	if errors.Is(err, ErrBadChecksum) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrBadChecksum, err)
 }
 
 // Stats returns cumulative physical I/O counters (reads only; the remote

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,47 +171,18 @@ func fastCfg() HTTPPagerConfig {
 	}
 }
 
+// TestHTTPPagerHappyPath adds the remote-only observations to the open table
+// (TestIndexFileBackends/http): pages of a v2 index are verified, and a
+// healthy origin costs fetches but no retries.
 func TestHTTPPagerHappyPath(t *testing.T) {
-	data, want := testIndexImage(t, 6)
-	flaky := newFlakyIndexServer(data)
-	srv := httptest.NewServer(flaky)
-	defer srv.Close()
-
-	p, sb, err := OpenIndexURL(srv.URL, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if sb != want {
-		t.Fatalf("superblock %+v, want %+v", sb, want)
-	}
+	path := filepath.Join(t.TempDir(), "ix.rcjx")
+	want := writeTestIndexFile(t, path, 6)
+	p := checkOpens(t, path, want, testPager(t, 6), BackendHTTP).(*HTTPPager)
 	if !p.Verified() {
 		t.Fatal("v2 remote pager not verifying pages")
 	}
-	buf := make([]byte, want.PageSize)
-	for i := 0; i < want.NumPages; i++ {
-		if err := p.ReadPage(PageID(i), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, bytes.Repeat([]byte{byte(i + 1)}, want.PageSize)) {
-			t.Fatalf("page %d contents differ", i)
-		}
-	}
-	if err := p.ReadPage(PageID(want.NumPages), buf); !errors.Is(err, ErrPageOutOfRange) {
-		t.Fatalf("out-of-range read = %v", err)
-	}
-	if _, err := p.Allocate(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Allocate = %v, want ErrReadOnly", err)
-	}
-	if err := p.WritePage(0, buf); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("WritePage = %v, want ErrReadOnly", err)
-	}
-	rs := p.Remote()
-	if rs.Retries != 0 || rs.Fetches == 0 || rs.BytesFetched == 0 {
+	if rs := p.Remote(); rs.Retries != 0 || rs.Fetches == 0 || rs.BytesFetched == 0 {
 		t.Fatalf("remote stats %+v", rs)
-	}
-	if st := p.Stats(); st.Reads != int64(want.NumPages) {
-		t.Fatalf("Stats.Reads = %d, want %d", st.Reads, want.NumPages)
 	}
 }
 
@@ -353,6 +325,48 @@ func TestHTTPPagerPermanentFailures(t *testing.T) {
 			t.Fatalf("OpenIndexURL(no ranges) = %v, want ErrRemote", err)
 		}
 	})
+	// A hostile or misconfigured origin: 72 bytes, a CRC-valid superblock
+	// claiming 2^26 packed pages, and no total length to check the claim
+	// against. The open must refuse before sizing anything from the count.
+	for name, answer := range map[string]func(w http.ResponseWriter, sb []byte){
+		"no length, 206": func(w http.ResponseWriter, sb []byte) {
+			w.Header().Set("Content-Range", fmt.Sprintf("bytes 0-%d/*", len(sb)-1))
+			w.WriteHeader(http.StatusPartialContent)
+			w.Write(sb)
+		},
+		"no length, chunked 200": func(w http.ResponseWriter, sb []byte) {
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			w.Write(sb)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sb := make([]byte, SuperblockSize)
+			if err := EncodeSuperblock(Superblock{Version: FormatVersion3, Flags: FlagPackedPages,
+				PageSize: DefaultPageSize, NumPages: 1 << 26, Root: 0, Height: 1, Count: 1}, sb); err != nil {
+				t.Fatal(err)
+			}
+			var hits atomic.Int64
+			origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				answer(w, sb)
+			}))
+			defer origin.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := OpenIndexURL(origin.URL, fastCfg())
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrRemote) {
+				t.Fatalf("OpenIndexURL = %v, want ErrRemote", err)
+			}
+			if hits.Load() != 1 {
+				t.Fatalf("%d requests, want 1", hits.Load())
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("open allocated %d bytes against an unverified page count", grew)
+			}
+		})
+	}
 	t.Run("truncated origin", func(t *testing.T) {
 		cut := newFlakyIndexServer(data[:int64(want.PageSize)*2])
 		srv2 := httptest.NewServer(cut)
@@ -414,38 +428,21 @@ func TestHTTPPagerCloseAbortsHungFetch(t *testing.T) {
 }
 
 // TestHTTPPagerV1Unverified: a v1 file (no page table) serves over HTTP
-// with Verified() false — reads work, but pages cannot be checked.
+// with Verified() false — reads work (TestV1StillOpens/http), but pages
+// cannot be checked.
 func TestHTTPPagerV1Unverified(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.rcjx")
-	src := NewMemPager(DefaultPageSize)
-	for i := 0; i < 3; i++ {
-		id, _ := src.Allocate()
-		src.WritePage(id, bytes.Repeat([]byte{byte(i + 1)}, DefaultPageSize))
-	}
 	sb := Superblock{Version: FormatVersion1, PageSize: DefaultPageSize, NumPages: 3, Root: 2, Height: 1, Count: 9, MBR: [4]float64{0, 0, 1, 1}}
-	if err := WriteIndexFile(path, sb, src); err != nil {
+	if err := WriteIndexFile(path, sb, testPager(t, 3)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newFlakyIndexServer(data))
-	defer srv.Close()
-	p, got, err := OpenIndexURL(srv.URL, fastCfg())
+	p, got, err := openOn(t, path, BackendHTTP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if got.Version != FormatVersion1 || p.Verified() {
-		t.Fatalf("v1 remote: version %d, verified %v", got.Version, p.Verified())
-	}
-	buf := make([]byte, DefaultPageSize)
-	if err := p.ReadPage(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, bytes.Repeat([]byte{2}, DefaultPageSize)) {
-		t.Fatal("v1 remote page differs")
+	if got.Version != FormatVersion1 || p.(*HTTPPager).Verified() {
+		t.Fatalf("v1 remote: version %d, verified %v", got.Version, p.(*HTTPPager).Verified())
 	}
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,9 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 )
-
-// packedBackends are the local backends a packed (v3) index must open on.
-func packedBackends() []Backend { return []Backend{BackendMem, BackendFile} }
 
 // newPackedTestPager builds a MemPager shaped like a real index: mostly leaf
 // pages (sorted nearby coordinates, sequential ids — the compressible case)
@@ -68,8 +64,9 @@ func packedTestSuperblock(numPages int) Superblock {
 }
 
 // TestPackedIndexFileBackends writes the same pager as v2 and packed v3 and
-// checks: the v3 file is materially smaller, opens on every local backend,
-// and every page reads back byte-identical to the v2 image.
+// checks: the v3 file is materially smaller, opens on every backend with
+// every page byte-identical to the source image, and re-saves to either
+// format byte for byte.
 func TestPackedIndexFileBackends(t *testing.T) {
 	const numPages = 6
 	src := newPackedTestPager(t, numPages)
@@ -93,50 +90,20 @@ func TestPackedIndexFileBackends(t *testing.T) {
 	}
 
 	want.Flags = FlagPackedPages // the writer sets the packed flag itself
-	buf, ref := make([]byte, want.PageSize), make([]byte, want.PageSize)
-	for _, be := range packedBackends() {
+	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			pager, sb, err := OpenIndexFile(v3Path, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pager.Close()
-			if sb != want {
-				t.Fatalf("superblock %+v, want %+v", sb, want)
-			}
-			if pager.NumPages() != numPages || pager.PageSize() != want.PageSize {
-				t.Fatalf("pager shape %d×%d", pager.NumPages(), pager.PageSize())
-			}
-			for i := 0; i < numPages; i++ {
-				if err := pager.ReadPage(PageID(i), buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := src.ReadPage(PageID(i), ref); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf, ref) {
-					t.Fatalf("page %d decoded differently from the raw image", i)
-				}
-			}
-			if err := pager.ReadPage(PageID(numPages), buf); !errors.Is(err, ErrPageOutOfRange) {
-				t.Fatalf("out-of-range read = %v", err)
-			}
-			if be != BackendMem {
-				if _, err := pager.Allocate(); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("Allocate = %v, want ErrReadOnly", err)
-				}
-				if err := pager.WritePage(0, buf); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("WritePage = %v, want ErrReadOnly", err)
-				}
-			}
+			pager := checkOpens(t, v3Path, want, src, be)
+			// The blobs decode to the exact raw image: re-saved as v2 they are
+			// the v2 file, re-packed they are the v3 file.
+			checkResaves(t, pager, sbV2, v2Path)
+			checkResaves(t, pager, want, v3Path)
 		})
 	}
 }
 
 // TestPackedBitFlips corrupts single bytes of a packed file — in a blob, the
 // page directory, and the checksum table — and checks every backend refuses
-// the damaged page with a typed error (eagerly at open for mem, lazily at
-// read for file).
+// the damage with a typed error.
 func TestPackedBitFlips(t *testing.T) {
 	const numPages = 4
 	src := newPackedTestPager(t, numPages)
@@ -150,81 +117,44 @@ func TestPackedBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirOff := int64(sb.PageSize)
-	dbuf := pristine[dirOff : dirOff+int64(PageDirSize(numPages))]
-	dir, err := DecodePageDir(dbuf, sb)
+	dir, err := DecodePageDir(pristine[dirOff:dirOff+int64(PageDirSize(numPages))], sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	damage := func(t *testing.T, off int64) string {
-		t.Helper()
-		b := append([]byte(nil), pristine...)
-		b[off] ^= 0x10
-		damaged := filepath.Join(t.TempDir(), "damaged.rcjx")
-		if err := os.WriteFile(damaged, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return damaged
-	}
-	typedErr := func(err error) bool {
-		return errors.Is(err, ErrBadChecksum) || errors.Is(err, ErrCorrupt)
-	}
-
-	const page = 1
-	for _, be := range packedBackends() {
+	for _, be := range allBackends {
 		t.Run(fmt.Sprintf("blob_%s", be), func(t *testing.T) {
-			damaged := damage(t, int64(dir[page])+3)
-			pager, _, err := OpenIndexFile(damaged, be)
-			if be == BackendMem {
-				if !typedErr(err) {
-					t.Fatalf("mem open = %v, want checksum/corrupt error", err)
-				}
-				return
+			checkPageDamage(t, pristine, int64(dir[1])+3, 1, be)
+		})
+	}
+	// Damage outside the pages fails the open itself, on every backend.
+	for _, tc := range []struct {
+		name string
+		data func() []byte
+		want []error
+	}{
+		{"directory", func() []byte { b := append([]byte(nil), pristine...); b[dirOff+4] ^= 0x10; return b },
+			[]error{ErrBadChecksum, ErrCorrupt}},
+		{"table", func() []byte { b := append([]byte(nil), pristine...); b[dir[numPages]+1] ^= 0x10; return b },
+			[]error{ErrBadChecksum}},
+		{"truncated", func() []byte { return pristine[:len(pristine)-5] }, []error{ErrTruncated}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			damaged := filepath.Join(t.TempDir(), "damaged.rcjx")
+			if err := os.WriteFile(damaged, tc.data(), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if err != nil {
-				t.Fatalf("lazy open = %v", err)
-			}
-			defer pager.Close()
-			buf := make([]byte, sb.PageSize)
-			for i := 0; i < numPages; i++ {
-				err := pager.ReadPage(PageID(i), buf)
-				if i == page {
-					if !typedErr(err) {
-						t.Fatalf("read damaged page = %v, want checksum/corrupt error", err)
-					}
-					continue
+			for _, be := range allBackends {
+				_, _, err := openOn(t, damaged, be)
+				typed := false
+				for _, want := range tc.want {
+					typed = typed || errors.Is(err, want)
 				}
-				if err != nil {
-					t.Fatalf("read clean page %d: %v", i, err)
+				if !typed {
+					t.Fatalf("%s open = %v, want one of %v", be, err, tc.want)
 				}
 			}
 		})
 	}
-	t.Run("directory", func(t *testing.T) {
-		damaged := damage(t, dirOff+4)
-		for _, be := range packedBackends() {
-			if _, _, err := OpenIndexFile(damaged, be); !typedErr(err) {
-				t.Fatalf("%s open with corrupt directory = %v", be, err)
-			}
-		}
-	})
-	t.Run("table", func(t *testing.T) {
-		damaged := damage(t, int64(dir[numPages])+1)
-		for _, be := range packedBackends() {
-			if _, _, err := OpenIndexFile(damaged, be); !errors.Is(err, ErrBadChecksum) {
-				t.Fatalf("%s open with corrupt table = %v", be, err)
-			}
-		}
-	})
-	t.Run("truncated", func(t *testing.T) {
-		short := filepath.Join(t.TempDir(), "short.rcjx")
-		if err := os.WriteFile(short, pristine[:len(pristine)-5], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := OpenIndexFile(short, BackendMem); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("truncated open = %v, want ErrTruncated", err)
-		}
-	})
 }
 
 // TestPackedSuperblockFlags pins the flags rules: nonzero flags before v3 and

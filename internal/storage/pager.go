@@ -1,17 +1,21 @@
 // Package storage provides the disk-page substrate the R-trees are built on:
-// fixed-size pages addressed by PageID, with an in-memory pager (the default
-// for experiments, where I/O cost is charged analytically per the paper's
-// 10 ms/page-fault model), a file-backed pager for durable indexes, and an
-// HTTP range-request pager for indexes served from object storage. All
+// fixed-size pages addressed by PageID, served from one of three substrates.
+// Trees are built in an in-memory pager (MemPager — also the default for
+// experiments, where I/O cost is charged analytically per the paper's
+// 10 ms/page-fault model); a saved index is read back through memory again
+// (loaded whole), a read-only positional-read pager over the local file, or
+// an HTTP range-request pager for indexes served from object storage. All
 // pagers account every physical read and write so the experiment harness
 // can report I/O exactly.
 //
 // The package also defines the durable index file format (see format.go): a
 // versioned, checksummed superblock describing the tree (root page, entry
-// count, MBR) followed by the raw page image. WriteIndexFile persists a
-// pager; OpenIndexFile validates a file and reopens it behind a local
-// Backend (mem, file) without rebuilding the tree; OpenIndexURL does the same
-// for a remote one.
+// count, MBR) followed by the pages — verbatim or packed — and their
+// checksum table. WriteIndexFile persists a pager; OpenIndexFile validates a
+// file and reopens it behind a local Backend (mem, file) without rebuilding
+// the tree; OpenIndexURL does the same for a remote one. Where a page lives
+// in the file, how it decodes and how it is verified is decided in one place
+// (layout.go) that all three substrates read through.
 package storage
 
 import (

@@ -92,63 +92,6 @@ func TestMemPager(t *testing.T) {
 	}
 }
 
-func TestFilePager(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	p, err := CreateFilePager(path, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testPagerBasics(t, p)
-
-	// Persist a recognizable page, close, reopen, verify.
-	id, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0x5C}, 512)
-	if err := p.WritePage(id, payload); err != nil {
-		t.Fatal(err)
-	}
-	numPages := p.NumPages()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenFilePager(path, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.NumPages() != numPages {
-		t.Fatalf("reopened pager has %d pages, want %d", re.NumPages(), numPages)
-	}
-	buf := make([]byte, 512)
-	if err := re.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, payload) {
-		t.Fatal("persisted page corrupted")
-	}
-}
-
-func TestOpenFilePagerBadSize(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.db")
-	p, err := CreateFilePager(path, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Allocate(); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	if _, err := OpenFilePager(path, 768); err == nil {
-		t.Fatal("mismatched page size accepted")
-	}
-	if _, err := OpenFilePager(filepath.Join(t.TempDir(), "missing.db"), 512); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 func TestMemPagerConcurrent(t *testing.T) {
 	p := NewMemPager(128)
 	const pages = 32
@@ -183,92 +126,76 @@ func TestMemPagerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFilePagerConcurrent hammers the lock-free read path (satellite of the
-// durable-storage refactor): many goroutines read while one writes and one
-// allocates. Run with -race.
-func TestFilePagerConcurrent(t *testing.T) {
-	p, err := CreateFilePager(filepath.Join(t.TempDir(), "pages.db"), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	const pages = 16
-	ids := make([]PageID, pages)
-	for i := range ids {
-		id, err := p.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-		if err := p.WritePage(id, bytes.Repeat([]byte{byte(i)}, 256)); err != nil {
-			t.Fatal(err)
-		}
-	}
+// hammerReads reads every page of pager from 8 goroutines at once and
+// compares each against src. Run with -race.
+func hammerReads(t *testing.T, pager, src Pager) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, 256)
+			buf, ref := make([]byte, pager.PageSize()), make([]byte, pager.PageSize())
 			for i := 0; i < 300; i++ {
-				switch {
-				case g == 0 && i%10 == 0: // one writer refreshes pages
-					if err := p.WritePage(ids[i%pages], buf); err != nil {
-						t.Error(err)
-						return
-					}
-				case g == 1 && i%50 == 0: // occasional growth
-					if _, err := p.Allocate(); err != nil {
-						t.Error(err)
-						return
-					}
-				default: // everyone else reads lock-free
-					if err := p.ReadPage(ids[(g*5+i)%pages], buf); err != nil {
-						t.Error(err)
-						return
-					}
+				id := PageID((g*3 + i) % pager.NumPages())
+				if err := pager.ReadPage(id, buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := src.ReadPage(id, ref); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf, ref) {
+					t.Errorf("page %d differs from the source image", id)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := p.Stats(); st.Reads == 0 || st.Writes == 0 {
-		t.Fatalf("stats not counting: %+v", st)
+}
+
+// TestFilePagerConcurrent hammers the lock-free read path of the file
+// substrate over a saved v2 and a saved packed v3 index: verbatim pages
+// pread into the caller's buffer, blobs decoded through a private copy.
+func TestFilePagerConcurrent(t *testing.T) {
+	const numPages = 16
+	src := newPackedTestPager(t, numPages)
+	for _, version := range []int{FormatVersion2, FormatVersion3} {
+		sb := packedTestSuperblock(numPages)
+		sb.Version = version
+		path := filepath.Join(t.TempDir(), "ix.rcjx")
+		if err := WriteIndexFile(path, sb, src); err != nil {
+			t.Fatal(err)
+		}
+		pager, _, err := OpenIndexFile(path, BackendFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammerReads(t, pager, src)
+		if st := pager.Stats(); st.Reads != 8*300 {
+			t.Fatalf("v%d: Stats.Reads = %d, want %d", version, st.Reads, 8*300)
+		}
+		if err := pager.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestReadOnlyPagersConcurrent checks the serving-side file pager over an
+// TestReadOnlyPagersConcurrent checks the serving-side substrates over one
 // index file under concurrent readers. Run with -race.
 func TestReadOnlyPagersConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.rcjx")
-	want := writeTestIndexFile(t, path, 8)
-	for _, be := range []Backend{BackendFile} {
+	writeTestIndexFile(t, path, 8)
+	for _, be := range []Backend{BackendFile, BackendHTTP} {
 		t.Run(be.String(), func(t *testing.T) {
-			pager, _, err := OpenIndexFile(path, be)
+			pager, _, err := openOn(t, path, be)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pager.Close()
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					buf := make([]byte, want.PageSize)
-					for i := 0; i < 300; i++ {
-						id := PageID((g*3 + i) % want.NumPages)
-						if err := pager.ReadPage(id, buf); err != nil {
-							t.Error(err)
-							return
-						}
-						if buf[0] != byte(id+1) {
-							t.Errorf("page %d: got byte %d", id, buf[0])
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
+			hammerReads(t, pager, testPager(t, 8))
 		})
 	}
 }

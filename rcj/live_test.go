@@ -193,11 +193,12 @@ func TestLiveEquivalenceJoin(t *testing.T) {
 	}
 	nextP, nextQ := int64(10000), int64(20000)
 
+	// The full join, and a corner window: with liveQ as the outer input the
+	// Region pushdown skips subtrees of the merged view (inflated MBRs under
+	// tombstones, a synthetic root over base and delta) and must still keep
+	// every qualifying pair.
+	queries := []Query{{}, {Region: &Rect{MinX: 0, MinY: 0, MaxX: 250, MaxY: 250}}}
 	verify := func(step int, what string) {
-		got, _, err := eng.RunCollect(ctx, liveQ, liveP, Query{})
-		if err != nil {
-			t.Fatalf("step %d (%s): live join: %v", step, what, err)
-		}
 		freshP, err := eng.BuildIndex(modelPoints(modelP), IndexConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -208,13 +209,19 @@ func TestLiveEquivalenceJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer freshQ.Close()
-		want, _, err := eng.RunCollect(ctx, freshQ, freshP, Query{})
-		if err != nil {
-			t.Fatalf("step %d (%s): batch join: %v", step, what, err)
-		}
-		if g, w := pairBytes(got), pairBytes(want); g != w {
-			t.Fatalf("step %d (%s): live join diverged from batch build\nlive:  %d pairs\nbatch: %d pairs",
-				step, what, len(got), len(want))
+		for _, qry := range queries {
+			got, _, err := eng.RunCollect(ctx, liveQ, liveP, qry)
+			if err != nil {
+				t.Fatalf("step %d (%s): live join: %v", step, what, err)
+			}
+			want, _, err := eng.RunCollect(ctx, freshQ, freshP, qry)
+			if err != nil {
+				t.Fatalf("step %d (%s): batch join: %v", step, what, err)
+			}
+			if g, w := pairBytes(got), pairBytes(want); g != w {
+				t.Fatalf("step %d (%s, region %v): live join diverged from batch build\nlive:  %d pairs\nbatch: %d pairs",
+					step, what, qry.Region != nil, len(got), len(want))
+			}
 		}
 	}
 

@@ -118,7 +118,6 @@ func (e *Engine) NewMutableIndex(points []Point, cfg MutableConfig) (*Index, err
 		if ixCfg.PageSize <= 0 {
 			ixCfg.PageSize = e.pageSize
 		}
-		ixCfg.Path = ""
 		b, err := buildIndex(points, ixCfg, e.pool, e.nextOwner.Add(1), true)
 		if err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package rcj
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -51,13 +50,9 @@ func TestSavePackedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range saveBackends() {
+	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			re, err := OpenIndex(v3Path, IndexConfig{Backend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
+			re := openOn(t, v3Path, be)
 			got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
@@ -65,70 +60,19 @@ func TestSavePackedRoundTrip(t *testing.T) {
 			equalPairs(t, "packed "+be.String(), got, wantPairs)
 
 			// Byte identity: decompress → re-save as v2 → the original v2 file.
-			resaved := filepath.Join(dir, "resaved-"+be.String()+".rcjx")
-			if err := re.Save(resaved); err != nil {
-				t.Fatal(err)
+			checkResaves(t, "v3 → open("+be.String()+") → v2", re.Save, v2Bytes)
+			// The join plus the re-save pass over all pages at least twice, so
+			// compare against the unpacked transfer volume for the same two
+			// passes: packed fetches must stay under it.
+			if st, ok := re.RemoteStats(); ok && (st.BytesFetched == 0 || int(st.BytesFetched) >= 2*len(v2Bytes)) {
+				t.Fatalf("fetched %d bytes over a %d-byte packed file (v2 is %d) — blobs not serving compressed",
+					st.BytesFetched, len(v3Bytes), len(v2Bytes))
 			}
-			resavedBytes, err := os.ReadFile(resaved)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(resavedBytes, v2Bytes) {
-				t.Fatalf("v3 → open(%s) → v2 re-save differs from the original v2 bytes", be)
-			}
-
 			// And the packed form itself is deterministic: re-saving packed
 			// reproduces the v3 file.
-			repacked := filepath.Join(dir, "repacked-"+be.String()+".rcjx")
-			if err := re.SavePacked(repacked); err != nil {
-				t.Fatal(err)
-			}
-			repackedBytes, err := os.ReadFile(repacked)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(repackedBytes, v3Bytes) {
-				t.Fatalf("v3 → open(%s) → v3 re-save differs from the original v3 bytes", be)
-			}
+			checkResaves(t, "v3 → open("+be.String()+") → v3", re.SavePacked, v3Bytes)
 		})
 	}
-
-	t.Run("http", func(t *testing.T) {
-		srv := serveDir(t, dir, 0)
-		re, err := OpenIndex(srv.URL+"/ix-v3.rcjx", IndexConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		if re.Backend() != BackendHTTP {
-			t.Fatalf("backend %s", re.Backend())
-		}
-		got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalPairs(t, "packed http", got, wantPairs)
-		resaved := filepath.Join(t.TempDir(), "resaved-http.rcjx")
-		if err := re.Save(resaved); err != nil {
-			t.Fatal(err)
-		}
-		resavedBytes, err := os.ReadFile(resaved)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resavedBytes, v2Bytes) {
-			t.Fatal("v3 → open(http) → v2 re-save differs from the original v2 bytes")
-		}
-		// The join plus the re-save pass over all pages at least twice, so
-		// compare against the unpacked transfer volume for the same two
-		// passes: packed fetches must stay under it.
-		if st, ok := re.RemoteStats(); !ok || st.BytesFetched == 0 {
-			t.Fatal("remote stats missing")
-		} else if int(st.BytesFetched) >= 2*len(v2Bytes) {
-			t.Fatalf("fetched %d bytes over a %d-byte packed file (v2 is %d) — blobs not serving compressed",
-				st.BytesFetched, len(v3Bytes), len(v2Bytes))
-		}
-	})
 }
 
 // goldenV23Points regenerates the deterministic pointset the committed
@@ -145,9 +89,9 @@ func goldenV23Points() []Point {
 
 // TestGoldenV2V3Fixtures is the on-disk compatibility gate for the current
 // formats: committed v2 and packed-v3 fixtures must keep opening on every
-// backend (and over HTTP) with joins identical to a fresh build, and the v3
-// fixture must still decode to exactly the committed v2 bytes — any codec or
-// writer drift that changes the bits fails here.
+// backend with joins identical to a fresh build, and both must re-save to
+// exactly the committed v2 bytes — any codec or writer drift that changes
+// the bits fails here.
 func TestGoldenV2V3Fixtures(t *testing.T) {
 	fresh := mustIndex(t, goldenV23Points(), IndexConfig{})
 	wantPairs, _, err := testEng.RunSelfCollect(bg, fresh, Query{SortByDiameter: true})
@@ -163,51 +107,22 @@ func TestGoldenV2V3Fixtures(t *testing.T) {
 		if !IsIndexFile(golden) {
 			t.Fatalf("IsIndexFile(%s) = false", name)
 		}
-		for _, be := range saveBackends() {
+		for _, be := range allBackends {
 			t.Run(name+"/"+be.String(), func(t *testing.T) {
-				ix, err := OpenIndex(golden, IndexConfig{Backend: be})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ix.Close()
+				ix := openOn(t, golden, be)
 				got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				equalPairs(t, name, got, wantPairs)
+				// Both fixtures hold the same index: either re-saves to the
+				// committed v2 bytes.
+				checkResaves(t, name+" → v2", ix.Save, v2Bytes)
 			})
 		}
-		t.Run(name+"/http", func(t *testing.T) {
-			srv := serveDir(t, "testdata", 0)
-			ix, err := OpenIndex(srv.URL+"/"+name, IndexConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
-			got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalPairs(t, name+" http", got, wantPairs)
-		})
 	}
 	t.Run("v3_decodes_to_v2_bytes", func(t *testing.T) {
-		ix, err := OpenIndex("testdata/golden_v3.rcjx", IndexConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		resaved := filepath.Join(t.TempDir(), "resaved.rcjx")
-		if err := ix.Save(resaved); err != nil {
-			t.Fatal(err)
-		}
-		resavedBytes, err := os.ReadFile(resaved)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resavedBytes, v2Bytes) {
-			t.Fatal("committed golden_v3 no longer decodes to the committed golden_v2 bytes")
-		}
+		checkResaves(t, "committed golden_v3 → v2", openOn(t, "testdata/golden_v3.rcjx", BackendMem).Save, v2Bytes)
 	})
 }
 

@@ -48,7 +48,7 @@ const DefaultPrefetchWorkers = 8
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // IsIndexFile reports whether the file at path is a saved index (starts with
-// the index magic) rather than raw point data. Both format versions match.
+// the index magic) rather than raw point data. Every format version matches.
 func IsIndexFile(path string) bool { return storage.SniffIndexFile(path) }
 
 // IsIndexURL reports whether src names a remote index (an http:// or
@@ -68,7 +68,7 @@ func (ix *Index) Save(path string) error { return ix.save(path, 0) }
 // v2 size on bulk-loaded indexes. The file reopens on every backend — mem,
 // file, and over HTTP, where each buffer-pool miss then fetches the
 // compressed blob instead of a full page — and joins byte-identically to the
-// v2 form. Readers from before format v3 reject it (ErrBadVersion); Save
+// v2 form. Readers that predate format v3 reject it (ErrBadVersion); Save
 // keeps emitting v2 for them.
 func (ix *Index) SavePacked(path string) error { return ix.save(path, storage.FormatVersion3) }
 
@@ -100,7 +100,7 @@ func (ix *Index) save(path string, version int) error {
 // buffer pool (the OpenIndex analogue of BuildIndex). src is a local path or
 // an http(s) URL. cfg.Backend picks the page substrate; cfg.PageSize, when
 // nonzero, must match the file's page size (storage.ErrPageSizeMismatch
-// otherwise). cfg.InsertBuild and cfg.Path are ignored. Corrupt, truncated,
+// otherwise). cfg.InsertBuild is ignored. Corrupt, truncated,
 // or foreign files fail with the typed errors in package storage
 // (ErrBadMagic, ErrBadChecksum, ErrTruncated, ...).
 func OpenIndex(src string, cfg IndexConfig) (*Index, error) {

@@ -54,7 +54,7 @@ func BenchmarkJoinBackends(b *testing.B) {
 	ctx := context.Background()
 	const bufferPages = 64 // < working set: warm joins still fault
 
-	for _, be := range saveBackends() {
+	for _, be := range []Backend{BackendMem, BackendFile} {
 		be := be
 		b.Run(fmt.Sprintf("%s/open", be), func(b *testing.B) {
 			// Open + close only: the cold-start reattach cost. mem pays a

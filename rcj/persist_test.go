@@ -1,6 +1,7 @@
 package rcj
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -13,8 +14,50 @@ import (
 	"repro/internal/storage"
 )
 
-// saveBackends are the local backends exercised by the persistence tests.
-func saveBackends() []Backend { return []Backend{BackendMem, BackendFile} }
+// allBackends are the substrates every saved index must open on; the
+// persistence tests are tables over (fixture, backend).
+var allBackends = []Backend{BackendMem, BackendFile, BackendHTTP}
+
+// indexSource names the saved index at path for backend be: the path itself
+// for the local substrates, a URL on a range-serving httptest origin over
+// its directory for http.
+func indexSource(t *testing.T, path string, be Backend) string {
+	t.Helper()
+	if be != BackendHTTP {
+		return path
+	}
+	return serveDir(t, filepath.Dir(path), 0).URL + "/" + filepath.Base(path)
+}
+
+// openOn opens the saved index at path on backend be with a private pool.
+func openOn(t *testing.T, path string, be Backend) *Index {
+	t.Helper()
+	ix, err := OpenIndex(indexSource(t, path, be), IndexConfig{Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	if ix.Backend() != be {
+		t.Fatalf("Backend() = %s, want %s", ix.Backend(), be)
+	}
+	return ix
+}
+
+// checkResaves saves ix with save and compares the file with want.
+func checkResaves(t *testing.T, what string, save func(string) error, want []byte) {
+	t.Helper()
+	resaved := filepath.Join(t.TempDir(), "resaved.rcjx")
+	if err := save(resaved); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: re-saved file differs from the original (%d vs %d bytes)", what, len(got), len(want))
+	}
+}
 
 func collectSorted(t *testing.T, pairs []Pair, stats Stats, err error) []Pair {
 	t.Helper()
@@ -76,15 +119,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	builtP.Close()
 	builtQ.Close()
 
-	for _, be := range saveBackends() {
+	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
 			eng := NewEngine(EngineConfig{BufferPages: 128})
-			ixP, err := eng.OpenIndex(pathP, IndexConfig{Backend: be})
+			ixP, err := eng.OpenIndex(indexSource(t, pathP, be), IndexConfig{Backend: be})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ixP.Close()
-			ixQ, err := eng.OpenIndex(pathQ, IndexConfig{Backend: be})
+			ixQ, err := eng.OpenIndex(indexSource(t, pathQ, be), IndexConfig{Backend: be})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,15 +191,15 @@ func TestOpenIndexConcurrentJoins(t *testing.T) {
 
 func testConcurrentOpens(t *testing.T, pathP, pathQ string, wantLen int) {
 	t.Helper()
-	for _, be := range saveBackends() {
+	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
 			eng := NewEngine(EngineConfig{BufferPages: 64}) // small: force eviction traffic
-			ixP, err := eng.OpenIndex(pathP, IndexConfig{Backend: be})
+			ixP, err := eng.OpenIndex(indexSource(t, pathP, be), IndexConfig{Backend: be})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ixP.Close()
-			ixQ, err := eng.OpenIndex(pathQ, IndexConfig{Backend: be})
+			ixQ, err := eng.OpenIndex(indexSource(t, pathQ, be), IndexConfig{Backend: be})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,31 +295,4 @@ func TestOpenIndexCorruption(t *testing.T) {
 			t.Fatalf("tamper not caught by checksum: %v (%+v)", err, sb)
 		}
 	})
-}
-
-// TestSaveOfFileBuiltIndex saves an index whose build pager is itself
-// file-backed (IndexConfig.Path), covering the pager-agnostic Save path.
-func TestSaveOfFileBuiltIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randomPoints(rng, 150)
-	dir := t.TempDir()
-	ix := mustIndex(t, pts, IndexConfig{Path: filepath.Join(dir, "build.pages")})
-	path := filepath.Join(dir, "ix.rcjx")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenIndex(path, IndexConfig{Backend: BackendFile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	a, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalPairs(t, "self", b, a)
 }

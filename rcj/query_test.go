@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // postFilterQuery applies qry's predicates to an unconstrained result the
@@ -209,6 +212,62 @@ func TestRunPushdownSavesNodeAccesses(t *testing.T) {
 	}
 	t.Logf("3000×3000: full=%d accesses; top-10=%d accesses (%d pruned); max-diameter=%d accesses (%d pruned)",
 		fullStats.NodeAccesses, topkStats.NodeAccesses, topkStats.NodesPruned, mdStats.NodeAccesses, mdStats.NodesPruned)
+
+	// The Region pushdown skips outer subtrees whatever the outer input is.
+	// A live outer with an empty delta is the same tree behind the merged
+	// view: same accesses, same prunings as the immutable one. With a delta
+	// and tombstones it still reads strictly less than the unconstrained
+	// walk, for exactly the pairs post-filtering keeps.
+	window := Query{Region: &Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, Algorithm: OBJ, ForceAlgorithm: true}
+	wantWin, winStats, err := eng.RunCollect(ctx, ixQ, ixP, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qPts, err := ixQ.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveQ, err := eng.NewMutableIndex(qPts, MutableConfig{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer liveQ.Close()
+	gotWin, liveStats, err := eng.RunCollect(ctx, liveQ, ixP, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePairs(t, "window, live outer", sortedPairs(wantWin), sortedPairs(gotWin))
+	if liveStats.NodeAccesses != winStats.NodeAccesses || liveStats.NodesPruned != winStats.NodesPruned {
+		t.Errorf("window, live outer with an empty delta: %d accesses / %d pruned, immutable outer pays %d / %d",
+			liveStats.NodeAccesses, liveStats.NodesPruned, winStats.NodeAccesses, winStats.NodesPruned)
+	}
+	if _, err := liveQ.Insert(testPoints(rng, 300, 100_000)...); err != nil {
+		t.Fatal(err)
+	}
+	var dead []int64
+	for i := 0; i < len(qPts); i += 13 {
+		dead = append(dead, qPts[i].ID)
+	}
+	if _, err := liveQ.Delete(dead...); err != nil {
+		t.Fatal(err)
+	}
+	liveFull, _, err := eng.RunCollect(ctx, liveQ, ixP, Query{Algorithm: OBJ, ForceAlgorithm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotWin, liveStats, err = eng.RunCollect(ctx, liveQ, ixP, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePairs(t, "window, live outer with delta and tombstones", sortedPairs(postFilterQuery(liveFull, window)), sortedPairs(gotWin))
+	// The unconstrained walk reads every outer leaf before any inner work.
+	leafCap := rtree.LeafCapacity(storage.DefaultPageSize)
+	if outerLeaves := int64((liveQ.Len() + leafCap - 1) / leafCap); liveStats.NodeAccesses >= outerLeaves {
+		t.Errorf("window, live outer with delta and tombstones: %d accesses, the unconstrained walk alone reads %d outer leaves",
+			liveStats.NodeAccesses, outerLeaves)
+	}
+	t.Logf("1 %% corner window: immutable outer %d accesses (%d pruned); live outer with delta and tombstones %d (%d pruned)",
+		winStats.NodeAccesses, winStats.NodesPruned, liveStats.NodeAccesses, liveStats.NodesPruned)
 }
 
 // TestRunTopKStreamOrder checks the streaming contract of TopK: the

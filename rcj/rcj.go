@@ -30,8 +30,9 @@
 //
 // The join runs on disk-page R*-trees through an LRU buffer manager, so its
 // statistics (page faults, node accesses, candidate counts) mirror the
-// paper's cost model. Indexes default to in-memory pages; see
-// IndexConfig.Path for file-backed indexes.
+// paper's cost model. Indexes are built in memory; Index.Save persists one
+// and OpenIndex serves it back from memory, a local file, or an HTTP origin
+// (IndexConfig.Backend).
 package rcj
 
 import (
@@ -119,11 +120,6 @@ type IndexConfig struct {
 	// BufferPages bounds the index's LRU node buffer; 0 means unbounded
 	// (everything cached), negative also means unbounded.
 	BufferPages int
-	// Path, when non-empty, stores index pages in the file at this path
-	// instead of memory. (This is the raw page file used during a build; a
-	// finished index is persisted in the durable index format with
-	// Index.Save and reopened with OpenIndex.)
-	Path string
 	// Backend selects the page substrate OpenIndex serves a saved index
 	// from: BackendMem (default) loads the whole page image into memory,
 	// BackendFile reads pages from the file on each buffer miss, and
@@ -206,16 +202,7 @@ func buildIndex(points []Point, cfg IndexConfig, pool *buffer.Pool, owner uint32
 		seen[p.ID] = struct{}{}
 	}
 
-	var pager storage.Pager
-	if cfg.Path != "" {
-		fp, err := storage.CreateFilePager(cfg.Path, cfg.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		pager = fp
-	} else {
-		pager = storage.NewMemPager(cfg.PageSize)
-	}
+	pager := storage.NewMemPager(cfg.PageSize)
 	tree, err := rtree.New(pager, pool, rtree.Config{Owner: owner, PageSize: cfg.PageSize})
 	if err != nil {
 		pager.Close()

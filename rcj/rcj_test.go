@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -201,27 +200,6 @@ func TestInsertBuildEqualsBulk(t *testing.T) {
 	}
 	if !sameKeys(keySet(a), keySet(b)) {
 		t.Fatal("insert-built and bulk-loaded indexes disagree")
-	}
-}
-
-func TestFileBackedIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := randomPoints(rng, 150)
-	path := filepath.Join(t.TempDir(), "index.pages")
-	ixFile := mustIndex(t, pts, IndexConfig{Path: path})
-	ixMem := mustIndex(t, pts, IndexConfig{})
-	qs := randomPoints(rng, 100)
-	q := mustIndex(t, qs, IndexConfig{})
-	a, _, err := testEng.RunCollect(bg, q, ixFile, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := testEng.RunCollect(bg, q, ixMem, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameKeys(keySet(a), keySet(b)) {
-		t.Fatal("file-backed index disagrees with memory index")
 	}
 }
 

@@ -1,7 +1,6 @@
 package rcj
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"net/http"
@@ -155,9 +154,8 @@ func goldenV1Points() []Point {
 }
 
 // TestGoldenV1Fixture is the backward-compat gate: a committed format-v1
-// index (no page checksum table) must keep opening across every local
-// backend — and over HTTP — and join identically to a fresh build of the
-// same points.
+// index (no page checksum table) must keep opening on every backend and
+// join identically to a fresh build of the same points.
 func TestGoldenV1Fixture(t *testing.T) {
 	const golden = "testdata/golden_v1.rcjx"
 	if !IsIndexFile(golden) {
@@ -168,37 +166,30 @@ func TestGoldenV1Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range saveBackends() {
+	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			ix, err := OpenIndex(golden, IndexConfig{Backend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
+			ix := openOn(t, golden, be)
 			got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			equalPairs(t, "golden v1 "+be.String(), got, wantPairs)
+			// Save upgrades it: the v2 copy holds the same pages.
+			resaved := filepath.Join(t.TempDir(), "v1-as-v2.rcjx")
+			if err := ix.Save(resaved); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err = testEng.RunSelfCollect(bg, openOn(t, resaved, BackendFile), Query{SortByDiameter: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalPairs(t, "golden v1 "+be.String()+" re-saved", got, wantPairs)
 		})
 	}
-	t.Run("http", func(t *testing.T) {
-		srv := serveDir(t, "testdata", 0)
-		ix, err := OpenIndex(srv.URL+"/golden_v1.rcjx", IndexConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalPairs(t, "golden v1 http", got, wantPairs)
-	})
 }
 
 // TestSaveRoundTripByteIdentical checks a v2-written index round-trips
-// byte-identically through save → open → save on every local backend, and
+// byte-identically through save → open → save on every backend, and
 // that the join over the reopened copy matches the original.
 func TestSaveRoundTripByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -217,24 +208,10 @@ func TestSaveRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range saveBackends() {
+	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			re, err := OpenIndex(orig, IndexConfig{Backend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			resaved := filepath.Join(dir, "resaved-"+be.String()+".rcjx")
-			if err := re.Save(resaved); err != nil {
-				t.Fatal(err)
-			}
-			resavedBytes, err := os.ReadFile(resaved)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(origBytes, resavedBytes) {
-				t.Fatalf("%s: re-saved file differs from original (%d vs %d bytes)", be, len(resavedBytes), len(origBytes))
-			}
+			re := openOn(t, orig, be)
+			checkResaves(t, be.String(), re.Save, origBytes)
 			got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
