@@ -291,7 +291,7 @@ func BenchmarkJoinL1(b *testing.B) {
 	env := benchEnv(b, 2000)
 	for i := 0; i < b.N; i++ {
 		env.Reset()
-		if _, _, err := core.JoinL1(env.TQ, env.TP, core.Options{}); err != nil {
+		if _, _, err := core.Join(env.TQ, env.TP, core.Options{Metric: core.MetricL1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -363,10 +363,12 @@ func BenchmarkNetworkJoin(b *testing.B) {
 
 // BenchmarkSelfJoin measures the self-join (postboxes) path.
 func BenchmarkSelfJoin(b *testing.B) {
-	env, err := exp.NewSelfEnv(workload.Uniform(4000, 7), 0.01, 0)
+	pts := workload.Uniform(4000, 7)
+	env, err := exp.NewEnv(pts, pts, 0.01, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	env.TQ = env.TP // a self-join reads one tree
 	for i := 0; i < b.N; i++ {
 		if _, err := env.Run(core.Options{Algorithm: core.AlgOBJ, SelfJoin: true}); err != nil {
 			b.Fatal(err)

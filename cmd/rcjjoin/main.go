@@ -7,7 +7,7 @@
 //	rcjjoin -p restaurants.csv -q residences.csv > stations.csv
 //	rcjjoin -p buildings.csv -self > postboxes.csv         # self-join
 //	rcjjoin -p a.csv -q b.csv -metric l1 -sort             # Manhattan, sorted
-//	rcjjoin -p a.csv -q b.csv -parallel 8                  # multi-core join
+//	rcjjoin -p a.csv -q b.csv -parallel 8                  # force 8 workers
 //
 //	# Constrained queries (predicate pushdown — the index traversal is
 //	# pruned, not the materialized result):
@@ -39,9 +39,10 @@
 // of a saved index; index inputs skip the build entirely and are served
 // through the backend chosen with -backend (URLs imply -backend http).
 // Output rows are "p_id,q_id,center_x,center_y,radius", one per RCJ pair.
-// Results stream as the join finds them; -sort buffers them for ascending
-// ring-diameter order instead. Interrupting the process (Ctrl-C) cancels
-// the join cleanly.
+// Results stream as the join finds them — in a repeatable order only under
+// -parallel 1, since by default the planner may fan the join out; -sort
+// buffers them for ascending ring-diameter order instead. Interrupting the
+// process (Ctrl-C) cancels the join cleanly.
 package main
 
 import (
@@ -78,7 +79,7 @@ func main() {
 		metric   = flag.String("metric", "l2", "distance metric: l2 (Euclidean) or l1 (Manhattan)")
 		sorted   = flag.Bool("sort", false, "sort output by ascending ring diameter (buffers all pairs)")
 		algStr   = flag.String("alg", "", "algorithm: auto, inj, obj, brute (default: auto — the cost-based planner decides)")
-		parallel = flag.Int("parallel", 1, "worker goroutines for the join")
+		parallel = flag.Int("parallel", 0, "worker goroutines for the join (0 = the planner decides; 1 makes the streamed row order repeatable)")
 		bufPages = flag.Int("buffer", 0, "shared buffer pool size in pages (0 = unbounded)")
 		saveP    = flag.String("save-index-p", "", "after building P's index, save it to this file (skip the build next run by passing it as -p)")
 		saveQ    = flag.String("save-index-q", "", "after building Q's index, save it to this file")
@@ -143,6 +144,10 @@ func main() {
 	if !ok {
 		fatalf("unknown algorithm %q (want auto, inj, obj, or brute)", *algStr)
 	}
+	met, ok := map[string]rcj.Metric{"l2": rcj.L2, "l1": rcj.L1}[*metric]
+	if !ok {
+		fatalf("unknown metric %q (want l2 or l1)", *metric)
+	}
 	be, err := rcj.ParseBackend(*backend)
 	if err != nil {
 		fatalf("%v", err)
@@ -151,6 +156,7 @@ func main() {
 	qry := rcj.Query{
 		Algorithm:      alg,
 		ForceAlgorithm: *algStr != "" && *algStr != "auto",
+		Metric:         met,
 		Parallelism:    *parallel,
 		TopK:           *topK,
 		MaxDiameter:    *maxDiam,
@@ -166,9 +172,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	constrained := qry.TopK > 0 || qry.MaxDiameter > 0 || qry.MinDistance > 0 || qry.Limit > 0 || qry.Region != nil
-	if constrained && *metric != "l2" {
-		fatalf("-top-k/-max-diameter/-min-distance/-limit/-region require -metric l2")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -259,110 +262,74 @@ func main() {
 	cw := csv.NewWriter(out)
 	defer cw.Flush()
 
-	switch *metric {
-	case "l2":
-		var st rcj.Stats
-		qry.Stats = &st
-		prunedNote := func() string {
-			if constrained {
-				return fmt.Sprintf(", %d nodes pruned", st.NodesPruned)
-			}
-			return ""
+	var st rcj.Stats
+	qry.Stats = &st
+	prunedNote := func() string {
+		if constrained {
+			return fmt.Sprintf(", %d nodes pruned", st.NodesPruned)
 		}
-		if *sorted {
-			// Materialize, sort, then write.
-			qry.SortByDiameter = true
-			var (
-				pairs []rcj.Pair
-				err   error
-			)
-			if *self {
-				pairs, _, err = eng.RunSelfCollect(ctx, ixP, qry)
-			} else {
-				ixQ := loadIndex(*qPath, *saveQ)
-				defer ixQ.Close()
-				pairs, _, err = eng.RunCollect(ctx, ixQ, ixP, qry)
-			}
-			if err != nil {
-				if errors.Is(err, context.DeadlineExceeded) {
-					fatalf("join timed out after %v", *timeout)
-				}
-				fatalf("join: %v", err)
-			}
-			for _, pr := range pairs {
-				writePair(cw, pr.P.ID, pr.Q.ID, pr.Center.X, pr.Center.Y, pr.Radius)
-			}
-			fmt.Fprintf(os.Stderr, "rcjjoin: plan: %s\n", plan)
-			fmt.Fprintf(os.Stderr, "rcjjoin: %d pairs (%d candidates verified, %d page faults%s)\n",
-				st.Results, st.Candidates, st.PageFaults, prunedNote())
-			reportRemote()
-			return
-		}
-		// Streaming mode: rows go out as the join confirms them (a -top-k
-		// run emits its ranked pairs together once the traversal finishes).
-		var seq iter.Seq2[rcj.Pair, error]
-		if *self {
-			seq = eng.RunSelf(ctx, ixP, qry)
-		} else {
-			ixQ := loadIndex(*qPath, *saveQ)
-			defer ixQ.Close()
-			seq = eng.Run(ctx, ixQ, ixP, qry)
-		}
-		results := 0
-		for pr, err := range seq {
-			if err != nil {
-				// fatalf exits without running the deferred flushes; push the
-				// already-streamed rows out so the file matches the count.
-				cw.Flush()
-				out.Flush()
-				if errors.Is(err, context.Canceled) {
-					fatalf("join cancelled after %d pairs", results)
-				}
-				if errors.Is(err, context.DeadlineExceeded) {
-					fatalf("join timed out after %v (%d pairs streamed)", *timeout, results)
-				}
-				fatalf("join: %v", err)
-			}
-			writePair(cw, pr.P.ID, pr.Q.ID, pr.Center.X, pr.Center.Y, pr.Radius)
-			results++
-		}
-		fmt.Fprintf(os.Stderr, "rcjjoin: plan: %s\n", plan)
-		fmt.Fprintf(os.Stderr, "rcjjoin: %d pairs streamed (%d page faults%s)\n", results, st.PageFaults, prunedNote())
-		reportRemote()
-	case "l1":
+		return ""
+	}
+	if *sorted {
+		// Materialize, sort, then write.
+		qry.SortByDiameter = true
 		var (
-			pairs []rcj.L1Pair
-			stats rcj.Stats
+			pairs []rcj.Pair
 			err   error
 		)
 		if *self {
-			pairs, stats, err = rcj.SelfJoinL1(ctx, ixP)
+			pairs, _, err = eng.RunSelfCollect(ctx, ixP, qry)
 		} else {
 			ixQ := loadIndex(*qPath, *saveQ)
 			defer ixQ.Close()
-			pairs, stats, err = rcj.JoinL1(ctx, ixQ, ixP)
+			pairs, _, err = eng.RunCollect(ctx, ixQ, ixP, qry)
 		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fatalf("join cancelled")
-			}
 			if errors.Is(err, context.DeadlineExceeded) {
 				fatalf("join timed out after %v", *timeout)
 			}
 			fatalf("join: %v", err)
 		}
-		if *sorted {
-			sort.Slice(pairs, func(i, j int) bool { return pairs[i].Radius < pairs[j].Radius })
-		}
 		for _, pr := range pairs {
 			writePair(cw, pr.P.ID, pr.Q.ID, pr.Center.X, pr.Center.Y, pr.Radius)
 		}
-		fmt.Fprintf(os.Stderr, "rcjjoin: %d pairs (L1 metric, %d candidates verified)\n",
-			stats.Results, stats.Candidates)
+		fmt.Fprintf(os.Stderr, "rcjjoin: plan: %s\n", plan)
+		fmt.Fprintf(os.Stderr, "rcjjoin: %d pairs (%d candidates verified, %d page faults%s)\n",
+			st.Results, st.Candidates, st.PageFaults, prunedNote())
 		reportRemote()
-	default:
-		fatalf("unknown metric %q (want l2 or l1)", *metric)
+		return
 	}
+	// Streaming mode: rows go out as the join confirms them (a -top-k
+	// run emits its ranked pairs together once the traversal finishes).
+	var seq iter.Seq2[rcj.Pair, error]
+	if *self {
+		seq = eng.RunSelf(ctx, ixP, qry)
+	} else {
+		ixQ := loadIndex(*qPath, *saveQ)
+		defer ixQ.Close()
+		seq = eng.Run(ctx, ixQ, ixP, qry)
+	}
+	results := 0
+	for pr, err := range seq {
+		if err != nil {
+			// fatalf exits without running the deferred flushes; push the
+			// already-streamed rows out so the file matches the count.
+			cw.Flush()
+			out.Flush()
+			if errors.Is(err, context.Canceled) {
+				fatalf("join cancelled after %d pairs", results)
+			}
+			if errors.Is(err, context.DeadlineExceeded) {
+				fatalf("join timed out after %v (%d pairs streamed)", *timeout, results)
+			}
+			fatalf("join: %v", err)
+		}
+		writePair(cw, pr.P.ID, pr.Q.ID, pr.Center.X, pr.Center.Y, pr.Radius)
+		results++
+	}
+	fmt.Fprintf(os.Stderr, "rcjjoin: plan: %s\n", plan)
+	fmt.Fprintf(os.Stderr, "rcjjoin: %d pairs streamed (%d page faults%s)\n", results, st.PageFaults, prunedNote())
+	reportRemote()
 }
 
 // remoteIxs collects every index opened during the run so the success paths

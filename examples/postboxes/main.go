@@ -53,7 +53,7 @@ func main() {
 	}
 	fmt.Printf("self-RCJ over %d buildings: %d postbox sites (Euclidean)\n", len(buildings), stats.Results)
 
-	l1Pairs, l1Stats, err := rcj.SelfJoinL1(ctx, ix)
+	l1Pairs, l1Stats, err := eng.RunSelfCollect(ctx, ix, rcj.Query{Metric: rcj.L1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,9 +58,6 @@ type Stats struct {
 	LoadNanos    int64
 }
 
-// LoadWait returns the accumulated miss-load wait as a duration.
-func (s Stats) LoadWait() time.Duration { return time.Duration(s.LoadNanos) }
-
 // Faults returns the number of page faults (cache misses).
 func (s Stats) Faults() int64 { return s.Misses }
 
@@ -84,7 +81,7 @@ func (s *Stats) add(o Stats) {
 }
 
 // TagStats attributes buffer accesses to one logical request (typically one
-// join) running over a shared pool. Every access made through GetTagged with
+// join) running over a shared pool. Every access made through GetTaggedFirst with
 // a given tag is mirrored into that tag's counters with atomic adds, so a
 // request's hit/miss accounting is exact even while any number of other
 // requests — tagged or not — hammer the same shards concurrently. This is
@@ -278,16 +275,10 @@ func (p *Pool) Get(k Key, load func() (any, error)) (any, error) {
 	return v, err
 }
 
-// GetTagged is Get with per-request attribution: when tag is non-nil the
+// GetTaggedFirst is Get with per-request attribution: when tag is non-nil the
 // access is counted both in the shard's aggregate stats and in tag, with the
 // same hit/miss classification, so summing all tags plus untagged accesses
-// reproduces Pool.Stats exactly.
-func (p *Pool) GetTagged(k Key, tag *TagStats, load func() (any, error)) (any, error) {
-	v, _, err := p.GetTaggedFirst(k, tag, load)
-	return v, err
-}
-
-// GetTaggedFirst is GetTagged additionally reporting whether this access
+// reproduces Pool.Stats exactly. It also reports whether this access
 // was the page's first demand read since it entered the pool — a miss, or
 // the first hit on a prefetched entry. That is the signal readahead uses to
 // advance: a traversal landing on a prefetched page has reached a fresh
@@ -446,17 +437,6 @@ func (p *Pool) PutPrefetched(k Key, v any) bool {
 	}
 	s.items[k] = s.ll.PushBack(&entry{key: k, value: v, prefetched: true})
 	return true
-}
-
-// Invalidate removes k from the cache if present.
-func (p *Pool) Invalidate(k Key) {
-	s := p.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		s.ll.Remove(el)
-		delete(s.items, k)
-	}
 }
 
 // InvalidateOwner removes every cached node belonging to owner, used when a

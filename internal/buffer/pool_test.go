@@ -145,11 +145,11 @@ func TestPutAndInvalidate(t *testing.T) {
 	if v.(string) != "v2" {
 		t.Fatalf("Put did not refresh: %v", v)
 	}
-	p.Invalidate(key(1, 1))
+	p.InvalidateOwner(1)
 	missed := false
 	p.Get(key(1, 1), func() (any, error) { missed = true; return "v3", nil })
 	if !missed {
-		t.Fatal("Invalidate left the entry")
+		t.Fatal("InvalidateOwner left the entry")
 	}
 }
 

@@ -148,7 +148,7 @@ func TestShardedConcurrentAccess(t *testing.T) {
 					return
 				}
 				if i%97 == 0 {
-					p.Invalidate(k)
+					p.InvalidateOwner(k.Owner)
 				}
 			}
 		}(g)

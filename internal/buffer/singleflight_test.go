@@ -31,7 +31,7 @@ func TestPoolSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i] = p.GetTagged(Key{Owner: 1, Page: 7}, &tag, load)
+			vals[i], _, errs[i] = p.GetTaggedFirst(Key{Owner: 1, Page: 7}, &tag, load)
 		}(i)
 	}
 	// Wait until every non-leader is accounted a SharedLoad (they announce

@@ -17,13 +17,13 @@ func TestGetTaggedMirrorsShardCounts(t *testing.T) {
 
 	k1 := Key{Owner: 1, Page: storage.PageID(1)}
 	k2 := Key{Owner: 1, Page: storage.PageID(2)}
-	if _, err := p.GetTagged(k1, &tag, load); err != nil { // miss
+	if _, _, err := p.GetTaggedFirst(k1, &tag, load); err != nil { // miss
 		t.Fatal(err)
 	}
-	if _, err := p.GetTagged(k1, &tag, load); err != nil { // hit
+	if _, _, err := p.GetTaggedFirst(k1, &tag, load); err != nil { // hit
 		t.Fatal(err)
 	}
-	if _, err := p.GetTagged(k2, nil, load); err != nil { // untagged miss
+	if _, _, err := p.GetTaggedFirst(k2, nil, load); err != nil { // untagged miss
 		t.Fatal(err)
 	}
 
@@ -62,7 +62,7 @@ func TestGetTaggedExactUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < accesses; i++ {
 				k := Key{Owner: uint32(w % 2), Page: storage.PageID((i * (w + 3)) % pages)}
-				if _, err := p.GetTagged(k, tags[w], load); err != nil {
+				if _, _, err := p.GetTaggedFirst(k, tags[w], load); err != nil {
 					t.Error(err)
 					return
 				}

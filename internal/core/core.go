@@ -89,11 +89,28 @@ func (a Algorithm) String() string {
 	}
 }
 
+// Metric selects the distance the ring is measured in.
+type Metric uint8
+
+const (
+	// MetricL2 is the paper's Euclidean ring: the smallest enclosing circle.
+	MetricL2 Metric = iota
+	// MetricL1 is the Manhattan generalization of Section 6: the smallest
+	// enclosing L1 ball, a diamond (see l1.go).
+	MetricL1
+)
+
 // Options tunes a join run. The zero value runs INJ with every optimization
 // the paper describes for it.
 type Options struct {
 	// Algorithm picks the evaluation strategy (default AlgINJ).
 	Algorithm Algorithm
+	// Metric picks the ring's distance (default MetricL2). MetricL1 swaps
+	// exactly two stages — the filter (one quadrant-pruning index nested
+	// loop, whatever Algorithm says) and the ball verifier — and nothing
+	// else: pairs carry the L1 ball in Circle, so every predicate below
+	// reads the Manhattan diameter. AlgBrute is Euclidean only.
+	Metric Metric
 	// SelfJoin declares that TP and TQ are the same tree over one dataset
 	// (the paper's postboxes scenario). Identity pairs are excluded and
 	// each unordered pair is reported once, with the smaller ID first.
@@ -139,7 +156,6 @@ type Options struct {
 	// The query predicates below select a subset of the join result and are
 	// pushed into the index traversal (see query.go): for every combination,
 	// the output is set-identical to post-filtering the unconstrained join.
-	// They apply to the L2 join only (not JoinL1).
 
 	// MaxDiameter, when > 0, keeps only pairs whose enclosing-circle
 	// diameter (= the distance between the two points) is at most this. The

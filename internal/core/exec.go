@@ -18,7 +18,8 @@ import (
 //
 //	filter (per point or bulk) → verify (both trees) → emit
 //
-// so INJ, BIJ and OBJ differ only in their filter stage, and the
+// so INJ, BIJ and OBJ differ only in their filter stage (the Manhattan
+// metric swaps the filter and the verifier, see l1.go), and the
 // sequential/parallel paths differ only in who calls processLeaf. The whole
 // pipeline is cancellable: the context is checked once per leaf, per query
 // point, and per node read, so a cancelled join stops promptly without
@@ -41,10 +42,12 @@ type plan struct {
 // compile translates Options into an executable plan.
 func compile(opts Options) plan {
 	p := plan{parallelism: opts.Parallelism}
-	switch opts.Algorithm {
-	case AlgBIJ:
+	switch {
+	case opts.Metric == MetricL1:
+		p.filter = l1FilterStage
+	case opts.Algorithm == AlgBIJ:
 		p.filter = bulkFilterStage(false)
-	case AlgOBJ:
+	case opts.Algorithm == AlgOBJ:
 		p.filter = bulkFilterStage(true)
 	default:
 		p.filter = injFilterStage
@@ -105,11 +108,15 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 	j.stats.Candidates += int64(len(cands))
 	j.boundBatch(cands)
 	if !j.opts.SkipVerification {
-		if err := j.verify(j.tq, cands, sideQ); err != nil {
+		verify := j.verify
+		if j.opts.Metric == MetricL1 {
+			verify = j.verifyL1
+		}
+		if err := verify(j.tq, cands, sideQ); err != nil {
 			return err
 		}
 		if !j.sameTree() {
-			if err := j.verify(j.tp, cands, sideP); err != nil {
+			if err := verify(j.tp, cands, sideP); err != nil {
 				return err
 			}
 		}

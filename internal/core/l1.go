@@ -1,18 +1,24 @@
 package core
 
 import (
-	"context"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
-// This file implements the Manhattan-metric generalization of the
-// ring-constrained join sketched in the paper's future work (Section 6):
-// the "ring" becomes the smallest L1 ball (a diamond) centered at the
-// midpoint of p and q, and a pair qualifies when that ball covers no other
-// point of P ∪ Q.
+// This file is the Manhattan-metric generalization of the ring-constrained
+// join sketched in the paper's future work (Section 6), as one more pair of
+// kernels on the one executor: Options.Metric = MetricL1 makes compile pick
+// the filter stage below and verifyAndEmit the ball verifier below, and
+// nothing else changes — outer loop, parallel workers, predicates, sinks and
+// statistics are the Euclidean join's. The "ring" becomes the smallest L1
+// ball (a diamond) centered at the midpoint of p and q, and a pair qualifies
+// when that ball covers no other point of P ∪ Q. A result is an ordinary
+// Pair whose Circle holds the ball: Center the midpoint, Radius half the L1
+// distance, so the diameter every predicate reads is the Manhattan distance
+// between the two points.
 //
 // The Euclidean half-plane pruning of Lemma 1 does not transfer verbatim,
 // but a quadrant analogue does:
@@ -74,42 +80,35 @@ func (pr l1Pruner) prunesRect(r geom.Rect) bool {
 	return pr.prunesPoint(geom.Point{X: x, Y: y})
 }
 
-// L1Pair is one Manhattan-metric RCJ result.
-type L1Pair struct {
-	P, Q rtree.PointEntry
-	Ball geom.L1Circle
-}
+// l1Pruners is the quadrant set accumulated for one query point.
+type l1Pruners []l1Pruner
 
-// JoinL1 computes the L1 (Manhattan) ring-constrained join of the pointsets
-// indexed by tq and tp using an index-nested-loop with quadrant pruning and
-// exact L1-ball verification. opts supports SelfJoin and Collect/OnPair
-// semantics; the Algorithm field is ignored (one strategy is provided).
-func JoinL1(tq, tp SpatialIndex, opts Options) ([]L1Pair, Stats, error) {
-	return JoinL1Context(context.Background(), tq, tp, opts)
-}
-
-// JoinL1Context is JoinL1 under a context, aborting promptly with ctx.Err()
-// on cancellation.
-func JoinL1Context(ctx context.Context, tq, tp SpatialIndex, opts Options) ([]L1Pair, Stats, error) {
-	j := &l1Joiner{tq: tq, tp: tp, opts: opts, ctx: ctx}
-	_, err := rtree.VisitLeaves(tq, nil, func(_ storage.PageID, n *rtree.Node) error {
-		for i := 0; i < n.NumPoints(); i++ {
-			q := n.EntryAt(i)
-			if err := ctxDone(j.ctx); err != nil {
-				return err
-			}
-			if err := j.joinOne(q); err != nil {
-				return err
-			}
+func (ps l1Pruners) prunesPoint(x geom.Point) bool {
+	for _, pr := range ps {
+		if pr.prunesPoint(x) {
+			return true
 		}
-		return nil
-	})
-	return j.out, j.stats, err
+	}
+	return false
+}
+
+func (ps l1Pruners) prunesRect(r geom.Rect) bool {
+	for _, pr := range ps {
+		if pr.prunesRect(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// l1Pair builds the result pair of p and q under the Manhattan metric.
+func l1Pair(p, q rtree.PointEntry) Pair {
+	return Pair{P: p, Q: q, Circle: geom.Circle(geom.L1EnclosingCircle(p.P, q.P))}
 }
 
 // BruteForceL1Pairs is the oracle: the L1-RCJ of two plain slices.
-func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []L1Pair {
-	var out []L1Pair
+func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
+	var out []Pair
 	for _, q := range qs {
 		for _, p := range ps {
 			if selfJoin && p.ID >= q.ID {
@@ -132,93 +131,86 @@ func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []L1Pair {
 				}
 			}
 			if valid {
-				out = append(out, L1Pair{P: p, Q: q, Ball: b})
+				out = append(out, l1Pair(p, q))
 			}
 		}
 	}
 	return out
 }
 
-type l1Joiner struct {
-	tq, tp SpatialIndex
-	opts   Options
-	ctx    context.Context
-	stats  Stats
-	out    []L1Pair
-}
-
-func (j *l1Joiner) joinOne(q rtree.PointEntry) error {
-	cands, err := j.filter(q)
-	if err != nil {
-		return err
-	}
-	j.stats.Candidates += int64(len(cands))
-	for _, p := range cands {
-		b := geom.L1EnclosingCircle(p.P, q.P)
-		valid, err := j.verify(q, p, b)
+// l1FilterStage is the Manhattan filter stage: an index nested loop like
+// INJ's, one candidate batch per query point.
+func l1FilterStage(j *joiner, leafPoints []rtree.PointEntry, sink func([]*candidate) error) error {
+	for _, q := range leafPoints {
+		if err := j.ctxErr(); err != nil {
+			return err
+		}
+		candsP, err := j.filterL1(q)
 		if err != nil {
 			return err
 		}
-		if !valid {
-			continue
+		backing := make([]candidate, len(candsP))
+		cands := make([]*candidate, len(candsP))
+		for i, p := range candsP {
+			backing[i] = candidate{pair: l1Pair(p, q), alive: true}
+			cands[i] = &backing[i]
 		}
-		if j.opts.SelfJoin && p.ID >= q.ID {
-			continue
-		}
-		j.stats.Results++
-		if j.opts.Collect {
-			j.out = append(j.out, L1Pair{P: p, Q: q, Ball: b})
+		if err := sink(cands); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// filter walks TP in ascending L1 distance from q, keeping points not
-// pruned by any quadrant of an earlier candidate.
-func (j *l1Joiner) filter(q rtree.PointEntry) ([]rtree.PointEntry, error) {
+// filterL1 walks TP in ascending L1 distance from q, keeping points not
+// pruned by any quadrant of an earlier discovery. The query predicates push
+// down as in the Euclidean filter: the traversal ends at the diameter bound
+// (the heap key IS the pair's L1 diameter), and a point the predicates
+// exclude still installs its pruner. The returned slice is joiner scratch,
+// valid until the next filter call.
+func (j *joiner) filterL1(q rtree.PointEntry) ([]rtree.PointEntry, error) {
 	if j.tp.Root() == storage.InvalidPageID {
 		return nil, nil
 	}
-	var (
-		pruners []l1Pruner
-		cands   []rtree.PointEntry
-		h       filterHeap
-	)
-	h.push(filterItem{dist2: 0, page: j.tp.Root(), rect: geom.EmptyRect()})
+	var pruners l1Pruners
+	cands := j.candScratch[:0]
+	h := j.fheap[:0]
+	h.push(filterItem{page: j.tp.Root(), rect: geom.EmptyRect()})
+	defer func() { j.fheap = h[:0] }()
 	for len(h) > 0 {
-		item := h.pop()
+		item := h.pop() // dist2 holds the plain L1 distance here
 		j.stats.FilterHeapPops++
+		if bound := j.maxPairDiameter(); !math.IsInf(bound, 1) && item.dist2 > bound*boundSlack {
+			// Ascending pop order: everything still queued is beyond the
+			// bound too. Credit the subtrees never read to the pushdown.
+			for _, it := range append(h, item) {
+				if !it.isPoint {
+					j.stats.NodesPruned++
+				}
+			}
+			break
+		}
 		if item.isPoint {
 			if j.opts.SelfJoin && item.point.ID == q.ID {
 				continue
 			}
-			pruned := false
-			for _, pr := range pruners {
-				if pr.prunesPoint(item.point.P) {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
+			if pruners.prunesPoint(item.point.P) {
 				continue
 			}
-			cands = append(cands, item.point)
+			if j.admitPairDist(item.dist2, q, item.point) {
+				cands = append(cands, item.point)
+			}
+			// An excluded point still prunes, as in the Euclidean filter.
 			if !item.point.P.Equal(q.P) {
 				pruners = append(pruners, newL1Pruner(q.P, item.point.P))
 			}
 			continue
 		}
-		if !item.rect.IsEmpty() {
-			pruned := false
-			for _, pr := range pruners {
-				if pr.prunesRect(item.rect) {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
-				continue
-			}
+		if !item.rect.IsEmpty() && pruners.prunesRect(item.rect) {
+			continue
+		}
+		if err := j.ctxErr(); err != nil {
+			return nil, err
 		}
 		n, err := j.tp.ReadNode(item.page)
 		if err != nil {
@@ -232,35 +224,38 @@ func (j *l1Joiner) filter(q rtree.PointEntry) ([]rtree.PointEntry, error) {
 			}
 		} else {
 			for _, e := range n.Children {
-				h.push(filterItem{dist2: rectMinL1(e.MBR, q.P), page: e.Child, rect: e.MBR})
+				h.push(filterItem{dist2: e.MBR.MinL1Dist(q.P), page: e.Child, rect: e.MBR})
 			}
 		}
 	}
+	j.candScratch = cands
 	return cands, nil
 }
 
-// verify checks the L1 ball against both trees with range descent.
-func (j *l1Joiner) verify(q, p rtree.PointEntry, b geom.L1Circle) (bool, error) {
-	exQ, exP := q.ID, p.ID
-	if j.opts.SelfJoin || j.tq == j.tp {
-		hit, err := j.anyInBall(j.tq, b, exQ, exP)
-		return !hit, err
+// verifyL1 is the verification step under the Manhattan metric: each alive
+// candidate's L1 ball is range-searched in t, and the candidate dies at the
+// first covered point other than its own endpoints.
+func (j *joiner) verifyL1(t SpatialIndex, cands []*candidate, s side) error {
+	for _, c := range cands {
+		if !c.alive {
+			continue
+		}
+		ex1, ex2 := j.excludedIDs(c, s)
+		hit, err := j.anyInL1Ball(t, t.Root(), geom.L1Circle(c.pair.Circle), ex1, ex2)
+		if err != nil {
+			return err
+		}
+		c.alive = !hit
 	}
-	hit, err := j.anyInBall(j.tq, b, exQ, exQ)
-	if err != nil || hit {
-		return false, err
-	}
-	hit, err = j.anyInBall(j.tp, b, exP, exP)
-	return !hit, err
+	return nil
 }
 
-func (j *l1Joiner) anyInBall(t SpatialIndex, b geom.L1Circle, ex1, ex2 int64) (bool, error) {
-	return j.anyRec(t, t.Root(), b, ex1, ex2)
-}
-
-func (j *l1Joiner) anyRec(t SpatialIndex, id storage.PageID, b geom.L1Circle, ex1, ex2 int64) (bool, error) {
+func (j *joiner) anyInL1Ball(t SpatialIndex, id storage.PageID, b geom.L1Circle, ex1, ex2 int64) (bool, error) {
 	if id == storage.InvalidPageID {
 		return false, nil
+	}
+	if err := j.ctxErr(); err != nil {
+		return false, err
 	}
 	n, err := t.ReadNode(id)
 	if err != nil {
@@ -278,29 +273,11 @@ func (j *l1Joiner) anyRec(t SpatialIndex, id storage.PageID, b geom.L1Circle, ex
 	}
 	for _, e := range n.Children {
 		if b.IntersectsRect(e.MBR) {
-			hit, err := j.anyRec(t, e.Child, b, ex1, ex2)
+			hit, err := j.anyInL1Ball(t, e.Child, b, ex1, ex2)
 			if err != nil || hit {
 				return hit, err
 			}
 		}
 	}
 	return false, nil
-}
-
-// rectMinL1 returns the minimum L1 distance from p to rectangle r.
-func rectMinL1(r geom.Rect, p geom.Point) float64 {
-	var dx, dy float64
-	switch {
-	case p.X < r.MinX:
-		dx = r.MinX - p.X
-	case p.X > r.MaxX:
-		dx = p.X - r.MaxX
-	}
-	switch {
-	case p.Y < r.MinY:
-		dy = r.MinY - p.Y
-	case p.Y > r.MaxY:
-		dy = p.Y - r.MaxY
-	}
-	return dx + dy
 }

@@ -10,54 +10,49 @@ import (
 	"repro/internal/rtree"
 )
 
-func l1PairKey(p L1Pair) string {
-	return fmt.Sprintf("%d|%d", p.P.ID, p.Q.ID)
-}
-
+// checkL1 runs the Manhattan join through the one executor — every filter
+// strategy Options.Algorithm can name must be ignored in favour of the L1
+// stage, sequentially and across workers — and compares with the oracle.
 func checkL1(t *testing.T, ps, qs []rtree.PointEntry, self bool) {
 	t.Helper()
 	pool := buffer.NewPool(-1)
-	var tq, tp *rtree.Tree
-	if self {
-		tp = buildTree(t, ps, pool, 1, true)
-		tq = tp
-	} else {
-		tp = buildTree(t, ps, pool, 1, true)
+	tp := buildTree(t, ps, pool, 1, true)
+	tq := tp
+	want := BruteForceL1Pairs(ps, ps, true)
+	if !self {
 		tq = buildTree(t, qs, pool, 2, true)
-	}
-	got, stats, err := JoinL1(tq, tp, Options{SelfJoin: self, Collect: true})
-	if err != nil {
-		t.Fatalf("L1 join: %v", err)
-	}
-	var want []L1Pair
-	if self {
-		want = BruteForceL1Pairs(ps, ps, true)
-	} else {
 		want = BruteForceL1Pairs(ps, qs, false)
 	}
-	ws := map[string]bool{}
-	for _, p := range want {
-		ws[l1PairKey(p)] = true
-	}
-	gs := map[string]bool{}
-	for _, p := range got {
-		if gs[l1PairKey(p)] {
-			t.Errorf("duplicate L1 pair %s", l1PairKey(p))
+	ws := pairSet(want)
+	for _, opts := range []Options{
+		{},
+		{Algorithm: AlgOBJ},
+		{Parallelism: 3},
+	} {
+		opts.Metric, opts.SelfJoin, opts.Collect = MetricL1, self, true
+		got, stats, err := Join(tq, tp, opts)
+		if err != nil {
+			t.Fatalf("L1 join: %v", err)
 		}
-		gs[l1PairKey(p)] = true
-	}
-	for k := range ws {
-		if !gs[k] {
-			t.Errorf("L1 false negative: %s", k)
+		gs := pairSet(got)
+		if len(gs) != len(got) {
+			t.Errorf("%+v: duplicate L1 pairs: %d distinct of %d", opts, len(gs), len(got))
 		}
-	}
-	for k := range gs {
-		if !ws[k] {
-			t.Errorf("L1 false positive: %s", k)
+		for k, w := range ws {
+			if g, ok := gs[k]; !ok {
+				t.Errorf("%+v: L1 false negative: %s", opts, k)
+			} else if g.Circle != w.Circle {
+				t.Errorf("%+v: pair %s carries ball %+v, want %+v", opts, k, g.Circle, w.Circle)
+			}
 		}
-	}
-	if stats.Results != int64(len(got)) {
-		t.Errorf("stats.Results=%d len=%d", stats.Results, len(got))
+		for k := range gs {
+			if _, ok := ws[k]; !ok {
+				t.Errorf("%+v: L1 false positive: %s", opts, k)
+			}
+		}
+		if stats.Results != int64(len(got)) {
+			t.Errorf("%+v: stats.Results=%d len=%d", opts, stats.Results, len(got))
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/topk"
 )
 
 // This file is the predicate-pushdown layer of the executor. The constrained
@@ -116,10 +115,10 @@ func newRunShared(opts Options) *runShared {
 		}
 		t := &topkState{weight: opts.Weight}
 		if t.weight != nil {
-			t.h = topk.New(k, weightBefore(t.weight))
+			t.h = pairHeap{k: k, before: weightBefore(t.weight)}
 			t.score.Store(math.Float64bits(math.Inf(-1)))
 		} else {
-			t.h = topk.New(k, pairBefore)
+			t.h = pairHeap{k: k, before: pairBefore}
 		}
 		t.diam.Store(math.Float64bits(math.Inf(1)))
 		sh.topk = t
@@ -146,7 +145,7 @@ type topkState struct {
 	score  atomic.Uint64 // weight-ranked runs: Float64bits of the k-th combined score; -Inf until full
 	weight func(rtree.PointEntry) float64
 	mu     sync.Mutex
-	h      *topk.Heap[Pair]
+	h      pairHeap
 }
 
 // bound returns the current dynamic diameter bound: pairs strictly wider
@@ -168,11 +167,11 @@ func (t *topkState) pairScore(p Pair) float64 { return t.weight(p.P) + t.weight(
 func (t *topkState) offer(p Pair) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.h.Offer(p) && t.h.Full() {
+	if t.h.offer(p) && t.h.full() {
 		if t.weight != nil {
-			t.score.Store(math.Float64bits(t.pairScore(t.h.Worst())))
+			t.score.Store(math.Float64bits(t.pairScore(t.h.worst())))
 		} else {
-			t.diam.Store(math.Float64bits(2 * t.h.Worst().Circle.Radius))
+			t.diam.Store(math.Float64bits(2 * t.h.worst().Circle.Radius))
 		}
 	}
 }
@@ -181,7 +180,84 @@ func (t *topkState) offer(p Pair) {
 func (t *topkState) sorted() []Pair {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.h.Sorted()
+	return t.h.sorted()
+}
+
+// pairHeap keeps the k best pairs under before (a strict total order, best
+// first): a max-heap with the worst retained pair on top, ready for
+// eviction.
+type pairHeap struct {
+	k      int
+	before func(a, b Pair) bool
+	h      []Pair
+}
+
+// full reports whether the heap holds k pairs, i.e. worst is the current
+// k-th best and can serve as a pruning bound.
+func (t *pairHeap) full() bool { return len(t.h) == t.k }
+
+// worst returns the worst retained pair (the k-th best once full). It
+// panics on an empty heap.
+func (t *pairHeap) worst() Pair { return t.h[0] }
+
+// offer submits one pair, evicting the current worst if x beats it. It
+// reports whether the retained set changed — when full, that means the k-th
+// best improved and any published bound should tighten.
+func (t *pairHeap) offer(x Pair) bool {
+	if len(t.h) < t.k {
+		t.h = append(t.h, x)
+		t.up(len(t.h) - 1)
+		return true
+	}
+	if !t.before(x, t.h[0]) {
+		return false
+	}
+	t.h[0] = x
+	t.down(0)
+	return true
+}
+
+// sorted drains the heap, returning the retained pairs best-first.
+func (t *pairHeap) sorted() []Pair {
+	out := make([]Pair, len(t.h))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = t.h[0]
+		last := len(t.h) - 1
+		t.h[0] = t.h[last]
+		t.h = t.h[:last]
+		t.down(0)
+	}
+	return out
+}
+
+// up/down sift under the max-heap invariant: a parent is never before its
+// children.
+func (t *pairHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(t.h[parent], t.h[i]) {
+			return
+		}
+		t.h[parent], t.h[i] = t.h[i], t.h[parent]
+		i = parent
+	}
+}
+
+func (t *pairHeap) down(i int) {
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(t.h) && t.before(t.h[worst], t.h[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(t.h) && t.before(t.h[worst], t.h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		t.h[i], t.h[worst] = t.h[worst], t.h[i]
+		i = worst
+	}
 }
 
 // pairBefore is the deterministic ranking order of constrained queries:

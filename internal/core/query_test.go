@@ -321,3 +321,43 @@ func TestRegionOuterPruning(t *testing.T) {
 		}
 	}
 }
+
+// TestHeapAgainstSort cross-checks pairHeap's offer/full/worst/sorted
+// against sorting the whole input, over random sizes, ks, and
+// duplicate-heavy values (the pair's radius is the value ranked).
+func TestHeapAgainstSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	val := func(p Pair) int { return int(p.Circle.Radius) }
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(60)
+		k := 1 + rng.Intn(12)
+		h := pairHeap{k: k, before: func(a, b Pair) bool { return val(a) < val(b) }}
+		sofar := []int(nil)
+		for i := 0; i < n; i++ {
+			v := rng.Intn(20) // collisions exercise the strictness of before
+			h.offer(Pair{Circle: geom.Circle{Radius: float64(v)}})
+			sofar = append(sofar, v)
+			sort.Ints(sofar)
+			if wantFull := len(sofar) >= k; h.full() != wantFull {
+				t.Fatalf("trial %d: full() = %v with %d of %d items", trial, h.full(), len(sofar), k)
+			}
+			if h.full() && val(h.worst()) != sofar[k-1] {
+				t.Fatalf("trial %d: worst() = %d, want k-th best %d", trial, val(h.worst()), sofar[k-1])
+			}
+		}
+
+		got := h.sorted()
+		want := sofar
+		if len(want) > k {
+			want = want[:k]
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d retained, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if val(got[i]) != want[i] {
+				t.Fatalf("trial %d: sorted()[%d] = %d, want %d", trial, i, val(got[i]), want[i])
+			}
+		}
+	}
+}

@@ -109,21 +109,6 @@ func NewEnv(qs, ps []rtree.PointEntry, bufferFrac float64, pageSize int) (*Env, 
 	return env, nil
 }
 
-// NewSelfEnv indexes one dataset for a self-join environment.
-func NewSelfEnv(pts []rtree.PointEntry, bufferFrac float64, pageSize int) (*Env, error) {
-	if pageSize <= 0 {
-		pageSize = storage.DefaultPageSize
-	}
-	pool := buffer.NewPool(-1)
-	t, err := buildTree(pts, pool, 1, pageSize)
-	if err != nil {
-		return nil, fmt.Errorf("exp: build tree: %w", err)
-	}
-	env := &Env{Pool: pool, TQ: t, TP: t}
-	env.SetBufferFrac(bufferFrac)
-	return env, nil
-}
-
 func buildTree(pts []rtree.PointEntry, pool *buffer.Pool, owner uint32, pageSize int) (*rtree.Tree, error) {
 	pager := storage.NewMemPager(pageSize)
 	t, err := rtree.New(pager, pool, rtree.Config{Owner: owner, PageSize: pageSize})
@@ -138,9 +123,6 @@ func buildTree(pts []rtree.PointEntry, pool *buffer.Pool, owner uint32, pageSize
 
 // TotalPages returns the summed size of both trees in pages.
 func (e *Env) TotalPages() int {
-	if e.TP == e.TQ {
-		return e.TQ.NumPages()
-	}
 	return e.TQ.NumPages() + e.TP.NumPages()
 }
 

@@ -112,40 +112,9 @@ func (c L1Circle) Covers(x Point) bool {
 	return c.Center.L1Dist(x) <= c.Radius*(1+CoverTol)
 }
 
-// IntersectsRect reports whether the closed L1 ball intersects r, using the
-// minimum L1 distance from the center to the rectangle.
+// IntersectsRect reports whether the closed L1 ball intersects r.
 func (c L1Circle) IntersectsRect(r Rect) bool {
-	var dx, dy float64
-	switch {
-	case c.Center.X < r.MinX:
-		dx = r.MinX - c.Center.X
-	case c.Center.X > r.MaxX:
-		dx = c.Center.X - r.MaxX
-	}
-	switch {
-	case c.Center.Y < r.MinY:
-		dy = r.MinY - c.Center.Y
-	case c.Center.Y > r.MaxY:
-		dy = c.Center.Y - r.MaxY
-	}
-	return dx+dy <= c.Radius*(1+CoverTol)
-}
-
-// ContainsFace reports whether at least one side of r lies entirely inside
-// the closed L1 ball. As with the Euclidean disk, the L1 ball is convex, so a
-// segment is inside iff both endpoints are.
-func (c L1Circle) ContainsFace(r Rect) bool {
-	corners := r.Corners()
-	in := [4]bool{}
-	for i, pt := range corners {
-		in[i] = c.Covers(pt)
-	}
-	for i := 0; i < 4; i++ {
-		if in[i] && in[(i+1)%4] {
-			return true
-		}
-	}
-	return false
+	return r.MinL1Dist(c.Center) <= c.Radius*(1+CoverTol)
 }
 
 // MaxL1Dist returns the maximum L1 distance from p to any point of r.

@@ -34,8 +34,14 @@ func TestRectConstructorsAndValidity(t *testing.T) {
 
 func TestRectMinDistAndEnlargement(t *testing.T) {
 	r := Rect{0, 0, 2, 2}
-	if got := r.MinDist(Point{5, 6}); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("MinDist %g, want 5", got)
+	if got := r.MinL1Dist(Point{5, 6}); got != 7 {
+		t.Fatalf("MinL1Dist %g, want 7", got)
+	}
+	if got := r.MinL1Dist(Point{1, -3}); got != 3 {
+		t.Fatalf("MinL1Dist below the rect %g, want 3", got)
+	}
+	if got := r.MinL1Dist(Point{1, 2}); got != 0 {
+		t.Fatalf("MinL1Dist on the rect %g, want 0", got)
 	}
 	if got := r.Enlargement(Rect{0, 0, 4, 2}); got != 4 {
 		t.Fatalf("Enlargement %g, want 4", got)
@@ -49,10 +55,10 @@ func TestPsiMinusContainsRectHelper(t *testing.T) {
 	q := Point{0, 0}
 	p := Point{10, 0}
 	// Rect entirely beyond L(q,p) (x=10).
-	if !PsiMinusContainsRect(q, p, Rect{11, -5, 20, 5}) {
+	if !NewPruner(q, p).PrunesRect(Rect{11, -5, 20, 5}) {
 		t.Fatal("rect beyond the line must be contained")
 	}
-	if PsiMinusContainsRect(q, p, Rect{5, -5, 20, 5}) {
+	if NewPruner(q, p).PrunesRect(Rect{5, -5, 20, 5}) {
 		t.Fatal("straddling rect must not be contained")
 	}
 }
@@ -61,22 +67,6 @@ func TestCircleDiameter(t *testing.T) {
 	c := Circle{Radius: 2.5}
 	if c.Diameter() != 5 {
 		t.Fatalf("Diameter %g", c.Diameter())
-	}
-}
-
-func TestL1CircleContainsFace(t *testing.T) {
-	c := L1Circle{Center: Point{5, 5}, Radius: 4}
-	// Left face of this rect (from (4,4) to (4,6)) is inside the diamond.
-	if !c.ContainsFace(Rect{4, 4, 30, 6}) {
-		t.Fatal("left face lies inside the L1 ball")
-	}
-	if c.ContainsFace(Rect{20, 20, 30, 30}) {
-		t.Fatal("distant rect has no face inside")
-	}
-	// A rect whose corners all poke out (diamond inscribed): corners of the
-	// bounding square of the diamond are outside it.
-	if c.ContainsFace(Rect{1, 1, 9, 9}) {
-		t.Fatal("bounding-square corners are outside the diamond")
 	}
 }
 

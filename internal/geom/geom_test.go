@@ -243,7 +243,7 @@ func TestLemma1Pruning(t *testing.T) {
 		if p == q {
 			continue
 		}
-		if PsiMinusContainsPoint(q, p, pp) {
+		if NewPruner(q, p).PrunesPoint(pp) {
 			c := EnclosingCircle(pp, q)
 			if !c.Covers(p) {
 				t.Fatalf("Lemma 1 violated: q=%+v p=%+v p'=%+v: p not covered by circle of <p',q>", q, p, pp)
@@ -264,7 +264,7 @@ func TestLemma2Maximality(t *testing.T) {
 		if p == q {
 			continue
 		}
-		if !PsiMinusContainsPoint(q, p, pp) {
+		if !NewPruner(q, p).PrunesPoint(pp) {
 			c := EnclosingCircle(pp, q)
 			if c.StrictlyInside(p) {
 				t.Fatalf("Lemma 2 violated: p strictly inside circle of unpruned <p',q>: q=%+v p=%+v p'=%+v", q, p, pp)

@@ -80,18 +80,6 @@ func (pr Pruner) PrunesRect(r Rect) bool {
 	return d <= 0
 }
 
-// PsiMinusContainsPoint is a convenience form of Lemma 1 without constructing
-// a Pruner: reports whether x ∈ Ψ−(q, p).
-func PsiMinusContainsPoint(q, p, x Point) bool {
-	return NewPruner(q, p).PrunesPoint(x)
-}
-
-// PsiMinusContainsRect is a convenience form of Lemma 3: reports whether the
-// rectangle r lies entirely in Ψ−(q, p).
-func PsiMinusContainsRect(q, p Point, r Rect) bool {
-	return NewPruner(q, p).PrunesRect(r)
-}
-
 // PrunerSet holds the pruning half-planes accumulated for one query point
 // during the filter step. Appending is O(1); testing is linear in the number
 // of pruners, which the incremental-NN discovery order keeps very small in

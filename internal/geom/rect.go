@@ -128,9 +128,23 @@ func (r Rect) MinDist2(p Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// MinDist returns the minimum distance from p to any point of r.
-func (r Rect) MinDist(p Point) float64 {
-	return math.Sqrt(r.MinDist2(p))
+// MinL1Dist returns the minimum Manhattan distance from p to any point of r
+// (zero when p is inside r): MINDIST under the L1 metric.
+func (r Rect) MinL1Dist(p Point) float64 {
+	var dx, dy float64
+	switch {
+	case p.X < r.MinX:
+		dx = r.MinX - p.X
+	case p.X > r.MaxX:
+		dx = p.X - r.MaxX
+	}
+	switch {
+	case p.Y < r.MinY:
+		dy = r.MinY - p.Y
+	case p.Y > r.MaxY:
+		dy = p.Y - r.MaxY
+	}
+	return dx + dy
 }
 
 // MaxDist2 returns the squared maximum distance from p to any point of r,

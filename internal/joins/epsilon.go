@@ -8,16 +8,9 @@ import (
 	"repro/internal/storage"
 )
 
-// EpsilonJoin computes the ε-distance join of the pointsets indexed by tp
-// and tq: all pairs <p, q> with dist(p, q) ≤ ε.
-func EpsilonJoin(tp, tq *rtree.Tree, eps float64) ([]Pair, error) {
-	var out []Pair
-	_, err := EpsilonJoinStream(tp, tq, eps, func(p Pair) { out = append(out, p) })
-	return out, err
-}
-
-// EpsilonJoinStream computes the ε-distance join via the synchronized R-tree
-// traversal of Brinkhoff et al. — node pairs are expanded only when the
+// EpsilonJoinStream computes the ε-distance join of the pointsets indexed by
+// tp and tq — all pairs <p, q> with dist(p, q) ≤ ε — via the synchronized
+// R-tree traversal of Brinkhoff et al. — node pairs are expanded only when the
 // minimum distance between their MBRs is within ε — streaming each result
 // pair into fn (which may be nil) and returning the pair count. Streaming
 // matters for the resemblance sweeps, where large ε values produce result

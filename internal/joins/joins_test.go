@@ -36,6 +36,25 @@ func randomPoints(rng *rand.Rand, n int) []rtree.PointEntry {
 	return pts
 }
 
+// The operators stream; the tests compare whole result lists.
+func epsilonJoin(tp, tq *rtree.Tree, eps float64) ([]Pair, error) {
+	var out []Pair
+	_, err := EpsilonJoinStream(tp, tq, eps, func(p Pair) { out = append(out, p) })
+	return out, err
+}
+
+func kClosestPairs(tp, tq *rtree.Tree, k int) ([]Pair, error) {
+	var out []Pair
+	err := KClosestPairsStream(tp, tq, k, func(p Pair) { out = append(out, p) })
+	return out, err
+}
+
+func knnJoin(tp, tq *rtree.Tree, k int) ([]Pair, error) {
+	var out []Pair
+	err := KNNJoinStream(tp, tq, k, func(p Pair) { out = append(out, p) })
+	return out, err
+}
+
 func TestEpsilonJoinMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ps := randomPoints(rng, 200)
@@ -43,7 +62,7 @@ func TestEpsilonJoinMatchesNaive(t *testing.T) {
 	tp := buildTree(t, ps, 1)
 	tq := buildTree(t, qs, 2)
 	for _, eps := range []float64{0, 5, 25, 100, 2000} {
-		got, err := EpsilonJoin(tp, tq, eps)
+		got, err := epsilonJoin(tp, tq, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +109,7 @@ func TestKClosestPairsMatchesNaive(t *testing.T) {
 	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
 
 	for _, k := range []int{1, 7, 50, 500} {
-		got, err := KClosestPairs(tp, tq, k)
+		got, err := kClosestPairs(tp, tq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +137,7 @@ func TestKClosestPairsExhaustsInput(t *testing.T) {
 	qs := randomPoints(rng, 10)
 	tp := buildTree(t, ps, 1)
 	tq := buildTree(t, qs, 2)
-	got, err := KClosestPairs(tp, tq, 1000)
+	got, err := kClosestPairs(tp, tq, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +153,7 @@ func TestKNNJoinMatchesNaive(t *testing.T) {
 	tp := buildTree(t, ps, 1)
 	tq := buildTree(t, qs, 2)
 	for _, k := range []int{1, 3, 10} {
-		got, err := KNNJoin(tp, tq, k)
+		got, err := knnJoin(tp, tq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +191,11 @@ func TestKNNJoinAsymmetric(t *testing.T) {
 	qs := randomPoints(rng, 30)
 	tp := buildTree(t, ps, 1)
 	tq := buildTree(t, qs, 2)
-	a, err := KNNJoin(tp, tq, 2)
+	a, err := knnJoin(tp, tq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KNNJoin(tq, tp, 2)
+	b, err := knnJoin(tq, tp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +211,13 @@ func TestJoinsOnEmptyTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	full := buildTree(t, randomPoints(rng, 20), 1)
 	empty := buildTree(t, nil, 2)
-	if got, err := EpsilonJoin(full, empty, 100); err != nil || len(got) != 0 {
+	if got, err := epsilonJoin(full, empty, 100); err != nil || len(got) != 0 {
 		t.Errorf("eps join with empty input: %v, %d pairs", err, len(got))
 	}
-	if got, err := KClosestPairs(empty, full, 5); err != nil || len(got) != 0 {
+	if got, err := kClosestPairs(empty, full, 5); err != nil || len(got) != 0 {
 		t.Errorf("kcp join with empty input: %v, %d pairs", err, len(got))
 	}
-	if got, err := KNNJoin(full, empty, 5); err != nil || len(got) != 0 {
+	if got, err := knnJoin(full, empty, 5); err != nil || len(got) != 0 {
 		t.Errorf("knn join with empty inner: %v, %d pairs", err, len(got))
 	}
 }

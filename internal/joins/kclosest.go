@@ -9,20 +9,12 @@ import (
 	"repro/internal/storage"
 )
 
-// KClosestPairs returns the k closest pairs of the pointsets indexed by tp
-// and tq in nondecreasing distance order, via the incremental distance join
-// of Hjaltason & Samet (SIGMOD 98): a min-heap over element pairs keyed by
-// the minimum distance between them, expanding whichever element of a popped
-// pair is a node. Popped point–point pairs arrive in exact global distance
-// order, so the first k pops are the answer.
-func KClosestPairs(tp, tq *rtree.Tree, k int) ([]Pair, error) {
-	out := make([]Pair, 0, k)
-	err := KClosestPairsStream(tp, tq, k, func(p Pair) { out = append(out, p) })
-	return out, err
-}
-
-// KClosestPairsStream streams the k closest pairs into fn in nondecreasing
-// distance order.
+// KClosestPairsStream streams the k closest pairs of the pointsets indexed
+// by tp and tq into fn in nondecreasing distance order, via the incremental
+// distance join of Hjaltason & Samet (SIGMOD 98): a min-heap over element
+// pairs keyed by the minimum distance between them, expanding whichever
+// element of a popped pair is a node. Popped point–point pairs arrive in
+// exact global distance order, so the first k pops are the answer.
 func KClosestPairsStream(tp, tq *rtree.Tree, k int, fn func(Pair)) error {
 	if k <= 0 || tp.Root() == storage.InvalidPageID || tq.Root() == storage.InvalidPageID {
 		return nil

@@ -7,22 +7,15 @@ import (
 	"repro/internal/storage"
 )
 
-// KNNJoin computes the k-nearest-neighbor join of the pointsets indexed by
-// tp and tq: for every p ∈ P, the pairs <p, q> where q is one of the k
-// nearest neighbors of p in Q. The result has exactly k·|P| pairs (fewer if
-// |Q| < k) and is asymmetric — swapping the inputs changes the answer, as
-// Table 1 of the paper notes.
+// KNNJoinStream computes the k-nearest-neighbor join of the pointsets
+// indexed by tp and tq: for every p ∈ P, the pairs <p, q> where q is one of
+// the k nearest neighbors of p in Q, streamed into fn grouped by outer point
+// with each group in nondecreasing distance order. The result has exactly
+// k·|P| pairs (fewer if |Q| < k) and is asymmetric — swapping the inputs
+// changes the answer, as Table 1 of the paper notes.
 //
 // Each outer point runs an incremental-NN scan on tq; outer points are
 // visited in depth-first leaf order so consecutive scans share tree paths.
-func KNNJoin(tp, tq *rtree.Tree, k int) ([]Pair, error) {
-	var out []Pair
-	err := KNNJoinStream(tp, tq, k, func(p Pair) { out = append(out, p) })
-	return out, err
-}
-
-// KNNJoinStream streams the kNN-join pairs into fn, grouped by outer point
-// with each group in nondecreasing distance order.
 func KNNJoinStream(tp, tq *rtree.Tree, k int, fn func(Pair)) error {
 	if k <= 0 {
 		return nil

@@ -100,18 +100,18 @@ func TestNoDirectAlgorithmConstruction(t *testing.T) {
 
 // joinEntryPoints is the whole public surface for running a join: the
 // Query family on the engine (streaming, collecting, leaf-batched, each with
-// its self-join twin), the L1 join, and the scheduler's admission wrappers.
+// its self-join twin) and the scheduler's admission wrappers. The metric is
+// a Query field, not an entry point.
 var joinEntryPoints = map[string][]string{
 	"rcj": {
 		"Engine.Run", "Engine.RunBatches", "Engine.RunCollect",
 		"Engine.RunSelf", "Engine.RunSelfBatches", "Engine.RunSelfCollect",
-		"JoinL1", "SelfJoinL1",
 	},
 	"internal/sched": {"Scheduler.Run", "Scheduler.RunSelf"},
 }
 
 // pairResult matches the result types a join hands its pairs back in.
-var pairResult = regexp.MustCompile(`^(\[\](rcj\.)?(Pair|L1Pair)|iter\.Seq2\[(\[\])?(rcj\.)?Pair, error\])$`)
+var pairResult = regexp.MustCompile(`^(\[\](rcj\.)?Pair|iter\.Seq2\[(\[\])?(rcj\.)?Pair, error\])$`)
 
 // TestJoinEntryPoints is the guard on "one way to run a join": it lists
 // every exported function and method of rcj and internal/sched that takes a

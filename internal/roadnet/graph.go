@@ -81,9 +81,6 @@ func (g *Graph) AddEdge(a, b NodeID, w float64) error {
 	return nil
 }
 
-// Degree returns the number of incident edges of v.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
-
 // pqItem is a Dijkstra heap element.
 type pqItem struct {
 	dist   float64
@@ -150,34 +147,6 @@ func (g *Graph) ShortestPath(src, dst NodeID, maxDist float64) (dist float64, pa
 	return 0, nil, false
 }
 
-// DistancesFrom returns the distance from src to every node (Inf where
-// unreachable), bounded by maxDist.
-func (g *Graph) DistancesFrom(src NodeID, maxDist float64) []float64 {
-	n := len(g.adj)
-	d := make([]float64, n)
-	settled := make([]bool, n)
-	for i := range d {
-		d[i] = math.Inf(1)
-	}
-	h := pq{{dist: 0, node: src}}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(pqItem)
-		if settled[it.node] {
-			continue
-		}
-		settled[it.node] = true
-		d[it.node] = it.dist
-		for _, e := range g.adj[it.node] {
-			nd := it.dist + e.W
-			if nd <= maxDist && !settled[e.To] {
-				heap.Push(&h, pqItem{dist: nd, node: e.To})
-			}
-		}
-	}
-	return d
-}
-
 // BallCenter is a location on the network: on the edge from U toward V, at
 // distance OffU from U. A node location has V == U and OffU == 0.
 type BallCenter struct {
@@ -221,8 +190,8 @@ func (g *Graph) edgeWeight(a, b NodeID) float64 {
 	return best
 }
 
-// DistancesFromCenter returns node distances from a BallCenter, bounded by
-// maxDist.
+// DistancesFromCenter returns the distance from a BallCenter to every node
+// (Inf where unreachable within maxDist).
 func (g *Graph) DistancesFromCenter(c BallCenter, maxDist float64) []float64 {
 	n := len(g.adj)
 	d := make([]float64, n)

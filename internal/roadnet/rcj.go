@@ -49,23 +49,10 @@ func Join(g *Graph, P, Q []PointRef) ([]Pair, Stats, error) {
 // otherwise the full slice is returned. The outer loop checks ctx once per
 // query point and aborts with ctx.Err() when cancelled.
 func JoinContext(ctx context.Context, g *Graph, P, Q []PointRef, onPair func(Pair)) ([]Pair, Stats, error) {
-	return JoinBounded(ctx, g, P, Q, nil, onPair)
-}
-
-// JoinBounded is JoinContext with a dynamic network-distance bound: when
-// bound is non-nil, each filter expansion stops once the frontier passes
-// bound() — pairs farther apart than the bound cannot qualify, and a point
-// whose only within-bound path runs through a covered node is prunable by
-// the same certificate that cuts covered branches. The bound is re-read as
-// the expansion proceeds, so a caller maintaining a top-k heap can tighten
-// it mid-join (branch-and-bound). The result is exactly JoinContext's
-// result post-filtered to pairs with Dist <= bound.
-func JoinBounded(ctx context.Context, g *Graph, P, Q []PointRef, bound func() float64, onPair func(Pair)) ([]Pair, Stats, error) {
 	j := &netJoiner{
-		g:     g,
-		pAt:   groupByNode(P),
-		qAt:   groupByNode(Q),
-		bound: bound,
+		g:   g,
+		pAt: groupByNode(P),
+		qAt: groupByNode(Q),
 	}
 	var out []Pair
 	for _, q := range Q {
@@ -122,7 +109,6 @@ type netJoiner struct {
 	g     *Graph
 	pAt   map[NodeID][]PointRef
 	qAt   map[NodeID][]PointRef
-	bound func() float64 // current max pair distance; nil = unbounded
 	stats Stats
 }
 
@@ -159,11 +145,6 @@ func (j *netJoiner) filter(q PointRef) []PointRef {
 		it := heap.Pop(&h).(pqItem)
 		if settled[it.node] {
 			continue
-		}
-		if j.bound != nil && it.dist > j.bound() {
-			// The frontier pops in ascending distance: every remaining node
-			// is at least this far, beyond any admissible pair.
-			break
 		}
 		settled[it.node] = true
 		j.stats.SettledNodes++

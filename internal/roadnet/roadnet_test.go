@@ -1,12 +1,16 @@
 package roadnet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/rcj"
 )
 
 // lineGraph builds a path graph 0–1–…–(n−1) with unit edges.
@@ -44,13 +48,13 @@ func TestShortestPathLine(t *testing.T) {
 
 func TestDistancesFrom(t *testing.T) {
 	g := lineGraph(t, 6)
-	d := g.DistancesFrom(0, math.Inf(1))
+	d := g.DistancesFromCenter(BallCenter{U: 0, V: 0}, math.Inf(1))
 	for i, want := range []float64{0, 1, 2, 3, 4, 5} {
 		if d[i] != want {
 			t.Fatalf("d[%d]=%g", i, d[i])
 		}
 	}
-	bounded := g.DistancesFrom(0, 2)
+	bounded := g.DistancesFromCenter(BallCenter{U: 0, V: 0}, 2)
 	if !math.IsInf(bounded[4], 1) {
 		t.Fatal("bound ignored")
 	}
@@ -198,7 +202,7 @@ func TestFilterPrunes(t *testing.T) {
 
 func TestGridNetworkConnected(t *testing.T) {
 	g := GridNetwork(10, 14, 100, 7)
-	d := g.DistancesFrom(0, math.Inf(1))
+	d := g.DistancesFromCenter(BallCenter{U: 0, V: 0}, math.Inf(1))
 	for i, dv := range d {
 		if math.IsInf(dv, 1) {
 			t.Fatalf("node %d unreachable — generator disconnected the grid", i)
@@ -245,5 +249,174 @@ func TestJoinRandomLines(t *testing.T) {
 			Q = append(Q, PointRef{ID: int64(i), Node: NodeID(rng.Intn(30))})
 		}
 		checkNetJoin(t, g, P, Q)
+	}
+}
+
+func TestGraphValidation(t *testing.T) {
+	if _, err := NewGraph(3, make([]geom.Point, 2)); err == nil {
+		t.Fatal("2 positions for 3 nodes accepted")
+	}
+	g := lineGraph(t, 4)
+	if err := g.AddEdge(0, 99, 1); err == nil {
+		t.Fatal("out-of-range edge accepted")
+	}
+	if err := g.AddEdge(0, 1, -5); err == nil {
+		t.Fatal("negative weight accepted")
+	}
+	if err := g.AddEdge(0, 1, math.NaN()); err == nil {
+		t.Fatal("NaN weight accepted")
+	}
+}
+
+// TestJoinContextStreamsAndCancels pins the two things JoinContext adds to
+// Join: onPair receives exactly Join's pairs in Join's order while nothing
+// is accumulated, and a cancelled context stops the outer loop with its
+// error.
+func TestJoinContextStreamsAndCancels(t *testing.T) {
+	g := GridNetwork(12, 12, 100, 2)
+	P := RandomPointsOnNodes(g, 30, 21)
+	Q := RandomPointsOnNodes(g, 30, 22)
+	want, wantStats, err := Join(g, P, Q)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("Join: %d pairs, %v", len(want), err)
+	}
+	var streamed []Pair
+	got, stats, err := JoinContext(context.Background(), g, P, Q, func(p Pair) { streamed = append(streamed, p) })
+	if err != nil || got != nil || stats != wantStats {
+		t.Fatalf("streaming JoinContext returned %d pairs, stats %+v (want %+v), %v", len(got), stats, wantStats, err)
+	}
+	if len(streamed) != len(want) {
+		t.Fatalf("streamed %d pairs, want %d", len(streamed), len(want))
+	}
+	for i := range want {
+		if streamed[i] != want[i] {
+			t.Fatalf("streamed pair %d is %+v, want %+v", i, streamed[i], want[i])
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := JoinContext(ctx, g, P, Q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled JoinContext returned %v", err)
+	}
+}
+
+// TestStraightRoadTie is the one exact tie between the road-network join
+// and the planar one: on a single straight road the network ball of a pair
+// and its ring cover the same points — those between the two — so both
+// joins reduce to "consecutive points of different colour". Integer
+// coordinates keep every distance exact; the road runs along an axis, where
+// the Manhattan ring coincides too.
+func TestStraightRoadTie(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 400
+	pos := make([]geom.Point, n)
+	x := 0.0
+	for i := range pos {
+		x += float64(1 + rng.Intn(9))
+		pos[i] = geom.Point{X: x, Y: 7}
+	}
+	g, err := NewGraph(n, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < n; i++ {
+		if err := g.AddEdge(NodeID(i), NodeID(i+1), pos[i+1].X-pos[i].X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One point on every third node or so, coloured at random: distinct
+	// nodes, so no two points coincide.
+	type colored struct {
+		ref PointRef
+		inP bool
+	}
+	var pts []colored
+	var P, Q []PointRef
+	var planarP, planarQ []rcj.Point
+	for node := 0; node < n; node++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		ref := PointRef{ID: int64(node), Node: NodeID(node)}
+		pt := rcj.Point{X: pos[node].X, Y: pos[node].Y, ID: ref.ID}
+		inP := rng.Intn(2) == 0
+		if inP {
+			P, planarP = append(P, ref), append(planarP, pt)
+		} else {
+			Q, planarQ = append(Q, ref), append(planarQ, pt)
+		}
+		pts = append(pts, colored{ref, inP}) // already in road order
+	}
+	want := map[[2]int64]bool{}
+	for i := 0; i+1 < len(pts); i++ {
+		a, b := pts[i], pts[i+1]
+		if a.inP != b.inP {
+			if !a.inP {
+				a, b = b, a
+			}
+			want[[2]int64{a.ref.ID, b.ref.ID}] = true
+		}
+	}
+	if len(want) < 20 {
+		t.Fatalf("only %d consecutive bichromatic pairs", len(want))
+	}
+
+	type placed struct {
+		key    [2]int64
+		x, rad float64
+	}
+	byKey := func(ps []placed) []placed {
+		sort.Slice(ps, func(i, j int) bool {
+			return ps[i].key[0] < ps[j].key[0] || ps[i].key[0] == ps[j].key[0] && ps[i].key[1] < ps[j].key[1]
+		})
+		return ps
+	}
+	netPairs, _, err := Join(g, P, Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var network []placed
+	for _, pr := range netPairs {
+		network = append(network, placed{[2]int64{pr.P.ID, pr.Q.ID}, g.Embedding(pr.Center).X, pr.Radius})
+	}
+	byKey(network)
+	if len(network) != len(want) {
+		t.Fatalf("network join has %d pairs, the road has %d consecutive bichromatic ones", len(network), len(want))
+	}
+	for _, pl := range network {
+		if !want[pl.key] {
+			t.Fatalf("network join pair %v is not consecutive on the road", pl.key)
+		}
+	}
+
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ixP, err := eng.BuildIndex(planarP, rcj.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ixP.Close()
+	ixQ, err := eng.BuildIndex(planarQ, rcj.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ixQ.Close()
+	for _, metric := range []rcj.Metric{rcj.L2, rcj.L1} {
+		pairs, _, err := eng.RunCollect(context.Background(), ixQ, ixP, rcj.Query{Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var planar []placed
+		for _, pr := range pairs {
+			planar = append(planar, placed{[2]int64{pr.P.ID, pr.Q.ID}, pr.Center.X, pr.Radius})
+		}
+		byKey(planar)
+		if len(planar) != len(network) {
+			t.Fatalf("%v planar join has %d pairs, network join %d", metric, len(planar), len(network))
+		}
+		for i := range network {
+			if planar[i] != network[i] {
+				t.Fatalf("%v planar join places %+v where the network join places %+v", metric, planar[i], network[i])
+			}
+		}
 	}
 }

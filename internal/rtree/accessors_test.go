@@ -16,9 +16,6 @@ func TestAccessors(t *testing.T) {
 	if tr.LeafCap() != LeafCapacity(storage.DefaultPageSize) {
 		t.Fatalf("LeafCap %d", tr.LeafCap())
 	}
-	if tr.InternalCap() != InternalCapacity(storage.DefaultPageSize) {
-		t.Fatalf("InternalCap %d", tr.InternalCap())
-	}
 	if tr.Pool() == nil {
 		t.Fatal("nil pool")
 	}

@@ -240,33 +240,6 @@ func TestCircleSearchMatchesLinear(t *testing.T) {
 	}
 }
 
-func TestAnyInCircleRespectsExclusions(t *testing.T) {
-	tr := newTestTree(t, 0)
-	pts := []PointEntry{
-		{P: geom.Point{X: 0, Y: 0}, ID: 1},
-		{P: geom.Point{X: 10, Y: 0}, ID: 2},
-		{P: geom.Point{X: 5, Y: 1}, ID: 3},
-	}
-	if err := tr.BulkLoad(pts, 0); err != nil {
-		t.Fatal(err)
-	}
-	c := geom.EnclosingCircle(pts[0].P, pts[1].P)
-	hit, err := tr.AnyInCircle(c, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("interior point 3 not found")
-	}
-	hit, err = tr.AnyInCircle(geom.EnclosingCircle(pts[0].P, pts[2].P), 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("false positive: only excluded points are in the circle")
-	}
-}
-
 func TestINNEmitsInDistanceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randomEntries(rng, 1200)

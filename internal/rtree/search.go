@@ -80,46 +80,6 @@ func (t *Tree) circleRec(id storage.PageID, c geom.Circle, out *[]PointEntry) er
 	return nil
 }
 
-// AnyInCircle reports whether some indexed point other than the excluded ids
-// is covered by the closed disk c. It short-circuits on the first hit, using
-// the face-inside-circle test only as a descend filter would (exclusions make
-// the guarantee of the face rule unusable here, so subtrees are verified by
-// descent).
-func (t *Tree) AnyInCircle(c geom.Circle, exclude1, exclude2 int64) (bool, error) {
-	return t.anyRec(t.root, c, exclude1, exclude2)
-}
-
-func (t *Tree) anyRec(id storage.PageID, c geom.Circle, ex1, ex2 int64) (bool, error) {
-	if id == storage.InvalidPageID {
-		return false, nil
-	}
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return false, err
-	}
-	if n.Leaf {
-		cx, cy := c.Center.X, c.Center.Y
-		r2 := c.Radius * c.Radius * (1 + geom.CoverTol)
-		xs, ys := n.Xs, n.Ys
-		for i, id := range n.IDs {
-			dx, dy := cx-xs[i], cy-ys[i]
-			if dx*dx+dy*dy <= r2 && id != ex1 && id != ex2 {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	for _, e := range n.Children {
-		if c.IntersectsRect(e.MBR) {
-			hit, err := t.anyRec(e.Child, c, ex1, ex2)
-			if err != nil || hit {
-				return hit, err
-			}
-		}
-	}
-	return false, nil
-}
-
 // ScanAll returns every indexed point by a full depth-first traversal, in
 // leaf order. Useful for tests and for exporting datasets.
 func (t *Tree) ScanAll() ([]PointEntry, error) {

@@ -180,9 +180,6 @@ func (t *Tree) PageSize() int { return t.cfg.PageSize }
 // LeafCap returns the leaf-node entry capacity.
 func (t *Tree) LeafCap() int { return t.maxLeaf }
 
-// InternalCap returns the internal-node entry capacity.
-func (t *Tree) InternalCap() int { return t.maxChild }
-
 // Tagged returns a read-only view of the tree whose node reads are
 // additionally attributed to tag (see buffer.TagStats): same pages, same
 // pool, exact per-request hit/miss accounting under concurrency. The view

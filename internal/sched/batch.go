@@ -55,13 +55,14 @@ type BatchConfig struct {
 }
 
 // batchKey groups compatible queued requests: same indexes, same join
-// shape, same resolved algorithm and fan-out. Pair-level predicates and
-// Limit may differ — the envelope covers them.
+// shape, same resolved algorithm, metric and fan-out. Pair-level predicates
+// and Limit may differ — the envelope covers them.
 type batchKey struct {
-	q, p *rcj.Index
-	self bool
-	alg  rcj.Algorithm
-	par  int
+	q, p   *rcj.Index
+	self   bool
+	alg    rcj.Algorithm
+	metric rcj.Metric
+	par    int
 }
 
 // batchable reports whether a query may join a batch: valid, streaming
@@ -163,7 +164,7 @@ func (s *Scheduler) runBatched(ctx context.Context, q, p *rcj.Index, qry rcj.Que
 	if !s.cfg.Batch.Enabled || !batchable(qry) {
 		return nil, nil, false
 	}
-	key := batchKey{q: q, p: p, self: self, alg: qry.EffectiveAlgorithm(), par: qry.Parallelism}
+	key := batchKey{q: q, p: p, self: self, alg: qry.EffectiveAlgorithm(), metric: qry.Metric, par: qry.Parallelism}
 	maxReq := s.cfg.Batch.MaxRequests
 	if maxReq <= 0 {
 		maxReq = DefaultBatchMaxRequests

@@ -361,19 +361,35 @@ func TestBatchPiggybackBeatsQueueBound(t *testing.T) {
 	}
 }
 
-// TestBatchKeySeparation pins the compatibility rule: different parallelism
-// (or algorithm) shapes form distinct batches.
+// TestBatchKeySeparation pins the compatibility rule: different parallelism,
+// algorithm or metric shapes form distinct batches — an L1 request never
+// rides an L2 traversal (whose envelope would hand it Euclidean pairs), while
+// two L1 requests still share one.
 func TestBatchKeySeparation(t *testing.T) {
 	eng, _, p := newTestEngine(t)
 	s := New(eng, Config{MaxConcurrent: 1, MaxQueue: 8, Batch: BatchConfig{Enabled: true}})
+	// Forced INJ is the algorithm an L1 query resolves to, so the metric is
+	// the only thing that tells the two keys apart.
+	l2 := rcj.Query{MaxDiameter: 400, Algorithm: rcj.INJ, ForceAlgorithm: true}
+	l1 := rcj.Query{MaxDiameter: 400, Metric: rcj.L1}
+	wantL2, _ := soloPairs(t, eng, p, l2)
+	wantL1, _ := soloPairs(t, eng, p, l1)
+	if len(wantL1) == 0 || len(wantL1) == len(wantL2) {
+		t.Fatalf("the two metrics select %d and %d pairs: the test cannot tell them apart", len(wantL2), len(wantL1))
+	}
 	release := blockSlot(t, s)
-	results := make([]memberResult, 2)
-	dones := []chan struct{}{make(chan struct{}), make(chan struct{})}
-	go runMember(context.Background(), s, p, rcj.Query{MaxDiameter: 400}, &results[0], dones[0])
-	go runMember(context.Background(), s, p, rcj.Query{MaxDiameter: 400, Parallelism: 2}, &results[1], dones[1])
-	waitFor(t, func() bool { return openBatchMembers(s) == 2 })
-	if got := openBatches(s); got != 2 {
-		t.Fatalf("%d open batches, want 2 (parallelism is part of the key)", got)
+	par2 := l2
+	par2.Parallelism = 2
+	queries := []rcj.Query{l2, par2, l1, l1}
+	results := make([]memberResult, len(queries))
+	dones := make([]chan struct{}, len(queries))
+	for i, qry := range queries {
+		dones[i] = make(chan struct{})
+		go runMember(context.Background(), s, p, qry, &results[i], dones[i])
+	}
+	waitFor(t, func() bool { return openBatchMembers(s) == len(queries) })
+	if got := openBatches(s); got != 3 {
+		t.Fatalf("%d open batches, want 3 (parallelism and metric are part of the key)", got)
 	}
 	release()
 	for _, done := range dones {
@@ -384,6 +400,9 @@ func TestBatchKeySeparation(t *testing.T) {
 			t.Fatalf("member %d: %v", i, results[i].err)
 		}
 	}
+	assertExactPairs(t, "L2 member", results[0].pairs, wantL2)
+	assertExactPairs(t, "first L1 member", results[2].pairs, wantL1)
+	assertExactPairs(t, "second L1 member", results[3].pairs, wantL1)
 }
 
 // TestBatchDrain pins the drain contract for batches: a queued batch was

@@ -206,8 +206,7 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // admission control rejects the request (ErrOverloaded, ErrQueueTimeout,
 // ErrDraining). On success the returned release function must be called
 // exactly once when the work is done; it is idempotent. Acquire is exported
-// for callers scheduling other work (e.g. L1 joins) under the same
-// admission bounds.
+// for callers scheduling other work under the same admission bounds.
 func (s *Scheduler) Acquire(ctx context.Context) (release func(), err error) {
 	start := time.Now()
 	s.mu.Lock()

@@ -218,10 +218,6 @@ func OpenIndexURL(url string, cfg HTTPPagerConfig) (*HTTPPager, Superblock, erro
 // URL returns the index URL the pager serves from.
 func (p *HTTPPager) URL() string { return p.url }
 
-// Verified reports whether fetched pages are checked against a per-page
-// checksum table (true for format v2 and v3 indexes; v1 carries none).
-func (p *HTTPPager) Verified() bool { return p.table != nil }
-
 // ReadPage fetches page id with one HTTP range request (plus bounded
 // retries), verifies it against the checksum table when present, and copies
 // it into buf. Concurrent reads of the same page — demand faults racing each

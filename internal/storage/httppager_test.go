@@ -178,7 +178,7 @@ func TestHTTPPagerHappyPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.rcjx")
 	want := writeTestIndexFile(t, path, 6)
 	p := checkOpens(t, path, want, testPager(t, 6), BackendHTTP).(*HTTPPager)
-	if !p.Verified() {
+	if p.table == nil {
 		t.Fatal("v2 remote pager not verifying pages")
 	}
 	if rs := p.Remote(); rs.Retries != 0 || rs.Fetches == 0 || rs.BytesFetched == 0 {
@@ -428,7 +428,7 @@ func TestHTTPPagerCloseAbortsHungFetch(t *testing.T) {
 }
 
 // TestHTTPPagerV1Unverified: a v1 file (no page table) serves over HTTP
-// with Verified() false — reads work (TestV1StillOpens/http), but pages
+// with no checksum table — reads work (TestV1StillOpens/http), but pages
 // cannot be checked.
 func TestHTTPPagerV1Unverified(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.rcjx")
@@ -441,8 +441,8 @@ func TestHTTPPagerV1Unverified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if got.Version != FormatVersion1 || p.(*HTTPPager).Verified() {
-		t.Fatalf("v1 remote: version %d, verified %v", got.Version, p.(*HTTPPager).Verified())
+	if got.Version != FormatVersion1 || p.(*HTTPPager).table != nil {
+		t.Fatalf("v1 remote: version %d, verified %v", got.Version, p.(*HTTPPager).table != nil)
 	}
 }
 

@@ -22,8 +22,8 @@ func (q Query) EffectiveAlgorithm() Algorithm { return q.algorithm() }
 // Matches — sound because every pushdown predicate is proven set-identical
 // to post-filtering. Result-shaping fields (TopK, Limit, SortByDiameter,
 // Stats) are zeroed: set-level truncation is per-member, handled by the
-// demultiplexer. Algorithm, ForceAlgorithm and Parallelism are taken from
-// the first member; callers group members so those agree.
+// demultiplexer. Algorithm, ForceAlgorithm, Metric and Parallelism are taken
+// from the first member; callers group members so those agree.
 func BatchEnvelope(qs []Query) Query {
 	if len(qs) == 0 {
 		return Query{}
@@ -31,6 +31,7 @@ func BatchEnvelope(qs []Query) Query {
 	env := Query{
 		Algorithm:      qs[0].Algorithm,
 		ForceAlgorithm: qs[0].ForceAlgorithm,
+		Metric:         qs[0].Metric,
 		Parallelism:    qs[0].Parallelism,
 		MaxDiameter:    qs[0].MaxDiameter,
 		MinDistance:    qs[0].MinDistance,
@@ -66,14 +67,16 @@ func BatchEnvelope(qs []Query) Query {
 }
 
 // Canonical returns a stable textual form of the query's result-shaping
-// fields — resolved algorithm, parallelism, predicates, TopK, Limit — for
-// use as a cache key: two queries with equal Canonical strings produce the
-// same result set over the same index generation. Float predicates are
+// fields — resolved algorithm, metric, parallelism, predicates, TopK, Limit
+// — for use as a cache key: two queries with equal Canonical strings produce
+// the same result set over the same index generation. Float predicates are
 // rendered by exact bit pattern, so no two distinct bounds collide.
 func (q Query) Canonical() string {
 	var b strings.Builder
 	b.WriteString("alg=")
 	b.WriteString(q.algorithm().String())
+	b.WriteString(";metric=")
+	b.WriteString(strconv.Itoa(int(q.Metric)))
 	b.WriteString(";par=")
 	b.WriteString(strconv.Itoa(q.Parallelism))
 	b.WriteString(";md=")

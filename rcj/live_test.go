@@ -564,8 +564,8 @@ func TestMutableAPIErrors(t *testing.T) {
 }
 
 // TestLiveReadsBesideTheJoin covers the reads that used to bypass the pinned
-// merged view and crash on a mutable index: JoinL1/SelfJoinL1, VerifyPair
-// and Index.Stats. Over a live index holding a delta and tombstones each
+// merged view and crash on a mutable index: the L1 join, VerifyPair and
+// Index.Stats. Over a live index holding a delta and tombstones each
 // must see exactly the current point set — checked against the index-free
 // L1 oracle and a brute ring test over Index.Points().
 func TestLiveReadsBesideTheJoin(t *testing.T) {
@@ -604,36 +604,30 @@ func TestLiveReadsBesideTheJoin(t *testing.T) {
 		t.Errorf("Stats().Points = %d, Points() has %d, want %d", st.Points, len(ps), 150+60-5)
 	}
 
-	l1Keys := func(pairs []L1Pair) map[[2]int64]bool {
+	l1Keys := func(pairs []Pair) map[[2]int64]bool {
 		m := make(map[[2]int64]bool, len(pairs))
 		for _, pr := range pairs {
 			m[[2]int64{pr.P.ID, pr.Q.ID}] = true
 		}
 		return m
 	}
-	oracleKeys := func(pairs []core.L1Pair) map[[2]int64]bool {
-		m := make(map[[2]int64]bool, len(pairs))
-		for _, pr := range pairs {
-			m[[2]int64{pr.P.ID, pr.Q.ID}] = true
-		}
-		return m
-	}
-	got, st, err := JoinL1(bg, q, p)
+	oracleKeys := func(pairs []core.Pair) map[[2]int64]bool { return l1Keys(fromCorePairs(pairs)) }
+	got, st, err := eng.RunCollect(bg, q, p, Query{Metric: L1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracleKeys(core.BruteForceL1Pairs(ps, qs, false)); !sameKeys(l1Keys(got), want) {
-		t.Errorf("JoinL1 over a live P: %s", diffKeys(l1Keys(got), want))
+		t.Errorf("L1 join over a live P: %s", diffKeys(l1Keys(got), want))
 	}
 	if st.NodeAccesses == 0 || st.Results != int64(len(got)) {
-		t.Errorf("JoinL1 stats not tagged: %+v for %d pairs", st, len(got))
+		t.Errorf("L1 join stats not tagged: %+v for %d pairs", st, len(got))
 	}
-	gotSelf, _, err := SelfJoinL1(bg, p)
+	gotSelf, _, err := eng.RunSelfCollect(bg, p, Query{Metric: L1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracleKeys(core.BruteForceL1Pairs(ps, ps, true)); !sameKeys(l1Keys(gotSelf), want) {
-		t.Errorf("SelfJoinL1 over a live index: %s", diffKeys(l1Keys(gotSelf), want))
+		t.Errorf("L1 self-join over a live index: %s", diffKeys(l1Keys(gotSelf), want))
 	}
 
 	ringEmpty := func(a, b rtree.PointEntry) bool {

@@ -28,15 +28,16 @@ func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
 }
 
 // ResolveObserved is Resolve with caller-supplied observed state. When the
-// query pins its plan — ForceAlgorithm, or an explicit non-zero Algorithm —
-// the fixed plan is echoed verbatim (rule "fixed"); otherwise the planner
+// query pins its plan — ForceAlgorithm, an explicit non-zero Algorithm, or
+// the L1 metric with its one index-nested-loop filter — the fixed plan is
+// echoed verbatim (rule "fixed"); otherwise the planner
 // picks algorithm, parallelism, prefetch depth, and predicate order from
 // the inputs' metadata (epoch-aware for mutable indexes: the live point
 // count, not the sealed superblock's). The returned query is marked
 // ForceAlgorithm so Canonical(), batch keys, and every later Resolve see
 // the concrete plan.
 func (q Query) ResolveObserved(qx, px *Index, self bool, obs PlanObserved) (Query, PlanDecision) {
-	if q.ForceAlgorithm || q.Algorithm != INJ {
+	if q.ForceAlgorithm || q.Algorithm != INJ || q.Metric == L1 {
 		resolved := q
 		resolved.ForceAlgorithm = true
 		par := q.Parallelism

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/stream"
 )
 
 // Rect is an axis-aligned query window in dataset coordinates. Containment
@@ -54,6 +53,12 @@ type Query struct {
 	// ForceAlgorithm uses Algorithm verbatim even when it is the zero value,
 	// bypassing the planner entirely.
 	ForceAlgorithm bool
+	// Metric picks the distance the ring is measured in: L2 (the zero
+	// value, the paper's Euclidean circle) or L1 (the Manhattan diamond).
+	// Every other field means the same under both — diameters and distances
+	// are then Manhattan ones. The L1 join has one filter strategy, so it
+	// takes no Algorithm.
+	Metric Metric
 	// Parallelism, when > 1, runs the join across that many goroutines, and
 	// when 0 lets the planner choose. The result set is identical; emission
 	// order is not deterministic (TopK output is always in ranking order
@@ -111,20 +116,27 @@ type Query struct {
 
 // Validate reports whether the query is well-formed.
 func (q Query) Validate() error {
+	// The negated forms also reject NaN (every NaN comparison is false),
+	// which would otherwise read as "unset" and silently run the
+	// unconstrained join, or prune the whole of it.
 	switch {
 	case q.Parallelism < 0:
 		return fmt.Errorf("%w: negative parallelism %d", ErrBadQuery, q.Parallelism)
-	case q.MaxDiameter < 0:
-		return fmt.Errorf("%w: negative max diameter %g", ErrBadQuery, q.MaxDiameter)
-	case q.MinDistance < 0:
-		return fmt.Errorf("%w: negative min distance %g", ErrBadQuery, q.MinDistance)
+	case !(q.MaxDiameter >= 0):
+		return fmt.Errorf("%w: max diameter %g is not a non-negative number", ErrBadQuery, q.MaxDiameter)
+	case !(q.MinDistance >= 0):
+		return fmt.Errorf("%w: min distance %g is not a non-negative number", ErrBadQuery, q.MinDistance)
 	case q.TopK < 0:
 		return fmt.Errorf("%w: negative top-k %d", ErrBadQuery, q.TopK)
 	case q.Limit < 0:
 		return fmt.Errorf("%w: negative limit %d", ErrBadQuery, q.Limit)
+	case q.Metric > L1:
+		return fmt.Errorf("%w: unknown metric %d", ErrBadQuery, q.Metric)
+	case q.Metric == L1 && q.Algorithm != INJ:
+		// There is one L1 filter (an index nested loop), and the brute-force
+		// baseline is Euclidean.
+		return fmt.Errorf("%w: the L1 join takes no Algorithm (got %s)", ErrBadQuery, q.Algorithm)
 	}
-	// The negated form also rejects NaN coordinates (every NaN comparison is
-	// false), which would otherwise silently prune the whole join.
 	if r := q.Region; r != nil && !(r.MinX <= r.MaxX && r.MinY <= r.MaxY) {
 		return fmt.Errorf("%w: empty region window %+v", ErrBadQuery, *r)
 	}
@@ -153,8 +165,8 @@ func (q Query) Matches(p Pair) bool {
 }
 
 func (q Query) algorithm() Algorithm {
-	if !q.ForceAlgorithm && q.Algorithm == core.AlgINJ {
-		return core.AlgOBJ
+	if !q.ForceAlgorithm && q.Algorithm == INJ && q.Metric == L2 {
+		return OBJ
 	}
 	return q.Algorithm
 }
@@ -163,6 +175,7 @@ func (q Query) algorithm() Algorithm {
 func (q Query) coreOptions(self bool) core.Options {
 	co := core.Options{
 		Algorithm:      q.algorithm(),
+		Metric:         q.Metric,
 		SelfJoin:       self,
 		Parallelism:    q.Parallelism,
 		MaxDiameter:    q.MaxDiameter,
@@ -269,12 +282,21 @@ func runCollect(ctx context.Context, q, p *Index, qry Query, self bool) ([]Pair,
 }
 
 // runStream is the streaming adapter: the traversal runs in a producer
-// goroutine bridged to the consumer through stream.Seq2, so parallel joins
-// (whose workers emit concurrently) and sequential joins stream through the
-// same iterator with no goroutine outliving the range loop. sink wires the
-// executor's callback to the bridge — per pair (pairSink) or per
-// verification batch (batchSink).
-func runStream[T any](ctx context.Context, q, p *Index, qry Query, self bool, sink func(*core.Options, func(T))) iter.Seq2[T, error] {
+// goroutine bridged to the consumer through a bounded channel, so parallel
+// joins (whose workers emit concurrently) and sequential joins stream
+// through the same iterator. sink wires the executor's callback to the
+// bridge — per pair (pairSink) or per verification batch (batchSink). The
+// bridge's contract:
+//
+//   - emit blocks while the consumer is behind (bounded by streamBuffer)
+//     and returns without delivering once the run's context is cancelled.
+//   - Cancelling parent, or breaking out of the range loop, cancels the
+//     context the traversal runs under; the executor notices and returns.
+//   - The producer goroutine is always joined before the iterator returns,
+//     so no goroutine outlives the range loop.
+//   - A non-nil error from the traversal is yielded as the final element
+//     (with a zero value), unless the consumer already broke out.
+func runStream[T any](parent context.Context, q, p *Index, qry Query, self bool, sink func(*core.Options, func(T))) iter.Seq2[T, error] {
 	run, err := prepare(q, p, qry, self)
 	if err != nil {
 		return func(yield func(T, error) bool) {
@@ -282,10 +304,43 @@ func runStream[T any](ctx context.Context, q, p *Index, qry Query, self bool, si
 			yield(zero, err)
 		}
 	}
-	return stream.Seq2(ctx, streamBuffer, func(runCtx context.Context, emit func(T)) error {
-		_, _, err := run(runCtx, func(co *core.Options) { sink(co, emit) })
-		return err
-	})
+	if parent == nil {
+		parent = context.Background()
+	}
+	return func(yield func(T, error) bool) {
+		ctx, cancel := context.WithCancel(parent)
+		defer cancel()
+
+		ch := make(chan T, streamBuffer)
+		done := make(chan error, 1)
+		emit := func(v T) {
+			select {
+			case ch <- v:
+			case <-ctx.Done():
+				// The consumer is gone; the executor observes ctx and
+				// unwinds on its own.
+			}
+		}
+		go func() {
+			_, _, err := run(ctx, func(co *core.Options) { sink(co, emit) })
+			done <- err
+			close(ch)
+		}()
+
+		for v := range ch {
+			if !yield(v, nil) {
+				cancel()
+				for range ch {
+				}
+				<-done
+				return
+			}
+		}
+		if err := <-done; err != nil {
+			var zero T
+			yield(zero, err)
+		}
+	}
 }
 
 func pairSink(co *core.Options, emit func(Pair)) {

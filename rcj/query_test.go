@@ -313,6 +313,9 @@ func TestQueryValidate(t *testing.T) {
 		// A NaN coordinate would otherwise silently prune everything.
 		{Region: &Rect{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}},
 		{Region: &Rect{MinX: 0, MinY: 0, MaxX: math.NaN(), MaxY: 1}},
+		// A NaN bound would otherwise read as unset: the unconstrained join.
+		{MaxDiameter: math.NaN()},
+		{MinDistance: math.NaN()},
 	}
 	for i, qry := range bad {
 		if _, _, err := eng.RunSelfCollect(context.Background(), ix, qry); !errors.Is(err, ErrBadQuery) {

@@ -26,7 +26,9 @@
 // the RunSelf forms join one dataset with itself (the postboxes scenario).
 // The zero Query is the full join under the planner's choice of algorithm;
 // its fields push top-k, diameter, distance and region predicates down into
-// the traversal.
+// the traversal, and Query.Metric = L1 measures the ring in Manhattan
+// distance instead (the paper's Section 6 generalization) — same methods,
+// same Pair, same predicates.
 //
 // The join runs on disk-page R*-trees through an LRU buffer manager, so its
 // statistics (page faults, node accesses, candidate counts) mirror the
@@ -85,7 +87,9 @@ func pointEntries(points []Point) ([]rtree.PointEntry, error) {
 // Pair is one ring-constrained join result: the two matched points and
 // their smallest enclosing circle. Center is the derived fair middleman
 // location; Radius is its common distance to both endpoints, so 2·Radius is
-// the pair's "ring diameter" used for ranking.
+// the pair's "ring diameter" used for ranking. Under Query.Metric = L1 the
+// ring is the enclosing L1 ball: Center is still the midpoint, and Radius
+// the Manhattan distance from it to either endpoint.
 type Pair struct {
 	P, Q   Point
 	Center Point
@@ -105,6 +109,18 @@ const (
 	BIJ   = core.AlgBIJ
 	OBJ   = core.AlgOBJ
 	Brute = core.AlgBrute
+)
+
+// Metric selects the distance a query's ring is measured in.
+type Metric = core.Metric
+
+// L2 is the paper's Euclidean ring and the zero value; L1 is the Manhattan
+// generalization the paper proposes in its future work (Section 6), the
+// natural metric for grid street networks: the ring becomes the smallest
+// enclosing L1 ball (a diamond).
+const (
+	L2 = core.MetricL2
+	L1 = core.MetricL1
 )
 
 // IndexConfig controls index construction.

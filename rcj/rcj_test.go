@@ -253,7 +253,7 @@ func TestJoinL1Basics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := mustIndex(t, randomPoints(rng, 100), IndexConfig{})
 	q := mustIndex(t, randomPoints(rng, 100), IndexConfig{})
-	pairs, stats, err := JoinL1(bg, q, p)
+	pairs, stats, err := testEng.RunCollect(bg, q, p, Query{Metric: L1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestJoinL1Basics(t *testing.T) {
 func TestSelfJoinL1(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ix := mustIndex(t, randomPoints(rng, 80), IndexConfig{})
-	pairs, _, err := SelfJoinL1(bg, ix)
+	pairs, _, err := testEng.RunSelfCollect(bg, ix, Query{Metric: L1})
 	if err != nil {
 		t.Fatal(err)
 	}
