@@ -52,7 +52,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"iter"
 	"os"
 	"os/signal"
 	"runtime"
@@ -214,6 +213,13 @@ func main() {
 		return
 	}
 
+	// The join is (ixQ, ixP, qry); -self is P on both sides.
+	ixQ := ixP
+	if !*self {
+		ixQ = loadIndex(*qPath, *saveQ)
+		defer ixQ.Close()
+	}
+
 	if *shardN > 0 {
 		// Shard emission replaces the join: partition the inputs, write the
 		// per-shard .rcjx files and the .rcjm manifest, and exit.
@@ -233,8 +239,6 @@ func main() {
 		}
 		var qPts []rcj.Point
 		if !*self {
-			ixQ := loadIndex(*qPath, *saveQ)
-			defer ixQ.Close()
 			if qPts, err = ixQ.Points(); err != nil {
 				fatalf("read points of %s: %v", *qPath, err)
 			}
@@ -273,17 +277,7 @@ func main() {
 	if *sorted {
 		// Materialize, sort, then write.
 		qry.SortByDiameter = true
-		var (
-			pairs []rcj.Pair
-			err   error
-		)
-		if *self {
-			pairs, _, err = eng.RunSelfCollect(ctx, ixP, qry)
-		} else {
-			ixQ := loadIndex(*qPath, *saveQ)
-			defer ixQ.Close()
-			pairs, _, err = eng.RunCollect(ctx, ixQ, ixP, qry)
-		}
+		pairs, _, err := eng.RunCollect(ctx, ixQ, ixP, qry)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				fatalf("join timed out after %v", *timeout)
@@ -301,16 +295,8 @@ func main() {
 	}
 	// Streaming mode: rows go out as the join confirms them (a -top-k
 	// run emits its ranked pairs together once the traversal finishes).
-	var seq iter.Seq2[rcj.Pair, error]
-	if *self {
-		seq = eng.RunSelf(ctx, ixP, qry)
-	} else {
-		ixQ := loadIndex(*qPath, *saveQ)
-		defer ixQ.Close()
-		seq = eng.Run(ctx, ixQ, ixP, qry)
-	}
 	results := 0
-	for pr, err := range seq {
+	for pr, err := range eng.Run(ctx, ixQ, ixP, qry) {
 		if err != nil {
 			// fatalf exits without running the deferred flushes; push the
 			// already-streamed rows out so the file matches the count.

@@ -56,18 +56,14 @@ func main() {
 	}
 	defer ixP.Close()
 
-	var pairs []rcj.Pair
-	if *self || *demo && qPts == nil {
-		pairs, _, err = eng.RunSelfCollect(ctx, ixP, rcj.Query{})
-	} else {
-		var ixQ *rcj.Index
-		ixQ, err = eng.BuildIndex(qPts, rcj.IndexConfig{})
-		if err != nil {
+	ixQ := ixP // the self-join is P on both sides
+	if !(*self || *demo && qPts == nil) {
+		if ixQ, err = eng.BuildIndex(qPts, rcj.IndexConfig{}); err != nil {
 			fatalf("index Q: %v", err)
 		}
 		defer ixQ.Close()
-		pairs, _, err = eng.RunCollect(ctx, ixQ, ixP, rcj.Query{})
 	}
+	pairs, _, err := eng.RunCollect(ctx, ixQ, ixP, rcj.Query{})
 	if err != nil {
 		fatalf("join: %v", err)
 	}

@@ -47,13 +47,13 @@ func main() {
 	defer ix.Close()
 
 	ctx := context.Background()
-	pairs, stats, err := eng.RunSelfCollect(ctx, ix, rcj.Query{})
+	pairs, stats, err := eng.RunCollect(ctx, ix, ix, rcj.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("self-RCJ over %d buildings: %d postbox sites (Euclidean)\n", len(buildings), stats.Results)
 
-	l1Pairs, l1Stats, err := eng.RunSelfCollect(ctx, ix, rcj.Query{Metric: rcj.L1})
+	l1Pairs, l1Stats, err := eng.RunCollect(ctx, ix, ix, rcj.Query{Metric: rcj.L1})
 	if err != nil {
 		log.Fatal(err)
 	}

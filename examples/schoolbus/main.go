@@ -46,7 +46,7 @@ func main() {
 	}
 	defer ix.Close()
 
-	pairs, stats, err := eng.RunSelfCollect(context.Background(), ix, rcj.Query{})
+	pairs, stats, err := eng.RunCollect(context.Background(), ix, ix, rcj.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

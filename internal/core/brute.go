@@ -67,7 +67,7 @@ func scanAll(ix SpatialIndex) ([]rtree.PointEntry, error) {
 
 // bruteValid verifies one pair with circle range searches on both trees.
 func (j *joiner) bruteValid(p, q rtree.PointEntry, c geom.Circle) (bool, error) {
-	if j.opts.SelfJoin || j.sameTree() {
+	if j.opts.SelfJoin {
 		hit, err := anyInCircle(j.tp, c, p.ID, q.ID)
 		return !hit, err
 	}
@@ -86,7 +86,7 @@ func (j *joiner) bruteValid(p, q rtree.PointEntry, c geom.Circle) (bool, error) 
 // when validating a proposed location rather than computing the full join.
 func VerifyPair(tq, tp SpatialIndex, p, q rtree.PointEntry, selfJoin bool) (bool, error) {
 	c := geom.EnclosingCircle(p.P, q.P)
-	if selfJoin || tq == tp {
+	if selfJoin {
 		hit, err := anyInCircle(tp, c, p.ID, q.ID)
 		return !hit, err
 	}

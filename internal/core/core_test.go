@@ -145,6 +145,18 @@ func TestAlgorithmsMatchOracleUniform(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/n=%d", alg, n), func(t *testing.T) {
 				checkAlgorithm(t, alg, ps, qs, true)
 			})
+			// One tree on both sides WITHOUT SelfJoin is still the two-set join
+			// of a dataset with its copy: every point of the "other" set sits
+			// on the ring, so only identity pairs survive — under every
+			// algorithm alike.
+			t.Run(fmt.Sprintf("%v/n=%d/same-tree", alg, n), func(t *testing.T) {
+				tr := buildTree(t, ps, buffer.NewPool(-1), 1, true)
+				got, _, err := Join(tr, tr, Options{Algorithm: alg, Collect: true})
+				if err != nil {
+					t.Fatalf("%v join: %v", alg, err)
+				}
+				diffPairs(t, alg.String(), BruteForcePairs(ps, ps, false), got)
+			})
 		}
 	}
 }

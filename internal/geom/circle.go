@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // CoverTol is the relative tolerance used by the closed-circle containment
 // predicate. A point at distance d from the circle center is considered
 // covered when d² ≤ r²·(1+CoverTol). The tolerance absorbs the rounding in
@@ -115,11 +113,4 @@ func (c L1Circle) Covers(x Point) bool {
 // IntersectsRect reports whether the closed L1 ball intersects r.
 func (c L1Circle) IntersectsRect(r Rect) bool {
 	return r.MinL1Dist(c.Center) <= c.Radius*(1+CoverTol)
-}
-
-// MaxL1Dist returns the maximum L1 distance from p to any point of r.
-func MaxL1Dist(p Point, r Rect) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
-	return dx + dy
 }

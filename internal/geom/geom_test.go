@@ -417,11 +417,3 @@ func TestL1Circle(t *testing.T) {
 		t.Fatal("distant rect should not intersect L1 ball")
 	}
 }
-
-func TestMaxL1Dist(t *testing.T) {
-	p := Point{0, 0}
-	r := Rect{1, 1, 3, 4}
-	if got := MaxL1Dist(p, r); got != 7 {
-		t.Fatalf("MaxL1Dist = %g, want 7", got)
-	}
-}

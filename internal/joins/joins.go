@@ -26,12 +26,3 @@ type Key struct {
 
 // KeyOf returns the identity key of a pair.
 func KeyOf(p Pair) Key { return Key{PID: p.P.ID, QID: p.Q.ID} }
-
-// KeySet builds the identity set of a result list.
-func KeySet(pairs []Pair) map[Key]struct{} {
-	s := make(map[Key]struct{}, len(pairs))
-	for _, p := range pairs {
-		s[KeyOf(p)] = struct{}{}
-	}
-	return s
-}

@@ -221,18 +221,3 @@ func TestJoinsOnEmptyTrees(t *testing.T) {
 		t.Errorf("knn join with empty inner: %v, %d pairs", err, len(got))
 	}
 }
-
-func TestKeySet(t *testing.T) {
-	pairs := []Pair{
-		{P: rtree.PointEntry{ID: 1}, Q: rtree.PointEntry{ID: 2}},
-		{P: rtree.PointEntry{ID: 1}, Q: rtree.PointEntry{ID: 2}}, // duplicate
-		{P: rtree.PointEntry{ID: 3}, Q: rtree.PointEntry{ID: 4}},
-	}
-	s := KeySet(pairs)
-	if len(s) != 2 {
-		t.Fatalf("KeySet size %d, want 2", len(s))
-	}
-	if _, ok := s[Key{PID: 1, QID: 2}]; !ok {
-		t.Fatal("missing key")
-	}
-}

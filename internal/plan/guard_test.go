@@ -99,45 +99,73 @@ func TestNoDirectAlgorithmConstruction(t *testing.T) {
 }
 
 // joinEntryPoints is the whole public surface for running a join: the
-// Query family on the engine (streaming, collecting, leaf-batched, each with
-// its self-join twin) and the scheduler's admission wrappers. The metric is
-// a Query field, not an entry point.
+// Query family on the engine (streaming, collecting, leaf-batched) and the
+// scheduler's admission wrapper — each takes the two indexes, and the same
+// index twice is the self-join. The metric is a Query field, not an entry
+// point. The RunSelf names are the forwards below.
 var joinEntryPoints = map[string][]string{
 	"rcj": {
 		"Engine.Run", "Engine.RunBatches", "Engine.RunCollect",
-		"Engine.RunSelf", "Engine.RunSelfBatches", "Engine.RunSelfCollect",
+		"Engine.RunSelf", "Engine.RunSelfCollect",
 	},
 	"internal/sched": {"Scheduler.Run", "Scheduler.RunSelf"},
+}
+
+// selfForwards are the one-index names the frozen benchmark (perf/) still
+// compiles against, each with the two-index method it must forward to in a
+// single return statement. They are deprecated, called by nothing else, and
+// leave with the next benchmark PR (ROADMAP item 1).
+var selfForwards = map[string]string{
+	"Engine.RunSelf":        "Run",
+	"Engine.RunSelfCollect": "RunCollect",
+	"Scheduler.RunSelf":     "Run",
+	"Query.Resolve":         "ResolveObserved",
 }
 
 // pairResult matches the result types a join hands its pairs back in.
 var pairResult = regexp.MustCompile(`^(\[\](rcj\.)?Pair|iter\.Seq2\[(\[\])?(rcj\.)?Pair, error\])$`)
 
+// parseNonTest parses the non-test files of one directory of the module.
+func parseNonTest(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", "..", dir),
+		func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return files
+}
+
+// funcName renders a declaration as Recv.Name (or Name).
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	return strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + fn.Name.Name
+}
+
 // TestJoinEntryPoints is the guard on "one way to run a join": it lists
 // every exported function and method of rcj and internal/sched that takes a
 // *Index and returns pairs — a slice or an iterator of them — and fails when
 // that set is not exactly joinEntryPoints. A new way to run the join has to
-// be argued for here, next to the ones it duplicates.
+// be argued for here, next to the ones it duplicates. It also pins "a join
+// is (q, p, Query)": the one-index forwards are one return statement each
+// and no code of the module calls them, and no function of the serving path
+// takes the join shape as a `self bool` beside the indexes that define it.
 func TestJoinEntryPoints(t *testing.T) {
 	for dir, want := range joinEntryPoints {
-		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", "..", dir),
-			func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got []string
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					fn, ok := decl.(*ast.FuncDecl)
-					if !ok || !fn.Name.IsExported() || !takesIndex(fn) || !returnsPairs(fn) {
-						continue
-					}
-					name := fn.Name.Name
-					if fn.Recv != nil {
-						name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
-					}
-					got = append(got, name)
+		for _, f := range parseNonTest(t, dir) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if ok && fn.Name.IsExported() && takesIndex(fn) && returnsPairs(fn) {
+					got = append(got, funcName(fn))
 				}
 			}
 		}
@@ -146,6 +174,98 @@ func TestJoinEntryPoints(t *testing.T) {
 			t.Errorf("%s join entry points:\n got  %v\n want %v", dir, got, want)
 		}
 	}
+
+	forwards := 0
+	for _, dir := range []string{"rcj", "internal/sched", "internal/server"} {
+		for _, f := range parseNonTest(t, dir) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				name := funcName(fn)
+				target, isForward := selfForwards[name]
+				if isForward {
+					forwards++
+					if !forwardsTo(fn, target) {
+						t.Errorf("%s/%s must be the single statement `return x.%s(...)`", dir, name, target)
+					}
+				}
+				for _, p := range fn.Type.Params.List {
+					for _, id := range p.Names {
+						if id.Name == "self" && types.ExprString(p.Type) == "bool" && name != "Query.Resolve" {
+							t.Errorf("%s/%s takes `self bool`: the join shape is q == p", dir, name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if forwards != len(selfForwards) {
+		t.Errorf("found %d of the %d forwards in selfForwards; drop the entries perf/ no longer needs", forwards, len(selfForwards))
+	}
+
+	// No non-test file of the module calls a forward. Without type
+	// information a call is recognised by selector name — and, for Resolve,
+	// by its three arguments; nothing else in the module shares the names.
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" || name == "perf" || name == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				switch name := sel.Sel.Name; {
+				case name == "RunSelf", name == "RunSelfCollect", name == "Resolve" && len(call.Args) == 3:
+					t.Errorf("%s calls the deprecated forward %s: pass the two indexes", fset.Position(call.Pos()), name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// forwardsTo reports whether fn's body is exactly `return <recv>.<target>(...)`.
+func forwardsTo(fn *ast.FuncDecl, target string) bool {
+	if fn.Body == nil || len(fn.Body.List) != 1 {
+		return false
+	}
+	ret, ok := fn.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != target {
+		return false
+	}
+	recv, ok := sel.X.(*ast.Ident)
+	return ok && len(fn.Recv.List[0].Names) == 1 && recv.Name == fn.Recv.List[0].Names[0].Name
 }
 
 func takesIndex(fn *ast.FuncDecl) bool {

@@ -39,13 +39,3 @@ func PrecisionRecall(want, got map[joins.Key]struct{}) PR {
 	}
 	return pr
 }
-
-// F1 returns the harmonic mean of precision and recall (in percent), a
-// single-number summary used by the harness to locate each baseline's best
-// achievable resemblance to RCJ.
-func (pr PR) F1() float64 {
-	if pr.Precision+pr.Recall == 0 {
-		return 0
-	}
-	return 2 * pr.Precision * pr.Recall / (pr.Precision + pr.Recall)
-}

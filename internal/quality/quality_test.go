@@ -55,18 +55,6 @@ func TestEmptySets(t *testing.T) {
 	}
 }
 
-func TestF1(t *testing.T) {
-	if f := (PR{Precision: 100, Recall: 100}).F1(); f != 100 {
-		t.Errorf("F1 of perfect = %g", f)
-	}
-	if f := (PR{}).F1(); f != 0 {
-		t.Errorf("F1 of zero = %g", f)
-	}
-	if f := (PR{Precision: 50, Recall: 100}).F1(); math.Abs(f-200.0/3) > 1e-9 {
-		t.Errorf("F1 = %g", f)
-	}
-}
-
 // TestQuickBounds: precision and recall always land in [0, 100] and the
 // measure is symmetric under swapping when sets have equal size.
 func TestQuickBounds(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the cross-request traversal batcher: when every join slot is
-// busy, queued Run/RunSelf requests over the same indexes with compatible
-// query shapes merge into ONE batch job that owns ONE queue slot and runs
+// busy, queued Run requests over the same indexes with compatible query
+// shapes merge into ONE batch job that owns ONE queue slot and runs
 // ONE leaf traversal — the envelope of the members' predicates — demuxing
 // each verification batch to per-request streams filtered with each
 // member's own Query.Matches. Under a hot-index query storm this multiplies
@@ -25,13 +25,14 @@ import (
 // reproduces that member's own pushdown run — byte-identically for
 // sequential traversals, whose batch order equals solo emission order.
 //
-// What batches: streaming Run/RunSelf queries without TopK (rankings need
-// their own branch-and-bound bound; they are served by the server's result
-// cache instead). Members may differ in MaxDiameter, MinDistance, Region,
-// and Limit; they must agree on index pair, self-ness, resolved algorithm,
-// and parallelism (the batch key). Limit members stop receiving at their
-// cap; the traversal early-stops only once every member is done, so one
-// Limit member's summary may wait for batch-mates — its pairs do not.
+// What batches: streaming Run queries without TopK (rankings need their own
+// branch-and-bound bound; they are served by the server's result cache
+// instead). Members may differ in MaxDiameter, MinDistance, Region, and
+// Limit; they must agree on index pair (q == p being the self-join),
+// resolved algorithm, metric and parallelism (the batch key). Limit members
+// stop receiving at their cap; the traversal early-stops only once every
+// member is done, so one Limit member's summary may wait for batch-mates —
+// its pairs do not.
 //
 // Statistics: the shared traversal runs under one buffer tag, aggregated
 // once into the scheduler's counters, so the pool-sum invariant stays
@@ -47,19 +48,18 @@ const DefaultBatchMaxRequests = 16
 // queue slot instead of occupying their own), so serving binaries opt in
 // explicitly.
 type BatchConfig struct {
-	// Enabled turns the batcher on for streaming Run/RunSelf requests.
+	// Enabled turns the batcher on for streaming Run requests.
 	Enabled bool
 	// MaxRequests caps the members of one batch (default
 	// DefaultBatchMaxRequests).
 	MaxRequests int
 }
 
-// batchKey groups compatible queued requests: same indexes, same join
-// shape, same resolved algorithm, metric and fan-out. Pair-level predicates
-// and Limit may differ — the envelope covers them.
+// batchKey groups compatible queued requests: same indexes (and so the same
+// join shape), same resolved algorithm, metric and fan-out. Pair-level
+// predicates and Limit may differ — the envelope covers them.
 type batchKey struct {
 	q, p   *rcj.Index
-	self   bool
 	alg    rcj.Algorithm
 	metric rcj.Metric
 	par    int
@@ -156,15 +156,15 @@ type batch struct {
 	sealed    bool // no further joins; set at grant or full abandonment
 }
 
-// runBatched is the batching front of Run/RunSelf. handled=false means the
+// runBatched is the batching front of Run. handled=false means the
 // caller should fall through to the solo admit path (batching disabled,
 // query not batchable, or a free slot makes solo execution strictly
 // better); otherwise seq/err are the request's outcome.
-func (s *Scheduler) runBatched(ctx context.Context, q, p *rcj.Index, qry rcj.Query, self bool, stats *rcj.Stats) (seq iter.Seq2[rcj.Pair, error], err error, handled bool) {
+func (s *Scheduler) runBatched(ctx context.Context, q, p *rcj.Index, qry rcj.Query, stats *rcj.Stats) (seq iter.Seq2[rcj.Pair, error], err error, handled bool) {
 	if !s.cfg.Batch.Enabled || !batchable(qry) {
 		return nil, nil, false
 	}
-	key := batchKey{q: q, p: p, self: self, alg: qry.EffectiveAlgorithm(), metric: qry.Metric, par: qry.Parallelism}
+	key := batchKey{q: q, p: p, alg: qry.EffectiveAlgorithm(), metric: qry.Metric, par: qry.Parallelism}
 	maxReq := s.cfg.Batch.MaxRequests
 	if maxReq <= 0 {
 		maxReq = DefaultBatchMaxRequests
@@ -338,12 +338,7 @@ func (s *Scheduler) executeBatch(b *batch) {
 		}
 	}
 
-	var seq iter.Seq2[[]rcj.Pair, error]
-	if b.key.self {
-		seq = s.eng.RunSelfBatches(jctx, b.key.q, env)
-	} else {
-		seq = s.eng.RunBatches(jctx, b.key.q, b.key.p, env)
-	}
+	seq := s.eng.RunBatches(jctx, b.key.q, b.key.p, env)
 	start := time.Now()
 	var batchErr error
 	for pairs, err := range seq {

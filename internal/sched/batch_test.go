@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/rcj"
@@ -44,7 +45,7 @@ func soloPairs(t *testing.T, eng *rcj.Engine, ix *rcj.Index, qry rcj.Query) ([]r
 	q := qry
 	q.Stats = &st
 	var out []rcj.Pair
-	for pr, err := range eng.RunSelf(context.Background(), ix, q) {
+	for pr, err := range eng.Run(context.Background(), ix, ix, q) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,10 +76,10 @@ type memberResult struct {
 	err   error
 }
 
-// runMember issues one RunSelf through the scheduler and drains it.
+// runMember issues one self-join Run through the scheduler and drains it.
 func runMember(ctx context.Context, s *Scheduler, ix *rcj.Index, qry rcj.Query, out *memberResult, done chan<- struct{}) {
 	defer close(done)
-	seq, err := s.RunSelf(ctx, ix, qry, &out.stats)
+	seq, err := s.Run(ctx, ix, ix, qry, &out.stats)
 	if err != nil {
 		out.err = err
 		return
@@ -346,7 +347,7 @@ func TestBatchPiggybackBeatsQueueBound(t *testing.T) {
 	go runMember(context.Background(), s, p, qry, &results[2], dones[2])
 	waitFor(t, func() bool { return openBatchMembers(s) == 3 })
 	// ...while an incompatible one (TopK is never batched) is rejected.
-	if _, err := s.RunSelf(context.Background(), p, rcj.Query{TopK: 5}, nil); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.Run(context.Background(), p, p, rcj.Query{TopK: 5}, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("incompatible request on a full queue returned %v, want ErrOverloaded", err)
 	}
 	release()
@@ -421,7 +422,7 @@ func TestBatchDrain(t *testing.T) {
 	}
 	waitFor(t, func() bool { return openBatchMembers(s) == 2 })
 	s.BeginDrain()
-	if _, err := s.RunSelf(context.Background(), p, qry, nil); !errors.Is(err, ErrDraining) {
+	if _, err := s.Run(context.Background(), p, p, qry, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("request during drain returned %v, want ErrDraining", err)
 	}
 	release()
@@ -457,7 +458,7 @@ func TestBatchConsumerBreak(t *testing.T) {
 	go runMember(context.Background(), s, p, rcj.Query{}, &full, doneFull)
 	go func() {
 		defer close(doneBrk)
-		seq, err := s.RunSelf(context.Background(), p, rcj.Query{}, nil)
+		seq, err := s.Run(context.Background(), p, p, rcj.Query{}, nil)
 		if err != nil {
 			brkErr = err
 			return
@@ -491,7 +492,7 @@ func TestBatchDisabledFallsThrough(t *testing.T) {
 	s := New(eng, Config{MaxConcurrent: 2})
 	want, _ := soloPairs(t, eng, p, rcj.Query{MaxDiameter: 400})
 	var st rcj.Stats
-	seq, err := s.RunSelf(context.Background(), p, rcj.Query{MaxDiameter: 400}, &st)
+	seq, err := s.Run(context.Background(), p, p, rcj.Query{MaxDiameter: 400}, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,5 +506,66 @@ func TestBatchDisabledFallsThrough(t *testing.T) {
 	assertExactPairs(t, "solo", got, want)
 	if snap := s.Snapshot(); snap.SharedBatches != 0 || snap.BatchedRequests != 0 {
 		t.Fatalf("batch counters moved while disabled: %+v", snap)
+	}
+}
+
+// TestPlanOutSurvivesRun pins "a request is planned once": the decision
+// PlanOut holds when the scheduler has resolved the query — at Run's return
+// for a solo request, while queued for a batched member — is the planner's
+// (its rule, a positive estimate), and draining the stream leaves it as it
+// was. The executor used to resolve the already-resolved query again and
+// overwrite it with a rule "fixed" echo without an estimate.
+func TestPlanOutSurvivesRun(t *testing.T) {
+	eng, q, p := newTestEngine(t)
+	planned := func(label string, dec rcj.PlanDecision) {
+		t.Helper()
+		if dec.Rule == "" || dec.Rule == "fixed" || dec.EstAccesses <= 0 {
+			t.Fatalf("%s: PlanOut = %v, want the planner's decision", label, dec)
+		}
+	}
+
+	s := New(eng, Config{MaxConcurrent: 1})
+	var solo rcj.PlanDecision
+	seq, err := s.Run(context.Background(), q, p, rcj.Query{PlanOut: &solo}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atAdmission := solo
+	planned("solo, at admission", atAdmission)
+	for _, err := range seq {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(solo, atAdmission) {
+		t.Errorf("solo: PlanOut after the stream = %v, at admission %v", solo, atAdmission)
+	}
+
+	s = New(eng, Config{MaxConcurrent: 1, MaxQueue: 8, Batch: BatchConfig{Enabled: true}})
+	release := blockSlot(t, s)
+	var decs [2]rcj.PlanDecision
+	var results [2]memberResult
+	var dones [2]chan struct{}
+	for i := range decs {
+		dones[i] = make(chan struct{})
+		go runMember(context.Background(), s, p, rcj.Query{MaxDiameter: 400, PlanOut: &decs[i]}, &results[i], dones[i])
+	}
+	// Joining the batch takes the scheduler's lock after the resolve, so the
+	// decisions are readable here.
+	waitFor(t, func() bool { return openBatchMembers(s) == 2 })
+	queued := decs
+	release()
+	for i, done := range dones {
+		<-done
+		if results[i].err != nil || len(results[i].pairs) == 0 {
+			t.Fatalf("member %d: %d pairs, err %v", i, len(results[i].pairs), results[i].err)
+		}
+		planned("batched member, queued", queued[i])
+		if !reflect.DeepEqual(decs[i], queued[i]) {
+			t.Errorf("member %d: PlanOut after the stream = %v, while queued %v", i, decs[i], queued[i])
+		}
+	}
+	if snap := s.Snapshot(); snap.SharedBatches != 1 {
+		t.Fatalf("the two members ran %d shared batches, want 1", snap.SharedBatches)
 	}
 }

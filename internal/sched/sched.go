@@ -14,8 +14,9 @@
 // to completion; Drain additionally waits for the last slot to free. This
 // is the SIGTERM path of cmd/rcjd.
 //
-// Requests are rcj.Query values admitted through Run (two datasets) or
-// RunSelf (one): the scheduler resolves the plan against its own load,
+// A request is two indexes and an rcj.Query — the same index twice for a
+// self-join — admitted through Run: the scheduler resolves the plan against
+// its own load (once; a query that arrives resolved keeps its decision),
 // waits for a slot, and returns the engine's stream.
 //
 // Per-request statistics ride on the engine's tagged buffer attribution
@@ -348,24 +349,6 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// resolve routes an unforced query through the cost-based planner, feeding
-// it the scheduler's live pressure (free slots, queue depth) so the chosen
-// fan-out respects concurrent load — and so the batch key downstream groups
-// by the RESOLVED algorithm, not the unplanned zero value. Resolution is
-// idempotent: queries a server already resolved take the fixed path
-// untouched. Invalid queries pass through unresolved so the engine surfaces
-// their validation error.
-func (s *Scheduler) resolve(q, p *rcj.Index, qry rcj.Query, self bool) rcj.Query {
-	if qry.Validate() != nil {
-		return qry
-	}
-	resolved, dec := qry.ResolveObserved(q, p, self, s.Observe(q, p))
-	if resolved.PlanOut != nil {
-		*resolved.PlanOut = dec
-	}
-	return resolved
-}
-
 // Observe merges the inputs' pool-derived planner feedback (rcj.Observe)
 // with the scheduler's live pressure: free slots damp the planner's chosen
 // fan-out while concurrent joins already hold the CPUs.
@@ -383,29 +366,23 @@ func (s *Scheduler) Observe(q, p *rcj.Index) rcj.PlanObserved {
 	return obs
 }
 
-// Run admits a streaming join: it blocks in admission control (so typed
-// rejections surface before any result bytes are produced), then returns a
-// single-use iterator streaming the pairs exactly as rcj.Engine.Run would.
-// The slot is held until the iterator terminates — completion, error, or
-// the consumer breaking out — and is released automatically then; callers
-// must consume (or at least begin and break out of) the iterator. When
-// stats is non-nil it receives the join's exact per-request statistics once
-// the iterator has terminated.
+// Run admits the streaming join (q, p, qry) — the same index twice is the
+// self-join, as in rcj.Engine.Run — in three steps. It resolves the plan,
+// feeding the planner the scheduler's live pressure (free slots, queue depth)
+// so the chosen fan-out respects concurrent load and the batch key groups by
+// the RESOLVED algorithm; a query that arrives resolved keeps its decision,
+// and an invalid one passes through for the engine to refuse. It rides a
+// forming batch if one fits (batch.go). Otherwise it blocks in admission
+// control, so typed rejections surface before any result bytes are produced,
+// and returns a single-use iterator streaming the pairs exactly as
+// rcj.Engine.Run would. The slot is held until the iterator terminates —
+// completion, error, or the consumer breaking out — and is released
+// automatically then; callers must consume (or at least begin and break out
+// of) the iterator. When stats is non-nil it receives the join's exact
+// per-request statistics once the iterator has terminated.
 func (s *Scheduler) Run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	return s.run(ctx, q, p, qry, false, stats)
-}
-
-// RunSelf is Run for the self-join of one index.
-func (s *Scheduler) RunSelf(ctx context.Context, ix *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	return s.run(ctx, ix, ix, qry, true, stats)
-}
-
-// run is the admission pipeline around one streaming join: resolve the
-// plan, ride a forming batch if one fits (batch.go), otherwise acquire a
-// slot, apply the per-request deadline, stream, account, release.
-func (s *Scheduler) run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, self bool, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	qry = s.resolve(q, p, qry, self)
-	if seq, err, handled := s.runBatched(ctx, q, p, qry, self, stats); handled {
+	qry, _ = qry.ResolveObserved(q, p, s.Observe(q, p))
+	if seq, err, handled := s.runBatched(ctx, q, p, qry, stats); handled {
 		return seq, err
 	}
 	release, err := s.Acquire(ctx)
@@ -425,15 +402,9 @@ func (s *Scheduler) run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, sel
 
 		var st rcj.Stats
 		qry.Stats = &st
-		var seq iter.Seq2[rcj.Pair, error]
-		if self {
-			seq = s.eng.RunSelf(jctx, q, qry)
-		} else {
-			seq = s.eng.Run(jctx, q, p, qry)
-		}
 		var pairs int64
 		var failed bool
-		for pr, err := range seq {
+		for pr, err := range s.eng.Run(jctx, q, p, qry) {
 			if err != nil {
 				failed = true
 				yield(pr, err)
@@ -458,6 +429,14 @@ func (s *Scheduler) run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, sel
 			*stats = st
 		}
 	}, nil
+}
+
+// RunSelf is Run(ctx, ix, ix, qry, stats).
+//
+// Deprecated: kept only because the frozen benchmark names it
+// (perf/inproc.go:190); it goes with the next benchmark PR.
+func (s *Scheduler) RunSelf(ctx context.Context, ix *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
+	return s.Run(ctx, ix, ix, qry, stats)
 }
 
 // Snapshot returns the scheduler's current counters.

@@ -311,7 +311,7 @@ func TestJoinTimeout(t *testing.T) {
 	defer ix.Close()
 
 	s := New(eng, Config{MaxConcurrent: 1, JoinTimeout: time.Nanosecond})
-	seq, err := s.RunSelf(context.Background(), ix, rcj.Query{}, nil)
+	seq, err := s.Run(context.Background(), ix, ix, rcj.Query{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,9 @@ func newResultCache(maxEntries, maxPairs int) *resultCache {
 // cacheKey builds the lookup key: each index name pinned to the generation
 // key of its current registration (registration generation, with the live
 // epoch sequence folded in for mutable indexes — see indexEntry.genKey), the
-// join shape, and the query's canonical result-shaping form. For self-joins
-// q repeats p.
-func cacheKey(pName, pGen, qName, qGen string, self bool, qry rcj.Query) string {
+// and the query's canonical result-shaping form. For self-joins q repeats p,
+// which is the join shape.
+func cacheKey(pName, pGen, qName, qGen string, qry rcj.Query) string {
 	var b strings.Builder
 	b.WriteString(pName)
 	b.WriteByte('#')
@@ -82,11 +82,7 @@ func cacheKey(pName, pGen, qName, qGen string, self bool, qry rcj.Query) string 
 	b.WriteString(qName)
 	b.WriteByte('#')
 	b.WriteString(qGen)
-	if self {
-		b.WriteString("|self|")
-	} else {
-		b.WriteString("|join|")
-	}
+	b.WriteByte('|')
 	b.WriteString(qry.Canonical())
 	return b.String()
 }

@@ -404,3 +404,96 @@ func TestServerBatchedJoins(t *testing.T) {
 			snap.SharedBatches, snap.BatchedRequests, n)
 	}
 }
+
+// TestJoinSameNameIsSelf pins the wire's two spellings of the self-join:
+// naming one index on both sides is the same request as "self" — the same
+// bytes in both formats, and the second spelling is a result-cache hit on
+// the first's entry. Saying both stays a 400.
+func TestJoinSameNameIsSelf(t *testing.T) {
+	ts, srv := newCachingServer(t, 400, 16)
+	for _, format := range []string{"", `,"format":"csv"`} {
+		named := joinBody(t, ts, `{"p":"p","q":"p","top_k":7`+format+`}`)
+		flagged := joinBody(t, ts, `{"p":"p","self":true,"top_k":7`+format+`}`)
+		if format == "" {
+			pairs, sum := splitSummary(t, named)
+			flaggedPairs, flaggedSum := splitSummary(t, flagged)
+			if sum.Results != 7 || sum.Cached || !flaggedSum.Cached {
+				t.Fatalf("summaries: named %+v, flagged %+v; want 7 fresh results, then a cache hit", sum, flaggedSum)
+			}
+			named, flagged = pairs, flaggedPairs
+		}
+		if named != flagged {
+			t.Errorf("format %q: {p:p,q:p} and {p:p,self:true} answer differently:\n%q\nvs\n%q", format, named, flagged)
+		}
+	}
+	if cs := srv.cache.snapshot(); cs.Stores != 1 || cs.Hits != 3 || cs.Entries != 1 {
+		t.Errorf("cache stats = %+v, want one entry stored once and hit by the three other requests", cs)
+	}
+	// A self-join answer is canonical: no identity pairs, P.ID < Q.ID.
+	resp := postJoin(t, ts, `{"p":"p","q":"p","top_k":7}`)
+	pairs, _ := decodeStream(t, resp.Body)
+	resp.Body.Close()
+	for _, pr := range pairs {
+		if pr.P.ID >= pr.Q.ID {
+			t.Errorf("{p:p,q:p} returned the non-canonical pair <%d,%d>", pr.P.ID, pr.Q.ID)
+		}
+	}
+	resp = postJoin(t, ts, `{"p":"p","q":"p","self":true}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf(`{"p":"p","q":"p","self":true}: status %d, want 400`, resp.StatusCode)
+	}
+}
+
+// TestJoinPlannedOnce: one /join request is one planning step in /metrics —
+// exactly one of plan.auto / plan.fixed moves, by one, and one rule.
+func TestJoinPlannedOnce(t *testing.T) {
+	ts, _ := newCachingServer(t, 400, 16)
+	type planMetrics struct {
+		Auto, Fixed int64
+		Rules       map[string]int64
+	}
+	read := func() planMetrics {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m struct {
+			Plan planMetrics `json:"plan"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Plan
+	}
+	for _, tc := range []struct {
+		body        string
+		auto, fixed int64
+	}{
+		{`{"p":"p","q":"q"}`, 1, 0},
+		{`{"p":"p","self":true,"max_diameter":50}`, 1, 0},
+		{`{"p":"p","q":"q","alg":"obj"}`, 0, 1},
+	} {
+		before := read()
+		_, sum := splitSummary(t, joinBody(t, ts, tc.body))
+		after := read()
+		if after.Auto-before.Auto != tc.auto || after.Fixed-before.Fixed != tc.fixed {
+			t.Errorf("%s: plan.auto %d -> %d, plan.fixed %d -> %d; want +%d / +%d",
+				tc.body, before.Auto, after.Auto, before.Fixed, after.Fixed, tc.auto, tc.fixed)
+		}
+		var moved []string
+		for rule, n := range after.Rules {
+			if n != before.Rules[rule] {
+				moved = append(moved, rule)
+			}
+		}
+		if len(moved) != 1 || after.Rules[moved[0]]-before.Rules[moved[0]] != 1 || (moved[0] == "fixed") != (tc.fixed == 1) {
+			t.Errorf("%s: plan.rules moved %v (%v -> %v), want one rule by one", tc.body, moved, before.Rules, after.Rules)
+		}
+		if len(moved) == 1 && !strings.Contains(sum.Plan, "rule="+moved[0]) {
+			t.Errorf("%s: summary plan %q does not name the counted rule %q", tc.body, sum.Plan, moved[0])
+		}
+	}
+}

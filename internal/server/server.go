@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"iter"
 	"net/http"
 	"runtime"
 	"sort"
@@ -734,31 +733,30 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	// Pin the indexes for the lifetime of the stream so a concurrent
 	// DELETE /indexes/{name} cannot unmap pages a running traversal reads.
-	ixP, ok := s.acquire(req.P)
+	// The join is (eQ.ix, eP.ix, qry): "self", like naming one index on both
+	// sides, is the same entry twice.
+	eP, ok := s.acquire(req.P)
 	if !ok {
 		errorJSON(w, http.StatusNotFound, "unknown index %q", req.P)
 		return
 	}
-	defer s.release(ixP)
-	var ixQ *indexEntry
+	defer s.release(eP)
+	eQ, qName := eP, req.P
 	if !req.Self {
-		if ixQ, ok = s.acquire(req.Q); !ok {
-			errorJSON(w, http.StatusNotFound, "unknown index %q", req.Q)
+		qName = req.Q
+		if eQ, ok = s.acquire(qName); !ok {
+			errorJSON(w, http.StatusNotFound, "unknown index %q", qName)
 			return
 		}
-		defer s.release(ixQ)
+		defer s.release(eQ)
 	}
 
 	// Resolve the plan BEFORE the result cache is consulted: the cache key
 	// embeds Canonical(), so cached entries are always keyed by the concrete
 	// resolved plan, never by the ambiguous "planner decides" zero value.
-	// The scheduler's later resolve call is a no-op on the forced result.
-	var dec rcj.PlanDecision
-	if req.Self {
-		qry, dec = qry.ResolveObserved(ixP.ix, ixP.ix, true, s.sched.Observe(ixP.ix, ixP.ix))
-	} else {
-		qry, dec = qry.ResolveObserved(ixQ.ix, ixP.ix, false, s.sched.Observe(ixQ.ix, ixP.ix))
-	}
+	// The resolved query carries the decision through the scheduler and the
+	// executor: this is the request's one planning step.
+	qry, dec := qry.ResolveObserved(eQ.ix, eP.ix, s.sched.Observe(eQ.ix, eP.ix))
 	s.recordPlan(dec)
 
 	// Result cache: a bounded sequential query whose exact result set is
@@ -769,12 +767,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var ckey string
 	cacheOK := s.cache.cacheable(qry) && !s.sched.Draining()
 	if cacheOK {
-		if req.Self {
-			g := ixP.genKey()
-			ckey = cacheKey(req.P, g, req.P, g, true, qry)
-		} else {
-			ckey = cacheKey(req.P, ixP.genKey(), req.Q, ixQ.genKey(), false, qry)
-		}
+		ckey = cacheKey(req.P, eP.genKey(), qName, eQ.genKey(), qry)
 		if res, ok := s.cache.get(ckey); ok {
 			s.writeCachedJoin(w, res, csvFormat)
 			return
@@ -793,12 +786,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var st rcj.Stats
-	var seq iter.Seq2[rcj.Pair, error]
-	if req.Self {
-		seq, err = s.sched.RunSelf(ctx, ixP.ix, qry, &st)
-	} else {
-		seq, err = s.sched.Run(ctx, ixQ.ix, ixP.ix, qry, &st)
-	}
+	seq, err := s.sched.Run(ctx, eQ.ix, eP.ix, qry, &st)
 	if err != nil {
 		s.writeAdmissionError(w, err)
 		return
@@ -823,8 +811,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		// reference counts, so the generations in the key are still current:
 		// safe to memoize.
 		names := []string{req.P}
-		if !req.Self {
-			names = append(names, req.Q)
+		if eQ != eP {
+			names = append(names, qName)
 		}
 		s.cache.put(&cachedResult{key: ckey, names: names, pairs: collect, stats: st, plan: dec})
 	}

@@ -219,7 +219,7 @@ func TestSelfJoinAndCSVFormat(t *testing.T) {
 	}
 
 	pIx, _ := srv.lookup("p")
-	want, _, err := srv.Scheduler().Engine().RunSelfCollect(context.Background(), pIx.ix, rcj.Query{})
+	want, _, err := srv.Scheduler().Engine().RunCollect(context.Background(), pIx.ix, pIx.ix, rcj.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

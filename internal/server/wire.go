@@ -16,7 +16,8 @@ import (
 // through all live here, so the two tiers cannot drift apart.
 
 // JoinRequest is the POST /join payload. Exactly one of {"q"} or
-// {"self": true} selects a two-set or self join. The predicate fields are
+// {"self": true} names the other side; "self", like naming p again as q, is
+// the self-join of p. The predicate fields are
 // pushed down into the index traversal — a top-k request prunes the join
 // instead of computing it fully and truncating.
 type JoinRequest struct {

@@ -213,19 +213,15 @@ func TestShardedJoinEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var pairs []rcj.Pair
-				if tc.self {
-					pairs, _, err = eng.RunSelfCollect(context.Background(), pix, sq)
-				} else {
-					var qix *rcj.Index
-					qix, err = eng.OpenIndex(ResolveSource(path, sh.Q, ""), rcj.IndexConfig{})
-					if err != nil {
+				qix := pix
+				if !tc.self {
+					if qix, err = eng.OpenIndex(ResolveSource(path, sh.Q, ""), rcj.IndexConfig{}); err != nil {
 						t.Fatal(err)
 					}
-					// The outer input is Q, the inner P (server convention).
-					pairs, _, err = eng.RunCollect(context.Background(), qix, pix, sq)
 					defer qix.Close()
 				}
+				// The outer input is Q, the inner P (server convention).
+				pairs, _, err := eng.RunCollect(context.Background(), qix, pix, sq)
 				if err != nil {
 					t.Fatalf("shard %d join: %v", sh.ID, err)
 				}
@@ -258,18 +254,14 @@ func unshardedPairs(t *testing.T, eng *rcj.Engine, p, q []rcj.Point, self bool, 
 		t.Fatal(err)
 	}
 	defer pix.Close()
-	var pairs []rcj.Pair
-	if self {
-		pairs, _, err = eng.RunSelfCollect(context.Background(), pix, qry)
-	} else {
-		var qix *rcj.Index
-		qix, err = eng.BuildIndex(q, rcj.IndexConfig{})
-		if err != nil {
+	qix := pix
+	if !self {
+		if qix, err = eng.BuildIndex(q, rcj.IndexConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		defer qix.Close()
-		pairs, _, err = eng.RunCollect(context.Background(), qix, pix, qry)
 	}
+	pairs, _, err := eng.RunCollect(context.Background(), qix, pix, qry)
 	if err != nil {
 		t.Fatal(err)
 	}

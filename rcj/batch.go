@@ -117,12 +117,7 @@ func (q Query) Canonical() string {
 // the scheduler's cross-request batching demultiplexes: each member filters
 // every slice with its own Query.Matches.
 func (e *Engine) RunBatches(ctx context.Context, q, p *Index, qry Query) iter.Seq2[[]Pair, error] {
-	return runStream(ctx, q, p, qry, false, batchSink)
-}
-
-// RunSelfBatches is RunBatches for the self-join of one dataset.
-func (e *Engine) RunSelfBatches(ctx context.Context, ix *Index, qry Query) iter.Seq2[[]Pair, error] {
-	return runStream(ctx, ix, ix, qry, true, batchSink)
+	return runStream(ctx, q, p, qry, batchSink)
 }
 
 // batchSink converts each core batch once and hands the slice over the

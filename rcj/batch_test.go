@@ -22,7 +22,7 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 
 	for ci, qry := range queryCases() {
 		var want []Pair
-		for p, err := range eng.RunSelf(ctx, ix, qry) {
+		for p, err := range eng.Run(ctx, ix, ix, qry) {
 			if err != nil {
 				t.Fatalf("case %d: run: %v", ci, err)
 			}
@@ -32,7 +32,7 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 		var st Stats
 		bq := qry
 		bq.Stats = &st
-		for b, err := range eng.RunSelfBatches(ctx, ix, bq) {
+		for b, err := range eng.RunBatches(ctx, ix, ix, bq) {
 			if err != nil {
 				t.Fatalf("case %d: run batches: %v", ci, err)
 			}
@@ -56,7 +56,7 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 
 	// Breaking out of the batch iterator cancels the producer cleanly.
 	count := 0
-	for _, err := range eng.RunSelfBatches(ctx, ix, Query{}) {
+	for _, err := range eng.RunBatches(ctx, ix, ix, Query{}) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 	}
 
 	// Validation errors surface as the iterator's first element.
-	for _, err := range eng.RunSelfBatches(ctx, ix, Query{Limit: -1}) {
+	for _, err := range eng.RunBatches(ctx, ix, ix, Query{Limit: -1}) {
 		if err == nil {
 			t.Fatal("invalid query streamed a batch")
 		}
@@ -119,7 +119,7 @@ func TestBatchEnvelope(t *testing.T) {
 	ctx := context.Background()
 
 	var envPairs []Pair
-	for p, err := range eng.RunSelf(ctx, ix, BatchEnvelope(members)) {
+	for p, err := range eng.Run(ctx, ix, ix, BatchEnvelope(members)) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestBatchEnvelope(t *testing.T) {
 	}
 	for mi, m := range members {
 		var want []Pair
-		for p, err := range eng.RunSelf(ctx, ix, m) {
+		for p, err := range eng.Run(ctx, ix, ix, m) {
 			if err != nil {
 				t.Fatal(err)
 			}

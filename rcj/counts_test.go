@@ -181,16 +181,11 @@ func TestJoinCountsGolden(t *testing.T) {
 				in := v.open(t)
 				qry := c.qry
 				qry.Algorithm, qry.ForceAlgorithm, qry.Parallelism = alg, true, 1
-				var (
-					pairs []Pair
-					st    Stats
-					err   error
-				)
+				q, p := in.q, in.p
 				if c.self {
-					pairs, st, err = in.eng.RunSelfCollect(bg, in.self, qry)
-				} else {
-					pairs, st, err = in.eng.RunCollect(bg, in.q, in.p, qry)
+					q, p = in.self, in.self
 				}
+				pairs, st, err := in.eng.RunCollect(bg, q, p, qry)
 				if err != nil {
 					t.Fatalf("%s/%s/%v: %v", v.name, c.name, alg, err)
 				}

@@ -130,11 +130,11 @@ func TestEngineSelfJoinStream(t *testing.T) {
 	ix, _ := eng.BuildIndex(testPoints(rng, 300, 0), IndexConfig{})
 	defer ix.Close()
 
-	collected, _, err := eng.RunSelfCollect(context.Background(), ix, Query{})
+	collected, _, err := eng.RunCollect(context.Background(), ix, ix, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := Collect(eng.RunSelf(context.Background(), ix, Query{}))
+	streamed, err := Collect(eng.Run(context.Background(), ix, ix, Query{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestEnginePreCancelled(t *testing.T) {
 	defer ix.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pairs, err := Collect(eng.RunSelf(ctx, ix, Query{}))
+	pairs, err := Collect(eng.Run(ctx, ix, ix, Query{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

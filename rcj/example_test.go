@@ -60,7 +60,7 @@ func ExampleEngine_RunSelfCollect() {
 	}
 	defer ix.Close()
 	eng := rcj.NewEngine(rcj.EngineConfig{})
-	pairs, _, err := eng.RunSelfCollect(context.Background(), ix, rcj.Query{SortByDiameter: true})
+	pairs, _, err := eng.RunCollect(context.Background(), ix, ix, rcj.Query{SortByDiameter: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestFaceRulePackingIndependent(t *testing.T) {
 			"insert": mustIndex(t, pts, IndexConfig{InsertBuild: true}),
 			"live":   live,
 		} {
-			got, _, err := testEng.RunSelfCollect(bg, ix, Query{})
+			got, _, err := testEng.RunCollect(bg, ix, ix, Query{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,12 +68,12 @@ func BenchmarkLeafKernels(b *testing.B) {
 		eng := NewEngine(EngineConfig{})
 		ix := open(b, eng, paths["v2-p"])
 		defer ix.Close()
-		if _, _, err := eng.RunSelfCollect(ctx, ix, Query{}); err != nil {
+		if _, _, err := eng.RunCollect(ctx, ix, ix, Query{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.RunSelfCollect(ctx, ix, Query{}); err != nil {
+			if _, _, err := eng.RunCollect(ctx, ix, ix, Query{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -103,10 +103,11 @@ func TestL1Gate(t *testing.T) {
 		q := form.open(t, eng, qs, filepath.Join(dir, "q.rcjx"))
 		defer q.Close()
 		for _, self := range []bool{false, true} {
-			full := fromCorePairs(core.BruteForceL1Pairs(entries(p), entries(q), false))
+			q := q
 			if self {
-				full = fromCorePairs(core.BruteForceL1Pairs(entries(p), entries(p), true))
+				q = p
 			}
+			full := fromCorePairs(core.BruteForceL1Pairs(entries(p), entries(q), self))
 			if len(full) < 100 {
 				t.Fatalf("%s self=%v: oracle has only %d pairs", form.name, self, len(full))
 			}
@@ -129,15 +130,8 @@ func TestL1Gate(t *testing.T) {
 					qry.Metric, qry.Parallelism = L1, par
 					var st Stats
 					qry.Stats = &st
-					var collected, streamed []Pair
-					var err, serr error
-					if self {
-						collected, _, err = eng.RunSelfCollect(bg, p, qry)
-						streamed, serr = Collect(eng.RunSelf(bg, p, qry))
-					} else {
-						collected, _, err = eng.RunCollect(bg, q, p, qry)
-						streamed, serr = Collect(eng.Run(bg, q, p, qry))
-					}
+					collected, _, err := eng.RunCollect(bg, q, p, qry)
+					streamed, serr := Collect(eng.Run(bg, q, p, qry))
 					if err != nil || serr != nil {
 						t.Fatalf("%s: collect %v, stream %v", label, err, serr)
 					}
@@ -211,7 +205,7 @@ func TestL1KeysAndValidation(t *testing.T) {
 	// executor both re-validate a resolved query.
 	rng := rand.New(rand.NewSource(5))
 	ix := mustIndex(t, randomPoints(rng, 40), IndexConfig{})
-	resolved, dec := Query{Metric: L1, Parallelism: 2}.Resolve(ix, ix, true)
+	resolved, dec := resolve(Query{Metric: L1, Parallelism: 2}, ix, ix)
 	if err := resolved.Validate(); err != nil {
 		t.Errorf("resolved L1 query no longer validates: %v", err)
 	}

@@ -262,7 +262,7 @@ func TestLiveEquivalenceSelfJoin(t *testing.T) {
 		if step%8 != 7 && step != 39 {
 			continue
 		}
-		got, _, err := eng.RunSelfCollect(ctx, ix, Query{})
+		got, _, err := eng.RunCollect(ctx, ix, ix, Query{})
 		if err != nil {
 			t.Fatalf("step %d (%s): live self-join: %v", step, what, err)
 		}
@@ -270,7 +270,7 @@ func TestLiveEquivalenceSelfJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := eng.RunSelfCollect(ctx, fresh, Query{})
+		want, _, err := eng.RunCollect(ctx, fresh, fresh, Query{})
 		fresh.Close()
 		if err != nil {
 			t.Fatalf("step %d (%s): batch self-join: %v", step, what, err)
@@ -400,7 +400,7 @@ func TestLiveSubscriptionSelfJoin(t *testing.T) {
 	}
 	ix.Close()
 	fresh := mustIndex(t, modelPoints(model), IndexConfig{})
-	want, _, err := testEng.RunSelfCollect(bg, fresh, Query{})
+	want, _, err := testEng.RunCollect(bg, fresh, fresh, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,8 +558,8 @@ func TestMutableAPIErrors(t *testing.T) {
 	if _, err := NewMonitor(frozen, ix); !errors.Is(err, ErrMutableIndex) {
 		t.Fatalf("NewMonitor with a mutable side: %v", err)
 	}
-	if _, err := NewSelfMonitor(ix); !errors.Is(err, ErrMutableIndex) {
-		t.Fatalf("NewSelfMonitor on a mutable index: %v", err)
+	if _, err := NewMonitor(ix, ix); !errors.Is(err, ErrMutableIndex) {
+		t.Fatalf("NewMonitor(ix, ix) on a mutable index: %v", err)
 	}
 }
 
@@ -622,7 +622,7 @@ func TestLiveReadsBesideTheJoin(t *testing.T) {
 	if st.NodeAccesses == 0 || st.Results != int64(len(got)) {
 		t.Errorf("L1 join stats not tagged: %+v for %d pairs", st, len(got))
 	}
-	gotSelf, _, err := eng.RunSelfCollect(bg, p, Query{Metric: L1})
+	gotSelf, _, err := eng.RunCollect(bg, p, p, Query{Metric: L1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +689,7 @@ func TestLiveConcurrentQueryMutateCompact(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := eng.RunSelfCollect(ctx, ix, Query{}); err != nil {
+				if _, _, err := eng.RunCollect(ctx, ix, ix, Query{}); err != nil {
 					t.Errorf("concurrent self-join: %v", err)
 					return
 				}

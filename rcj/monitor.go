@@ -25,14 +25,15 @@ var ErrMonitorDelete = core.ErrMonitorDelete
 // The monitor takes over its indexes: after NewMonitor, mutate the datasets
 // only through AddP/AddQ.
 type Monitor struct {
-	m    *core.Monitor
-	self bool
+	m *core.Monitor
 }
 
 // NewMonitor computes the initial join between the datasets of q and p and
-// returns a monitor maintaining it. The monitor inserts into the indexes'
-// own trees, so both must be immutable (ErrMutableIndex otherwise): a
-// mutable index is watched with SubscribeLive instead.
+// returns a monitor maintaining it; the same index twice maintains the
+// self-join of one dataset (postboxes-style, pairs canonical: P.ID < Q.ID).
+// The monitor inserts into the indexes' own trees, so both must be immutable
+// (ErrMutableIndex otherwise): a mutable index is watched with SubscribeLive
+// instead.
 func NewMonitor(q, p *Index) (*Monitor, error) {
 	if q.live != nil || p.live != nil {
 		return nil, ErrMutableIndex
@@ -41,12 +42,8 @@ func NewMonitor(q, p *Index) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{m: cm, self: q == p}, nil
+	return &Monitor{m: cm}, nil
 }
-
-// NewSelfMonitor maintains the self-join of one dataset (postboxes-style);
-// pairs are canonical (P.ID < Q.ID).
-func NewSelfMonitor(ix *Index) (*Monitor, error) { return NewMonitor(ix, ix) }
 
 // Len returns the current number of pairs.
 func (mo *Monitor) Len() int { return mo.m.Len() }

@@ -54,7 +54,7 @@ func TestSelfMonitor(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := randomPoints(rng, 80)
 	ix := mustIndex(t, pts, IndexConfig{})
-	mo, err := NewSelfMonitor(ix)
+	mo, err := NewMonitor(ix, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSelfMonitor(t *testing.T) {
 		}
 	}
 	fresh := mustIndex(t, append(append([]Point(nil), pts...), extra...), IndexConfig{})
-	want, _, err := testEng.RunSelfCollect(bg, fresh, Query{})
+	want, _, err := testEng.RunCollect(bg, fresh, fresh, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,14 +46,14 @@ func TestSavePackedRoundTrip(t *testing.T) {
 		t.Fatal("IsIndexFile(packed) = false")
 	}
 
-	wantPairs, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunCollect(bg, ix, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
 			re := openOn(t, v3Path, be)
-			got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
+			got, _, err := testEng.RunCollect(bg, re, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func goldenV23Points() []Point {
 // the bits fails here.
 func TestGoldenV2V3Fixtures(t *testing.T) {
 	fresh := mustIndex(t, goldenV23Points(), IndexConfig{})
-	wantPairs, _, err := testEng.RunSelfCollect(bg, fresh, Query{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunCollect(bg, fresh, fresh, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGoldenV2V3Fixtures(t *testing.T) {
 		for _, be := range allBackends {
 			t.Run(name+"/"+be.String(), func(t *testing.T) {
 				ix := openOn(t, golden, be)
-				got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
+				got, _, err := testEng.RunCollect(bg, ix, ix, Query{SortByDiameter: true})
 				if err != nil {
 					t.Fatal(err)
 				}

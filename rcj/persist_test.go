@@ -114,7 +114,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		pairs, st, err := build.RunCollect(ctx, builtQ, builtP, Query{Algorithm: alg, ForceAlgorithm: true})
 		want[name] = collectSorted(t, pairs, st, err)
 	}
-	selfPairs, st, err := build.RunSelfCollect(ctx, builtP, Query{})
+	selfPairs, st, err := build.RunCollect(ctx, builtP, builtP, Query{})
 	want["self"] = collectSorted(t, selfPairs, st, err)
 	builtP.Close()
 	builtQ.Close()
@@ -139,7 +139,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 				pairs, st, err := eng.RunCollect(ctx, ixQ, ixP, Query{Algorithm: alg, ForceAlgorithm: true})
 				equalPairs(t, name, collectSorted(t, pairs, st, err), want[name])
 			}
-			pairs, st, err := eng.RunSelfCollect(ctx, ixP, Query{})
+			pairs, st, err := eng.RunCollect(ctx, ixP, ixP, Query{})
 			equalPairs(t, "self", collectSorted(t, pairs, st, err), want["self"])
 
 			// Points round-trip too (leaf order may differ from input order).

@@ -8,10 +8,10 @@ import (
 
 // This file connects queries to the cost-based planner (internal/plan). A
 // Query whose Algorithm is the zero value without ForceAlgorithm means
-// "planner decides": Resolve turns it into a concrete, forced query — so
+// "planner decides": resolving turns it into a concrete, forced query — so
 // cache keys, batch keys, and the executor all see the resolved plan — and
-// returns the Decision for reporting. Resolution is idempotent: a resolved
-// query takes the fixed path on every later Resolve.
+// returns the Decision for reporting. A request is planned once: the
+// resolved query carries its decision, and every later resolve returns it.
 
 // PlanDecision is one resolved query plan (see internal/plan.Decision).
 type PlanDecision = plan.Decision
@@ -20,64 +20,74 @@ type PlanDecision = plan.Decision
 // (see internal/plan.Observed).
 type PlanObserved = plan.Observed
 
-// Resolve resolves the query against the two join inputs, deriving the
-// observed state (buffer hit ratio, measured fault latency) from their
-// pools. Serving stacks with richer signals use ResolveObserved.
+// Resolve is ResolveObserved(qx, px, Observe(qx, px)); self is ignored, the
+// join shape being qx == px.
+//
+// Deprecated: kept only because the frozen benchmark names it
+// (perf/micro.go:160); it goes with the next benchmark PR.
 func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
-	return q.ResolveObserved(qx, px, self, Observe(qx, px))
+	return q.ResolveObserved(qx, px, Observe(qx, px))
 }
 
-// ResolveObserved is Resolve with caller-supplied observed state. When the
-// query pins its plan — ForceAlgorithm, an explicit non-zero Algorithm, or
-// the L1 metric with its one index-nested-loop filter — the fixed plan is
-// echoed verbatim (rule "fixed"); otherwise the planner
-// picks algorithm, parallelism, prefetch depth, and predicate order from
-// the inputs' metadata (epoch-aware for mutable indexes: the live point
-// count, not the sealed superblock's). The returned query is marked
-// ForceAlgorithm so Canonical(), batch keys, and every later Resolve see
-// the concrete plan.
-func (q Query) ResolveObserved(qx, px *Index, self bool, obs PlanObserved) (Query, PlanDecision) {
+// ResolveObserved resolves the query against the two join inputs (the same
+// index twice for a self-join) under the observed state obs — Observe's
+// pool-derived one, or a serving stack's richer signals. When the query
+// pins its plan — ForceAlgorithm, an explicit non-zero Algorithm, or the L1
+// metric with its one index-nested-loop filter — the fixed plan is echoed
+// verbatim (rule "fixed"); otherwise the planner picks algorithm,
+// parallelism, prefetch depth, and predicate order from the inputs' metadata
+// (epoch-aware for mutable indexes: the live point count, not the sealed
+// superblock's). The returned query is marked ForceAlgorithm so Canonical()
+// and batch keys see the concrete plan, and carries the decision: resolving
+// it again returns the same decision, whatever the arguments. PlanOut, when
+// set, receives the decision. An invalid query is returned as it came, for
+// the executor to refuse.
+func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDecision) {
+	if q.plan != nil {
+		return q, *q.plan
+	}
+	if q.Validate() != nil {
+		return q, PlanDecision{}
+	}
+	var dec PlanDecision
 	if q.ForceAlgorithm || q.Algorithm != INJ || q.Metric == L1 {
-		resolved := q
-		resolved.ForceAlgorithm = true
-		par := q.Parallelism
-		if par < 1 {
-			par = 1
-		}
-		return resolved, PlanDecision{
+		dec = PlanDecision{
 			Algorithm:      q.algorithm(),
-			Parallelism:    par,
+			Parallelism:    max(q.Parallelism, 1),
 			UseWeightBound: q.Weight != nil && q.TopK > 0,
 			Rule:           "fixed",
 			Epochs:         [2]uint64{qx.Epoch(), px.Epoch()},
 		}
+	} else {
+		req := plan.Request{
+			Self:        selfJoin(qx, px),
+			MaxDiameter: q.MaxDiameter,
+			MinDistance: q.MinDistance,
+			TopK:        q.TopK,
+			Limit:       q.Limit,
+			Weighted:    q.Weight != nil,
+			Parallelism: q.Parallelism,
+		}
+		if q.Region != nil {
+			r := q.Region.geom()
+			req.Region = &r
+		}
+		dec = plan.Plan(req, qx.planMeta(), px.planMeta(), obs)
+		q.Algorithm = dec.Algorithm
+		if q.Parallelism < 1 {
+			q.Parallelism = dec.Parallelism
+		}
+		qx.applyPlan(dec)
+		if px != qx {
+			px.applyPlan(dec)
+		}
 	}
-	req := plan.Request{
-		Self:        self,
-		MaxDiameter: q.MaxDiameter,
-		MinDistance: q.MinDistance,
-		TopK:        q.TopK,
-		Limit:       q.Limit,
-		Weighted:    q.Weight != nil,
-		Parallelism: q.Parallelism,
+	q.ForceAlgorithm = true
+	q.plan = &dec
+	if q.PlanOut != nil {
+		*q.PlanOut = dec
 	}
-	if q.Region != nil {
-		r := q.Region.geom()
-		req.Region = &r
-	}
-	dec := plan.Plan(req, qx.planMeta(), px.planMeta(), obs)
-	resolved := q
-	resolved.Algorithm = dec.Algorithm
-	resolved.ForceAlgorithm = true
-	if resolved.Parallelism < 1 {
-		resolved.Parallelism = dec.Parallelism
-	}
-	resolved.predOrder = dec.PredicateOrder
-	qx.applyPlan(dec)
-	if px != qx {
-		px.applyPlan(dec)
-	}
-	return resolved, dec
+	return q, dec
 }
 
 // planMeta assembles this index's planner metadata without reading data
@@ -127,9 +137,9 @@ func (ix *Index) applyPlan(dec PlanDecision) {
 
 // Observe derives planner feedback from the inputs' buffer pools: the hit
 // ratio predicts faults, and the measured per-miss load wait calibrates
-// what a fault costs on this backend. Resolve uses it as is; serving stacks
-// overlay their own signals (free slots, queue depth) before calling
-// ResolveObserved.
+// what a fault costs on this backend. The executor resolves with it as is;
+// serving stacks overlay their own signals (free slots, queue depth) before
+// calling ResolveObserved.
 func Observe(qx, px *Index) PlanObserved {
 	var obs PlanObserved
 	pool := qx.pool

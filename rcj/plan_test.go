@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -31,10 +32,15 @@ func plannerCases() []Query {
 	}
 }
 
+// resolve resolves qry for the join (q, p) the way the executor does.
+func resolve(qry Query, q, p *Index) (Query, PlanDecision) {
+	return qry.ResolveObserved(q, p, Observe(q, p))
+}
+
 // TestResolveFixedEcho pins the fixed path: a query that names its algorithm
 // (or sets ForceAlgorithm) resolves to itself verbatim under rule "fixed",
-// and resolution is idempotent — a resolved query takes the fixed path on
-// every later Resolve.
+// and a request is planned once — a resolved query carries its decision, so
+// every later resolve returns it unchanged, the planner's included.
 func TestResolveFixedEcho(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	rng := rand.New(rand.NewSource(17))
@@ -44,7 +50,7 @@ func TestResolveFixedEcho(t *testing.T) {
 	}
 	defer ix.Close()
 
-	resolved, dec := Query{Algorithm: BIJ, Parallelism: 3}.Resolve(ix, ix, true)
+	resolved, dec := resolve(Query{Algorithm: BIJ, Parallelism: 3}, ix, ix)
 	if !resolved.ForceAlgorithm || resolved.Algorithm != BIJ {
 		t.Errorf("resolved = {alg:%v force:%v}, want forced BIJ", resolved.Algorithm, resolved.ForceAlgorithm)
 	}
@@ -54,27 +60,40 @@ func TestResolveFixedEcho(t *testing.T) {
 
 	// A forced query with no explicit Parallelism runs sequentially; the
 	// decision must report that effective value, not echo the zero.
-	if _, d := (Query{Algorithm: OBJ}).Resolve(ix, ix, true); d.Parallelism != 1 {
+	if _, d := resolve(Query{Algorithm: OBJ}, ix, ix); d.Parallelism != 1 {
 		t.Errorf("forced OBJ with Parallelism 0: decision reports par=%d, want 1", d.Parallelism)
 	}
 
 	// INJ is the Algorithm zero value, so forcing it needs ForceAlgorithm.
-	if _, d := (Query{Algorithm: INJ, ForceAlgorithm: true}).Resolve(ix, ix, true); d.Rule != "fixed" || d.Algorithm != INJ {
+	if _, d := resolve(Query{Algorithm: INJ, ForceAlgorithm: true}, ix, ix); d.Rule != "fixed" || d.Algorithm != INJ {
 		t.Errorf("forced INJ: decision = %v, want fixed INJ", d)
 	}
 
 	// Idempotence: resolving a resolved query changes nothing.
-	again, dec2 := resolved.Resolve(ix, ix, true)
-	if again.Algorithm != resolved.Algorithm || !again.ForceAlgorithm || dec2.Rule != "fixed" || dec2.Algorithm != dec.Algorithm {
-		t.Errorf("re-resolve: query {alg:%v force:%v} decision %v, want unchanged fixed %v",
-			again.Algorithm, again.ForceAlgorithm, dec2, dec.Algorithm)
+	again, dec2 := resolve(resolved, ix, ix)
+	if again.Algorithm != resolved.Algorithm || !again.ForceAlgorithm || !reflect.DeepEqual(dec2, dec) {
+		t.Errorf("re-resolve: query {alg:%v force:%v} decision %v, want unchanged %v",
+			again.Algorithm, again.ForceAlgorithm, dec2, dec)
+	}
+
+	// The same holds for a planner-resolved query: the second resolve returns
+	// the planner's decision — rule, estimates and all — not a "fixed" echo
+	// of the algorithm it picked, and PlanOut keeps reading the first.
+	var out PlanDecision
+	planned, pdec := resolve(Query{MaxDiameter: 80, MinDistance: 5, PlanOut: &out}, ix, ix)
+	if pdec.Rule == "fixed" || pdec.EstAccesses <= 0 {
+		t.Fatalf("unforced query planned %v, want a planner rule with an estimate", pdec)
+	}
+	again, pdec2 := resolve(planned, ix, ix)
+	if !reflect.DeepEqual(pdec2, pdec) || !reflect.DeepEqual(out, pdec) || again.Algorithm != planned.Algorithm {
+		t.Errorf("re-resolve of a planned query: decision %v (PlanOut %v), want the first decision %v", pdec2, out, pdec)
 	}
 }
 
 // TestResolveAutoPicksBySize pins the planner's headline rules end to end
 // through Resolve: a tiny input plans brute, a large one plans OBJ, a sharp
 // Region window shrinks the effective outer set into INJ territory — and the
-// resolved query is pinned (later Resolves take the fixed path).
+// resolved query is pinned (later resolves return the same decision).
 func TestResolveAutoPicksBySize(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	rng := rand.New(rand.NewSource(23))
@@ -89,7 +108,7 @@ func TestResolveAutoPicksBySize(t *testing.T) {
 	}
 	defer large.Close()
 
-	q1, dec1 := Query{}.Resolve(tiny, tiny, true)
+	q1, dec1 := resolve(Query{}, tiny, tiny)
 	if dec1.Algorithm != Brute || dec1.Rule != "tiny-brute" {
 		t.Errorf("40×40 self-join planned %v, want tiny-brute", dec1)
 	}
@@ -97,17 +116,17 @@ func TestResolveAutoPicksBySize(t *testing.T) {
 		t.Errorf("resolved query = {alg:%v force:%v}, want pinned Brute", q1.Algorithm, q1.ForceAlgorithm)
 	}
 
-	q2, dec2 := Query{}.Resolve(large, large, true)
+	q2, dec2 := resolve(Query{}, large, large)
 	if dec2.Algorithm != OBJ || dec2.Rule != "default-obj" {
 		t.Errorf("800×800 self-join planned %v, want default-obj", dec2)
 	}
-	if _, dec3 := q2.Resolve(large, large, true); dec3.Rule != "fixed" || dec3.Algorithm != OBJ {
-		t.Errorf("re-resolve of planned query: %v, want fixed OBJ", dec3)
+	if _, dec3 := resolve(q2, tiny, tiny); !reflect.DeepEqual(dec3, dec2) {
+		t.Errorf("re-resolve of planned query: %v, want the first decision %v", dec3, dec2)
 	}
 
 	// A 100-unit window over the 1000-unit MBR leaves a few dozen effective
 	// outer points: per-point filtering beats bulk setup.
-	_, dec4 := Query{Region: &Rect{MinX: 450, MinY: 450, MaxX: 550, MaxY: 550}}.Resolve(large, large, true)
+	_, dec4 := resolve(Query{Region: &Rect{MinX: 450, MinY: 450, MaxX: 550, MaxY: 550}}, large, large)
 	if dec4.Algorithm != INJ || dec4.Rule != "small-outer-inj" {
 		t.Errorf("tight-window plan = %v, want small-outer-inj", dec4)
 	}
@@ -168,7 +187,7 @@ func TestPlannerSeesLiveMutations(t *testing.T) {
 	}
 	defer ix.Close()
 
-	_, dec0 := Query{}.Resolve(ix, ix, true)
+	_, dec0 := resolve(Query{}, ix, ix)
 	if dec0.Algorithm != Brute {
 		t.Fatalf("30-point mutable self-join planned %v, want Brute", dec0)
 	}
@@ -176,7 +195,7 @@ func TestPlannerSeesLiveMutations(t *testing.T) {
 	if _, err := ix.Insert(testPoints(rng, 500, 1000)...); err != nil {
 		t.Fatal(err)
 	}
-	_, dec1 := Query{}.Resolve(ix, ix, true)
+	_, dec1 := resolve(Query{}, ix, ix)
 	if dec1.Algorithm != OBJ {
 		t.Errorf("530-point mutable self-join planned %v — the planner read a stale (sealed) count, want OBJ", dec1)
 	}
@@ -193,7 +212,7 @@ func TestPlannerSeesLiveMutations(t *testing.T) {
 	if _, err := ix.Delete(ids...); err != nil {
 		t.Fatal(err)
 	}
-	if _, dec2 := (Query{}).Resolve(ix, ix, true); dec2.Algorithm != Brute {
+	if _, dec2 := resolve(Query{}, ix, ix); dec2.Algorithm != Brute {
 		t.Errorf("after deleting back to 30 points planned %v, want Brute again", dec2.Algorithm)
 	} else if dec2.Epochs[0] <= dec1.Epochs[0] {
 		t.Errorf("decision epoch %d after delete, want > %d", dec2.Epochs[0], dec1.Epochs[0])
@@ -244,18 +263,16 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		ixP := build(250, 0, mutable)
 		ixQ := build(250, 0, mutable)
 		for _, self := range []bool{false, true} {
+			ixQ := ixQ
+			if self {
+				ixQ = ixP
+			}
 			for ci, base := range plannerCases() {
 				// The planner's choice, everything left to it.
 				var dec PlanDecision
 				auto := base
 				auto.PlanOut = &dec
-				var got []Pair
-				var err error
-				if self {
-					got, _, err = eng.RunSelfCollect(ctx, ixP, auto)
-				} else {
-					got, _, err = eng.RunCollect(ctx, ixQ, ixP, auto)
-				}
+				got, _, err := eng.RunCollect(ctx, ixQ, ixP, auto)
 				if err != nil {
 					t.Fatalf("mutable=%v self=%v case=%d auto: %v", mutable, self, ci, err)
 				}
@@ -264,12 +281,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 					forced.Algorithm = alg
 					forced.ForceAlgorithm = true
 					forced.Parallelism = 1
-					var want []Pair
-					if self {
-						want, _, err = eng.RunSelfCollect(ctx, ixP, forced)
-					} else {
-						want, _, err = eng.RunCollect(ctx, ixQ, ixP, forced)
-					}
+					want, _, err := eng.RunCollect(ctx, ixQ, ixP, forced)
 					if err != nil {
 						t.Fatalf("mutable=%v self=%v case=%d %v: %v", mutable, self, ci, alg, err)
 					}
@@ -326,13 +338,11 @@ func TestWeightedTopKEquivalence(t *testing.T) {
 	}
 
 	for _, self := range []bool{false, true} {
-		var full []Pair
-		var err error
+		ixQ := ixQ
 		if self {
-			full, _, err = eng.RunSelfCollect(ctx, ixP, Query{})
-		} else {
-			full, _, err = eng.RunCollect(ctx, ixQ, ixP, Query{})
+			ixQ = ixP
 		}
+		full, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,12 +367,7 @@ func TestWeightedTopKEquivalence(t *testing.T) {
 			}
 			for _, a := range algs {
 				qry := Query{TopK: k, Weight: weight, Algorithm: a.alg, ForceAlgorithm: a.forced}
-				var got []Pair
-				if self {
-					got, _, err = eng.RunSelfCollect(ctx, ixP, qry)
-				} else {
-					got, _, err = eng.RunCollect(ctx, ixQ, ixP, qry)
-				}
+				got, _, err := eng.RunCollect(ctx, ixQ, ixP, qry)
 				if err != nil {
 					t.Fatalf("self=%v k=%d %s: %v", self, k, a.name, err)
 				}
@@ -380,7 +385,7 @@ func TestWeightedTopKEquivalence(t *testing.T) {
 	}
 
 	// Weight without TopK has no ranking to bound: typed rejection.
-	if _, _, err := eng.RunSelfCollect(ctx, ixP, Query{Weight: weight}); err == nil {
+	if _, _, err := eng.RunCollect(ctx, ixP, ixP, Query{Weight: weight}); err == nil {
 		t.Error("Weight without TopK accepted, want ErrBadQuery")
 	}
 }

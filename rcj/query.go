@@ -45,9 +45,9 @@ var ErrBadQuery = errors.New("rcj: invalid query")
 type Query struct {
 	// Algorithm picks the strategy. The zero value without ForceAlgorithm
 	// means "planner decides": the query resolves through the cost-based
-	// planner (Resolve), which picks among the paper's algorithms from the
-	// inputs' metadata and the calibrated cost model. Entry points that
-	// cannot consult a planner fall back to OBJ, the paper's dominant
+	// planner (ResolveObserved), which picks among the paper's algorithms
+	// from the inputs' metadata and the calibrated cost model. Entry points
+	// that cannot consult a planner fall back to OBJ, the paper's dominant
 	// algorithm, so the zero value never silently runs INJ.
 	Algorithm Algorithm
 	// ForceAlgorithm uses Algorithm verbatim even when it is the zero value,
@@ -104,14 +104,15 @@ type Query struct {
 	// called concurrently. Requires TopK > 0.
 	Weight func(Point) float64
 	// PlanOut, when non-nil, receives the resolved plan (the planner's
-	// decision, or the echoed fixed plan) when the query is executed or
-	// explicitly resolved.
+	// decision, or the echoed fixed plan) when the query is first resolved —
+	// explicitly, or by the entry point that executes it.
 	PlanOut *PlanDecision
 
-	// predOrder is the planner-chosen predicate evaluation order, set by
-	// Resolve and carried to the executor. Reordering never changes the
-	// admitted set (the predicates are a pure conjunction).
-	predOrder []core.Predicate
+	// plan is the decision the query resolved to, set by ResolveObserved and
+	// carried with the query so one request is planned once: every later
+	// resolve — the scheduler's, the executor's — returns it unchanged, and
+	// the executor reads the planner's predicate order from it.
+	plan *PlanDecision
 }
 
 // Validate reports whether the query is well-formed.
@@ -171,18 +172,22 @@ func (q Query) algorithm() Algorithm {
 	return q.Algorithm
 }
 
-// coreOptions compiles the request into executor options.
-func (q Query) coreOptions(self bool) core.Options {
+// coreOptions compiles the request into executor options; joinViews adds
+// the join shape (SelfJoin) when it pins the inputs.
+func (q Query) coreOptions() core.Options {
 	co := core.Options{
-		Algorithm:      q.algorithm(),
-		Metric:         q.Metric,
-		SelfJoin:       self,
-		Parallelism:    q.Parallelism,
-		MaxDiameter:    q.MaxDiameter,
-		MinDistance:    q.MinDistance,
-		TopK:           q.TopK,
-		Limit:          q.Limit,
-		PredicateOrder: q.predOrder,
+		Algorithm:   q.algorithm(),
+		Metric:      q.Metric,
+		Parallelism: q.Parallelism,
+		MaxDiameter: q.MaxDiameter,
+		MinDistance: q.MinDistance,
+		TopK:        q.TopK,
+		Limit:       q.Limit,
+	}
+	if q.plan != nil {
+		// Reordering never changes the admitted set (the predicates are a
+		// pure conjunction).
+		co.PredicateOrder = q.plan.PredicateOrder
 	}
 	if q.Region != nil {
 		r := q.Region.geom()
@@ -197,23 +202,32 @@ func (q Query) coreOptions(self bool) core.Options {
 	return co
 }
 
-// Run computes the ring-constrained join of the datasets of p and q under
+// Run computes the ring-constrained join of the datasets of q and p under
 // qry, streaming each qualifying pair as the executor confirms it (TopK
 // pairs arrive together, in ranking order, when the traversal finishes).
+//
+// A join is (q, p, qry) and nothing else: passing the same index twice
+// (q == p) is the self-join of that dataset (the paper's postboxes
+// scenario) — unordered pairs of distinct points whose enclosing circle
+// contains no other dataset point, each reported once in the canonical form
+// P.ID < Q.ID. Two different indexes are always two datasets, even over
+// equal points.
+//
 // The returned iterator is single-use; cancelling ctx or breaking out of
 // the loop aborts the join promptly without leaking goroutines, and the
 // iterator then yields the context's error. An invalid query yields
 // ErrBadQuery as the iterator's first element. qry.PlanOut is filled before
 // Run returns; qry.Stats when the iterator terminates.
 func (e *Engine) Run(ctx context.Context, q, p *Index, qry Query) iter.Seq2[Pair, error] {
-	return runStream(ctx, q, p, qry, false, pairSink)
+	return runStream(ctx, q, p, qry, pairSink)
 }
 
-// RunSelf is Run for the self-join of one dataset (the paper's postboxes
-// scenario): unordered pairs of distinct points whose enclosing circle
-// contains no other dataset point, each reported once with P.ID < Q.ID.
+// RunSelf is Run(ctx, ix, ix, qry).
+//
+// Deprecated: kept only because the frozen benchmark names it
+// (perf/embed.go:314); it goes with the next benchmark PR.
 func (e *Engine) RunSelf(ctx context.Context, ix *Index, qry Query) iter.Seq2[Pair, error] {
-	return runStream(ctx, ix, ix, qry, true, pairSink)
+	return e.Run(ctx, ix, ix, qry)
 }
 
 // RunCollect is the materializing form of Run: it runs the query to
@@ -222,12 +236,29 @@ func (e *Engine) RunSelf(ctx context.Context, ix *Index, qry Query) iter.Seq2[Pa
 // exactly via per-request access tagging, even while other joins run
 // concurrently on the shared pool.
 func (e *Engine) RunCollect(ctx context.Context, q, p *Index, qry Query) ([]Pair, Stats, error) {
-	return runCollect(ctx, q, p, qry, false)
+	run, err := prepare(q, p, qry)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	// The collecting adapter: the executor appends in the caller's
+	// goroutine, no channel in between.
+	pairs, stats, err := run(ctx, func(co *core.Options) { co.Collect = true })
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out := fromCorePairs(pairs)
+	if qry.SortByDiameter {
+		SortPairsByDiameter(out)
+	}
+	return out, stats, nil
 }
 
-// RunSelfCollect is the materializing form of RunSelf.
+// RunSelfCollect is RunCollect(ctx, ix, ix, qry).
+//
+// Deprecated: kept only because the frozen benchmark names it
+// (perf/live.go:311, perf/world.go:180); it goes with the next benchmark PR.
 func (e *Engine) RunSelfCollect(ctx context.Context, ix *Index, qry Query) ([]Pair, Stats, error) {
-	return runCollect(ctx, ix, ix, qry, true)
+	return e.RunCollect(ctx, ix, ix, qry)
 }
 
 // prepare is the single execution path under every join entry point. It
@@ -237,16 +268,13 @@ func (e *Engine) RunSelfCollect(ctx context.Context, ix *Index, qry Query) ([]Pa
 // views, run the executor, report the run's exact (tagged) statistics. The
 // entry points differ only in sink, which installs where confirmed pairs go
 // (core.Options.Collect, OnPair or OnBatch) before the traversal starts.
-func prepare(q, p *Index, qry Query, self bool) (func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error), error) {
+func prepare(q, p *Index, qry Query) (func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error), error) {
 	if err := qry.Validate(); err != nil {
 		return nil, err
 	}
-	qry, dec := qry.Resolve(q, p, self)
-	if qry.PlanOut != nil {
-		*qry.PlanOut = dec
-	}
+	qry, _ = qry.ResolveObserved(q, p, Observe(q, p))
 	return func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error) {
-		coreOpts := qry.coreOptions(self)
+		coreOpts := qry.coreOptions()
 		sink(&coreOpts)
 		var rec buffer.TagStats
 		tq, tp, release, err := joinViews(q, p, &rec, &coreOpts)
@@ -261,24 +289,6 @@ func prepare(q, p *Index, qry Query, self bool) (func(ctx context.Context, sink 
 		}
 		return pairs, stats, err
 	}, nil
-}
-
-// runCollect is the collecting adapter: the executor appends in the
-// caller's goroutine, no channel in between.
-func runCollect(ctx context.Context, q, p *Index, qry Query, self bool) ([]Pair, Stats, error) {
-	run, err := prepare(q, p, qry, self)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	pairs, stats, err := run(ctx, func(co *core.Options) { co.Collect = true })
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := fromCorePairs(pairs)
-	if qry.SortByDiameter {
-		SortPairsByDiameter(out)
-	}
-	return out, stats, nil
 }
 
 // runStream is the streaming adapter: the traversal runs in a producer
@@ -296,8 +306,8 @@ func runCollect(ctx context.Context, q, p *Index, qry Query, self bool) ([]Pair,
 //     so no goroutine outlives the range loop.
 //   - A non-nil error from the traversal is yielded as the final element
 //     (with a zero value), unless the consumer already broke out.
-func runStream[T any](parent context.Context, q, p *Index, qry Query, self bool, sink func(*core.Options, func(T))) iter.Seq2[T, error] {
-	run, err := prepare(q, p, qry, self)
+func runStream[T any](parent context.Context, q, p *Index, qry Query, sink func(*core.Options, func(T))) iter.Seq2[T, error] {
+	run, err := prepare(q, p, qry)
 	if err != nil {
 		return func(yield func(T, error) bool) {
 			var zero T
@@ -347,11 +357,18 @@ func pairSink(co *core.Options, emit func(Pair)) {
 	co.OnPair = func(cp core.Pair) { emit(fromCorePair(cp)) }
 }
 
+// selfJoin is the one place the join shape is derived: a join of an index
+// with itself is the self-join of its dataset. It feeds the planner
+// (plan.Request.Self), the executor (core.Options.SelfJoin, set by joinViews)
+// and the monitors; two distinct indexes never share a tree, so index
+// identity is dataset identity.
+func selfJoin(q, p *Index) bool { return q == p }
+
 // joinViews resolves the executor inputs for one traversal: tagged views of
 // the two indexes' trees, so every buffer access of this run — and only
-// this run — lands in rec, exact under concurrency. Joins over one index
-// must see ONE view instance: core compares view identity as the self-join
-// safety net.
+// this run — lands in rec, exact under concurrency. A self-join gets ONE
+// view instance for both sides and coreOpts.SelfJoin; core reads view
+// identity as "one verification pass covers both datasets".
 //
 // For a mutable index the view is its pinned epoch's merged base+delta
 // read view — the snapshot-isolation point: the pin happens here, at
@@ -388,7 +405,8 @@ func joinViews(q, p *Index, rec *buffer.TagStats, coreOpts *core.Options) (tq, t
 		return nil, nil, nil, err
 	}
 	tp = tq
-	if p != q && (p.live != nil || q.live != nil || p.tree != q.tree) {
+	coreOpts.SelfJoin = selfJoin(q, p)
+	if !coreOpts.SelfJoin {
 		tp, err = view(p)
 		if err != nil {
 			release()

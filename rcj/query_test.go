@@ -81,12 +81,11 @@ func TestRunPushdownProperty(t *testing.T) {
 
 	ctx := context.Background()
 	for _, self := range []bool{false, true} {
-		var full []Pair
+		ixQ := ixQ
 		if self {
-			full, _, err = eng.RunSelfCollect(ctx, ixP, Query{})
-		} else {
-			full, _, err = eng.RunCollect(ctx, ixQ, ixP, Query{})
+			ixQ = ixP
 		}
+		full, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,13 +97,7 @@ func TestRunPushdownProperty(t *testing.T) {
 					qry.Parallelism = par
 					var st Stats
 					qry.Stats = &st
-					var seq func(func(Pair, error) bool)
-					if self {
-						seq = eng.RunSelf(ctx, ixP, qry)
-					} else {
-						seq = eng.Run(ctx, ixQ, ixP, qry)
-					}
-					got, err := Collect(seq)
+					got, err := Collect(eng.Run(ctx, ixQ, ixP, qry))
 					if err != nil {
 						t.Fatalf("%v self=%v par=%d case=%d: %v", alg, self, par, ci, err)
 					}
@@ -318,16 +311,16 @@ func TestQueryValidate(t *testing.T) {
 		{MinDistance: math.NaN()},
 	}
 	for i, qry := range bad {
-		if _, _, err := eng.RunSelfCollect(context.Background(), ix, qry); !errors.Is(err, ErrBadQuery) {
-			t.Errorf("case %d: RunSelfCollect error = %v, want ErrBadQuery", i, err)
+		if _, _, err := eng.RunCollect(context.Background(), ix, ix, qry); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("case %d: RunCollect error = %v, want ErrBadQuery", i, err)
 		}
 		var streamErr error
-		for _, err := range eng.RunSelf(context.Background(), ix, qry) {
+		for _, err := range eng.Run(context.Background(), ix, ix, qry) {
 			streamErr = err
 			break
 		}
 		if !errors.Is(streamErr, ErrBadQuery) {
-			t.Errorf("case %d: RunSelf stream error = %v, want ErrBadQuery", i, streamErr)
+			t.Errorf("case %d: Run stream error = %v, want ErrBadQuery", i, streamErr)
 		}
 	}
 }

@@ -21,9 +21,10 @@
 //		fmt.Println("place a station at", pr.Center, "radius", pr.Radius)
 //	}
 //
-// A Query is the one way to ask for a join: Engine.Run streams its pairs,
-// RunCollect materializes them, RunBatches yields them a leaf at a time, and
-// the RunSelf forms join one dataset with itself (the postboxes scenario).
+// A join is two indexes and a Query: Engine.Run streams its pairs,
+// RunCollect materializes them, RunBatches yields them a leaf at a time.
+// Passing the same index twice joins one dataset with itself (the postboxes
+// scenario): each unordered pair once, P.ID < Q.ID.
 // The zero Query is the full join under the planner's choice of algorithm;
 // its fields push top-k, diameter, distance and region predicates down into
 // the traversal, and Query.Metric = L1 measures the ring in Manhattan

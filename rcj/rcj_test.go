@@ -150,7 +150,7 @@ func TestRankPairsByWeight(t *testing.T) {
 func TestSelfJoinCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ix := mustIndex(t, randomPoints(rng, 120), IndexConfig{})
-	pairs, _, err := testEng.RunSelfCollect(bg, ix, Query{})
+	pairs, _, err := testEng.RunCollect(bg, ix, ix, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestJoinL1Basics(t *testing.T) {
 func TestSelfJoinL1(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ix := mustIndex(t, randomPoints(rng, 80), IndexConfig{})
-	pairs, _, err := testEng.RunSelfCollect(bg, ix, Query{Metric: L1})
+	pairs, _, err := testEng.RunCollect(bg, ix, ix, Query{Metric: L1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func BenchmarkRemoteJoin(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := eng.RunSelfCollect(context.Background(), re, Query{}); err != nil {
+					if _, _, err := eng.RunCollect(context.Background(), re, re, Query{}); err != nil {
 						b.Fatal(err)
 					}
 					re.Close()
@@ -103,7 +103,7 @@ func BenchmarkSharedRemoteJoin(b *testing.B) {
 			wg.Add(1)
 			go func(eng *Engine, re *Index) {
 				defer wg.Done()
-				for _, err := range eng.RunSelf(context.Background(), re, Query{}) {
+				for _, err := range eng.Run(context.Background(), re, re, Query{}) {
 					if err != nil {
 						b.Error(err)
 						return
@@ -158,7 +158,7 @@ func BenchmarkSharedRemoteJoin(b *testing.B) {
 					}
 				}(chans[c])
 			}
-			for prs, err := range eng.RunSelfBatches(context.Background(), re, Query{}) {
+			for prs, err := range eng.RunBatches(context.Background(), re, re, Query{}) {
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -120,11 +120,11 @@ func TestOpenIndexURLNoPrefetch(t *testing.T) {
 	if _, ok := re.PrefetchStats(); ok {
 		t.Fatal("prefetcher running despite PrefetchWorkers=-1")
 	}
-	a, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
+	a, _, err := testEng.RunCollect(bg, ix, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
+	b, _, err := testEng.RunCollect(bg, re, re, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,14 @@ func TestGoldenV1Fixture(t *testing.T) {
 		t.Fatal("IsIndexFile(golden v1) = false")
 	}
 	fresh := mustIndex(t, goldenV1Points(), IndexConfig{})
-	wantPairs, _, err := testEng.RunSelfCollect(bg, fresh, Query{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunCollect(bg, fresh, fresh, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
 			ix := openOn(t, golden, be)
-			got, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
+			got, _, err := testEng.RunCollect(bg, ix, ix, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,8 @@ func TestGoldenV1Fixture(t *testing.T) {
 			if err := ix.Save(resaved); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err = testEng.RunSelfCollect(bg, openOn(t, resaved, BackendFile), Query{SortByDiameter: true})
+			re := openOn(t, resaved, BackendFile)
+			got, _, err = testEng.RunCollect(bg, re, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +205,7 @@ func TestSaveRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs, _, err := testEng.RunSelfCollect(bg, ix, Query{SortByDiameter: true})
+	wantPairs, _, err := testEng.RunCollect(bg, ix, ix, Query{SortByDiameter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestSaveRoundTripByteIdentical(t *testing.T) {
 		t.Run(be.String(), func(t *testing.T) {
 			re := openOn(t, orig, be)
 			checkResaves(t, be.String(), re.Save, origBytes)
-			got, _, err := testEng.RunSelfCollect(bg, re, Query{SortByDiameter: true})
+			got, _, err := testEng.RunCollect(bg, re, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,7 +95,7 @@ func TestGabrielStructure(t *testing.T) {
 	}
 	ixAll, ixP, ixQ := build(all), build(ps), build(qs)
 
-	self, _, err := eng.RunSelfCollect(bg, ixAll, Query{})
+	self, _, err := eng.RunCollect(bg, ixAll, ixAll, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestGabrielStructure(t *testing.T) {
 		}
 	}
 	if !sameKeys(bichromatic, twoKeys) {
-		t.Errorf("RunSelf(P ∪ Q) restricted to bichromatic pairs != Run(Q, P): %s", diffKeys(bichromatic, twoKeys))
+		t.Errorf("Run(P ∪ Q, P ∪ Q) restricted to bichromatic pairs != Run(Q, P): %s", diffKeys(bichromatic, twoKeys))
 	}
 	swapped, _, err := eng.RunCollect(bg, ixP, ixQ, Query{})
 	if err != nil {

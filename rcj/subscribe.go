@@ -95,7 +95,7 @@ func (s *Subscription) fail(err error) {
 // dataset. buf bounds both the event channel and the per-subscription
 // update feed; a consumer that falls behind is shed with ErrSlowSubscriber.
 func SubscribeLive(ctx context.Context, q, p *Index, buf int) (*Subscription, error) {
-	self := q == p
+	self := selfJoin(q, p)
 	if q.live == nil && (self || p.live == nil) {
 		return nil, ErrImmutableIndex
 	}
@@ -103,7 +103,7 @@ func SubscribeLive(ctx context.Context, q, p *Index, buf int) (*Subscription, er
 		buf = 64
 	}
 
-	st := &subState{q: q, p: p, self: self}
+	st := &subState{q: q, p: p}
 	var err error
 	if q.live != nil {
 		st.feedQ, st.seqQ, st.entriesQ, err = q.live.NewFeed(buf)
@@ -135,8 +135,7 @@ func SubscribeLive(ctx context.Context, q, p *Index, buf int) (*Subscription, er
 
 // subState is the subscription event loop's working set.
 type subState struct {
-	q, p *Index
-	self bool
+	q, p *Index // the same index twice: a self-join, fed by feedQ alone
 
 	feedQ, feedP       *live.Feed // nil for an immutable (or self-collapsed) side
 	seqQ, seqP         uint64     // snapshot seqs; buffered updates at or below are stale
@@ -240,7 +239,7 @@ func (st *subState) loop(ctx context.Context, sub *Subscription, out chan<- Even
 		for _, e := range u.Ins {
 			var added, removed []core.Pair
 			var err error
-			if intoQ && !st.self {
+			if intoQ && !selfJoin(st.q, st.p) {
 				added, removed, err = st.mon.AddQ(e.P, e.ID)
 			} else {
 				added, removed, err = st.mon.AddP(e.P, e.ID)
@@ -298,7 +297,7 @@ func (st *subState) seed() error {
 		return err
 	}
 	tp := tq
-	if !st.self {
+	if !selfJoin(st.q, st.p) {
 		if tp, err = monitorTree(st.entriesP); err != nil {
 			return err
 		}
@@ -317,7 +316,7 @@ func (st *subState) reseed() error {
 			return err
 		}
 	}
-	if !st.self && st.p.live != nil {
+	if !selfJoin(st.q, st.p) && st.p.live != nil {
 		if st.seqP, st.entriesP, err = st.p.live.Resnapshot(); err != nil {
 			return err
 		}
