@@ -8,10 +8,8 @@
 //	datagen -kind pp > pp.csv      # real-like Populated Places stand-in
 //	datagen -kind sc -n 5000 > sc_small.csv
 //
-//	# Also partition the generated set into a self-join shard deployment
-//	# (per-shard .rcjx files next to the manifest, for rcjd/rcjrouter):
-//	datagen -kind uniform -n 100000 -save-shards 4 -shards-out u.rcjm \
-//	        -shard-max-diameter 250 > u.csv
+// Partitioning a set into a shard deployment is rcjjoin's job:
+// rcjjoin -p u.csv -self -save-shards 4 -shards-out u.rcjm -shard-max-diameter 250.
 package main
 
 import (
@@ -19,13 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/rtree"
-	"repro/internal/shard"
 	"repro/internal/workload"
-	"repro/rcj"
 )
 
 func main() {
@@ -35,10 +29,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed (uniform/gaussian)")
 		clusters = flag.Int("clusters", 10, "number of clusters (gaussian)")
 		sigma    = flag.Float64("sigma", 1000, "cluster standard deviation per dimension (gaussian)")
-		shardN   = flag.Int("save-shards", 0, "also partition the set into this many spatial shards (self-join manifest)")
-		shardOut = flag.String("shards-out", "", "manifest path for -save-shards (.rcjm)")
-		shardD   = flag.Float64("shard-max-diameter", 0, "diameter bound baked into the -save-shards manifest")
-		savePack = flag.Bool("save-packed", false, "write -save-shards .rcjx files in the packed v3 format")
 	)
 	flag.Parse()
 
@@ -70,34 +60,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "datagen: wrote %d points\n", len(pts))
-
-	if *shardN > 0 {
-		if *shardOut == "" {
-			fatalf("-save-shards requires -shards-out manifest.rcjm")
-		}
-		if *shardD <= 0 {
-			fatalf("-save-shards requires -shard-max-diameter > 0")
-		}
-		rpts := make([]rcj.Point, len(pts))
-		for i, e := range pts {
-			rpts[i] = rcj.Point{X: e.P.X, Y: e.P.Y, ID: e.ID}
-		}
-		name := strings.TrimSuffix(filepath.Base(*shardOut), shard.Ext)
-		m, err := shard.Build(*shardOut, rpts, nil, shard.BuildConfig{
-			Shards: *shardN, MaxDiameter: *shardD, Name: name, Self: true, Packed: *savePack,
-		})
-		if err != nil {
-			fatalf("shard build: %v", err)
-		}
-		populated := 0
-		for _, sh := range m.Shards {
-			if !sh.Empty() {
-				populated++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "datagen: wrote %d shards (%dx%d grid, margin %g) and manifest %s\n",
-			populated, m.GridNX, m.GridNY, m.Margin, *shardOut)
-	}
 }
 
 func fatalf(format string, args ...any) {

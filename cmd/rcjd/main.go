@@ -44,12 +44,12 @@
 // -drain-timeout.
 //
 // Shared-work serving (on by default): queued streaming queries over the
-// same indexes merge into one traversal (-batch, -batch-max), and bounded
-// top_k/limit results are memoized across requests (-result-cache,
-// -result-cache-pairs), invalidated when an index is unloaded. Remote-index
-// page fetches are single-flighted and coalesced automatically. /metrics
-// reports all of it: rcjd_sched_batches_total, rcjd_result_cache_*,
-// rcjd_remote_shared_total, rcjd_remote_coalesced_total.
+// same indexes merge into one traversal (-batch), and bounded top_k/limit
+// results are memoized across requests (-result-cache), invalidated when an
+// index is unloaded. Remote-index page fetches are single-flighted and
+// coalesced automatically. /metrics reports all of it:
+// rcjd_sched_batches_total, rcjd_result_cache_*, rcjd_remote_shared_total,
+// rcjd_remote_coalesced_total.
 //
 // Adaptive planning (on by default): a join that names no algorithm
 // ("alg" absent or "auto") is planned per query by the cost-based planner
@@ -81,16 +81,13 @@ func main() {
 		addr          = flag.String("addr", ":8080", "listen address")
 		backend       = flag.String("backend", "mem", "pager backend for saved indexes: mem, file, or http (implied by URL indexes)")
 		bufPages      = flag.Int("buffer", 4096, "shared buffer pool size in pages (0 = unbounded)")
-		bufShards     = flag.Int("buffer-shards", 0, "buffer LRU shards (0 = auto from GOMAXPROCS)")
 		maxConcurrent = flag.Int("max-concurrent", 2, "joins running simultaneously")
 		maxQueue      = flag.Int("max-queue", 16, "admission queue depth beyond running joins (0 = no queue)")
 		queueTimeout  = flag.Duration("queue-timeout", 5*time.Second, "max wait in the admission queue (0 = unbounded)")
 		joinTimeout   = flag.Duration("join-timeout", 0, "per-request join deadline (0 = none)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight joins on shutdown")
 		batch         = flag.Bool("batch", true, "merge queued compatible streaming queries into one shared traversal")
-		batchMax      = flag.Int("batch-max", sched.DefaultBatchMaxRequests, "max requests one shared traversal may serve")
 		cacheEntries  = flag.Int("result-cache", 256, "memoized result sets for bounded (top_k/limit) queries (0 = off)")
-		cachePairs    = flag.Int("result-cache-pairs", server.DefaultResultCachePairs, "max pairs per memoized result")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
 		manifest      = flag.String("manifest", "", "shard manifest (.rcjm) to serve as a sharded-deployment worker")
 		shardIDs      = flag.String("shards", "", "comma-separated shard ids of -manifest to own (default: all populated shards)")
@@ -164,17 +161,15 @@ func main() {
 		ManifestBase:        *manifestBase,
 		Backend:             be,
 		BufferPages:         *bufPages,
-		BufferShards:        *bufShards,
 		PprofAddr:           *pprofAddr,
 		Sched: sched.Config{
 			MaxConcurrent: *maxConcurrent,
 			MaxQueue:      *maxQueue,
 			QueueTimeout:  *queueTimeout,
 			JoinTimeout:   *joinTimeout,
-			Batch:         sched.BatchConfig{Enabled: *batch, MaxRequests: *batchMax},
+			Batch:         sched.BatchConfig{Enabled: *batch},
 		},
 		ResultCacheEntries: *cacheEntries,
-		ResultCachePairs:   *cachePairs,
 		DrainTimeout:       *drainTimeout,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

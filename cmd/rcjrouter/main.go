@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -35,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/router"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -101,9 +101,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// A client that never finishes its request headers must not hold a
-	// connection forever.
-	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	populated := 0
 	for _, sh := range m.Shards {
 		if !sh.Empty() {
@@ -113,19 +110,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "rcjrouter: serving %s (%d shards, %dx%d grid) on %s with %d workers\n",
 		m.Name, populated, m.GridNX, m.GridNY, ln.Addr(), len(workers))
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		fatalf("%v", err)
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(os.Stderr, "rcjrouter: shutdown signal received, draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-		fatalf("shutdown: %v", err)
+	err = server.ServeUntilDone(ctx, ln, rt.Handler(), 30*time.Second, func() {
+		fmt.Fprintln(os.Stderr, "rcjrouter: shutdown signal received, draining")
+	})
+	if err != nil {
+		fatalf("serve: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "rcjrouter: drained, exiting")
 }

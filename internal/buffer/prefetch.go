@@ -84,12 +84,6 @@ type Prefetcher struct {
 	already atomic.Int64
 	loaded  atomic.Int64
 	failed  atomic.Int64
-
-	// depthLimit, when > 0, caps admission below the channel's capacity:
-	// offers finding at least that many jobs queued are shed. The query
-	// planner lowers it on hot buffers (speculation mostly wasted) and
-	// raises it on cold remote ones.
-	depthLimit atomic.Int32
 }
 
 // NewPrefetcher starts a readahead executor over pool with the given worker
@@ -109,28 +103,9 @@ func NewPrefetcher(pool *Pool, workers, depth int) *Prefetcher {
 	return pf
 }
 
-// SetDepthLimit caps how many jobs may sit queued at once to n (0 or
-// anything at or above the queue capacity restores the full queue). Offers
-// over the cap are shed exactly like full-queue offers. Safe to call
-// concurrently with offers; the cap is advisory — a racing offer may land
-// one job past it.
-func (pf *Prefetcher) SetDepthLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	pf.depthLimit.Store(int32(n))
-}
-
-// admits reports whether the depth cap allows another job in the queue.
-func (pf *Prefetcher) admits() bool {
-	lim := int(pf.depthLimit.Load())
-	return lim <= 0 || len(pf.jobs) < lim
-}
-
 // Offer enqueues a readahead for k unless the page is already cached, the
-// queue is full (or over the planner's depth cap), or the prefetcher is
-// closed. It never blocks; the return value reports whether the job was
-// enqueued.
+// queue is full, or the prefetcher is closed. It never blocks; the return
+// value reports whether the job was enqueued.
 func (pf *Prefetcher) Offer(k Key, load func() (any, error)) bool {
 	if pf.pool.Contains(k) {
 		pf.already.Add(1)
@@ -139,10 +114,6 @@ func (pf *Prefetcher) Offer(k Key, load func() (any, error)) bool {
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()
 	if pf.closed {
-		return false
-	}
-	if !pf.admits() {
-		pf.dropped.Add(1)
 		return false
 	}
 	select {
@@ -179,10 +150,6 @@ func (pf *Prefetcher) OfferBatch(keys []Key, loadBatch func() ([]any, error)) bo
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()
 	if pf.closed {
-		return false
-	}
-	if !pf.admits() {
-		pf.dropped.Add(1)
 		return false
 	}
 	select {

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -289,32 +290,285 @@ func returnsPairs(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// commandFlags pins how many flags each serving command defines
-// (flag.String/Int/Bool/Duration/Float64 calls; the repeatable flag.Func
-// ones are deployment lists, not knobs). Every flag is a configuration the
-// tests and the benchmark must cover: a new one has to be argued for here,
-// against the workload that needs it.
-var commandFlags = map[string]int{"rcjd": 19, "rcjjoin": 24, "rcjrouter": 5}
+// Option classes: the reasons a flag or an exported config field may exist.
+// What fits none of them is deleted, or becomes a constant.
+const (
+	// deployment: where and how big — an address, path, name or URL, a
+	// capacity, a deadline, a log sink. Differs per installation by nature.
+	deployment = "deployment"
+	// paper: a parameter of the paper's evaluation — dataset, page size,
+	// buffer size, algorithm, an ablation switch of internal/exp.
+	paper = "paper"
+	// workload: two non-test setters, in the module or perf/, use different
+	// values; the entry names both ("file#text the file contains").
+	workload = "workload"
+	// seam: lets a test (or perf's in-process stack) substitute a fake.
+	seam = "seam"
+	// query: part of the question asked — join shape, metric, predicates,
+	// output order or mode. It changes the answer, so the equivalence gates
+	// cover it, not a benchmark row.
+	query = "query"
+	// measured: not set by anyone — the code measures it; the entry names
+	// the measurement site.
+	measured = "measured"
+	// frozen: one value in every caller, would be a constant, but the frozen
+	// benchmark compiles against the name; the entry names the perf/ line,
+	// and goes (with the field) once that line does (ROADMAP item 1).
+	frozen = "frozen"
+)
 
-func TestCommandFlagCounts(t *testing.T) {
-	for cmd, want := range commandFlags {
-		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", "cmd", cmd, "main.go"), nil, parser.SkipObjectResolution)
+type option struct {
+	class, note string
+	setters     []string
+}
+
+func opt(class, note string, setters ...string) option { return option{class, note, setters} }
+
+// The setters the batching and backend rows share.
+var (
+	batchMixes   = []string{"internal/sched/batch.go#8 clients, mixed window/full/max-diameter requests", "internal/sched/batch.go#4 clients, windows only"}
+	backendUsers = []string{"perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendMem}", "perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendFile}"}
+	packedUsers  = []string{"perf/embed.go#ix.SavePacked(path)", "perf/live.go#ix.Save(f.path)"}
+)
+
+// optionLedger classes every flag of the six commands ("cmd -flag") and
+// every exported field of the configuration structs ("pkg.Type.Field"). A
+// new row has to be argued for here, against the class it claims; the size
+// of the table is the configuration surface the tests and the benchmark must
+// cover (rcjd 16 flags + 2 repeatable lists, rcjjoin 24, rcjrouter 5 + 1).
+var optionLedger = map[string]option{
+	"rcjd -addr":                  opt(deployment, "listen address"),
+	"rcjd -index":                 opt(deployment, "name=path or URL of a saved index (repeatable)"),
+	"rcjd -live-index":            opt(deployment, "name[=base path] of a mutable index (repeatable)"),
+	"rcjd -manifest":              opt(deployment, "shard manifest path"),
+	"rcjd -shards":                opt(deployment, "names the manifest shards this worker owns"),
+	"rcjd -manifest-base":         opt(deployment, "URL or directory the manifest's shard paths resolve against"),
+	"rcjd -pprof":                 opt(deployment, "profiling listen address"),
+	"rcjd -backend":               opt(workload, "rcj.IndexConfig.Backend", backendUsers...),
+	"rcjd -buffer":                opt(paper, "LRU buffer size in pages"),
+	"rcjd -max-concurrent":        opt(deployment, "capacity: join slots"),
+	"rcjd -max-queue":             opt(deployment, "capacity: admission queue depth"),
+	"rcjd -queue-timeout":         opt(deployment, "deadline: wait in the admission queue"),
+	"rcjd -join-timeout":          opt(deployment, "deadline: one admitted join"),
+	"rcjd -drain-timeout":         opt(deployment, "deadline: in-flight joins at shutdown"),
+	"rcjd -result-cache":          opt(deployment, "capacity: memoized result sets (0 = off)"),
+	"rcjd -live-compact":          opt(deployment, "capacity: in-memory delta points before a seal"),
+	"rcjd -live-keep-generations": opt(deployment, "capacity: sealed generation files kept on disk"),
+	"rcjd -batch": opt(workload, "cross-request batching: +55 % ops/s on the mixed 8-client load, "+
+		"-6 % on 4 clients of disjoint windows (ROADMAP item 8)", batchMixes...),
+
+	"rcjjoin -p":                  opt(deployment, "path or URL of dataset P"),
+	"rcjjoin -q":                  opt(deployment, "path or URL of dataset Q"),
+	"rcjjoin -self":               opt(query, "join shape: P with itself"),
+	"rcjjoin -metric":             opt(query, "L2 or L1 ring"),
+	"rcjjoin -sort":               opt(query, "output order: ascending diameter"),
+	"rcjjoin -alg":                opt(paper, "the paper's algorithms (Fig. 13); auto = the planner"),
+	"rcjjoin -parallel":           opt(workload, "forced 1 for repeatable counts, 0 = the planner", "perf/inproc.go#qry.Parallelism = 1", "perf/embed.go#qry.Parallelism = parallelism"),
+	"rcjjoin -buffer":             opt(paper, "LRU buffer size in pages"),
+	"rcjjoin -save-index-p":       opt(deployment, "path to save P's index to"),
+	"rcjjoin -save-index-q":       opt(deployment, "path to save Q's index to"),
+	"rcjjoin -save-packed":        opt(workload, "format v3 or v2 of the files written", packedUsers...),
+	"rcjjoin -backend":            opt(workload, "rcj.IndexConfig.Backend", backendUsers...),
+	"rcjjoin -timeout":            opt(deployment, "deadline: the whole run"),
+	"rcjjoin -top-k":              opt(query, "predicate"),
+	"rcjjoin -max-diameter":       opt(query, "predicate"),
+	"rcjjoin -min-distance":       opt(query, "predicate"),
+	"rcjjoin -limit":              opt(query, "predicate"),
+	"rcjjoin -region":             opt(query, "predicate"),
+	"rcjjoin -cpuprofile":         opt(deployment, "path of the CPU profile"),
+	"rcjjoin -memprofile":         opt(deployment, "path of the heap profile"),
+	"rcjjoin -dump-points":        opt(query, "mode: dump P's points instead of joining"),
+	"rcjjoin -save-shards":        opt(deployment, "capacity: shard count of the deployment being built"),
+	"rcjjoin -shards-out":         opt(deployment, "manifest path"),
+	"rcjjoin -shard-max-diameter": opt(deployment, "the deployment's serving contract: largest ring diameter its shards answer"),
+
+	"rcjrouter -addr":             opt(deployment, "listen address"),
+	"rcjrouter -manifest":         opt(deployment, "shard manifest path"),
+	"rcjrouter -worker":           opt(deployment, "worker URL and the shards it owns (repeatable)"),
+	"rcjrouter -fanout":           opt(deployment, "capacity: concurrent sub-queries per join"),
+	"rcjrouter -retries":          opt(deployment, "capacity: failover attempts, bounded by the replicas a shard has"),
+	"rcjrouter -subquery-timeout": opt(deployment, "deadline: one sub-query attempt"),
+
+	"datagen -kind":     opt(paper, "dataset family of the evaluation"),
+	"datagen -n":        opt(paper, "data size"),
+	"datagen -seed":     opt(paper, "dataset seed"),
+	"datagen -clusters": opt(paper, "Gaussian dataset: cluster count"),
+	"datagen -sigma":    opt(paper, "Gaussian dataset: cluster spread"),
+
+	"rcjbench -exp":      opt(paper, "which table or figure"),
+	"rcjbench -scale":    opt(paper, "data size relative to the paper's"),
+	"rcjbench -buffer":   opt(paper, "buffer size as a fraction of the trees"),
+	"rcjbench -pagesize": opt(paper, "page size"),
+
+	"rcjviz -p":    opt(deployment, "path of dataset P"),
+	"rcjviz -q":    opt(deployment, "path of dataset Q"),
+	"rcjviz -self": opt(query, "join shape: P with itself"),
+	"rcjviz -demo": opt(query, "mode: the built-in scene instead of files"),
+	"rcjviz -size": opt(deployment, "output image side in pixels"),
+
+	"rcj.EngineConfig.PageSize":    opt(paper, "page size"),
+	"rcj.EngineConfig.BufferPages": opt(paper, "LRU buffer size"),
+	"rcj.EngineConfig.BufferShards": opt(workload, "1 = exact global LRU so embed_cold's fault counts repeat; 0 = a shard per CPU under concurrent serving",
+		"perf/embed.go#BufferShards: 1", "perf/inproc.go#rcj.EngineConfig{BufferPages: 4096}"),
+	"rcj.IndexConfig.PageSize":    opt(paper, "page size"),
+	"rcj.IndexConfig.BufferPages": opt(paper, "LRU buffer size of an engine-less index"),
+	"rcj.IndexConfig.Backend":     opt(workload, "embed_warm serves from memory, embed_cold from the file", backendUsers...),
+	"rcj.MutableConfig.Index": opt(workload, "the sealed base's IndexConfig (its fields are rows of their own)",
+		"internal/server/live.go#rcjIndexConfig(s.backend)", "perf/live_layers.go#rcj.MutableConfig{CompactEvery: -1}"),
+	"rcj.MutableConfig.CompactEvery":    opt(deployment, "capacity: in-memory delta points before a seal"),
+	"rcj.MutableConfig.KeepGenerations": opt(deployment, "capacity: sealed generation files kept on disk"),
+	"rcj.MutableConfig.OnCompactError":  opt(deployment, "log sink for background compaction failures"),
+
+	"sched.Config.MaxConcurrent":    opt(deployment, "capacity: join slots"),
+	"sched.Config.MaxQueue":         opt(deployment, "capacity: admission queue depth"),
+	"sched.Config.QueueTimeout":     opt(deployment, "deadline: wait in the admission queue"),
+	"sched.Config.JoinTimeout":      opt(deployment, "deadline: one admitted join"),
+	"sched.Config.Batch":            opt(workload, "sched.BatchConfig (its fields are rows of their own)", batchMixes...),
+	"sched.BatchConfig.Enabled":     opt(workload, "rcjd -batch", batchMixes...),
+	"sched.BatchConfig.MaxRequests": opt(frozen, "16 everywhere", "perf/inproc.go#MaxRequests: sched.DefaultBatchMaxRequests"),
+
+	"server.Config.Backend":            opt(workload, "rcj.IndexConfig.Backend", backendUsers...),
+	"server.Config.ResultCacheEntries": opt(deployment, "capacity: memoized result sets (0 = off)"),
+	"server.Config.ResultCachePairs":   opt(frozen, "4096 everywhere", "perf/inproc.go#ResultCachePairs: server.DefaultResultCachePairs"),
+
+	"server.DaemonConfig.Addr":                opt(deployment, "listen address"),
+	"server.DaemonConfig.Indexes":             opt(deployment, "names and paths of saved indexes"),
+	"server.DaemonConfig.LiveIndexes":         opt(deployment, "names and base paths of mutable indexes"),
+	"server.DaemonConfig.LiveCompactEvery":    opt(deployment, "capacity: in-memory delta points before a seal"),
+	"server.DaemonConfig.LiveKeepGenerations": opt(deployment, "capacity: sealed generation files kept on disk"),
+	"server.DaemonConfig.Manifest":            opt(deployment, "shard manifest path"),
+	"server.DaemonConfig.ManifestShards":      opt(deployment, "names the manifest shards this worker owns"),
+	"server.DaemonConfig.ManifestBase":        opt(deployment, "URL or directory the manifest's shard paths resolve against"),
+	"server.DaemonConfig.Backend":             opt(workload, "rcj.IndexConfig.Backend", backendUsers...),
+	"server.DaemonConfig.BufferPages":         opt(paper, "LRU buffer size"),
+	"server.DaemonConfig.PprofAddr":           opt(deployment, "profiling listen address"),
+	"server.DaemonConfig.Sched":               opt(deployment, "admission bounds: sched.Config (its fields are rows of their own)"),
+	"server.DaemonConfig.ResultCacheEntries":  opt(deployment, "capacity: memoized result sets (0 = off)"),
+	"server.DaemonConfig.DrainTimeout":        opt(deployment, "deadline: in-flight joins at shutdown"),
+	"server.DaemonConfig.Logf":                opt(deployment, "log sink"),
+
+	"router.Config.Manifest":   opt(deployment, "the sharded dataset"),
+	"router.Config.Workers":    opt(deployment, "worker URLs and the shards each owns"),
+	"router.Config.Fanout":     opt(deployment, "capacity: concurrent sub-queries per join"),
+	"router.Config.Retries":    opt(deployment, "capacity: failover attempts, bounded by the replicas a shard has"),
+	"router.Config.SubTimeout": opt(deployment, "deadline: one sub-query attempt"),
+	"router.Config.Client":     opt(seam, "tests gate and break worker requests; perf's in-process stack traces them"),
+	"router.Config.Logf":       opt(deployment, "log sink"),
+
+	"shard.BuildConfig.Shards":      opt(deployment, "capacity: shard count of the deployment being built"),
+	"shard.BuildConfig.MaxDiameter": opt(deployment, "the deployment's serving contract: largest ring diameter its shards answer"),
+	"shard.BuildConfig.Name":        opt(deployment, "manifest name"),
+	"shard.BuildConfig.Self":        opt(query, "join shape: one dataset served for self-joins"),
+	"shard.BuildConfig.Packed":      opt(workload, "format v3 or v2 of the files written", packedUsers...),
+
+	"live.Config.PageSize":       opt(paper, "page size"),
+	"live.Config.CompactEvery":   opt(deployment, "capacity: in-memory delta points before a seal"),
+	"live.Config.Seal":           opt(seam, "rcj binds its index builder; live's tests seal without it"),
+	"live.Config.OnCompactError": opt(deployment, "log sink for background compaction failures"),
+
+	"rtree.Config.PageSize":    opt(paper, "page size"),
+	"rtree.Config.SplitPolicy": opt(paper, "split-policy ablation of internal/exp (R* vs linear)"),
+	"rtree.Config.Owner":       opt(deployment, "name: the tree's page namespace in a shared pool"),
+
+	"storage.HTTPPagerConfig.Client":       opt(seam, "tests script origin faults through it"),
+	"storage.HTTPPagerConfig.MaxRetries":   opt(seam, "tests bound the retry budget"),
+	"storage.HTTPPagerConfig.RetryBackoff": opt(seam, "tests shrink the backoff"),
+	"storage.HTTPPagerConfig.MaxBackoff":   opt(seam, "tests shrink the backoff"),
+
+	"plan.Observed.BufferHitRatio": opt(measured, "the pool's hit ratio", "rcj/plan.go#obs.BufferHitRatio = st.HitRatio()"),
+	"plan.Observed.FaultLatency":   opt(measured, "the pool's mean load wait per miss", "rcj/plan.go#obs.FaultLatency = "),
+	"plan.Observed.FreeSlots":      opt(measured, "the scheduler's idle slots", "internal/sched/sched.go#obs.FreeSlots = s.cfg.MaxConcurrent - s.running"),
+	"plan.Observed.MaxProcs":       opt(seam, "planner tests pin the CPU count"),
+}
+
+// ledgerRows is the size ROADMAP's table tracks.
+const ledgerRows = 124
+
+// ledgerStructs lists the configuration structs whose exported fields the
+// ledger classes, by directory.
+var ledgerStructs = map[string][]string{
+	"rcj":              {"EngineConfig", "IndexConfig", "MutableConfig"},
+	"internal/sched":   {"Config", "BatchConfig"},
+	"internal/server":  {"Config", "DaemonConfig"},
+	"internal/router":  {"Config"},
+	"internal/shard":   {"BuildConfig"},
+	"internal/live":    {"Config"},
+	"internal/rtree":   {"Config"},
+	"internal/storage": {"HTTPPagerConfig"},
+	"internal/plan":    {"Observed"},
+}
+
+// TestOptionLedger is the guard on "every option earns its keep": it lists
+// every flag the six commands define and every exported field of the
+// configuration structs, and fails on one without a ledger entry, on an
+// entry for something that no longer exists, and on an entry whose class
+// needs setters (workload: two different ones; measured, frozen: one) that
+// are not where it says.
+func TestOptionLedger(t *testing.T) {
+	root := filepath.Join("..", "..")
+	found := map[string]bool{}
+	for _, cmd := range []string{"datagen", "rcjbench", "rcjd", "rcjjoin", "rcjrouter", "rcjviz"} {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "cmd", cmd, "main.go"), nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := 0
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				switch types.ExprString(call.Fun) {
-				case "flag.String", "flag.Int", "flag.Bool", "flag.Duration", "flag.Float64":
-					got++
-				}
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || types.ExprString(sel.X) != "flag" {
+				return true
+			}
+			if name, ok := call.Args[0].(*ast.BasicLit); ok && name.Kind == token.STRING {
+				found[cmd+" -"+strings.Trim(name.Value, `"`)] = true
 			}
 			return true
 		})
-		if got != want {
-			t.Errorf("cmd/%s defines %d flags, want %d", cmd, got, want)
+	}
+	for dir, names := range ledgerStructs {
+		files := sourceFiles(t, dir)
+		for _, name := range names {
+			st, ok := typeSpec(files, name).(*ast.StructType)
+			if !ok {
+				t.Fatalf("%s.%s is not a struct", dir, name)
+			}
+			for _, f := range st.Fields.List {
+				for _, id := range f.Names {
+					if id.IsExported() {
+						found[filepath.Base(dir)+"."+name+"."+id.Name] = true
+					}
+				}
+			}
 		}
+	}
+
+	for key := range found {
+		if _, ok := optionLedger[key]; !ok {
+			t.Errorf("%s has no ledger entry: class it in optionLedger, or delete it", key)
+		}
+	}
+	for key, o := range optionLedger {
+		if !found[key] {
+			t.Errorf("ledger entry %s names no flag or field: drop it", key)
+		}
+		want := map[string]int{workload: 2, measured: 1, frozen: 1}[o.class]
+		if len(o.setters) != want || (want == 2 && o.setters[0] == o.setters[1]) {
+			t.Errorf("%s: class %s wants %d distinct setters, the entry names %v", key, o.class, want, o.setters)
+		}
+		for _, setter := range o.setters {
+			file, text, _ := strings.Cut(setter, "#")
+			src, err := os.ReadFile(filepath.Join(root, file))
+			if err != nil || text == "" || !strings.Contains(string(src), text) {
+				t.Errorf("%s: setter %q is gone (%v): find the value's users again, or delete the option", key, setter, err)
+			}
+			if o.class == frozen && !strings.HasPrefix(file, "perf/") {
+				t.Errorf("%s: a frozen option is one perf/ names, not %s", key, file)
+			}
+		}
+	}
+	if len(optionLedger) != ledgerRows {
+		t.Errorf("the ledger has %d rows, ROADMAP's size table says %d: update both together", len(optionLedger), ledgerRows)
 	}
 }
 
@@ -435,7 +689,7 @@ func TestOneReadPath(t *testing.T) {
 	for _, f := range cfg.Fields.List {
 		fields += max(len(f.Names), 1)
 	}
-	if fields != 6 {
-		t.Errorf("rcj.IndexConfig has %d fields, want 6", fields)
+	if fields != 3 {
+		t.Errorf("rcj.IndexConfig has %d fields, want 3", fields)
 	}
 }

@@ -2,9 +2,9 @@
 // ring-constrained join request, metadata the index already carries (count,
 // MBR, height — superblock fields for immutable indexes, live epoch state
 // for mutable ones), and observed serving statistics, it picks the
-// algorithm (INJ/BIJ/OBJ/brute), parallelism, prefetch depth, and pair-
-// predicate evaluation order, using the paper's Section 5 cost model
-// (internal/cost) to price the candidates.
+// algorithm (INJ/OBJ/brute), parallelism and pair-predicate evaluation
+// order, using the paper's Section 5 cost model (internal/cost) to price the
+// candidates.
 //
 // The planner is equivalency-gated, mirroring janus-datalog's phase
 // reordering: a plan choice may change the cost of a query, never its
@@ -62,10 +62,9 @@ type Observed struct {
 	// FaultLatency); 0 = use the paper's modeled cost.PageFaultCost for
 	// remote indexes and nothing for local ones.
 	FaultLatency time.Duration
-	// FreeSlots / QueueDepth describe scheduler pressure: parallel fan-out
-	// is pointless when concurrent requests already saturate the CPUs.
-	FreeSlots  int
-	QueueDepth int
+	// FreeSlots describes scheduler pressure: parallel fan-out is pointless
+	// when concurrent requests already saturate the CPUs.
+	FreeSlots int
 	// MaxProcs caps parallelism; 0 = runtime.GOMAXPROCS.
 	MaxProcs int
 }
@@ -91,10 +90,6 @@ type Request struct {
 type Decision struct {
 	Algorithm   core.Algorithm
 	Parallelism int
-	// PrefetchDepth is the advisory readahead queue depth for remote
-	// indexes: 0 = no readahead wanted (local pages, or a buffer so hot
-	// that speculation only wastes fetches).
-	PrefetchDepth int
 	// PredicateOrder is the pair-predicate evaluation order, most selective
 	// first. Empty when at most one predicate is set (nothing to reorder).
 	PredicateOrder []core.Predicate
@@ -117,9 +112,6 @@ type Decision struct {
 func (d Decision) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "alg=%s par=%d rule=%s", d.Algorithm, d.Parallelism, d.Rule)
-	if d.PrefetchDepth > 0 {
-		fmt.Fprintf(&b, " prefetch=%d", d.PrefetchDepth)
-	}
 	if len(d.PredicateOrder) > 0 {
 		b.WriteString(" order=")
 		for _, p := range d.PredicateOrder {
@@ -205,7 +197,6 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 	}
 
 	d.Parallelism = parallelism(req, obs, d.EstAccesses)
-	d.PrefetchDepth = prefetchDepth(outer, inner, obs)
 	d.EstFaults, d.EstCost = price(d.EstAccesses, outer, inner, obs)
 	return d
 }
@@ -363,23 +354,6 @@ func parallelism(req Request, obs Observed, estAccesses int64) int {
 		par = 1
 	}
 	return par
-}
-
-// prefetchDepth picks the advisory readahead queue depth: deep for a cold
-// remote index (round trips to hide), shallow once the buffer is hot
-// (speculation mostly wastes fetches), zero for local pages.
-func prefetchDepth(outer, inner IndexMeta, obs Observed) int {
-	if !outer.Remote && !inner.Remote {
-		return 0
-	}
-	switch {
-	case obs.BufferHitRatio < 0.5:
-		return 64
-	case obs.BufferHitRatio < 0.9:
-		return 16
-	default:
-		return 4
-	}
 }
 
 // price converts the access estimate into the Section 5 cost: faults are

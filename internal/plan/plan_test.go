@@ -92,18 +92,6 @@ func TestPlanParallelismAndPrefetch(t *testing.T) {
 	if d := Plan(Request{}, meta(200), meta(200), Observed{MaxProcs: 16}); d.Parallelism != 1 {
 		t.Fatalf("tiny join fanned out: %d", d.Parallelism)
 	}
-
-	// Prefetch: local → none; remote cold → deep; remote hot → shallow.
-	if d := Plan(Request{}, m, m, Observed{}); d.PrefetchDepth != 0 {
-		t.Fatalf("local prefetch %d", d.PrefetchDepth)
-	}
-	remote := m
-	remote.Remote = true
-	cold := Plan(Request{}, remote, remote, Observed{})
-	hot := Plan(Request{}, remote, remote, Observed{BufferHitRatio: 0.95})
-	if cold.PrefetchDepth <= hot.PrefetchDepth || hot.PrefetchDepth == 0 {
-		t.Fatalf("prefetch cold=%d hot=%d", cold.PrefetchDepth, hot.PrefetchDepth)
-	}
 }
 
 func TestPlanPricing(t *testing.T) {

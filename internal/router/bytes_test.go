@@ -142,6 +142,17 @@ func TestJoinResponseBytes(t *testing.T) {
 		{name: "router-topk/fail-before-first-row", router: true, damage: lateLeaf, fields: `,"top_k":5`},
 	}
 	p, q := gatePoints()
+	// saveGateIndex writes pts as a saved index of gatePageSize pages.
+	saveGateIndex := func(pts []rcj.Point, path string) {
+		ix, err := rcj.BuildIndex(pts, rcj.IndexConfig{PageSize: gatePageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if err := ix.Save(path); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var got strings.Builder
 	for _, tc := range cases {
 		for _, format := range []string{"ndjson", "csv"} {
@@ -149,11 +160,14 @@ func TestJoinResponseBytes(t *testing.T) {
 			var base, workerURL string
 			if tc.router {
 				manPath := filepath.Join(dir, "gate.rcjm")
-				man, err := shard.Build(manPath, p, q, shard.BuildConfig{
-					Shards: 1, MaxDiameter: 40, Name: "gate", PageSize: gatePageSize})
+				man, err := shard.Build(manPath, p, q, shard.BuildConfig{Shards: 1, MaxDiameter: 40, Name: "gate"})
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The one shard holds every point in input order: re-save its
+				// two sides at the gate's page size (shards build at the default).
+				saveGateIndex(p, filepath.Join(dir, man.Shards[0].P))
+				saveGateIndex(q, filepath.Join(dir, man.Shards[0].Q))
 				corruptIndex(t, filepath.Join(dir, man.Shards[0].Q), tc.damage)
 				worker := newWorker(t, manPath, nil)
 				rt, err := New(Config{Manifest: man, Workers: []Worker{{URL: worker.URL}}, Retries: 0})
@@ -166,15 +180,8 @@ func TestJoinResponseBytes(t *testing.T) {
 			} else {
 				paths := map[string]string{}
 				for name, pts := range map[string][]rcj.Point{"p": p, "q": q} {
-					ix, err := rcj.BuildIndex(pts, rcj.IndexConfig{PageSize: gatePageSize})
-					if err != nil {
-						t.Fatal(err)
-					}
 					paths[name] = filepath.Join(dir, name+".rcjx")
-					if err := ix.Save(paths[name]); err != nil {
-						t.Fatal(err)
-					}
-					ix.Close()
+					saveGateIndex(pts, paths[name])
 				}
 				corruptIndex(t, paths["q"], tc.damage)
 				cache := 0

@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -328,53 +329,31 @@ func (rt *Router) probeWorker(ctx context.Context, url string) error {
 	return nil
 }
 
+// handleMetrics serves GET /metrics in rcjd's two encodings (JSON, or the
+// Prometheus exposition on ?format=prom / Accept: text/plain) from one
+// declaration of each series.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		rt.writePromMetrics(w)
-		return
-	}
 	perWorker := map[string]int64{}
 	for url, c := range rt.m.perWorker {
 		perWorker[url] = c.Load()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"requests":              rt.m.requests.Load(),
-		"join_errors":           rt.m.joinErrors.Load(),
-		"subqueries":            rt.m.subqueries.Load(),
-		"subqueries_per_worker": perWorker,
-		"subquery_retries":      rt.m.retries.Load(),
-		"subquery_failures":     rt.m.failures.Load(),
-		"shards_contacted":      rt.m.shardsContacted.Load(),
-		"shards_pruned":         rt.m.shardsPruned.Load(),
-		"bound_tightenings":     rt.m.boundTightenings.Load(),
-		"dedup_dropped":         rt.m.dedupDropped.Load(),
-		"pairs_emitted":         rt.m.pairsEmitted.Load(),
+	counter := func(json, prom, help string, v *atomic.Int64) server.Series {
+		return server.Series{JSON: json, Prom: prom, Type: "counter", Help: help, Value: v.Load()}
+	}
+	server.WriteMetrics(w, r, []server.Series{
+		counter("requests", "rcjrouter_requests_total", "Join requests accepted by the router.", &rt.m.requests),
+		counter("join_errors", "rcjrouter_join_errors_total", "Join requests that ended in an error.", &rt.m.joinErrors),
+		counter("subqueries", "rcjrouter_subqueries_total", "Sub-queries dispatched to workers.", &rt.m.subqueries),
+		{JSON: "subqueries_per_worker", Prom: "rcjrouter_worker_subqueries_total", Type: "counter",
+			Help: "Sub-queries dispatched, by worker.", Value: perWorker, Label: "worker"},
+		counter("subquery_retries", "rcjrouter_subquery_retries_total", "Sub-query attempts retried on another owner.", &rt.m.retries),
+		counter("subquery_failures", "rcjrouter_subquery_failures_total", "Sub-queries failed after all attempts.", &rt.m.failures),
+		counter("shards_contacted", "rcjrouter_shards_contacted_total", "Shards contacted across all joins.", &rt.m.shardsContacted),
+		counter("shards_pruned", "rcjrouter_shards_pruned_total", "Shards skipped because the query region missed their cell.", &rt.m.shardsPruned),
+		counter("bound_tightenings", "rcjrouter_bound_tightenings_total", "Top-k bound tightenings republished to later sub-queries.", &rt.m.boundTightenings),
+		counter("dedup_dropped", "rcjrouter_dedup_dropped_total", "Boundary-duplicate rows dropped during merge.", &rt.m.dedupDropped),
+		counter("pairs_emitted", "rcjrouter_pairs_emitted_total", "Result rows streamed to clients.", &rt.m.pairsEmitted),
 	})
-}
-
-// writePromMetrics renders the counters in Prometheus text exposition
-// format, mirroring rcjd's /metrics?format=prom.
-func (rt *Router) writePromMetrics(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("rcjrouter_requests_total", "Join requests accepted by the router.", rt.m.requests.Load())
-	counter("rcjrouter_join_errors_total", "Join requests that ended in an error.", rt.m.joinErrors.Load())
-	counter("rcjrouter_subqueries_total", "Sub-queries dispatched to workers.", rt.m.subqueries.Load())
-	name := "rcjrouter_worker_subqueries_total"
-	fmt.Fprintf(w, "# HELP %s Sub-queries dispatched, by worker.\n# TYPE %s counter\n", name, name)
-	for _, url := range rt.workerURLs {
-		fmt.Fprintf(w, "%s{worker=%q} %d\n", name, url, rt.m.perWorker[url].Load())
-	}
-	counter("rcjrouter_subquery_retries_total", "Sub-query attempts retried on another owner.", rt.m.retries.Load())
-	counter("rcjrouter_subquery_failures_total", "Sub-queries failed after all attempts.", rt.m.failures.Load())
-	counter("rcjrouter_shards_contacted_total", "Shards contacted across all joins.", rt.m.shardsContacted.Load())
-	counter("rcjrouter_shards_pruned_total", "Shards skipped because the query region missed their cell.", rt.m.shardsPruned.Load())
-	counter("rcjrouter_bound_tightenings_total", "Top-k bound tightenings republished to later sub-queries.", rt.m.boundTightenings.Load())
-	counter("rcjrouter_dedup_dropped_total", "Boundary-duplicate rows dropped during merge.", rt.m.dedupDropped.Load())
-	counter("rcjrouter_pairs_emitted_total", "Result rows streamed to clients.", rt.m.pairsEmitted.Load())
 }
 
 // sortRows orders rows by the engine's deterministic pair ranking:

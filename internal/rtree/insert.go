@@ -165,12 +165,12 @@ func (t *Tree) handleOverflow(id storage.PageID, n *Node, level int, st *insertS
 	return t.splitNode(id, n)
 }
 
-// forceReinsert removes the ReinsertRatio fraction of entries whose centers
+// forceReinsert removes the reinsertRatio fraction of entries whose centers
 // lie farthest from the node's MBR center and queues them for reinsertion at
 // the same level ("far reinsert" variant of the R*-tree paper).
 func (t *Tree) forceReinsert(n *Node, level int, st *insertState) {
 	center := n.MBR().Center()
-	p := int(float64(n.Len()) * t.cfg.ReinsertRatio)
+	p := int(float64(n.Len()) * reinsertRatio)
 	if p < 1 {
 		p = 1
 	}

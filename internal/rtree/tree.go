@@ -22,18 +22,19 @@ const (
 	SplitLinear
 )
 
+// The R*-tree paper's recommended constants: the minimum node fill as a
+// fraction of capacity, and the fraction of entries removed for forced
+// reinsertion on the first overflow per level.
+const (
+	minFillRatio  = 0.4
+	reinsertRatio = 0.3
+)
+
 // Config controls tree construction.
 type Config struct {
 	// PageSize is the on-disk page size in bytes; the paper's evaluation
 	// uses 1024. Defaults to storage.DefaultPageSize when zero.
 	PageSize int
-	// MinFillRatio is the minimum node fill as a fraction of capacity
-	// (the R*-tree paper recommends 0.4). Defaults to 0.4.
-	MinFillRatio float64
-	// ReinsertRatio is the fraction of entries removed for forced
-	// reinsertion on the first overflow per level (R* recommends 0.3).
-	// Defaults to 0.3.
-	ReinsertRatio float64
 	// SplitPolicy selects the node-split algorithm; the default is the R*
 	// split the paper's indexes use.
 	SplitPolicy SplitPolicy
@@ -44,12 +45,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.PageSize <= 0 {
 		c.PageSize = storage.DefaultPageSize
-	}
-	if c.MinFillRatio <= 0 || c.MinFillRatio > 0.5 {
-		c.MinFillRatio = 0.4
-	}
-	if c.ReinsertRatio <= 0 || c.ReinsertRatio >= 1 {
-		c.ReinsertRatio = 0.3
 	}
 	return c
 }
@@ -98,8 +93,8 @@ func New(pager storage.Pager, pool *buffer.Pool, cfg Config) (*Tree, error) {
 	if t.maxLeaf < 4 || t.maxChild < 4 {
 		return nil, fmt.Errorf("rtree: page size %d too small (leaf capacity %d, internal capacity %d)", cfg.PageSize, t.maxLeaf, t.maxChild)
 	}
-	t.minLeaf = max(2, int(float64(t.maxLeaf)*cfg.MinFillRatio))
-	t.minChild = max(2, int(float64(t.maxChild)*cfg.MinFillRatio))
+	t.minLeaf = max(2, int(float64(t.maxLeaf)*minFillRatio))
+	t.minChild = max(2, int(float64(t.maxChild)*minFillRatio))
 	t.root = storage.InvalidPageID
 	return t, nil
 }

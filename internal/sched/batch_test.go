@@ -3,8 +3,10 @@ package sched
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/rcj"
 )
@@ -483,6 +485,54 @@ func TestBatchConsumerBreak(t *testing.T) {
 	}
 	assertExactPairs(t, "full member", full.pairs, want)
 	assertExactPairs(t, "broken member prefix", brk, want[:3])
+}
+
+// TestBatchAbandonedFreesSlot pins the slot lifetime of a batch nobody reads
+// any more: when every member walks away after the grant, the traversal is
+// cancelled and the slot comes back at cancellation latency, not after the
+// rest of a traversal that — emitting nothing — would never have looked at
+// its members again.
+func TestBatchAbandonedFreesSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pts := make([]rcj.Point, 20000)
+	for i := range pts {
+		pts[i] = rcj.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000, ID: int64(i)}
+	}
+	eng := rcj.NewEngine(rcj.EngineConfig{})
+	ix, err := eng.BuildIndex(pts, rcj.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	// No pair is 1e9 apart: the whole traversal runs and yields no slice.
+	silent := rcj.Query{MinDistance: 1e9}
+	start := time.Now()
+	soloPairs(t, eng, ix, silent)
+	traversal := time.Since(start)
+
+	s := New(eng, Config{MaxConcurrent: 1, MaxQueue: 8, Batch: BatchConfig{Enabled: true}})
+	release := blockSlot(t, s)
+	base := s.Snapshot()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	results := make([]memberResult, 2)
+	dones := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i := range results {
+		go runMember(ctx, s, ix, silent, &results[i], dones[i])
+	}
+	waitFor(t, func() bool { return openBatchMembers(s) == 2 })
+	release()
+	// Both members admitted: the envelope traversal holds the slot.
+	waitFor(t, func() bool { return s.Snapshot().Admitted == base.Admitted+2 })
+	cancel()
+	abandoned := time.Now()
+	for _, done := range dones {
+		<-done
+	}
+	waitFor(t, func() bool { return s.Snapshot().InFlight == 0 })
+	if held := time.Since(abandoned); held > traversal/4 {
+		t.Fatalf("abandoned batch held its slot %v; the uncancelled traversal takes %v", held, traversal)
+	}
 }
 
 // TestBatchDisabledFallsThrough pins the default: without Batch.Enabled the

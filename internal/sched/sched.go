@@ -356,7 +356,6 @@ func (s *Scheduler) Observe(q, p *rcj.Index) rcj.PlanObserved {
 	obs := rcj.Observe(q, p)
 	s.mu.Lock()
 	obs.FreeSlots = s.cfg.MaxConcurrent - s.running
-	obs.QueueDepth = s.queue.Len()
 	s.mu.Unlock()
 	if obs.FreeSlots < 1 {
 		// This request will own a slot once admitted; never report "unknown"
@@ -368,9 +367,9 @@ func (s *Scheduler) Observe(q, p *rcj.Index) rcj.PlanObserved {
 
 // Run admits the streaming join (q, p, qry) — the same index twice is the
 // self-join, as in rcj.Engine.Run — in three steps. It resolves the plan,
-// feeding the planner the scheduler's live pressure (free slots, queue depth)
-// so the chosen fan-out respects concurrent load and the batch key groups by
-// the RESOLVED algorithm; a query that arrives resolved keeps its decision,
+// feeding the planner the scheduler's live pressure (free slots) so the
+// chosen fan-out respects concurrent load and the batch key groups by the
+// RESOLVED algorithm; a query that arrives resolved keeps its decision,
 // and an invalid one passes through for the engine to refuse. It rides a
 // forming batch if one fits (batch.go). Otherwise it blocks in admission
 // control, so typed rejections surface before any result bytes are produced,

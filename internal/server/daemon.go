@@ -44,10 +44,9 @@ type DaemonConfig struct {
 	ManifestBase   string
 	// Backend is the pager substrate for the loaded indexes.
 	Backend rcj.Backend
-	// BufferPages / BufferShards size the engine's shared pool
-	// (rcj.EngineConfig semantics).
-	BufferPages  int
-	BufferShards int
+	// BufferPages sizes the engine's shared pool (rcj.EngineConfig
+	// semantics).
+	BufferPages int
 	// PprofAddr, when non-empty, serves net/http/pprof on its own listener
 	// at this address (separate from the query port, so profiling is never
 	// exposed on the service address by accident).
@@ -55,10 +54,9 @@ type DaemonConfig struct {
 	// Sched bounds admission: concurrent joins, queue depth, queue wait,
 	// per-join deadline, cross-request batching (sched.Config semantics).
 	Sched sched.Config
-	// ResultCacheEntries / ResultCachePairs size the memoized-result cache
-	// (Config semantics; 0 entries disables it).
+	// ResultCacheEntries sizes the memoized-result cache (Config semantics;
+	// 0 disables it).
 	ResultCacheEntries int
-	ResultCachePairs   int
 	// DrainTimeout caps how long shutdown waits for in-flight joins after
 	// the stop signal; 0 means 30s.
 	DrainTimeout time.Duration
@@ -95,10 +93,10 @@ func RunDaemon(ctx context.Context, cfg DaemonConfig, ready func(addr string)) e
 		go func() { _ = pprofSrv.Serve(pprofLn) }()
 	}
 
-	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: cfg.BufferPages, BufferShards: cfg.BufferShards})
+	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: cfg.BufferPages})
 	sch := sched.New(eng, cfg.Sched)
-	srv := New(sch, Config{Backend: cfg.Backend,
-		ResultCacheEntries: cfg.ResultCacheEntries, ResultCachePairs: cfg.ResultCachePairs})
+	srv := New(sch, Config{Backend: cfg.Backend, ResultCacheEntries: cfg.ResultCacheEntries})
+	srv.logf = logf
 	// Indexes are closed on exit unless a join may still be running:
 	// closing an index pulls the pager out from under a still-wedged join,
 	// so an incomplete drain leaks them instead (the process is exiting
@@ -156,45 +154,30 @@ func RunDaemon(ctx context.Context, cfg DaemonConfig, ready func(addr string)) e
 	if err != nil {
 		return err
 	}
-	// A client that never finishes its request headers must not hold a
-	// connection forever.
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	logf("rcjd: serving on %s (maxConcurrent=%d maxQueue=%d)",
 		ln.Addr(), sch.Config().MaxConcurrent, sch.Config().MaxQueue)
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
+	// Order matters in the drain: first stop admitting joins (so queued
+	// handlers fail fast with 503 and /healthz flips), then let the HTTP
+	// server wait for in-flight handlers — each of which holds a streaming
+	// join — to finish.
+	shutdownErr := ServeUntilDone(ctx, ln, srv.Handler(), drainTimeout, func() {
+		logf("rcjd: shutdown signal received, draining (timeout %s)", drainTimeout)
+		sch.BeginDrain()
+	})
+	if ctx.Err() == nil {
 		// The listener died under us; handlers (and their joins) may still
 		// be running, so the indexes must outlive this return.
 		leakIndexes = true
-		return err
-	case <-ctx.Done():
+		return shutdownErr
 	}
-
-	// Graceful drain. Order matters: first stop admitting joins (so queued
-	// handlers fail fast with 503 and /healthz flips), then let the HTTP
-	// server wait for in-flight handlers — each of which holds a streaming
-	// join — to finish, bounded by the drain timeout.
-	logf("rcjd: shutdown signal received, draining (timeout %s)", drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	// Every handler has returned, or been cut off with its join's context
+	// cancelled: give the slots a short grace to unwind.
+	waitCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	sch.BeginDrain()
-	shutdownErr := httpSrv.Shutdown(drainCtx)
-	waitCtx := drainCtx
-	if shutdownErr != nil {
-		// Timed out: cut the remaining streams, whose cancelled contexts
-		// abort their joins; give the slots a short grace to unwind.
-		httpSrv.Close()
-		var cancelWait context.CancelFunc
-		waitCtx, cancelWait = context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancelWait()
-	}
 	if err := sch.Drain(waitCtx); err != nil {
 		leakIndexes = true
 		return fmt.Errorf("rcjd: drain incomplete: %w", errors.Join(shutdownErr, err))
@@ -204,4 +187,31 @@ func RunDaemon(ctx context.Context, cfg DaemonConfig, ready func(addr string)) e
 	}
 	logf("rcjd: drained, exiting")
 	return nil
+}
+
+// ServeUntilDone is the listen/serve/drain loop both daemons run: it serves
+// handler on ln until ctx is cancelled (the signal path), then calls onStop
+// and waits up to drainTimeout for in-flight requests to finish; requests
+// still running after that are cut off. It returns nil after a clean drain,
+// the shutdown error after a cut one, and — with ctx still live — the
+// listener's error if serving failed.
+func ServeUntilDone(ctx context.Context, ln net.Listener, handler http.Handler, drainTimeout time.Duration, onStop func()) error {
+	// A client that never finishes its request headers must not hold a
+	// connection forever.
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
+	}
+	onStop()
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := httpSrv.Shutdown(drainCtx)
+	if err != nil {
+		httpSrv.Close()
+	}
+	return err
 }

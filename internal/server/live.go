@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/sched"
 	"repro/rcj"
 )
 
@@ -73,12 +72,16 @@ func (s *Server) liveTotals() liveCounters {
 // path opens the saved index there as the sealed base (compacted generations
 // are persisted next to it as ".g<seq>" siblings); an empty path starts the
 // index empty, with memory-only generations. compactEvery and keepGens map
-// to rcj.MutableConfig.
+// to rcj.MutableConfig; a failed background compaction is logged (and counted
+// in /metrics), the index keeps serving.
 func (s *Server) LoadMutableIndex(name, path string, compactEvery, keepGens int) error {
 	cfg := rcj.MutableConfig{
 		Index:           rcjIndexConfig(s.backend),
 		CompactEvery:    compactEvery,
 		KeepGenerations: keepGens,
+		OnCompactError: func(err error) {
+			s.logf("rcjd: live index %s: background compaction failed, still serving the uncompacted epoch: %v", name, err)
+		},
 	}
 	var (
 		ix  *rcj.Index
@@ -318,55 +321,4 @@ func (s *Server) addSubscriber(eP, eQ *indexEntry, d int) {
 		eQ.subs += d
 	}
 	s.mu.Unlock()
-}
-
-// writePromMetric renders one integer metric in the Prometheus text
-// exposition format; writePromFloat is its float form (compaction seconds).
-func writePromMetric(w http.ResponseWriter, name, help, typ string, value int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, value)
-}
-
-func writePromFloat(w http.ResponseWriter, name, help, typ string, value float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, value)
-}
-
-// writeLivePromMetrics appends the rcjd_live_* family to a Prometheus
-// exposition: mutation/compaction counters (monotone across unloads via the
-// retired fold), delta-load gauges, and the subscription counters from the
-// scheduler.
-func (s *Server) writeLivePromMetrics(w http.ResponseWriter, lc liveCounters, snap sched.Snapshot) {
-	writeProm := func(name, help, typ string, value int64) {
-		writePromMetric(w, name, help, typ, value)
-	}
-	writeProm("rcjd_live_indexes", "Registered mutable (live) indexes.", "gauge", int64(lc.liveIndexes))
-	writeProm("rcjd_live_inserts_total", "Points inserted into live indexes.", "counter", lc.inserts)
-	writeProm("rcjd_live_deletes_total", "Points deleted from live indexes.", "counter", lc.deletes)
-	writeProm("rcjd_live_batches_total", "Mutation batches applied to live indexes.", "counter", lc.batches)
-	writeProm("rcjd_live_compactions_total", "Completed live-index compactions.", "counter", lc.compactions)
-	writeProm("rcjd_live_compact_failures_total", "Failed live-index compactions (index kept serving).", "counter", lc.compactFails)
-	writePromFloat(w, "rcjd_live_compact_seconds_total", "Wall time spent sealing live-index generations.", "counter", lc.compactSeconds)
-	writeProm("rcjd_live_delta_points", "Points currently in in-memory deltas.", "gauge", int64(lc.deltaPoints))
-	writeProm("rcjd_live_tombstones", "Base points currently masked by tombstones.", "gauge", int64(lc.tombstones))
-	writeProm("rcjd_live_subscribers", "Open continuous-query subscriptions.", "gauge", int64(snap.Subscriptions))
-	writeProm("rcjd_live_subscriptions_total", "Continuous-query subscriptions ever started.", "counter", snap.SubscriptionsStarted)
-	writeProm("rcjd_live_shed_total", "Subscription feeds shed for falling behind.", "counter", lc.shedFeeds)
-}
-
-// liveMetricsJSON is the "live" block of the JSON /metrics payload.
-func liveMetricsJSON(lc liveCounters, snap sched.Snapshot) map[string]any {
-	return map[string]any{
-		"indexes":               lc.liveIndexes,
-		"inserts":               lc.inserts,
-		"deletes":               lc.deletes,
-		"batches":               lc.batches,
-		"compactions":           lc.compactions,
-		"compact_failures":      lc.compactFails,
-		"compact_seconds":       lc.compactSeconds,
-		"delta_points":          lc.deltaPoints,
-		"tombstones":            lc.tombstones,
-		"subscribers":           snap.Subscriptions,
-		"subscriptions_started": snap.SubscriptionsStarted,
-		"subscriptions_ended":   snap.SubscriptionsEnded,
-		"shed_feeds":            lc.shedFeeds,
-	}
 }

@@ -10,6 +10,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -521,4 +523,95 @@ func (zeros) Read(p []byte) (int, error) {
 		p[i] = '0'
 	}
 	return len(p), nil
+}
+
+// TestCompactionFailureIsLogged: a background compaction that cannot write
+// its generation file is reported where an operator looks — one daemon log
+// line naming the index, next to the compact_failures counter — and the index
+// keeps answering from the uncompacted epoch. The failure is a generation
+// directory that has vanished (the test may run as root, whom a read-only
+// directory does not stop).
+func TestCompactionFailureIsLogged(t *testing.T) {
+	pPath, _, pPts, _ := buildSavedIndexes(t, 200)
+	dir := filepath.Join(t.TempDir(), "base")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	basePath := filepath.Join(dir, "places.rcjx")
+	if err := os.Rename(pPath, basePath); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	logs := make(chan string, 64) // the daemon's few lifecycle lines, never blocking it
+	addrCh := make(chan string, 1)
+	daemonErr := make(chan error, 1)
+	go func() {
+		daemonErr <- RunDaemon(ctx, DaemonConfig{
+			Addr:             "127.0.0.1:0",
+			LiveIndexes:      map[string]string{"places": basePath},
+			LiveCompactEvery: 4,
+			Backend:          rcj.BackendMem,
+			Sched:            sched.Config{MaxConcurrent: 1},
+			Logf:             func(format string, args ...any) { logs <- fmt.Sprintf(format, args...) },
+		}, func(addr string) { addrCh <- addr })
+	}()
+	var base string
+	select {
+	case addr := <-addrCh:
+		base = "http://" + addr
+	case err := <-daemonErr:
+		t.Fatalf("daemon died before ready: %v", err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	// Four inserts reach the compaction threshold; the seal's save fails.
+	first := int64(len(pPts))
+	wantStatus(t, postJSON(t, base, "/indexes/places/points", fmt.Sprintf(
+		`{"insert":[{"id":%d,"x":1.5,"y":2.5},{"id":%d,"x":3.5,"y":4.5},{"id":%d,"x":5.5,"y":6.5},{"id":%d,"x":7.5,"y":8.5}]}`,
+		first, first+1, first+2, first+3)), http.StatusOK)
+	failures := func() float64 {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m struct {
+			Live map[string]float64 `json:"live"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Live["compact_failures"]
+	}
+	for deadline := time.Now().Add(10 * time.Second); failures() != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("compact_failures = %v, want 1", failures())
+		}
+	}
+
+	resp := postJSON(t, base, "/join", `{"p":"places","self":true,"limit":5}`)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"summary"`) {
+		t.Fatalf("join after the failed compaction: status %d: %s", resp.StatusCode, body)
+	}
+
+	cancel()
+	if err := <-daemonErr; err != nil {
+		t.Fatalf("RunDaemon: %v", err)
+	}
+	close(logs)
+	var reported []string
+	for line := range logs {
+		if strings.Contains(line, "compaction failed") {
+			reported = append(reported, line)
+		}
+	}
+	if len(reported) != 1 || !strings.Contains(reported[0], "live index places") {
+		t.Fatalf("daemon log reports the failed compaction %d times, want once naming the index: %q", len(reported), reported)
+	}
 }

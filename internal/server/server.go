@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/sched"
 	"repro/rcj"
 )
@@ -79,6 +78,9 @@ type Config struct {
 type Server struct {
 	sched   *sched.Scheduler
 	backend rcj.Backend
+	// logf receives what no request can be told: background compaction
+	// failures. RunDaemon points it at DaemonConfig.Logf.
+	logf func(format string, args ...any)
 
 	cache *resultCache // nil when disabled; all methods nil-safe
 
@@ -162,6 +164,7 @@ func New(sch *sched.Scheduler, cfg Config) *Server {
 	return &Server{
 		sched:   sch,
 		backend: cfg.Backend,
+		logf:    func(string, ...any) {},
 		cache:   newResultCache(cfg.ResultCacheEntries, cfg.ResultCachePairs),
 		indexes: make(map[string]*indexEntry),
 	}
@@ -540,171 +543,6 @@ func (s *Server) remoteTotals() (remote rcj.RemoteStats, prefetch rcj.PrefetchSt
 		}
 	}
 	return remote, prefetch, remoteIndexes
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.requests.inc("metrics")
-	snap := s.sched.Snapshot()
-	pool := s.sched.Engine().BufferStats()
-	remote, prefetch, remoteIndexes := s.remoteTotals()
-	lc := s.liveTotals()
-	// Prometheus text exposition on request (?format=prom or an Accept
-	// header asking for text/plain); the JSON form stays the default.
-	if r.URL.Query().Get("format") == "prom" ||
-		(r.URL.Query().Get("format") == "" && strings.Contains(r.Header.Get("Accept"), "text/plain")) {
-		s.writePromMetrics(w, snap, pool, remote, prefetch, remoteIndexes, s.cache.snapshot(), lc)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sched":                  snap,
-		"sched_buffer_hit_ratio": snap.BufferHitRatio(),
-		"pool": map[string]any{
-			"accesses":      pool.Accesses,
-			"hits":          pool.Hits,
-			"misses":        pool.Misses,
-			"evictions":     pool.Evictions,
-			"prefetch_hits": pool.PrefetchHits,
-			"shared_loads":  pool.SharedLoads,
-			"hit_ratio":     pool.HitRatio(),
-			"shards":        s.sched.Engine().BufferShards(),
-		},
-		"remote": map[string]any{
-			"indexes":                 remoteIndexes,
-			"fetches":                 remote.Fetches,
-			"shared_fetches":          remote.SharedFetches,
-			"coalesced_fetches":       remote.CoalescedFetches,
-			"retries":                 remote.Retries,
-			"bytes_fetched":           remote.BytesFetched,
-			"checksum_failures":       remote.ChecksumFailures,
-			"prefetch_offered":        prefetch.Offered,
-			"prefetch_loaded":         prefetch.Loaded,
-			"prefetch_dropped":        prefetch.Dropped,
-			"prefetch_already_cached": prefetch.AlreadyCached,
-			"prefetch_failed":         prefetch.Failed,
-		},
-		"live":         liveMetricsJSON(lc, snap),
-		"result_cache": s.cache.snapshot(),
-		"requests":     s.requests.snapshot(),
-		"plan": map[string]any{
-			"auto":       s.planAuto.Load(),
-			"fixed":      s.planFixed.Load(),
-			"algorithms": s.planAlg.snapshot(),
-			"rules":      s.planRule.snapshot(),
-		},
-	})
-}
-
-// writePromMetrics renders the counters in the Prometheus text exposition
-// format (version 0.0.4): gauges for the instantaneous scheduler state,
-// counters for everything cumulative, per-endpoint request totals as one
-// labeled family.
-func (s *Server) writePromMetrics(w http.ResponseWriter, snap sched.Snapshot, pool buffer.Stats,
-	remote rcj.RemoteStats, prefetch rcj.PrefetchStats, remoteIndexes int, cache cacheStats, lc liveCounters) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	b2i := func(v bool) int {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	type metric struct {
-		name, help, typ string
-		value           int64
-	}
-	for _, m := range []metric{
-		{"rcjd_sched_in_flight", "Joins currently running.", "gauge", int64(snap.InFlight)},
-		{"rcjd_sched_queued", "Requests waiting in the admission queue.", "gauge", int64(snap.Queued)},
-		{"rcjd_sched_draining", "1 once shutdown drain has begun.", "gauge", int64(b2i(snap.Draining))},
-		{"rcjd_sched_admitted_total", "Joins admitted past admission control.", "counter", snap.Admitted},
-		{"rcjd_sched_completed_total", "Joins that streamed to completion.", "counter", snap.Completed},
-		{"rcjd_sched_failed_total", "Joins that terminated with an error.", "counter", snap.Failed},
-		{"rcjd_sched_rejected_overload_total", "Requests rejected with a full queue.", "counter", snap.RejectedOverload},
-		{"rcjd_sched_rejected_queue_timeout_total", "Requests that timed out queued.", "counter", snap.RejectedQueueTimeout},
-		{"rcjd_sched_rejected_draining_total", "Requests rejected during drain.", "counter", snap.RejectedDraining},
-		{"rcjd_sched_pairs_emitted_total", "Result pairs streamed to clients.", "counter", snap.PairsEmitted},
-		{"rcjd_sched_bound_killed_total", "Candidates killed pre-verification by a tightened TopK bound.", "counter", snap.BoundKilledCandidates},
-		{"rcjd_sched_batches_total", "Envelope traversals that served more than one request.", "counter", snap.SharedBatches},
-		{"rcjd_sched_batched_requests_total", "Requests served by shared envelope traversals.", "counter", snap.BatchedRequests},
-		{"rcjd_sched_buffer_accesses_total", "Tagged buffer accesses of served joins.", "counter", snap.BufferAccesses},
-		{"rcjd_sched_buffer_hits_total", "Tagged buffer hits of served joins.", "counter", snap.BufferHits},
-		{"rcjd_sched_buffer_misses_total", "Tagged buffer misses of served joins.", "counter", snap.BufferMisses},
-		{"rcjd_pool_accesses_total", "Shared pool accesses (all owners).", "counter", pool.Accesses},
-		{"rcjd_pool_hits_total", "Shared pool hits.", "counter", pool.Hits},
-		{"rcjd_pool_misses_total", "Shared pool misses.", "counter", pool.Misses},
-		{"rcjd_pool_evictions_total", "Shared pool evictions.", "counter", pool.Evictions},
-		{"rcjd_pool_prefetch_hits_total", "Pool hits served by async readahead.", "counter", pool.PrefetchHits},
-		{"rcjd_pool_shared_loads_total", "Demand misses that piggybacked on an in-flight load of the same page.", "counter", pool.SharedLoads},
-		{"rcjd_pool_shards", "LRU shards in the shared pool.", "gauge", int64(s.sched.Engine().BufferShards())},
-		{"rcjd_remote_indexes", "Registered indexes served over HTTP ranges.", "gauge", int64(remoteIndexes)},
-		{"rcjd_remote_fetches_total", "HTTP range requests issued by remote indexes.", "counter", remote.Fetches},
-		{"rcjd_remote_shared_total", "Remote page reads collapsed into another reader's in-flight fetch.", "counter", remote.SharedFetches},
-		{"rcjd_remote_coalesced_total", "Multi-page range requests replacing per-page fetches.", "counter", remote.CoalescedFetches},
-		{"rcjd_remote_retries_total", "Remote fetches re-attempted after transient failures.", "counter", remote.Retries},
-		{"rcjd_remote_bytes_fetched_total", "Body bytes fetched by remote indexes.", "counter", remote.BytesFetched},
-		{"rcjd_remote_checksum_failures_total", "Fetched pages failing per-page CRC verification.", "counter", remote.ChecksumFailures},
-		{"rcjd_prefetch_offered_total", "Pages offered to async readahead.", "counter", prefetch.Offered},
-		{"rcjd_prefetch_loaded_total", "Pages loaded ahead of demand.", "counter", prefetch.Loaded},
-		{"rcjd_prefetch_dropped_total", "Readahead offers shed under queue pressure.", "counter", prefetch.Dropped},
-		{"rcjd_result_cache_entries", "Memoized result sets currently held.", "gauge", int64(cache.Entries)},
-		{"rcjd_result_cache_pairs", "Pairs held across memoized result sets.", "gauge", cache.Pairs},
-		{"rcjd_result_cache_hits_total", "Joins served from the result cache.", "counter", cache.Hits},
-		{"rcjd_result_cache_misses_total", "Cacheable joins that had to run.", "counter", cache.Misses},
-		{"rcjd_result_cache_stores_total", "Result sets memoized after clean completion.", "counter", cache.Stores},
-		{"rcjd_result_cache_evictions_total", "Memoized results evicted by the LRU bound.", "counter", cache.Evictions},
-		{"rcjd_result_cache_invalidations_total", "Memoized results purged by index unloads.", "counter", cache.Invalidations},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.value)
-	}
-	s.writeLivePromMetrics(w, lc, snap)
-	writePromHistogram(w, "rcjd_sched_queue_wait_seconds", "Admission wait of admitted requests.", snap.QueueWait)
-	writePromHistogram(w, "rcjd_sched_join_latency_seconds", "Execution time of terminated joins (queue wait excluded).", snap.JoinLatency)
-	reqs := s.requests.snapshot()
-	endpoints := make([]string, 0, len(reqs))
-	for k := range reqs {
-		endpoints = append(endpoints, k)
-	}
-	sort.Strings(endpoints)
-	fmt.Fprintf(w, "# HELP rcjd_requests_total HTTP requests served, by endpoint.\n# TYPE rcjd_requests_total counter\n")
-	for _, ep := range endpoints {
-		fmt.Fprintf(w, "rcjd_requests_total{endpoint=%q} %d\n", ep, reqs[ep])
-	}
-	fmt.Fprintf(w, "# HELP rcjd_plan_auto_total Joins whose plan the cost-based planner chose.\n# TYPE rcjd_plan_auto_total counter\nrcjd_plan_auto_total %d\n", s.planAuto.Load())
-	fmt.Fprintf(w, "# HELP rcjd_plan_fixed_total Joins that forced their plan verbatim.\n# TYPE rcjd_plan_fixed_total counter\nrcjd_plan_fixed_total %d\n", s.planFixed.Load())
-	writePromLabeled(w, "rcjd_plan_algorithm_total", "Resolved joins by effective algorithm.", "alg", s.planAlg.snapshot())
-	writePromLabeled(w, "rcjd_plan_rule_total", "Resolved joins by planner decision rule.", "rule", s.planRule.snapshot())
-}
-
-// writePromLabeled renders one counter family with a single label, keys
-// sorted for a stable exposition.
-func writePromLabeled(w http.ResponseWriter, name, help, label string, vals map[string]int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, vals[k])
-	}
-}
-
-// writePromHistogram renders one sched.HistogramSnapshot in the Prometheus
-// histogram convention: cumulative le-bucket counts ending at +Inf, then the
-// _sum and _count pair.
-func writePromHistogram(w http.ResponseWriter, name, help string, h sched.HistogramSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum int64
-	for i, bound := range h.BoundsSeconds {
-		cum += h.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(bound, 'g', -1, 64), cum)
-	}
-	// +Inf and _count derive from the same bucket series as the finite
-	// buckets, so the exposition is monotone by construction even if a
-	// recording raced the snapshot.
-	cum += h.Counts[len(h.BoundsSeconds)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.SumSeconds, name, cum)
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {

@@ -124,7 +124,7 @@ type Summary struct {
 	Alg         string `json:"alg"`
 	Parallelism int    `json:"parallelism"`
 	// Plan is the resolved plan decision, human-readable: rule, predicate
-	// order, prefetch depth, cost estimate ("rule=fixed" for forced runs).
+	// order, cost estimate ("rule=fixed" for forced runs).
 	Plan string `json:"plan"`
 	// Cached marks a stream replayed from the result cache; the statistics
 	// above are the original run's.

@@ -30,8 +30,6 @@ type BuildConfig struct {
 	// Self builds a single-dataset manifest (self-join serving); q must be
 	// nil.
 	Self bool
-	// PageSize is the page size of the shard indexes (0 = rcj default).
-	PageSize int
 	// Packed saves shard indexes in the packed v3 format (SavePacked).
 	Packed bool
 }
@@ -106,7 +104,7 @@ func Build(manifestPath string, p, q []rcj.Point, cfg BuildConfig) (*Manifest, e
 
 // saveShardIndex builds and persists one shard-side index.
 func saveShardIndex(path string, pts []rcj.Point, cfg BuildConfig) error {
-	ix, err := rcj.BuildIndex(pts, rcj.IndexConfig{PageSize: cfg.PageSize})
+	ix, err := rcj.BuildIndex(pts, rcj.IndexConfig{})
 	if err != nil {
 		return err
 	}

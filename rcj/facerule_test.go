@@ -65,7 +65,7 @@ func TestFaceRulePackingIndependent(t *testing.T) {
 		}
 		for name, ix := range map[string]*Index{
 			"str":    mustIndex(t, pts, IndexConfig{}),
-			"insert": mustIndex(t, pts, IndexConfig{InsertBuild: true}),
+			"insert": insertBuiltIndex(t, pts),
 			"live":   live,
 		} {
 			got, _, err := testEng.RunCollect(bg, ix, ix, Query{})

@@ -194,7 +194,6 @@ func TestL1KeysAndValidation(t *testing.T) {
 	for _, bad := range []Query{
 		{Metric: L1, Algorithm: OBJ, ForceAlgorithm: true},
 		{Metric: L1, Algorithm: Brute, ForceAlgorithm: true},
-		{Metric: L1, Algorithm: BIJ},
 		{Metric: L1 + 1},
 	} {
 		if err := bad.Validate(); !errors.Is(err, ErrBadQuery) {

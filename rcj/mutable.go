@@ -29,20 +29,15 @@ var (
 
 // MutableConfig parameterizes a live (mutable) index.
 type MutableConfig struct {
-	// Index configures the sealed base: backend, page size, HTTP tuning
-	// (IndexConfig semantics). Used by OpenMutableIndex to open the base and
-	// by every compaction to build new generations.
+	// Index configures the sealed base: backend and page size (IndexConfig
+	// semantics). Used by OpenMutableIndex to open the base and by every
+	// compaction to build new generations.
 	Index IndexConfig
 	// CompactEvery triggers a background compaction once the in-memory
 	// delta point count plus tombstone count reaches it; 0 selects
 	// live.DefaultCompactEvery, negative disables auto-compaction
 	// (Index.Compact still works).
 	CompactEvery int
-	// GenerationBase, when non-empty, persists each compacted generation as
-	// storage.GenerationPath(GenerationBase, seq) — ".g<seq>" inserted
-	// before the extension. OpenMutableIndex defaults it to the source
-	// path; NewMutableIndex defaults to memory-only generations.
-	GenerationBase string
 	// KeepGenerations, when > 0, prunes all but the newest that many
 	// on-disk generation files after each compaction; 0 keeps everything.
 	KeepGenerations int
@@ -84,18 +79,19 @@ type LiveStats struct {
 // OpenMutableIndex opens a saved index as the sealed base of a live index:
 // reads merge the base with an in-memory delta, Insert/Delete apply in
 // atomic batches, and a background compactor seals delta+base into new
-// ".g<seq>" generations next to src once the delta grows past
-// cfg.CompactEvery. Queries are snapshot-isolated: each traversal pins the
-// epoch current at its start and is never affected by concurrent mutations
-// or compactions.
+// generations once the delta grows past cfg.CompactEvery — persisted as
+// storage.GenerationPath(src, seq), ".g<seq>" before the extension, when src
+// is a local path; memory-only for a URL. Queries are snapshot-isolated: each
+// traversal pins the epoch current at its start and is never affected by
+// concurrent mutations or compactions.
 func (e *Engine) OpenMutableIndex(src string, cfg MutableConfig) (*Index, error) {
 	base, err := e.OpenIndex(src, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
-	genBase := cfg.GenerationBase
-	if genBase == "" && !IsIndexURL(src) {
-		genBase = src
+	genBase := src
+	if IsIndexURL(src) {
+		genBase = ""
 	}
 	lx, err := live.New(
 		live.Base{Tree: base.tree, Count: base.pts, Path: src, Close: base.Close},
@@ -110,7 +106,7 @@ func (e *Engine) OpenMutableIndex(src string, cfg MutableConfig) (*Index, error)
 
 // NewMutableIndex builds a live index whose initial base holds points
 // (which may be empty: an index born from nothing but inserts). Sealed
-// generations stay in memory unless cfg.GenerationBase is set.
+// generations stay in memory.
 func (e *Engine) NewMutableIndex(points []Point, cfg MutableConfig) (*Index, error) {
 	var base live.Base
 	if len(points) > 0 {
@@ -124,7 +120,7 @@ func (e *Engine) NewMutableIndex(points []Point, cfg MutableConfig) (*Index, err
 		}
 		base = live.Base{Tree: b.tree, Count: b.pts, Close: b.Close}
 	}
-	lx, err := live.New(base, e.liveConfig(cfg, cfg.GenerationBase))
+	lx, err := live.New(base, e.liveConfig(cfg, ""))
 	if err != nil {
 		if base.Close != nil {
 			base.Close()

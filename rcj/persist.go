@@ -22,10 +22,6 @@ const (
 	BackendHTTP = storage.BackendHTTP
 )
 
-// HTTPConfig tunes the remote pager of an http-backend index: client,
-// retry bound, backoff. The zero value selects the serving defaults.
-type HTTPConfig = storage.HTTPPagerConfig
-
 // RemoteStats are the transfer counters of an http-backend index.
 type RemoteStats = storage.RemoteStats
 
@@ -37,12 +33,13 @@ var ErrOriginChanged = storage.ErrOriginChanged
 // PrefetchStats are the readahead counters of an index with async prefetch.
 type PrefetchStats = buffer.PrefetchStats
 
-// DefaultPrefetchWorkers is the readahead worker count for http-backend
-// indexes when IndexConfig.PrefetchWorkers is zero: enough concurrent range
-// requests to hide round trips behind the join's CPU work without hammering
-// the origin. Measured on the 1-CPU dev box at 1ms injected RTT, cold-join
-// wall clock flattens at 8 (150ms vs 219ms unprefetched; 16 buys nothing).
-const DefaultPrefetchWorkers = 8
+// prefetchWorkers is the readahead worker count of an http-backend index:
+// enough concurrent range requests to hide round trips behind the join's CPU
+// work without hammering the origin. It is the measured knee: at 1ms
+// injected RTT the cold-join wall clock flattens at 8 and 16 buys nothing.
+// Local backends never prefetch (their page reads are cheaper than the
+// scheduling would be).
+const prefetchWorkers = 8
 
 // ParseBackend parses a flag-style backend name ("mem", "file", "http").
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
@@ -74,7 +71,7 @@ func (ix *Index) SavePacked(path string) error { return ix.save(path, storage.Fo
 
 func (ix *Index) save(path string, version int) error {
 	if ix.live != nil {
-		return fmt.Errorf("rcj: save is not supported on mutable indexes; compaction persists generations (see MutableConfig.GenerationBase)")
+		return fmt.Errorf("rcj: save is not supported on mutable indexes; compaction persists generations next to the base OpenMutableIndex opened")
 	}
 	meta := ix.tree.Meta()
 	mbr, err := ix.tree.RootMBR()
@@ -100,8 +97,8 @@ func (ix *Index) save(path string, version int) error {
 // buffer pool (the OpenIndex analogue of BuildIndex). src is a local path or
 // an http(s) URL. cfg.Backend picks the page substrate; cfg.PageSize, when
 // nonzero, must match the file's page size (storage.ErrPageSizeMismatch
-// otherwise). cfg.InsertBuild is ignored. Corrupt, truncated,
-// or foreign files fail with the typed errors in package storage
+// otherwise). Corrupt, truncated, or foreign files fail with the typed
+// errors in package storage
 // (ErrBadMagic, ErrBadChecksum, ErrTruncated, ...).
 func OpenIndex(src string, cfg IndexConfig) (*Index, error) {
 	capacity := cfg.BufferPages
@@ -140,7 +137,7 @@ func openIndex(src string, cfg IndexConfig, pool *buffer.Pool, owner uint32, sha
 			return nil, fmt.Errorf("rcj: open index %s: http backend wants an http(s) URL", src)
 		}
 		backend = storage.BackendHTTP
-		remote, sb, err = storage.OpenIndexURL(src, cfg.HTTP)
+		remote, sb, err = storage.OpenIndexURL(src, storage.HTTPPagerConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("rcj: open index %s: %w", src, err)
 		}
@@ -180,12 +177,8 @@ func openIndex(src string, cfg IndexConfig, pool *buffer.Pool, owner uint32, sha
 	}
 	ix := &Index{tree: tree, pager: pager, pool: pool, pts: int(sb.Count), owner: owner, shared: shared,
 		backend: backend, remote: remote}
-	if remote != nil && cfg.PrefetchWorkers >= 0 {
-		workers := cfg.PrefetchWorkers
-		if workers == 0 {
-			workers = DefaultPrefetchWorkers
-		}
-		ix.prefetch = buffer.NewPrefetcher(pool, workers, 0)
+	if remote != nil {
+		ix.prefetch = buffer.NewPrefetcher(pool, prefetchWorkers, 0)
 		tree.SetPrefetcher(ix.prefetch)
 	}
 	return ix, nil

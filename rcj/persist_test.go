@@ -82,7 +82,7 @@ func equalPairs(t *testing.T, name string, got, want []Pair) {
 
 // TestSaveOpenRoundTrip is the acceptance test: build → Save → OpenIndex in
 // a fresh Engine → identical join output to the in-memory build, for
-// INJ/BIJ/OBJ and the self-join, on every backend.
+// INJ/OBJ and the self-join, on every backend.
 func TestSaveOpenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ps := randomPoints(rng, 400)
@@ -108,7 +108,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	algs := map[string]Algorithm{"inj": INJ, "bij": BIJ, "obj": OBJ}
+	algs := map[string]Algorithm{"inj": INJ, "obj": OBJ}
 	want := map[string][]Pair{}
 	for name, alg := range algs {
 		pairs, st, err := build.RunCollect(ctx, builtQ, builtP, Query{Algorithm: alg, ForceAlgorithm: true})

@@ -35,7 +35,7 @@ func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
 // pins its plan — ForceAlgorithm, an explicit non-zero Algorithm, or the L1
 // metric with its one index-nested-loop filter — the fixed plan is echoed
 // verbatim (rule "fixed"); otherwise the planner picks algorithm,
-// parallelism, prefetch depth, and predicate order from the inputs' metadata
+// parallelism and predicate order from the inputs' metadata
 // (epoch-aware for mutable indexes: the live point count, not the sealed
 // superblock's). The returned query is marked ForceAlgorithm so Canonical()
 // and batch keys see the concrete plan, and carries the decision: resolving
@@ -76,10 +76,6 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 		q.Algorithm = dec.Algorithm
 		if q.Parallelism < 1 {
 			q.Parallelism = dec.Parallelism
-		}
-		qx.applyPlan(dec)
-		if px != qx {
-			px.applyPlan(dec)
 		}
 	}
 	q.ForceAlgorithm = true
@@ -125,21 +121,11 @@ func (ix *Index) planMeta() plan.IndexMeta {
 	return m
 }
 
-// applyPlan applies the decision's advisory knobs to this index: the
-// readahead depth cap on a remote index's prefetcher. Shared across
-// concurrent queries, last writer wins — the cap only shapes speculation,
-// never correctness.
-func (ix *Index) applyPlan(dec PlanDecision) {
-	if ix.prefetch != nil && dec.PrefetchDepth > 0 {
-		ix.prefetch.SetDepthLimit(dec.PrefetchDepth)
-	}
-}
-
 // Observe derives planner feedback from the inputs' buffer pools: the hit
 // ratio predicts faults, and the measured per-miss load wait calibrates
 // what a fault costs on this backend. The executor resolves with it as is;
-// serving stacks overlay their own signals (free slots, queue depth) before
-// calling ResolveObserved.
+// serving stacks overlay their own signals (free slots) before calling
+// ResolveObserved.
 func Observe(qx, px *Index) PlanObserved {
 	var obs PlanObserved
 	pool := qx.pool

@@ -50,12 +50,12 @@ func TestResolveFixedEcho(t *testing.T) {
 	}
 	defer ix.Close()
 
-	resolved, dec := resolve(Query{Algorithm: BIJ, Parallelism: 3}, ix, ix)
-	if !resolved.ForceAlgorithm || resolved.Algorithm != BIJ {
-		t.Errorf("resolved = {alg:%v force:%v}, want forced BIJ", resolved.Algorithm, resolved.ForceAlgorithm)
+	resolved, dec := resolve(Query{Algorithm: OBJ, Parallelism: 3}, ix, ix)
+	if !resolved.ForceAlgorithm || resolved.Algorithm != OBJ {
+		t.Errorf("resolved = {alg:%v force:%v}, want forced OBJ", resolved.Algorithm, resolved.ForceAlgorithm)
 	}
-	if dec.Rule != "fixed" || dec.Algorithm != BIJ || dec.Parallelism != 3 {
-		t.Errorf("decision = %v, want fixed BIJ par=3", dec)
+	if dec.Rule != "fixed" || dec.Algorithm != OBJ || dec.Parallelism != 3 {
+		t.Errorf("decision = %v, want fixed OBJ par=3", dec)
 	}
 
 	// A forced query with no explicit Parallelism runs sequentially; the
@@ -276,7 +276,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("mutable=%v self=%v case=%d auto: %v", mutable, self, ci, err)
 				}
-				for _, alg := range []Algorithm{INJ, BIJ, OBJ, Brute} {
+				for _, alg := range []Algorithm{INJ, OBJ, Brute} {
 					forced := base
 					forced.Algorithm = alg
 					forced.ForceAlgorithm = true

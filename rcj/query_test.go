@@ -89,7 +89,7 @@ func TestRunPushdownProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []Algorithm{INJ, BIJ, OBJ} {
+		for _, alg := range []Algorithm{INJ, OBJ} {
 			for _, par := range []int{1, 4} {
 				for ci, qry := range queryCases() {
 					qry.Algorithm = alg

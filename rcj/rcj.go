@@ -103,11 +103,12 @@ func (p Pair) Diameter() float64 { return 2 * p.Radius }
 // Algorithm selects the join evaluation strategy.
 type Algorithm = core.Algorithm
 
-// The paper's algorithms, from baseline to most optimized. OBJ wins in all
-// of the paper's experiments and is the default.
+// The paper's algorithms a query may force, from baseline to most optimized
+// (BIJ, the middle one, lives on in internal/core for the Fig. 13 study only:
+// OBJ dominates it everywhere). OBJ wins in all of the paper's experiments
+// and is the default.
 const (
 	INJ   = core.AlgINJ
-	BIJ   = core.AlgBIJ
 	OBJ   = core.AlgOBJ
 	Brute = core.AlgBrute
 )
@@ -124,16 +125,11 @@ const (
 	L1 = core.MetricL1
 )
 
-// IndexConfig controls index construction.
+// IndexConfig controls index construction: trees are STR bulk-loaded.
 type IndexConfig struct {
 	// PageSize is the disk page size in bytes (default 1024, the paper's
 	// setting).
 	PageSize int
-	// InsertBuild builds the tree with one-by-one R* insertions instead of
-	// the default STR bulk load. Bulk loading is faster and yields more
-	// compact trees; insertion build exists for incremental workloads and
-	// for the build ablation.
-	InsertBuild bool
 	// BufferPages bounds the index's LRU node buffer; 0 means unbounded
 	// (everything cached), negative also means unbounded.
 	BufferPages int
@@ -143,15 +139,6 @@ type IndexConfig struct {
 	// BackendHTTP fetches pages by HTTP range request from a URL (implied
 	// when the source is an http(s) URL). Ignored by BuildIndex.
 	Backend Backend
-	// HTTP tunes the remote pager of an http-backend index (client, retry
-	// bound, backoff). Zero value = serving defaults. Ignored by the local
-	// backends.
-	HTTP HTTPConfig
-	// PrefetchWorkers sizes the async readahead pool of an http-backend
-	// index: 0 selects DefaultPrefetchWorkers, negative disables prefetch.
-	// Local backends never prefetch (their page reads are cheaper than the
-	// scheduling would be).
-	PrefetchWorkers int
 }
 
 // Index is an immutable spatial index over one dataset, ready to join. An
@@ -225,14 +212,7 @@ func buildIndex(points []Point, cfg IndexConfig, pool *buffer.Pool, owner uint32
 		pager.Close()
 		return nil, err
 	}
-	if cfg.InsertBuild {
-		for _, e := range entries {
-			if err := tree.Insert(e.P, e.ID); err != nil {
-				pager.Close()
-				return nil, err
-			}
-		}
-	} else if err := tree.BulkLoad(entries, 0); err != nil {
+	if err := tree.BulkLoad(entries, 0); err != nil {
 		pager.Close()
 		return nil, err
 	}
@@ -297,7 +277,7 @@ func (ix *Index) RemoteStats() (RemoteStats, bool) {
 }
 
 // PrefetchStats returns the readahead counters of the index's prefetcher,
-// and whether one is running (http-backend indexes unless disabled).
+// and whether one is running (http-backend indexes only).
 func (ix *Index) PrefetchStats() (PrefetchStats, bool) {
 	if ix.prefetch == nil {
 		return PrefetchStats{}, false

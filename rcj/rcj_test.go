@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // testEng runs the joins of tests whose indexes are self-contained
@@ -30,6 +34,27 @@ func mustIndex(t *testing.T, pts []Point, cfg IndexConfig) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ix.Close() })
+	return ix
+}
+
+// insertBuiltIndex assembles an index whose tree grew by one-by-one R*
+// insertions — BuildIndex only bulk-loads — so tests can hold the join to the
+// same answer on a differently packed tree.
+func insertBuiltIndex(t *testing.T, pts []Point) *Index {
+	t.Helper()
+	pager := storage.NewMemPager(storage.DefaultPageSize)
+	pool := buffer.NewPool(-1)
+	tree, err := rtree.New(pager, pool, rtree.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if err := tree.Insert(p.entry().P, p.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := &Index{tree: tree, pager: pager, pool: pool, pts: len(pts)}
 	t.Cleanup(func() { ix.Close() })
 	return ix
 }
@@ -76,7 +101,7 @@ func TestJoinBasics(t *testing.T) {
 	}
 	// Every algorithm yields the same result set.
 	base := keySet(pairs)
-	for _, alg := range []Algorithm{INJ, BIJ, OBJ} {
+	for _, alg := range []Algorithm{INJ, OBJ} {
 		got, _, err := testEng.RunCollect(bg, q, p, Query{Algorithm: alg, ForceAlgorithm: true})
 		if err != nil {
 			t.Fatal(err)
@@ -188,8 +213,8 @@ func TestInsertBuildEqualsBulk(t *testing.T) {
 	qs := randomPoints(rng, 200)
 	bulkP := mustIndex(t, pts, IndexConfig{})
 	bulkQ := mustIndex(t, qs, IndexConfig{})
-	insP := mustIndex(t, pts, IndexConfig{InsertBuild: true})
-	insQ := mustIndex(t, qs, IndexConfig{InsertBuild: true})
+	insP := insertBuiltIndex(t, pts)
+	insQ := insertBuiltIndex(t, qs)
 	a, _, err := testEng.RunCollect(bg, bulkQ, bulkP, Query{})
 	if err != nil {
 		t.Fatal(err)

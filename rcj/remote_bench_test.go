@@ -12,11 +12,9 @@ import (
 )
 
 // BenchmarkRemoteJoin measures a cold self-join over an index served by a
-// local HTTP server with an injected per-request latency, prefetch on vs
-// off: the readahead's whole job is to overlap those round trips, so the
-// on/off gap at a given latency is the honest value of the prefetcher on
-// this machine. Each iteration opens a fresh engine (cold pool), so every
-// page is one range fetch.
+// local HTTP server with an injected per-request latency. Each iteration
+// opens a fresh engine (cold pool), so every page is one range fetch, hidden
+// behind the readahead where it can be.
 func BenchmarkRemoteJoin(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	pts := randomPoints(rng, 3000)
@@ -39,25 +37,19 @@ func BenchmarkRemoteJoin(b *testing.B) {
 			}
 			fs.ServeHTTP(w, r)
 		}))
-		for _, prefetch := range []struct {
-			name    string
-			workers int
-		}{{"prefetch=off", -1}, {"prefetch=on", 0}} {
-			name := "latency=" + latency.String() + "/" + prefetch.name
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng := NewEngine(EngineConfig{BufferPages: 4096})
-					re, err := eng.OpenIndex(srv.URL+"/ix.rcjx", IndexConfig{PrefetchWorkers: prefetch.workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := eng.RunCollect(context.Background(), re, re, Query{}); err != nil {
-						b.Fatal(err)
-					}
-					re.Close()
+		b.Run("latency="+latency.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				eng := NewEngine(EngineConfig{BufferPages: 4096})
+				re, err := eng.OpenIndex(srv.URL+"/ix.rcjx", IndexConfig{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, _, err := eng.RunCollect(context.Background(), re, re, Query{}); err != nil {
+					b.Fatal(err)
+				}
+				re.Close()
+			}
+		})
 		srv.Close()
 	}
 }

@@ -102,35 +102,6 @@ func TestOpenIndexURLEndToEnd(t *testing.T) {
 	}
 }
 
-// TestOpenIndexURLNoPrefetch covers the PrefetchWorkers=-1 escape hatch and
-// a second engine-less OpenIndex over the same URL.
-func TestOpenIndexURLNoPrefetch(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	dir := t.TempDir()
-	ix := mustIndex(t, randomPoints(rng, 200), IndexConfig{})
-	if err := ix.Save(filepath.Join(dir, "ix.rcjx")); err != nil {
-		t.Fatal(err)
-	}
-	srv := serveDir(t, dir, 0)
-	re, err := OpenIndex(srv.URL+"/ix.rcjx", IndexConfig{PrefetchWorkers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, ok := re.PrefetchStats(); ok {
-		t.Fatal("prefetcher running despite PrefetchWorkers=-1")
-	}
-	a, _, err := testEng.RunCollect(bg, ix, ix, Query{SortByDiameter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := testEng.RunCollect(bg, re, re, Query{SortByDiameter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalPairs(t, "self", b, a)
-}
-
 // TestOpenIndexHTTPBackendWantsURL pins the config error for BackendHTTP
 // with a local path.
 func TestOpenIndexHTTPBackendWantsURL(t *testing.T) {

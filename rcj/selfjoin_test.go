@@ -37,7 +37,6 @@ func TestSameIndexIsSelfJoin(t *testing.T) {
 	}{
 		{"planner", Query{}},
 		{"inj", Query{Algorithm: INJ, ForceAlgorithm: true}},
-		{"bij", Query{Algorithm: BIJ}},
 		{"obj", Query{Algorithm: OBJ}},
 		{"brute", Query{Algorithm: Brute}},
 		{"l1-planner", Query{Metric: L1}},
