@@ -39,9 +39,8 @@ func (j *joiner) runBrute() error {
 				// range searches keeps the baseline honest about their cost.
 				continue
 			}
-			c := geom.EnclosingCircle(p.P, q.P)
 			if !j.opts.SkipVerification {
-				ok, err := j.bruteValid(p, q, c)
+				ok, err := VerifyPair(j.tq, j.tp, p, q, j.opts.SelfJoin)
 				if err != nil {
 					return err
 				}
@@ -49,8 +48,10 @@ func (j *joiner) runBrute() error {
 					continue
 				}
 			}
-			j.emit(Pair{P: p, Q: q, Circle: c})
+			j.emit(Pair{P: p, Q: q, Circle: geom.EnclosingCircle(p.P, q.P)})
 		}
+		// One batch per outer point, as under INJ.
+		j.deliver()
 	}
 	return nil
 }
@@ -63,21 +64,6 @@ func scanAll(ix SpatialIndex) ([]rtree.PointEntry, error) {
 		return nil
 	})
 	return out, err
-}
-
-// bruteValid verifies one pair with circle range searches on both trees.
-func (j *joiner) bruteValid(p, q rtree.PointEntry, c geom.Circle) (bool, error) {
-	if j.opts.SelfJoin {
-		hit, err := anyInCircle(j.tp, c, p.ID, q.ID)
-		return !hit, err
-	}
-	// Distinct datasets: in TP only p is excluded; in TQ only q.
-	hit, err := anyInCircle(j.tp, c, p.ID, p.ID)
-	if err != nil || hit {
-		return false, err
-	}
-	hit, err = anyInCircle(j.tq, c, q.ID, q.ID)
-	return !hit, err
 }
 
 // VerifyPair checks the ring constraint for one specific pair: whether the

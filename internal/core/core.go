@@ -3,20 +3,25 @@
 // and Q indexed by R*-trees, find every pair <p, q> whose smallest enclosing
 // circle contains no other point of P ∪ Q.
 //
-// The package provides the paper's full algorithm family:
+// The package provides the paper's full algorithm family as one pipeline
+// with two switches (exec.go) — filter, verify, deliver, one batch of query
+// points at a time:
 //
-//   - Brute force (Section 1): nested loop with a circle range search per
-//     pair — the O(|P|·|Q|) baseline of Table 4.
-//   - INJ (Algorithms 2–5): index nested loop join. For each q ∈ Q in
-//     depth-first leaf order, a filter step walks TP in incremental-
-//     nearest-neighbor order, accumulating Ψ− half-plane pruners (Lemmas
-//     1–3) until the whole tree is pruned; surviving candidates become
-//     enclosing circles verified against both trees (Algorithm 3).
-//   - BIJ (Algorithms 6–7): the bulk variant that filters all points of a
-//     TQ leaf concurrently, ordering TP accesses by distance from the leaf
-//     centroid, and verifies all circles of the leaf in one pass per tree.
-//   - OBJ (Section 4.2): BIJ plus the symmetric pruning rule (Lemma 5),
+//   - The filter (Algorithms 2 and 7, one traversal: bulkFilter) walks TP
+//     in ascending distance from the batch's centroid, accumulating per
+//     query point the Ψ− half-plane pruners of Lemmas 1–3 until the whole
+//     tree is pruned; surviving candidates become enclosing circles
+//     verified against both trees (Algorithm 3).
+//   - INJ (Algorithm 5) is that pipeline on batches of one point: each q ∈ Q
+//     in depth-first leaf order gets its own incremental-nearest-neighbour
+//     walk and its own verification.
+//   - BIJ (Algorithm 6) batches a whole TQ leaf: one traversal filters all
+//     its points concurrently and one pass per tree verifies all its
+//     circles.
+//   - OBJ (Section 4.2) is BIJ plus the symmetric pruning rule (Lemma 5),
 //     seeding each point's pruner set with its leaf siblings from Q.
+//   - Brute force (Section 1): nested loop with a circle range search per
+//     pair — the O(|P|·|Q|) baseline of Table 4, with no filter at all.
 //
 // Containment is the closed-disk predicate geom.Circle.Covers shared with
 // the brute force, so all algorithms return identical result sets.
@@ -24,6 +29,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -61,11 +67,11 @@ type Pair struct {
 type Algorithm int
 
 const (
-	// AlgINJ is the index nested loop join (Algorithm 5): per-point filter
-	// and verification, depth-first over TQ.
+	// AlgINJ is the index nested loop join (Algorithm 5): filter and
+	// verification one query point at a time, depth-first over TQ.
 	AlgINJ Algorithm = iota
-	// AlgBIJ is the bulk index nested loop join (Algorithm 6): per-leaf
-	// bulk filter and verification.
+	// AlgBIJ is the bulk index nested loop join (Algorithm 6): filter and
+	// verification one TQ leaf at a time.
 	AlgBIJ
 	// AlgOBJ is BIJ optimized with the symmetric pruning rule of Lemma 5.
 	AlgOBJ
@@ -106,8 +112,8 @@ type Options struct {
 	// Algorithm picks the evaluation strategy (default AlgINJ).
 	Algorithm Algorithm
 	// Metric picks the ring's distance (default MetricL2). MetricL1 swaps
-	// exactly two stages — the filter (one quadrant-pruning index nested
-	// loop, whatever Algorithm says) and the ball verifier — and nothing
+	// exactly two kernels — the filter's pruner (quadrants, one query point
+	// per batch whatever Algorithm says) and the ball verifier — and nothing
 	// else: pairs carry the L1 ball in Circle, so every predicate below
 	// reads the Manhattan diameter. AlgBrute is Euclidean only.
 	Metric Metric
@@ -145,9 +151,9 @@ type Options struct {
 	// OnPair fires at the end, in ascending diameter order.
 	OnPair func(Pair)
 	// OnBatch, when non-nil, streams confirmed pairs grouped by verification
-	// batch — the executor's leaf-level unit of work (one batch per TQ leaf
-	// under BIJ/OBJ, per query point under INJ; TopK delivers its full
-	// ranking as one final batch). Batches with no surviving pair are
+	// batch — the executor's unit of work (one batch per TQ leaf under
+	// BIJ/OBJ, per query point under INJ and brute force; TopK delivers its
+	// full ranking as one final batch). Batches with no surviving pair are
 	// skipped. The callee owns the slice. This is the hook multi-request
 	// traversal sharing demuxes on: one traversal, per-leaf fan-out to many
 	// consumers.
@@ -233,8 +239,8 @@ func Join(tq, tp SpatialIndex, opts Options) ([]Pair, Stats, error) {
 	return JoinContext(context.Background(), tq, tp, opts)
 }
 
-// JoinContext is Join under a context: the Options are compiled into an
-// execution plan (see exec.go) and run until completion or cancellation.
+// JoinContext is Join under a context: the pipeline of exec.go runs until
+// completion or cancellation.
 // When ctx is cancelled the join aborts promptly — without finishing the
 // current leaf — and returns ctx.Err(); partial statistics reflect the work
 // actually done.
@@ -244,37 +250,39 @@ func JoinContext(ctx context.Context, tq, tp SpatialIndex, opts Options) ([]Pair
 }
 
 // joiner carries one run's state. In a parallel run each worker owns a
-// private joiner (stats, plan stages) and shares only the trees, the
-// context, the synchronized emitter, and the predicate state (shared).
+// private joiner (stats, scratch, current batch) and shares only the trees,
+// the context, the predicate state (shared) and — through parent — the
+// run's sinks.
 type joiner struct {
 	tq, tp SpatialIndex
 	opts   Options
 	ctx    context.Context
-	plan   plan
 	shared *runShared // TopK/Limit state, shared across workers; nil without predicates
 	stats  Stats
+	batch  []Pair // confirmed pairs of the current batch, awaiting deliver
+
+	// parent is the run's root joiner for a parallel worker, nil otherwise.
+	// The root owns the sinks: out, and mu serializing every deliver.
+	parent *joiner
+	mu     sync.Mutex
 	out    []Pair
-	batch  []Pair // survivors of the current verification batch (OnBatch only)
 
 	// predOrder is the compiled pair-predicate evaluation order (see
 	// compilePredOrder), resolved once per run and copied to every worker.
 	predOrder [3]Predicate
 
 	// Per-worker scratch reused across filter calls (a joiner is never used
-	// concurrently): the traversal heap, the Ψ− pruner set, the candidate
-	// slice returned by filter, and the bulk filter's per-query state (whose
-	// pruner sets and candidate slices would otherwise be the dominant
-	// steady-state allocation — one per leaf point per leaf). Reuse removes
-	// the dominant steady-state allocations of the warm join path.
+	// concurrently): the traversal heap and the filter's per-query state
+	// (whose pruner sets and candidate slices would otherwise be the dominant
+	// steady-state allocation — one per leaf point per leaf).
 	fheap       filterHeap
-	pruners     geom.PrunerSet
-	candScratch []rtree.PointEntry
 	bulkScratch []bulkQuery
 }
 
-// emit records a confirmed result pair. Under TopK the pair enters the
-// shared bounded heap instead (emitted at flushTopK); under Limit the
-// emission beyond the cap is suppressed and the run flagged to stop.
+// emit records a confirmed result pair in the current batch. Under TopK the
+// pair enters the shared bounded heap instead (delivered when the run ends);
+// under Limit the emission beyond the cap is suppressed and the run flagged
+// to stop.
 func (j *joiner) emit(p Pair) {
 	if sh := j.shared; sh != nil {
 		if sh.topk != nil {
@@ -291,27 +299,40 @@ func (j *joiner) emit(p Pair) {
 			}
 		}
 	}
-	j.stats.Results++
-	if j.opts.Collect {
-		j.out = append(j.out, p)
-	}
-	if j.opts.OnPair != nil {
-		j.opts.OnPair(p)
-	}
-	if j.opts.OnBatch != nil {
-		j.batch = append(j.batch, p)
-	}
+	j.batch = append(j.batch, p)
 }
 
-// flushBatch hands the survivors accumulated since the last flush to
-// OnBatch, transferring slice ownership. No-op when empty or unconfigured.
-func (j *joiner) flushBatch() {
-	if j.opts.OnBatch == nil || len(j.batch) == 0 {
+// deliver is the one way out of the executor: the current batch — a
+// verification batch's survivors, a brute-force outer point's, or a TopK
+// run's final ranking — is counted and handed to every configured sink
+// (Collect, then OnPair per pair, then OnBatch), under the run's lock so
+// parallel workers never interleave inside a sink. Empty batches are
+// skipped. OnBatch's callee owns the slice; otherwise it is recycled.
+func (j *joiner) deliver() {
+	batch := j.batch
+	if len(batch) == 0 {
 		return
 	}
-	b := j.batch
-	j.batch = nil
-	j.opts.OnBatch(b)
+	j.batch = batch[:0]
+	j.stats.Results += int64(len(batch))
+	root := j
+	if j.parent != nil {
+		root = j.parent
+	}
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	if root.opts.Collect {
+		root.out = append(root.out, batch...)
+	}
+	if onPair := root.opts.OnPair; onPair != nil {
+		for _, p := range batch {
+			onPair(p)
+		}
+	}
+	if onBatch := root.opts.OnBatch; onBatch != nil {
+		j.batch = nil
+		onBatch(batch)
+	}
 }
 
 // keepSelfPair reports whether a pair should be emitted under self-join

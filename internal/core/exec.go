@@ -10,58 +10,31 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the join executor. Options are compiled into a plan — the
-// algorithm's filter stage plus the outer-loop strategy (leaf order,
-// sampling, parallelism) — and the plan is driven over the TQ leaves either
-// sequentially or by a worker pool (parallel.go). Every strategy streams
-// through the same per-leaf pipeline:
+// This file is the join executor: one pipeline with two switches. The outer
+// loop (leaf order, sampling, parallelism) hands TQ leaves to processLeaf,
+// sequentially or from a worker pool (parallel.go), and every leaf streams
+// through the same stages:
 //
-//	filter (per point or bulk) → verify (both trees) → emit
+//	filter (bulkFilter) → candidateBatch → verify (both trees) → deliver
 //
-// so INJ, BIJ and OBJ differ only in their filter stage (the Manhattan
-// metric swaps the filter and the verifier, see l1.go), and the
-// sequential/parallel paths differ only in who calls processLeaf. The whole
-// pipeline is cancellable: the context is checked once per leaf, per query
-// point, and per node read, so a cancelled join stops promptly without
-// finishing the current traversal.
+// The paper's three index algorithms are two booleans on that pipeline.
+// Batch granularity: INJ hands bulkFilter one query point at a time
+// (Algorithm 7 on a one-point leaf is Algorithm 2), BIJ and OBJ the whole
+// leaf, so a batch — the unit that is filtered, verified and delivered
+// together — is a point or a leaf. Symmetric seeding: OBJ pre-seeds the
+// filter with Lemma 5, BIJ and INJ do not. The Manhattan metric swaps two
+// kernels (quadrant pruner, ball verifier; l1.go) and always batches per
+// point. AlgBrute is the filter-free baseline (brute.go) on the same
+// delivery. The whole pipeline is cancellable: the context is checked once
+// per leaf, per batch, and per node read, so a cancelled join stops promptly
+// without finishing the current traversal.
 
-// filterStage generates the candidate batches of one TQ leaf, invoking sink
-// once per batch. Batch granularity is the algorithm's verification unit:
-// INJ yields one batch per query point (Algorithm 5), BIJ/OBJ one batch per
-// leaf (Algorithm 6). sink runs the verify and emit stages synchronously, so
-// a stage sees the buffer-access interleaving of the paper's sequential
-// formulation.
-type filterStage func(j *joiner, leafPoints []rtree.PointEntry, sink func([]*candidate) error) error
-
-// plan is one compiled execution strategy.
-type plan struct {
-	filter      filterStage
-	parallelism int
-}
-
-// compile translates Options into an executable plan.
-func compile(opts Options) plan {
-	p := plan{parallelism: opts.Parallelism}
-	switch {
-	case opts.Metric == MetricL1:
-		p.filter = l1FilterStage
-	case opts.Algorithm == AlgBIJ:
-		p.filter = bulkFilterStage(false)
-	case opts.Algorithm == AlgOBJ:
-		p.filter = bulkFilterStage(true)
-	default:
-		p.filter = injFilterStage
-	}
-	return p
-}
-
-// execute compiles and runs the join under ctx.
+// execute runs the join under ctx.
 func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	j.ctx = ctx
-	j.plan = compile(j.opts)
 	j.predOrder = compilePredOrder(j.opts)
 	if j.opts.hasPredicates() {
 		j.shared = newRunShared(j.opts)
@@ -70,7 +43,7 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 	switch {
 	case j.opts.Algorithm == AlgBrute:
 		err = j.runBrute()
-	case j.plan.parallelism > 1:
+	case j.opts.Parallelism > 1:
 		err = j.runParallel()
 	default:
 		err = j.forEachQLeaf(func(n *rtree.Node) error {
@@ -82,28 +55,62 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 		err = nil
 	}
 	if err == nil && j.shared != nil && j.shared.topk != nil {
-		j.flushTopK()
-	}
-	if err == nil {
-		// AlgBrute emits without verification batches; flush its accumulated
-		// survivors (and any TopK ranking) as one final batch.
-		j.flushBatch()
+		// TopK runs cannot stream mid-join — a later, tighter pair may evict
+		// an earlier one — so the ranking leaves as one final batch, in
+		// ascending ranking order.
+		j.batch = j.shared.topk.sorted()
+		j.deliver()
 	}
 	return j.out, j.stats, err
 }
 
-// processLeaf runs the pipeline for one TQ leaf. It is the unit of work both
-// the sequential loop and the parallel workers schedule.
+// processLeaf runs the pipeline for one TQ leaf, cut into the algorithm's
+// batches. It is the unit of work both the sequential loop and the parallel
+// workers schedule.
 func (j *joiner) processLeaf(points []rtree.PointEntry) error {
 	if err := j.ctxErr(); err != nil {
 		return err
 	}
 	j.stats.OuterLeaves++
-	return j.plan.filter(j, points, j.verifyAndEmit)
+	if j.opts.Metric != MetricL1 && (j.opts.Algorithm == AlgBIJ || j.opts.Algorithm == AlgOBJ) {
+		return j.joinBatch(points)
+	}
+	for i := range points {
+		if err := j.ctxErr(); err != nil {
+			return err
+		}
+		if err := j.joinBatch(points[i : i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinBatch computes the RCJ pairs of one batch of query points: filter,
+// build rings, verify against both trees, deliver survivors. Verification
+// follows the batch's filter synchronously, so a run sees the buffer-access
+// interleaving of the paper's sequential formulation. The incremental
+// Monitor calls it with each newly inserted point.
+func (j *joiner) joinBatch(points []rtree.PointEntry) error {
+	var (
+		queries []bulkQuery
+		err     error
+	)
+	ring := geom.EnclosingCircle
+	if j.opts.Metric == MetricL1 {
+		ring = l1Ring
+		queries, err = j.filterL1(points[0])
+	} else {
+		queries, err = j.bulkFilter(points, j.opts.Algorithm == AlgOBJ)
+	}
+	if err != nil {
+		return err
+	}
+	return j.verifyAndEmit(candidateBatch(queries, ring))
 }
 
 // verifyAndEmit is the tail of the pipeline: one candidate batch is verified
-// against both trees and the survivors are emitted.
+// against both trees and the survivors are delivered.
 func (j *joiner) verifyAndEmit(cands []*candidate) error {
 	j.stats.Candidates += int64(len(cands))
 	j.boundBatch(cands)
@@ -130,8 +137,14 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 		}
 		j.emit(c.pair)
 	}
-	j.flushBatch()
+	j.deliver()
 	return nil
+}
+
+// sameTree reports whether both join inputs are the identical tree, in which
+// case one verification pass covers both datasets.
+func (j *joiner) sameTree() bool {
+	return j.tp == j.tq
 }
 
 // outerSkip compiles the Region window into an outer-traversal subtree

@@ -8,10 +8,14 @@ import (
 	"repro/internal/storage"
 )
 
-// This file implements the filter step: Algorithm 2 (per-point filter) and
-// Algorithm 7 (bulk filter), which retrieve from TP the candidate points that
-// may form RCJ pairs with the query point(s), pruning with the Ψ− half-plane
-// regions of Lemmas 1 and 3 (and, for OBJ, Lemma 5).
+// This file implements the filter step. The paper states it twice — the
+// per-point filter of Algorithm 2 and the bulk filter of Algorithm 7 — but
+// Algorithm 7 on a one-point leaf IS Algorithm 2 (the centroid is the point,
+// every heap key is the point's own distance, "every query prunes it" is
+// "the query prunes it"), so there is one traversal, bulkFilter: it retrieves
+// from TP the candidate points that may form RCJ pairs with the query
+// point(s), pruning with the Ψ− half-plane regions of Lemmas 1 and 3 (and,
+// for OBJ, Lemma 5).
 
 // filterItem is a priority-queue element of the filter traversal: an
 // unexpanded TP subtree or an indexed point, keyed by (squared) distance
@@ -102,85 +106,7 @@ func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point) {
 	}
 }
 
-// filter is Algorithm 2: it discovers points of TP in ascending distance from
-// q (incremental NN order, maximizing pruning power of the earliest
-// discoveries) and returns those not pruned by any Ψ−(q, p) of an earlier
-// candidate p. Every returned point is itself installed as a pruner.
-//
-// The returned slice is scratch owned by the joiner, valid until the next
-// filter/bulkFilter call.
-//
-// For self-joins the query point q is present in TP; it is skipped (a point
-// forms no pair with itself and its degenerate pruning region would
-// annihilate the search).
-func (j *joiner) filter(q rtree.PointEntry) ([]rtree.PointEntry, error) {
-	if j.tp.Root() == storage.InvalidPageID {
-		return nil, nil
-	}
-	j.pruners.Reset()
-	prs := &j.pruners
-	cands := j.candScratch[:0]
-	h := j.fheap[:0]
-	h.push(filterItem{dist2: 0, page: j.tp.Root(), rect: geom.EmptyRect()})
-	defer func() { j.fheap = h[:0] }()
-	for len(h) > 0 {
-		item := h.pop()
-		j.stats.FilterHeapPops++
-		if bound := j.maxPairDiameter(); !math.IsInf(bound, 1) && math.Sqrt(item.dist2) > bound*boundSlack {
-			// The heap pops in ascending distance from q, so everything
-			// still queued is at least this far — beyond any admissible
-			// pair's diameter. Terminate the traversal, crediting the
-			// subtrees never read to the pushdown.
-			if !item.isPoint {
-				j.stats.NodesPruned++
-			}
-			for _, it := range h {
-				if !it.isPoint {
-					j.stats.NodesPruned++
-				}
-			}
-			break
-		}
-		if item.isPoint {
-			if j.opts.SelfJoin && item.point.ID == q.ID {
-				continue
-			}
-			if prs.PrunesPoint(item.point.P) {
-				continue
-			}
-			if j.admitPair(q, item.point) {
-				cands = append(cands, item.point)
-			}
-			// A point excluded by MinDistance/Region still prunes: the join
-			// predicate behind Ψ− is independent of the query predicates.
-			prs.Add(q.P, item.point.P)
-			continue
-		}
-		if !item.rect.IsEmpty() && j.regionPrunesRect(q.P, item.rect) {
-			j.stats.NodesPruned++
-			continue
-		}
-		if !item.rect.IsEmpty() && prs.PrunesRect(item.rect) {
-			continue
-		}
-		if err := j.ctxErr(); err != nil {
-			return nil, err
-		}
-		n, err := j.tp.ReadNode(item.page)
-		if err != nil {
-			return nil, err
-		}
-		if n.Leaf {
-			h.pushLeafPoints(n, q.P.X, q.P.Y)
-		} else {
-			h.pushChildren(n, q.P)
-		}
-	}
-	j.candScratch = cands
-	return cands, nil
-}
-
-// bulkQuery is the per-point state of the bulk filter: the query point, its
+// bulkQuery is the per-point state of the filter: the query point, its
 // accumulated pruning regions, and its candidate set q.S.
 type bulkQuery struct {
 	q       rtree.PointEntry
@@ -188,41 +114,91 @@ type bulkQuery struct {
 	cands   []rtree.PointEntry
 }
 
-// bulkFilter is Algorithm 7: it filters all points of one TQ leaf
-// concurrently. TP is traversed once in ascending distance from the leaf
-// centroid; an entry is discarded only when every query point prunes it
-// (line 7), and a surviving point is added to the candidate set of exactly
-// those query points that cannot prune it (lines 14–16).
+// resetQueries returns the joiner's per-query filter state, recycled for the
+// given query points: the pruner sets and candidate slices keep their
+// capacity, so a steady-state batch allocates nothing here. The previous
+// batch was fully drained before this call (candidateBatch copies the
+// candidates out), so clobbering it is safe.
+func (j *joiner) resetQueries(points []rtree.PointEntry) []bulkQuery {
+	queries := j.bulkScratch
+	if cap(queries) < len(points) {
+		queries = make([]bulkQuery, len(points))
+	} else {
+		queries = queries[:len(points)]
+	}
+	j.bulkScratch = queries
+	for i, q := range points {
+		queries[i].q = q
+		queries[i].pruners.Reset()
+		queries[i].cands = queries[i].cands[:0]
+	}
+	return queries
+}
+
+// candidateBatch wraps one filter call's surviving points into verification
+// candidates with their enclosing rings — the one batch builder behind every
+// filter (INJ, BIJ, OBJ and the L1 stage; ring is the metric's two-point
+// ball). One backing array serves the whole batch instead of a heap
+// allocation per candidate pair.
+func candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle) []*candidate {
+	total := 0
+	for i := range queries {
+		total += len(queries[i].cands)
+	}
+	backing := make([]candidate, 0, total)
+	cands := make([]*candidate, 0, total)
+	for i := range queries {
+		bq := &queries[i]
+		for _, p := range bq.cands {
+			backing = append(backing, candidate{
+				pair:  Pair{P: p, Q: bq.q, Circle: ring(p.P, bq.q.P)},
+				alive: true,
+			})
+			cands = append(cands, &backing[len(backing)-1])
+		}
+	}
+	return cands
+}
+
+// bulkFilter is Algorithm 7, and on a one-point slice Algorithm 2: it
+// filters the given query points (a whole TQ leaf under BIJ/OBJ, one point
+// under INJ) concurrently. TP is traversed once in ascending distance from
+// the points' centroid; an entry is discarded only when every query point
+// prunes it (line 7), and a surviving point is added to the candidate set of
+// exactly those query points that cannot prune it (lines 14–16), installing
+// itself as a pruner there. For one point that is incremental
+// nearest-neighbour order from the point itself, maximizing the pruning
+// power of the earliest discoveries.
 //
 // With symmetric pruning (OBJ, Lemma 5), each query point's pruner set is
 // pre-seeded with Ψ−(q, q') for every sibling q' in the leaf, so even an
 // empty candidate set shrinks the search space.
+//
+// For self-joins a query point is itself present in TP; it is skipped (a
+// point forms no pair with itself and its degenerate pruning region would
+// annihilate the search).
+//
+// The returned slice is scratch owned by the joiner, valid until the next
+// filter call.
 func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bulkQuery, error) {
 	if len(leafPoints) == 0 || j.tp.Root() == storage.InvalidPageID {
 		return nil, nil
 	}
-	// Reuse the per-query state across leaves: the pruner sets and candidate
-	// slices keep their capacity, so a steady-state leaf allocates nothing
-	// here. The previous call's queries were fully drained by the filter
-	// stage before it returned (the stage copies candidates into its own
-	// batch), so clobbering them is safe.
-	queries := j.bulkScratch
-	if cap(queries) < len(leafPoints) {
-		queries = make([]bulkQuery, len(leafPoints))
-	} else {
-		queries = queries[:len(leafPoints)]
-	}
-	j.bulkScratch = queries
+	queries := j.resetQueries(leafPoints)
 	var centroid geom.Point
-	for i, q := range leafPoints {
-		queries[i].q = q
-		queries[i].pruners.Reset()
-		queries[i].cands = queries[i].cands[:0]
+	for _, q := range leafPoints {
 		centroid.X += q.P.X
 		centroid.Y += q.P.Y
 	}
 	centroid.X /= float64(len(leafPoints))
 	centroid.Y /= float64(len(leafPoints))
+	// spread is the farthest query point from the centroid: by the triangle
+	// inequality every query point is at least sqrt(key) − spread away from
+	// anything keyed at key or later. Zero for a single point.
+	spread := 0.0
+	for _, q := range leafPoints {
+		spread = math.Max(spread, centroid.Dist(q.P))
+	}
 
 	if symmetric {
 		// Lemma 5: seed each query's pruner set with its leaf siblings.
@@ -239,17 +215,29 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 	}
 
 	constrained := j.opts.hasPredicates()
-	h := j.fheap[:0]
+	h := &j.fheap
+	*h = (*h)[:0]
 	h.push(filterItem{dist2: 0, page: j.tp.Root(), rect: geom.EmptyRect()})
-	defer func() { j.fheap = h[:0] }()
-	for len(h) > 0 {
+	for len(*h) > 0 {
 		item := h.pop()
 		j.stats.FilterHeapPops++
-		// The bulk traversal is ordered by centroid distance, not per-query
-		// distance, so the bound cannot end the whole traversal; instead
-		// each item is tested per query point against the current bound.
 		bound := j.maxPairDiameter()
 		bounded := !math.IsInf(bound, 1)
+		if bounded && math.Sqrt(item.dist2) > (spread+bound)*boundSlack {
+			// The heap pops in ascending distance from the centroid, so
+			// everything still queued is at least sqrt(key) − spread from
+			// every query point — beyond any admissible pair's diameter.
+			// (The slack also covers spread: both sides are rounded
+			// relative to their own size, so the rule can only err toward
+			// one more pop.) Terminate the traversal, crediting the
+			// subtrees never read to the pushdown.
+			for _, it := range append(*h, item) {
+				if !it.isPoint {
+					j.stats.NodesPruned++
+				}
+			}
+			break
+		}
 		if item.isPoint {
 			px, py := item.point.P.X, item.point.P.Y
 			for qi := range queries {
@@ -274,12 +262,16 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 				} else {
 					bq.cands = append(bq.cands, item.point)
 				}
-				// MinDistance/Region exclusions still prune (see filter).
+				// A point excluded by MinDistance/Region still prunes: the join
+				// predicate behind Ψ− is independent of the query predicates.
 				bq.pruners.Add(bq.q.P, geom.Point{X: px, Y: py})
 			}
 			continue
 		}
 		if !item.rect.IsEmpty() {
+			// The stop rule above is per traversal; a subtree can still be
+			// dead for one query point by its own distance or the Region
+			// window while others need it.
 			prunedForAll := true
 			predicatesOnly := true
 			for qi := range queries {

@@ -10,15 +10,15 @@ import (
 
 // This file is the Manhattan-metric generalization of the ring-constrained
 // join sketched in the paper's future work (Section 6), as one more pair of
-// kernels on the one executor: Options.Metric = MetricL1 makes compile pick
-// the filter stage below and verifyAndEmit the ball verifier below, and
-// nothing else changes — outer loop, parallel workers, predicates, sinks and
-// statistics are the Euclidean join's. The "ring" becomes the smallest L1
-// ball (a diamond) centered at the midpoint of p and q, and a pair qualifies
-// when that ball covers no other point of P ∪ Q. A result is an ordinary
-// Pair whose Circle holds the ball: Center the midpoint, Radius half the L1
-// distance, so the diameter every predicate reads is the Manhattan distance
-// between the two points.
+// kernels on the one executor: Options.Metric = MetricL1 makes joinBatch
+// call the quadrant filter below and verifyAndEmit the ball verifier below,
+// and nothing else changes — outer loop, batch builder, parallel workers,
+// predicates, delivery and statistics are the Euclidean join's. The "ring"
+// becomes the smallest L1 ball (a diamond) centered at the midpoint of p and
+// q, and a pair qualifies when that ball covers no other point of P ∪ Q. A
+// result is an ordinary Pair whose Circle holds the ball: Center the
+// midpoint, Radius half the L1 distance, so the diameter every predicate
+// reads is the Manhattan distance between the two points.
 //
 // The Euclidean half-plane pruning of Lemma 1 does not transfer verbatim,
 // but a quadrant analogue does:
@@ -101,10 +101,8 @@ func (ps l1Pruners) prunesRect(r geom.Rect) bool {
 	return false
 }
 
-// l1Pair builds the result pair of p and q under the Manhattan metric.
-func l1Pair(p, q rtree.PointEntry) Pair {
-	return Pair{P: p, Q: q, Circle: geom.Circle(geom.L1EnclosingCircle(p.P, q.P))}
-}
+// l1Ring is the Manhattan two-point ball in a Pair's Circle slot.
+func l1Ring(p, q geom.Point) geom.Circle { return geom.Circle(geom.L1EnclosingCircle(p, q)) }
 
 // BruteForceL1Pairs is the oracle: the L1-RCJ of two plain slices.
 func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
@@ -131,59 +129,39 @@ func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
 				}
 			}
 			if valid {
-				out = append(out, l1Pair(p, q))
+				out = append(out, Pair{P: p, Q: q, Circle: geom.Circle(b)})
 			}
 		}
 	}
 	return out
 }
 
-// l1FilterStage is the Manhattan filter stage: an index nested loop like
-// INJ's, one candidate batch per query point.
-func l1FilterStage(j *joiner, leafPoints []rtree.PointEntry, sink func([]*candidate) error) error {
-	for _, q := range leafPoints {
-		if err := j.ctxErr(); err != nil {
-			return err
-		}
-		candsP, err := j.filterL1(q)
-		if err != nil {
-			return err
-		}
-		backing := make([]candidate, len(candsP))
-		cands := make([]*candidate, len(candsP))
-		for i, p := range candsP {
-			backing[i] = candidate{pair: l1Pair(p, q), alive: true}
-			cands[i] = &backing[i]
-		}
-		if err := sink(cands); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// filterL1 walks TP in ascending L1 distance from q, keeping points not
-// pruned by any quadrant of an earlier discovery. The query predicates push
-// down as in the Euclidean filter: the traversal ends at the diameter bound
-// (the heap key IS the pair's L1 diameter), and a point the predicates
-// exclude still installs its pruner. The returned slice is joiner scratch,
-// valid until the next filter call.
-func (j *joiner) filterL1(q rtree.PointEntry) ([]rtree.PointEntry, error) {
+// filterL1 is the Manhattan pruner kernel of the filter step — an index
+// nested loop like INJ's, one query point per call, feeding the same batch
+// builder, verifier dispatch and sinks as bulkFilter. It walks TP in
+// ascending L1 distance from q, keeping points not pruned by any quadrant
+// of an earlier discovery. The query predicates push down as in the
+// Euclidean filter: the traversal ends at the diameter bound (the heap key
+// IS the pair's L1 diameter), and a point the predicates exclude still
+// installs its pruner. The returned slice is joiner scratch, valid until the
+// next filter call.
+func (j *joiner) filterL1(q rtree.PointEntry) ([]bulkQuery, error) {
 	if j.tp.Root() == storage.InvalidPageID {
 		return nil, nil
 	}
+	queries := j.resetQueries([]rtree.PointEntry{q})
+	cands := queries[0].cands
 	var pruners l1Pruners
-	cands := j.candScratch[:0]
-	h := j.fheap[:0]
+	h := &j.fheap
+	*h = (*h)[:0]
 	h.push(filterItem{page: j.tp.Root(), rect: geom.EmptyRect()})
-	defer func() { j.fheap = h[:0] }()
-	for len(h) > 0 {
+	for len(*h) > 0 {
 		item := h.pop() // dist2 holds the plain L1 distance here
 		j.stats.FilterHeapPops++
 		if bound := j.maxPairDiameter(); !math.IsInf(bound, 1) && item.dist2 > bound*boundSlack {
 			// Ascending pop order: everything still queued is beyond the
 			// bound too. Credit the subtrees never read to the pushdown.
-			for _, it := range append(h, item) {
+			for _, it := range append(*h, item) {
 				if !it.isPoint {
 					j.stats.NodesPruned++
 				}
@@ -228,8 +206,8 @@ func (j *joiner) filterL1(q rtree.PointEntry) ([]rtree.PointEntry, error) {
 			}
 		}
 	}
-	j.candScratch = cands
-	return cands, nil
+	queries[0].cands = cands
+	return queries, nil
 }
 
 // verifyL1 is the verification step under the Manhattan metric: each alive

@@ -160,7 +160,7 @@ func (m *Monitor) add(pt geom.Point, id int64, intoP bool) (added, removed []Pai
 		return nil, nil, err
 	}
 
-	// 3. Compute the new point's own pairs: run the per-point pipeline with
+	// 3. Compute the new point's own pairs: run the pipeline on a one-point batch with
 	// the new point as the query and the *other* tree as the candidate
 	// source. The joiner's P/Q roles are swapped accordingly; orientation
 	// is restored before storing.
@@ -169,7 +169,7 @@ func (m *Monitor) add(pt geom.Point, id int64, intoP bool) (added, removed []Pai
 		queryTree, candTree = m.tp, m.tq
 	}
 	sub := &joiner{tq: queryTree, tp: candTree, opts: Options{SelfJoin: m.self, Collect: true}}
-	if err := sub.joinOne(rtree.PointEntry{P: pt, ID: id}); err != nil {
+	if err := sub.joinBatch([]rtree.PointEntry{{P: pt, ID: id}}); err != nil {
 		return nil, nil, err
 	}
 	for _, raw := range sub.out {

@@ -12,9 +12,9 @@ import (
 // are distributed over a worker pool, each worker running the same per-leaf
 // pipeline (processLeaf) as the sequential strategy with private state.
 // Indexes are read-only during a join and the buffer pool is safe for
-// concurrent use, so workers share both; only result emission is
-// synchronized. The result SET is identical to the sequential run; result
-// ORDER is not deterministic.
+// concurrent use, so workers share both; only result delivery is
+// synchronized (deliver, core.go). The result SET is identical to the
+// sequential run; result ORDER is not deterministic.
 //
 // Error handling: the first failure (or an external cancellation) cancels a
 // run-scoped context. Workers stop at the next leaf, the feeder stops
@@ -33,7 +33,6 @@ func (j *joiner) runParallel() error {
 	defer cancel()
 
 	var (
-		emitMu   sync.Mutex
 		wg       sync.WaitGroup
 		work     = make(chan storage.PageID)
 		workers  = make([]*joiner, j.opts.Parallelism)
@@ -47,31 +46,12 @@ func (j *joiner) runParallel() error {
 		})
 	}
 
-	base := j.opts
 	for w := range workers {
-		// Each worker is an independent joiner whose OnPair/Collect are
-		// redirected through the shared, locked emitter. The predicate state
-		// (TopK heap and its dynamic bound, Limit countdown) is shared, so
-		// one worker's tightened bound prunes every worker's traversal.
-		worker := &joiner{tq: j.tq, tp: j.tp, opts: j.opts, ctx: ctx, plan: j.plan, shared: j.shared, predOrder: j.predOrder}
-		worker.opts.Collect = false
-		worker.opts.OnPair = func(p Pair) {
-			emitMu.Lock()
-			defer emitMu.Unlock()
-			if base.Collect {
-				j.out = append(j.out, p)
-			}
-			if base.OnPair != nil {
-				base.OnPair(p)
-			}
-		}
-		if base.OnBatch != nil {
-			worker.opts.OnBatch = func(b []Pair) {
-				emitMu.Lock()
-				defer emitMu.Unlock()
-				base.OnBatch(b)
-			}
-		}
+		// Each worker is an independent joiner delivering through the root's
+		// locked sinks (parent). The predicate state (TopK heap and its
+		// dynamic bound, Limit countdown) is shared, so one worker's
+		// tightened bound prunes every worker's traversal.
+		worker := &joiner{tq: j.tq, tp: j.tp, opts: j.opts, ctx: ctx, shared: j.shared, predOrder: j.predOrder, parent: j}
 		workers[w] = worker
 		wg.Add(1)
 		go func(worker *joiner) {

@@ -20,8 +20,9 @@ import (
 //   - MaxDiameter bounds the pair distance directly (a two-point enclosing
 //     circle's diameter IS the distance between the points), so the filter's
 //     ascending-distance traversal terminates the moment it pops an item
-//     beyond the bound, and the bulk filter drops TP subtrees whose min
-//     distance to every query point exceeds it.
+//     that no query point of the batch can reach within the bound, and
+//     before that drops TP subtrees whose min distance to every query point
+//     exceeds it.
 //   - TopK runs branch-and-bound: a bounded pair-heap of the k best pairs
 //     seen so far publishes its current k-th diameter as a dynamic
 //     MaxDiameter that tightens mid-traversal, shared atomically across
@@ -386,23 +387,4 @@ func (j *joiner) regionPrunesRect(q geom.Point, rect geom.Rect) bool {
 		MaxY: (rect.MaxY + q.Y) / 2,
 	}
 	return !mid.Intersects(*r)
-}
-
-// flushTopK emits the final top-k pairs in ascending ranking order through
-// the run's original Collect/OnPair configuration. TopK runs cannot stream
-// mid-join — a later, tighter pair may evict an earlier one — so this is the
-// single emission point.
-func (j *joiner) flushTopK() {
-	for _, p := range j.shared.topk.sorted() {
-		j.stats.Results++
-		if j.opts.Collect {
-			j.out = append(j.out, p)
-		}
-		if j.opts.OnPair != nil {
-			j.opts.OnPair(p)
-		}
-		if j.opts.OnBatch != nil {
-			j.batch = append(j.batch, p)
-		}
-	}
 }

@@ -198,6 +198,101 @@ func TestQueryPruningObservable(t *testing.T) {
 	}
 }
 
+// TestBulkFilterStopsAtBound pins "one traversal": the bulk filter carries
+// the distance-bound stop rule, so a bounded OBJ join stops popping once the
+// heap passes the bound (it used to drain its whole heap: 15 290 and 23 624
+// pops on this probe) with every other count unchanged, and forced INJ — the
+// same traversal on one-point batches — pops exactly what the separate
+// per-point filter popped.
+func TestBulkFilterStopsAtBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ps := randomPoints(rng, 4000)
+	qs := randomPoints(rng, 4000)
+	tp := buildTree(t, ps, nil, 0, true)
+	tq := buildTree(t, qs, nil, 1, true)
+
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		maxPops int64
+		want    Stats // FilterHeapPops 0 = bounded by maxPops instead
+	}{
+		{"OBJ top-10", Options{Algorithm: AlgOBJ, TopK: 10}, 7000,
+			Stats{Candidates: 160, Results: 10, NodesPruned: 3419, VerifiedNodes: 171}},
+		{"OBJ max-diameter 150", Options{Algorithm: AlgOBJ, MaxDiameter: 150}, 10000,
+			Stats{Candidates: 6994, Results: 5973, NodesPruned: 3567, VerifiedNodes: 1270}},
+		{"INJ top-10", Options{Algorithm: AlgINJ, TopK: 10}, 0,
+			Stats{Candidates: 86, Results: 10, NodesPruned: 128326, VerifiedNodes: 380, FilterHeapPops: 17424}},
+		{"INJ max-diameter 150", Options{Algorithm: AlgINJ, MaxDiameter: 150}, 0,
+			Stats{Candidates: 8159, Results: 5973, NodesPruned: 132865, VerifiedNodes: 24269, FilterHeapPops: 30200}},
+		{"INJ unconstrained", Options{Algorithm: AlgINJ}, 0,
+			Stats{Candidates: 17341, Results: 7981, VerifiedNodes: 27896, FilterHeapPops: 622666}},
+	} {
+		_, got, err := Join(tq, tp, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.want.FilterHeapPops == 0 {
+			if got.FilterHeapPops > tc.maxPops {
+				t.Errorf("%s: %d heap pops, want at most %d — the stop rule never fired", tc.name, got.FilterHeapPops, tc.maxPops)
+			}
+			got.FilterHeapPops = 0
+		}
+		tc.want.OuterLeaves = got.OuterLeaves
+		if got != tc.want {
+			t.Errorf("%s: stats\n got  %+v\n want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestStopRuleSpreadDwarfsBound is the pushdown property at the stop rule's
+// worst case: leaves whose spread (~10^3) dwarfs the bound (10^-3), so the
+// rule subtracts two numbers a million times the bound apart — on plain
+// coordinates and translated by 10^6, where a coordinate's ulp is a tenth of
+// a millionth of the bound. The rule may err toward one more pop, never
+// toward a dropped pair: every algorithm must return exactly the oracle's
+// pairs within the bound.
+func TestStopRuleSpreadDwarfsBound(t *testing.T) {
+	const bound = 1e-3
+	rng := rand.New(rand.NewSource(24))
+	ps := randomPoints(rng, 300)
+	// Every third P point gets a Q partner at 0.2–1.8 bounds, a few exactly
+	// on it; the rest of Q is far from everything.
+	qs := randomPoints(rng, 300)
+	for i := 0; i < len(ps); i += 3 {
+		d := bound * (0.2 + 1.6*rng.Float64())
+		if i%5 == 0 {
+			d = bound
+		}
+		qs[i].P = geom.Point{X: ps[i].P.X + d, Y: ps[i].P.Y}
+	}
+	for _, shift := range []float64{0, 1e6} {
+		move := func(pts []rtree.PointEntry) []rtree.PointEntry {
+			out := make([]rtree.PointEntry, len(pts))
+			for i, p := range pts {
+				out[i] = rtree.PointEntry{P: geom.Point{X: p.P.X + shift, Y: p.P.Y + shift}, ID: p.ID}
+			}
+			return out
+		}
+		mp, mq := move(ps), move(qs)
+		opts := Options{MaxDiameter: bound, Collect: true}
+		want := postFilter(BruteForcePairs(mp, mq, false), opts)
+		if len(want) < 20 {
+			t.Fatalf("shift %g: only %d pairs within the bound — the case lost its teeth", shift, len(want))
+		}
+		tp := buildTree(t, mp, nil, 0, true)
+		tq := buildTree(t, mq, nil, 1, true)
+		for _, alg := range []Algorithm{AlgINJ, AlgBIJ, AlgOBJ} {
+			opts.Algorithm = alg
+			got, _, err := Join(tq, tp, opts)
+			if err != nil {
+				t.Fatalf("%v shift %g: %v", alg, shift, err)
+			}
+			diffPairs(t, fmt.Sprintf("%v shift %g", alg, shift), want, got)
+		}
+	}
+}
+
 // TestTopKDynamicBoundTightens checks the branch-and-bound actually engages:
 // a top-k run must pop strictly fewer heap items than the same run with the
 // heap disabled (approximated by top-k = everything).
@@ -228,9 +323,8 @@ func TestTopKDynamicBoundTightens(t *testing.T) {
 
 // TestBoundBatchKillsStaleCandidates unit-tests the verification-time bound
 // re-check: candidates filtered under an older, looser bound are killed
-// before any tree descent once the dynamic bound has tightened past them,
-// ties with the bound survive (slack), and TopK batches are reordered into
-// ranking order so survivors are offered tightest-first.
+// before any tree descent once the dynamic bound has tightened past them, and
+// ties with the bound survive (slack).
 func TestBoundBatchKillsStaleCandidates(t *testing.T) {
 	mk := func(r float64, id int64) *candidate {
 		return &candidate{alive: true, pair: Pair{
@@ -247,15 +341,12 @@ func TestBoundBatchKillsStaleCandidates(t *testing.T) {
 		if !cands[0].alive || !cands[1].alive {
 			t.Fatal("candidate within the static bound killed")
 		}
-		if cands[0].pair.P.ID != 1 {
-			t.Fatal("non-TopK batch reordered")
-		}
 		if j.stats.BoundKilledCandidates != 0 {
 			t.Fatalf("BoundKilledCandidates = %d", j.stats.BoundKilledCandidates)
 		}
 	})
 
-	t.Run("tightened dynamic bound kills and reorders", func(t *testing.T) {
+	t.Run("tightened dynamic bound kills", func(t *testing.T) {
 		j := &joiner{opts: Options{TopK: 2}}
 		j.shared = newRunShared(j.opts)
 		// Fill the heap so the published bound tightens to diameter 40.
@@ -264,18 +355,15 @@ func TestBoundBatchKillsStaleCandidates(t *testing.T) {
 		// A batch filtered before the tightening: diameters 90, 40, 30.
 		cands := []*candidate{mk(45, 1), mk(20, 2), mk(15, 3)}
 		j.boundBatch(cands)
-		if cands[len(cands)-1].alive {
+		if cands[0].alive {
 			t.Fatal("stale candidate beyond the tightened bound survived")
 		}
 		if j.stats.BoundKilledCandidates != 1 {
 			t.Fatalf("BoundKilledCandidates = %d, want 1", j.stats.BoundKilledCandidates)
 		}
 		// Tie with the bound (diameter 40 == 2×worst radius 20) survives.
-		// Batch reordered ascending: 30, 40, then the dead 90.
-		if !cands[0].alive || cands[0].pair.P.ID != 3 || !cands[1].alive || cands[1].pair.P.ID != 2 {
-			t.Fatalf("batch not in ranking order: ids %d,%d,%d alive %v,%v,%v",
-				cands[0].pair.P.ID, cands[1].pair.P.ID, cands[2].pair.P.ID,
-				cands[0].alive, cands[1].alive, cands[2].alive)
+		if !cands[1].alive || !cands[2].alive {
+			t.Fatalf("candidate within the tightened bound killed: alive %v,%v", cands[1].alive, cands[2].alive)
 		}
 	})
 }

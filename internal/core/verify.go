@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -65,42 +64,30 @@ func (j *joiner) excludedIDs(c *candidate, s side) (int64, int64) {
 // as Section 3.2 suggests, instead of the nested loop.
 const sweepThreshold = 256
 
-// boundBatch applies the diameter bound at verification time, not just at
-// filter time. Two effects:
+// boundBatch re-applies the run's dynamic bound at verification time:
+// candidates admitted when they were filtered but strictly beyond the
+// CURRENT bound are killed before either tree is traversed, each one a full
+// two-tree descent saved. Only a parallel TopK run can fire it — another
+// worker's verified pairs tighten the shared bound between this batch's
+// filter and its verification; a sequential run cannot move the bound
+// inside a batch, and a static MaxDiameter was already enforced by the
+// filter.
 //
-//   - Candidates admitted when they were filtered but strictly beyond the
-//     CURRENT bound are killed before either tree is traversed. With a static
-//     MaxDiameter this is a no-op (the filter already enforced the same
-//     bound), but a TopK run's dynamic bound tightens continuously — under
-//     parallelism even between the filter and verify stages of one batch —
-//     and every stale candidate dropped here saves a full two-tree descent.
-//   - For TopK runs the batch is reordered into the ranking order
-//     (ascending diameter), so verification survivors are offered to the
-//     heap tightest-first and the published bound contracts as early as
-//     possible for everyone still filtering. TopK emission is deferred to
-//     flushTopK, so the reorder is invisible in the output; runs with
-//     observable streaming order (Limit, plain MaxDiameter) are not
-//     reordered.
-//
-// The kill uses the boundSlack-widened bound, like every traversal-level
-// check: under-pruning a boundary tie is free, over-pruning would break the
-// post-filter set identity.
+// The diameter kill uses the boundSlack-widened bound, like every
+// traversal-level check: under-pruning a boundary tie is free, over-pruning
+// would break the post-filter set identity. A weight-ranked run's bound is
+// a score floor instead, checked exactly (same w(P)+w(Q) arithmetic as the
+// heap — no slack needed); its diameter bound is the static MaxDiameter.
 func (j *joiner) boundBatch(cands []*candidate) {
-	if t := j.weightedTopK(); t != nil {
-		// Weight-ranked run: the dynamic bound is a score floor, checked
-		// exactly (same w(P)+w(Q) arithmetic as the heap — no slack needed),
-		// and the batch is reordered best-score-first so survivors raise the
-		// published floor as early as possible. Diameter still applies when
-		// a static MaxDiameter is set.
-		if bound := j.opts.MaxDiameter; bound > 0 {
-			limit := bound * boundSlack
-			for _, c := range cands {
-				if c.alive && 2*c.pair.Circle.Radius > limit {
-					c.alive = false
-					j.stats.BoundKilledCandidates++
-				}
+	if limit := j.maxPairDiameter() * boundSlack; !math.IsInf(limit, 1) {
+		for _, c := range cands {
+			if c.alive && 2*c.pair.Circle.Radius > limit {
+				c.alive = false
+				j.stats.BoundKilledCandidates++
 			}
 		}
+	}
+	if t := j.weightedTopK(); t != nil {
 		if floor := t.scoreBound(); !math.IsInf(floor, -1) {
 			for _, c := range cands {
 				if c.alive && t.pairScore(c.pair) < floor {
@@ -109,23 +96,6 @@ func (j *joiner) boundBatch(cands []*candidate) {
 				}
 			}
 		}
-		before := weightBefore(t.weight)
-		sort.Slice(cands, func(a, b int) bool { return before(cands[a].pair, cands[b].pair) })
-		return
-	}
-	bound := j.maxPairDiameter()
-	if math.IsInf(bound, 1) {
-		return
-	}
-	limit := bound * boundSlack
-	for _, c := range cands {
-		if c.alive && 2*c.pair.Circle.Radius > limit {
-			c.alive = false
-			j.stats.BoundKilledCandidates++
-		}
-	}
-	if j.shared != nil && j.shared.topk != nil {
-		sort.Slice(cands, func(a, b int) bool { return pairBefore(cands[a].pair, cands[b].pair) })
 	}
 }
 

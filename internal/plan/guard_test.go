@@ -475,14 +475,12 @@ var optionLedger = map[string]option{
 	"storage.HTTPPagerConfig.RetryBackoff": opt(seam, "tests shrink the backoff"),
 	"storage.HTTPPagerConfig.MaxBackoff":   opt(seam, "tests shrink the backoff"),
 
-	"plan.Observed.BufferHitRatio": opt(measured, "the pool's hit ratio", "rcj/plan.go#obs.BufferHitRatio = st.HitRatio()"),
-	"plan.Observed.FaultLatency":   opt(measured, "the pool's mean load wait per miss", "rcj/plan.go#obs.FaultLatency = "),
-	"plan.Observed.FreeSlots":      opt(measured, "the scheduler's idle slots", "internal/sched/sched.go#obs.FreeSlots = s.cfg.MaxConcurrent - s.running"),
-	"plan.Observed.MaxProcs":       opt(seam, "planner tests pin the CPU count"),
+	"plan.Observed.FreeSlots": opt(measured, "the scheduler's idle slots", "internal/sched/sched.go#obs.FreeSlots = s.cfg.MaxConcurrent - s.running"),
+	"plan.Observed.MaxProcs":  opt(seam, "planner tests pin the CPU count"),
 }
 
 // ledgerRows is the size ROADMAP's table tracks.
-const ledgerRows = 124
+const ledgerRows = 122
 
 // ledgerStructs lists the configuration structs whose exported fields the
 // ledger classes, by directory.
@@ -621,6 +619,54 @@ func typeSpec(files map[string]*ast.File, name string) ast.Expr {
 		}
 	}
 	return nil
+}
+
+// TestOneFilterTraversal is the guard on "one filter traversal, one way out
+// of the executor": in internal/core exactly two functions drive the filter
+// heap — bulkFilter (Algorithm 7, and on a one-point batch Algorithm 2: INJ,
+// BIJ and OBJ are batch granularity and Lemma-5 seeding on it) and filterL1
+// (the Manhattan pruner kernel) — and the three result sinks of core.Options
+// are each read in exactly one function, deliver. A second traversal or a
+// second place that hands pairs to a caller has to be argued for here.
+func TestOneFilterTraversal(t *testing.T) {
+	users := map[string][]string{} // selector name -> functions mentioning it
+	for _, f := range parseNonTest(t, "internal/core") {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			seen := map[string]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "pop" {
+						seen["pop"] = true
+					}
+				case *ast.SelectorExpr:
+					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "OnBatch" {
+						seen[name] = true
+					}
+				}
+				return true
+			})
+			for name := range seen {
+				users[name] = append(users[name], funcName(fn))
+			}
+		}
+	}
+	for name, want := range map[string][]string{
+		"pop":     {"joiner.bulkFilter", "joiner.filterL1"},
+		"Collect": {"joiner.deliver"},
+		"OnPair":  {"joiner.deliver"},
+		"OnBatch": {"joiner.deliver"},
+	} {
+		got := users[name]
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("functions of internal/core using .%s: %v, want exactly %v", name, got, want)
+		}
+	}
 }
 
 // leafWalkName matches the names the leaf walk used to be copied under.

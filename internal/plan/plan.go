@@ -3,8 +3,9 @@
 // MBR, height — superblock fields for immutable indexes, live epoch state
 // for mutable ones), and observed serving statistics, it picks the
 // algorithm (INJ/OBJ/brute), parallelism and pair-predicate evaluation
-// order, using the paper's Section 5 cost model (internal/cost) to price the
-// candidates.
+// order from an estimate of the node accesses each strategy needs. It
+// carries only what changes a decision: nothing is priced in time until a
+// rule reads a price (ROADMAP item 6).
 //
 // The planner is equivalency-gated, mirroring janus-datalog's phase
 // reordering: a plan choice may change the cost of a query, never its
@@ -21,10 +22,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/geom"
 )
 
@@ -43,25 +42,15 @@ type IndexMeta struct {
 	// MBR is the dataset bounding rectangle when HasMBR is set.
 	MBR    geom.Rect
 	HasMBR bool
-	// Remote marks an index whose pages are fetched over HTTP.
-	Remote bool
-	// Mutable marks a live (epoch-layered) index; Epoch is its current
-	// sequence, carried so a decision can be pinned to the state it planned
-	// against.
-	Mutable bool
-	Epoch   uint64
+	// Epoch is a live (epoch-layered) index's current sequence, carried so
+	// a decision can be pinned to the state it planned against; 0 for an
+	// immutable index.
+	Epoch uint64
 }
 
 // Observed is runtime feedback from the serving stack. The zero value means
 // "nothing observed yet" and yields conservative defaults.
 type Observed struct {
-	// BufferHitRatio is the pool's recent hit ratio in [0, 1]; 0 = cold or
-	// unknown.
-	BufferHitRatio float64
-	// FaultLatency is the measured mean page-fetch wait (cost.Breakdown.
-	// FaultLatency); 0 = use the paper's modeled cost.PageFaultCost for
-	// remote indexes and nothing for local ones.
-	FaultLatency time.Duration
 	// FreeSlots describes scheduler pressure: parallel fan-out is pointless
 	// when concurrent requests already saturate the CPUs.
 	FreeSlots int
@@ -71,16 +60,13 @@ type Observed struct {
 
 // Request is the predicate shape of the query being planned.
 type Request struct {
-	Self        bool
 	MaxDiameter float64
 	MinDistance float64
 	Region      *geom.Rect
 	TopK        int
-	Limit       int
 	// Weighted marks a school-bus query: TopK re-ranked by combined
-	// endpoint weight. The planner answers with UseWeightBound, turning the
-	// k-th score into a candidate-kill bound instead of materializing the
-	// full join and sorting.
+	// endpoint weight, so the diameter bound does not tighten dynamically
+	// and is ranked as the static predicate it is.
 	Weighted bool
 	// Parallelism, when > 0, is caller-fixed; the planner echoes it.
 	Parallelism int
@@ -93,13 +79,8 @@ type Decision struct {
 	// PredicateOrder is the pair-predicate evaluation order, most selective
 	// first. Empty when at most one predicate is set (nothing to reorder).
 	PredicateOrder []core.Predicate
-	// UseWeightBound enables the weight-ranked top-k bound function.
-	UseWeightBound bool
-	// EstAccesses / EstFaults / EstCost price the chosen plan under the
-	// Section 5 model: accesses ≈ CPU, faults × fault latency ≈ I/O.
+	// EstAccesses is the node-access estimate the strategy was chosen on.
 	EstAccesses int64
-	EstFaults   int64
-	EstCost     time.Duration
 	// Rule names the decision for humans and metrics ("tiny-brute",
 	// "small-outer-inj", "default-obj", ...).
 	Rule string
@@ -125,10 +106,7 @@ func (d Decision) String() string {
 			}
 		}
 	}
-	if d.UseWeightBound {
-		b.WriteString(" weight-bound")
-	}
-	fmt.Fprintf(&b, " est_accesses=%d est_cost=%s", d.EstAccesses, d.EstCost.Round(time.Microsecond))
+	fmt.Fprintf(&b, " est_accesses=%d", d.EstAccesses)
 	return b.String()
 }
 
@@ -139,9 +117,10 @@ const (
 	// bruteMaxWork: below this many point comparisons the quadratic
 	// baseline beats any tree machinery (no heap, no node decode).
 	bruteMaxWork = 64 * 64
-	// injMaxOuter: with at most this many effective outer points the
-	// per-point filter (INJ) costs about one leaf's bulk filter and avoids
-	// bulk setup entirely.
+	// injMaxOuter: with at most this many effective outer points,
+	// filtering them one at a time (INJ — the same filter on one-point
+	// batches) costs about one leaf's bulk pass and skips its sibling
+	// seeding. A batch-granularity choice, not a different filter.
 	injMaxOuter = 48
 	// parallelMinAccesses: fan a join out only when the estimated work
 	// amortizes worker startup and emission locking.
@@ -149,10 +128,6 @@ const (
 	// defaultLeafCap approximates the R*-tree fanout when the superblock
 	// does not say (4 KiB pages hold ~100 points; stay conservative).
 	defaultLeafCap = 64
-	// cpuPerAccess prices one node access for EstCost — the Section 5 CPU
-	// proxy calibrated very roughly against the warm-join benchmarks; only
-	// relative magnitudes matter to the planner.
-	cpuPerAccess = 2 * time.Microsecond
 )
 
 // Plan resolves one query. outer is the Q input (the side whose leaves
@@ -161,7 +136,6 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 	d := Decision{
 		Epochs:         [2]uint64{outer.Epoch, inner.Epoch},
 		PredicateOrder: predicateOrder(req, outer, inner),
-		UseWeightBound: req.Weighted && req.TopK > 0,
 	}
 
 	nQ, nP := outer.Count, inner.Count
@@ -192,12 +166,7 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 		// a handful of its leaves (height + a fringe of siblings).
 		d.EstAccesses = nodes(outer) + lq*int64(height(inner)+6)
 	}
-	if d.UseWeightBound {
-		d.Rule += "+weight-bound"
-	}
-
 	d.Parallelism = parallelism(req, obs, d.EstAccesses)
-	d.EstFaults, d.EstCost = price(d.EstAccesses, outer, inner, obs)
 	return d
 }
 
@@ -354,22 +323,4 @@ func parallelism(req Request, obs Observed, estAccesses int64) int {
 		par = 1
 	}
 	return par
-}
-
-// price converts the access estimate into the Section 5 cost: faults are
-// the accesses the buffer will miss, charged at the measured fault latency
-// when one is observed, the paper's modeled 10 ms for remote pages, and
-// nothing for local in-memory pages (their load time is already inside the
-// CPU term).
-func price(accesses int64, outer, inner IndexMeta, obs Observed) (int64, time.Duration) {
-	missRatio := 1 - obs.BufferHitRatio
-	if missRatio < 0 {
-		missRatio = 0
-	}
-	faults := int64(math.Ceil(float64(accesses) * missRatio))
-	perFault := obs.FaultLatency
-	if perFault == 0 && (outer.Remote || inner.Remote) {
-		perFault = cost.PageFaultCost
-	}
-	return faults, time.Duration(accesses)*cpuPerAccess + time.Duration(faults)*perFault
 }

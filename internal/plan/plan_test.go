@@ -2,7 +2,6 @@ package plan
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -21,8 +20,8 @@ func meta(count int) IndexMeta {
 func TestPlanRuleSelection(t *testing.T) {
 	big, small := meta(100_000), meta(50)
 
-	if d := Plan(Request{Self: true}, small, small, Observed{}); d.Algorithm != core.AlgBrute {
-		t.Fatalf("50x50 self join: got %s (%s), want BRUTE", d.Algorithm, d.Rule)
+	if d := Plan(Request{}, small, small, Observed{}); d.Algorithm != core.AlgBrute {
+		t.Fatalf("50x50 join: got %s (%s), want BRUTE", d.Algorithm, d.Rule)
 	}
 	if d := Plan(Request{}, big, big, Observed{}); d.Algorithm != core.AlgOBJ || d.Rule != "default-obj" {
 		t.Fatalf("100k x 100k: got %s (%s), want default-obj OBJ", d.Algorithm, d.Rule)
@@ -94,30 +93,10 @@ func TestPlanParallelismAndPrefetch(t *testing.T) {
 	}
 }
 
-func TestPlanPricing(t *testing.T) {
-	m := meta(100_000)
-	remote := m
-	remote.Remote = true
-	// Remote faults are charged: modeled by default, measured when observed.
-	modeled := Plan(Request{}, remote, remote, Observed{})
-	measured := Plan(Request{}, remote, remote, Observed{FaultLatency: time.Millisecond})
-	if modeled.EstFaults == 0 || modeled.EstCost <= measured.EstCost {
-		t.Fatalf("modeled %v (faults %d) should exceed measured %v", modeled.EstCost, modeled.EstFaults, measured.EstCost)
-	}
-	// A hot buffer predicts fewer faults.
-	hot := Plan(Request{}, remote, remote, Observed{BufferHitRatio: 0.9})
-	if hot.EstFaults >= modeled.EstFaults {
-		t.Fatalf("hot faults %d >= cold %d", hot.EstFaults, modeled.EstFaults)
-	}
-}
-
-func TestPlanEpochsAndWeightBound(t *testing.T) {
+func TestPlanEpochs(t *testing.T) {
 	outer, inner := meta(5000), meta(5000)
-	outer.Mutable, outer.Epoch = true, 42
+	outer.Epoch = 42
 	d := Plan(Request{TopK: 5, Weighted: true}, outer, inner, Observed{})
-	if !d.UseWeightBound {
-		t.Fatal("weighted top-k did not enable the weight bound")
-	}
 	if d.Epochs != [2]uint64{42, 0} {
 		t.Fatalf("epochs %v", d.Epochs)
 	}

@@ -349,11 +349,11 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// Observe merges the inputs' pool-derived planner feedback (rcj.Observe)
-// with the scheduler's live pressure: free slots damp the planner's chosen
-// fan-out while concurrent joins already hold the CPUs.
-func (s *Scheduler) Observe(q, p *rcj.Index) rcj.PlanObserved {
-	obs := rcj.Observe(q, p)
+// Observe reports the scheduler's live pressure to the planner: free slots
+// damp the planner's chosen fan-out while concurrent joins already hold the
+// CPUs.
+func (s *Scheduler) Observe() rcj.PlanObserved {
+	var obs rcj.PlanObserved
 	s.mu.Lock()
 	obs.FreeSlots = s.cfg.MaxConcurrent - s.running
 	s.mu.Unlock()
@@ -380,7 +380,7 @@ func (s *Scheduler) Observe(q, p *rcj.Index) rcj.PlanObserved {
 // of) the iterator. When stats is non-nil it receives the join's exact
 // per-request statistics once the iterator has terminated.
 func (s *Scheduler) Run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	qry, _ = qry.ResolveObserved(q, p, s.Observe(q, p))
+	qry, _ = qry.ResolveObserved(q, p, s.Observe())
 	if seq, err, handled := s.runBatched(ctx, q, p, qry, stats); handled {
 		return seq, err
 	}

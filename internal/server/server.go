@@ -594,7 +594,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// resolved plan, never by the ambiguous "planner decides" zero value.
 	// The resolved query carries the decision through the scheduler and the
 	// executor: this is the request's one planning step.
-	qry, dec := qry.ResolveObserved(eQ.ix, eP.ix, s.sched.Observe(eQ.ix, eP.ix))
+	qry, dec := qry.ResolveObserved(eQ.ix, eP.ix, s.sched.Observe())
 	s.recordPlan(dec)
 
 	// Result cache: a bounded sequential query whose exact result set is

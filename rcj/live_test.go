@@ -553,14 +553,6 @@ func TestMutableAPIErrors(t *testing.T) {
 	if err := ix.Save(t.TempDir() + "/x.rcjx"); err == nil {
 		t.Fatal("Save on a mutable index succeeded; want the compaction-owns-persistence error")
 	}
-	// A monitor inserts into the indexes' own trees; a mutable index has
-	// none to offer (SubscribeLive is its continuous query).
-	if _, err := NewMonitor(frozen, ix); !errors.Is(err, ErrMutableIndex) {
-		t.Fatalf("NewMonitor with a mutable side: %v", err)
-	}
-	if _, err := NewMonitor(ix, ix); !errors.Is(err, ErrMutableIndex) {
-		t.Fatalf("NewMonitor(ix, ix) on a mutable index: %v", err)
-	}
 }
 
 // TestLiveReadsBesideTheJoin covers the reads that used to bypass the pinned

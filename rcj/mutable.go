@@ -14,10 +14,6 @@ import (
 // with NewMutableIndex accept Insert/Delete.
 var ErrImmutableIndex = errors.New("rcj: index is immutable")
 
-// ErrMutableIndex is returned by operations that need an index's own tree
-// and therefore cannot serve a mutable one (NewMonitor).
-var ErrMutableIndex = errors.New("rcj: not supported on a mutable index")
-
 // Typed live-mutation errors, re-exported from the epoch layer so callers
 // can match them without importing internals.
 var (

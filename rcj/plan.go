@@ -1,10 +1,6 @@
 package rcj
 
-import (
-	"time"
-
-	"repro/internal/plan"
-)
+import "repro/internal/plan"
 
 // This file connects queries to the cost-based planner (internal/plan). A
 // Query whose Algorithm is the zero value without ForceAlgorithm means
@@ -20,18 +16,18 @@ type PlanDecision = plan.Decision
 // (see internal/plan.Observed).
 type PlanObserved = plan.Observed
 
-// Resolve is ResolveObserved(qx, px, Observe(qx, px)); self is ignored, the
+// Resolve is ResolveObserved with nothing observed; self is ignored, the
 // join shape being qx == px.
 //
 // Deprecated: kept only because the frozen benchmark names it
 // (perf/micro.go:160); it goes with the next benchmark PR.
 func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
-	return q.ResolveObserved(qx, px, Observe(qx, px))
+	return q.ResolveObserved(qx, px, PlanObserved{})
 }
 
 // ResolveObserved resolves the query against the two join inputs (the same
-// index twice for a self-join) under the observed state obs — Observe's
-// pool-derived one, or a serving stack's richer signals. When the query
+// index twice for a self-join) under the observed state obs — the zero
+// value, or a serving stack's signals (sched.Observe). When the query
 // pins its plan — ForceAlgorithm, an explicit non-zero Algorithm, or the L1
 // metric with its one index-nested-loop filter — the fixed plan is echoed
 // verbatim (rule "fixed"); otherwise the planner picks algorithm,
@@ -52,19 +48,16 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 	var dec PlanDecision
 	if q.ForceAlgorithm || q.Algorithm != INJ || q.Metric == L1 {
 		dec = PlanDecision{
-			Algorithm:      q.algorithm(),
-			Parallelism:    max(q.Parallelism, 1),
-			UseWeightBound: q.Weight != nil && q.TopK > 0,
-			Rule:           "fixed",
-			Epochs:         [2]uint64{qx.Epoch(), px.Epoch()},
+			Algorithm:   q.algorithm(),
+			Parallelism: max(q.Parallelism, 1),
+			Rule:        "fixed",
+			Epochs:      [2]uint64{qx.Epoch(), px.Epoch()},
 		}
 	} else {
 		req := plan.Request{
-			Self:        selfJoin(qx, px),
 			MaxDiameter: q.MaxDiameter,
 			MinDistance: q.MinDistance,
 			TopK:        q.TopK,
-			Limit:       q.Limit,
 			Weighted:    q.Weight != nil,
 			Parallelism: q.Parallelism,
 		}
@@ -93,16 +86,9 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 // planned against.
 func (ix *Index) planMeta() plan.IndexMeta {
 	if ls, ok := ix.LiveStats(); ok {
-		return plan.IndexMeta{
-			Count:   ls.Points,
-			Mutable: true,
-			Epoch:   ls.Seq,
-		}
+		return plan.IndexMeta{Count: ls.Points, Epoch: ls.Seq}
 	}
-	m := plan.IndexMeta{
-		Count:  ix.pts,
-		Remote: ix.remote != nil,
-	}
+	m := plan.IndexMeta{Count: ix.pts}
 	if ix.tree != nil {
 		m.Count = ix.tree.Size()
 		m.Height = ix.tree.Height()
@@ -119,26 +105,4 @@ func (ix *Index) planMeta() plan.IndexMeta {
 		}
 	}
 	return m
-}
-
-// Observe derives planner feedback from the inputs' buffer pools: the hit
-// ratio predicts faults, and the measured per-miss load wait calibrates
-// what a fault costs on this backend. The executor resolves with it as is;
-// serving stacks overlay their own signals (free slots) before calling
-// ResolveObserved.
-func Observe(qx, px *Index) PlanObserved {
-	var obs PlanObserved
-	pool := qx.pool
-	if pool == nil {
-		pool = px.pool
-	}
-	if pool == nil {
-		return obs
-	}
-	st := pool.Stats()
-	obs.BufferHitRatio = st.HitRatio()
-	if st.Misses > 0 {
-		obs.FaultLatency = time.Duration(st.LoadNanos / st.Misses)
-	}
-	return obs
 }

@@ -34,7 +34,7 @@ func plannerCases() []Query {
 
 // resolve resolves qry for the join (q, p) the way the executor does.
 func resolve(qry Query, q, p *Index) (Query, PlanDecision) {
-	return qry.ResolveObserved(q, p, Observe(q, p))
+	return qry.ResolveObserved(q, p, PlanObserved{})
 }
 
 // TestResolveFixedEcho pins the fixed path: a query that names its algorithm

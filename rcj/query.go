@@ -272,7 +272,7 @@ func prepare(q, p *Index, qry Query) (func(ctx context.Context, sink func(*core.
 	if err := qry.Validate(); err != nil {
 		return nil, err
 	}
-	qry, _ = qry.ResolveObserved(q, p, Observe(q, p))
+	qry, _ = qry.ResolveObserved(q, p, PlanObserved{})
 	return func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error) {
 		coreOpts := qry.coreOptions()
 		sink(&coreOpts)
@@ -358,9 +358,9 @@ func pairSink(co *core.Options, emit func(Pair)) {
 }
 
 // selfJoin is the one place the join shape is derived: a join of an index
-// with itself is the self-join of its dataset. It feeds the planner
-// (plan.Request.Self), the executor (core.Options.SelfJoin, set by joinViews)
-// and the monitors; two distinct indexes never share a tree, so index
+// with itself is the self-join of its dataset. It feeds the executor
+// (core.Options.SelfJoin, set by joinViews) and the live subscriptions; two
+// distinct indexes never share a tree, so index
 // identity is dataset identity.
 func selfJoin(q, p *Index) bool { return q == p }
 

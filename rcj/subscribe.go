@@ -32,7 +32,7 @@ const (
 	EventSync EventType = "sync"
 	// EventResync tells the consumer to discard its replayed state: a
 	// deletion forced a monitor rebuild (insertion maintenance is exact and
-	// local, deletion maintenance is impossible — ErrMonitorDelete), and the
+	// local, deletion maintenance is impossible — core.ErrMonitorDelete), and the
 	// full current result set follows as EventAdd events ending in
 	// EventSync.
 	EventResync EventType = "resync"
@@ -178,7 +178,7 @@ func (st *subState) loop(ctx context.Context, sub *Subscription, out chan<- Even
 	// sendState replays the monitor's full current result set (sorted for a
 	// deterministic event log) followed by a sync marker.
 	sendState := func() bool {
-		pairs := convertPairs(st.mon.Pairs())
+		pairs := fromCorePairs(st.mon.Pairs())
 		SortPairsByDiameter(pairs)
 		seq := st.curSeq()
 		for _, pr := range pairs {
@@ -342,7 +342,7 @@ func monitorTree(entries []rtree.PointEntry) (*rtree.Tree, error) {
 
 // sortedEvents orders one maintenance step's pair delta deterministically.
 func sortedEvents(raw []core.Pair) []Pair {
-	out := convertPairs(raw)
+	out := fromCorePairs(raw)
 	SortPairsByDiameter(out)
 	return out
 }
