@@ -19,7 +19,9 @@
 //     its points concurrently and one pass per tree verifies all its
 //     circles.
 //   - OBJ (Section 4.2) is BIJ plus the symmetric pruning rule (Lemma 5),
-//     seeding each point's pruner set with its leaf siblings from Q.
+//     seeding each point's pruner set with its leaf siblings from Q when
+//     the point is first probed — under a diameter bound, only the query
+//     points the bound admits are ever probed or seeded.
 //   - Brute force (Section 1): nested loop with a circle range search per
 //     pair — the O(|P|·|Q|) baseline of Table 4, with no filter at all.
 //
@@ -272,11 +274,13 @@ type joiner struct {
 	predOrder [3]Predicate
 
 	// Per-worker scratch reused across filter calls (a joiner is never used
-	// concurrently): the traversal heap and the filter's per-query state
+	// concurrently): the traversal heap, the filter's per-query state
 	// (whose pruner sets and candidate slices would otherwise be the dominant
-	// steady-state allocation — one per leaf point per leaf).
+	// steady-state allocation — one per leaf point per leaf) and the current
+	// outer leaf's points (processLeaf).
 	fheap       filterHeap
 	bulkScratch []bulkQuery
+	leafBuf     []rtree.PointEntry
 }
 
 // emit records a confirmed result pair in the current batch. Under TopK the

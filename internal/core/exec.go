@@ -21,13 +21,13 @@ import (
 // Batch granularity: INJ hands bulkFilter one query point at a time
 // (Algorithm 7 on a one-point leaf is Algorithm 2), BIJ and OBJ the whole
 // leaf, so a batch — the unit that is filtered, verified and delivered
-// together — is a point or a leaf. Symmetric seeding: OBJ pre-seeds the
-// filter with Lemma 5, BIJ and INJ do not. The Manhattan metric swaps two
-// kernels (quadrant pruner, ball verifier; l1.go) and always batches per
-// point. AlgBrute is the filter-free baseline (brute.go) on the same
-// delivery. The whole pipeline is cancellable: the context is checked once
-// per leaf, per batch, and per node read, so a cancelled join stops promptly
-// without finishing the current traversal.
+// together — is a point or a leaf. Symmetric seeding: OBJ seeds the filter
+// with Lemma 5 (per query point, on its first probe), BIJ and INJ do not.
+// The Manhattan metric swaps two kernels (quadrant pruner, ball verifier;
+// l1.go) and always batches per point. AlgBrute is the filter-free baseline
+// (brute.go) on the same delivery. The whole pipeline is cancellable: the
+// context is checked once per leaf, per batch, and per node read, so a
+// cancelled join stops promptly without finishing the current traversal.
 
 // execute runs the join under ctx.
 func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
@@ -46,9 +46,7 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 	case j.opts.Parallelism > 1:
 		err = j.runParallel()
 	default:
-		err = j.forEachQLeaf(func(n *rtree.Node) error {
-			return j.processLeaf(n.Points())
-		})
+		err = j.forEachQLeaf(j.processLeaf)
 	}
 	if errors.Is(err, errLimitReached) {
 		// Limit satisfied: the early stop is a clean completion.
@@ -66,12 +64,16 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 
 // processLeaf runs the pipeline for one TQ leaf, cut into the algorithm's
 // batches. It is the unit of work both the sequential loop and the parallel
-// workers schedule.
-func (j *joiner) processLeaf(points []rtree.PointEntry) error {
+// workers schedule. The leaf's points are copied into the joiner's leafBuf:
+// no stage keeps them past the call (the filter and candidateBatch copy what
+// they keep), so one buffer serves every leaf.
+func (j *joiner) processLeaf(n *rtree.Node) error {
 	if err := j.ctxErr(); err != nil {
 		return err
 	}
 	j.stats.OuterLeaves++
+	j.leafBuf = n.AppendPointsTo(j.leafBuf[:0])
+	points := j.leafBuf
 	if j.opts.Metric != MetricL1 && (j.opts.Algorithm == AlgBIJ || j.opts.Algorithm == AlgOBJ) {
 		return j.joinBatch(points)
 	}

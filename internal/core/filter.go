@@ -15,7 +15,10 @@ import (
 // "the query prunes it"), so there is one traversal, bulkFilter: it retrieves
 // from TP the candidate points that may form RCJ pairs with the query
 // point(s), pruning with the Ψ− half-plane regions of Lemmas 1 and 3 (and,
-// for OBJ, Lemma 5).
+// for OBJ, Lemma 5). Per (point, query) pair the order of work is: the
+// squared diameter bound, if any; then the query point's pruners, seeded
+// with its Lemma-5 siblings on its first probe; then the exact bound and
+// the query predicates.
 
 // filterItem is a priority-queue element of the filter traversal: an
 // unexpanded TP subtree or an indexed point, keyed by (squared) distance
@@ -107,19 +110,42 @@ func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point) {
 }
 
 // bulkQuery is the per-point state of the filter: the query point, its
-// accumulated pruning regions, and its candidate set q.S.
+// accumulated pruning regions, and its candidate set q.S. seeded reports
+// whether the Lemma-5 sibling half-planes are in pruners yet (always true
+// without symmetric pruning).
 type bulkQuery struct {
 	q       rtree.PointEntry
 	pruners geom.PrunerSet
 	cands   []rtree.PointEntry
+	seeded  bool
+}
+
+// seed installs Lemma 5's half-planes Ψ−(q, q') for every leaf sibling q'
+// of the query point; strict, so a sibling that is itself a candidate
+// (self-joins), lying on its own boundary line, is not pruned. The filter
+// seeds a query point on its first failed probe — an unseeded set is empty,
+// since discoveries follow probes — and probes again: every probe sees the
+// set eager seeding built, a query point the bound never admits pays
+// nothing, and the call, with the register spills it forces, stays off the
+// pruned path. Out of line for the same reason.
+//
+//go:noinline
+func (bq *bulkQuery) seed(siblings []rtree.PointEntry) {
+	bq.seeded = true
+	for _, other := range siblings {
+		if other.ID != bq.q.ID {
+			bq.pruners.AddStrict(bq.q.P, other.P)
+		}
+	}
 }
 
 // resetQueries returns the joiner's per-query filter state, recycled for the
 // given query points: the pruner sets and candidate slices keep their
 // capacity, so a steady-state batch allocates nothing here. The previous
 // batch was fully drained before this call (candidateBatch copies the
-// candidates out), so clobbering it is safe.
-func (j *joiner) resetQueries(points []rtree.PointEntry) []bulkQuery {
+// candidates out), so clobbering it is safe. Under symmetric pruning every
+// query point starts unseeded.
+func (j *joiner) resetQueries(points []rtree.PointEntry, symmetric bool) []bulkQuery {
 	queries := j.bulkScratch
 	if cap(queries) < len(points) {
 		queries = make([]bulkQuery, len(points))
@@ -131,6 +157,7 @@ func (j *joiner) resetQueries(points []rtree.PointEntry) []bulkQuery {
 		queries[i].q = q
 		queries[i].pruners.Reset()
 		queries[i].cands = queries[i].cands[:0]
+		queries[i].seeded = !symmetric
 	}
 	return queries
 }
@@ -170,9 +197,12 @@ func candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle)
 // nearest-neighbour order from the point itself, maximizing the pruning
 // power of the earliest discoveries.
 //
-// With symmetric pruning (OBJ, Lemma 5), each query point's pruner set is
-// pre-seeded with Ψ−(q, q') for every sibling q' in the leaf, so even an
-// empty candidate set shrinks the search space.
+// With symmetric pruning (OBJ, Lemma 5), each query point's pruner set holds
+// Ψ−(q, q') for every sibling q' in the leaf (bulkQuery.seed), so even an
+// empty candidate set shrinks the search space. Under a diameter bound
+// (MaxDiameter or TopK's dynamic one) a popped point meets each query
+// point's bound (squaredBound) before its pruners, so a bounded batch scans
+// and seeds only the query points its bound admits.
 //
 // For self-joins a query point is itself present in TP; it is skipped (a
 // point forms no pair with itself and its degenerate pruning region would
@@ -184,7 +214,7 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 	if len(leafPoints) == 0 || j.tp.Root() == storage.InvalidPageID {
 		return nil, nil
 	}
-	queries := j.resetQueries(leafPoints)
+	queries := j.resetQueries(leafPoints, symmetric)
 	var centroid geom.Point
 	for _, q := range leafPoints {
 		centroid.X += q.P.X
@@ -198,20 +228,6 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 	spread := 0.0
 	for _, q := range leafPoints {
 		spread = math.Max(spread, centroid.Dist(q.P))
-	}
-
-	if symmetric {
-		// Lemma 5: seed each query's pruner set with its leaf siblings.
-		// Strict half-planes keep the rule sound when a sibling is itself a
-		// candidate (self-joins) — it lies exactly on its own boundary line.
-		for qi := range queries {
-			bq := &queries[qi]
-			for _, other := range leafPoints {
-				if other.ID != bq.q.ID {
-					bq.pruners.AddStrict(bq.q.P, other.P)
-				}
-			}
-		}
 	}
 
 	constrained := j.opts.hasPredicates()
@@ -240,20 +256,35 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 		}
 		if item.isPoint {
 			px, py := item.point.P.X, item.point.P.Y
+			limit2 := squaredBound(bound)
 			for qi := range queries {
 				bq := &queries[qi]
 				if j.opts.SelfJoin && item.point.ID == bq.q.ID {
 					continue
 				}
+				// Beyond the bound the point is neither a candidate nor a
+				// useful pruner (any point it could prune is farther still),
+				// so testing the bound before the pruners is set-identical
+				// and spares the query points it rules out their scan and
+				// their seeds. The squared pre-test settles nearly all of
+				// them; the exact test below, the rest.
+				if bounded {
+					if dx, dy := bq.q.P.X-px, bq.q.P.Y-py; dx*dx+dy*dy > limit2 {
+						continue
+					}
+				}
 				if bq.pruners.PrunesPoint(item.point.P) {
 					continue
+				}
+				if !bq.seeded {
+					bq.seed(leafPoints)
+					if bq.pruners.PrunesPoint(item.point.P) {
+						continue
+					}
 				}
 				if constrained {
 					d := bq.q.P.Dist(item.point.P)
 					if bounded && d > bound {
-						// Beyond the diameter bound the point is neither a
-						// candidate nor a useful pruner: any point it could
-						// prune is farther still, hence also beyond the bound.
 						continue
 					}
 					if j.admitPairDist(d, bq.q, item.point) {
@@ -282,10 +313,17 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 					continue
 				}
 				predicatesOnly = false
-				if !bq.pruners.PrunesRect(item.rect) {
-					prunedForAll = false
-					break
+				if bq.pruners.PrunesRect(item.rect) {
+					continue
 				}
+				if !bq.seeded {
+					bq.seed(leafPoints)
+					if bq.pruners.PrunesRect(item.rect) {
+						continue
+					}
+				}
+				prunedForAll = false
+				break
 			}
 			if prunedForAll {
 				if predicatesOnly {

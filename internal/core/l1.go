@@ -149,7 +149,7 @@ func (j *joiner) filterL1(q rtree.PointEntry) ([]bulkQuery, error) {
 	if j.tp.Root() == storage.InvalidPageID {
 		return nil, nil
 	}
-	queries := j.resetQueries([]rtree.PointEntry{q})
+	queries := j.resetQueries([]rtree.PointEntry{q}, false)
 	cands := queries[0].cands
 	var pruners l1Pruners
 	h := &j.fheap

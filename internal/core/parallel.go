@@ -62,7 +62,7 @@ func (j *joiner) runParallel() error {
 					fail(err)
 					return
 				}
-				if err := worker.processLeaf(n.Points()); err != nil {
+				if err := worker.processLeaf(n); err != nil {
 					fail(err)
 					return
 				}

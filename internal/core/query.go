@@ -299,6 +299,21 @@ func weightBefore(w func(rtree.PointEntry) float64) func(a, b Pair) bool {
 // matches geom.CoverTol, dwarfing any rounding disagreement.
 const boundSlack = 1 + 1e-9
 
+// squaredBound returns (bound·boundSlack)², the bulk filter's square-root-
+// free pre-test of a pair against the bound: dx²+dy² above it means
+// math.Hypot is above the bound too. Both sides lie within a few ulps of
+// the true squares, which the slack (2e-9 once squared) dwarfs, so the
+// pre-test drops only pairs the exact d > bound would drop. Subnormal
+// squares round absolutely, not relatively, so below the smallest normal
+// float64 the pre-test is off (+Inf).
+func squaredBound(bound float64) float64 {
+	l := bound * boundSlack
+	if l2 := l * l; l2 >= 0x1p-1022 {
+		return l2
+	}
+	return math.Inf(1)
+}
+
 // maxPairDiameter returns the upper bound on an admissible pair's diameter
 // (= the distance between its two points): the static MaxDiameter
 // intersected with the TopK heap's dynamic bound. +Inf when unconstrained.

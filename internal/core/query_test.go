@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // postFilter applies the query predicates of opts to an unconstrained result
@@ -245,13 +247,69 @@ func TestBulkFilterStopsAtBound(t *testing.T) {
 	}
 }
 
+// TestBoundedFilterSeedsOnlyProbedQueries pins the lazy Lemma-5 seeding of
+// the bulk filter: a query point's sibling half-planes are installed on its
+// first pruner probe, and a bounded batch probes only the (point, query)
+// pairs its bound admits. Eager seeding puts 163 882 half-planes on all
+// 4 000 query points of this probe under MaxDiameter 20; the unconstrained
+// filter probes every query point, so there the sets match eager seeding
+// exactly, and so do the pops. A static bound needs no verification, so the
+// filter is driven leaf by leaf on its own.
+func TestBoundedFilterSeedsOnlyProbedQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ps := randomPoints(rng, 4000)
+	qs := randomPoints(rng, 4000)
+	tp := buildTree(t, ps, nil, 0, true)
+	tq := buildTree(t, qs, nil, 1, true)
+
+	for _, tc := range []struct {
+		name                string
+		opts                Options
+		halfPlanes, holders int  // totals over every query point
+		exact               bool // false: the totals are upper bounds
+		pops                int64
+	}{
+		{"max-diameter 20", Options{Algorithm: AlgOBJ, MaxDiameter: 20}, 25000, 600, false, 6143},
+		{"unconstrained", Options{Algorithm: AlgOBJ}, 175590, 4000, true, 39404},
+	} {
+		j := &joiner{tq: tq, tp: tp, opts: tc.opts, ctx: context.Background(), predOrder: compilePredOrder(tc.opts)}
+		halfPlanes, holders := 0, 0
+		_, err := rtree.VisitLeaves(tq, nil, func(_ storage.PageID, n *rtree.Node) error {
+			queries, err := j.bulkFilter(n.Points(), true)
+			for i := range queries {
+				if l := queries[i].pruners.Len(); l > 0 {
+					halfPlanes += l
+					holders++
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		t.Logf("%s: %d half-planes over %d query points", tc.name, halfPlanes, holders)
+		if tc.exact && (halfPlanes != tc.halfPlanes || holders != tc.holders) {
+			t.Errorf("%s: %d half-planes over %d query points, want exactly %d over %d",
+				tc.name, halfPlanes, holders, tc.halfPlanes, tc.holders)
+		}
+		if !tc.exact && (halfPlanes > tc.halfPlanes || holders > tc.holders) {
+			t.Errorf("%s: %d half-planes over %d query points, want at most %d over %d",
+				tc.name, halfPlanes, holders, tc.halfPlanes, tc.holders)
+		}
+		if j.stats.FilterHeapPops != tc.pops {
+			t.Errorf("%s: %d heap pops, want %d", tc.name, j.stats.FilterHeapPops, tc.pops)
+		}
+	}
+}
+
 // TestStopRuleSpreadDwarfsBound is the pushdown property at the stop rule's
 // worst case: leaves whose spread (~10^3) dwarfs the bound (10^-3), so the
 // rule subtracts two numbers a million times the bound apart — on plain
 // coordinates and translated by 10^6, where a coordinate's ulp is a tenth of
 // a millionth of the bound. The rule may err toward one more pop, never
 // toward a dropped pair: every algorithm must return exactly the oracle's
-// pairs within the bound.
+// pairs within the bound, and the oracle's top k where the k-th diameter is
+// an exact tie.
 func TestStopRuleSpreadDwarfsBound(t *testing.T) {
 	const bound = 1e-3
 	rng := rand.New(rand.NewSource(24))
@@ -276,7 +334,8 @@ func TestStopRuleSpreadDwarfsBound(t *testing.T) {
 		}
 		mp, mq := move(ps), move(qs)
 		opts := Options{MaxDiameter: bound, Collect: true}
-		want := postFilter(BruteForcePairs(mp, mq, false), opts)
+		all := BruteForcePairs(mp, mq, false)
+		want := postFilter(all, opts)
 		if len(want) < 20 {
 			t.Fatalf("shift %g: only %d pairs within the bound — the case lost its teeth", shift, len(want))
 		}
@@ -289,6 +348,28 @@ func TestStopRuleSpreadDwarfsBound(t *testing.T) {
 				t.Fatalf("%v shift %g: %v", alg, shift, err)
 			}
 			diffPairs(t, fmt.Sprintf("%v shift %g", alg, shift), want, got)
+		}
+
+		// TopK at the pairs within the bound, the last of which tie exactly
+		// on it, and at one pair either side: the k-th diameter — the
+		// dynamic bound — then ties with a pair the traversal has yet to
+		// admit, which the squared pre-test must pass on, not drop.
+		ranked := postFilter(all, Options{TopK: len(all)})
+		for _, k := range []int{len(want) - 1, len(want), len(want) + 1} {
+			kth := ranked[k-1].Circle.Radius
+			if kth != ranked[k-2].Circle.Radius && kth != ranked[k].Circle.Radius {
+				t.Fatalf("shift %g top-%d: the k-th diameter ties with no neighbour — the case lost its teeth", shift, k)
+			}
+			topk := Options{TopK: k, Collect: true}
+			wantK := postFilter(all, topk)
+			for _, alg := range []Algorithm{AlgINJ, AlgBIJ, AlgOBJ} {
+				topk.Algorithm = alg
+				got, _, err := Join(tq, tp, topk)
+				if err != nil {
+					t.Fatalf("%v shift %g top-%d: %v", alg, shift, k, err)
+				}
+				diffPairs(t, fmt.Sprintf("%v shift %g top-%d", alg, shift, k), wantK, got)
+			}
 		}
 	}
 }

@@ -82,8 +82,12 @@ func (pr Pruner) PrunesRect(r Rect) bool {
 
 // PrunerSet holds the pruning half-planes accumulated for one query point
 // during the filter step. Appending is O(1); testing is linear in the number
-// of pruners, which the incremental-NN discovery order keeps very small in
-// practice (the first few nearest points prune almost everything).
+// of pruners. The incremental-NN discovery order adds few of them (the first
+// few nearest points prune almost everything), but under OBJ the set starts
+// at L−1 strict sibling half-planes for a leaf of L points (Lemma 5; ~41 on
+// a default page), so a probe may scan tens of entries — which is why the
+// filter seeds a set only when it first probes it, and why the kernels below
+// move a successful pruner to the front.
 type PrunerSet struct {
 	pruners []Pruner
 }

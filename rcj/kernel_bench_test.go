@@ -18,6 +18,10 @@ import (
 //     indexes, from the raw-page and the packed format — identical results,
 //     so any gap between them is pure blob-decode cost (paid once per pool
 //     miss, amortized to ~zero warm).
+//   - topk10/warm and maxd/warm: the binary join under a global TopK 10 and
+//     under a MaxDiameter of about one point spacing — the bounded filter,
+//     which tests the bound before it scans or seeds a query point's
+//     pruners.
 //
 // The buffer pool is sized above the working set: unlike
 // BenchmarkJoinBackends, which keeps the pool small to exercise the
@@ -64,19 +68,25 @@ func BenchmarkLeafKernels(b *testing.B) {
 		return ix
 	}
 
-	b.Run("selfjoin/warm", func(b *testing.B) {
-		eng := NewEngine(EngineConfig{})
-		ix := open(b, eng, paths["v2-p"])
-		defer ix.Close()
-		if _, _, err := eng.RunCollect(ctx, ix, ix, Query{}); err != nil {
+	// warm runs qry once to fault every page in, then times it.
+	warm := func(b *testing.B, eng *Engine, q, p *Index, qry Query) {
+		b.Helper()
+		if _, _, err := eng.RunCollect(ctx, q, p, qry); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.RunCollect(ctx, ix, ix, Query{}); err != nil {
+			if _, _, err := eng.RunCollect(ctx, q, p, qry); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+
+	b.Run("selfjoin/warm", func(b *testing.B) {
+		eng := NewEngine(EngineConfig{})
+		ix := open(b, eng, paths["v2-p"])
+		defer ix.Close()
+		warm(b, eng, ix, ix, Query{})
 	})
 	for _, format := range []string{"v2", "v3"} {
 		format := format
@@ -86,15 +96,23 @@ func BenchmarkLeafKernels(b *testing.B) {
 			defer ixP.Close()
 			ixQ := open(b, eng, paths[format+"-q"])
 			defer ixQ.Close()
-			if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			warm(b, eng, ixQ, ixP, Query{})
+		})
+	}
+	for _, bounded := range []struct {
+		name string
+		qry  Query
+	}{
+		{"topk10/warm", Query{TopK: 10}},
+		{"maxd/warm", Query{MaxDiameter: 15}},
+	} {
+		b.Run(bounded.name, func(b *testing.B) {
+			eng := NewEngine(EngineConfig{})
+			ixP := open(b, eng, paths["v2-p"])
+			defer ixP.Close()
+			ixQ := open(b, eng, paths["v2-q"])
+			defer ixQ.Close()
+			warm(b, eng, ixQ, ixP, bounded.qry)
 		})
 	}
 }
