@@ -50,7 +50,14 @@ import (
 type SpatialIndex interface {
 	// Root returns the root page, or storage.InvalidPageID when empty.
 	Root() storage.PageID
-	// ReadNode fetches one node, counting buffer accesses/faults.
+	// ReadNode fetches one node, counting buffer accesses/faults. The node
+	// is immutable and stays valid after later reads: the parallel executor
+	// reads an outer leaf on one goroutine and processes it on another. The
+	// buffer pool caches decoded nodes and eviction only drops its
+	// reference; nothing recycles a node. Every backend, and every shard of
+	// a sharded index, reads through an rtree.Tree on that pool;
+	// internal/live's view returns cached nodes or fresh copies, never a
+	// mutated original.
 	ReadNode(storage.PageID) (*rtree.Node, error)
 }
 

@@ -10,10 +10,10 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the join executor: one pipeline with two switches. The outer
-// loop (leaf order, sampling, parallelism) hands TQ leaves to processLeaf,
-// sequentially or from a worker pool (parallel.go), and every leaf streams
-// through the same stages:
+// This file is the join executor: one pipeline with two switches. One outer
+// walk (forEachQLeaf: leaf order, sampling) reads each TQ leaf once and hands
+// it to processLeaf, directly or through a worker pool (parallel.go), and
+// every leaf streams through the same stages:
 //
 //	filter (bulkFilter) → candidateBatch → verify (both trees) → deliver
 //
@@ -185,9 +185,10 @@ func (j *joiner) outerSkip() func(geom.Rect) bool {
 	}
 }
 
-// forEachQLeaf drives the sequential outer loop over TQ leaves: depth-first
-// by default (Section 3.4's locality argument), by explicit page list when
-// the order is shuffled or sampled.
+// forEachQLeaf is the outer walk over TQ leaves, reading each leaf once and
+// handing it to fn — processLeaf itself when sequential, the worker pool's
+// feed when parallel: depth-first by default (Section 3.4's locality
+// argument), by explicit page list when the order is shuffled or sampled.
 func (j *joiner) forEachQLeaf(fn func(*rtree.Node) error) error {
 	if !j.opts.RandomLeafOrder && j.opts.LeafSampleEvery <= 1 {
 		skipped, err := rtree.VisitLeaves(j.tq, j.outerSkip(), func(_ storage.PageID, n *rtree.Node) error {
@@ -212,9 +213,10 @@ func (j *joiner) forEachQLeaf(fn func(*rtree.Node) error) error {
 	return nil
 }
 
-// outerLeafPages materializes the outer leaf schedule: all TQ leaf pages in
-// depth-first order (Region-pruned when the pushdown applies), shuffled when
-// the ablation asks for it, then sampled every k-th for the cost estimator.
+// outerLeafPages materializes the outer leaf schedule of a shuffled or
+// sampled walk: all TQ leaf pages in depth-first order (Region-pruned when
+// the pushdown applies), shuffled when the ablation asks for it, then
+// sampled every k-th for the cost estimator.
 func (j *joiner) outerLeafPages() ([]storage.PageID, error) {
 	var pages []storage.PageID
 	skipped, err := rtree.VisitLeaves(j.tq, j.outerSkip(), func(id storage.PageID, _ *rtree.Node) error {

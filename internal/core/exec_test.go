@@ -14,20 +14,32 @@ import (
 	"repro/internal/storage"
 )
 
-// flakyIndex wraps a SpatialIndex and fails every ReadNode after a given
-// number of successful reads.
-type flakyIndex struct {
+// hookIndex wraps a SpatialIndex, numbering its ReadNode calls and running
+// hook before each; a hook error fails the read.
+type hookIndex struct {
 	SpatialIndex
-	reads     atomic.Int64
-	failAfter int64
-	err       error
+	reads atomic.Int64
+	hook  func(read int64) error
 }
 
-func (f *flakyIndex) ReadNode(id storage.PageID) (*rtree.Node, error) {
-	if f.reads.Add(1) > f.failAfter {
-		return nil, f.err
+func (h *hookIndex) ReadNode(id storage.PageID) (*rtree.Node, error) {
+	read := h.reads.Add(1)
+	if h.hook != nil {
+		if err := h.hook(read); err != nil {
+			return nil, err
+		}
 	}
-	return f.SpatialIndex.ReadNode(id)
+	return h.SpatialIndex.ReadNode(id)
+}
+
+// failAfter is a hookIndex hook failing every read after the n-th with err.
+func failAfter(n int64, err error) func(int64) error {
+	return func(read int64) error {
+		if read > n {
+			return err
+		}
+		return nil
+	}
 }
 
 func TestJoinContextPreCancelled(t *testing.T) {
@@ -106,7 +118,7 @@ func TestParallelFirstErrorCancelsOutstandingWork(t *testing.T) {
 	tq := buildTree(t, qs, pool, 2, true)
 
 	boom := errors.New("injected read failure")
-	flaky := &flakyIndex{SpatialIndex: tp, failAfter: 25, err: boom}
+	flaky := &hookIndex{SpatialIndex: tp, hook: failAfter(25, boom)}
 	start := time.Now()
 	_, _, err := JoinContext(context.Background(), tq, flaky, Options{Algorithm: AlgOBJ, Parallelism: 4, Collect: true})
 	if !errors.Is(err, boom) {

@@ -5,36 +5,36 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/storage"
+	"repro/internal/rtree"
 )
 
-// This file is the parallel execution strategy of the executor: TQ leaves
-// are distributed over a worker pool, each worker running the same per-leaf
-// pipeline (processLeaf) as the sequential strategy with private state.
-// Indexes are read-only during a join and the buffer pool is safe for
-// concurrent use, so workers share both; only result delivery is
-// synchronized (deliver, core.go). The result SET is identical to the
-// sequential run; result ORDER is not deterministic.
+// This file is the parallel execution strategy of the executor: the caller
+// runs the sequential strategy's outer walk (forEachQLeaf) and hands each
+// TQ leaf, already read, to a worker pool, each worker running the same
+// per-leaf pipeline (processLeaf) with private state. Every outer leaf is
+// read once, and the first worker starts as soon as the walk reaches the
+// first leaf. Indexes are read-only during a join, the buffer pool is safe
+// for concurrent use, and a node read on one goroutine may be processed on
+// another (SpatialIndex), so workers share all three; only result delivery
+// is synchronized (deliver, core.go). The result SET and every count but
+// faults are identical to the sequential run; result ORDER is not
+// deterministic.
 //
-// Error handling: the first failure (or an external cancellation) cancels a
-// run-scoped context. Workers stop at the next leaf, the feeder stops
-// handing out pages, and the first error is the one returned — later errors
+// Error handling: the first failure — a worker's, a node read of the walk's,
+// an external cancellation or a satisfied Limit — cancels a run-scoped
+// context. Workers stop at the next leaf, the walk stops at the next leaf it
+// would hand out, and the first error is the one returned — later errors
 // are discarded, never overwriting the first.
 
 // runParallel executes the INJ/BIJ/OBJ outer loop with opts.Parallelism
 // workers.
 func (j *joiner) runParallel() error {
-	pages, err := j.outerLeafPages()
-	if err != nil {
-		return err
-	}
-
 	ctx, cancel := context.WithCancel(j.ctx)
 	defer cancel()
 
 	var (
 		wg       sync.WaitGroup
-		work     = make(chan storage.PageID)
+		work     = make(chan *rtree.Node)
 		workers  = make([]*joiner, j.opts.Parallelism)
 		errOnce  sync.Once
 		firstErr error
@@ -56,12 +56,7 @@ func (j *joiner) runParallel() error {
 		wg.Add(1)
 		go func(worker *joiner) {
 			defer wg.Done()
-			for page := range work {
-				n, err := j.tq.ReadNode(page)
-				if err != nil {
-					fail(err)
-					return
-				}
+			for n := range work {
 				if err := worker.processLeaf(n); err != nil {
 					fail(err)
 					return
@@ -70,13 +65,18 @@ func (j *joiner) runParallel() error {
 		}(worker)
 	}
 
-feed:
-	for _, page := range pages {
+	err := j.forEachQLeaf(func(n *rtree.Node) error {
 		select {
-		case work <- page:
+		case work <- n:
+			return nil
 		case <-ctx.Done():
-			break feed
+			return ctx.Err()
 		}
+	})
+	if err != nil {
+		// A read error of the walk's own, or the cancellation it stopped
+		// at; fail keeps whichever error came first.
+		fail(err)
 	}
 	close(work)
 	wg.Wait()
@@ -92,7 +92,7 @@ feed:
 		j.stats.BoundKilledCandidates += w.stats.BoundKilledCandidates
 	}
 	if firstErr != nil {
-		// A satisfied Limit stops the feeder and workers through the same
+		// A satisfied Limit stops the walk and the workers through the same
 		// cancellation path as a failure; it is a clean completion.
 		if errors.Is(firstErr, errLimitReached) {
 			return nil

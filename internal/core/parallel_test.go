@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"math/rand"
+	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -102,4 +107,114 @@ func TestParallelWithSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffPairs(t, "sampled-parallel", seqSample, parSample)
+}
+
+// TestParallelFeederFailurePaths covers every way the parallel run stops
+// early while the caller is still walking TQ and feeding workers: an
+// external cancellation, a satisfied Limit, a read error of the walk's own
+// and one inside a worker. Each must return the first error (nil for the
+// Limit), stop the walk within a few leaves of the stop, and leave no
+// goroutine behind. Verification is skipped so that the walk is the only
+// reader of TQ, and TQ's read count is the walk's progress.
+func TestParallelFeederFailurePaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	pool := buffer.NewPool(-1)
+	tp := buildTree(t, randomPoints(rng, 4000), pool, 1, true)
+	tq := buildTree(t, randomPoints(rng, 4000), pool, 2, true)
+	counted := &hookIndex{SpatialIndex: tq}
+	if _, err := rtree.VisitLeaves(counted, nil, func(storage.PageID, *rtree.Node) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	nodes := counted.reads.Load()
+
+	const par = 2
+	// slack bounds the walk's reads after the stop: one leaf per worker
+	// that had already taken one, the leaf the walk was holding, and the
+	// inner nodes on the way to it.
+	const slack = 2*par + 4
+	if nodes < 8*slack {
+		t.Fatalf("TQ has %d nodes, too few to tell a stopped walk from a finished one", nodes)
+	}
+	boom := errors.New("injected read failure")
+
+	for _, c := range []struct {
+		name  string
+		limit int
+		// setup returns the two inputs and the TQ read count at the stop.
+		setup   func(cancel context.CancelFunc) (q *hookIndex, p SpatialIndex, stopAt func() int64)
+		wantErr error
+	}{
+		{
+			name: "cancel mid-walk",
+			setup: func(cancel context.CancelFunc) (*hookIndex, SpatialIndex, func() int64) {
+				q := &hookIndex{SpatialIndex: tq, hook: func(read int64) error {
+					if read == 10 {
+						cancel()
+					}
+					return nil
+				}}
+				return q, tp, func() int64 { return 10 }
+			},
+			wantErr: context.Canceled,
+		},
+		{
+			name:  "limit satisfied",
+			limit: 5,
+			setup: func(context.CancelFunc) (*hookIndex, SpatialIndex, func() int64) {
+				// The first leaf's pairs already satisfy the limit.
+				return &hookIndex{SpatialIndex: tq}, tp, func() int64 { return 1 }
+			},
+		},
+		{
+			name: "walk read error",
+			setup: func(context.CancelFunc) (*hookIndex, SpatialIndex, func() int64) {
+				q := &hookIndex{SpatialIndex: tq, hook: failAfter(9, boom)}
+				return q, tp, func() int64 { return 10 }
+			},
+			wantErr: boom,
+		},
+		{
+			name: "worker read error",
+			setup: func(context.CancelFunc) (*hookIndex, SpatialIndex, func() int64) {
+				q := &hookIndex{SpatialIndex: tq}
+				var at atomic.Int64
+				p := &hookIndex{SpatialIndex: tp, hook: func(read int64) error {
+					if read < 25 {
+						return nil
+					}
+					at.CompareAndSwap(0, q.reads.Load())
+					return boom
+				}}
+				return q, p, at.Load
+			},
+			wantErr: boom,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			q, p, stopAt := c.setup(cancel)
+			_, st, err := JoinContext(ctx, q, p, Options{
+				Algorithm: AlgOBJ, Parallelism: par, Collect: true,
+				SkipVerification: true, Limit: c.limit,
+			})
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if c.limit > 0 && st.Results != int64(c.limit) {
+				t.Errorf("%d results, want the limit %d", st.Results, c.limit)
+			}
+			if reads, at := q.reads.Load(), stopAt(); reads > at+slack {
+				t.Errorf("the walk read %d of %d TQ nodes, %d after the stop at read %d", reads, nodes, reads-at, at)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("%d goroutines after the join, %d before", n, baseline)
+			}
+		})
+	}
 }

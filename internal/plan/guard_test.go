@@ -477,10 +477,18 @@ var optionLedger = map[string]option{
 
 	"plan.Observed.FreeSlots": opt(measured, "the scheduler's idle slots", "internal/sched/sched.go#obs.FreeSlots = s.cfg.MaxConcurrent - s.running"),
 	"plan.Observed.MaxProcs":  opt(seam, "planner tests pin the CPU count"),
+
+	"plan.Request.MaxDiameter": opt(query, "predicate: ranks the diameter predicate"),
+	"plan.Request.MinDistance": opt(query, "predicate: ranks the min-distance predicate"),
+	"plan.Request.Region":      opt(query, "predicate: prices the outer pushdown, picks INJ on a needle window"),
+	"plan.Request.TopK":        opt(query, "predicate: ranked, so sequential"),
+	"plan.Request.Weighted":    opt(query, "predicate: the ranking's bound is static"),
+	"plan.Request.Limit":       opt(query, "predicate: limited, so sequential"),
+	"plan.Request.Parallelism": opt(workload, "caller-fixed fan-out, echoed", "perf/inproc.go#qry.Parallelism = 1", "perf/embed.go#qry.Parallelism = parallelism"),
 }
 
 // ledgerRows is the size ROADMAP's table tracks.
-const ledgerRows = 122
+const ledgerRows = 129
 
 // ledgerStructs lists the configuration structs whose exported fields the
 // ledger classes, by directory.
@@ -493,7 +501,7 @@ var ledgerStructs = map[string][]string{
 	"internal/live":    {"Config"},
 	"internal/rtree":   {"Config"},
 	"internal/storage": {"HTTPPagerConfig"},
-	"internal/plan":    {"Observed"},
+	"internal/plan":    {"Observed", "Request"},
 }
 
 // TestOptionLedger is the guard on "every option earns its keep": it lists

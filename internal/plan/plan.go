@@ -68,6 +68,9 @@ type Request struct {
 	// endpoint weight, so the diameter bound does not tighten dynamically
 	// and is ranked as the static predicate it is.
 	Weighted bool
+	// Limit, when > 0, caps the pair count; like TopK it keeps the join
+	// sequential.
+	Limit int
 	// Parallelism, when > 0, is caller-fixed; the planner echoes it.
 	Parallelism int
 }
@@ -127,9 +130,14 @@ const (
 	// domain the order flips (2.3 vs 1.1 ms). OBJ's Lemma-5 seeding, once
 	// part of the argument, is paid only per probed point.
 	injMaxOuter = 48
-	// parallelMinAccesses: fan a join out only when the estimated work
-	// amortizes worker startup and emission locking.
-	parallelMinAccesses = 5_000
+	// parallelMinAccesses: fan a join that runs to completion out only when
+	// its estimated work amortizes worker startup and emission locking.
+	// Measured on the embedded benchmark (2-CPU Xeon VM, see README): every
+	// window and bounded window plans at 606-678 accesses and gains nothing
+	// from a second worker at 12-15 ms, while every 4k x 4k full and self
+	// join plans at 963 and runs about twice as fast on two (warm p50: full
+	// 54 -> 24 ms, self 61 -> 29 ms). The cutoff sits in that gap.
+	parallelMinAccesses = 900
 	// defaultLeafCap approximates the R*-tree fanout when the superblock
 	// does not say (4 KiB pages hold ~100 points; stay conservative).
 	defaultLeafCap = 64
@@ -302,8 +310,16 @@ func extentOf(a, b IndexMeta) float64 {
 }
 
 // parallelism picks the worker count: the caller's when fixed, otherwise
-// fanned out only when the estimated work amortizes it, the host has spare
-// CPUs, and concurrent requests are not already using them.
+// fanned out only when the join runs to completion, the estimated work
+// amortizes it, the host has spare CPUs, and concurrent requests are not
+// already using them. A ranked (TopK, weighted included) or limited query
+// stays sequential: racing workers decide its ties and which pairs fill a
+// Limit, so only its sequential run replays byte-identically, and the
+// result cache memoizes only sequential runs — exactly the bounded queries
+// it holds. Workers sharing one dynamic bound also prune less (top-10 on
+// G20k x U20k: 2 996 -> ~3 050 accesses). A lone top-10 on two idle CPUs
+// still ran faster (17 -> 11-13 ms), so the rule gives that up for cache
+// hits and for the CPUs concurrent requests share.
 func parallelism(req Request, obs Observed, estAccesses int64) int {
 	if req.Parallelism > 0 {
 		return req.Parallelism
@@ -312,7 +328,7 @@ func parallelism(req Request, obs Observed, estAccesses int64) int {
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
 	}
-	if procs <= 1 || estAccesses < parallelMinAccesses {
+	if procs <= 1 || req.TopK > 0 || req.Limit > 0 || estAccesses < parallelMinAccesses {
 		return 1
 	}
 	par := procs

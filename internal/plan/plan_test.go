@@ -104,3 +104,48 @@ func TestPlanEpochs(t *testing.T) {
 		t.Fatal("empty decision string")
 	}
 }
+
+// TestFanOutRule pins the measured fan-out rule on a 2-CPU host, on the
+// metadata of the embedded benchmark's indexes (default 4 KiB pages: 42-point
+// leaves, three levels). A join that runs to completion fans out once it
+// plans at 900 accesses or more; the 4k x 4k full and self joins plan at 963,
+// the windows and bounded windows at 606-678. A ranked or limited query stays
+// sequential at any size.
+func TestFanOutRule(t *testing.T) {
+	shape := func(count int) IndexMeta {
+		m := meta(count)
+		m.LeafCap = 42
+		return m
+	}
+	m4k, m20k := shape(4_000), shape(20_000)
+	window := &geom.Rect{MinX: 470, MinY: 470, MaxX: 530, MaxY: 530}
+	free := Observed{MaxProcs: 2}
+	for _, c := range []struct {
+		name         string
+		req          Request
+		outer, inner IndexMeta
+		obs          Observed
+		want         int
+	}{
+		{"full and self 4k x 4k", Request{}, m4k, m4k, free, 2},
+		{"top-10 20k x 20k", Request{TopK: 10}, m20k, m20k, free, 1},
+		{"weighted top-10 20k x 20k", Request{TopK: 10, Weighted: true}, m20k, m20k, free, 1},
+		{"limit 20k x 20k", Request{Limit: 100}, m20k, m20k, free, 1},
+		{"window 20k x 20k", Request{Region: window}, m20k, m20k, free, 1},
+		{"maxd window 20k x 20k", Request{Region: window, MaxDiameter: 100}, m20k, m20k, free, 1},
+		{"full 4k x 4k, one free slot", Request{}, m4k, m4k, Observed{MaxProcs: 2, FreeSlots: 1}, 1},
+		{"caller-fixed", Request{Parallelism: 3}, m4k, m4k, free, 3},
+		{"caller-fixed top-10", Request{TopK: 10, Parallelism: 2}, m20k, m20k, free, 2},
+	} {
+		d := Plan(c.req, c.outer, c.inner, c.obs)
+		if d.Parallelism != c.want {
+			t.Errorf("%s: parallelism %d (%s), want %d", c.name, d.Parallelism, d, c.want)
+		}
+		switch {
+		case c.outer.Count == 4_000 && d.EstAccesses != 963:
+			t.Errorf("%s: estimate %d, the embedded 4k joins plan at 963", c.name, d.EstAccesses)
+		case c.req.Region != nil && d.EstAccesses > 678:
+			t.Errorf("%s: estimate %d, the embedded windows plan at <= 678", c.name, d.EstAccesses)
+		}
+	}
+}

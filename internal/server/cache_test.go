@@ -497,3 +497,30 @@ func TestJoinPlannedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestResultCacheKeepsRankedHits: the planner fans a join out only when it
+// runs to completion, so a planner-resolved top-k on inputs the full join
+// fans out on still plans sequential under the scheduler's free slots, and
+// its repeat is a cache hit.
+func TestResultCacheKeepsRankedHits(t *testing.T) {
+	ts, srv := newCachingServer(t, 4000, 16)
+	if runtime.GOMAXPROCS(0) > 1 {
+		// The control: two free slots, spare CPUs, and inputs above the
+		// fan-out cutoff.
+		if _, sum := splitSummary(t, joinBody(t, ts, `{"p":"p","q":"q"}`)); !strings.Contains(sum.Plan, "par=2") {
+			t.Fatalf("full join plans %q, want par=2: the inputs no longer exercise the fan-out", sum.Plan)
+		}
+	}
+	const q = `{"p":"p","q":"q","top_k":10}`
+	firstPairs, first := splitSummary(t, joinBody(t, ts, q))
+	if !strings.Contains(first.Plan, "par=1") || first.Cached {
+		t.Fatalf("first top-k run: plan %q, cached %v; want a fresh sequential run", first.Plan, first.Cached)
+	}
+	secondPairs, second := splitSummary(t, joinBody(t, ts, q))
+	if !second.Cached || secondPairs != firstPairs {
+		t.Fatalf("repeat of the top-k: cached %v, same pairs %v; want a byte-identical hit", second.Cached, secondPairs == firstPairs)
+	}
+	if cs := srv.cache.snapshot(); cs.Hits != 1 || cs.Stores != 1 {
+		t.Fatalf("cache stats = %+v, want the top-k stored once and hit once", cs)
+	}
+}

@@ -59,6 +59,7 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 			MinDistance: q.MinDistance,
 			TopK:        q.TopK,
 			Weighted:    q.Weight != nil,
+			Limit:       q.Limit,
 			Parallelism: q.Parallelism,
 		}
 		if q.Region != nil {
