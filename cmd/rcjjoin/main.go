@@ -16,13 +16,10 @@
 //	rcjjoin -p a.csv -q b.csv -region 1000,1000,5000,5000  # middleman in window
 //	rcjjoin -p a.csv -q b.csv -limit 100                   # first 100 pairs found
 //
-//	# Persist the built indexes, then join again without rebuilding:
+//	# Persist the built indexes (packed .rcjx v3: delta/varint leaf pages),
+//	# then join again without rebuilding:
 //	rcjjoin -p a.csv -q b.csv -save-index-p a.rcjx -save-index-q b.rcjx > out.csv
 //	rcjjoin -p a.rcjx -q b.rcjx -backend mem > out.csv
-//
-//	# Same, but write the compact packed v3 format (delta/varint leaf
-//	# pages); every backend reads it transparently:
-//	rcjjoin -p a.csv -q b.csv -save-index-p a.rcjx -save-packed > out.csv
 //
 //	# Join saved indexes served by any range-capable HTTP server — no
 //	# shared filesystem; pages fetch lazily, checksum-verified, with async
@@ -34,10 +31,11 @@
 //	rcjjoin -p a.rcjx -dump-points > a.csv
 //
 // Each of -p and -q accepts a CSV pointset ("id,x,y" or "x,y" rows, ids
-// assigned in file order), a saved index file written by -save-index-*
-// (detected by its magic, conventionally named ".rcjx"), or an http(s) URL
-// of a saved index; index inputs skip the build entirely and are served
-// through the backend chosen with -backend (URLs imply -backend http).
+// assigned in file order), a saved index file (detected by its magic,
+// conventionally named ".rcjx"; -save-index-* writes format v3, and v1/v2
+// files of older builds still open), or an http(s) URL of a saved index;
+// index inputs skip the build entirely and are served through the backend
+// chosen with -backend (URLs imply -backend http).
 // Output rows are "p_id,q_id,center_x,center_y,radius", one per RCJ pair.
 // Results stream as the join finds them — in a repeatable order only under
 // -parallel 1, since by default the planner may fan the join out; -sort
@@ -82,7 +80,6 @@ func main() {
 		bufPages = flag.Int("buffer", 0, "shared buffer pool size in pages (0 = unbounded)")
 		saveP    = flag.String("save-index-p", "", "after building P's index, save it to this file (skip the build next run by passing it as -p)")
 		saveQ    = flag.String("save-index-q", "", "after building Q's index, save it to this file")
-		savePack = flag.Bool("save-packed", false, "write -save-index-* files in the packed v3 format (compressed leaf pages, ~half the size)")
 		backend  = flag.String("backend", "file", "pager backend for saved-index inputs: mem, file, or http (implied by URL inputs)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 		topK     = flag.Int("top-k", 0, "return only the k tightest pairs, in ascending ring-diameter order (pushdown)")
@@ -184,7 +181,7 @@ func main() {
 
 	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: *bufPages})
 	loadIndex := func(path, save string) *rcj.Index {
-		return loadOrOpenIndex(eng, path, be, save, *savePack)
+		return loadOrOpenIndex(eng, path, be, save)
 	}
 	ixP := loadIndex(*pPath, *saveP)
 	defer ixP.Close()
@@ -237,7 +234,7 @@ func main() {
 		if err != nil {
 			fatalf("read points of %s: %v", *pPath, err)
 		}
-		var qPts []rcj.Point
+		var qPts []rcj.Point // nil: a self-join manifest
 		if !*self {
 			if qPts, err = ixQ.Points(); err != nil {
 				fatalf("read points of %s: %v", *qPath, err)
@@ -245,7 +242,7 @@ func main() {
 		}
 		name := strings.TrimSuffix(filepath.Base(*shardOut), shard.Ext)
 		m, err := shard.Build(*shardOut, pPts, qPts, shard.BuildConfig{
-			Shards: *shardN, MaxDiameter: bound, Name: name, Self: *self, Packed: *savePack,
+			Shards: *shardN, MaxDiameter: bound, Name: name,
 		})
 		if err != nil {
 			fatalf("shard build: %v", err)
@@ -343,9 +340,8 @@ func reportRemote() {
 // through the chosen backend with no build; anything else is read as a CSV
 // pointset and indexed. When save is non-empty the index is persisted there,
 // so the next run can pass the saved file instead of the CSV and skip the
-// build entirely. savePacked selects the packed (v3, compressed) format for
-// that file; saved indexes of either format reopen identically.
-func loadOrOpenIndex(eng *rcj.Engine, path string, backend rcj.Backend, save string, savePacked bool) *rcj.Index {
+// build entirely.
+func loadOrOpenIndex(eng *rcj.Engine, path string, backend rcj.Backend, save string) *rcj.Index {
 	var ix *rcj.Index
 	if rcj.IsIndexURL(path) || rcj.IsIndexFile(path) {
 		var err error
@@ -375,14 +371,10 @@ func loadOrOpenIndex(eng *rcj.Engine, path string, backend rcj.Backend, save str
 		}
 	}
 	if save != "" {
-		saveFn, format := ix.Save, "v2"
-		if savePacked {
-			saveFn, format = ix.SavePacked, "packed v3"
-		}
-		if err := saveFn(save); err != nil {
+		if err := ix.Save(save); err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "rcjjoin: saved index %s (%d points, %s)\n", save, ix.Len(), format)
+		fmt.Fprintf(os.Stderr, "rcjjoin: saved index %s (%d points, packed v3)\n", save, ix.Len())
 	}
 	return ix
 }

@@ -328,14 +328,13 @@ func opt(class, note string, setters ...string) option { return option{class, no
 var (
 	batchMixes   = []string{"internal/sched/batch.go#8 clients, mixed window/full/max-diameter requests", "internal/sched/batch.go#4 clients, windows only"}
 	backendUsers = []string{"perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendMem}", "perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendFile}"}
-	packedUsers  = []string{"perf/embed.go#ix.SavePacked(path)", "perf/live.go#ix.Save(f.path)"}
 )
 
 // optionLedger classes every flag of the six commands ("cmd -flag") and
 // every exported field of the configuration structs ("pkg.Type.Field"). A
 // new row has to be argued for here, against the class it claims; the size
 // of the table is the configuration surface the tests and the benchmark must
-// cover (rcjd 16 flags + 2 repeatable lists, rcjjoin 24, rcjrouter 5 + 1).
+// cover (rcjd 16 flags + 2 repeatable lists, rcjjoin 23, rcjrouter 5 + 1).
 var optionLedger = map[string]option{
 	"rcjd -addr":                  opt(deployment, "listen address"),
 	"rcjd -index":                 opt(deployment, "name=path or URL of a saved index (repeatable)"),
@@ -367,7 +366,6 @@ var optionLedger = map[string]option{
 	"rcjjoin -buffer":             opt(paper, "LRU buffer size in pages"),
 	"rcjjoin -save-index-p":       opt(deployment, "path to save P's index to"),
 	"rcjjoin -save-index-q":       opt(deployment, "path to save Q's index to"),
-	"rcjjoin -save-packed":        opt(workload, "format v3 or v2 of the files written", packedUsers...),
 	"rcjjoin -backend":            opt(workload, "rcj.IndexConfig.Backend", backendUsers...),
 	"rcjjoin -timeout":            opt(deployment, "deadline: the whole run"),
 	"rcjjoin -top-k":              opt(query, "predicate"),
@@ -458,8 +456,6 @@ var optionLedger = map[string]option{
 	"shard.BuildConfig.Shards":      opt(deployment, "capacity: shard count of the deployment being built"),
 	"shard.BuildConfig.MaxDiameter": opt(deployment, "the deployment's serving contract: largest ring diameter its shards answer"),
 	"shard.BuildConfig.Name":        opt(deployment, "manifest name"),
-	"shard.BuildConfig.Self":        opt(query, "join shape: one dataset served for self-joins"),
-	"shard.BuildConfig.Packed":      opt(workload, "format v3 or v2 of the files written", packedUsers...),
 
 	"live.Config.PageSize":       opt(paper, "page size"),
 	"live.Config.CompactEvery":   opt(deployment, "capacity: in-memory delta points before a seal"),
@@ -488,7 +484,7 @@ var optionLedger = map[string]option{
 }
 
 // ledgerRows is the size ROADMAP's table tracks.
-const ledgerRows = 129
+const ledgerRows = 126
 
 // ledgerStructs lists the configuration structs whose exported fields the
 // ledger classes, by directory.
@@ -745,5 +741,73 @@ func TestOneReadPath(t *testing.T) {
 	}
 	if fields != 3 {
 		t.Errorf("rcj.IndexConfig has %d fields, want 3", fields)
+	}
+}
+
+// TestOneWritePath is the guard on "one saved-index format": everything the
+// system writes is packed v3, through one function. storage.WriteIndexFile
+// has exactly one non-test caller, Index.Save (compaction generations, shard
+// files and rcjjoin's -save-index-* all reach it through Save); the frozen
+// SavePacked name is the single statement `return ix.Save(path)`; and no
+// non-test code outside internal/storage names a format version, so none can
+// ask the writer for a legacy one. A second writer, or a caller picking a
+// version, has to be argued for here.
+func TestOneWritePath(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var callers, versionUsers []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" || name == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		inStorage := strings.HasPrefix(rel, "internal/storage/")
+		for _, decl := range f.Decls {
+			fn, isFunc := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					name := types.ExprString(n.Fun)
+					if isFunc && (name == "WriteIndexFile" || strings.HasSuffix(name, ".WriteIndexFile")) {
+						callers = append(callers, filepath.Dir(rel)+"."+funcName(fn))
+					}
+				case *ast.Ident:
+					if !inStorage && strings.HasPrefix(n.Name, "FormatVersion") {
+						versionUsers = append(versionUsers, fmt.Sprintf("%s:%d", rel, fset.Position(n.Pos()).Line))
+					}
+				}
+				return true
+			})
+			if isFunc && funcName(fn) == "Index.SavePacked" && !forwardsTo(fn, "Save") {
+				t.Errorf("%s: Index.SavePacked must be the single statement `return ix.Save(path)`", rel)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"rcj.Index.Save"}; !slices.Equal(callers, want) {
+		t.Errorf("non-test callers of storage.WriteIndexFile: %v, want exactly %v", callers, want)
+	}
+	for _, at := range versionUsers {
+		t.Errorf("%s names a storage.FormatVersion* constant: the writer emits v3 only, and only storage reads versions", at)
 	}
 }

@@ -66,35 +66,50 @@ func gatePoints() (p, q []rcj.Point) {
 	return p, q
 }
 
-// corruptIndex flips one byte in the chosen pages of the saved v2 index.
+// corruptIndex flips byte 9 of the chosen pages of the saved index: it
+// re-saves the damaged page images, then copies the original checksum table
+// back over the new one, so every damaged page decodes to its flipped bytes
+// and fails verification against its original CRC — the same decoded bytes,
+// and the same failure, whatever the layout the writer packs them in.
 func corruptIndex(t *testing.T, path string, c corruption) {
 	t.Helper()
 	if c == intact {
 		return
 	}
-	pager, sb, err := storage.OpenIndexFile(path, storage.BackendFile)
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pager.Close()
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	pager, sb, err := storage.OpenIndexFile(path, storage.BackendMem) // a writable copy of the pages
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	for page := 0; page < sb.NumPages; page++ {
-		if page == int(sb.Root) || (c == lateLeaf && page != gateLateLeaf) {
+	defer pager.Close()
+	page := make([]byte, sb.PageSize)
+	for id := storage.PageID(0); int(id) < sb.NumPages; id++ {
+		if id == sb.Root || (c == lateLeaf && id != gateLateLeaf) {
 			continue
 		}
-		off := int64(sb.PageSize)*int64(1+page) + 9
-		var b [1]byte
-		if _, err := f.ReadAt(b[:], off); err != nil {
+		if err := pager.ReadPage(id, page); err != nil {
 			t.Fatal(err)
 		}
-		b[0] ^= 0xFF
-		if _, err := f.WriteAt(b[:], off); err != nil {
+		page[9] ^= 0xFF
+		if err := pager.WritePage(id, page); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := storage.WriteIndexFile(path, sb, pager); err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table is the last PageTableSize bytes of every checksummed layout.
+	n := storage.PageTableSize(sb.NumPages)
+	copy(damaged[len(damaged)-n:], orig[len(orig)-n:])
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -90,7 +90,7 @@ func newDeployment(t *testing.T, self bool, shards int, split [][]int, tweak fun
 	dir := t.TempDir()
 	manPath := filepath.Join(dir, "deploy.rcjm")
 	man, err := shard.Build(manPath, p, q, shard.BuildConfig{
-		Shards: shards, MaxDiameter: testMaxD, Name: "deploy", Self: self,
+		Shards: shards, MaxDiameter: testMaxD, Name: "deploy",
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -205,7 +205,11 @@ func TestRemoteJoinChecksumFailure(t *testing.T) {
 	if victim == sb.Root {
 		victim = 1
 	}
-	origin := &faultyOrigin{data: data, corruptAt: int64(sb.PageSize) * int64(1+int64(victim))}
+	dir, err := storage.DecodePageDir(data[sb.PageSize:], sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := &faultyOrigin{data: data, corruptAt: int64(dir[victim])} // where the victim's blob starts
 	originSrv := httptest.NewServer(origin)
 	defer originSrv.Close()
 

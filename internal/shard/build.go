@@ -27,16 +27,13 @@ type BuildConfig struct {
 	MaxDiameter float64
 	// Name labels the manifest.
 	Name string
-	// Self builds a single-dataset manifest (self-join serving); q must be
-	// nil.
-	Self bool
-	// Packed saves shard indexes in the packed v3 format (SavePacked).
-	Packed bool
 }
 
 // Build partitions the dataset(s) into cfg.Shards grid cells, writes one
 // `.rcjx` index per cell and side next to manifestPath (named
 // `<stem>.s<id>.p.rcjx` / `.q.rcjx`), and writes + returns the manifest.
+// A nil q builds a single-dataset manifest, served as P's self-join; a
+// non-nil q, even an empty one, is the second dataset of a pair manifest.
 // Every point is duplicated into each cell it lies within the overlap
 // margin of, so each shard can answer its owned pairs (center ∈ cell,
 // diameter ≤ MaxDiameter) without seeing any other shard.
@@ -47,9 +44,7 @@ func Build(manifestPath string, p, q []rcj.Point, cfg BuildConfig) (*Manifest, e
 	if cfg.MaxDiameter <= 0 {
 		return nil, errors.New("shard: MaxDiameter must be > 0 (the sharded deployment's largest serveable ring diameter)")
 	}
-	if cfg.Self && q != nil {
-		return nil, errors.New("shard: self build takes a single dataset")
-	}
+	self := q == nil
 	if len(p) == 0 {
 		return nil, errors.New("shard: no points to partition")
 	}
@@ -60,7 +55,7 @@ func Build(manifestPath string, p, q []rcj.Point, cfg BuildConfig) (*Manifest, e
 	m := &Manifest{
 		Version:     Version,
 		Name:        cfg.Name,
-		Self:        cfg.Self,
+		Self:        self,
 		Bounds:      bounds,
 		GridNX:      nx,
 		GridNY:      ny,
@@ -79,15 +74,15 @@ func Build(manifestPath string, p, q []rcj.Point, cfg BuildConfig) (*Manifest, e
 		// A shard with an empty input can own no pairs (every owned pair's
 		// endpoints lie within the margin of its cell, so they would be in
 		// the subsets): leave it file-less, the router never contacts it.
-		populated := len(psub) > 0 && (cfg.Self || len(qsub) > 0)
+		populated := len(psub) > 0 && (self || len(qsub) > 0)
 		if populated {
 			sh.P = fmt.Sprintf("%s.s%d.p.rcjx", stem, id)
-			if err := saveShardIndex(filepath.Join(dir, sh.P), psub, cfg); err != nil {
+			if err := saveShardIndex(filepath.Join(dir, sh.P), psub); err != nil {
 				return nil, fmt.Errorf("shard %d: %w", id, err)
 			}
-			if !cfg.Self {
+			if !self {
 				sh.Q = fmt.Sprintf("%s.s%d.q.rcjx", stem, id)
-				if err := saveShardIndex(filepath.Join(dir, sh.Q), qsub, cfg); err != nil {
+				if err := saveShardIndex(filepath.Join(dir, sh.Q), qsub); err != nil {
 					return nil, fmt.Errorf("shard %d: %w", id, err)
 				}
 			}
@@ -103,15 +98,12 @@ func Build(manifestPath string, p, q []rcj.Point, cfg BuildConfig) (*Manifest, e
 }
 
 // saveShardIndex builds and persists one shard-side index.
-func saveShardIndex(path string, pts []rcj.Point, cfg BuildConfig) error {
+func saveShardIndex(path string, pts []rcj.Point) error {
 	ix, err := rcj.BuildIndex(pts, rcj.IndexConfig{})
 	if err != nil {
 		return err
 	}
 	defer ix.Close()
-	if cfg.Packed {
-		return ix.SavePacked(path)
-	}
 	return ix.Save(path)
 }
 

@@ -148,8 +148,10 @@ func (m *Manifest) Validate() error {
 	if m.Version != Version {
 		return fmt.Errorf("%w: %d (supported: %d)", ErrBadVersion, m.Version, Version)
 	}
-	if m.GridNX <= 0 || m.GridNY <= 0 {
-		return fmt.Errorf("%w: grid %dx%d", ErrBadManifest, m.GridNX, m.GridNY)
+	// Each side is bounded by the shard count before the two are multiplied:
+	// a hostile grid (2^32 x 2^32) must not wrap to the shard count.
+	if m.GridNX <= 0 || m.GridNY <= 0 || m.GridNX > len(m.Shards) || m.GridNY > len(m.Shards) {
+		return fmt.Errorf("%w: grid %dx%d for %d shards", ErrBadManifest, m.GridNX, m.GridNY, len(m.Shards))
 	}
 	if len(m.Shards) != m.GridNX*m.GridNY {
 		return fmt.Errorf("%w: %d shards for a %dx%d grid", ErrBadManifest, len(m.Shards), m.GridNX, m.GridNY)

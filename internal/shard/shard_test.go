@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -21,7 +22,7 @@ func randomPoints(rng *rand.Rand, n int, span float64) []rcj.Point {
 	return pts
 }
 
-func buildTestManifest(t *testing.T, nShards int, self bool) (*Manifest, string) {
+func buildTestManifest(t testing.TB, nShards int, self bool) (*Manifest, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	p := randomPoints(rng, 300, 1000)
@@ -34,7 +35,7 @@ func buildTestManifest(t *testing.T, nShards int, self bool) (*Manifest, string)
 	}
 	path := filepath.Join(t.TempDir(), "test.rcjm")
 	m, err := Build(path, p, q, BuildConfig{
-		Shards: nShards, MaxDiameter: 120, Name: "test", Self: self,
+		Shards: nShards, MaxDiameter: 120, Name: "test",
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -106,6 +107,93 @@ func TestManifestCorruption(t *testing.T) {
 	// Garbage.
 	if _, err := Decode([]byte("not json")); !errors.Is(err, ErrBadManifest) {
 		t.Errorf("garbage: got %v, want ErrBadManifest", err)
+	}
+
+	// A grid whose side product wraps around to the shard count: 2^32 x 2^32
+	// cells and no shards, under a correct checksum. It used to decode, and
+	// InteriorCuts then indexed past the empty shard list.
+	overflow := &Manifest{Version: Version, Name: "overflow", GridNX: 1 << 32, GridNY: 1 << 32, MaxDiameter: 1, Margin: 1}
+	if _, err := Decode(stampChecksum(t, overflow)); !errors.Is(err, ErrBadManifest) {
+		t.Errorf("overflowing grid: got %v, want ErrBadManifest", err)
+	}
+}
+
+// stampChecksum encodes m as JSON with a correct checksum and no validation,
+// so Decode's structural checks are what judge it.
+func stampChecksum(t testing.TB, m *Manifest) []byte {
+	t.Helper()
+	sum, err := m.checksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Checksum = sum
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzDecodeManifest throws arbitrary JSON at the manifest reader. Input
+// that parses as a manifest is re-stamped with its correct checksum first,
+// so the fuzzer reaches Validate instead of stopping at the checksum; then
+// neither Decode nor InteriorCuts of an accepted manifest may panic, and an
+// accepted manifest has exactly one shard per grid cell.
+func FuzzDecodeManifest(f *testing.F) {
+	_, path := buildTestManifest(f, 4, false)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"version":1,"grid_nx":4294967296,"grid_ny":4294967296,"max_diameter":1,"margin":1}`))
+	f.Add([]byte(`{"version":1,"grid_nx":2,"grid_ny":1,"max_diameter":1,"margin":1,"shards":[{"id":0,"p":"a"}]}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var probe Manifest
+		if json.Unmarshal(data, &probe) == nil {
+			data = stampChecksum(t, &probe)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if len(got.Shards) != got.GridNX*got.GridNY {
+			t.Fatalf("accepted %d shards for a %dx%d grid", len(got.Shards), got.GridNX, got.GridNY)
+		}
+		xs, ys := got.InteriorCuts()
+		if len(xs) != got.GridNX-1 || len(ys) != got.GridNY-1 {
+			t.Fatalf("interior cuts %d/%d for a %dx%d grid", len(xs), len(ys), got.GridNX, got.GridNY)
+		}
+	})
+}
+
+// TestBuildShapeFromQ pins how Build tells the two manifest shapes apart: a
+// nil q is P's self-join, and a non-nil q — even an empty one — is a second
+// dataset, here one no shard can pair with.
+func TestBuildShapeFromQ(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := randomPoints(rng, 50, 100)
+	for _, tc := range []struct {
+		name      string
+		q         []rcj.Point
+		self      bool
+		populated bool
+	}{
+		{"nil q", nil, true, true},
+		{"empty q", []rcj.Point{}, false, false},
+	} {
+		m, err := Build(filepath.Join(t.TempDir(), "shape.rcjm"), p, tc.q, BuildConfig{Shards: 2, MaxDiameter: 10, Name: "shape"})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		populated := false
+		for _, sh := range m.Shards {
+			populated = populated || !sh.Empty()
+		}
+		if m.Self != tc.self || populated != tc.populated {
+			t.Errorf("%s: Self=%v populated=%v, want %v/%v", tc.name, m.Self, populated, tc.self, tc.populated)
+		}
 	}
 }
 
@@ -191,7 +279,7 @@ func TestShardedJoinEquivalence(t *testing.T) {
 			}
 			path := filepath.Join(t.TempDir(), "eq.rcjm")
 			m, err := Build(path, p, q, BuildConfig{
-				Shards: tc.shards, MaxDiameter: maxD, Self: tc.self, Name: tc.name,
+				Shards: tc.shards, MaxDiameter: maxD, Name: tc.name,
 			})
 			if err != nil {
 				t.Fatal(err)

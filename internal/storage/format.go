@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"repro/internal/pagecodec"
 )
 
 // The durable index file format (".rcjx"), versions 1 and 2:
@@ -44,10 +45,9 @@ import (
 // which is what lets a pager serve the file over an unreliable substrate
 // (remote HTTP ranges, flaky disks): each page is verified against the table
 // — after blob decode, for v3 — before a single tree entry is decoded.
-// Version 1 files (no table) still open read-only; the writer emits version
-// 2 by default and version 3 on request (WriteIndexFile with
-// sb.Version = FormatVersion3). Readers see all three as one layout with two
-// optional tables (layout.go): the directory and the checksum table.
+// WriteIndexFile emits version 3 only; version 1 (no table) and version 2
+// files are read-only. Readers see all three as one layout with two optional
+// tables (layout.go): the directory and the checksum table.
 //
 // Superblock layout (little endian):
 //
@@ -65,19 +65,17 @@ const (
 	// SuperblockSize is the encoded size of a Superblock in bytes.
 	SuperblockSize = 72
 	// FormatVersion1 is the original format: superblock + raw page image,
-	// no per-page checksums. Still readable.
+	// no per-page checksums. Read-only.
 	FormatVersion1 = 1
-	// FormatVersion2 adds the per-page CRC-32 table trailer.
+	// FormatVersion2 adds the per-page CRC-32 table trailer. Read-only.
 	FormatVersion2 = 2
 	// FormatVersion3 packs pages into compressed variable-length blobs
 	// behind a page directory (see the format comment above). Leaf pages
 	// delta/varint-compress to roughly half their raw size; the checksum
-	// table still covers the uncompressed images.
+	// table still covers the uncompressed images. The only version the
+	// writer emits: readers that predate it reject the file with
+	// ErrBadVersion.
 	FormatVersion3 = 3
-	// FormatVersion is the version the writer emits by default. Version 3
-	// is opt-in (Index.SavePacked): readers that predate it reject the file
-	// with ErrBadVersion.
-	FormatVersion = FormatVersion2
 	// maxFormatVersion is the newest version this reader understands.
 	maxFormatVersion = FormatVersion3
 )
@@ -118,7 +116,7 @@ var (
 // Superblock is the tree-metadata block at the head of an index file: enough
 // to reattach an R-tree to the page image without touching a single point.
 type Superblock struct {
-	Version  int        // format version; 0 encodes as FormatVersion
+	Version  int        // format version; WriteIndexFile fills in FormatVersion3
 	Flags    uint16     // format flags; must be FlagPackedPages for v3, zero before
 	PageSize int        // fixed page size in bytes
 	NumPages int        // pages following the header block
@@ -128,27 +126,18 @@ type Superblock struct {
 	MBR      [4]float64 // dataset bounding rect: minX, minY, maxX, maxY
 }
 
-// effectiveVersion resolves the zero Version to the writer's current format.
-func (sb Superblock) effectiveVersion() int {
-	if sb.Version == 0 {
-		return FormatVersion
-	}
-	return sb.Version
-}
-
 // hasPageTable reports whether this superblock's format version carries the
 // per-page checksum table (a trailer at PageSize·(1+NumPages) for v2; at
 // dir[NumPages] for packed v3).
-func (sb Superblock) hasPageTable() bool { return sb.effectiveVersion() >= FormatVersion2 }
+func (sb Superblock) hasPageTable() bool { return sb.Version >= FormatVersion2 }
 
 // Packed reports whether this superblock's format stores pages as compressed
 // variable-length blobs behind a page directory (format v3).
-func (sb Superblock) Packed() bool { return sb.effectiveVersion() >= FormatVersion3 }
+func (sb Superblock) Packed() bool { return sb.Version >= FormatVersion3 }
 
 // EncodeSuperblock serializes sb into buf, which must be at least
 // SuperblockSize bytes. It fails on a superblock that Validate rejects, so
-// every encoded superblock decodes cleanly. A zero Version encodes as the
-// current FormatVersion.
+// every encoded superblock decodes cleanly.
 func EncodeSuperblock(sb Superblock, buf []byte) error {
 	if len(buf) < SuperblockSize {
 		return fmt.Errorf("storage: superblock buffer %d smaller than %d", len(buf), SuperblockSize)
@@ -157,7 +146,7 @@ func EncodeSuperblock(sb Superblock, buf []byte) error {
 		return err
 	}
 	copy(buf[0:8], Magic[:])
-	binary.LittleEndian.PutUint16(buf[8:], uint16(sb.effectiveVersion()))
+	binary.LittleEndian.PutUint16(buf[8:], uint16(sb.Version))
 	binary.LittleEndian.PutUint16(buf[10:], sb.Flags)
 	binary.LittleEndian.PutUint32(buf[12:], uint32(sb.PageSize))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(sb.NumPages))
@@ -211,7 +200,7 @@ func DecodeSuperblock(buf []byte) (Superblock, error) {
 // sane page size, a root that lies inside the page range, and height/count
 // agreement.
 func (sb Superblock) Validate() error {
-	v := sb.effectiveVersion()
+	v := sb.Version
 	if v < FormatVersion1 || v > maxFormatVersion {
 		return fmt.Errorf("%w: %d (supported: %d..%d)", ErrBadVersion, v, FormatVersion1, maxFormatVersion)
 	}
@@ -372,25 +361,52 @@ func VerifyPage(table []uint32, id PageID, page []byte) error {
 	return nil
 }
 
-// WriteIndexFile durably writes src's pages to path in the index file
-// format, prefixed by sb and (format v2, the default) followed by the page
-// checksum table. sb must describe src exactly (page size and page count);
-// sb.Version selects the emitted format — zero means the current
-// FormatVersion, FormatVersion1 writes the legacy table-less layout (kept
-// for compatibility fixtures), FormatVersion3 packs pages into compressed
-// blobs behind a page directory (the packed flag is set automatically). The
-// file is written to a temp sibling and renamed into place, so a crashed
-// Save never leaves a half-written index at path.
+// WriteIndexFile durably writes src's pages to path in the packed index file
+// format (v3): sb in the header block, then the page directory, one
+// pagecodec blob per page, and the checksum table over the uncompressed
+// images. sb must describe src exactly (page size and page count) and may
+// ask for no version but v3 — zero or FormatVersion3; the writer sets the
+// version and the packed flag itself. Versions 1 and 2 are read-only: asking
+// for either fails with ErrBadVersion. The body is encoded in memory first
+// (the compressed image, typically well under half the raw size), because the
+// directory precedes the blobs but their offsets are known only once every
+// page is encoded. The file is written to a temp sibling and renamed into
+// place, so a crashed Save never leaves a half-written index at path.
 func WriteIndexFile(path string, sb Superblock, src Pager) error {
+	if sb.Version != 0 && sb.Version != FormatVersion3 {
+		return fmt.Errorf("%w: the writer emits only v%d, not v%d (v1 and v2 are read-only)", ErrBadVersion, FormatVersion3, sb.Version)
+	}
+	sb.Version, sb.Flags = FormatVersion3, FlagPackedPages
 	if sb.PageSize != src.PageSize() {
 		return fmt.Errorf("storage: superblock page size %d != pager page size %d", sb.PageSize, src.PageSize())
 	}
 	if sb.NumPages != src.NumPages() {
 		return fmt.Errorf("storage: superblock page count %d != pager page count %d", sb.NumPages, src.NumPages())
 	}
-	if sb.Packed() {
-		sb.Flags = FlagPackedPages
+	header := make([]byte, sb.PageSize)
+	if err := EncodeSuperblock(sb, header); err != nil {
+		return fmt.Errorf("storage: write index file: %w", err)
 	}
+	base := uint64(sb.PageSize) + uint64(PageDirSize(sb.NumPages))
+	dir := make([]uint64, sb.NumPages+1)
+	table := make([]uint32, sb.NumPages)
+	blobs := make([]byte, 0, sb.NumPages*64)
+	page := make([]byte, sb.PageSize)
+	for i := 0; i < sb.NumPages; i++ {
+		if err := src.ReadPage(PageID(i), page); err != nil {
+			return fmt.Errorf("storage: write index file: %w", err)
+		}
+		table[i] = PageChecksum(page)
+		dir[i] = base + uint64(len(blobs))
+		blobs = pagecodec.AppendPage(blobs, page)
+	}
+	dir[sb.NumPages] = base + uint64(len(blobs))
+	dbuf := make([]byte, PageDirSize(sb.NumPages))
+	tbuf := make([]byte, PageTableSize(sb.NumPages))
+	if err := errors.Join(EncodePageDir(dir, dbuf), EncodePageTable(table, tbuf)); err != nil {
+		return fmt.Errorf("storage: write index file: %w", err)
+	}
+
 	// A unique temp name per writer: concurrent Saves to the same path must
 	// not interleave into one tmp file, or the rename would install a blend
 	// of two page images.
@@ -403,50 +419,10 @@ func WriteIndexFile(path string, sb Superblock, src Pager) error {
 		if err := f.Chmod(0o644); err != nil { // CreateTemp defaults to 0600
 			return err
 		}
-		w := bufio.NewWriterSize(f, 1<<16)
-		header := make([]byte, sb.PageSize)
-		if err := EncodeSuperblock(sb, header); err != nil {
-			return err
-		}
-		if _, err := w.Write(header); err != nil {
-			return err
-		}
-		if sb.Packed() {
-			if err := writePackedBody(w, sb, src); err != nil {
+		for _, b := range [][]byte{header, dbuf, blobs, tbuf} {
+			if _, err := f.Write(b); err != nil {
 				return err
 			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			return f.Sync()
-		}
-		var table []uint32
-		if sb.hasPageTable() {
-			table = make([]uint32, sb.NumPages)
-		}
-		buf := make([]byte, sb.PageSize)
-		for i := 0; i < sb.NumPages; i++ {
-			if err := src.ReadPage(PageID(i), buf); err != nil {
-				return err
-			}
-			if table != nil {
-				table[i] = PageChecksum(buf)
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		if table != nil {
-			tbuf := make([]byte, PageTableSize(sb.NumPages))
-			if err := EncodePageTable(table, tbuf); err != nil {
-				return err
-			}
-			if _, err := w.Write(tbuf); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
 		}
 		return f.Sync()
 	}()

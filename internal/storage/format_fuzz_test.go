@@ -13,13 +13,18 @@ import (
 
 // FuzzDecodeSuperblock throws arbitrary bytes at the superblock decoder: it
 // must never panic, and anything it accepts must re-encode to the identical
-// bytes (the format has no redundant encodings). Seeds cover both format
-// versions so the corpus keeps exercising v1 and v2 decoding.
+// bytes (the format has no redundant encodings). Seeds cover every format
+// version, the read-only v1 and v2 as well as the written v3.
 func FuzzDecodeSuperblock(f *testing.F) {
-	for _, version := range []int{FormatVersion1, FormatVersion2} {
+	for _, version := range []int{FormatVersion1, FormatVersion2, FormatVersion3} {
+		var flags uint16
+		if version == FormatVersion3 {
+			flags = FlagPackedPages
+		}
 		valid := make([]byte, SuperblockSize)
 		if err := EncodeSuperblock(Superblock{
 			Version:  version,
+			Flags:    flags,
 			PageSize: DefaultPageSize,
 			NumPages: 9,
 			Root:     3,
@@ -42,7 +47,7 @@ func FuzzDecodeSuperblock(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if sb.Version != FormatVersion1 && sb.Version != FormatVersion2 {
+		if sb.Version < FormatVersion1 || sb.Version > FormatVersion3 {
 			t.Fatalf("decoder accepted unknown version %d", sb.Version)
 		}
 		if err := sb.Validate(); err != nil {
@@ -108,11 +113,14 @@ func FuzzDecodePageTable(f *testing.F) {
 // the typed validation errors or returns a pager whose every ReadPage returns
 // nil or a typed error — never a panic, and never an allocation beyond a
 // small multiple of the file's length. Seeds are the committed fixtures of
-// all three format versions, plus two whose (CRC-valid) superblocks lie
-// about how much file follows.
+// all three format versions — one-page indexes and the multi-page legacy
+// files — plus two per fixture whose (CRC-valid) superblocks lie about how
+// much file follows.
 func FuzzOpenIndexFile(f *testing.F) {
-	for _, name := range []string{"golden_v1.rcjx", "golden_v2.rcjx", "golden_v3.rcjx"} {
-		golden, err := os.ReadFile(filepath.Join("..", "..", "rcj", "testdata", name))
+	golden := filepath.Join("..", "..", "rcj", "testdata")
+	for _, path := range []string{filepath.Join(golden, "golden_v1.rcjx"), filepath.Join(golden, "golden_v2.rcjx"),
+		filepath.Join(golden, "golden_v3.rcjx"), v1Fixture, v2Fixture} {
+		golden, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}

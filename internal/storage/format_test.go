@@ -15,7 +15,7 @@ import (
 
 func testSuperblock() Superblock {
 	return Superblock{
-		Version:  FormatVersion,
+		Version:  FormatVersion2,
 		PageSize: DefaultPageSize,
 		NumPages: 7,
 		Root:     6,
@@ -202,13 +202,13 @@ func checkOpens(t *testing.T, path string, want Superblock, src Pager, be Backen
 	return pager
 }
 
-// checkResaves writes an opened pager back out under sb and compares the
-// file with want: whatever substrate and format the pages came through,
-// they are the same pages.
+// checkResaves writes an opened pager back out under sb, upgraded to the one
+// version the writer emits, and compares the file with want: whatever
+// substrate and format the pages came through, they are the same pages.
 func checkResaves(t *testing.T, pager Pager, sb Superblock, want string) {
 	t.Helper()
 	resaved := filepath.Join(t.TempDir(), "resaved.rcjx")
-	if err := WriteIndexFile(resaved, sb, pager); err != nil {
+	if err := WriteIndexFile(resaved, asV3(sb), pager); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(resaved)
@@ -220,7 +220,7 @@ func checkResaves(t *testing.T, pager Pager, sb Superblock, want string) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("re-saved v%d file differs from %s (%d vs %d bytes)", sb.Version, filepath.Base(want), len(got), len(wantBytes))
+		t.Fatalf("re-saved file differs from %s (%d vs %d bytes)", filepath.Base(want), len(got), len(wantBytes))
 	}
 }
 
@@ -266,12 +266,29 @@ func checkPageDamage(t *testing.T, pristine []byte, off int64, page PageID, be B
 	}
 }
 
-// TestV2PageBitFlips flips one bit inside each page of a v2 file on every
-// backend, then one in the table trailer, which fails every open.
+// The committed legacy fixtures, written by the last build whose writer
+// emitted v1 and v2: v1Fixture holds testPager(5) under v1Superblock,
+// v2Fixture holds newPackedTestPager(6) under packedTestSuperblock(6) at v2.
+const (
+	v1Fixture = "testdata/v1.rcjx"
+	v2Fixture = "testdata/v2.rcjx"
+)
+
+func v1Superblock() Superblock {
+	return Superblock{Version: FormatVersion1, PageSize: DefaultPageSize, NumPages: 5, Root: 4, Height: 1, Count: 15, MBR: [4]float64{0, 0, 1, 1}}
+}
+
+func v2Superblock() Superblock {
+	sb := packedTestSuperblock(6)
+	sb.Version, sb.Flags = FormatVersion2, 0
+	return sb
+}
+
+// TestV2PageBitFlips flips one bit inside each page of the v2 fixture on
+// every backend, then one in the table trailer, which fails every open.
 func TestV2PageBitFlips(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ix.rcjx")
-	want := writeTestIndexFile(t, path, 4)
-	pristine, err := os.ReadFile(path)
+	want := v2Superblock()
+	pristine, err := os.ReadFile(v2Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,37 +314,74 @@ func TestV2PageBitFlips(t *testing.T) {
 	})
 }
 
-// TestV1StillOpens writes the legacy table-less format and checks it opens
-// read-only on every backend — backward compatibility with pre-v2 indexes.
+// TestV1StillOpens checks the legacy table-less fixture opens read-only on
+// every backend — backward compatibility with pre-v2 indexes — and re-saves
+// as the v3 file the writer makes of the same pages.
 func TestV1StillOpens(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.rcjx")
-	const numPages = 5
-	src := testPager(t, numPages)
-	sb := Superblock{
-		Version:  FormatVersion1,
-		PageSize: DefaultPageSize,
-		NumPages: numPages,
-		Root:     numPages - 1,
-		Height:   1,
-		Count:    numPages * 3,
-		MBR:      [4]float64{0, 0, 1, 1},
-	}
-	if err := WriteIndexFile(path, sb, src); err != nil {
-		t.Fatal(err)
-	}
+	sb := v1Superblock()
+	src := testPager(t, sb.NumPages)
 	// The v1 layout has no trailer: the file ends with the last page.
-	info, err := os.Stat(path)
+	info, err := os.Stat(v1Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(DefaultPageSize) * (1 + numPages); info.Size() != want {
+	if want := int64(sb.PageSize) * int64(1+sb.NumPages); info.Size() != want {
 		t.Fatalf("v1 file is %d bytes, want exactly %d (no trailer)", info.Size(), want)
 	}
-	if !SniffIndexFile(path) {
+	if !SniffIndexFile(v1Fixture) {
 		t.Fatal("SniffIndexFile(v1) = false")
 	}
+	v3 := filepath.Join(t.TempDir(), "v3.rcjx")
+	if err := WriteIndexFile(v3, asV3(sb), src); err != nil {
+		t.Fatal(err)
+	}
 	for _, be := range allBackends {
-		t.Run(be.String(), func(t *testing.T) { checkResaves(t, checkOpens(t, path, sb, src, be), sb, path) })
+		t.Run(be.String(), func(t *testing.T) { checkResaves(t, checkOpens(t, v1Fixture, sb, src, be), sb, v3) })
+	}
+}
+
+// asV3 is sb as the writer emits it: version 3, packed flag set.
+func asV3(sb Superblock) Superblock {
+	sb.Version, sb.Flags = FormatVersion3, FlagPackedPages
+	return sb
+}
+
+// TestWriterEmitsOnlyV3 pins the one write path: a superblock asking for any
+// version but 3 is refused before a file appears, and the zero version is v3.
+func TestWriterEmitsOnlyV3(t *testing.T) {
+	dir := t.TempDir()
+	sb := v1Superblock()
+	src := testPager(t, sb.NumPages)
+	for _, v := range []int{FormatVersion1, FormatVersion2, FormatVersion3 + 1, -1} {
+		sb.Version = v
+		path := filepath.Join(dir, fmt.Sprintf("v%d.rcjx", v))
+		if err := WriteIndexFile(path, sb, src); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("WriteIndexFile(v%d) = %v, want ErrBadVersion", v, err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused v%d write left a file behind: %v", v, err)
+		}
+	}
+	var files [2][]byte
+	for i, v := range []int{0, FormatVersion3} {
+		sb.Version = v
+		path := filepath.Join(dir, fmt.Sprintf("ok%d.rcjx", v))
+		if err := WriteIndexFile(path, sb, src); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSuperblockFile(path)
+		if err != nil || got != asV3(sb) {
+			t.Fatalf("version %d wrote superblock %+v (%v), want %+v", v, got, err, asV3(sb))
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("the zero version and FormatVersion3 wrote different files")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("%d files in the output directory, want the 2 written (no temp left behind)", len(entries))
 	}
 }
 
@@ -368,7 +422,8 @@ func testPager(t *testing.T, numPages int) *MemPager {
 	return src
 }
 
-// writeTestIndexFile writes testPager(numPages) in the index format.
+// writeTestIndexFile writes testPager(numPages) in the index format and
+// returns the superblock the file carries.
 func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
 	t.Helper()
 	sb := Superblock{
@@ -382,8 +437,7 @@ func writeTestIndexFile(t *testing.T, path string, numPages int) Superblock {
 	if err := WriteIndexFile(path, sb, testPager(t, numPages)); err != nil {
 		t.Fatal(err)
 	}
-	sb.Version = FormatVersion // the writer emits the current version
-	return sb
+	return asV3(sb)
 }
 
 func TestIndexFileBackends(t *testing.T) {

@@ -187,8 +187,8 @@ type pageFlight struct {
 // checked before the tables it sizes are fetched.
 //
 // Format v1 files open too, but carry no page table, so individual page
-// fetches cannot be verified — prefer re-saving as v2 before serving over a
-// network.
+// fetches cannot be verified — prefer re-saving (the writer emits checksummed
+// v3) before serving over a network.
 func OpenIndexURL(url string, cfg HTTPPagerConfig) (*HTTPPager, Superblock, error) {
 	ownedCli := cfg.Client == nil
 	cfg = cfg.withDefaults()

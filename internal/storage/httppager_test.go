@@ -147,7 +147,7 @@ func parseRange(h string, size int64) (off, n int64, ok bool) {
 	return start, end - start + 1, true
 }
 
-// testIndexImage writes a small v2 index file and returns its bytes and
+// testIndexImage writes a small index file and returns its bytes and
 // superblock.
 func testIndexImage(t *testing.T, numPages int) ([]byte, Superblock) {
 	t.Helper()
@@ -158,6 +158,17 @@ func testIndexImage(t *testing.T, numPages int) ([]byte, Superblock) {
 		t.Fatal(err)
 	}
 	return data, sb
+}
+
+// blobOffset returns where page id's stored bytes start in the packed index
+// image data: the offset the range request fetching that page begins at.
+func blobOffset(t *testing.T, data []byte, sb Superblock, id PageID) int64 {
+	t.Helper()
+	dir, err := DecodePageDir(data[sb.PageSize:], sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(dir[id])
 }
 
 // fastCfg keeps fault-injection runs quick: millisecond backoff, short
@@ -172,14 +183,14 @@ func fastCfg() HTTPPagerConfig {
 }
 
 // TestHTTPPagerHappyPath adds the remote-only observations to the open table
-// (TestIndexFileBackends/http): pages of a v2 index are verified, and a
+// (TestIndexFileBackends/http): pages of a saved index are verified, and a
 // healthy origin costs fetches but no retries.
 func TestHTTPPagerHappyPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.rcjx")
 	want := writeTestIndexFile(t, path, 6)
 	p := checkOpens(t, path, want, testPager(t, 6), BackendHTTP).(*HTTPPager)
 	if p.table == nil {
-		t.Fatal("v2 remote pager not verifying pages")
+		t.Fatal("remote pager not verifying pages")
 	}
 	if rs := p.Remote(); rs.Retries != 0 || rs.Fetches == 0 || rs.BytesFetched == 0 {
 		t.Fatalf("remote stats %+v", rs)
@@ -241,7 +252,7 @@ func TestHTTPPagerBoundedRetries(t *testing.T) {
 
 	const victim = 3
 	flaky.mu.Lock()
-	flaky.corruptAt = int64(want.PageSize) * int64(1+victim)
+	flaky.corruptAt = blobOffset(t, data, want, victim)
 	flaky.mu.Unlock()
 
 	before := flaky.requests.Load()
@@ -431,12 +442,7 @@ func TestHTTPPagerCloseAbortsHungFetch(t *testing.T) {
 // with no checksum table — reads work (TestV1StillOpens/http), but pages
 // cannot be checked.
 func TestHTTPPagerV1Unverified(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.rcjx")
-	sb := Superblock{Version: FormatVersion1, PageSize: DefaultPageSize, NumPages: 3, Root: 2, Height: 1, Count: 9, MBR: [4]float64{0, 0, 1, 1}}
-	if err := WriteIndexFile(path, sb, testPager(t, 3)); err != nil {
-		t.Fatal(err)
-	}
-	p, got, err := openOn(t, path, BackendHTTP)
+	p, got, err := openOn(t, v1Fixture, BackendHTTP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,12 @@
 // The package also defines the durable index file format (see format.go): a
 // versioned, checksummed superblock describing the tree (root page, entry
 // count, MBR) followed by the pages — verbatim or packed — and their
-// checksum table. WriteIndexFile persists a pager; OpenIndexFile validates a
-// file and reopens it behind a local Backend (mem, file) without rebuilding
-// the tree; OpenIndexURL does the same for a remote one. Where a page lives
-// in the file, how it decodes and how it is verified is decided in one place
-// (layout.go) that all three substrates read through.
+// checksum table. WriteIndexFile persists a pager, always in the packed v3
+// layout; v1 and v2 files are read-only. OpenIndexFile validates a file of
+// any version and reopens it behind a local Backend (mem, file) without
+// rebuilding the tree; OpenIndexURL does the same for a remote one. Where a
+// page lives in the file, how it decodes and how it is verified is decided in
+// one place (layout.go) that all three substrates read through.
 package storage
 
 import (

@@ -38,7 +38,7 @@ func (s *gatedServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestHTTPPagerSingleFlight(t *testing.T) {
 	data, sb := testIndexImage(t, 4)
 	gated := &gatedServer{inner: newFlakyIndexServer(data), gate: make(chan struct{})}
-	gated.gateOff = int64(sb.PageSize) // page 0
+	gated.gateOff = blobOffset(t, data, sb, 0)
 	srv := httptest.NewServer(gated)
 	defer srv.Close()
 
@@ -110,7 +110,7 @@ func TestHTTPPagerSingleFlight(t *testing.T) {
 func TestHTTPPagerSingleFlightError(t *testing.T) {
 	data, sb := testIndexImage(t, 4)
 	gated := &gatedServer{inner: newFlakyIndexServer(data), gate: make(chan struct{})}
-	gated.gateOff = int64(sb.PageSize)
+	gated.gateOff = blobOffset(t, data, sb, 0)
 	srv := httptest.NewServer(gated)
 	defer srv.Close()
 

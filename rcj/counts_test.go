@@ -17,9 +17,11 @@ import (
 
 // The exact-count gate. A fixed-seed corpus is joined under six query
 // classes, forced OBJ and INJ, at Parallelism 1, over every way an index
-// reaches the executor — built in memory, reopened from a v2 file, from a
-// packed v3 file through a tiny LRU, from v3 loaded whole, and behind a live
-// index with a delta and tombstones on either side — and each run's result
+// reaches the executor — built in memory, reopened from the committed v2
+// files (testdata/counts_*.v2.rcjx, written by the last build whose writer
+// emitted v2: the verbatim pread path), from a packed v3 file through a tiny
+// LRU, from v3 loaded whole, and behind a live index with a delta and
+// tombstones on either side — and each run's result
 // count, candidates, node accesses, page faults, pruned subtrees, bound-killed
 // candidates and pair digest must equal testdata/join_counts.golden line for
 // line. Every row whose answer does not depend on traversal order (no TopK,
@@ -40,6 +42,15 @@ const (
 	countsPageSize = 256 // 10-entry leaves: ~1000 points make a four-level tree
 )
 
+// countsV2Files are the corpus's committed v2 files, outer (Q) then inner (P).
+var countsV2Files = [2]string{"testdata/counts_q.v2.rcjx", "testdata/counts_p.v2.rcjx"}
+
+// countsCorpus is the fixed-seed corpus: 1200 P and 1000 Q points.
+func countsCorpus() (ps, qs []Point) {
+	rng := rand.New(rand.NewSource(2008))
+	return randomPoints(rng, 1200), randomPoints(rng, 1000)
+}
+
 // countsInputs is one way of standing the corpus up: the outer and inner
 // index of the two-set classes, and the index the self class joins.
 type countsInputs struct {
@@ -53,8 +64,7 @@ func countsVariants(t *testing.T, dir string) []struct {
 	name string
 	open func(t *testing.T) countsInputs
 } {
-	rng := rand.New(rand.NewSource(2008))
-	ps, qs := randomPoints(rng, 1200), randomPoints(rng, 1000)
+	ps, qs := countsCorpus()
 	cfg := IndexConfig{PageSize: countsPageSize}
 
 	build := func(t *testing.T, eng *Engine, pts []Point) *Index {
@@ -88,25 +98,17 @@ func countsVariants(t *testing.T, dir string) []struct {
 		}
 		return ix
 	}
-	// saved writes the corpus once per format and reopens it per row.
-	saved := func(packed bool, be Backend, bufferPages int) func(t *testing.T) countsInputs {
+	// The corpus saved once by this build (v3), next to the committed v2 files.
+	v3Files := [2]string{filepath.Join(dir, "q.rcjx"), filepath.Join(dir, "p.rcjx")}
+	for i, pts := range [][]Point{qs, ps} {
+		if err := build(t, NewEngine(EngineConfig{PageSize: countsPageSize}), pts).Save(v3Files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// saved reopens one pair of files per row.
+	saved := func(paths [2]string, be Backend, bufferPages int) func(t *testing.T) countsInputs {
 		return func(t *testing.T) countsInputs {
 			t.Helper()
-			paths := [2]string{}
-			for i, pts := range [][]Point{qs, ps} {
-				paths[i] = filepath.Join(dir, fmt.Sprintf("%d-packed=%v.rcjx", i, packed))
-				if _, err := os.Stat(paths[i]); err == nil {
-					continue
-				}
-				ix := build(t, NewEngine(EngineConfig{PageSize: countsPageSize}), pts)
-				save := ix.Save
-				if packed {
-					save = ix.SavePacked
-				}
-				if err := save(paths[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
 			eng := NewEngine(EngineConfig{PageSize: countsPageSize, BufferPages: bufferPages, BufferShards: 1})
 			var ixs [2]*Index
 			for i, path := range paths {
@@ -129,10 +131,10 @@ func countsVariants(t *testing.T, dir string) []struct {
 			q, p := build(t, eng, qs), build(t, eng, ps)
 			return countsInputs{eng, q, p, p}
 		}},
-		{"v2-file", saved(false, BackendFile, 0)},
+		{"v2-file", saved(countsV2Files, BackendFile, 0)},
 		// 1 % of the ~300 pages the two trees hold.
-		{"v3-file-lru", saved(true, BackendFile, 3)},
-		{"v3-mem", saved(true, BackendMem, 0)},
+		{"v3-file-lru", saved(v3Files, BackendFile, 3)},
+		{"v3-mem", saved(v3Files, BackendMem, 0)},
 		{"live-inner", func(t *testing.T) countsInputs {
 			eng := NewEngine(EngineConfig{PageSize: countsPageSize})
 			q, p := build(t, eng, qs), live(t, eng, ps)

@@ -2,7 +2,6 @@ package rcj
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -14,10 +13,8 @@ import (
 // verify kernel, with no I/O in the loop.
 //
 //   - selfjoin/warm: the self-join over one opened index.
-//   - join/warm-v2 and join/warm-v3: the binary join over two opened
-//     indexes, from the raw-page and the packed format — identical results,
-//     so any gap between them is pure blob-decode cost (paid once per pool
-//     miss, amortized to ~zero warm).
+//   - join/warm: the binary join over two opened indexes (blob decode is
+//     paid once per pool miss, amortized to ~zero warm).
 //   - topk10/warm and maxd/warm: the binary join under a global TopK 10 and
 //     under a MaxDiameter of about one point spacing — the bounded filter,
 //     which tests the bound before it scans or seeds a query point's
@@ -32,10 +29,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 	qs := randomPoints(rng, 3000)
 
 	dir := b.TempDir()
-	paths := map[string]string{
-		"v2-p": filepath.Join(dir, "p2.rcjx"), "v2-q": filepath.Join(dir, "q2.rcjx"),
-		"v3-p": filepath.Join(dir, "p3.rcjx"), "v3-q": filepath.Join(dir, "q3.rcjx"),
-	}
+	paths := map[string]string{"p": filepath.Join(dir, "p.rcjx"), "q": filepath.Join(dir, "q.rcjx")}
 	{
 		eng := NewEngine(EngineConfig{})
 		ixP, err := eng.BuildIndex(ps, IndexConfig{})
@@ -47,10 +41,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 			b.Fatal(err)
 		}
 		for ix, side := range map[*Index]string{ixP: "p", ixQ: "q"} {
-			if err := ix.Save(paths["v2-"+side]); err != nil {
-				b.Fatal(err)
-			}
-			if err := ix.SavePacked(paths["v3-"+side]); err != nil {
+			if err := ix.Save(paths[side]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,35 +75,25 @@ func BenchmarkLeafKernels(b *testing.B) {
 
 	b.Run("selfjoin/warm", func(b *testing.B) {
 		eng := NewEngine(EngineConfig{})
-		ix := open(b, eng, paths["v2-p"])
+		ix := open(b, eng, paths["p"])
 		defer ix.Close()
 		warm(b, eng, ix, ix, Query{})
 	})
-	for _, format := range []string{"v2", "v3"} {
-		format := format
-		b.Run(fmt.Sprintf("join/warm-%s", format), func(b *testing.B) {
-			eng := NewEngine(EngineConfig{})
-			ixP := open(b, eng, paths[format+"-p"])
-			defer ixP.Close()
-			ixQ := open(b, eng, paths[format+"-q"])
-			defer ixQ.Close()
-			warm(b, eng, ixQ, ixP, Query{})
-		})
-	}
-	for _, bounded := range []struct {
+	for _, binary := range []struct {
 		name string
 		qry  Query
 	}{
+		{"join/warm", Query{}},
 		{"topk10/warm", Query{TopK: 10}},
 		{"maxd/warm", Query{MaxDiameter: 15}},
 	} {
-		b.Run(bounded.name, func(b *testing.B) {
+		b.Run(binary.name, func(b *testing.B) {
 			eng := NewEngine(EngineConfig{})
-			ixP := open(b, eng, paths["v2-p"])
+			ixP := open(b, eng, paths["p"])
 			defer ixP.Close()
-			ixQ := open(b, eng, paths["v2-q"])
+			ixQ := open(b, eng, paths["q"])
 			defer ixQ.Close()
-			warm(b, eng, ixQ, ixP, bounded.qry)
+			warm(b, eng, ixQ, ixP, binary.qry)
 		})
 	}
 }

@@ -33,7 +33,7 @@ var l1GateForms = []struct {
 			t.Fatal(err)
 		}
 		defer built.Close()
-		if err := built.SavePacked(path); err != nil {
+		if err := built.Save(path); err != nil {
 			t.Fatal(err)
 		}
 		ix, err := eng.OpenIndex(path, IndexConfig{Backend: BackendFile})

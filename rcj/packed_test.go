@@ -1,6 +1,7 @@
 package rcj
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,40 +10,37 @@ import (
 	"repro/internal/storage"
 )
 
-// TestSavePackedRoundTrip is the v2↔v3 equivalence gate: the same index
-// saved both ways must open on every backend (mem, file, http) with
-// identical joins, and re-saving the packed copy as v2 must reproduce the v2
-// file byte for byte — the packed blobs decode to the exact raw page image.
+// TestSavePackedRoundTrip is the one-writer gate: Save writes the packed
+// format (v3), the deprecated SavePacked forward writes the same bytes, and
+// the file — materially smaller than the verbatim page image — opens on
+// every backend (mem, file, http) with identical joins and re-saves to
+// itself byte for byte.
 func TestSavePackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pts := randomPoints(rng, 700)
 	ix := mustIndex(t, pts, IndexConfig{})
-	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "ix-v2.rcjx")
-	v3Path := filepath.Join(dir, "ix-v3.rcjx")
-	if err := ix.Save(v2Path); err != nil {
+	path := filepath.Join(t.TempDir(), "ix.rcjx")
+	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SavePacked(v3Path); err != nil {
-		t.Fatal(err)
-	}
-	v2Bytes, err := os.ReadFile(v2Path)
+	packed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3Bytes, err := os.ReadFile(v3Path)
-	if err != nil {
-		t.Fatal(err)
+	checkResaves(t, "SavePacked", ix.SavePacked, packed)
+	sb, err := storage.ReadSuperblockFile(path)
+	if err != nil || sb.Version != storage.FormatVersion3 || !sb.Packed() {
+		t.Fatalf("saved superblock: %+v, %v", sb, err)
 	}
-	// Uniform-random ys barely compress (XOR deltas of unrelated doubles), so
-	// the bound here is looser than the sorted-data ratio in package storage.
-	if len(v3Bytes) >= len(v2Bytes)*85/100 {
-		t.Fatalf("packed index %d bytes vs v2 %d: expected < 85%%", len(v3Bytes), len(v2Bytes))
+	// What the verbatim v2 layout took for the same pages: header, pages,
+	// checksum table. Uniform-random ys barely compress (XOR deltas of
+	// unrelated doubles), so the bound is looser than the sorted-data ratio
+	// in package storage.
+	verbatim := sb.PageSize*(1+sb.NumPages) + storage.PageTableSize(sb.NumPages)
+	if len(packed) >= verbatim*85/100 {
+		t.Fatalf("packed index %d bytes vs %d verbatim: expected < 85%%", len(packed), verbatim)
 	}
-	if sb, err := storage.ReadSuperblockFile(v3Path); err != nil || !sb.Packed() {
-		t.Fatalf("packed superblock: %+v, %v", sb, err)
-	}
-	if !IsIndexFile(v3Path) {
+	if !IsIndexFile(path) {
 		t.Fatal("IsIndexFile(packed) = false")
 	}
 
@@ -52,25 +50,20 @@ func TestSavePackedRoundTrip(t *testing.T) {
 	}
 	for _, be := range allBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			re := openOn(t, v3Path, be)
+			re := openOn(t, path, be)
 			got, _, err := testEng.RunCollect(bg, re, re, Query{SortByDiameter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			equalPairs(t, "packed "+be.String(), got, wantPairs)
-
-			// Byte identity: decompress → re-save as v2 → the original v2 file.
-			checkResaves(t, "v3 → open("+be.String()+") → v2", re.Save, v2Bytes)
+			checkResaves(t, "open("+be.String()+") → Save", re.Save, packed)
 			// The join plus the re-save pass over all pages at least twice, so
-			// compare against the unpacked transfer volume for the same two
+			// compare against the verbatim transfer volume for the same two
 			// passes: packed fetches must stay under it.
-			if st, ok := re.RemoteStats(); ok && (st.BytesFetched == 0 || int(st.BytesFetched) >= 2*len(v2Bytes)) {
-				t.Fatalf("fetched %d bytes over a %d-byte packed file (v2 is %d) — blobs not serving compressed",
-					st.BytesFetched, len(v3Bytes), len(v2Bytes))
+			if st, ok := re.RemoteStats(); ok && (st.BytesFetched == 0 || int(st.BytesFetched) >= 2*verbatim) {
+				t.Fatalf("fetched %d bytes over a %d-byte packed file (%d verbatim) — blobs not serving compressed",
+					st.BytesFetched, len(packed), verbatim)
 			}
-			// And the packed form itself is deterministic: re-saving packed
-			// reproduces the v3 file.
-			checkResaves(t, "v3 → open("+be.String()+") → v3", re.SavePacked, v3Bytes)
 		})
 	}
 }
@@ -87,10 +80,10 @@ func goldenV23Points() []Point {
 	return pts
 }
 
-// TestGoldenV2V3Fixtures is the on-disk compatibility gate for the current
-// formats: committed v2 and packed-v3 fixtures must keep opening on every
+// TestGoldenV2V3Fixtures is the on-disk compatibility gate: the committed
+// read-only v2 fixture and the packed v3 fixture must keep opening on every
 // backend with joins identical to a fresh build, and both must re-save to
-// exactly the committed v2 bytes — any codec or writer drift that changes
+// exactly the committed v3 bytes — any codec or writer drift that changes
 // the bits fails here.
 func TestGoldenV2V3Fixtures(t *testing.T) {
 	fresh := mustIndex(t, goldenV23Points(), IndexConfig{})
@@ -98,7 +91,7 @@ func TestGoldenV2V3Fixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Bytes, err := os.ReadFile("testdata/golden_v2.rcjx")
+	v3Bytes, err := os.ReadFile("testdata/golden_v3.rcjx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,28 +109,51 @@ func TestGoldenV2V3Fixtures(t *testing.T) {
 				}
 				equalPairs(t, name, got, wantPairs)
 				// Both fixtures hold the same index: either re-saves to the
-				// committed v2 bytes.
-				checkResaves(t, name+" → v2", ix.Save, v2Bytes)
+				// committed v3 bytes.
+				checkResaves(t, name+" → v3", ix.Save, v3Bytes)
 			})
 		}
 	}
+	// The v3 fixture's blobs decode to exactly the v2 fixture's verbatim
+	// pages, under the same tree metadata.
 	t.Run("v3_decodes_to_v2_bytes", func(t *testing.T) {
-		checkResaves(t, "committed golden_v3 → v2", openOn(t, "testdata/golden_v3.rcjx", BackendMem).Save, v2Bytes)
+		v2Bytes, err := os.ReadFile("testdata/golden_v2.rcjx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pager, sb, err := storage.OpenIndexFile("testdata/golden_v3.rcjx", BackendMem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pager.Close()
+		v2sb, err := storage.ReadSuperblockFile("testdata/golden_v2.rcjx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v2sb.Version, v2sb.Flags = sb.Version, sb.Flags; v2sb != sb {
+			t.Fatalf("v3 superblock %+v, v2 %+v", sb, v2sb)
+		}
+		page := make([]byte, sb.PageSize)
+		for i := 0; i < sb.NumPages; i++ {
+			if err := pager.ReadPage(storage.PageID(i), page); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(page, v2Bytes[sb.PageSize*(1+i):sb.PageSize*(2+i)]) {
+				t.Fatalf("page %d of the v3 fixture differs from the v2 fixture's", i)
+			}
+		}
 	})
 }
 
-// TestSavePackedCrossFormatJoin joins a v2-opened index against a v3-opened
-// index — mixed formats in one engine must interoperate.
+// TestSavePackedCrossFormatJoin joins an index opened from a committed v2
+// file against one saved by this build (v3) — mixed formats in one engine
+// must interoperate.
 func TestSavePackedCrossFormatJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	ps, qs := randomPoints(rng, 400), randomPoints(rng, 350)
-	ixP, ixQ := mustIndex(t, ps, IndexConfig{}), mustIndex(t, qs, IndexConfig{})
-	dir := t.TempDir()
-	pPath, qPath := filepath.Join(dir, "p.rcjx"), filepath.Join(dir, "q.rcjx")
+	ps, qs := countsCorpus()
+	cfg := IndexConfig{PageSize: countsPageSize}
+	ixP, ixQ := mustIndex(t, ps, cfg), mustIndex(t, qs, cfg)
+	pPath := filepath.Join(t.TempDir(), "p.rcjx")
 	if err := ixP.Save(pPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := ixQ.SavePacked(qPath); err != nil {
 		t.Fatal(err)
 	}
 	wantPairs, wantStats, wantErr := testEng.RunCollect(bg, ixQ, ixP, Query{})
@@ -148,7 +164,7 @@ func TestSavePackedCrossFormatJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reP.Close()
-	reQ, err := OpenIndex(qPath, IndexConfig{Backend: BackendFile})
+	reQ, err := OpenIndex(countsV2Files[0], IndexConfig{Backend: BackendFile})
 	if err != nil {
 		t.Fatal(err)
 	}

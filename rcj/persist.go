@@ -52,24 +52,17 @@ func IsIndexFile(path string) bool { return storage.SniffIndexFile(path) }
 // https:// URL) rather than a local path.
 func IsIndexURL(src string) bool { return storage.IsIndexURL(src) }
 
-// Save durably writes the index to path in the versioned index file format:
-// a checksummed superblock (page size, root page, entry count, dataset MBR)
-// followed by the raw page image and a per-page CRC-32 table (format v2).
-// The file is written atomically (temp + rename). A saved index reopens via
-// OpenIndex or Engine.OpenIndex in any later process, skipping the build
-// entirely; the conventional extension is ".rcjx".
-func (ix *Index) Save(path string) error { return ix.save(path, 0) }
-
-// SavePacked writes the index at path in the packed format (v3): leaf pages
-// delta/varint-compressed behind a page directory, typically around half the
-// v2 size on bulk-loaded indexes. The file reopens on every backend — mem,
-// file, and over HTTP, where each buffer-pool miss then fetches the
-// compressed blob instead of a full page — and joins byte-identically to the
-// v2 form. Readers that predate format v3 reject it (ErrBadVersion); Save
-// keeps emitting v2 for them.
-func (ix *Index) SavePacked(path string) error { return ix.save(path, storage.FormatVersion3) }
-
-func (ix *Index) save(path string, version int) error {
+// Save durably writes the index to path in the versioned index file format
+// (v3, the only one written): a checksummed superblock (page size, root
+// page, entry count, dataset MBR), a page directory, the pages — leaves
+// delta/varint-compressed, everything else verbatim — and a CRC-32 table
+// over the uncompressed pages. The file is written atomically (temp +
+// rename). A saved index reopens via OpenIndex or Engine.OpenIndex in any
+// later process, skipping the build entirely, on every backend: over HTTP
+// each buffer-pool miss fetches the compressed page. Files of the older v1
+// and v2 formats still open, read-only. The conventional extension is
+// ".rcjx".
+func (ix *Index) Save(path string) error {
 	if ix.live != nil {
 		return fmt.Errorf("rcj: save is not supported on mutable indexes; compaction persists generations next to the base OpenMutableIndex opened")
 	}
@@ -79,7 +72,6 @@ func (ix *Index) save(path string, version int) error {
 		return fmt.Errorf("rcj: save index: %w", err)
 	}
 	sb := storage.Superblock{
-		Version:  version,
 		PageSize: ix.tree.PageSize(),
 		NumPages: ix.pager.NumPages(),
 		Root:     meta.Root,
@@ -92,6 +84,11 @@ func (ix *Index) save(path string, version int) error {
 	}
 	return nil
 }
+
+// SavePacked is Save, from when Save wrote the unpacked v2 format.
+//
+// Deprecated: use Save; this forward stays only while perf/ names it.
+func (ix *Index) SavePacked(path string) error { return ix.Save(path) }
 
 // OpenIndex reopens an index previously written by Save, with a private
 // buffer pool (the OpenIndex analogue of BuildIndex). src is a local path or

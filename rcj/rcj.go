@@ -34,8 +34,9 @@
 // The join runs on disk-page R*-trees through an LRU buffer manager, so its
 // statistics (page faults, node accesses, candidate counts) mirror the
 // paper's cost model. Indexes are built in memory; Index.Save persists one
-// and OpenIndex serves it back from memory, a local file, or an HTTP origin
-// (IndexConfig.Backend).
+// in the packed .rcjx format (v3, the only one written), and OpenIndex serves
+// a saved index of any format version back from memory, a local file, or an
+// HTTP origin (IndexConfig.Backend).
 package rcj
 
 import (

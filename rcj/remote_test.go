@@ -145,8 +145,8 @@ func TestGoldenV1Fixture(t *testing.T) {
 				t.Fatal(err)
 			}
 			equalPairs(t, "golden v1 "+be.String(), got, wantPairs)
-			// Save upgrades it: the v2 copy holds the same pages.
-			resaved := filepath.Join(t.TempDir(), "v1-as-v2.rcjx")
+			// Save upgrades it: the v3 copy holds the same pages.
+			resaved := filepath.Join(t.TempDir(), "v1-as-v3.rcjx")
 			if err := ix.Save(resaved); err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestGoldenV1Fixture(t *testing.T) {
 	}
 }
 
-// TestSaveRoundTripByteIdentical checks a v2-written index round-trips
+// TestSaveRoundTripByteIdentical checks a saved index round-trips
 // byte-identically through save → open → save on every backend, and
 // that the join over the reopened copy matches the original.
 func TestSaveRoundTripByteIdentical(t *testing.T) {
