@@ -7,9 +7,9 @@
 //	rcjbench -exp fig16 -scale 1    # at full paper cardinalities
 //	rcjbench -exp all -scale 0.1    # everything, 10% scale (default)
 //
-// Experiments: table4, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
-// fig17, fig18 (the paper's evaluation); ablate, costmodel, resultsize
-// (this library's extension studies); all.
+// Experiments (exp.Experiments, in run order): table4, fig10 ... fig18 (the
+// paper's evaluation); ablate, costmodel, resultsize, network (this
+// library's extension studies); all.
 package main
 
 import (
@@ -27,8 +27,12 @@ import (
 )
 
 func main() {
+	names := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		names[i] = e.Name
+	}
 	var (
-		expName    = flag.String("exp", "all", "experiment id: table4, fig10..fig18, or all")
+		expName    = flag.String("exp", "all", "experiment id: "+strings.Join(names, ", ")+", or all")
 		scale      = flag.Float64("scale", 0.1, "dataset cardinality scale vs the paper (1 = full scale)")
 		bufferFrac = flag.Float64("buffer", 0.01, "buffer size as a fraction of total tree sizes")
 		pageSize   = flag.Int("pagesize", 1024, "index page size in bytes")
@@ -42,48 +46,26 @@ func main() {
 
 	cfg := exp.Config{Scale: *scale, BufferFrac: *bufferFrac, PageSize: *pageSize, W: os.Stdout, Ctx: ctx}
 
-	type experiment struct {
-		name string
-		run  func(exp.Config) error
-	}
-	experiments := []experiment{
-		{"table4", func(c exp.Config) error { _, err := exp.Table4(c); return err }},
-		{"fig10", func(c exp.Config) error { _, err := exp.Fig10(c); return err }},
-		{"fig11", func(c exp.Config) error { _, err := exp.Fig11(c); return err }},
-		{"fig12", func(c exp.Config) error { _, err := exp.Fig12(c); return err }},
-		{"fig13", func(c exp.Config) error { _, err := exp.Fig13(c); return err }},
-		{"fig14", func(c exp.Config) error { _, err := exp.Fig14(c); return err }},
-		{"fig15", func(c exp.Config) error { _, err := exp.Fig15(c); return err }},
-		{"fig16", func(c exp.Config) error { _, err := exp.Fig16(c); return err }},
-		{"fig17", func(c exp.Config) error { _, err := exp.Fig17(c); return err }},
-		{"fig18", func(c exp.Config) error { _, err := exp.Fig18(c); return err }},
-		{"ablate", func(c exp.Config) error { _, err := exp.Ablations(c); return err }},
-		{"costmodel", func(c exp.Config) error { _, err := exp.CostModel(c); return err }},
-		{"resultsize", func(c exp.Config) error { _, err := exp.ResultSize(c); return err }},
-		{"network", func(c exp.Config) error { _, err := exp.Network(c); return err }},
-	}
-
 	want := strings.ToLower(*expName)
 	ran := false
-	for _, e := range experiments {
-		if want != "all" && want != e.name {
+	for _, e := range exp.Experiments {
+		if want != "all" && want != e.Name {
 			continue
 		}
 		ran = true
 		start := time.Now()
-		if err := e.run(cfg); err != nil {
+		if _, err := e.Run(cfg); err != nil {
 			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "rcjbench: %s: interrupted\n", e.name)
+				fmt.Fprintf(os.Stderr, "rcjbench: %s: interrupted\n", e.Name)
 				os.Exit(130)
 			}
-			fmt.Fprintf(os.Stderr, "rcjbench: %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "rcjbench: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "rcjbench: unknown experiment %q\n", *expName)
-		flag.Usage()
+		fmt.Fprintf(os.Stderr, "rcjbench: unknown experiment %q (want %s, or all)\n", *expName, strings.Join(names, ", "))
 		os.Exit(2)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // buildTree indexes the given points in a fresh in-memory R*-tree sharing
 // the provided pool (or its own if pool is nil).
-func buildTree(t *testing.T, pts []rtree.PointEntry, pool *buffer.Pool, owner uint32, bulk bool) *rtree.Tree {
+func buildTree(t testing.TB, pts []rtree.PointEntry, pool *buffer.Pool, owner uint32, bulk bool) *rtree.Tree {
 	t.Helper()
 	if pool == nil {
 		pool = buffer.NewPool(-1)

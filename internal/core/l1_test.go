@@ -8,6 +8,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/geom"
 	"repro/internal/rtree"
+	"repro/internal/workload"
 )
 
 // checkL1 runs the Manhattan join through the one executor — every filter
@@ -109,4 +110,17 @@ func TestL1DegenerateConfigs(t *testing.T) {
 	checkL1(t, mk(geom.Point{X: 5, Y: 5}, geom.Point{X: 5, Y: 5}),
 		mk(geom.Point{X: 6, Y: 6}), false)
 	checkL1(t, mk(geom.Point{X: 0, Y: 0}, geom.Point{X: 1, Y: 1}, geom.Point{X: 2, Y: 2}, geom.Point{X: 0, Y: 2}), nil, true)
+}
+
+// BenchmarkJoinL1 measures the Manhattan-metric join of 2K x 2K uniform
+// points over a warm, unbounded buffer.
+func BenchmarkJoinL1(b *testing.B) {
+	pool := buffer.NewPool(-1)
+	tq := buildTree(b, workload.Uniform(2000, 1), pool, 1, true)
+	tp := buildTree(b, workload.Uniform(2000, 2), pool, 2, true)
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Join(tq, tp, Options{Metric: MetricL1}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

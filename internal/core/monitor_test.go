@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 func newInsertableTree(t *testing.T, pts []rtree.PointEntry, pool *buffer.Pool, owner uint32) *rtree.Tree {
@@ -186,5 +187,23 @@ func TestMonitorDensePointStream(t *testing.T) {
 	want := BruteForcePairs(ps, qs, false)
 	if m.Len() != len(want) {
 		t.Fatalf("monitor %d pairs, recompute %d", m.Len(), len(want))
+	}
+}
+
+// BenchmarkMonitorInsert measures incremental maintenance: one point
+// insertion into a live 10K x 10K join.
+func BenchmarkMonitorInsert(b *testing.B) {
+	pool := buffer.NewPool(-1)
+	m, err := NewMonitor(buildTree(b, workload.Uniform(10000, 1), pool, 1, true),
+		buildTree(b, workload.Uniform(10000, 2), pool, 2, true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := workload.Uniform(200000, 9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := m.AddP(fresh[i%len(fresh)].P, int64(1_000_000+i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/rtree"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -214,6 +215,24 @@ func TestParallelFeederFailurePaths(t *testing.T) {
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
 				t.Errorf("%d goroutines after the join, %d before", n, baseline)
+			}
+		})
+	}
+}
+
+// BenchmarkParallelJoin measures worker scaling of a full OBJ join of 8K x 8K
+// uniform points over a warm, unbounded buffer. A speedup needs idle cores;
+// on one CPU the variants tie.
+func BenchmarkParallelJoin(b *testing.B) {
+	pool := buffer.NewPool(-1)
+	tq := buildTree(b, workload.Uniform(8000, 1), pool, 1, true)
+	tp := buildTree(b, workload.Uniform(8000, 2), pool, 2, true)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Join(tq, tp, Options{Algorithm: AlgOBJ, Parallelism: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -13,12 +16,13 @@ import (
 	"repro/internal/workload"
 )
 
-// AblationRow is one variant measurement of an ablation study.
+// AblationRow is one variant measurement of an ablation study. Counts holds
+// the integer the study compares (faults, candidates, verify visits, pages).
 type AblationRow struct {
 	Study   string
 	Variant string
 	Cost    cost.Breakdown
-	Detail  string
+	Counts  map[string]int64
 }
 
 // Ablations runs the design-choice studies DESIGN.md calls out, each
@@ -38,8 +42,8 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	var rows []AblationRow
-	add := func(study, variant string, res RunResult, detail string) {
-		rows = append(rows, AblationRow{Study: study, Variant: variant, Cost: res.Cost, Detail: detail})
+	add := func(study, variant string, res RunResult, counts map[string]int64) {
+		rows = append(rows, AblationRow{Study: study, Variant: variant, Cost: res.Cost, Counts: counts})
 	}
 
 	// Search order (Section 3.4): locality of depth-first traversal.
@@ -47,36 +51,36 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("search-order", "depth-first", df, fmt.Sprintf("faults=%d", df.Cost.Faults))
+	add("search-order", "depth-first", df, map[string]int64{"faults": df.Cost.Faults})
 	rnd, err := env.Run(core.Options{Algorithm: core.AlgOBJ, RandomLeafOrder: true, Seed: 42})
 	if err != nil {
 		return nil, err
 	}
-	add("search-order", "random", rnd, fmt.Sprintf("faults=%d", rnd.Cost.Faults))
+	add("search-order", "random", rnd, map[string]int64{"faults": rnd.Cost.Faults})
 
 	// Symmetric pruning (Lemma 5): candidate counts.
 	bij, err := env.Run(core.Options{Algorithm: core.AlgBIJ})
 	if err != nil {
 		return nil, err
 	}
-	add("symmetric-pruning", "off (BIJ)", bij, fmt.Sprintf("candidates=%d", bij.Stats.Candidates))
+	add("symmetric-pruning", "off (BIJ)", bij, map[string]int64{"candidates": bij.Stats.Candidates})
 	obj, err := env.Run(core.Options{Algorithm: core.AlgOBJ})
 	if err != nil {
 		return nil, err
 	}
-	add("symmetric-pruning", "on (OBJ)", obj, fmt.Sprintf("candidates=%d", obj.Stats.Candidates))
+	add("symmetric-pruning", "on (OBJ)", obj, map[string]int64{"candidates": obj.Stats.Candidates})
 
 	// Face rule (Algorithm 3 case 4): verification node visits.
 	faceOn, err := env.Run(core.Options{Algorithm: core.AlgOBJ})
 	if err != nil {
 		return nil, err
 	}
-	add("face-rule", "on", faceOn, fmt.Sprintf("verify-visits=%d", faceOn.Stats.VerifiedNodes))
+	add("face-rule", "on", faceOn, map[string]int64{"verify_visits": faceOn.Stats.VerifiedNodes})
 	faceOff, err := env.Run(core.Options{Algorithm: core.AlgOBJ, DisableFaceRule: true})
 	if err != nil {
 		return nil, err
 	}
-	add("face-rule", "off", faceOff, fmt.Sprintf("verify-visits=%d", faceOff.Stats.VerifiedNodes))
+	add("face-rule", "off", faceOff, map[string]int64{"verify_visits": faceOff.Stats.VerifiedNodes})
 
 	// Buffering: the paper's 1% buffer vs none.
 	env.SetBufferFrac(cfg.BufferFrac)
@@ -84,14 +88,14 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("buffer", fmt.Sprintf("%.1f%%", cfg.BufferFrac*100), buffered, fmt.Sprintf("faults=%d", buffered.Cost.Faults))
+	add("buffer", fmt.Sprintf("%.1f%%", cfg.BufferFrac*100), buffered, map[string]int64{"faults": buffered.Cost.Faults})
 	env.Pool.Resize(0)
 	unbuffered, err := env.Run(core.Options{Algorithm: core.AlgOBJ})
 	if err != nil {
 		return nil, err
 	}
 	env.SetBufferFrac(cfg.BufferFrac)
-	add("buffer", "none", unbuffered, fmt.Sprintf("faults=%d", unbuffered.Cost.Faults))
+	add("buffer", "none", unbuffered, map[string]int64{"faults": unbuffered.Cost.Faults})
 
 	// Build method: STR bulk load vs R* one-by-one insertion.
 	buildPts := workload.Uniform(cfg.scaled(100_000), 3)
@@ -120,7 +124,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			Study:   "build-method",
 			Variant: variant,
 			Cost:    cost.Breakdown{CPUTime: elapsed},
-			Detail:  fmt.Sprintf("pages=%d height=%d", tree.NumPages(), tree.Height()),
+			Counts:  map[string]int64{"pages": int64(tree.NumPages()), "height": int64(tree.Height())},
 		})
 	}
 
@@ -166,7 +170,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			Study:   "split-policy",
 			Variant: pol.name,
 			Cost:    res.Cost,
-			Detail:  fmt.Sprintf("faults=%d pages=%d", res.Cost.Faults, tq.NumPages()+tp.NumPages()),
+			Counts:  map[string]int64{"faults": res.Cost.Faults, "pages": int64(tq.NumPages() + tp.NumPages())},
 		})
 	}
 
@@ -179,8 +183,12 @@ func printAblations(cfg Config, rows []AblationRow) {
 	tw := tabwriter.NewWriter(cfg.W, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "study\tvariant\ttotal\tio\tcpu\tdetail\n")
 	for _, r := range rows {
+		var detail []string
+		for _, k := range slices.Sorted(maps.Keys(r.Counts)) {
+			detail = append(detail, fmt.Sprintf("%s=%d", k, r.Counts[k]))
+		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", r.Study, r.Variant,
-			fmtDuration(r.Cost.Total()), fmtDuration(r.Cost.IOTime), fmtDuration(r.Cost.CPUTime), r.Detail)
+			fmtDuration(r.Cost.Total()), fmtDuration(r.Cost.IOTime), fmtDuration(r.Cost.CPUTime), strings.Join(detail, " "))
 	}
 	tw.Flush()
 	fmt.Fprintln(cfg.W)

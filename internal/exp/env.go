@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section 5). Each experiment has a typed
 // driver returning structured rows plus a printer that emits the same
-// rows/series the paper reports. The cmd/rcjbench CLI and the repository's
-// bench_test.go both drive this package.
+// rows/series the paper reports. Experiments lists them in one place: the
+// cmd/rcjbench CLI runs it, and this package's tests run it once and pin its
+// integer columns in the repository's BENCH_paper.json.
 //
 // Experiments accept a Scale factor: cardinalities are Scale × the paper's,
 // so full sweeps finish quickly at Scale 0.1 while Scale 1 reruns the paper
@@ -24,6 +25,28 @@ import (
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
+
+// Experiment is one table, figure or study of the evaluation. Run
+// regenerates it, prints it to Config.W and returns the driver's typed rows
+// ([]Table4Row, []ResemblanceSeries, []Fig13Row, ...).
+type Experiment struct {
+	Name string
+	Run  func(Config) (any, error)
+}
+
+// Experiments is every experiment in run order: the paper's evaluation
+// (Table 4, Figures 10-18), then this library's extension studies.
+var Experiments = []Experiment{
+	{"table4", typed(Table4)}, {"fig10", typed(Fig10)}, {"fig11", typed(Fig11)},
+	{"fig12", typed(Fig12)}, {"fig13", typed(Fig13)}, {"fig14", typed(Fig14)},
+	{"fig15", typed(Fig15)}, {"fig16", typed(Fig16)}, {"fig17", typed(Fig17)},
+	{"fig18", typed(Fig18)}, {"ablate", typed(Ablations)}, {"costmodel", typed(CostModel)},
+	{"resultsize", typed(ResultSize)}, {"network", typed(Network)},
+}
+
+func typed[R any](driver func(Config) ([]R, error)) func(Config) (any, error) {
+	return func(c Config) (any, error) { return driver(c) }
+}
 
 // Config parameterizes an experiment run.
 type Config struct {

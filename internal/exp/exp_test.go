@@ -7,17 +7,11 @@ import (
 	"repro/internal/core"
 )
 
-// tinyCfg runs experiments at 0.5% of paper scale — hundreds of points —
-// fast enough for the test suite while still exercising every code path.
-func tinyCfg() Config {
-	return Config{Scale: 0.005}
-}
+// The per-figure tests below read the package's one shared run of the
+// evaluation (paper_test.go), not runs of their own.
 
 func TestTable4Invariants(t *testing.T) {
-	rows, err := Table4(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[Table4Row](t, "table4")
 	if len(rows) != 2 {
 		t.Fatalf("want 2 combos, got %d", len(rows))
 	}
@@ -50,48 +44,36 @@ func checkResemblance(t *testing.T, series []ResemblanceSeries, wantCombos int) 
 		}
 		prevRecall := -1.0
 		for _, r := range s.Rows {
-			if r.Precision < 0 || r.Precision > 100.000001 || r.Recall < 0 || r.Recall > 100.000001 {
+			if r.Precision() < 0 || r.Precision() > 100.000001 || r.Recall() < 0 || r.Recall() > 100.000001 {
 				t.Errorf("%s: precision/recall out of range at param %g: %+v", s.Combo, r.Param, r)
 			}
 			// The baselines' result sets grow as the parameter grows, so
 			// recall against the fixed RCJ set is non-decreasing.
-			if r.Recall < prevRecall-1e-9 {
-				t.Errorf("%s: recall decreased at param %g: %g -> %g", s.Combo, r.Param, prevRecall, r.Recall)
+			if r.Recall() < prevRecall-1e-9 {
+				t.Errorf("%s: recall decreased at param %g: %g -> %g", s.Combo, r.Param, prevRecall, r.Recall())
 			}
-			prevRecall = r.Recall
+			prevRecall = r.Recall()
 		}
 	}
 }
 
 func TestFig10EpsilonResemblance(t *testing.T) {
-	series, err := Fig10(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := paperOf[ResemblanceSeries](t, "fig10")
 	checkResemblance(t, series, 2)
 }
 
 func TestFig11KClosestResemblance(t *testing.T) {
-	series, err := Fig11(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := paperOf[ResemblanceSeries](t, "fig11")
 	checkResemblance(t, series, 2)
 }
 
 func TestFig12KNNResemblance(t *testing.T) {
-	series, err := Fig12(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := paperOf[ResemblanceSeries](t, "fig12")
 	checkResemblance(t, series, 2)
 }
 
 func TestFig13AlgorithmsAgree(t *testing.T) {
-	rows, err := Fig13(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[Fig13Row](t, "fig13")
 	if len(rows) != len(Combos)*3 {
 		t.Fatalf("want %d rows, got %d", len(Combos)*3, len(rows))
 	}
@@ -116,10 +98,7 @@ func TestFig13AlgorithmsAgree(t *testing.T) {
 }
 
 func TestFig14VerificationSkipped(t *testing.T) {
-	rows, err := Fig14(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[Fig14Row](t, "fig14")
 	for _, r := range rows {
 		if r.WithoutVerification.NodeAccesses > r.WithVerification.NodeAccesses {
 			t.Errorf("%v: skipping verification increased node accesses: %d > %d",
@@ -129,10 +108,7 @@ func TestFig14VerificationSkipped(t *testing.T) {
 }
 
 func TestFig15BufferMonotone(t *testing.T) {
-	rows, err := Fig15(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[Fig15Row](t, "fig15")
 	// LRU is a stack algorithm: page faults are non-increasing in capacity.
 	faults := map[core.Algorithm][]int64{}
 	for _, r := range rows {
@@ -148,10 +124,7 @@ func TestFig15BufferMonotone(t *testing.T) {
 }
 
 func TestFig16ResultsAgreeAndGrow(t *testing.T) {
-	rows, err := Fig16(Config{Scale: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[SweepRow](t, "fig16")
 	results := map[string]map[core.Algorithm]int64{}
 	for _, r := range rows {
 		if results[r.Param] == nil {
@@ -173,10 +146,7 @@ func TestFig16ResultsAgreeAndGrow(t *testing.T) {
 }
 
 func TestFig17ResultsAgree(t *testing.T) {
-	rows, err := Fig17(Config{Scale: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[SweepRow](t, "fig17")
 	results := map[string]map[core.Algorithm]int64{}
 	for _, r := range rows {
 		if results[r.Param] == nil {
@@ -198,10 +168,7 @@ func TestFig17ResultsAgree(t *testing.T) {
 }
 
 func TestFig18ResultsAgree(t *testing.T) {
-	rows, err := Fig18(Config{Scale: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[SweepRow](t, "fig18")
 	results := map[string]map[core.Algorithm]int64{}
 	for _, r := range rows {
 		if results[r.Param] == nil {
@@ -218,8 +185,7 @@ func TestFig18ResultsAgree(t *testing.T) {
 
 func TestPrintedOutputMentionsFigure(t *testing.T) {
 	var sb strings.Builder
-	cfg := tinyCfg()
-	cfg.W = &sb
+	cfg := Config{Scale: 0.005, W: &sb}
 	if _, err := Fig10(cfg); err != nil {
 		t.Fatal(err)
 	}

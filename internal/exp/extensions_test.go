@@ -9,10 +9,7 @@ import (
 )
 
 func TestCostModelPredictionsReasonable(t *testing.T) {
-	rows, err := CostModel(Config{Scale: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[CostModelRow](t, "costmodel")
 	if len(rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rows))
 	}
@@ -32,10 +29,7 @@ func TestCostModelPredictionsReasonable(t *testing.T) {
 }
 
 func TestResultSizeStudy(t *testing.T) {
-	rows, err := ResultSize(Config{Scale: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[ResultSizeRow](t, "resultsize")
 	byDist := map[string][]ResultSizeRow{}
 	for _, r := range rows {
 		if r.Results < 0 || r.Ratio < 0 {
@@ -67,10 +61,7 @@ func TestResultSizeStudy(t *testing.T) {
 }
 
 func TestAblationStudies(t *testing.T) {
-	rows, err := Ablations(Config{Scale: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[AblationRow](t, "ablate")
 	byStudy := map[string]map[string]AblationRow{}
 	for _, r := range rows {
 		if byStudy[r.Study] == nil {
@@ -106,10 +97,7 @@ func TestAblationStudies(t *testing.T) {
 }
 
 func TestNetworkStudy(t *testing.T) {
-	rows, err := Network(Config{Scale: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperOf[NetworkRow](t, "network")
 	if len(rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rows))
 	}
@@ -117,16 +105,15 @@ func TestNetworkStudy(t *testing.T) {
 		if r.NetworkPairs == 0 || r.EuclidPairs == 0 {
 			t.Errorf("grid %d: empty result (%d network, %d euclid)", r.GridSide, r.NetworkPairs, r.EuclidPairs)
 		}
-		if r.PrecisionPct < 0 || r.PrecisionPct > 100 || r.RecallPct < 0 || r.RecallPct > 100 {
+		if r.Precision() < 0 || r.Precision() > 100 || r.Recall() < 0 || r.Recall() > 100 {
 			t.Errorf("grid %d: precision/recall out of range: %+v", r.GridSide, r)
 		}
 		// The metrics agree substantially (same embedding) but not fully —
 		// full agreement would mean the network study is degenerate.
-		if r.PrecisionPct == 100 && r.RecallPct == 100 && r.GridSide >= 16 {
+		if r.Precision() == 100 && r.Recall() == 100 && r.GridSide >= 16 {
 			t.Errorf("grid %d: metrics agree perfectly — detours had no effect?", r.GridSide)
 		}
 	}
-	_ = rows
 }
 
 func TestLeafSamplingProcessesSubset(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/joins"
-	"repro/internal/quality"
 	"repro/internal/roadnet"
 	"repro/internal/rtree"
 )
@@ -18,11 +17,16 @@ type NetworkRow struct {
 	Points       int
 	NetworkPairs int64
 	EuclidPairs  int64
-	PrecisionPct float64 // of the Euclidean result wrt the network result
-	RecallPct    float64
+	Common       int64 // |network ∩ Euclidean|
 	Candidates   int64
 	SettledNodes int64
 }
+
+// Precision is the share of Euclidean pairs that are network pairs, in percent.
+func (r NetworkRow) Precision() float64 { return pct(r.Common, r.EuclidPairs) }
+
+// Recall is the share of network pairs the Euclidean join finds, in percent.
+func (r NetworkRow) Recall() float64 { return pct(r.Common, r.NetworkPairs) }
 
 // Network studies the paper's road-network generalization (future work
 // §6): it joins point sets placed on street-grid intersections under
@@ -66,14 +70,12 @@ func Network(cfg Config) ([]NetworkRow, error) {
 		for _, p := range eucPairs {
 			eucSet[joins.Key{PID: p.P.ID, QID: p.Q.ID}] = struct{}{}
 		}
-		pr := quality.PrecisionRecall(netSet, eucSet)
 		rows = append(rows, NetworkRow{
 			GridSide:     side,
 			Points:       nPts,
 			NetworkPairs: int64(len(netSet)),
 			EuclidPairs:  int64(len(eucSet)),
-			PrecisionPct: pr.Precision,
-			RecallPct:    pr.Recall,
+			Common:       overlap(netSet, eucSet),
 			Candidates:   stats.Candidates,
 			SettledNodes: stats.SettledNodes,
 		})
@@ -89,7 +91,7 @@ func printNetwork(cfg Config, rows []NetworkRow) {
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%dx%d\t%d\t%d\t%d\t%.1f\t%.1f\t%d\n",
 			r.GridSide, r.GridSide, r.Points, r.NetworkPairs, r.EuclidPairs,
-			r.PrecisionPct, r.RecallPct, r.Candidates)
+			r.Precision(), r.Recall(), r.Candidates)
 	}
 	tw.Flush()
 	fmt.Fprintln(cfg.W)

@@ -7,16 +7,48 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/joins"
-	"repro/internal/quality"
 )
 
-// ResemblanceRow is one point of a precision/recall curve: the baseline
-// join's parameter value and the resemblance of its result set to RCJ's.
+// ResemblanceRow is one point of a precision/recall curve (Section 5.1):
+// the baseline join's parameter value, its pair count, and how many of its
+// pairs are RCJ pairs.
 type ResemblanceRow struct {
 	Param     float64
-	Precision float64
-	Recall    float64
-	PairCount int64
+	PairCount int64 // |baseline|
+	Common    int64 // |baseline ∩ RCJ|
+	RCJ       int64 // |RCJ|
+}
+
+// Precision is |baseline ∩ RCJ| / |baseline|, in percent.
+func (r ResemblanceRow) Precision() float64 { return pct(r.Common, r.PairCount) }
+
+// Recall is |baseline ∩ RCJ| / |RCJ|, in percent.
+func (r ResemblanceRow) Recall() float64 { return pct(r.Common, r.RCJ) }
+
+func resemblance(param float64, pairs int64, rcj, got map[joins.Key]struct{}) ResemblanceRow {
+	return ResemblanceRow{Param: param, PairCount: pairs, Common: overlap(rcj, got), RCJ: int64(len(rcj))}
+}
+
+// overlap returns |a ∩ b| over pair identities, iterating the smaller set.
+func overlap(a, b map[joins.Key]struct{}) int64 {
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	var n int64
+	for k := range a {
+		if _, ok := b[k]; ok {
+			n++
+		}
+	}
+	return n
+}
+
+// pct returns 100·part/whole, or 0 when whole is 0.
+func pct(part, whole int64) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return 100 * float64(part) / float64(whole)
 }
 
 // ResemblanceSeries is one combination's precision/recall curve.
@@ -68,10 +100,7 @@ func Fig10(cfg Config) ([]ResemblanceSeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			pr := quality.PrecisionRecall(rcj, got)
-			series.Rows = append(series.Rows, ResemblanceRow{
-				Param: eps, Precision: pr.Precision, Recall: pr.Recall, PairCount: n,
-			})
+			series.Rows = append(series.Rows, resemblance(eps, n, rcj, got))
 		}
 		out = append(out, series)
 	}
@@ -120,10 +149,7 @@ func Fig11(cfg Config) ([]ResemblanceSeries, error) {
 			emitted++
 			got[joins.KeyOf(p)] = struct{}{}
 			if ki < len(ks) && emitted == ks[ki] {
-				pr := quality.PrecisionRecall(rcj, got)
-				series.Rows = append(series.Rows, ResemblanceRow{
-					Param: float64(emitted), Precision: pr.Precision, Recall: pr.Recall, PairCount: int64(emitted),
-				})
+				series.Rows = append(series.Rows, resemblance(float64(emitted), int64(emitted), rcj, got))
 				ki++
 			}
 		})
@@ -133,10 +159,7 @@ func Fig11(cfg Config) ([]ResemblanceSeries, error) {
 		// Checkpoints past the total pair count (tiny inputs) report the
 		// full set.
 		for ; ki < len(ks); ki++ {
-			pr := quality.PrecisionRecall(rcj, got)
-			series.Rows = append(series.Rows, ResemblanceRow{
-				Param: float64(emitted), Precision: pr.Precision, Recall: pr.Recall, PairCount: int64(emitted),
-			})
+			series.Rows = append(series.Rows, resemblance(float64(emitted), int64(emitted), rcj, got))
 		}
 		out = append(out, series)
 	}
@@ -182,10 +205,7 @@ func Fig12(cfg Config) ([]ResemblanceSeries, error) {
 			return nil, err
 		}
 		for i, k := range ks {
-			pr := quality.PrecisionRecall(rcj, sets[i])
-			series.Rows = append(series.Rows, ResemblanceRow{
-				Param: float64(k), Precision: pr.Precision, Recall: pr.Recall, PairCount: int64(len(sets[i])),
-			})
+			series.Rows = append(series.Rows, resemblance(float64(k), int64(len(sets[i])), rcj, sets[i]))
 		}
 		out = append(out, series)
 	}
@@ -200,7 +220,7 @@ func printResemblance(cfg Config, title, param string, series []ResemblanceSerie
 		tw := tabwriter.NewWriter(cfg.W, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "  %s\tprecision(%%)\trecall(%%)\tpairs\n", param)
 		for _, r := range s.Rows {
-			fmt.Fprintf(tw, "  %g\t%.1f\t%.1f\t%d\n", r.Param, r.Precision, r.Recall, r.PairCount)
+			fmt.Fprintf(tw, "  %g\t%.1f\t%.1f\t%d\n", r.Param, r.Precision(), r.Recall(), r.PairCount)
 		}
 		tw.Flush()
 	}

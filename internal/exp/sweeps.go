@@ -79,15 +79,15 @@ func Fig17(cfg Config) ([]SweepRow, error) {
 }
 
 // Fig18 regenerates Figure 18 ("The Effect of Number of Clusters w, |P| =
-// |Q| = 200K, Gaussian data"): both inputs are Gaussian with w clusters of
-// standard deviation 1000 per dimension.
+// |Q| = 200K, Gaussian data"): both inputs are Gaussian around the same w
+// cluster centers, with standard deviation 1000 per dimension.
 func Fig18(cfg Config) ([]SweepRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.scaled(200_000)
 	var rows []SweepRow
 	for _, w := range []int{2, 5, 10, 15, 20} {
-		env, err := cfg.newEnv(workload.GaussianClusters(n, w, 1000, 1),
-			workload.GaussianClusters(n, w, 1000, 2))
+		qs, ps := workload.GaussianClusterPair(n, w, 1000, 1)
+		env, err := cfg.newEnv(qs, ps)
 		if err != nil {
 			return nil, err
 		}

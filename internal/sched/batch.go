@@ -294,16 +294,23 @@ func (s *Scheduler) leadBatch(b *batch) {
 
 // executeBatch runs one envelope traversal for the batch's live members and
 // demultiplexes each verification batch to their streams, then finalizes
-// every member (stats, terminal error, channel close) and releases the
-// batch's single slot.
+// every member (stats, terminal error), releases the batch's single slot and
+// only then closes the members' channels.
 func (s *Scheduler) executeBatch(b *batch) {
-	defer s.release()
 	live := b.members[:0:0]
 	for _, m := range b.members {
 		if !m.dead.Load() {
 			live = append(live, m)
 		}
 	}
+	// Defers run last-in first-out: the watcher is joined and the slot freed
+	// before any member's stream ends, as Scheduler.Run's doc promises.
+	defer func() {
+		for _, m := range live {
+			close(m.ch)
+		}
+	}()
+	defer s.release()
 	if len(live) == 0 {
 		return
 	}
@@ -415,7 +422,6 @@ func (s *Scheduler) executeBatch(b *batch) {
 		} else {
 			s.completed.Add(1)
 		}
-		close(m.ch)
 	}
 }
 

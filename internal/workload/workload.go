@@ -49,16 +49,32 @@ func Uniform(n int, seed int64) []rtree.PointEntry {
 // the normalization invariant.
 func GaussianClusters(n, w int, sigma float64, seed int64) []rtree.PointEntry {
 	rng := rand.New(rand.NewSource(seed))
-	if w < 1 {
-		w = 1
-	}
-	centers := make([]geom.Point, w)
+	return gaussianSamples(rng, clusterCenters(rng, w), n, sigma)
+}
+
+// GaussianClusterPair returns two n-point sets around the same w centers:
+// the first is GaussianClusters(n, w, sigma, seed), the second continues its
+// random stream. Figure 18 joins such a pair, so both sides share their
+// clusters instead of landing as disjoint blobs.
+func GaussianClusterPair(n, w int, sigma float64, seed int64) (a, b []rtree.PointEntry) {
+	rng := rand.New(rand.NewSource(seed))
+	centers := clusterCenters(rng, w)
+	return gaussianSamples(rng, centers, n, sigma), gaussianSamples(rng, centers, n, sigma)
+}
+
+func clusterCenters(rng *rand.Rand, w int) []geom.Point {
+	centers := make([]geom.Point, max(w, 1))
 	for i := range centers {
 		centers[i] = geom.Point{X: rng.Float64() * Domain, Y: rng.Float64() * Domain}
 	}
+	return centers
+}
+
+// gaussianSamples draws point i around centers[i mod len(centers)].
+func gaussianSamples(rng *rand.Rand, centers []geom.Point, n int, sigma float64) []rtree.PointEntry {
 	pts := make([]rtree.PointEntry, n)
 	for i := range pts {
-		c := centers[i%w]
+		c := centers[i%len(centers)]
 		pts[i] = rtree.PointEntry{
 			P: geom.Point{
 				X: clamp(c.X+rng.NormFloat64()*sigma, 0, Domain),

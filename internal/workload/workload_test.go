@@ -2,7 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,5 +217,33 @@ func TestReadPointsErrors(t *testing.T) {
 	got, err := ReadPoints(strings.NewReader(""))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty input: %v %d", err, len(got))
+	}
+}
+
+// TestGaussianClustersPinned hashes GaussianClusters' output bit for bit:
+// perf/'s world and datagen draw from it, so a refactor of the generator
+// must not move a single sample.
+func TestGaussianClustersPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, w  int
+		sigma float64
+		seed  int64
+		want  string
+	}{
+		{4000, 10, 1000, 1, "ea1805b23537c6decdfdf0cbf44e31a2053021a36da7cfd21824cead7b7237ba"},
+		{4000, 2, 1000, 2, "abe28f06896ff8a52fc51a5d63e0d63628449c13312560c35496a6865d3994b3"},
+		{333, 0, 300, 7, "ac39ea850e3e31b1e2dde0efb189678a34f91cabde6517b4ac982f5acd793dce"},
+	} {
+		h := sha256.New()
+		for _, e := range GaussianClusters(c.n, c.w, c.sigma, c.seed) {
+			binary.Write(h, binary.LittleEndian, [3]uint64{math.Float64bits(e.P.X), math.Float64bits(e.P.Y), uint64(e.ID)})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("GaussianClusters(%d, %d, %g, %d) hashes to %s, want %s", c.n, c.w, c.sigma, c.seed, got, c.want)
+		}
+		// The pair's first set is the same draw.
+		if a, _ := GaussianClusterPair(c.n, c.w, c.sigma, c.seed); !slices.Equal(a, GaussianClusters(c.n, c.w, c.sigma, c.seed)) {
+			t.Errorf("GaussianClusterPair(%d, %d, %g, %d)'s first set differs from GaussianClusters", c.n, c.w, c.sigma, c.seed)
+		}
 	}
 }
