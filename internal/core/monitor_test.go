@@ -155,8 +155,8 @@ func TestMonitorAddedRemovedConsistency(t *testing.T) {
 }
 
 func TestMonitorDensePointStream(t *testing.T) {
-	// All insertions into one tight cluster stress the stabbing index's
-	// small-radius bands.
+	// All insertions land in one tight cluster, each killing pairs among
+	// many near-equidistant neighbours.
 	rng := rand.New(rand.NewSource(63))
 	mk := func(n int, base int64) []rtree.PointEntry {
 		pts := make([]rtree.PointEntry, n)
@@ -187,6 +187,158 @@ func TestMonitorDensePointStream(t *testing.T) {
 	want := BruteForcePairs(ps, qs, false)
 	if m.Len() != len(want) {
 		t.Fatalf("monitor %d pairs, recompute %d", m.Len(), len(want))
+	}
+}
+
+// monitorGenerators are the inputs of the brute-force gate: both sides of
+// each, n points apiece, from the degenerate generators (lattices of two
+// pitches, exactly and nearly collinear lines, a circle, two far clusters,
+// Gaussian clusters clamped onto the domain's edge lines), uniform points
+// with exact and 1e-7-apart duplicates (the case that needs the neighbour
+// search's slack), and uniform points shifted far from the origin.
+func monitorGenerators(n int) []struct {
+	name   string
+	ps, qs []rtree.PointEntry
+} {
+	shifted := func(pts []rtree.PointEntry) []rtree.PointEntry {
+		for i := range pts {
+			pts[i].P.X += 1e9
+			pts[i].P.Y += 1e9
+		}
+		return pts
+	}
+	gp, gq := workload.GaussianClusterPair(n, 3, workload.Domain, 4)
+	duplicated := func(seed int64) []rtree.PointEntry {
+		rng := rand.New(rand.NewSource(seed))
+		pts := workload.Uniform(n, seed)
+		for i := 0; i < n; i += 3 {
+			pts[i].P = pts[rng.Intn(n)].P
+			if i%2 == 0 {
+				pts[i].P.X += 1e-7
+			}
+		}
+		return pts
+	}
+	return []struct {
+		name   string
+		ps, qs []rtree.PointEntry
+	}{
+		{"grid", workload.Grid(n), workload.Grid(n + 21)},
+		{"collinear0", workload.Collinear(n, 0, 1), workload.Collinear(n, 0, 2)},
+		{"collinear5", workload.Collinear(n, 5, 1), workload.Collinear(n, 5, 2)},
+		{"oncircle", workload.OnCircle(n, 0, 1), workload.OnCircle(n, 1, 2)},
+		{"twoclusters", workload.TwoDistantClusters(n, 50, 1), workload.TwoDistantClusters(n, 50, 2)},
+		{"gaussclamped", gp, gq},
+		{"duplicates", duplicated(1), duplicated(2)},
+		{"uniform1e9", shifted(workload.Uniform(n, 1)), shifted(workload.Uniform(n, 2))},
+	}
+}
+
+// TestMonitorMutationsMatchBruteForce is the monitor's brute-force gate:
+// random interleaved inserts and deletes on both sides (and on the one set
+// of a self-join) must leave exactly BruteForcePairs after every step, and
+// each step must report exactly the pairs it added and removed.
+func TestMonitorMutationsMatchBruteForce(t *testing.T) {
+	const n, steps = 160, 120
+	for _, g := range monitorGenerators(n) {
+		for _, self := range []bool{false, true} {
+			name := g.name
+			if self {
+				name += "/self"
+			}
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(64))
+				// cur holds each side's present points, pool the absent
+				// ones (deleted points go back and may return).
+				var cur, pool [2][]rtree.PointEntry
+				sides := 2
+				if self {
+					sides = 1
+				}
+				for s, pts := range [][]rtree.PointEntry{g.ps, g.qs}[:sides] {
+					pts = append([]rtree.PointEntry(nil), pts...)
+					rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+					cur[s], pool[s] = pts[:n/2:n/2], pts[n/2:]
+				}
+				bp := buffer.NewPool(-1)
+				tp := newInsertableTree(t, cur[0], bp, 1)
+				tq := tp
+				if !self {
+					tq = newInsertableTree(t, cur[1], bp, 2)
+				}
+				m, err := NewMonitor(tq, tp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := func(pairs []Pair) map[monitorKey]bool {
+					out := make(map[monitorKey]bool, len(pairs))
+					for _, p := range pairs {
+						k := monitorKey{p.P.ID, p.Q.ID}
+						if out[k] {
+							t.Fatalf("pair %v listed twice", k)
+						}
+						out[k] = true
+					}
+					return out
+				}
+				minus := func(a, b map[monitorKey]bool) map[monitorKey]bool {
+					out := map[monitorKey]bool{}
+					for k := range a {
+						if !b[k] {
+							out[k] = true
+						}
+					}
+					return out
+				}
+				same := func(a, b map[monitorKey]bool) bool {
+					return len(minus(a, b)) == 0 && len(minus(b, a)) == 0
+				}
+				qside := sides - 1 // a self-join's Q is its P
+				prev := keys(m.Pairs())
+				if want := keys(BruteForcePairs(cur[0], cur[qside], self)); !same(prev, want) {
+					t.Fatalf("initial join holds %d pairs, brute force %d", len(prev), len(want))
+				}
+				for step := 0; step < steps; step++ {
+					s := rng.Intn(sides)
+					insert := len(cur[s]) == 0 || (len(pool[s]) > 0 && rng.Intn(2) == 0)
+					from, to := &cur[s], &pool[s]
+					if insert {
+						from, to = to, from
+					}
+					i := rng.Intn(len(*from))
+					e := (*from)[i]
+					(*from)[i] = (*from)[len(*from)-1]
+					*from = (*from)[:len(*from)-1]
+					*to = append(*to, e)
+					var added, removed []Pair
+					switch {
+					case insert && s == 0:
+						added, removed, err = m.AddP(e.P, e.ID)
+					case insert:
+						added, removed, err = m.AddQ(e.P, e.ID)
+					case s == 0:
+						added, removed, err = m.DeleteP(e.P, e.ID)
+					default:
+						added, removed, err = m.DeleteQ(e.P, e.ID)
+					}
+					what := fmt.Sprintf("step %d (insert %v, side %d, point %d at %v)", step, insert, s, e.ID, e.P)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					want := keys(BruteForcePairs(cur[0], cur[qside], self))
+					got := keys(m.Pairs())
+					if !same(got, want) {
+						t.Fatalf("%s: monitor holds %d pairs, brute force %d; missing %v, extra %v",
+							what, len(got), len(want), minus(want, got), minus(got, want))
+					}
+					if a, r := keys(added), keys(removed); !same(a, minus(got, prev)) || !same(r, minus(prev, got)) {
+						t.Fatalf("%s: reported +%d -%d, set difference +%d -%d",
+							what, len(a), len(r), len(minus(got, prev)), len(minus(prev, got)))
+					}
+					prev = got
+				}
+			})
+		}
 	}
 }
 

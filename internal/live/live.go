@@ -616,19 +616,6 @@ func (ix *Index) CloseFeed(f *Feed) {
 	}
 }
 
-// Resnapshot returns a fresh consistent (seq, point set) pair for an
-// already-registered feed — the resync path after a deletion forces a
-// monitor rebuild. Updates already buffered on the feed with Seq at or
-// below the returned seq are stale and must be skipped by the caller.
-func (ix *Index) Resnapshot() (uint64, []rtree.PointEntry, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return 0, nil, ErrClosed
-	}
-	return ix.cur.seq, sortedEntries(ix.points), nil
-}
-
 // publishLocked fans one update out to every feed, shedding feeds whose
 // buffers are full: a stalled subscriber must not block writers, so it is
 // disconnected (channel closed, Shed marked) and counted instead. Caller

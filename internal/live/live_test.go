@@ -337,45 +337,6 @@ func TestFeedNoLostUpdates(t *testing.T) {
 	}
 }
 
-func TestResnapshotSkipsStaleUpdates(t *testing.T) {
-	ix := newTestIndex(t, -1, nil)
-	feed, _, _, err := ix.NewFeed(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := ix.Apply([]rtree.PointEntry{entry(int64(i), float64(i), 0)}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seq, snap, err := ix.Resnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) != 5 {
-		t.Fatalf("resnapshot %d points, want 5", len(snap))
-	}
-	// Everything buffered before the resnapshot is stale by contract.
-	for {
-		select {
-		case u := <-feed.C:
-			if u.Seq > seq {
-				t.Fatalf("buffered update seq %d above resnapshot seq %d", u.Seq, seq)
-			}
-			continue
-		default:
-		}
-		break
-	}
-	if _, err := ix.Apply([]rtree.PointEntry{entry(99, 9, 9)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	u := <-feed.C
-	if u.Seq != seq+1 {
-		t.Fatalf("post-resync update seq %d, want %d", u.Seq, seq+1)
-	}
-}
-
 func TestConcurrentMutateCompactQuery(t *testing.T) {
 	var closes atomic.Int64
 	ix := newTestIndex(t, 32, &closes) // tight auto-compaction to force swaps mid-run

@@ -212,34 +212,6 @@ func TestRangeSearchMatchesLinear(t *testing.T) {
 	}
 }
 
-func TestCircleSearchMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := randomEntries(rng, 1500)
-	tr := newTestTree(t, 0)
-	if err := tr.BulkLoad(pts, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		c := geom.Circle{
-			Center: geom.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000},
-			Radius: rng.Float64() * 1500,
-		}
-		got, err := tr.CircleSearch(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, p := range pts {
-			if c.Covers(p.P) {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("circle %d returned %d, want %d", i, len(got), want)
-		}
-	}
-}
-
 func TestINNEmitsInDistanceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randomEntries(rng, 1200)

@@ -40,46 +40,6 @@ func (t *Tree) rangeRec(id storage.PageID, w geom.Rect, out *[]PointEntry) error
 	return nil
 }
 
-// CircleSearch returns all indexed points covered by the closed disk c — the
-// range search the brute-force RCJ verification performs per candidate pair.
-func (t *Tree) CircleSearch(c geom.Circle) ([]PointEntry, error) {
-	var out []PointEntry
-	err := t.circleRec(t.root, c, &out)
-	return out, err
-}
-
-func (t *Tree) circleRec(id storage.PageID, c geom.Circle, out *[]PointEntry) error {
-	if id == storage.InvalidPageID {
-		return nil
-	}
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		// Hoisted form of c.Covers over the coordinate columns: squared
-		// distance against r²·(1+CoverTol), bit-identical to the method.
-		cx, cy := c.Center.X, c.Center.Y
-		r2 := c.Radius * c.Radius * (1 + geom.CoverTol)
-		xs, ys := n.Xs, n.Ys
-		for i, id := range n.IDs {
-			dx, dy := cx-xs[i], cy-ys[i]
-			if dx*dx+dy*dy <= r2 {
-				*out = append(*out, PointEntry{P: geom.Point{X: xs[i], Y: ys[i]}, ID: id})
-			}
-		}
-		return nil
-	}
-	for _, e := range n.Children {
-		if c.IntersectsRect(e.MBR) {
-			if err := t.circleRec(e.Child, c, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // ScanAll returns every indexed point by a full depth-first traversal, in
 // leaf order. Useful for tests and for exporting datasets.
 func (t *Tree) ScanAll() ([]PointEntry, error) {

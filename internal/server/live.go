@@ -196,12 +196,12 @@ type subscribeEvent struct {
 
 // handleSubscribe serves POST /subscribe: a long-lived NDJSON stream of
 // exact result-set changes for one continuous query. The stream opens with a
-// full replay of the current result set (add… sync), then delivers
-// incremental add/remove events as mutation batches apply; a deletion forces
-// a "resync" (discard replayed state, full state follows). The subscription
-// registers with the scheduler as long-lived admitted work: a draining
-// server rejects new subscriptions with 503 and cancels running ones so
-// SIGTERM terminates.
+// full replay of the current result set (add… sync), then delivers each
+// mutation batch's exact changes as it applies: its removes, its adds, and
+// one sync carrying the batch's epoch and the new result-set size. The
+// subscription registers with the scheduler as long-lived admitted work: a
+// draining server rejects new subscriptions with 503 and cancels running
+// ones so SIGTERM terminates.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.requests.inc("subscribe")
 	var req subscribeRequest

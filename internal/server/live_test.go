@@ -230,14 +230,15 @@ func TestSubscribeEndpoint(t *testing.T) {
 	wantStatus(t, postJSON(t, ts.URL, "/subscribe", `{"p":"nope","self":true}`), http.StatusNotFound)
 }
 
-// TestSubscribeStreamsMutations subscribes first, then applies a batch and
-// watches the adds arrive live on the open stream.
+// TestSubscribeStreamsMutations subscribes first, then applies an insert
+// batch and a delete batch and watches each one's changes and sync arrive
+// live on the open stream.
 func TestSubscribeStreamsMutations(t *testing.T) {
 	ts, srv := newTestServer(t, 100, sched.Config{MaxConcurrent: 2, MaxQueue: 4})
 	if err := srv.LoadMutableIndex("m", "", -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	resp := postJSON(t, ts.URL, "/subscribe", `{"p":"m","self":true,"max_events":4}`)
+	resp := postJSON(t, ts.URL, "/subscribe", `{"p":"m","self":true,"max_events":5}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("subscribe: status %d", resp.StatusCode)
@@ -263,13 +264,16 @@ func TestSubscribeStreamsMutations(t *testing.T) {
 		*ev.PID+*ev.QID != 3 || *ev.PID == *ev.QID {
 		t.Fatalf("live event %+v, want add of pair {1,2}", ev)
 	}
-	// The deletion path announces itself as a resync followed by the state.
+	if ev := readEvent(); ev.Event != "sync" || *ev.Pairs != 1 {
+		t.Fatalf("post-insert event %+v, want sync of 1 pair", ev)
+	}
+	// A delete is maintained like an insert: its changes, then a sync.
 	wantStatus(t, postJSON(t, ts.URL, "/indexes/m/points", `{"delete":[2]}`), http.StatusOK)
-	if ev := readEvent(); ev.Event != "resync" {
-		t.Fatalf("post-delete event %+v, want resync", ev)
+	if ev := readEvent(); ev.Event != "remove" || ev.PID == nil || ev.QID == nil || *ev.PID+*ev.QID != 3 {
+		t.Fatalf("post-delete event %+v, want remove of pair {1,2}", ev)
 	}
 	if ev := readEvent(); ev.Event != "sync" || *ev.Pairs != 0 {
-		t.Fatalf("post-resync sync %+v, want 0 pairs", ev)
+		t.Fatalf("post-delete sync %+v, want 0 pairs", ev)
 	}
 	if ev := readEvent(); ev.Event != "end" || ev.Reason != "max_events" {
 		t.Fatalf("end event %+v", ev)

@@ -21,7 +21,7 @@ import (
 
 // buildSavedIndexes writes two .rcjx files for the tests and returns their
 // paths plus the pointsets they index.
-func buildSavedIndexes(t *testing.T, n int) (pPath, qPath string, pPts, qPts []rcj.Point) {
+func buildSavedIndexes(t testing.TB, n int) (pPath, qPath string, pPts, qPts []rcj.Point) {
 	t.Helper()
 	dir := t.TempDir()
 	mk := func(name string, offset float64) (string, []rcj.Point) {
@@ -51,7 +51,7 @@ func buildSavedIndexes(t *testing.T, n int) (pPath, qPath string, pPts, qPts []r
 
 // newTestServer stands up a Server over saved indexes "p" and "q" with the
 // given scheduler config, mounted on an httptest.Server.
-func newTestServer(t *testing.T, n int, cfg sched.Config) (*httptest.Server, *Server) {
+func newTestServer(t testing.TB, n int, cfg sched.Config) (*httptest.Server, *Server) {
 	t.Helper()
 	pPath, qPath, _, _ := buildSavedIndexes(t, n)
 	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: 1024})

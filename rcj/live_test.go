@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -33,74 +34,124 @@ func pairBytes(pairs []Pair) string {
 }
 
 // streamReplay consumes a subscription stream in the background, applying
-// adds/removes/resyncs to a pair set and snapshotting it at every sync
-// marker. waitSync blocks until a sync at or past the given epoch arrives.
+// adds and removes to a pair set and handing over a copy of it at every
+// sync marker.
 type streamReplay struct {
-	t  *testing.T
-	mu sync.Mutex
-
-	set      map[[2]int64]bool
-	syncSeq  uint64
-	syncSet  map[[2]int64]bool
-	nResyncs int
-	synced   chan struct{} // pulsed (close+replace) on every sync
+	t     *testing.T
+	syncs chan map[[2]int64]bool
 }
 
 func newStreamReplay(t *testing.T, sub *Subscription) *streamReplay {
-	r := &streamReplay{t: t, set: map[[2]int64]bool{}, synced: make(chan struct{})}
+	// Buffered past any gate's batch count, so the replay goroutine never
+	// waits on the test.
+	r := &streamReplay{t: t, syncs: make(chan map[[2]int64]bool, 1024)}
 	go func() {
+		defer close(r.syncs)
+		set := map[[2]int64]bool{}
 		for ev := range sub.C {
-			r.mu.Lock()
+			k := [2]int64{ev.Pair.P.ID, ev.Pair.Q.ID}
 			switch ev.Type {
 			case EventAdd:
-				r.set[[2]int64{ev.Pair.P.ID, ev.Pair.Q.ID}] = true
+				if set[k] {
+					t.Errorf("add of present pair %v", k)
+				}
+				set[k] = true
 			case EventRemove:
-				delete(r.set, [2]int64{ev.Pair.P.ID, ev.Pair.Q.ID})
-			case EventResync:
-				r.set = map[[2]int64]bool{}
-				r.nResyncs++
+				if !set[k] {
+					t.Errorf("remove of absent pair %v", k)
+				}
+				delete(set, k)
 			case EventSync:
-				if ev.Pairs != len(r.set) {
-					r.t.Errorf("sync reports %d pairs, replay holds %d", ev.Pairs, len(r.set))
+				if ev.Pairs != len(set) {
+					t.Errorf("sync reports %d pairs, replay holds %d", ev.Pairs, len(set))
 				}
-				r.syncSeq = ev.Seq
-				r.syncSet = map[[2]int64]bool{}
-				for k := range r.set {
-					r.syncSet[k] = true
-				}
-				close(r.synced)
-				r.synced = make(chan struct{})
+				r.syncs <- maps.Clone(set)
 			}
-			r.mu.Unlock()
 		}
 	}()
 	return r
 }
 
-func (r *streamReplay) waitSync(seq uint64) map[[2]int64]bool {
+// next returns the replayed set at the next sync.
+func (r *streamReplay) next() map[[2]int64]bool {
 	r.t.Helper()
-	deadline := time.After(10 * time.Second)
-	for {
-		r.mu.Lock()
-		if r.syncSeq >= seq {
-			out := r.syncSet
-			r.mu.Unlock()
-			return out
+	select {
+	case set, ok := <-r.syncs:
+		if !ok {
+			r.t.Fatal("stream ended before the next sync")
 		}
-		ch := r.synced
-		r.mu.Unlock()
-		select {
-		case <-ch:
-		case <-deadline:
-			r.t.Fatalf("no sync at seq >= %d within 10s", seq)
-		}
+		return set
+	case <-time.After(10 * time.Second):
+		r.t.Fatal("no sync within 10s")
 	}
+	return nil
 }
 
-func (r *streamReplay) resyncs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nResyncs
+// subscriptionGate drives steps random mutation batches, one at a time,
+// through the mutable indexes behind a subscription of q and p (the same
+// index twice: a self-join), mirrored in the model maps. At the initial sync
+// and at every batch's sync, the replayed stream must equal a fresh join
+// over the model point sets; a compaction must send nothing.
+func subscriptionGate(t *testing.T, rng *rand.Rand, q, p *Index, modelQ, modelP map[int64]Point, steps int) {
+	t.Helper()
+	self := q == p
+	sub, err := SubscribeLive(context.Background(), q, p, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replay from a second goroutine while the mutations run, so delivery
+	// overlaps application (the -race half).
+	replay := newStreamReplay(t, sub)
+	check := func(step int, what string) {
+		t.Helper()
+		got := replay.next()
+		freshQ := mustIndex(t, modelPoints(modelQ), IndexConfig{})
+		freshP := freshQ
+		if !self {
+			freshP = mustIndex(t, modelPoints(modelP), IndexConfig{})
+		}
+		want, _, err := testEng.RunCollect(bg, freshQ, freshP, Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameKeys(keySet(want), got) {
+			t.Fatalf("step %d (%s): replayed stream holds %d pairs, fresh join %d", step, what, len(got), len(want))
+		}
+	}
+
+	check(-1, "initial")
+	nextQ, nextP := int64(10000), int64(20000)
+	if self {
+		nextP = nextQ
+	}
+	deletes := 0
+	for step := 0; step < steps; step++ {
+		var what string
+		if rng.Intn(2) == 0 {
+			what = "Q " + mutateRandomly(t, rng, q, modelQ, &nextQ)
+		} else if self {
+			what = "P " + mutateRandomly(t, rng, p, modelP, &nextQ)
+		} else {
+			what = "P " + mutateRandomly(t, rng, p, modelP, &nextP)
+		}
+		if strings.HasSuffix(what, "compact") {
+			continue
+		}
+		if strings.Contains(what, "delete") {
+			deletes++
+		}
+		check(step, what)
+	}
+	sub.Close()
+	if err := sub.Err(); err != nil {
+		t.Fatalf("subscription ended with %v", err)
+	}
+	for range replay.syncs {
+		t.Fatal("a sync no batch accounts for")
+	}
+	if deletes == 0 {
+		t.Fatal("no delete batch (the seed must exercise the delete path)")
+	}
 }
 
 // mutateRandomly applies one random step to a mutable index and mirrors it
@@ -282,36 +333,25 @@ func TestLiveEquivalenceSelfJoin(t *testing.T) {
 	}
 }
 
-// TestLiveEquivalenceSubscription checks the other half of the gate: the
-// subscription event log, replayed, lands on exactly the pair set of a
-// fresh join over the final points — through insert maintenance, the
-// deletion resync path, and a compaction (which must deliver nothing).
+// TestLiveEquivalenceSubscription checks the other half of the gate for
+// two-index joins: after every insert or delete batch on either side, the
+// subscription event log, replayed, holds exactly the pair set of a fresh
+// join, and a compaction delivers nothing.
 func TestLiveEquivalenceSubscription(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	eng := NewEngine(EngineConfig{BufferPages: 1024})
-	ctx := context.Background()
 	pPts := randomPoints(rng, 120)
 	qPts := randomPoints(rng, 120)
 	liveP, err := eng.NewMutableIndex(pPts, MutableConfig{CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer liveP.Close()
 	liveQ, err := eng.NewMutableIndex(qPts, MutableConfig{CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	sub, err := SubscribeLive(ctx, liveQ, liveP, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay the stream into a pair set from a second goroutine while the
-	// mutations run, so delivery overlaps application (the -race half).
-	// Every EventSync snapshots the replayed set with its seq, so the main
-	// goroutine can wait for the sync that covers the final epoch.
-	replay := newStreamReplay(t, sub)
-
+	defer liveQ.Close()
 	modelP, modelQ := map[int64]Point{}, map[int64]Point{}
 	for _, p := range pPts {
 		modelP[p.ID] = p
@@ -319,49 +359,11 @@ func TestLiveEquivalenceSubscription(t *testing.T) {
 	for _, p := range qPts {
 		modelQ[p.ID] = p
 	}
-	nextP, nextQ := int64(10000), int64(20000)
-	for step := 0; step < 30; step++ {
-		if rng.Intn(2) == 0 {
-			mutateRandomly(t, rng, liveP, modelP, &nextP)
-		} else {
-			mutateRandomly(t, rng, liveQ, modelQ, &nextQ)
-		}
-	}
-	// Quiesce deterministically: one last delete forces a resync, whose
-	// full-state replay is stamped with the final epoch sequence.
-	var finalSeq uint64
-	for id := range modelQ {
-		seq, err := liveQ.Delete(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delete(modelQ, id)
-		finalSeq = seq
-		break
-	}
-	final := replay.waitSync(finalSeq)
-	sub.Close()
-	if err := sub.Err(); err != nil {
-		t.Fatalf("subscription ended with %v", err)
-	}
-	if replay.resyncs() == 0 {
-		t.Fatal("no resync despite deletions (seed must exercise the delete path)")
-	}
-	liveP.Close()
-	liveQ.Close()
-
-	freshP := mustIndex(t, modelPoints(modelP), IndexConfig{})
-	freshQ := mustIndex(t, modelPoints(modelQ), IndexConfig{})
-	want, _, err := testEng.RunCollect(bg, freshQ, freshP, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameKeys(keySet(want), final) {
-		t.Fatalf("replayed stream holds %d pairs, fresh join %d", len(final), len(want))
-	}
+	subscriptionGate(t, rng, liveQ, liveP, modelQ, modelP, 40)
 }
 
-// TestLiveSubscriptionSelfJoin replays a self-join stream.
+// TestLiveSubscriptionSelfJoin is the same gate for a self-join
+// subscription.
 func TestLiveSubscriptionSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	eng := NewEngine(EngineConfig{BufferPages: 1024})
@@ -370,42 +372,46 @@ func TestLiveSubscriptionSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := SubscribeLive(context.Background(), ix, ix, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer ix.Close()
 	model := map[int64]Point{}
 	for _, p := range pts {
 		model[p.ID] = p
 	}
-	nextID := int64(10000)
+	subscriptionGate(t, rng, ix, ix, model, model, 40)
+}
+
+// TestLiveSubscriptionSelfJoinLowID re-inserts a self-join point under a
+// low ID: its pairs with higher-ID partners must stream too.
+func TestLiveSubscriptionSelfJoinLowID(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(1)), 50)
+	ix, err := NewEngine(EngineConfig{}).NewMutableIndex(pts, MutableConfig{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	sub, err := SubscribeLive(context.Background(), ix, ix, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
 	replay := newStreamReplay(t, sub)
-	for step := 0; step < 25; step++ {
-		mutateRandomly(t, rng, ix, model, &nextID)
+	replay.next()
+	if _, err := ix.Delete(5); err != nil {
+		t.Fatal(err)
 	}
-	var finalSeq uint64
-	for id := range model {
-		seq, err := ix.Delete(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delete(model, id)
-		finalSeq = seq
-		break
+	replay.next()
+	pts[5] = Point{X: 500, Y: 500, ID: 5}
+	if _, err := ix.Insert(pts[5]); err != nil {
+		t.Fatal(err)
 	}
-	final := replay.waitSync(finalSeq)
-	sub.Close()
-	if err := sub.Err(); err != nil {
-		t.Fatalf("subscription ended with %v", err)
-	}
-	ix.Close()
-	fresh := mustIndex(t, modelPoints(model), IndexConfig{})
+	got := replay.next()
+	fresh := mustIndex(t, pts, IndexConfig{})
 	want, _, err := testEng.RunCollect(bg, fresh, fresh, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameKeys(keySet(want), final) {
-		t.Fatalf("replayed self-join stream holds %d pairs, fresh self-join %d", len(final), len(want))
+	if !sameKeys(keySet(want), got) {
+		t.Fatalf("replayed stream holds %d pairs, fresh self-join %d", len(got), len(want))
 	}
 }
 

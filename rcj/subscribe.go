@@ -3,6 +3,8 @@ package rcj
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/buffer"
@@ -23,28 +25,22 @@ type EventType string
 
 const (
 	// EventAdd delivers a pair newly in the result set (also used for the
-	// initial state and after a resync).
+	// initial state).
 	EventAdd EventType = "add"
 	// EventRemove delivers a pair no longer in the result set.
 	EventRemove EventType = "remove"
-	// EventSync marks the end of a full-state replay (initial or after
-	// resync): the events so far reproduce the exact current result set.
+	// EventSync closes the initial replay and every mutation batch's
+	// changes: the events so far reproduce the exact current result set.
 	EventSync EventType = "sync"
-	// EventResync tells the consumer to discard its replayed state: a
-	// deletion forced a monitor rebuild (insertion maintenance is exact and
-	// local, deletion maintenance is impossible — core.ErrMonitorDelete), and the
-	// full current result set follows as EventAdd events ending in
-	// EventSync.
-	EventResync EventType = "resync"
 )
 
 // Event is one element of a subscription stream. Replaying a stream —
-// apply adds and removes in order, clear on resync — reproduces the
-// monitor's exact pair set at every sync point.
+// apply adds and removes in order — reproduces the monitor's exact pair set
+// at every sync point.
 type Event struct {
 	Type EventType
-	// Seq is the epoch sequence of the mutation that caused the event (the
-	// current sequence for initial/sync/resync events).
+	// Seq is the epoch sequence of the mutation batch that caused the event
+	// (the subscription's starting sequence for the initial replay).
 	Seq uint64
 	// Pair is set on add/remove events.
 	Pair Pair
@@ -88,9 +84,9 @@ func (s *Subscription) fail(err error) {
 
 // SubscribeLive opens a continuous query over the datasets of q and p (pass
 // the same index twice for a self-join): the stream first replays the
-// current result set (EventAdd… EventSync), then delivers exact incremental
-// changes as mutation batches apply — insertions via the monitor's local
-// maintenance, deletions via a monitor rebuild announced with EventResync.
+// current result set (EventAdd… EventSync), then delivers each mutation
+// batch's exact changes as it applies — its EventRemove events, then its
+// EventAdd events, then one EventSync — maintained locally by core.Monitor.
 // At least one side must be mutable; an immutable side contributes a frozen
 // dataset. buf bounds both the event channel and the per-subscription
 // update feed; a consumer that falls behind is shed with ErrSlowSubscriber.
@@ -138,7 +134,7 @@ type subState struct {
 	q, p *Index // the same index twice: a self-join, fed by feedQ alone
 
 	feedQ, feedP       *live.Feed // nil for an immutable (or self-collapsed) side
-	seqQ, seqP         uint64     // snapshot seqs; buffered updates at or below are stale
+	seqQ, seqP         uint64     // the sides' snapshot seqs
 	entriesQ, entriesP []rtree.PointEntry
 
 	mon *core.Monitor
@@ -151,14 +147,6 @@ func (st *subState) detach() {
 	if st.feedP != nil {
 		st.p.live.CloseFeed(st.feedP)
 	}
-}
-
-// curSeq is the newest epoch sequence the subscription has incorporated.
-func (st *subState) curSeq() uint64 {
-	if st.seqP > st.seqQ {
-		return st.seqP
-	}
-	return st.seqQ
 }
 
 func (st *subState) loop(ctx context.Context, sub *Subscription, out chan<- Event) {
@@ -175,30 +163,27 @@ func (st *subState) loop(ctx context.Context, sub *Subscription, out chan<- Even
 		}
 	}
 
-	// sendState replays the monitor's full current result set (sorted for a
-	// deterministic event log) followed by a sync marker.
-	sendState := func() bool {
-		pairs := fromCorePairs(st.mon.Pairs())
-		SortPairsByDiameter(pairs)
-		seq := st.curSeq()
-		for _, pr := range pairs {
-			if !send(Event{Type: EventAdd, Seq: seq, Pair: pr}) {
+	// sendChanges sends pairs as events of one type in a deterministic
+	// order.
+	sendChanges := func(typ EventType, seq uint64, pairs []core.Pair) bool {
+		for _, pr := range sortedEvents(pairs) {
+			if !send(Event{Type: typ, Seq: seq, Pair: pr}) {
 				return false
 			}
 		}
-		return send(Event{Type: EventSync, Seq: seq, Pairs: len(pairs)})
+		return true
 	}
 
 	if err := st.seed(); err != nil {
 		sub.fail(err)
 		return
 	}
-	if !sendState() {
+	seq := max(st.seqQ, st.seqP)
+	if !sendChanges(EventAdd, seq, st.mon.Pairs()) || !send(Event{Type: EventSync, Seq: seq, Pairs: st.mon.Len()}) {
 		return
 	}
 
-	// feedC returns a side's update channel; a nil feed yields a nil channel
-	// (never selected).
+	// A nil feed yields a nil channel (never selected).
 	var chQ, chP chan live.Update
 	if st.feedQ != nil {
 		chQ = st.feedQ.C
@@ -207,59 +192,40 @@ func (st *subState) loop(ctx context.Context, sub *Subscription, out chan<- Even
 		chP = st.feedP.C
 	}
 
+	// apply maintains the monitor through one batch (deletes first, as the
+	// index applies them) and sends its net changes: a pair one step adds
+	// and a later step removes is never sent.
 	apply := func(u live.Update, intoQ bool) bool {
-		skip := st.seqQ
-		if !intoQ {
-			skip = st.seqP
+		del, add := st.mon.DeleteP, st.mon.AddP
+		if intoQ && !selfJoin(st.q, st.p) {
+			del, add = st.mon.DeleteQ, st.mon.AddQ
 		}
-		if u.Seq <= skip {
-			return true // stale: already covered by a (re)snapshot
-		}
-		if intoQ {
-			st.seqQ = u.Seq
-		} else {
-			st.seqP = u.Seq
-		}
-		if len(u.Del) > 0 {
-			// Deletion cannot be maintained locally (core.ErrMonitorDelete):
-			// re-seed the monitor from fresh snapshots and replay the state.
-			if err := st.reseed(); err != nil {
-				if !errors.Is(err, live.ErrClosed) {
-					// Index closed underneath: the stream is ending anyway —
-					// same clean end as the feed-close path.
-					sub.fail(err)
-				}
-				return false
+		removed, added := map[[2]int64]core.Pair{}, map[[2]int64]core.Pair{}
+		for i, e := range slices.Concat(u.Del, u.Ins) {
+			op := add
+			if i < len(u.Del) {
+				op = del
 			}
-			if !send(Event{Type: EventResync, Seq: st.curSeq()}) {
-				return false
-			}
-			return sendState()
-		}
-		for _, e := range u.Ins {
-			var added, removed []core.Pair
-			var err error
-			if intoQ && !selfJoin(st.q, st.p) {
-				added, removed, err = st.mon.AddQ(e.P, e.ID)
-			} else {
-				added, removed, err = st.mon.AddP(e.P, e.ID)
-			}
+			a, r, err := op(e.P, e.ID)
 			if err != nil {
 				sub.fail(err)
 				return false
 			}
-			for _, pr := range sortedEvents(removed) {
-				if !send(Event{Type: EventRemove, Seq: u.Seq, Pair: pr}) {
-					return false
+			for _, pr := range r {
+				k := [2]int64{pr.P.ID, pr.Q.ID}
+				if _, ok := added[k]; ok {
+					delete(added, k)
+				} else {
+					removed[k] = pr
 				}
 			}
-			for _, pr := range sortedEvents(added) {
-				if !send(Event{Type: EventAdd, Seq: u.Seq, Pair: pr}) {
-					return false
-				}
+			for _, pr := range a {
+				added[[2]int64{pr.P.ID, pr.Q.ID}] = pr
 			}
 		}
-		return true
+		return sendChanges(EventRemove, u.Seq, slices.Collect(maps.Values(removed))) &&
+			sendChanges(EventAdd, u.Seq, slices.Collect(maps.Values(added))) &&
+			send(Event{Type: EventSync, Seq: u.Seq, Pairs: st.mon.Len()})
 	}
 
 	for {
@@ -290,7 +256,7 @@ func (st *subState) loop(ctx context.Context, sub *Subscription, out chan<- Even
 	}
 }
 
-// seed builds the monitor over the current snapshots.
+// seed builds the monitor over the snapshots.
 func (st *subState) seed() error {
 	tq, err := monitorTree(st.entriesQ)
 	if err != nil {
@@ -304,24 +270,6 @@ func (st *subState) seed() error {
 	}
 	st.mon, err = core.NewMonitor(tq, tp)
 	return err
-}
-
-// reseed refreshes both live sides' snapshots and rebuilds the monitor —
-// the deletion path. Updates already buffered at or below the new snapshot
-// seqs are skipped by apply.
-func (st *subState) reseed() error {
-	var err error
-	if st.q.live != nil {
-		if st.seqQ, st.entriesQ, err = st.q.live.Resnapshot(); err != nil {
-			return err
-		}
-	}
-	if !selfJoin(st.q, st.p) && st.p.live != nil {
-		if st.seqP, st.entriesP, err = st.p.live.Resnapshot(); err != nil {
-			return err
-		}
-	}
-	return st.seed()
 }
 
 // monitorTree bulk-loads a private in-memory tree the monitor may mutate.
