@@ -175,6 +175,8 @@ type Options struct {
 	// MaxDiameter, when > 0, keeps only pairs whose enclosing-circle
 	// diameter (= the distance between the two points) is at most this. The
 	// filter traversal stops at the bound instead of exhausting the tree.
+	// Zero on a Euclidean Region query lets the executor derive the window's
+	// own bound (RegionDiameter), with the same pairs; +Inf is no bound.
 	MaxDiameter float64
 	// MinDistance, when > 0, drops pairs whose points are closer than this.
 	// Excluded points still act as Ψ− pruners and verification witnesses.
@@ -231,7 +233,9 @@ type Stats struct {
 	// NodesPruned counts subtrees the query predicates discarded without
 	// reading — TP subtrees cut by MaxDiameter, TopK's dynamic bound, or
 	// Region, plus outer TQ subtrees whose midpoint rect with TP misses the
-	// Region window — the observable work pushdown saved versus the
+	// Region window or that lie beyond the window's reach (farther than
+	// MaxDiameter/2 from it; a window derives that MaxDiameter itself, see
+	// RegionDiameter) — the observable work pushdown saved versus the
 	// unconstrained join.
 	NodesPruned int64
 	// BoundKilledCandidates counts filtered candidates dropped at the start

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -35,6 +36,17 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 		ctx = context.Background()
 	}
 	j.ctx = ctx
+	if j.opts.derivesRegionBound() {
+		// The window bounds its own diameter: it runs as a bounded window,
+		// which skips the window's far reflection, with the same pairs.
+		d, err := RegionDiameter(j.tq, j.tp, *j.opts.Region)
+		if err != nil {
+			return nil, j.stats, err
+		}
+		if d > 0 && !math.IsInf(d, 1) {
+			j.opts.MaxDiameter = d
+		}
+	}
 	j.predOrder = compilePredOrder(j.opts)
 	if j.opts.hasPredicates() {
 		j.shared = newRunShared(j.opts)
@@ -154,7 +166,12 @@ func (j *joiner) sameTree() bool {
 // center is the midpoint of a TQ point and a TP point, so the centers a TQ
 // subtree can produce all lie in the midpoint rect of its MBR with TP's root
 // MBR; when that rect misses the window, no pair from the subtree can pass
-// admitPair and the subtree is skipped unread. Verification is unaffected —
+// admitPair and the subtree is skipped unread. Under a static MaxDiameter
+// the window also has a reach: both endpoints of an admitted pair lie within
+// MaxDiameter/2 of its center, so a TQ subtree farther than that from the
+// window is skipped too (widened by boundSlack, and absolutely at the
+// rounding scale of the window's coordinates, which a rounded midpoint can
+// move by an ulp). Verification is unaffected —
 // it runs against the full trees, and Ψ− pruner state is scoped to the query
 // points actually filtered — so the result set is identical (the property
 // suite sweeps this). Sampling runs keep the unpruned schedule: the cost
@@ -174,6 +191,10 @@ func (j *joiner) outerSkip() func(geom.Rect) bool {
 	}
 	tp := n.MBR()
 	window := *j.opts.Region
+	reach := math.Inf(1)
+	if j.opts.MaxDiameter > 0 {
+		reach = j.opts.MaxDiameter/2*boundSlack + 0x1p-40*maxAbs(window)
+	}
 	return func(rect geom.Rect) bool {
 		mid := geom.Rect{
 			MinX: (rect.MinX + tp.MinX) / 2,
@@ -181,7 +202,7 @@ func (j *joiner) outerSkip() func(geom.Rect) bool {
 			MaxX: (rect.MaxX + tp.MaxX) / 2,
 			MaxY: (rect.MaxY + tp.MaxY) / 2,
 		}
-		return !mid.Intersects(window)
+		return !mid.Intersects(window) || math.Sqrt(geom.RectMinDist2(rect, window)) > reach
 	}
 }
 

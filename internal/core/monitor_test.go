@@ -190,59 +190,15 @@ func TestMonitorDensePointStream(t *testing.T) {
 	}
 }
 
-// monitorGenerators are the inputs of the brute-force gate: both sides of
-// each, n points apiece, from the degenerate generators (lattices of two
-// pitches, exactly and nearly collinear lines, a circle, two far clusters,
-// Gaussian clusters clamped onto the domain's edge lines), uniform points
-// with exact and 1e-7-apart duplicates (the case that needs the neighbour
-// search's slack), and uniform points shifted far from the origin.
-func monitorGenerators(n int) []struct {
-	name   string
-	ps, qs []rtree.PointEntry
-} {
-	shifted := func(pts []rtree.PointEntry) []rtree.PointEntry {
-		for i := range pts {
-			pts[i].P.X += 1e9
-			pts[i].P.Y += 1e9
-		}
-		return pts
-	}
-	gp, gq := workload.GaussianClusterPair(n, 3, workload.Domain, 4)
-	duplicated := func(seed int64) []rtree.PointEntry {
-		rng := rand.New(rand.NewSource(seed))
-		pts := workload.Uniform(n, seed)
-		for i := 0; i < n; i += 3 {
-			pts[i].P = pts[rng.Intn(n)].P
-			if i%2 == 0 {
-				pts[i].P.X += 1e-7
-			}
-		}
-		return pts
-	}
-	return []struct {
-		name   string
-		ps, qs []rtree.PointEntry
-	}{
-		{"grid", workload.Grid(n), workload.Grid(n + 21)},
-		{"collinear0", workload.Collinear(n, 0, 1), workload.Collinear(n, 0, 2)},
-		{"collinear5", workload.Collinear(n, 5, 1), workload.Collinear(n, 5, 2)},
-		{"oncircle", workload.OnCircle(n, 0, 1), workload.OnCircle(n, 1, 2)},
-		{"twoclusters", workload.TwoDistantClusters(n, 50, 1), workload.TwoDistantClusters(n, 50, 2)},
-		{"gaussclamped", gp, gq},
-		{"duplicates", duplicated(1), duplicated(2)},
-		{"uniform1e9", shifted(workload.Uniform(n, 1)), shifted(workload.Uniform(n, 2))},
-	}
-}
-
 // TestMonitorMutationsMatchBruteForce is the monitor's brute-force gate:
 // random interleaved inserts and deletes on both sides (and on the one set
 // of a self-join) must leave exactly BruteForcePairs after every step, and
 // each step must report exactly the pairs it added and removed.
 func TestMonitorMutationsMatchBruteForce(t *testing.T) {
 	const n, steps = 160, 120
-	for _, g := range monitorGenerators(n) {
+	for _, g := range workload.Degenerate(n) {
 		for _, self := range []bool{false, true} {
-			name := g.name
+			name := g.Name
 			if self {
 				name += "/self"
 			}
@@ -255,7 +211,7 @@ func TestMonitorMutationsMatchBruteForce(t *testing.T) {
 				if self {
 					sides = 1
 				}
-				for s, pts := range [][]rtree.PointEntry{g.ps, g.qs}[:sides] {
+				for s, pts := range [][]rtree.PointEntry{g.P, g.Q}[:sides] {
 					pts = append([]rtree.PointEntry(nil), pts...)
 					rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
 					cur[s], pool[s] = pts[:n/2:n/2], pts[n/2:]

@@ -28,7 +28,11 @@ import (
 //     MaxDiameter that tightens mid-traversal, shared atomically across
 //     parallel workers.
 //   - Region prunes TP subtrees whose midpoint rect with the query point —
-//     the set of circle centers the subtree can produce — misses the window.
+//     the set of circle centers the subtree can produce — misses the window,
+//     and outer TQ subtrees likewise (exec.go's outerSkip), or beyond the
+//     window's reach under a MaxDiameter. A window has a diameter bound of
+//     its own, which the executor derives when MaxDiameter is zero
+//     (RegionDiameter).
 //   - Limit stops the whole traversal once enough pairs have been emitted.
 //
 // Pruning never drops a qualifying pair: the distance bound is monotone

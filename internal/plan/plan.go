@@ -133,10 +133,13 @@ const (
 	// parallelMinAccesses: fan a join that runs to completion out only when
 	// its estimated work amortizes worker startup and emission locking.
 	// Measured on the embedded benchmark (2-CPU Xeon VM, see README): every
-	// window and bounded window plans at 606-678 accesses and gains nothing
-	// from a second worker at 12-15 ms, while every 4k x 4k full and self
-	// join plans at 963 and runs about twice as fast on two (warm p50: full
-	// 54 -> 24 ms, self 61 -> 29 ms). The cutoff sits in that gap.
+	// 4k x 4k full and self join plans at 963 and runs about twice as fast
+	// on two (warm p50: full 54 -> 24 ms, self 61 -> 29 ms), while every
+	// window and bounded window plans at 606-678. Those read ~136 and ~90
+	// nodes since a window bounds its own diameter, and run in 1.9 and
+	// 0.9 ms (medians of 32 on G20k x U20k, forced OBJ, warm), 1.2 and
+	// 0.6 ms on two workers: a second worker saves them under a
+	// millisecond. The cutoff sits in that gap.
 	parallelMinAccesses = 900
 	// defaultLeafCap approximates the R*-tree fanout when the superblock
 	// does not say (4 KiB pages hold ~100 points; stay conservative).

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sched"
@@ -602,6 +603,66 @@ func TestRouterNoFailoverAfterForwardedRow(t *testing.T) {
 	}
 	if n := rt.m.perWorker[healthy.URL].Load(); n != 0 {
 		t.Errorf("healthy replica received %d sub-queries, want 0", n)
+	}
+}
+
+// TestRouterSubQueriesCarryBound: every sub-query a worker receives carries
+// a diameter bound, the manifest's when the client gave none, so a worker's
+// window never derives one of its own (rcj.TestRegionBoundScope) and a
+// sharded window pays no probe.
+func TestRouterSubQueriesCarryBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dir := t.TempDir()
+	manPath := filepath.Join(dir, "deploy.rcjm")
+	man, err := shard.Build(manPath, testPoints(rng, 300, 0, 499), testPoints(rng, 300, 10000, 501),
+		shard.BuildConfig{Shards: 4, MaxDiameter: testMaxD, Name: "deploy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := newWorker(t, manPath, nil).Config.Handler
+	var (
+		mu   sync.Mutex
+		seen []server.JoinRequest
+	)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		var req server.JoinRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Errorf("sub-query %s: %v", body, err)
+		}
+		mu.Lock()
+		seen = append(seen, req)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		inner.ServeHTTP(w, r)
+	}))
+	defer worker.Close()
+	rt, err := New(Config{Manifest: man, Workers: []Worker{{URL: worker.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	for _, body := range []string{
+		`{"p":"p","q":"q","region":[100,100,700,700]}`,
+		`{"p":"p","q":"q","region":[100,100,700,700],"top_k":5}`,
+		`{"p":"p","q":"q","region":[400,400,600,600],"max_diameter":90}`,
+	} {
+		if status, data := postJoin(t, front.URL, body); status != 200 {
+			t.Fatalf("%s: status %d: %s", body, status, data)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("no sub-query reached the worker")
+	}
+	for _, req := range seen {
+		if len(req.Region) != 4 || !(req.MaxDiameter > 0 && req.MaxDiameter <= testMaxD) {
+			t.Errorf("sub-query region %v max_diameter %g: want a window with a bound in (0, %g]", req.Region, req.MaxDiameter, testMaxD)
+		}
 	}
 }
 

@@ -92,3 +92,46 @@ func TwoDistantClusters(n int, sigma float64, seed int64) []rtree.PointEntry {
 	}
 	return pts
 }
+
+// Case is one named input of a generator sweep: both sides of a join.
+type Case struct {
+	Name string
+	P, Q []rtree.PointEntry
+}
+
+// Degenerate returns the inputs of the exactness gates, both sides n points
+// apiece: lattices of two pitches, exactly and nearly collinear lines, a
+// circle, two far clusters, Gaussian clusters clamped onto the domain's edge
+// lines, uniform points with exact and 1e-7-apart duplicates (the case that
+// needs a rounding slack), and uniform points shifted far from the origin.
+func Degenerate(n int) []Case {
+	shifted := func(pts []rtree.PointEntry) []rtree.PointEntry {
+		for i := range pts {
+			pts[i].P.X += 1e9
+			pts[i].P.Y += 1e9
+		}
+		return pts
+	}
+	gp, gq := GaussianClusterPair(n, 3, Domain, 4)
+	duplicated := func(seed int64) []rtree.PointEntry {
+		rng := rand.New(rand.NewSource(seed))
+		pts := Uniform(n, seed)
+		for i := 0; i < n; i += 3 {
+			pts[i].P = pts[rng.Intn(n)].P
+			if i%2 == 0 {
+				pts[i].P.X += 1e-7
+			}
+		}
+		return pts
+	}
+	return []Case{
+		{"grid", Grid(n), Grid(n + 21)},
+		{"collinear0", Collinear(n, 0, 1), Collinear(n, 0, 2)},
+		{"collinear5", Collinear(n, 5, 1), Collinear(n, 5, 2)},
+		{"oncircle", OnCircle(n, 0, 1), OnCircle(n, 1, 2)},
+		{"twoclusters", TwoDistantClusters(n, 50, 1), TwoDistantClusters(n, 50, 2)},
+		{"gaussclamped", gp, gq},
+		{"duplicates", duplicated(1), duplicated(2)},
+		{"uniform1e9", shifted(Uniform(n, 1)), shifted(Uniform(n, 2))},
+	}
+}

@@ -28,7 +28,8 @@ import (
 // no Limit) is run again at Parallelism 2 and must repeat all of it but the
 // faults. The file was recorded at the commit before the storage read path and
 // the leaf walk were each folded into one place (ISSUE 20); the four rows it
-// was allowed to move are annotated there. `go test ./rcj -run
+// was allowed to move, and the sixteen sealed window rows a window's derived
+// diameter bound moved later, are annotated there. `go test ./rcj -run
 // TestJoinCountsGolden -update` rewrites it from the current build ('#' lines
 // are not compared and not regenerated).
 
@@ -165,12 +166,17 @@ func pairDigest(pairs []Pair) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func TestJoinCountsGolden(t *testing.T) {
-	// The outer pushdown can only bite near the universe's edge (a subtree is
-	// skipped when the midpoints it can form with TP's whole MBR miss the
-	// window), so both windows sit in a corner.
+// countsClasses are the golden's query classes. The outer pushdown's
+// midpoint rule can only bite near the universe's edge (a subtree is skipped
+// when the midpoints it can form with TP's whole MBR miss the window), so
+// both windows sit in a corner.
+func countsClasses() []struct {
+	name string
+	self bool
+	qry  Query
+} {
 	window := &Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100} // 1 % of the universe
-	classes := []struct {
+	return []struct {
 		name string
 		self bool
 		qry  Query
@@ -182,28 +188,33 @@ func TestJoinCountsGolden(t *testing.T) {
 		{"limit", false, Query{Limit: 25}},
 		{"maxd", false, Query{MaxDiameter: 30}},
 	}
-	// row runs one class on fresh inputs and formats its counts.
-	row := func(v string, open func(*testing.T) countsInputs, c string, self bool, qry Query) string {
-		in := open(t)
-		q, p := in.q, in.p
-		if self {
-			q, p = in.self, in.self
-		}
-		pairs, st, err := in.eng.RunCollect(bg, q, p, qry)
-		if err != nil {
-			t.Fatalf("%s/%s/%v parallelism %d: %v", v, c, qry.Algorithm, qry.Parallelism, err)
-		}
-		return fmt.Sprintf("%s/%s/%v results=%d candidates=%d accesses=%d faults=%d pruned=%d killed=%d digest=%s",
-			v, c, qry.Algorithm, st.Results, st.Candidates, st.NodeAccesses, st.PageFaults,
-			st.NodesPruned, st.BoundKilledCandidates, pairDigest(pairs))
+}
+
+// countsRow runs one class on fresh inputs and formats its counts.
+func countsRow(t *testing.T, v string, open func(*testing.T) countsInputs, c string, self bool, qry Query) string {
+	t.Helper()
+	in := open(t)
+	q, p := in.q, in.p
+	if self {
+		q, p = in.self, in.self
 	}
+	pairs, st, err := in.eng.RunCollect(bg, q, p, qry)
+	if err != nil {
+		t.Fatalf("%s/%s/%v parallelism %d: %v", v, c, qry.Algorithm, qry.Parallelism, err)
+	}
+	return fmt.Sprintf("%s/%s/%v results=%d candidates=%d accesses=%d faults=%d pruned=%d killed=%d digest=%s",
+		v, c, qry.Algorithm, st.Results, st.Candidates, st.NodeAccesses, st.PageFaults,
+		st.NodesPruned, st.BoundKilledCandidates, pairDigest(pairs))
+}
+
+func TestJoinCountsGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, v := range countsVariants(t, t.TempDir()) {
-		for _, c := range classes {
+		for _, c := range countsClasses() {
 			for _, alg := range []Algorithm{OBJ, INJ} {
 				qry := c.qry
 				qry.Algorithm, qry.ForceAlgorithm, qry.Parallelism = alg, true, 1
-				seq := row(v.name, v.open, c.name, c.self, qry)
+				seq := countsRow(t, v.name, v.open, c.name, c.self, qry)
 				fmt.Fprintln(&got, seq)
 				if qry.TopK > 0 || qry.Limit > 0 {
 					// A parallel top-k may break radius ties differently, and
@@ -215,7 +226,7 @@ func TestJoinCountsGolden(t *testing.T) {
 				// once, as the sequential run does: every count but faults
 				// (two workers interleave on a shared LRU) is the same.
 				qry.Parallelism = 2
-				par := row(v.name, v.open, c.name, c.self, qry)
+				par := countsRow(t, v.name, v.open, c.name, c.self, qry)
 				if par, seq := faultsCol.ReplaceAllString(par, ""), faultsCol.ReplaceAllString(seq, ""); par != seq {
 					t.Errorf("parallelism 2 diverges from 1:\n got %s\nwant %s", par, seq)
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -282,6 +283,7 @@ func prepare(q, p *Index, qry Query) (func(ctx context.Context, sink func(*core.
 			return nil, Stats{}, err
 		}
 		defer release()
+		coreOpts.MaxDiameter = windowBound(q, p, qry)
 		pairs, st, err := core.JoinContext(ctx, tq, tp, coreOpts)
 		stats := statsFrom(st, &rec)
 		if qry.Stats != nil {
@@ -289,6 +291,20 @@ func prepare(q, p *Index, qry Query) (func(ctx context.Context, sink func(*core.
 		}
 		return pairs, stats, err
 	}, nil
+}
+
+// windowBound is the MaxDiameter prepare hands the executor: the query's
+// own, which is taken as given (every shard sub-query carries the
+// manifest's), or +Inf for a window with none over a live input. The
+// executor derives a Euclidean window's bound (core.RegionDiameter) only
+// under a zero MaxDiameter, so over two sealed indexes a window runs
+// bounded, while live inputs keep the unbounded window until the live
+// benchmark's mutation stream can take the faster reads (ROADMAP item 12).
+func windowBound(q, p *Index, qry Query) float64 {
+	if qry.Region != nil && qry.MaxDiameter == 0 && (q.live != nil || p.live != nil) {
+		return math.Inf(1)
+	}
+	return qry.MaxDiameter
 }
 
 // runStream is the streaming adapter: the traversal runs in a producer

@@ -208,11 +208,20 @@ func TestRunPushdownSavesNodeAccesses(t *testing.T) {
 
 	// The Region pushdown skips outer subtrees whatever the outer input is.
 	// A live outer with an empty delta is the same tree behind the merged
-	// view: same accesses, same prunings as the immutable one. With a delta
-	// and tombstones it still reads strictly less than the unconstrained
-	// walk, for exactly the pairs post-filtering keeps.
+	// view: the same bounded window reads the same nodes and prunes the same
+	// subtrees as over the immutable one (a window without a bound derives
+	// one over sealed inputs only, so both sides get the bound the immutable
+	// pair derives). With a delta and tombstones the live outer still reads
+	// strictly less than the unconstrained walk, for exactly the pairs
+	// post-filtering keeps.
 	window := Query{Region: &Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, Algorithm: OBJ, ForceAlgorithm: true}
-	wantWin, winStats, err := eng.RunCollect(ctx, ixQ, ixP, window)
+	_, winStats, err := eng.RunCollect(ctx, ixQ, ixP, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded := window
+	bounded.MaxDiameter = regionBoundOf(t, ixQ, ixP, *window.Region)
+	wantWin, boundedStats, err := eng.RunCollect(ctx, ixQ, ixP, bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +234,14 @@ func TestRunPushdownSavesNodeAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer liveQ.Close()
-	gotWin, liveStats, err := eng.RunCollect(ctx, liveQ, ixP, window)
+	gotWin, liveStats, err := eng.RunCollect(ctx, liveQ, ixP, bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	samePairs(t, "window, live outer", sortedPairs(wantWin), sortedPairs(gotWin))
-	if liveStats.NodeAccesses != winStats.NodeAccesses || liveStats.NodesPruned != winStats.NodesPruned {
-		t.Errorf("window, live outer with an empty delta: %d accesses / %d pruned, immutable outer pays %d / %d",
-			liveStats.NodeAccesses, liveStats.NodesPruned, winStats.NodeAccesses, winStats.NodesPruned)
+	if liveStats.NodeAccesses != boundedStats.NodeAccesses || liveStats.NodesPruned != boundedStats.NodesPruned {
+		t.Errorf("bounded window, live outer with an empty delta: %d accesses / %d pruned, immutable outer pays %d / %d",
+			liveStats.NodeAccesses, liveStats.NodesPruned, boundedStats.NodeAccesses, boundedStats.NodesPruned)
 	}
 	if _, err := liveQ.Insert(testPoints(rng, 300, 100_000)...); err != nil {
 		t.Fatal(err)
