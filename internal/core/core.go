@@ -11,7 +11,12 @@
 //     in ascending distance from the batch's centroid, accumulating per
 //     query point the Ψ− half-plane pruners of Lemmas 1–3 until the whole
 //     tree is pruned; surviving candidates become enclosing circles
-//     verified against both trees (Algorithm 3).
+//     verified against both trees (Algorithm 3). Every queued entry
+//     carries the query points still live for it: with no diameter bound,
+//     a subtree hands its children only the query points whose pruners did
+//     not contain its MBR (Lemma 3: they contain everything below it, and
+//     pruner sets only grow), so a point is probed by the few query points
+//     that can still pair with it, with every count unchanged.
 //   - INJ (Algorithm 5) is that pipeline on batches of one point: each q ∈ Q
 //     in depth-first leaf order gets its own incremental-nearest-neighbour
 //     walk and its own verification.
@@ -290,8 +295,14 @@ type joiner struct {
 	// steady-state allocation — one per leaf point per leaf) and the current
 	// outer leaf's points (processLeaf).
 	fheap       filterHeap
+	live        []int32 // the filter's live-list arena (bulkFilter)
 	bulkScratch []bulkQuery
 	leafBuf     []rtree.PointEntry
+
+	// filtered, when set, observes every batch's filter state before
+	// verification (the pruner sets are recycled by the next batch). Tests
+	// count half-planes through it; a run never sets it.
+	filtered func([]bulkQuery)
 }
 
 // emit records a confirmed result pair in the current batch. Under TopK the

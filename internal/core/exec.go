@@ -120,6 +120,9 @@ func (j *joiner) joinBatch(points []rtree.PointEntry) error {
 	if err != nil {
 		return err
 	}
+	if j.filtered != nil {
+		j.filtered(queries)
+	}
 	return j.verifyAndEmit(candidateBatch(queries, ring))
 }
 

@@ -20,36 +20,90 @@ import (
 // with its Lemma-5 siblings on its first probe; then the exact bound and
 // the query predicates.
 
-// filterItem is a priority-queue element of the filter traversal: an
-// unexpanded TP subtree or an indexed point, keyed by (squared) distance
-// from the reference location.
-type filterItem struct {
+// filterKey is what the filter's priority queue sifts: the (squared)
+// distance from the reference location, whether the entry is an indexed
+// point or an unexpanded TP subtree, and the index of its payload in the
+// heap's point or node slab. 16 bytes, so a sift moves a quarter of what a
+// whole item would.
+type filterKey struct {
 	dist2   float64
+	idx     int32
 	isPoint bool
-	page    storage.PageID
-	rect    geom.Rect // subtree MBR when !isPoint
-	point   rtree.PointEntry
 }
 
-// filterHeap is a min-heap of filterItem by distance, points before subtrees
-// at equal keys. It is hand-rolled rather than built on container/heap: the
-// interface indirection there boxes every pushed item into a heap allocation,
-// and the filter pushes one item per leaf point touched — the dominant
-// allocation of a warm join. The sift procedures mirror container/heap's
-// exactly, so the pop order (tie handling included) is identical to the
-// previous implementation and every equivalence gate stays byte-identical.
-type filterHeap []filterItem
+// liveSpan is a run of query-point indexes in the joiner's live arena: the
+// query points of the batch whose pruners did not contain the entry's
+// enclosing subtree when it was expanded, in batch order (see bulkFilter).
+type liveSpan struct {
+	off, n int32
+}
 
-func (h filterHeap) less(i, j int) bool {
-	if h[i].dist2 != h[j].dist2 {
-		return h[i].dist2 < h[j].dist2
+// deadMark flags a listed query point as dead for the entry's subtree by
+// the Region window alone. Deadness is inherited — a child's midpoint rect
+// with the query point lies inside its parent's, in floating point too — so
+// the mark spares every descendant the window test. The index is
+// qi &^ deadMark.
+const deadMark = math.MinInt32
+
+// filterNode is the payload of an unexpanded subtree: its page, its MBR
+// (empty for the root) and the query points still live for it.
+type filterNode struct {
+	page storage.PageID
+	rect geom.Rect
+	live liveSpan
+}
+
+// filterPoint is the payload of an indexed point: the point and the query
+// points still live for the leaf it came from.
+type filterPoint struct {
+	point rtree.PointEntry
+	live  liveSpan
+}
+
+// filterHeap is a min-heap of filterKey by distance, points before subtrees
+// at equal keys, over payload slabs that only grow during one traversal
+// (reset empties them). It is hand-rolled rather than built on
+// container/heap: the interface indirection there boxes every pushed item
+// into a heap allocation, and the filter pushes one item per leaf point
+// touched — the dominant allocation of a warm join. The sift procedures
+// mirror container/heap's exactly and the payload index rides along
+// uncompared, so the pop order, tie handling included, is that of a heap
+// of whole items (TestFilterHeapPopOrder), which every pinned count
+// depends on.
+type filterHeap struct {
+	keys   filterKeys
+	nodes  []filterNode
+	points []filterPoint
+}
+
+type filterKeys []filterKey
+
+func (h *filterHeap) reset() {
+	h.keys, h.nodes, h.points = h.keys[:0], h.nodes[:0], h.points[:0]
+}
+
+func (s filterKeys) less(i, j int) bool {
+	if s[i].dist2 != s[j].dist2 {
+		return s[i].dist2 < s[j].dist2
 	}
-	return h[i].isPoint && !h[j].isPoint
+	return s[i].isPoint && !s[j].isPoint
 }
 
-func (h *filterHeap) push(it filterItem) {
-	*h = append(*h, it)
-	s := *h
+// pushNode queues a subtree keyed at dist2.
+func (h *filterHeap) pushNode(dist2 float64, page storage.PageID, rect geom.Rect, live liveSpan) {
+	h.nodes = append(h.nodes, filterNode{page: page, rect: rect, live: live})
+	h.push(filterKey{dist2: dist2, idx: int32(len(h.nodes) - 1)})
+}
+
+// pushPoint queues an indexed point keyed at dist2.
+func (h *filterHeap) pushPoint(dist2 float64, p rtree.PointEntry, live liveSpan) {
+	h.points = append(h.points, filterPoint{point: p, live: live})
+	h.push(filterKey{dist2: dist2, idx: int32(len(h.points) - 1), isPoint: true})
+}
+
+func (h *filterHeap) push(k filterKey) {
+	h.keys = append(h.keys, k)
+	s := h.keys
 	j := len(s) - 1
 	for j > 0 {
 		i := (j - 1) / 2 // parent
@@ -61,8 +115,10 @@ func (h *filterHeap) push(it filterItem) {
 	}
 }
 
-func (h *filterHeap) pop() filterItem {
-	s := *h
+// pop removes and returns the least key; its payload is h.points[k.idx] or
+// h.nodes[k.idx] by k.isPoint, valid until the next reset.
+func (h *filterHeap) pop() filterKey {
+	s := h.keys
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
 	i := 0
@@ -81,31 +137,27 @@ func (h *filterHeap) pop() filterItem {
 		s[i], s[j] = s[j], s[i]
 		i = j
 	}
-	it := s[n]
-	*h = s[:n]
-	return it
+	k := s[n]
+	h.keys = s[:n]
+	return k
 }
 
 // pushLeafPoints expands a leaf node onto the heap: one pass over the
 // coordinate columns with the squared distance from (rx, ry) computed
 // inline — no per-entry struct reads, no interface boxing.
-func (h *filterHeap) pushLeafPoints(n *rtree.Node, rx, ry float64) {
+func (h *filterHeap) pushLeafPoints(n *rtree.Node, rx, ry float64, live liveSpan) {
 	xs, ys := n.Xs, n.Ys
 	for i, id := range n.IDs {
 		dx, dy := rx-xs[i], ry-ys[i]
-		h.push(filterItem{
-			dist2:   dx*dx + dy*dy,
-			isPoint: true,
-			point:   rtree.PointEntry{P: geom.Point{X: xs[i], Y: ys[i]}, ID: id},
-		})
+		h.pushPoint(dx*dx+dy*dy, rtree.PointEntry{P: geom.Point{X: xs[i], Y: ys[i]}, ID: id}, live)
 	}
 }
 
 // pushChildren expands an internal node onto the heap keyed by MINDIST from
 // (the point) ref.
-func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point) {
+func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point, live liveSpan) {
 	for _, e := range n.Children {
-		h.push(filterItem{dist2: e.MBR.MinDist2(ref), page: e.Child, rect: e.MBR})
+		h.pushNode(e.MBR.MinDist2(ref), e.Child, e.MBR, live)
 	}
 }
 
@@ -197,6 +249,27 @@ func candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle)
 // nearest-neighbour order from the point itself, maximizing the pruning
 // power of the earliest discoveries.
 //
+// Every queued entry carries the query points still live for it (a
+// liveSpan into j.live; the root's holds the whole batch). When a subtree
+// is expanded under no diameter bound, the rect test walks only its
+// parent's live query points and lists for its children the ones whose
+// pruners do not contain its MBR; a popped point is probed only by its
+// leaf's list. That drops no work the unlisted probes would have done: a
+// half-plane containing an MBR contains everything below it (Lemma 3 —
+// exactly so in floating point, since the rect test evaluates the same
+// rounded functional at the MBR's maximizing corner, and every child MBR
+// and point lies inside its parent entry's MBR), and pruner sets only grow
+// during a call. A query point dead for a subtree by predicate alone (the
+// Region window) stays listed, since a point outside the window still
+// prunes, and marked (deadMark), so no descendant tests the window again.
+// The list decides nothing else — a query point is seeded in the rect test
+// only while the subtree's fate is undecided, and a subtree pruned for
+// every listed query point is credited to the pushdown only if the
+// unlisted ones are dead for it by predicate too — so every count equals
+// that of the list-free traversal. Under a bound the rect test keeps its
+// early exit and the children inherit the parent's list: the bound kills
+// most subtrees long before a list would pay for itself.
+//
 // With symmetric pruning (OBJ, Lemma 5), each query point's pruner set holds
 // Ψ−(q, q') for every sibling q' in the leaf (bulkQuery.seed), so even an
 // empty candidate set shrinks the search space. Under a diameter bound
@@ -230,16 +303,20 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 		spread = math.Max(spread, centroid.Dist(q.P))
 	}
 
+	j.live = j.live[:0]
+	for qi := range queries {
+		j.live = append(j.live, int32(qi))
+	}
 	constrained := j.opts.hasPredicates()
 	h := &j.fheap
-	*h = (*h)[:0]
-	h.push(filterItem{dist2: 0, page: j.tp.Root(), rect: geom.EmptyRect()})
-	for len(*h) > 0 {
-		item := h.pop()
+	h.reset()
+	h.pushNode(0, j.tp.Root(), geom.EmptyRect(), liveSpan{0, int32(len(queries))})
+	for len(h.keys) > 0 {
+		k := h.pop()
 		j.stats.FilterHeapPops++
 		bound := j.maxPairDiameter()
 		bounded := !math.IsInf(bound, 1)
-		if bounded && math.Sqrt(item.dist2) > (spread+bound)*boundSlack {
+		if bounded && math.Sqrt(k.dist2) > (spread+bound)*boundSlack {
 			// The heap pops in ascending distance from the centroid, so
 			// everything still queued is at least sqrt(key) − spread from
 			// every query point — beyond any admissible pair's diameter.
@@ -247,18 +324,19 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 			// relative to their own size, so the rule can only err toward
 			// one more pop.) Terminate the traversal, crediting the
 			// subtrees never read to the pushdown.
-			for _, it := range append(*h, item) {
-				if !it.isPoint {
+			for _, k := range append(h.keys, k) {
+				if !k.isPoint {
 					j.stats.NodesPruned++
 				}
 			}
 			break
 		}
-		if item.isPoint {
+		if k.isPoint {
+			item := h.points[k.idx]
 			px, py := item.point.P.X, item.point.P.Y
 			limit2 := squaredBound(bound)
-			for qi := range queries {
-				bq := &queries[qi]
+			for _, qi := range j.live[item.live.off : item.live.off+item.live.n] {
+				bq := &queries[qi&^deadMark]
 				if j.opts.SelfJoin && item.point.ID == bq.q.ID {
 					continue
 				}
@@ -299,37 +377,64 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 			}
 			continue
 		}
+		item := h.nodes[k.idx]
 		if !item.rect.IsEmpty() {
 			// The stop rule above is per traversal; a subtree can still be
 			// dead for one query point by its own distance or the Region
 			// window while others need it.
-			prunedForAll := true
-			predicatesOnly := true
-			for qi := range queries {
+			listed := j.live[item.live.off : item.live.off+item.live.n]
+			start := len(j.live)
+			prunedForAll, predicatesOnly, marked := true, true, false
+			for _, qi := range listed {
+				if qi < 0 {
+					// Dead here as it was above.
+					if !bounded {
+						j.live = append(j.live, qi)
+					}
+					continue
+				}
 				bq := &queries[qi]
-				if (bounded && math.Sqrt(item.rect.MinDist2(bq.q.P)) > bound*boundSlack) ||
-					j.regionPrunesRect(bq.q.P, item.rect) {
-					// Dead for this query point by predicate alone.
+				if j.rectDead(bq.q.P, item.rect, bounded, bound) {
+					if !bounded {
+						j.live = append(j.live, qi|deadMark)
+						marked = true
+					}
 					continue
 				}
 				predicatesOnly = false
-				if bq.pruners.PrunesRect(item.rect) {
-					continue
-				}
-				if !bq.seeded {
-					bq.seed(leafPoints)
+				if prunedForAll {
 					if bq.pruners.PrunesRect(item.rect) {
 						continue
 					}
+					if !bq.seeded {
+						bq.seed(leafPoints)
+						if bq.pruners.PrunesRect(item.rect) {
+							continue
+						}
+					}
+					prunedForAll = false
+					if bounded {
+						break
+					}
+				} else if bq.pruners.PrunesRect(item.rect) {
+					continue
 				}
-				prunedForAll = false
-				break
+				j.live = append(j.live, qi)
 			}
 			if prunedForAll {
+				if predicatesOnly && len(listed) < len(queries) {
+					predicatesOnly = j.unlistedDead(queries, listed, item.rect, bounded, bound)
+				}
 				if predicatesOnly {
 					j.stats.NodesPruned++
 				}
+				j.live = j.live[:start]
 				continue
+			}
+			if n := len(j.live) - start; !bounded && (n < len(listed) || marked) {
+				item.live = liveSpan{int32(start), int32(n)}
+			} else {
+				j.live = j.live[:start] // nothing dropped or newly marked: share the parent's list
 			}
 		}
 		if err := j.ctxErr(); err != nil {
@@ -340,10 +445,35 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 			return nil, err
 		}
 		if n.Leaf {
-			h.pushLeafPoints(n, centroid.X, centroid.Y)
+			h.pushLeafPoints(n, centroid.X, centroid.Y, item.live)
 		} else {
-			h.pushChildren(n, centroid)
+			h.pushChildren(n, centroid, item.live)
 		}
 	}
 	return queries, nil
+}
+
+// rectDead reports whether a subtree under rect is dead for query point q
+// by the query predicates alone: every point below it lies beyond the
+// diameter bound from q, or pairs with q only outside the Region window.
+func (j *joiner) rectDead(q geom.Point, rect geom.Rect, bounded bool, bound float64) bool {
+	return (bounded && math.Sqrt(rect.MinDist2(q)) > bound*boundSlack) || j.regionPrunesRect(q, rect)
+}
+
+// unlistedDead reports whether every query point missing from the ascending
+// list listed is dead for rect by predicate alone — what the list-free rect
+// test would have found for them before reaching their pruners, which
+// contain rect.
+func (j *joiner) unlistedDead(queries []bulkQuery, listed []int32, rect geom.Rect, bounded bool, bound float64) bool {
+	next := 0
+	for qi := range queries {
+		if next < len(listed) && listed[next]&^deadMark == int32(qi) {
+			next++
+			continue
+		}
+		if !j.rectDead(queries[qi].q.P, rect, bounded, bound) {
+			return false
+		}
+	}
+	return true
 }

@@ -153,37 +153,39 @@ func (j *joiner) filterL1(q rtree.PointEntry) ([]bulkQuery, error) {
 	cands := queries[0].cands
 	var pruners l1Pruners
 	h := &j.fheap
-	*h = (*h)[:0]
-	h.push(filterItem{page: j.tp.Root(), rect: geom.EmptyRect()})
-	for len(*h) > 0 {
-		item := h.pop() // dist2 holds the plain L1 distance here
+	h.reset()
+	h.pushNode(0, j.tp.Root(), geom.EmptyRect(), liveSpan{})
+	for len(h.keys) > 0 {
+		k := h.pop() // dist2 holds the plain L1 distance here
 		j.stats.FilterHeapPops++
-		if bound := j.maxPairDiameter(); !math.IsInf(bound, 1) && item.dist2 > bound*boundSlack {
+		if bound := j.maxPairDiameter(); !math.IsInf(bound, 1) && k.dist2 > bound*boundSlack {
 			// Ascending pop order: everything still queued is beyond the
 			// bound too. Credit the subtrees never read to the pushdown.
-			for _, it := range append(*h, item) {
-				if !it.isPoint {
+			for _, k := range append(h.keys, k) {
+				if !k.isPoint {
 					j.stats.NodesPruned++
 				}
 			}
 			break
 		}
-		if item.isPoint {
-			if j.opts.SelfJoin && item.point.ID == q.ID {
+		if k.isPoint {
+			p := h.points[k.idx].point
+			if j.opts.SelfJoin && p.ID == q.ID {
 				continue
 			}
-			if pruners.prunesPoint(item.point.P) {
+			if pruners.prunesPoint(p.P) {
 				continue
 			}
-			if j.admitPairDist(item.dist2, q, item.point) {
-				cands = append(cands, item.point)
+			if j.admitPairDist(k.dist2, q, p) {
+				cands = append(cands, p)
 			}
 			// An excluded point still prunes, as in the Euclidean filter.
-			if !item.point.P.Equal(q.P) {
-				pruners = append(pruners, newL1Pruner(q.P, item.point.P))
+			if !p.P.Equal(q.P) {
+				pruners = append(pruners, newL1Pruner(q.P, p.P))
 			}
 			continue
 		}
+		item := h.nodes[k.idx]
 		if !item.rect.IsEmpty() && pruners.prunesRect(item.rect) {
 			continue
 		}
@@ -198,11 +200,11 @@ func (j *joiner) filterL1(q rtree.PointEntry) ([]bulkQuery, error) {
 			xs, ys := n.Xs, n.Ys
 			for i, id := range n.IDs {
 				p := geom.Point{X: xs[i], Y: ys[i]}
-				h.push(filterItem{dist2: q.P.L1Dist(p), isPoint: true, point: rtree.PointEntry{P: p, ID: id}})
+				h.pushPoint(q.P.L1Dist(p), rtree.PointEntry{P: p, ID: id}, liveSpan{})
 			}
 		} else {
 			for _, e := range n.Children {
-				h.push(filterItem{dist2: e.MBR.MinL1Dist(q.P), page: e.Child, rect: e.MBR})
+				h.pushNode(e.MBR.MinL1Dist(q.P), e.Child, e.MBR, liveSpan{})
 			}
 		}
 	}

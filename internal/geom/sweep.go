@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file implements the plane-sweep intersection test mentioned in
 // Section 3.2 of the paper: given a group of rectangles and a group of
@@ -44,8 +47,9 @@ func RectCircleSweep(rects []Rect, circles []Circle) []SweepPair {
 		b := c.BoundingRect()
 		cs = append(cs, interval{b.MinX, b.MaxX, i})
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].lo < rs[j].lo })
-	sort.Slice(cs, func(i, j int) bool { return cs[i].lo < cs[j].lo })
+	byLo := func(a, b interval) int { return cmp.Compare(a.lo, b.lo) }
+	slices.SortFunc(rs, byLo)
+	slices.SortFunc(cs, byLo)
 
 	var out []SweepPair
 	// Classic two-list sweep: advance whichever list has the smaller next
