@@ -40,8 +40,11 @@ func (j *joiner) runBrute() error {
 				continue
 			}
 			if !j.opts.SkipVerification {
-				ok, err := VerifyPair(j.tq, j.tp, p, q, j.opts.SelfJoin)
+				ok, err := j.verifyPair(p, q)
 				if err != nil {
+					// The verifier stops on a satisfied Limit too: the
+					// pairs this point already confirmed still leave.
+					j.deliver()
 					return err
 				}
 				if !ok {
@@ -70,57 +73,22 @@ func scanAll(ix SpatialIndex) ([]rtree.PointEntry, error) {
 // smallest circle enclosing p ∈ P and q ∈ Q covers no other point of either
 // index. It is the point lookup the paper's decision-support scenarios need
 // when validating a proposed location rather than computing the full join.
-func VerifyPair(tq, tp SpatialIndex, p, q rtree.PointEntry, selfJoin bool) (bool, error) {
-	c := geom.EnclosingCircle(p.P, q.P)
-	if selfJoin {
-		hit, err := anyInCircle(tp, c, p.ID, q.ID)
-		return !hit, err
-	}
-	hit, err := anyInCircle(tp, c, p.ID, p.ID)
-	if err != nil || hit {
-		return false, err
-	}
-	hit, err = anyInCircle(tq, c, q.ID, q.ID)
-	return !hit, err
+// It runs the join's own verifier on a one-candidate batch; opts supplies
+// the inputs' SelfJoin and DisableFaceRule (a view whose MBRs may be loose
+// must turn the face rule off, as its joins do), and nothing else.
+func VerifyPair(tq, tp SpatialIndex, p, q rtree.PointEntry, opts Options) (bool, error) {
+	j := &joiner{tq: tq, tp: tp, opts: Options{SelfJoin: opts.SelfJoin, DisableFaceRule: opts.DisableFaceRule}}
+	return j.verifyPair(p, q)
 }
 
-// anyInCircle reports whether the index holds a point other than the two
-// excluded ids covered by the closed disk c, short-circuiting on the first
-// hit.
-func anyInCircle(t SpatialIndex, c geom.Circle, ex1, ex2 int64) (bool, error) {
-	return anyInCircleRec(t, t.Root(), c, ex1, ex2)
-}
-
-func anyInCircleRec(t SpatialIndex, id storage.PageID, c geom.Circle, ex1, ex2 int64) (bool, error) {
-	if id == storage.InvalidPageID {
-		return false, nil
-	}
-	n, err := t.ReadNode(id)
-	if err != nil {
+// verifyPair verifies the pair of p and q against both trees, as one
+// candidate batch.
+func (j *joiner) verifyPair(p, q rtree.PointEntry) (bool, error) {
+	c := &candidate{pair: Pair{P: p, Q: q, Circle: geom.EnclosingCircle(p.P, q.P)}, alive: true}
+	if err := j.verifyBoth([]*candidate{c}); err != nil {
 		return false, err
 	}
-	if n.Leaf {
-		// Hoisted form of c.Covers over the coordinate columns (see verify).
-		cx, cy := c.Center.X, c.Center.Y
-		r2 := c.Radius * c.Radius * (1 + geom.CoverTol)
-		xs, ys := n.Xs, n.Ys
-		for i, eid := range n.IDs {
-			dx, dy := cx-xs[i], cy-ys[i]
-			if dx*dx+dy*dy <= r2 && eid != ex1 && eid != ex2 {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	for _, e := range n.Children {
-		if c.IntersectsRect(e.MBR) {
-			hit, err := anyInCircleRec(t, e.Child, c, ex1, ex2)
-			if err != nil || hit {
-				return hit, err
-			}
-		}
-	}
-	return false, nil
+	return c.alive, nil
 }
 
 // BruteForcePairs computes the RCJ of two plain point slices with no index at

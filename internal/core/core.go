@@ -292,12 +292,13 @@ type joiner struct {
 	// Per-worker scratch reused across filter calls (a joiner is never used
 	// concurrently): the traversal heap, the filter's per-query state
 	// (whose pruner sets and candidate slices would otherwise be the dominant
-	// steady-state allocation — one per leaf point per leaf) and the current
-	// outer leaf's points (processLeaf).
+	// steady-state allocation — one per leaf point per leaf), the current
+	// outer leaf's points (processLeaf) and the verifier's stack.
 	fheap       filterHeap
 	live        []int32 // the filter's live-list arena (bulkFilter)
 	bulkScratch []bulkQuery
 	leafBuf     []rtree.PointEntry
+	vstack      []*candidate // verifyNode's per-entry candidate lists
 
 	// filtered, when set, observes every batch's filter state before
 	// verification (the pruner sets are recycled by the next batch). Tests

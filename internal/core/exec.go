@@ -132,17 +132,8 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 	j.stats.Candidates += int64(len(cands))
 	j.boundBatch(cands)
 	if !j.opts.SkipVerification {
-		verify := j.verify
-		if j.opts.Metric == MetricL1 {
-			verify = j.verifyL1
-		}
-		if err := verify(j.tq, cands, sideQ); err != nil {
+		if err := j.verifyBoth(cands); err != nil {
 			return err
-		}
-		if !j.sameTree() {
-			if err := verify(j.tp, cands, sideP); err != nil {
-				return err
-			}
 		}
 	}
 	for _, c := range cands {
@@ -156,6 +147,22 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 	}
 	j.deliver()
 	return nil
+}
+
+// verifyBoth verifies a candidate batch against TQ and then, unless it is
+// the same tree, against TP, with the run's metric's verifier.
+func (j *joiner) verifyBoth(cands []*candidate) error {
+	verify := j.verify
+	if j.opts.Metric == MetricL1 {
+		verify = j.verifyL1
+	}
+	if err := verify(j.tq, cands, sideQ); err != nil {
+		return err
+	}
+	if j.sameTree() {
+		return nil
+	}
+	return verify(j.tp, cands, sideP)
 }
 
 // sameTree reports whether both join inputs are the identical tree, in which

@@ -206,7 +206,7 @@ func (m *Monitor) offer(a, b neighbour) (Pair, bool, error) {
 	if _, ok := m.pairs[monitorKey{p.ID, q.ID}]; ok {
 		return Pair{}, false, nil
 	}
-	ok, err := VerifyPair(m.tq, m.tp, p, q, m.self)
+	ok, err := VerifyPair(m.tq, m.tp, p, q, Options{SelfJoin: m.self})
 	if err != nil || !ok {
 		return Pair{}, false, err
 	}

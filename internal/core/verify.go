@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -18,6 +17,13 @@ import (
 //	intersecting entry       → subtree descended
 //	entry face inside circle → circle removed without descending (the MBR
 //	                           property guarantees a covered point below)
+//
+// Section 3.2 also suggests matching a node's entries to the circles with a
+// plane sweep. Verification matches them with a nested IntersectsRect loop
+// in verifyNode instead: a sweep was measured slower on the leaf-kernel
+// benchmarks, and its prefilter box (centre ± radius, not widened by
+// CoverTol) dropped witnesses on a disc's extreme x or y that the exact test
+// admits. The match set is therefore exactly what IntersectsRect admits.
 //
 // The face rule here uses the *strict* interior: the guaranteed point on a
 // strictly-inside face is strictly inside the circle and therefore cannot be
@@ -58,11 +64,6 @@ func (j *joiner) excludedIDs(c *candidate, s side) (int64, int64) {
 	}
 	return c.pair.P.ID, c.pair.P.ID
 }
-
-// sweepThreshold is the work size (entries × circles) above which the
-// verifier batches the entry/circle intersection tests with a plane sweep,
-// as Section 3.2 suggests, instead of the nested loop.
-const sweepThreshold = 256
 
 // boundBatch re-applies the run's dynamic bound at verification time:
 // candidates admitted when they were filtered but strictly beyond the
@@ -106,16 +107,17 @@ func (j *joiner) verify(t SpatialIndex, cands []*candidate, s side) error {
 	if t.Root() == storage.InvalidPageID {
 		return nil
 	}
-	live := cands[:0:0]
 	for _, c := range cands {
 		if c.alive {
-			live = append(live, c)
+			j.vstack = append(j.vstack, c)
 		}
 	}
-	if len(live) == 0 {
+	if len(j.vstack) == 0 {
 		return nil
 	}
-	return j.verifyNode(t, t.Root(), live, s)
+	err := j.verifyNode(t, t.Root(), j.vstack, s)
+	j.vstack = j.vstack[:0]
+	return err
 }
 
 // verifyNode processes one node: leaf entries kill covering circles;
@@ -155,68 +157,32 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 		return nil
 	}
 
-	// Match child entries to the circles intersecting them, via plane sweep
-	// when the cross product is large.
-	matches := j.matchEntries(n, cands)
-	for i, e := range n.Children {
-		sub := matches[i]
-		if len(sub) == 0 {
+	// Each entry is matched with the alive circles intersecting it (the
+	// exact IntersectsRect test); the face rule kills what it can, and the
+	// rest descend. The lists live on the joiner's verify stack, one segment
+	// per level of the descent.
+	for _, e := range n.Children {
+		start := len(j.vstack)
+		for _, c := range cands {
+			if !c.alive || !c.pair.Circle.IntersectsRect(e.MBR) {
+				continue
+			}
+			if !j.opts.DisableFaceRule && containsFaceStrict(&c.pair, e.MBR) {
+				c.alive = false
+				continue
+			}
+			j.vstack = append(j.vstack, c)
+		}
+		if len(j.vstack) == start {
 			continue
 		}
-		if !j.opts.DisableFaceRule {
-			for _, c := range sub {
-				if c.alive && containsFaceStrict(&c.pair, e.MBR) {
-					c.alive = false
-				}
-			}
-		}
-		// Keep only the still-alive circles for the descent.
-		descend := sub[:0]
-		for _, c := range sub {
-			if c.alive {
-				descend = append(descend, c)
-			}
-		}
-		if len(descend) == 0 {
-			continue
-		}
-		if err := j.verifyNode(t, e.Child, descend, s); err != nil {
+		err := j.verifyNode(t, e.Child, j.vstack[start:], s)
+		j.vstack = j.vstack[:start]
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// matchEntries returns, per child entry of n, the alive candidates whose
-// circles intersect the entry MBR.
-func (j *joiner) matchEntries(n *rtree.Node, cands []*candidate) [][]*candidate {
-	matches := make([][]*candidate, len(n.Children))
-	if len(n.Children)*len(cands) >= sweepThreshold {
-		rects := make([]geom.Rect, len(n.Children))
-		for i, e := range n.Children {
-			rects[i] = e.MBR
-		}
-		circles := make([]geom.Circle, 0, len(cands))
-		liveIdx := make([]int, 0, len(cands))
-		for i, c := range cands {
-			if c.alive {
-				circles = append(circles, c.pair.Circle)
-				liveIdx = append(liveIdx, i)
-			}
-		}
-		for _, hit := range geom.RectCircleSweep(rects, circles) {
-			matches[hit.RectIdx] = append(matches[hit.RectIdx], cands[liveIdx[hit.CircleIdx]])
-		}
-		return matches
-	}
-	for i, e := range n.Children {
-		for _, c := range cands {
-			if c.alive && c.pair.Circle.IntersectsRect(e.MBR) {
-				matches[i] = append(matches[i], c)
-			}
-		}
-	}
-	return matches
 }
 
 // containsFaceStrict reports whether some face of r lies strictly inside

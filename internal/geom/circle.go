@@ -72,15 +72,6 @@ func (c Circle) ContainsFace(r Rect) bool {
 	return false
 }
 
-// BoundingRect returns the axis-aligned bounding rectangle of c, used to fit
-// circles into the plane-sweep batch intersection machinery.
-func (c Circle) BoundingRect() Rect {
-	return Rect{
-		c.Center.X - c.Radius, c.Center.Y - c.Radius,
-		c.Center.X + c.Radius, c.Center.Y + c.Radius,
-	}
-}
-
 // Diameter returns the diameter of c, the quantity the paper's tourist
 // recommendation scenario sorts RCJ results by.
 func (c Circle) Diameter() float64 {

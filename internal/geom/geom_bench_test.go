@@ -78,37 +78,3 @@ func BenchmarkPrunerSetTwenty(b *testing.B) {
 	}
 	_ = n
 }
-
-func BenchmarkRectCircleSweep(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	rects := make([]Rect, 28) // one internal node's entries
-	for i := range rects {
-		x, y := rng.Float64()*9000, rng.Float64()*9000
-		rects[i] = Rect{x, y, x + 500, y + 500}
-	}
-	circles := make([]Circle, 100) // one leaf's candidate circles
-	for i := range circles {
-		circles[i] = Circle{
-			Center: Point{rng.Float64() * 10000, rng.Float64() * 10000},
-			Radius: rng.Float64() * 400,
-		}
-	}
-	b.Run("sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = RectCircleSweep(rects, circles)
-		}
-	})
-	b.Run("nested-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, r := range rects {
-				for _, c := range circles {
-					if c.IntersectsRect(r) {
-						n++
-					}
-				}
-			}
-			_ = n
-		}
-	})
-}

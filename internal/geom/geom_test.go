@@ -364,36 +364,6 @@ func TestRectMinDist2(t *testing.T) {
 	}
 }
 
-func TestRectCircleSweepMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 50; trial++ {
-		nr, nc := rng.Intn(30), rng.Intn(30)
-		rects := make([]Rect, nr)
-		for i := range rects {
-			rects[i] = rectFrom(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
-		}
-		circles := make([]Circle, nc)
-		for i := range circles {
-			circles[i] = Circle{
-				Center: Point{rng.Float64() * 1000, rng.Float64() * 1000},
-				Radius: rng.Float64() * 200,
-			}
-		}
-		got := map[[2]int]bool{}
-		for _, hit := range RectCircleSweep(rects, circles) {
-			got[[2]int{hit.RectIdx, hit.CircleIdx}] = true
-		}
-		for i, r := range rects {
-			for jj, c := range circles {
-				want := c.IntersectsRect(r)
-				if got[[2]int{i, jj}] != want {
-					t.Fatalf("trial %d: sweep mismatch at rect %d circle %d: got %v want %v", trial, i, jj, got[[2]int{i, jj}], want)
-				}
-			}
-		}
-	}
-}
-
 func TestL1Circle(t *testing.T) {
 	p := Point{0, 0}
 	q := Point{4, 2}

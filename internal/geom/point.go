@@ -1,7 +1,6 @@
 // Package geom provides the computational-geometry substrate for the
 // ring-constrained join: points, rectangles (MBRs), circles, the Ψ+/Ψ−
-// half-plane pruning regions of Lemmas 1, 3 and 5, and batch plane-sweep
-// intersection tests.
+// half-plane pruning regions of Lemmas 1, 3 and 5.
 //
 // All coordinates are Euclidean 2D float64. Experiments in the paper
 // normalize coordinates to [0, 10000]²; the geometry here is agnostic to the

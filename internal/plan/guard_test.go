@@ -625,12 +625,16 @@ func typeSpec(files map[string]*ast.File, name string) ast.Expr {
 	return nil
 }
 
-// TestOneFilterTraversal is the guard on "one filter traversal, one way out
-// of the executor": in internal/core exactly two functions drive the filter
-// heap — bulkFilter (Algorithm 7, and on a one-point batch Algorithm 2: INJ,
-// BIJ and OBJ are batch granularity and Lemma-5 seeding on it) and filterL1
-// (the Manhattan pruner kernel) — and the three result sinks of core.Options
-// are each read in exactly one function, deliver. A second traversal or a
+// TestOneFilterTraversal is the guard on "one filter traversal, one
+// verifier, one way out of the executor": in internal/core exactly two
+// functions drive the filter heap — bulkFilter (Algorithm 7, and on a
+// one-point batch Algorithm 2: INJ, BIJ and OBJ are batch granularity and
+// Lemma-5 seeding on it) and filterL1 (the Manhattan pruner kernel) —
+// exactly two descend the verifier into a node's entries with
+// IntersectsRect — verifyNode (Algorithm 3, which VerifyPair runs on a
+// one-candidate batch) and anyInL1Ball (the Manhattan ball verifier) — and
+// the three result sinks of core.Options are each read in exactly one
+// function, deliver. A second traversal, a second Euclidean verifier or a
 // second place that hands pairs to a caller has to be argued for here.
 func TestOneFilterTraversal(t *testing.T) {
 	users := map[string][]string{} // selector name -> functions mentioning it
@@ -648,7 +652,7 @@ func TestOneFilterTraversal(t *testing.T) {
 						seen["pop"] = true
 					}
 				case *ast.SelectorExpr:
-					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "OnBatch" {
+					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "OnBatch" || name == "IntersectsRect" {
 						seen[name] = true
 					}
 				}
@@ -660,10 +664,11 @@ func TestOneFilterTraversal(t *testing.T) {
 		}
 	}
 	for name, want := range map[string][]string{
-		"pop":     {"joiner.bulkFilter", "joiner.filterL1"},
-		"Collect": {"joiner.deliver"},
-		"OnPair":  {"joiner.deliver"},
-		"OnBatch": {"joiner.deliver"},
+		"pop":            {"joiner.bulkFilter", "joiner.filterL1"},
+		"IntersectsRect": {"joiner.anyInL1Ball", "joiner.verifyNode"},
+		"Collect":        {"joiner.deliver"},
+		"OnPair":         {"joiner.deliver"},
+		"OnBatch":        {"joiner.deliver"},
 	} {
 		got := users[name]
 		slices.Sort(got)

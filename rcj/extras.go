@@ -19,7 +19,7 @@ func VerifyPair(q, p *Index, pPoint, qPoint Point) (bool, error) {
 		return false, err
 	}
 	defer release()
-	return core.VerifyPair(tq, tp, pPoint.entry(), qPoint.entry(), coreOpts.SelfJoin)
+	return core.VerifyPair(tq, tp, pPoint.entry(), qPoint.entry(), coreOpts)
 }
 
 // IndexStats describes the physical shape of an index.

@@ -6,48 +6,60 @@ import (
 	"testing"
 )
 
+// TestVerifyPair holds VerifyPair to join membership: every pair the join
+// returns verifies, and over a sample of P x Q (all of it on the lattice
+// input, whose points sit exactly on other pairs' disc boundaries)
+// VerifyPair accepts exactly the pairs the join returns.
 func TestVerifyPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	ps := randomPoints(rng, 120)
-	qs := randomPoints(rng, 120)
-	ixP := mustIndex(t, ps, IndexConfig{})
-	ixQ := mustIndex(t, qs, IndexConfig{})
-	pairs, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) == 0 {
-		t.Fatal("no pairs")
-	}
-	// Every reported pair verifies.
-	for _, pr := range pairs[:min(20, len(pairs))] {
-		ok, err := VerifyPair(ixQ, ixP, pr.P, pr.Q)
+	lattice := latticeHalves(300, 1)[0]
+	for _, in := range []struct {
+		name   string
+		ps, qs []Point
+		np, nq int
+	}{
+		{"uniform", randomPoints(rng, 120), randomPoints(rng, 120), 30, 30},
+		{lattice.Name, toPoints(lattice.P), toPoints(lattice.Q), len(lattice.P), len(lattice.Q)},
+	} {
+		ixP := mustIndex(t, in.ps, IndexConfig{})
+		ixQ := mustIndex(t, in.qs, IndexConfig{})
+		pairs, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Errorf("join pair <%d,%d> fails VerifyPair", pr.P.ID, pr.Q.ID)
+		if len(pairs) == 0 {
+			t.Fatalf("%s: no pairs", in.name)
 		}
-	}
-	// Count non-pairs among the cross product; it must agree with the join.
-	inJoin := keySet(pairs)
-	verified := 0
-	for _, p := range ps[:30] {
-		for _, q := range qs[:30] {
-			ok, err := VerifyPair(ixQ, ixP, p, q)
+		// Every reported pair verifies.
+		for _, pr := range pairs[:min(20, len(pairs))] {
+			ok, err := VerifyPair(ixQ, ixP, pr.P, pr.Q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok != inJoin[[2]int64{p.ID, q.ID}] {
-				t.Errorf("VerifyPair(<%d,%d>)=%v disagrees with join membership", p.ID, q.ID, ok)
-			}
-			if ok {
-				verified++
+			if !ok {
+				t.Errorf("%s: join pair <%d,%d> fails VerifyPair", in.name, pr.P.ID, pr.Q.ID)
 			}
 		}
-	}
-	if verified == 0 {
-		t.Error("no verified pairs in the sampled cross product")
+		// Count non-pairs among the cross product; it must agree with the join.
+		inJoin := keySet(pairs)
+		verified := 0
+		for _, p := range in.ps[:in.np] {
+			for _, q := range in.qs[:in.nq] {
+				ok, err := VerifyPair(ixQ, ixP, p, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != inJoin[[2]int64{p.ID, q.ID}] {
+					t.Errorf("%s: VerifyPair(<%d,%d>)=%v disagrees with join membership", in.name, p.ID, q.ID, ok)
+				}
+				if ok {
+					verified++
+				}
+			}
+		}
+		if verified == 0 {
+			t.Errorf("%s: no verified pairs in the sampled cross product", in.name)
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // (where the bound is tight: the centre's nearest point is an endpoint), and
 // 1e-9 of the data's extent, through 1-20 % of it, to 150 % of it and one
 // disjoint from the data. The unconstrained join of the same algorithm is
-// the reference, not BruteForcePairs, which OBJ disagrees with on
-// coincident lattices.
+// the reference, not BruteForcePairs, which disagrees with every algorithm
+// on `duplicates` (ROADMAP item 2).
 func TestRegionBoundExact(t *testing.T) {
 	const n = 160
 	eng := NewEngine(EngineConfig{PageSize: countsPageSize})
