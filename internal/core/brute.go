@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
@@ -93,32 +96,45 @@ func (j *joiner) verifyPair(p, q rtree.PointEntry) (bool, error) {
 
 // BruteForcePairs computes the RCJ of two plain point slices with no index at
 // all — O(n·m·(n+m)) — used by tests as an independent oracle that shares
-// nothing with the tree code except the containment predicate.
+// nothing with the tree code except the exact predicate, geom.DiscSign.
 func BruteForcePairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
+	return bruteForce(ps, qs, selfJoin, geom.DiscSign, geom.EnclosingCircle)
+}
+
+// bruteForce is the oracle's loop under either metric's sign and ring.
+// Witnesses are scanned in a fixed shuffled order: inputs sorted in space
+// (a lattice in row order, a circle by angle) would put a disc's points
+// last, and the oracle would take ~10x longer on them.
+func bruteForce(ps, qs []rtree.PointEntry, selfJoin bool, sign func(a, b, x geom.Point) int, ring func(p, q geom.Point) geom.Circle) []Pair {
+	witnesses := func(pts []rtree.PointEntry) []rtree.PointEntry {
+		w := slices.Clone(pts)
+		rand.New(rand.NewSource(1)).Shuffle(len(w), func(i, k int) { w[i], w[k] = w[k], w[i] })
+		return w
+	}
+	wp, wq := witnesses(ps), witnesses(qs)
 	var out []Pair
 	for _, q := range qs {
 		for _, p := range ps {
 			if selfJoin && p.ID >= q.ID {
 				continue
 			}
-			c := geom.EnclosingCircle(p.P, q.P)
 			valid := true
-			for _, r := range ps {
-				if r.ID != p.ID && (!selfJoin || r.ID != q.ID) && c.Covers(r.P) {
+			for _, r := range wp {
+				if r.ID != p.ID && (!selfJoin || r.ID != q.ID) && sign(p.P, q.P, r.P) <= 0 {
 					valid = false
 					break
 				}
 			}
 			if valid {
-				for _, r := range qs {
-					if r.ID != q.ID && (!selfJoin || r.ID != p.ID) && c.Covers(r.P) {
+				for _, r := range wq {
+					if r.ID != q.ID && (!selfJoin || r.ID != p.ID) && sign(p.P, q.P, r.P) <= 0 {
 						valid = false
 						break
 					}
 				}
 			}
 			if valid {
-				out = append(out, Pair{P: p, Q: q, Circle: c})
+				out = append(out, Pair{P: p, Q: q, Circle: ring(p.P, q.P)})
 			}
 		}
 	}

@@ -30,8 +30,11 @@
 //   - Brute force (Section 1): nested loop with a circle range search per
 //     pair — the O(|P|·|Q|) baseline of Table 4, with no filter at all.
 //
-// Containment is the closed-disk predicate geom.Circle.Covers shared with
-// the brute force, so all algorithms return identical result sets.
+// Every ring is decided by one exact predicate, geom.DiscSign — the sign of
+// (x−p)·(x−q), ≤ 0 on the closed disc — shared with the brute force, so all
+// algorithms return identical result sets, a function of the float64
+// coordinates alone. The float tests that prune a traversal are widened
+// outward and never decide.
 package core
 
 import (

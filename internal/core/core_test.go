@@ -16,11 +16,17 @@ import (
 // the provided pool (or its own if pool is nil).
 func buildTree(t testing.TB, pts []rtree.PointEntry, pool *buffer.Pool, owner uint32, bulk bool) *rtree.Tree {
 	t.Helper()
+	return buildTreePaged(t, pts, pool, owner, bulk, storage.DefaultPageSize)
+}
+
+// buildTreePaged is buildTree at the given page size.
+func buildTreePaged(t testing.TB, pts []rtree.PointEntry, pool *buffer.Pool, owner uint32, bulk bool, pageSize int) *rtree.Tree {
+	t.Helper()
 	if pool == nil {
 		pool = buffer.NewPool(-1)
 	}
-	pager := storage.NewMemPager(storage.DefaultPageSize)
-	tr, err := rtree.New(pager, pool, rtree.Config{Owner: owner})
+	pager := storage.NewMemPager(pageSize)
+	tr, err := rtree.New(pager, pool, rtree.Config{PageSize: pageSize, Owner: owner})
 	if err != nil {
 		t.Fatalf("new tree: %v", err)
 	}

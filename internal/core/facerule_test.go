@@ -12,9 +12,10 @@ import (
 // verification face rule: 42 points fill one leaf at the default page size,
 // so the two points 3.5e-4 apart on the edge y = 10000 share the second
 // leaf, whose MBR is the segment between them. Both corners of that MBR are
-// the pair's own endpoints, and at coordinates of 7 000 the rounded midpoint
-// puts them "strictly inside" their own circle by more than CoverTol. The
-// pair is a result (BruteForcePairs, which has no face rule, reports it).
+// the pair's own endpoints, and at coordinates of 7 000 a float distance
+// from the rounded midpoint put them "strictly inside" their own circle. An
+// endpoint's DiscSign is 0, so the face is not inside. The pair is a result
+// (BruteForcePairs, which has no face rule, reports it).
 func TestFaceRuleKeepsEndpointCornerPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]rtree.PointEntry, 0, 44)

@@ -104,36 +104,10 @@ func (ps l1Pruners) prunesRect(r geom.Rect) bool {
 // l1Ring is the Manhattan two-point ball in a Pair's Circle slot.
 func l1Ring(p, q geom.Point) geom.Circle { return geom.Circle(geom.L1EnclosingCircle(p, q)) }
 
-// BruteForceL1Pairs is the oracle: the L1-RCJ of two plain slices.
+// BruteForceL1Pairs is the oracle: the L1-RCJ of two plain slices, decided
+// by geom.L1DiscSign.
 func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
-	var out []Pair
-	for _, q := range qs {
-		for _, p := range ps {
-			if selfJoin && p.ID >= q.ID {
-				continue
-			}
-			b := geom.L1EnclosingCircle(p.P, q.P)
-			valid := true
-			for _, r := range ps {
-				if r.ID != p.ID && (!selfJoin || r.ID != q.ID) && b.Covers(r.P) {
-					valid = false
-					break
-				}
-			}
-			if valid {
-				for _, r := range qs {
-					if r.ID != q.ID && (!selfJoin || r.ID != p.ID) && b.Covers(r.P) {
-						valid = false
-						break
-					}
-				}
-			}
-			if valid {
-				out = append(out, Pair{P: p, Q: q, Circle: geom.Circle(b)})
-			}
-		}
-	}
-	return out
+	return bruteForce(ps, qs, selfJoin, geom.L1DiscSign, l1Ring)
 }
 
 // filterL1 is the Manhattan pruner kernel of the filter step — an index
@@ -221,7 +195,7 @@ func (j *joiner) verifyL1(t SpatialIndex, cands []*candidate, s side) error {
 			continue
 		}
 		ex1, ex2 := j.excludedIDs(c, s)
-		hit, err := j.anyInL1Ball(t, t.Root(), geom.L1Circle(c.pair.Circle), ex1, ex2)
+		hit, err := j.anyInL1Ball(t, t.Root(), &c.pair, ex1, ex2)
 		if err != nil {
 			return err
 		}
@@ -230,7 +204,10 @@ func (j *joiner) verifyL1(t SpatialIndex, cands []*candidate, s side) error {
 	return nil
 }
 
-func (j *joiner) anyInL1Ball(t SpatialIndex, id storage.PageID, b geom.L1Circle, ex1, ex2 int64) (bool, error) {
+// anyInL1Ball reports whether the subtree at id holds a point other than
+// ex1 and ex2 in the pair's closed L1 ball: IntersectsRect descends
+// outward, geom.L1DiscSign decides.
+func (j *joiner) anyInL1Ball(t SpatialIndex, id storage.PageID, pr *Pair, ex1, ex2 int64) (bool, error) {
 	if id == storage.InvalidPageID {
 		return false, nil
 	}
@@ -245,15 +222,15 @@ func (j *joiner) anyInL1Ball(t SpatialIndex, id storage.PageID, b geom.L1Circle,
 	if n.Leaf {
 		xs, ys := n.Xs, n.Ys
 		for i, eid := range n.IDs {
-			if eid != ex1 && eid != ex2 && b.Covers(geom.Point{X: xs[i], Y: ys[i]}) {
+			if eid != ex1 && eid != ex2 && geom.L1DiscSign(pr.P.P, pr.Q.P, geom.Point{X: xs[i], Y: ys[i]}) <= 0 {
 				return true, nil
 			}
 		}
 		return false, nil
 	}
 	for _, e := range n.Children {
-		if b.IntersectsRect(e.MBR) {
-			hit, err := j.anyInL1Ball(t, e.Child, b, ex1, ex2)
+		if geom.L1Circle(pr.Circle).IntersectsRect(e.MBR) {
+			hit, err := j.anyInL1Ball(t, e.Child, pr, ex1, ex2)
 			if err != nil || hit {
 				return hit, err
 			}

@@ -89,8 +89,7 @@ func TestL1QuadrantLemma(t *testing.T) {
 		}
 		pr := newL1Pruner(q, p)
 		if pr.prunesPoint(pp) {
-			b := geom.L1EnclosingCircle(pp, q)
-			if !b.Covers(p) {
+			if geom.L1DiscSign(pp, q, p) > 0 {
 				t.Fatalf("L1 quadrant lemma violated: q=%+v p=%+v p'=%+v", q, p, pp)
 			}
 		}

@@ -28,8 +28,9 @@ import (
 //   - a delete drops x's pairs and revives every absent pair inside N(x)
 //     whose ring covers x and which VerifyPair accepts without x.
 //
-// Every keep or kill decision is the join's own closed-disc test, so the
-// result stays exact as long as N(x) is a superset.
+// Every keep or kill decision is geom.DiscSign, the join's own exact
+// closed-disc test, so the result stays exact as long as N(x) is a
+// superset.
 type Monitor struct {
 	tp, tq *rtree.Tree
 	self   bool
@@ -126,7 +127,7 @@ func (m *Monitor) add(x geom.Point, id int64, inQ bool) (added, removed []Pair, 
 	var killed []monitorKey
 	for _, n := range nb {
 		for _, k := range m.byEnd[endpoint{n.ID, n.q}] {
-			if m.pairs[k].Circle.Covers(x) {
+			if pair := m.pairs[k]; geom.DiscSign(pair.P.P, pair.Q.P, x) <= 0 {
 				killed = append(killed, k)
 			}
 		}
@@ -175,7 +176,7 @@ func (m *Monitor) delete(x geom.Point, id int64, inQ bool) (added, removed []Pai
 	}
 	for i, a := range nb {
 		for _, b := range nb[i+1:] {
-			if !geom.EnclosingCircle(a.P, b.P).Covers(x) {
+			if geom.DiscSign(a.P, b.P, x) > 0 {
 				continue
 			}
 			pair, ok, err := m.offer(a, b)
@@ -221,8 +222,8 @@ func (m *Monitor) offer(a, b neighbour) (Pair, bool, error) {
 // of every point in distance order (merged INN scans over both trees), and
 // keeps each point whose bisector reaches the cell. Both the clip and the
 // keep test are widened by a slack in squared distance at the scale of
-// geom.CoverTol and of coordinate rounding, so the cell only ever
-// over-approximates and near-ties are kept; points at x's exact coordinates
+// coordinate rounding, so the cell only ever over-approximates and
+// near-ties are kept; points at x's exact coordinates
 // are always kept. The scan stops once the next point is too far for its
 // bisector to reach the cell: farther than twice the farthest cell vertex
 // (plus the slack's square root).
@@ -248,12 +249,12 @@ func (m *Monitor) neighbours(x geom.Point) ([]neighbour, error) {
 		sc.head.PointEntry, sc.d2, sc.ok = sc.it.Next()
 		scans = append(scans, sc)
 	}
-	// Covers tolerates CoverTol·r² in squared distance, at most a quarter of
-	// the first term for any ring in the box; the second term covers the
-	// rounding of coordinates as large as maxAbs.
+	// The slack covers the rounding of coordinates as large as maxAbs, in
+	// vectors as long as the grown box (the rings themselves are decided
+	// exactly, by DiscSign).
 	diag := math.Hypot(box.MaxX-box.MinX, box.MaxY-box.MinY)
 	maxAbs := max(-box.MinX, box.MaxX, -box.MinY, box.MaxY)
-	slack := geom.CoverTol*diag*diag + 0x1p-40*maxAbs*diag
+	slack := 0x1p-40 * maxAbs * diag
 
 	// The cell, in coordinates relative to x; the grown box holds every
 	// ring of the data, so it holds every witness the lemma needs.

@@ -148,7 +148,7 @@ func TestMonitorAddedRemovedConsistency(t *testing.T) {
 	}
 	// Every removed pair's circle covers the new point.
 	for _, p := range removed {
-		if !p.Circle.Covers(newPt) {
+		if geom.DiscSign(p.P.P, p.Q.P, newPt) > 0 {
 			t.Errorf("removed pair %d|%d circle does not cover the new point", p.P.ID, p.Q.ID)
 		}
 	}

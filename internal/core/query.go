@@ -293,14 +293,14 @@ func weightBefore(w func(rtree.PointEntry) float64) func(a, b Pair) bool {
 	}
 }
 
-// boundSlack relaxes the traversal-level distance-bound checks: those
-// derive item distances with math.Sqrt of a squared distance, while the
-// bound itself comes from math.Hypot (2·Circle.Radius = Point.Dist), and
-// the two can disagree by an ulp or two at an exact tie. Under-pruning by
-// this sliver is free — admitPair, which compares Hypot against Hypot
+// boundSlack widens the traversal-level distance-bound checks outward:
+// those derive item distances with math.Sqrt of a squared distance, while
+// the bound itself comes from math.Hypot (2·Circle.Radius = Point.Dist),
+// and the two can disagree by an ulp or two at an exact tie. Under-pruning
+// by this sliver is free — admitPair, which compares Hypot against Hypot
 // exactly, is the final authority on every candidate — whereas over-pruning
-// a boundary tie would break the post-filter set identity. The scale
-// matches geom.CoverTol, dwarfing any rounding disagreement.
+// a boundary tie would break the post-filter set identity. A relative 1e-9
+// dwarfs any such rounding disagreement.
 const boundSlack = 1 + 1e-9
 
 // squaredBound returns (bound·boundSlack)², the bulk filter's square-root-

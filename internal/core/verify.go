@@ -21,26 +21,30 @@ import (
 // Section 3.2 also suggests matching a node's entries to the circles with a
 // plane sweep. Verification matches them with a nested IntersectsRect loop
 // in verifyNode instead: a sweep was measured slower on the leaf-kernel
-// benchmarks, and its prefilter box (centre ± radius, not widened by
-// CoverTol) dropped witnesses on a disc's extreme x or y that the exact test
-// admits. The match set is therefore exactly what IntersectsRect admits.
+// benchmarks, and its prefilter box (centre ± radius, not widened outward)
+// dropped witnesses on a disc's extreme x or y. The match set is therefore
+// exactly what IntersectsRect admits.
 //
-// The face rule here uses the *strict* interior: the guaranteed point on a
-// strictly-inside face is strictly inside the circle and therefore cannot be
-// either defining point (those lie on the boundary), so the removal never
-// needs the exclusion check a descent would perform. Rounding can break that
-// argument for one point only — a defining point itself, whose distance to
-// the rounded midpoint may fall short of the radius by more than CoverTol
-// when the pair is tiny against its coordinates — so a face corner that IS
-// a defining point never counts as inside: the subtree is descended and the
-// point excluded by id, as everywhere else.
+// Every decision is geom.DiscSign on the pair's endpoints: a leaf point
+// kills a candidate when its sign is ≤ 0 (the closed disc), and a face
+// counts as inside when both its corners have sign < 0. The float tests in
+// front of them — the leaf kernel's compare and IntersectsRect — use the
+// candidate's outward geom.Band, so they only ever send a point or a
+// subtree on to the exact test. The face rule uses the *strict* interior: the
+// guaranteed point on a strictly-inside face is strictly inside the circle,
+// and the pair's endpoints and every exact copy of them have sign 0, so the
+// point is a witness whatever its id and the removal never needs the
+// exclusion check a descent would perform.
 
 // candidate is one filtered pair undergoing verification. The excluded id is
 // side-dependent: P and Q have independent ID namespaces, so verification
 // against TQ must ignore the pair's Q point and verification against TP its
 // P point (both, for self-joins, where the namespaces coincide).
 type candidate struct {
-	pair  Pair
+	pair Pair
+	// band is the ring's outward float test, set by verify for the
+	// Euclidean verifier's pass.
+	band  geom.Band
 	alive bool
 }
 
@@ -109,6 +113,7 @@ func (j *joiner) verify(t SpatialIndex, cands []*candidate, s side) error {
 	}
 	for _, c := range cands {
 		if c.alive {
+			c.band = c.pair.Circle.Band()
 			j.vstack = append(j.vstack, c)
 		}
 	}
@@ -133,22 +138,25 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 	}
 	j.stats.VerifiedNodes++
 	if n.Leaf {
-		// Tight kernel over the leaf's coordinate columns. The containment
-		// test is geom.Circle.Covers with the center/radius loads hoisted out
-		// of the loop (bit-identical: Dist2 computes dx*dx+dy*dy the same
-		// way). The distance test runs first — most points fail it, so the id
-		// exclusions are rarely evaluated.
+		// Tight kernel over the leaf's coordinate columns. A point outside
+		// the candidate's outward band is rejected with one compare — most
+		// points are — so the id exclusions and the exact sign run only
+		// for points at or near the disc.
 		xs, ys, ids := n.Xs, n.Ys, n.IDs
 		for _, c := range cands {
 			if !c.alive {
 				continue
 			}
 			ex1, ex2 := j.excludedIDs(c, s)
-			cx, cy := c.pair.Circle.Center.X, c.pair.Circle.Center.Y
-			r2 := c.pair.Circle.Radius * c.pair.Circle.Radius * (1 + geom.CoverTol)
-			for i, id := range ids {
-				dx, dy := cx-xs[i], cy-ys[i]
-				if dx*dx+dy*dy <= r2 && id != ex1 && id != ex2 {
+			cx, cy, band := c.band.Center.X, c.band.Center.Y, c.band.R2
+			for i := 0; i < len(ids); i++ {
+				for ; i < len(ids); i++ {
+					dx, dy := cx-xs[i], cy-ys[i]
+					if dx*dx+dy*dy <= band && ids[i] != ex1 && ids[i] != ex2 {
+						break
+					}
+				}
+				if i < len(ids) && geom.DiscSign(c.pair.P.P, c.pair.Q.P, geom.Point{X: xs[i], Y: ys[i]}) <= 0 {
 					c.alive = false
 					break
 				}
@@ -157,14 +165,14 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 		return nil
 	}
 
-	// Each entry is matched with the alive circles intersecting it (the
-	// exact IntersectsRect test); the face rule kills what it can, and the
+	// Each entry is matched with the alive circles that may reach it (the
+	// outward IntersectsRect test); the face rule kills what it can, and the
 	// rest descend. The lists live on the joiner's verify stack, one segment
 	// per level of the descent.
 	for _, e := range n.Children {
 		start := len(j.vstack)
 		for _, c := range cands {
-			if !c.alive || !c.pair.Circle.IntersectsRect(e.MBR) {
+			if !c.alive || !c.band.IntersectsRect(e.MBR) {
 				continue
 			}
 			if !j.opts.DisableFaceRule && containsFaceStrict(&c.pair, e.MBR) {
@@ -186,13 +194,13 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 }
 
 // containsFaceStrict reports whether some face of r lies strictly inside
-// the pair's circle, ignoring corners that are one of the pair's own points.
-// See the comment at the top of the file for why both are required.
+// the pair's circle: both its corners have DiscSign < 0 (see the comment at
+// the top of the file).
 func containsFaceStrict(pr *Pair, r geom.Rect) bool {
 	corners := r.Corners()
 	in := [4]bool{}
 	for i, pt := range corners {
-		in[i] = pr.Circle.StrictlyInside(pt) && !pt.Equal(pr.P.P) && !pt.Equal(pr.Q.P)
+		in[i] = geom.DiscSign(pr.P.P, pr.Q.P, pt) < 0
 	}
 	for i := 0; i < 4; i++ {
 		if in[i] && in[(i+1)%4] {

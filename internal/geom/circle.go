@@ -1,13 +1,5 @@
 package geom
 
-// CoverTol is the relative tolerance used by the closed-circle containment
-// predicate. A point at distance d from the circle center is considered
-// covered when d² ≤ r²·(1+CoverTol). The tolerance absorbs the rounding in
-// midpoint/radius construction so that the two defining points of an
-// enclosing circle always test as lying on it, while points even marginally
-// outside do not.
-const CoverTol = 1e-9
-
 // Circle is a circle given by center and radius. For ring-constrained join
 // pairs the circle is the smallest circle enclosing the two points, i.e. the
 // circle whose diameter is the segment between them.
@@ -22,54 +14,35 @@ func EnclosingCircle(p, q Point) Circle {
 	return Circle{Center: p.Mid(q), Radius: p.Dist(q) / 2}
 }
 
-// Covers reports whether x lies inside or on c (the closed disk), using the
-// library-wide tolerance. This single predicate decides RCJ validity in
-// every algorithm — brute force and index-based — so they agree exactly.
-func (c Circle) Covers(x Point) bool {
-	return c.Center.Dist2(x) <= c.Radius*c.Radius*(1+CoverTol)
+// Band is a ring's outward float test: its rounded centre and a squared
+// radius R2 such that the float squared distance from Center to any point
+// of the exact closed disc the ring was built from (EnclosingCircle of a
+// pair) is at most R2. It only ever sends a point or a subtree on to the
+// exact test, DiscSign on the pair's endpoints; it never decides.
+type Band struct {
+	Center Point
+	R2     float64
 }
 
-// StrictlyInside reports whether x lies strictly inside c with a symmetric
-// tolerance margin. Points on the boundary (within tolerance) are not
-// strictly inside.
-func (c Circle) StrictlyInside(x Point) bool {
-	return c.Center.Dist2(x) < c.Radius*c.Radius*(1-CoverTol)
+// Band returns c's outward float test, R2 = reach(c)².
+func (c Circle) Band() Band {
+	w := reach(c.Center, c.Radius)
+	return Band{Center: c.Center, R2: w * w}
 }
 
-// IntersectsRect reports whether the closed disk c and rectangle r share at
-// least one point. Used by the verification algorithm (Algorithm 3) to decide
-// whether a subtree may contain a point covered by c.
-func (c Circle) IntersectsRect(r Rect) bool {
-	return r.MinDist2(c.Center) <= c.Radius*c.Radius*(1+CoverTol)
+// IntersectsRect reports whether r may hold a point of the ring. Used by
+// the verification algorithm (Algorithm 3) to decide whether a subtree
+// must be descended.
+func (b Band) IntersectsRect(r Rect) bool {
+	return r.MinDist2(b.Center) <= b.R2
 }
 
-// ContainsRect reports whether the whole rectangle r lies inside the closed
-// disk c, i.e. the corner farthest from the center is covered.
-func (c Circle) ContainsRect(r Rect) bool {
-	return r.MaxDist2(c.Center) <= c.Radius*c.Radius*(1+CoverTol)
-}
-
-// ContainsFace reports whether at least one face (side) of r lies entirely
-// inside the closed disk c. By the MBR property every face of an R-tree MBR
-// touches at least one indexed point, so a face inside the circle guarantees
-// the subtree contains a point covered by c (Algorithm 3, case "entry with a
-// face inside the circle") — the candidate pair can be rejected without
-// descending into the subtree.
+// Covers reports whether x lies within c's Band.
 //
-// A segment lies inside a disk iff both endpoints do (the disk is convex), so
-// it suffices to test consecutive corner pairs.
-func (c Circle) ContainsFace(r Rect) bool {
-	corners := r.Corners()
-	in := [4]bool{}
-	for i, pt := range corners {
-		in[i] = c.Covers(pt)
-	}
-	for i := 0; i < 4; i++ {
-		if in[i] && in[(i+1)%4] {
-			return true
-		}
-	}
-	return false
+// Deprecated: it is not a decision — DiscSign on the pair's endpoints is —
+// and is kept only because the perf harness times it (ROADMAP item 12).
+func (c Circle) Covers(x Point) bool {
+	return c.Center.Dist2(x) <= c.Band().R2
 }
 
 // Diameter returns the diameter of c, the quantity the paper's tourist
@@ -96,12 +69,8 @@ func L1EnclosingCircle(p, q Point) L1Circle {
 	return L1Circle{Center: p.Mid(q), Radius: p.L1Dist(q) / 2}
 }
 
-// Covers reports whether x lies inside or on the closed L1 ball.
-func (c L1Circle) Covers(x Point) bool {
-	return c.Center.L1Dist(x) <= c.Radius*(1+CoverTol)
-}
-
-// IntersectsRect reports whether the closed L1 ball intersects r.
+// IntersectsRect reports whether r may hold a point of the closed L1 ball
+// c was built from, widened outward like Band.
 func (c L1Circle) IntersectsRect(r Rect) bool {
-	return r.MinL1Dist(c.Center) <= c.Radius*(1+CoverTol)
+	return r.MinL1Dist(c.Center) <= reach(c.Center, c.Radius)
 }

@@ -55,10 +55,10 @@ func TestPsiMinusContainsRectHelper(t *testing.T) {
 	q := Point{0, 0}
 	p := Point{10, 0}
 	// Rect entirely beyond L(q,p) (x=10).
-	if !NewPruner(q, p).PrunesRect(Rect{11, -5, 20, 5}) {
+	if !onePruner(q, p, false).PrunesRect(Rect{11, -5, 20, 5}) {
 		t.Fatal("rect beyond the line must be contained")
 	}
-	if NewPruner(q, p).PrunesRect(Rect{5, -5, 20, 5}) {
+	if onePruner(q, p, false).PrunesRect(Rect{5, -5, 20, 5}) {
 		t.Fatal("straddling rect must not be contained")
 	}
 }

@@ -50,7 +50,7 @@ func BenchmarkCircleCovers(b *testing.B) {
 
 func BenchmarkPrunerPrunesPoint(b *testing.B) {
 	pts := benchPoints(1024)
-	pr := NewPruner(Point{5000, 5000}, Point{6000, 6000})
+	pr := onePruner(Point{5000, 5000}, Point{6000, 6000}, false)
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {

@@ -166,16 +166,12 @@ func TestEnclosingCircle(t *testing.T) {
 	if c.Center != (Point{3, 4}) {
 		t.Fatalf("center %+v", c.Center)
 	}
-	// Both defining points lie on the closed circle.
-	if !c.Covers(p) || !c.Covers(q) {
-		t.Fatal("defining points not covered")
+	// Both defining points lie on the circle, not strictly inside.
+	if DiscSign(p, q, p) != 0 || DiscSign(p, q, q) != 0 {
+		t.Fatal("defining points not on the circle")
 	}
-	// But not strictly inside.
-	if c.StrictlyInside(p) || c.StrictlyInside(q) {
-		t.Fatal("defining points must not be strictly inside")
-	}
-	if !c.Covers(c.Center) {
-		t.Fatal("center not covered")
+	if DiscSign(p, q, c.Center) >= 0 {
+		t.Fatal("center not strictly inside")
 	}
 }
 
@@ -183,7 +179,8 @@ func TestQuickEnclosingCircleCoversEndpoints(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		p, q := genPoint(ax, ay), genPoint(bx, by)
 		c := EnclosingCircle(p, q)
-		return c.Covers(p) && c.Covers(q) && !c.StrictlyInside(p) && !c.StrictlyInside(q)
+		return DiscSign(p, q, p) == 0 && DiscSign(p, q, q) == 0 &&
+			c.Center.Dist2(p) <= c.Band().R2 && c.Center.Dist2(q) <= c.Band().R2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -192,37 +189,35 @@ func TestQuickEnclosingCircleCoversEndpoints(t *testing.T) {
 
 func TestCircleRectRelations(t *testing.T) {
 	c := Circle{Center: Point{5, 5}, Radius: 3}
-	if !c.IntersectsRect(Rect{4, 4, 6, 6}) {
+	if !c.Band().IntersectsRect(Rect{4, 4, 6, 6}) {
 		t.Fatal("interior rect should intersect")
 	}
-	if c.IntersectsRect(Rect{20, 20, 30, 30}) {
+	if c.Band().IntersectsRect(Rect{20, 20, 30, 30}) {
 		t.Fatal("distant rect should not intersect")
 	}
-	if !c.ContainsRect(Rect{4, 4, 6, 6}) {
-		t.Fatal("small central rect should be contained")
-	}
-	if c.ContainsRect(Rect{0, 0, 10, 10}) {
-		t.Fatal("big rect cannot be contained")
-	}
-	// A rect with one side crossing the disk: left face at x=4.5 from y=4
-	// to y=6 is inside, right face at x=30 is far outside.
-	if !c.ContainsFace(Rect{4.5, 4, 30, 6}) {
-		t.Fatal("left face lies inside the circle")
-	}
-	if c.ContainsFace(Rect{9, 9, 30, 30}) {
-		t.Fatal("no face is inside")
+	// A rect touching the circle at one point intersects it.
+	if !c.Band().IntersectsRect(Rect{8, 5, 9, 6}) {
+		t.Fatal("tangent rect should intersect")
 	}
 }
 
+// TestQuickContainsRectImpliesIntersects checks that IntersectsRect is
+// outward: a rectangle with a corner in the exact closed disc (DiscSign ≤
+// 0) always intersects, near the origin and translated far from it.
 func TestQuickContainsRectImpliesIntersects(t *testing.T) {
-	f := func(cx, cy, cr, a1, a2, a3, a4 float64) bool {
-		c := Circle{Center: genPoint(cx, cy), Radius: squash(cr) / 10}
-		r := rectFrom(a1, a2, a3, a4)
-		if c.ContainsRect(r) && !c.IntersectsRect(r) {
-			return false
-		}
-		if c.ContainsRect(r) && !c.ContainsFace(r) {
-			return false // full containment implies every face inside
+	f := func(ax, ay, bx, by, a1, a2, a3, a4 float64) bool {
+		for _, off := range []float64{0, 1e6, 1e9} {
+			shift := func(p Point) Point { return Point{p.X + off, p.Y + off} }
+			a, b := shift(genPoint(ax, ay)), shift(genPoint(bx, by))
+			r := rectFrom(a1, a2, a3, a4)
+			r = Rect{r.MinX + off, r.MinY + off, r.MaxX + off, r.MaxY + off}
+			c := EnclosingCircle(a, b)
+			corners := r.Corners()
+			for _, corner := range append(corners[:], a, b) {
+				if DiscSign(a, b, corner) <= 0 && !c.Band().IntersectsRect(RectFromPoint(corner)) {
+					return false
+				}
+			}
 		}
 		return true
 	}
@@ -243,9 +238,8 @@ func TestLemma1Pruning(t *testing.T) {
 		if p == q {
 			continue
 		}
-		if NewPruner(q, p).PrunesPoint(pp) {
-			c := EnclosingCircle(pp, q)
-			if !c.Covers(p) {
+		if onePruner(q, p, false).PrunesPoint(pp) {
+			if DiscSign(pp, q, p) > 0 {
 				t.Fatalf("Lemma 1 violated: q=%+v p=%+v p'=%+v: p not covered by circle of <p',q>", q, p, pp)
 			}
 		}
@@ -264,9 +258,8 @@ func TestLemma2Maximality(t *testing.T) {
 		if p == q {
 			continue
 		}
-		if !NewPruner(q, p).PrunesPoint(pp) {
-			c := EnclosingCircle(pp, q)
-			if c.StrictlyInside(p) {
+		if !onePruner(q, p, false).PrunesPoint(pp) {
+			if DiscSign(pp, q, p) < 0 {
 				t.Fatalf("Lemma 2 violated: p strictly inside circle of unpruned <p',q>: q=%+v p=%+v p'=%+v", q, p, pp)
 			}
 		}
@@ -281,7 +274,7 @@ func TestLemma3RectPruning(t *testing.T) {
 		q := Point{rng.Float64() * 100, rng.Float64() * 100}
 		p := Point{rng.Float64() * 100, rng.Float64() * 100}
 		r := rectFrom(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-		pr := NewPruner(q, p)
+		pr := onePruner(q, p, false)
 		if pr.PrunesRect(r) {
 			for _, corner := range r.Corners() {
 				if !pr.PrunesPoint(corner) {
@@ -305,8 +298,8 @@ func TestLemma3RectPruning(t *testing.T) {
 func TestStrictPrunerBoundary(t *testing.T) {
 	q := Point{0, 0}
 	p := Point{4, 0}
-	closed := NewPruner(q, p)
-	strict := NewStrictPruner(q, p)
+	closed := onePruner(q, p, false)
+	strict := onePruner(q, p, true)
 	onLine := Point{4, 7} // on L(q,p): x = 4
 	if !closed.PrunesPoint(onLine) {
 		t.Fatal("closed pruner must include the boundary")
@@ -371,14 +364,14 @@ func TestL1Circle(t *testing.T) {
 	if c.Radius != 3 {
 		t.Fatalf("L1 radius %g, want 3", c.Radius)
 	}
-	if !c.Covers(p) || !c.Covers(q) {
-		t.Fatal("L1 ball must cover both endpoints")
+	if L1DiscSign(p, q, p) != 0 || L1DiscSign(p, q, q) != 0 {
+		t.Fatal("L1 ball's boundary must hold both endpoints")
 	}
-	if !c.Covers(c.Center) {
-		t.Fatal("L1 ball must cover its center")
+	if L1DiscSign(p, q, c.Center) >= 0 {
+		t.Fatal("L1 ball must hold its center strictly inside")
 	}
-	if c.Covers(Point{10, 10}) {
-		t.Fatal("far point covered")
+	if L1DiscSign(p, q, Point{10, 10}) <= 0 {
+		t.Fatal("far point inside")
 	}
 	if !c.IntersectsRect(Rect{2, 1, 3, 2}) {
 		t.Fatal("interior rect should intersect L1 ball")
@@ -386,4 +379,15 @@ func TestL1Circle(t *testing.T) {
 	if c.IntersectsRect(Rect{50, 50, 60, 60}) {
 		t.Fatal("distant rect should not intersect L1 ball")
 	}
+}
+
+// onePruner returns the set holding only Ψ−(q, p), or its open variant.
+func onePruner(q, p Point, strict bool) *PrunerSet {
+	var s PrunerSet
+	if strict {
+		s.AddStrict(q, p)
+	} else {
+		s.Add(q, p)
+	}
+	return &s
 }

@@ -1,10 +1,12 @@
 // Package geom provides the computational-geometry substrate for the
 // ring-constrained join: points, rectangles (MBRs), circles, the Ψ+/Ψ−
-// half-plane pruning regions of Lemmas 1, 3 and 5.
+// half-plane pruning regions of Lemmas 1, 3 and 5, and the exact in-disc
+// sign that decides every ring (DiscSign, L1DiscSign).
 //
 // All coordinates are Euclidean 2D float64. Experiments in the paper
 // normalize coordinates to [0, 10000]²; the geometry here is agnostic to the
-// domain but the tolerance constants are chosen for domains of that order.
+// domain: decisions are exact, and the float tests that prune a traversal
+// are widened outward relative to the coordinates they round.
 package geom
 
 import "math"

@@ -632,10 +632,12 @@ func typeSpec(files map[string]*ast.File, name string) ast.Expr {
 // Lemma-5 seeding on it) and filterL1 (the Manhattan pruner kernel) —
 // exactly two descend the verifier into a node's entries with
 // IntersectsRect — verifyNode (Algorithm 3, which VerifyPair runs on a
-// one-candidate batch) and anyInL1Ball (the Manhattan ball verifier) — and
-// the three result sinks of core.Options are each read in exactly one
-// function, deliver. A second traversal, a second Euclidean verifier or a
-// second place that hands pairs to a caller has to be argued for here.
+// one-candidate batch) and anyInL1Ball (the Manhattan ball verifier) — no
+// function uses the float Circle.Covers (every ring is decided by
+// geom.DiscSign or geom.L1DiscSign), and the three result sinks of
+// core.Options are each read in exactly one function, deliver. A second
+// traversal, a second Euclidean verifier, a float ring decision or a second
+// place that hands pairs to a caller has to be argued for here.
 func TestOneFilterTraversal(t *testing.T) {
 	users := map[string][]string{} // selector name -> functions mentioning it
 	for _, f := range parseNonTest(t, "internal/core") {
@@ -652,7 +654,7 @@ func TestOneFilterTraversal(t *testing.T) {
 						seen["pop"] = true
 					}
 				case *ast.SelectorExpr:
-					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "OnBatch" || name == "IntersectsRect" {
+					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "OnBatch" || name == "IntersectsRect" || name == "Covers" {
 						seen[name] = true
 					}
 				}
@@ -666,6 +668,7 @@ func TestOneFilterTraversal(t *testing.T) {
 	for name, want := range map[string][]string{
 		"pop":            {"joiner.bulkFilter", "joiner.filterL1"},
 		"IntersectsRect": {"joiner.anyInL1Ball", "joiner.verifyNode"},
+		"Covers":         {},
 		"Collect":        {"joiner.deliver"},
 		"OnPair":         {"joiner.deliver"},
 		"OnBatch":        {"joiner.deliver"},

@@ -4,12 +4,14 @@ import (
 	"container/heap"
 	"context"
 	"math"
-
-	"repro/internal/geom"
 )
 
-// coverTol mirrors geom.CoverTol for the closed network ball.
-const coverTol = geom.CoverTol
+// ballSlack widens the closed network ball outward: a path length is a
+// float sum of edge weights, and two paths of equal real length can differ
+// by their summation order's rounding, so a point exactly on the ball's
+// boundary is counted as inside. The network ball is not the Euclidean
+// disc, so no exact sign applies; a relative 1e-9 dwarfs the rounding.
+const ballSlack = 1e-9
 
 // PointRef is one dataset point: a caller id and the node it sits on.
 // Several points (from either dataset) may share a node.
@@ -183,8 +185,8 @@ func (j *netJoiner) verifyPair(p, q PointRef) (Pair, bool) {
 	center := j.g.midpointOnPath(path, dist)
 	radius := dist / 2
 	j.stats.VerifyDijkstra++
-	nodeDist := j.g.DistancesFromCenter(center, radius*(1+coverTol)+1e-12)
-	limit := radius * (1 + coverTol)
+	nodeDist := j.g.DistancesFromCenter(center, radius*(1+ballSlack)+1e-12)
+	limit := radius * (1 + ballSlack)
 	for node, d := range nodeDist {
 		if math.IsInf(d, 1) || d > limit {
 			continue

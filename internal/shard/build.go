@@ -10,10 +10,13 @@ import (
 	"repro/rcj"
 )
 
-// marginSlack relaxes the overlap margin above the exact D/2 bound: circle
-// centers are computed midpoints and witness containment allows
-// geom.CoverTol of slack, so the margin absorbs both rounding slivers. The
-// relative scale dwarfs either effect.
+// marginSlack widens the overlap margin outward of the exact D/2 bound: a
+// ring's owner is decided by its computed centre and its radius is a
+// rounded half-distance, so a witness of an owned ring may sit a rounding
+// sliver beyond D/2 of the cell. The relative term covers the radius; the
+// margin's absolute term, at the rounding scale of the largest coordinate,
+// covers the centre and the cell's expansion, which round relative to the
+// coordinates.
 const marginSlack = 1 + 1e-9
 
 // BuildConfig tunes a shard build.
@@ -50,7 +53,7 @@ func Build(manifestPath string, p, q []rcj.Point, cfg BuildConfig) (*Manifest, e
 	}
 	bounds := pointBounds(append(append([]rcj.Point{}, p...), q...))
 	nx, ny := gridShape(cfg.Shards, bounds)
-	margin := cfg.MaxDiameter / 2 * marginSlack
+	margin := cfg.MaxDiameter/2*marginSlack + 0x1p-40*max(-bounds[0], -bounds[1], bounds[2], bounds[3])
 
 	m := &Manifest{
 		Version:     Version,

@@ -102,8 +102,11 @@ type Case struct {
 // Degenerate returns the inputs of the exactness gates, both sides n points
 // apiece: lattices of two pitches, exactly and nearly collinear lines, a
 // circle, two far clusters, Gaussian clusters clamped onto the domain's edge
-// lines, uniform points with exact and 1e-7-apart duplicates (the case that
-// needs a rounding slack), and uniform points shifted far from the origin.
+// lines, uniform points with exact and 1e-7-apart duplicates, and uniform
+// points shifted far from the origin. The duplicates follow the closed
+// rule: an exact copy of a pair's endpoint is on the pair's disc (so the
+// pair is not a result), and a 1e-7 twin is inside or outside wherever its
+// coordinates put it — no rounding slack moves it.
 func Degenerate(n int) []Case {
 	shifted := func(pts []rtree.PointEntry) []rtree.PointEntry {
 		for i := range pts {

@@ -14,7 +14,7 @@ import (
 // domain and clamps the samples onto it, so most of them pile up on the
 // edge lines — whole leaves end up with a segment for an MBR — and every
 // third point gets a twin a few 1e-4 further along. Tiny pairs at large
-// coordinates are where midpoint rounding exceeds CoverTol.
+// coordinates are where a float test from the rounded midpoint goes wrong.
 func clampedPoints(rng *rand.Rand, n int) []Point {
 	clamp := func(v float64) float64 { return math.Max(0, math.Min(10000, v)) }
 	pts := make([]Point, 0, n)

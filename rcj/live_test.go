@@ -629,14 +629,13 @@ func TestLiveReadsBesideTheJoin(t *testing.T) {
 	}
 
 	ringEmpty := func(a, b rtree.PointEntry) bool {
-		c := geom.EnclosingCircle(a.P, b.P)
 		for _, x := range ps {
-			if x.ID != a.ID && c.Covers(x.P) {
+			if x.ID != a.ID && geom.DiscSign(a.P, b.P, x.P) <= 0 {
 				return false
 			}
 		}
 		for _, x := range qs {
-			if x.ID != b.ID && c.Covers(x.P) {
+			if x.ID != b.ID && geom.DiscSign(a.P, b.P, x.P) <= 0 {
 				return false
 			}
 		}

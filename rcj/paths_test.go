@@ -43,18 +43,6 @@ func latticeHalves(n int, seed int64) []workload.Case {
 	}
 }
 
-// knownSplits are the inputs on which the result-neutral paths are known to
-// disagree, each with the distinct result counts its paths give. They are
-// ROADMAP item 2's rounding defect: `duplicates` holds exact copies and
-// 1e-7-apart twins of points near 10^4, so a twin lies on a pair's closed
-// disc only within rounding, and the paths keep different pairs of twins
-// (at n = 160 equally many). Item 2's fix makes every path agree, and
-// deletes this table.
-var knownSplits = map[string][]int{
-	"duplicates/n160/self": {125},
-	"duplicates/n400/self": {383, 384, 385},
-}
-
 // pathKinds are the index kinds TestPathsAgree joins, by page size (see
 // indexKinds; packed-v3/file reads the same pages as packed-v3/mem).
 var pathKinds = []struct {
@@ -72,12 +60,8 @@ var pathKinds = []struct {
 // insert-built trees at page sizes 512 and 4096; packed v3 and a live
 // base+delta view with tombstones at 512), under OBJ, BIJ and INJ, at
 // Parallelism 1 and 2 with the face rule on and at Parallelism 1 with it
-// off (a live view with tombstones always runs it off).
-//
-// It compares the paths with each other, not with BruteForcePairs, so the
-// exact predicate (item 2) is not its concern, except that a split it
-// causes must be the one knownSplits records: any other split fails, and so
-// does a recorded split that stops splitting.
+// off (a live view with tombstones always runs it off). core.BruteForcePairs
+// on the same points is one more path: every input has one digest.
 func TestPathsAgree(t *testing.T) {
 	var cases []workload.Case
 	for _, n := range []int{160, 400} {
@@ -88,11 +72,6 @@ func TestPathsAgree(t *testing.T) {
 	}
 	cases = append(cases, latticeHalves(300, 1)...)
 	cases = append(cases, latticeHalves(321, 2)...)
-	for name := range knownSplits {
-		if !slices.ContainsFunc(cases, func(c workload.Case) bool { return c.Name+"/self" == name }) {
-			t.Errorf("knownSplits names %s, which the test does not run", name)
-		}
-	}
 
 	eng := NewEngine(EngineConfig{})
 	for _, c := range cases {
@@ -120,6 +99,13 @@ func TestPathsAgree(t *testing.T) {
 				}
 				counts := map[string]int{}     // digest -> results
 				paths := map[string][]string{} // digest -> the paths giving it
+				qs := c.Q
+				if self {
+					qs = c.P
+				}
+				brute := core.BruteForcePairs(c.P, qs, self)
+				d := corePairDigest(brute)
+				counts[d], paths[d] = len(brute), []string{"brute-force"}
 				for i, kp := range kindsP {
 					q := kp.ix
 					if !self {
@@ -148,22 +134,14 @@ func TestPathsAgree(t *testing.T) {
 						}
 					}
 				}
-				var got []int
-				for _, n := range counts {
-					if !slices.Contains(got, n) {
-						got = append(got, n)
-					}
-				}
-				slices.Sort(got)
-				want, known := knownSplits[name]
-				if known && len(counts) > 1 && slices.Equal(got, want) || !known && len(counts) == 1 {
+				if len(counts) == 1 {
 					continue
 				}
 				var b strings.Builder
 				for d, ps := range paths {
 					fmt.Fprintf(&b, "\n  %d pairs (digest %s) on %d paths, e.g. %s", counts[d], d, len(ps), ps[0])
 				}
-				t.Errorf("%s: %d result sets (known split: %v)%s", name, len(counts), want, b.String())
+				t.Errorf("%s: %d result sets%s", name, len(counts), b.String())
 			}
 		})
 	}
