@@ -226,7 +226,8 @@ type Options struct {
 type Stats struct {
 	// Candidates is the number of candidate pairs that survived the filter
 	// step and entered verification (Table 4's "number of candidate
-	// pairs"). For AlgBrute it is |P|·|Q|.
+	// pairs"). A self-join counts each unordered pair once, since it
+	// verifies only the orientation it emits. For AlgBrute it is |P|·|Q|.
 	Candidates int64
 	// Results is the number of RCJ result pairs.
 	Results int64

@@ -103,8 +103,7 @@ func (j *joiner) processLeaf(n *rtree.Node) error {
 // joinBatch computes the RCJ pairs of one batch of query points: filter,
 // build rings, verify against both trees, deliver survivors. Verification
 // follows the batch's filter synchronously, so a run sees the buffer-access
-// interleaving of the paper's sequential formulation. The incremental
-// Monitor calls it with each newly inserted point.
+// interleaving of the paper's sequential formulation.
 func (j *joiner) joinBatch(points []rtree.PointEntry) error {
 	var (
 		queries []bulkQuery
@@ -127,8 +126,20 @@ func (j *joiner) joinBatch(points []rtree.PointEntry) error {
 }
 
 // verifyAndEmit is the tail of the pipeline: one candidate batch is verified
-// against both trees and the survivors are delivered.
+// against both trees and the survivors are delivered. A self-join verifies
+// each unordered pair once, in the orientation keepSelfPair emits: a valid
+// pair is never pruned, so it passes the filter both ways, and the ring and
+// every in-disc sign are symmetric in its endpoints.
 func (j *joiner) verifyAndEmit(cands []*candidate) error {
+	if j.opts.SelfJoin {
+		kept := cands[:0]
+		for _, c := range cands {
+			if j.keepSelfPair(c.pair.P, c.pair.Q) {
+				kept = append(kept, c)
+			}
+		}
+		cands = kept
+	}
 	j.stats.Candidates += int64(len(cands))
 	j.boundBatch(cands)
 	if !j.opts.SkipVerification {
@@ -137,13 +148,9 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 		}
 	}
 	for _, c := range cands {
-		if !c.alive {
-			continue
+		if c.alive {
+			j.emit(c.pair)
 		}
-		if j.opts.SelfJoin && !j.keepSelfPair(c.pair.P, c.pair.Q) {
-			continue
-		}
-		j.emit(c.pair)
 	}
 	j.deliver()
 	return nil

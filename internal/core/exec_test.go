@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // hookIndex wraps a SpatialIndex, numbering its ReadNode calls and running
@@ -149,4 +151,61 @@ func TestJoinContextNilIsBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffPairs(t, "nil-ctx", want, got)
+}
+
+// TestSelfJoinVerifiesOnce pins the self-join's single verification: every
+// unordered pair passes the filter in both orientations, and only the one
+// keepSelfPair emits (P.ID < Q.ID) enters verification and
+// Stats.Candidates. The pairs must still be the oracle's, under every
+// algorithm and predicate class, on Degenerate's self-joins and a uniform
+// 2k set.
+func TestSelfJoinVerifiesOnce(t *testing.T) {
+	var inputs []workload.Case
+	for _, c := range workload.Degenerate(160) {
+		inputs = append(inputs, workload.Case{Name: c.Name, P: c.P})
+	}
+	inputs = append(inputs, workload.Case{Name: "uniform2k", P: workload.Uniform(2000, 11)})
+	for _, c := range inputs {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			tree := filterCountsTree(t, c.P, buffer.NewPool(-1), 0)
+			extent := geom.EmptyRect()
+			for _, p := range c.P {
+				extent = extent.ExtendPoint(p.P)
+			}
+			oracle := BruteForcePairs(c.P, c.P, true)
+			for _, class := range filterCountsClasses(extent) {
+				if class.name == "window-inf" {
+					continue
+				}
+				want := filterCountsDigest(postFilter(oracle, class.opts))
+				for _, alg := range []Algorithm{AlgINJ, AlgBIJ, AlgOBJ} {
+					opts := class.opts
+					opts.Algorithm, opts.SelfJoin, opts.Collect = alg, true, true
+					survivors := int64(0)
+					j := &joiner{tq: tree, tp: tree, opts: opts}
+					j.filtered = func(queries []bulkQuery) {
+						for i := range queries {
+							for _, p := range queries[i].cands {
+								if p.ID < queries[i].q.ID {
+									survivors++
+								}
+							}
+						}
+					}
+					pairs, st, err := j.execute(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s/%v", class.name, alg)
+					if got := filterCountsDigest(pairs); got != want {
+						t.Errorf("%s: digest %s, oracle's %s", name, got, want)
+					}
+					if st.Candidates != survivors {
+						t.Errorf("%s: %d candidates, want the %d filter survivors with P.ID < Q.ID", name, st.Candidates, survivors)
+					}
+				}
+			}
+		})
+	}
 }

@@ -143,22 +143,43 @@ func (h *filterHeap) pop() filterKey {
 }
 
 // pushLeafPoints expands a leaf node onto the heap: one pass over the
-// coordinate columns with the squared distance from (rx, ry) computed
-// inline — no per-entry struct reads, no interface boxing.
-func (h *filterHeap) pushLeafPoints(n *rtree.Node, rx, ry float64, live liveSpan) {
+// coordinate columns with the squared distance from ref computed inline —
+// no per-entry struct reads, no interface boxing. A point whose squared
+// MINDIST to reach exceeds limit2 is not queued; an unbounded batch
+// (limit2 +Inf) keeps a loop without the test, which costs a full join a
+// few per cent.
+func (h *filterHeap) pushLeafPoints(n *rtree.Node, ref geom.Point, live liveSpan, reach geom.Rect, limit2 float64) {
 	xs, ys := n.Xs, n.Ys
+	if math.IsInf(limit2, 1) {
+		for i, id := range n.IDs {
+			dx, dy := ref.X-xs[i], ref.Y-ys[i]
+			h.pushPoint(dx*dx+dy*dy, rtree.PointEntry{P: geom.Point{X: xs[i], Y: ys[i]}, ID: id}, live)
+		}
+		return
+	}
 	for i, id := range n.IDs {
-		dx, dy := rx-xs[i], ry-ys[i]
-		h.pushPoint(dx*dx+dy*dy, rtree.PointEntry{P: geom.Point{X: xs[i], Y: ys[i]}, ID: id}, live)
+		p := geom.Point{X: xs[i], Y: ys[i]}
+		if reach.MinDist2(p) > limit2 {
+			continue
+		}
+		dx, dy := ref.X-p.X, ref.Y-p.Y
+		h.pushPoint(dx*dx+dy*dy, rtree.PointEntry{P: p, ID: id}, live)
 	}
 }
 
 // pushChildren expands an internal node onto the heap keyed by MINDIST from
-// (the point) ref.
-func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point, live liveSpan) {
+// (the point) ref, skipping each child farther than limit from reach; it
+// returns how many it skipped.
+func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point, live liveSpan, reach geom.Rect, limit float64) int64 {
+	skipped := int64(0)
 	for _, e := range n.Children {
+		if math.Sqrt(geom.RectMinDist2(e.MBR, reach)) > limit {
+			skipped++
+			continue
+		}
 		h.pushNode(e.MBR.MinDist2(ref), e.Child, e.MBR, live)
 	}
+	return skipped
 }
 
 // bulkQuery is the per-point state of the filter: the query point, its
@@ -272,10 +293,20 @@ func candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle)
 //
 // With symmetric pruning (OBJ, Lemma 5), each query point's pruner set holds
 // Ψ−(q, q') for every sibling q' in the leaf (bulkQuery.seed), so even an
-// empty candidate set shrinks the search space. Under a diameter bound
-// (MaxDiameter or TopK's dynamic one) a popped point meets each query
-// point's bound (squaredBound) before its pruners, so a bounded batch scans
-// and seeds only the query points its bound admits.
+// empty candidate set shrinks the search space.
+//
+// Under a diameter bound (a static MaxDiameter, a window's derived one or
+// TopK's dynamic one) the batch queues only what the bound can reach: no
+// leaf point whose squared MINDIST to the batch's MBR exceeds squaredBound,
+// and no child whose MBR lies farther than bound·boundSlack from it (the
+// rect test's comparison), each skipped child credited to the pushdown as
+// the stop rule credits what it leaves. Every query point lies in the MBR
+// and rounding a coordinate difference is monotone, so a skipped entry is
+// one every query point's own test would reject, and the bound only
+// tightens, so it would still be rejected when popped. Keys stay the
+// distance from the centroid: only the pop count falls. A popped point then
+// meets each query point's bound (squaredBound) before its pruners, so a
+// bounded batch scans and seeds only the query points its bound admits.
 //
 // For self-joins a query point is itself present in TP; it is skipped (a
 // point forms no pair with itself and its degenerate pruning region would
@@ -289,9 +320,11 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 	}
 	queries := j.resetQueries(leafPoints, symmetric)
 	var centroid geom.Point
+	mbr := geom.EmptyRect()
 	for _, q := range leafPoints {
 		centroid.X += q.P.X
 		centroid.Y += q.P.Y
+		mbr = mbr.ExtendPoint(q.P)
 	}
 	centroid.X /= float64(len(leafPoints))
 	centroid.Y /= float64(len(leafPoints))
@@ -316,6 +349,7 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 		j.stats.FilterHeapPops++
 		bound := j.maxPairDiameter()
 		bounded := !math.IsInf(bound, 1)
+		limit2 := squaredBound(bound)
 		if bounded && math.Sqrt(k.dist2) > (spread+bound)*boundSlack {
 			// The heap pops in ascending distance from the centroid, so
 			// everything still queued is at least sqrt(key) − spread from
@@ -334,7 +368,6 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 		if k.isPoint {
 			item := h.points[k.idx]
 			px, py := item.point.P.X, item.point.P.Y
-			limit2 := squaredBound(bound)
 			for _, qi := range j.live[item.live.off : item.live.off+item.live.n] {
 				bq := &queries[qi&^deadMark]
 				if j.opts.SelfJoin && item.point.ID == bq.q.ID {
@@ -445,9 +478,9 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 			return nil, err
 		}
 		if n.Leaf {
-			h.pushLeafPoints(n, centroid.X, centroid.Y, item.live)
+			h.pushLeafPoints(n, centroid, item.live, mbr, limit2)
 		} else {
-			h.pushChildren(n, centroid, item.live)
+			j.stats.NodesPruned += h.pushChildren(n, centroid, item.live, mbr, bound*boundSlack)
 		}
 	}
 	return queries, nil

@@ -320,9 +320,9 @@ func extentOf(a, b IndexMeta) float64 {
 // Limit, so only its sequential run replays byte-identically, and the
 // result cache memoizes only sequential runs — exactly the bounded queries
 // it holds. Workers sharing one dynamic bound also prune less (top-10 on
-// G20k x U20k: 2 996 -> ~3 050 accesses). A lone top-10 on two idle CPUs
-// still ran faster (17 -> 11-13 ms), so the rule gives that up for cache
-// hits and for the CPUs concurrent requests share.
+// G20k x U20k: 3 645 -> 3 645-3 663 accesses), and a lone top-10 on two
+// idle CPUs no longer runs clearly faster (p50 7.6-9.7 ms sequential,
+// 7.3-8.9 ms on two workers, quartiles overlapping; 2-CPU Xeon VM).
 func parallelism(req Request, obs Observed, estAccesses int64) int {
 	if req.Parallelism > 0 {
 		return req.Parallelism

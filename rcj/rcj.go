@@ -321,7 +321,8 @@ func (ix *Index) Close() error {
 // tagging, even when other joins run concurrently on the same shared pool.
 type Stats struct {
 	// Candidates is the number of pairs that survived the filter step and
-	// were verified (Table 4's candidate counts).
+	// were verified (Table 4's candidate counts); a self-join counts each
+	// unordered pair once.
 	Candidates int64
 	// Results is the number of result pairs.
 	Results int64
