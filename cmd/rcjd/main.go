@@ -43,12 +43,11 @@
 // 503 while in-flight and queued streams run to completion, bounded by
 // -drain-timeout.
 //
-// Shared-work serving (on by default): queued streaming queries over the
-// same indexes merge into one traversal (-batch), and bounded top_k/limit
-// results are memoized across requests (-result-cache), invalidated when an
-// index is unloaded. Remote-index page fetches are single-flighted and
-// coalesced automatically. /metrics reports all of it:
-// rcjd_sched_batches_total, rcjd_result_cache_*, rcjd_remote_shared_total,
+// Shared-work serving (on by default): bounded top_k/limit results are
+// memoized across requests (-result-cache), invalidated when an index is
+// unloaded, and remote-index page fetches are single-flighted and coalesced
+// automatically. Every admitted join runs its own traversal. /metrics
+// reports the sharing: rcjd_result_cache_*, rcjd_remote_shared_total,
 // rcjd_remote_coalesced_total.
 //
 // Adaptive planning (on by default): a join that names no algorithm
@@ -86,7 +85,6 @@ func main() {
 		queueTimeout  = flag.Duration("queue-timeout", 5*time.Second, "max wait in the admission queue (0 = unbounded)")
 		joinTimeout   = flag.Duration("join-timeout", 0, "per-request join deadline (0 = none)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight joins on shutdown")
-		batch         = flag.Bool("batch", true, "merge queued compatible streaming queries into one shared traversal")
 		cacheEntries  = flag.Int("result-cache", 256, "memoized result sets for bounded (top_k/limit) queries (0 = off)")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
 		manifest      = flag.String("manifest", "", "shard manifest (.rcjm) to serve as a sharded-deployment worker")
@@ -167,7 +165,6 @@ func main() {
 			MaxQueue:      *maxQueue,
 			QueueTimeout:  *queueTimeout,
 			JoinTimeout:   *joinTimeout,
-			Batch:         sched.BatchConfig{Enabled: *batch},
 		},
 		ResultCacheEntries: *cacheEntries,
 		DrainTimeout:       *drainTimeout,

@@ -167,14 +167,6 @@ type Options struct {
 	// Under TopK the final pairs are only known when the traversal ends, so
 	// OnPair fires at the end, in ascending diameter order.
 	OnPair func(Pair)
-	// OnBatch, when non-nil, streams confirmed pairs grouped by verification
-	// batch — the executor's unit of work (one batch per TQ leaf under
-	// BIJ/OBJ, per query point under INJ and brute force; TopK delivers its
-	// full ranking as one final batch). Batches with no surviving pair are
-	// skipped. The callee owns the slice. This is the hook multi-request
-	// traversal sharing demuxes on: one traversal, per-leaf fan-out to many
-	// consumers.
-	OnBatch func([]Pair)
 
 	// The query predicates below select a subset of the join result and are
 	// pushed into the index traversal (see query.go): for every combination,
@@ -336,9 +328,9 @@ func (j *joiner) emit(p Pair) {
 // deliver is the one way out of the executor: the current batch — a
 // verification batch's survivors, a brute-force outer point's, or a TopK
 // run's final ranking — is counted and handed to every configured sink
-// (Collect, then OnPair per pair, then OnBatch), under the run's lock so
-// parallel workers never interleave inside a sink. Empty batches are
-// skipped. OnBatch's callee owns the slice; otherwise it is recycled.
+// (Collect, then OnPair per pair), under the run's lock so parallel workers
+// never interleave inside a sink. Empty batches are skipped; the batch's
+// slice is recycled.
 func (j *joiner) deliver() {
 	batch := j.batch
 	if len(batch) == 0 {
@@ -359,10 +351,6 @@ func (j *joiner) deliver() {
 		for _, p := range batch {
 			onPair(p)
 		}
-	}
-	if onBatch := root.opts.OnBatch; onBatch != nil {
-		j.batch = nil
-		onBatch(batch)
 	}
 }
 

@@ -100,13 +100,13 @@ func TestNoDirectAlgorithmConstruction(t *testing.T) {
 }
 
 // joinEntryPoints is the whole public surface for running a join: the
-// Query family on the engine (streaming, collecting, leaf-batched) and the
+// Query family on the engine (streaming, collecting) and the
 // scheduler's admission wrapper — each takes the two indexes, and the same
 // index twice is the self-join. The metric is a Query field, not an entry
 // point. The RunSelf names are the forwards below.
 var joinEntryPoints = map[string][]string{
 	"rcj": {
-		"Engine.Run", "Engine.RunBatches", "Engine.RunCollect",
+		"Engine.Run", "Engine.RunCollect",
 		"Engine.RunSelf", "Engine.RunSelfCollect",
 	},
 	"internal/sched": {"Scheduler.Run", "Scheduler.RunSelf"},
@@ -324,17 +324,14 @@ type option struct {
 
 func opt(class, note string, setters ...string) option { return option{class, note, setters} }
 
-// The setters the batching and backend rows share.
-var (
-	batchMixes   = []string{"internal/sched/batch.go#8 clients, mixed window/full/max-diameter requests", "internal/sched/batch.go#4 clients, windows only"}
-	backendUsers = []string{"perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendMem}", "perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendFile}"}
-)
+// The setters the backend rows share.
+var backendUsers = []string{"perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendMem}", "perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendFile}"}
 
 // optionLedger classes every flag of the six commands ("cmd -flag") and
 // every exported field of the configuration structs ("pkg.Type.Field"). A
 // new row has to be argued for here, against the class it claims; the size
 // of the table is the configuration surface the tests and the benchmark must
-// cover (rcjd 16 flags + 2 repeatable lists, rcjjoin 23, rcjrouter 5 + 1).
+// cover (rcjd 15 flags + 2 repeatable lists, rcjjoin 23, rcjrouter 5 + 1).
 var optionLedger = map[string]option{
 	"rcjd -addr":                  opt(deployment, "listen address"),
 	"rcjd -index":                 opt(deployment, "name=path or URL of a saved index (repeatable)"),
@@ -353,8 +350,6 @@ var optionLedger = map[string]option{
 	"rcjd -result-cache":          opt(deployment, "capacity: memoized result sets (0 = off)"),
 	"rcjd -live-compact":          opt(deployment, "capacity: in-memory delta points before a seal"),
 	"rcjd -live-keep-generations": opt(deployment, "capacity: sealed generation files kept on disk"),
-	"rcjd -batch": opt(workload, "cross-request batching: +55 % ops/s on the mixed 8-client load, "+
-		"-6 % on 4 clients of disjoint windows (ROADMAP item 8)", batchMixes...),
 
 	"rcjjoin -p":                  opt(deployment, "path or URL of dataset P"),
 	"rcjjoin -q":                  opt(deployment, "path or URL of dataset Q"),
@@ -421,8 +416,8 @@ var optionLedger = map[string]option{
 	"sched.Config.MaxQueue":         opt(deployment, "capacity: admission queue depth"),
 	"sched.Config.QueueTimeout":     opt(deployment, "deadline: wait in the admission queue"),
 	"sched.Config.JoinTimeout":      opt(deployment, "deadline: one admitted join"),
-	"sched.Config.Batch":            opt(workload, "sched.BatchConfig (its fields are rows of their own)", batchMixes...),
-	"sched.BatchConfig.Enabled":     opt(workload, "rcjd -batch", batchMixes...),
+	"sched.Config.Batch":            opt(frozen, "ignored: batching is gone", "perf/inproc.go#Batch: sched.BatchConfig{"),
+	"sched.BatchConfig.Enabled":     opt(frozen, "ignored: batching is gone", "perf/inproc.go#sched.BatchConfig{Enabled: true"),
 	"sched.BatchConfig.MaxRequests": opt(frozen, "16 everywhere", "perf/inproc.go#MaxRequests: sched.DefaultBatchMaxRequests"),
 
 	"server.Config.Backend":            opt(workload, "rcj.IndexConfig.Backend", backendUsers...),
@@ -484,7 +479,7 @@ var optionLedger = map[string]option{
 }
 
 // ledgerRows is the size ROADMAP's table tracks.
-const ledgerRows = 126
+const ledgerRows = 125
 
 // ledgerStructs lists the configuration structs whose exported fields the
 // ledger classes, by directory.
@@ -634,7 +629,7 @@ func typeSpec(files map[string]*ast.File, name string) ast.Expr {
 // IntersectsRect — verifyNode (Algorithm 3, which VerifyPair runs on a
 // one-candidate batch) and anyInL1Ball (the Manhattan ball verifier) — no
 // function uses the float Circle.Covers (every ring is decided by
-// geom.DiscSign or geom.L1DiscSign), and the three result sinks of
+// geom.DiscSign or geom.L1DiscSign), and the two result sinks of
 // core.Options are each read in exactly one function, deliver. A second
 // traversal, a second Euclidean verifier, a float ring decision or a second
 // place that hands pairs to a caller has to be argued for here.
@@ -654,7 +649,7 @@ func TestOneFilterTraversal(t *testing.T) {
 						seen["pop"] = true
 					}
 				case *ast.SelectorExpr:
-					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "OnBatch" || name == "IntersectsRect" || name == "Covers" {
+					if name := n.Sel.Name; name == "Collect" || name == "OnPair" || name == "IntersectsRect" || name == "Covers" {
 						seen[name] = true
 					}
 				}
@@ -671,7 +666,6 @@ func TestOneFilterTraversal(t *testing.T) {
 		"Covers":         {},
 		"Collect":        {"joiner.deliver"},
 		"OnPair":         {"joiner.deliver"},
-		"OnBatch":        {"joiner.deliver"},
 	} {
 		got := users[name]
 		slices.Sort(got)

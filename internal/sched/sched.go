@@ -69,10 +69,29 @@ type Config struct {
 	// JoinTimeout is the per-request execution deadline applied to each
 	// admitted join (queue wait excluded); 0 means none.
 	JoinTimeout time.Duration
-	// Batch enables cross-request traversal batching for queued streaming
-	// queries (see BatchConfig and batch.go). Disabled by default.
+
+	// Batch is ignored: every request runs its own traversal.
+	//
+	// Deprecated: see BatchConfig.
 	Batch BatchConfig
 }
+
+// BatchConfig, DefaultBatchMaxRequests and Config.Batch configured
+// cross-request traversal batching, which is gone: on a mix of full, self,
+// top-10 and window joins it never fired at 2 clients and halved
+// throughput at 4 (BenchmarkSchedulerClients). The scheduler ignores them.
+//
+// Deprecated: kept only because the frozen benchmark names them
+// (perf/inproc.go:29); they go with the next benchmark PR.
+type BatchConfig struct {
+	Enabled     bool
+	MaxRequests int
+}
+
+// DefaultBatchMaxRequests is ignored.
+//
+// Deprecated: see BatchConfig.
+const DefaultBatchMaxRequests = 16
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -117,16 +136,6 @@ type Snapshot struct {
 	// verification — branch-and-bound work the serving tier saved.
 	BoundKilledCandidates int64 `json:"bound_killed_candidates"`
 
-	// SharedBatches counts envelope traversals that served more than one
-	// request; BatchedRequests counts the requests those traversals served
-	// (see batch.go). OpenBatches/OpenBatchMembers are gauges: batches still
-	// forming in the queue and the requests riding them. All stay zero
-	// unless Config.Batch.Enabled.
-	SharedBatches    int64 `json:"shared_batches"`
-	BatchedRequests  int64 `json:"batched_requests"`
-	OpenBatches      int   `json:"open_batches"`
-	OpenBatchMembers int   `json:"open_batch_members"`
-
 	// Exact tagged buffer attribution summed over completed serving joins.
 	BufferAccesses int64 `json:"buffer_accesses"`
 	BufferHits     int64 `json:"buffer_hits"`
@@ -162,7 +171,6 @@ type Scheduler struct {
 	draining bool
 	drained  chan struct{}          // closed when draining and the last admitted work ends
 	closed   bool                   // drained has been closed
-	batches  map[batchKey]*batch    // open (unsealed) batches, guarded by mu
 	subs     map[*subEntry]struct{} // live subscriptions (see Subscribe), guarded by mu
 
 	admitted             atomic.Int64
@@ -173,8 +181,6 @@ type Scheduler struct {
 	rejectedDraining     atomic.Int64
 	pairsEmitted         atomic.Int64
 	boundKilled          atomic.Int64
-	batchesRun           atomic.Int64
-	batchedReqs          atomic.Int64
 	bufAccesses          atomic.Int64
 	bufHits              atomic.Int64
 	bufMisses            atomic.Int64
@@ -192,7 +198,6 @@ func New(eng *rcj.Engine, cfg Config) *Scheduler {
 		cfg:     cfg.withDefaults(),
 		queue:   list.New(),
 		drained: make(chan struct{}),
-		batches: make(map[batchKey]*batch),
 		subs:    make(map[*subEntry]struct{}),
 	}
 }
@@ -368,22 +373,17 @@ func (s *Scheduler) Observe() rcj.PlanObserved {
 // Run admits the streaming join (q, p, qry) — the same index twice is the
 // self-join, as in rcj.Engine.Run — in three steps. It resolves the plan,
 // feeding the planner the scheduler's live pressure (free slots) so the
-// chosen fan-out respects concurrent load and the batch key groups by the
-// RESOLVED algorithm; a query that arrives resolved keeps its decision,
-// and an invalid one passes through for the engine to refuse. It rides a
-// forming batch if one fits (batch.go). Otherwise it blocks in admission
-// control, so typed rejections surface before any result bytes are produced,
-// and returns a single-use iterator streaming the pairs exactly as
-// rcj.Engine.Run would. The slot is held until the iterator terminates —
-// completion, error, or the consumer breaking out — and is released
-// automatically then; callers must consume (or at least begin and break out
-// of) the iterator. When stats is non-nil it receives the join's exact
+// chosen fan-out respects concurrent load; a query that arrives resolved
+// keeps its decision, and an invalid one passes through for the engine to
+// refuse. It then blocks in admission control (Acquire), so typed
+// rejections surface before any result bytes are produced, and returns a
+// single-use iterator streaming the pairs exactly as rcj.Engine.Run would.
+// The slot is held until the iterator terminates — completion, error, or
+// the consumer breaking out — and is released automatically then; callers
+// must consume (or at least begin and break out of) the iterator. When stats is non-nil it receives the join's exact
 // per-request statistics once the iterator has terminated.
 func (s *Scheduler) Run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
 	qry, _ = qry.ResolveObserved(q, p, s.Observe())
-	if seq, err, handled := s.runBatched(ctx, q, p, qry, stats); handled {
-		return seq, err
-	}
 	release, err := s.Acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -446,10 +446,6 @@ func (s *Scheduler) Snapshot() Snapshot {
 		Queued:   s.queue.Len(),
 		Draining: s.draining,
 	}
-	snap.OpenBatches = len(s.batches)
-	for _, b := range s.batches {
-		snap.OpenBatchMembers += len(b.members)
-	}
 	snap.Subscriptions = len(s.subs)
 	s.mu.Unlock()
 	snap.Admitted = s.admitted.Load()
@@ -462,8 +458,6 @@ func (s *Scheduler) Snapshot() Snapshot {
 	snap.SubscriptionsStarted = s.subsStarted.Load()
 	snap.SubscriptionsEnded = s.subsEnded.Load()
 	snap.BoundKilledCandidates = s.boundKilled.Load()
-	snap.SharedBatches = s.batchesRun.Load()
-	snap.BatchedRequests = s.batchedReqs.Load()
 	snap.BufferAccesses = s.bufAccesses.Load()
 	snap.BufferHits = s.bufHits.Load()
 	snap.BufferMisses = s.bufMisses.Load()

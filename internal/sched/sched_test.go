@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,13 +111,14 @@ func TestQueueTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	if _, err := s.Acquire(context.Background()); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("err = %v, want ErrQueueTimeout", err)
 	}
-	if got := s.Snapshot(); got.Queued != 0 || got.RejectedQueueTimeout != 1 {
-		t.Fatalf("snapshot = %+v, want 0 queued / 1 rejected_queue_timeout", got)
+	if got := s.Snapshot().RejectedQueueTimeout; got != 1 {
+		t.Fatalf("rejected_queue_timeout = %d, want 1", got)
 	}
+	release()
+	quiesce(t, s)
 }
 
 func TestAcquireContextCancel(t *testing.T) {
@@ -124,7 +128,6 @@ func TestAcquireContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -136,9 +139,8 @@ func TestAcquireContextCancel(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := s.Snapshot().Queued; got != 0 {
-		t.Fatalf("queued = %d after cancel, want 0", got)
-	}
+	release()
+	quiesce(t, s)
 }
 
 // TestFIFOOrder checks strict FIFO admission: waiters are granted slots in
@@ -227,6 +229,7 @@ func TestDrain(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s)
 }
 
 func TestDrainContextExpiry(t *testing.T) {
@@ -298,6 +301,7 @@ func TestJoinBreakReleasesSlot(t *testing.T) {
 		t.Fatalf("slot not released after break: %v", err)
 	}
 	release()
+	quiesce(t, s)
 }
 
 // TestJoinTimeout checks the per-request deadline reaches the executor as a
@@ -324,9 +328,10 @@ func TestJoinTimeout(t *testing.T) {
 	if !errors.Is(last, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", last)
 	}
-	if got := s.Snapshot(); got.Failed != 1 || got.InFlight != 0 {
-		t.Fatalf("snapshot = %+v, want 1 failed / 0 in flight", got)
+	if got := s.Snapshot().Failed; got != 1 {
+		t.Fatalf("failed = %d, want 1", got)
 	}
+	quiesce(t, s)
 }
 
 // TestConcurrentJoinsExactStats floods a maxConcurrent=2 scheduler with
@@ -377,8 +382,36 @@ func TestConcurrentJoinsExactStats(t *testing.T) {
 		t.Fatalf("aggregate %d/%d != per-request sums %d/%d",
 			snap.BufferAccesses, snap.BufferMisses, accesses, faults)
 	}
-	if snap.Completed != clients || snap.InFlight != 0 || snap.Queued != 0 {
-		t.Fatalf("snapshot = %+v", snap)
+	if snap.Completed != clients {
+		t.Fatalf("snapshot = %+v, want %d completed", snap, clients)
+	}
+	quiesce(t, s)
+}
+
+// TestPlanOutSurvivesRun pins "a request is planned once": the decision
+// PlanOut holds at Run's return is the planner's (its rule, a positive
+// estimate), and draining the stream leaves it as it was. The executor used
+// to resolve the already-resolved query again and overwrite it with a rule
+// "fixed" echo without an estimate.
+func TestPlanOutSurvivesRun(t *testing.T) {
+	eng, q, p := newTestEngine(t)
+	s := New(eng, Config{MaxConcurrent: 1})
+	var dec rcj.PlanDecision
+	seq, err := s.Run(context.Background(), q, p, rcj.Query{PlanOut: &dec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atAdmission := dec
+	if dec.Rule == "" || dec.Rule == "fixed" || dec.EstAccesses <= 0 {
+		t.Fatalf("PlanOut at admission = %v, want the planner's decision", dec)
+	}
+	for _, err := range seq {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(dec, atAdmission) {
+		t.Errorf("PlanOut after the stream = %v, at admission %v", dec, atAdmission)
 	}
 }
 
@@ -400,6 +433,45 @@ func assertSamePairs(t *testing.T, got, want []rcj.Pair) {
 		}
 		seen[key(pr)]--
 	}
+}
+
+// quiesce waits, with a deadline, until s holds no slot and queues no
+// waiter, and no goroutine but the caller's runs this module's code: the
+// leak check at the end of a failure-path test. The goroutine baseline is
+// zero module goroutines, so the check needs no count taken beforehand.
+func quiesce(t *testing.T, s *Scheduler) {
+	t.Helper()
+	var snap Snapshot
+	var leaked []string
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap = s.Snapshot()
+		leaked = moduleGoroutines()
+		if snap.InFlight == 0 && snap.Queued == 0 && len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("not quiescent: %d in flight, %d queued, %d goroutines left:\n%s",
+		snap.InFlight, snap.Queued, len(leaked), strings.Join(leaked, "\n\n"))
+}
+
+// moduleGoroutines returns the stacks of the goroutines, the caller's
+// excepted, that have a frame in this module.
+func moduleGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	// The first stack is the caller's own.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		if strings.Contains(g, "repro/") {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // waitFor polls cond until it holds or the test deadline approaches.

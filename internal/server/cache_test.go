@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -301,8 +300,6 @@ func TestResultCacheMetricsExposed(t *testing.T) {
 		"rcjd_remote_shared_total",
 		"rcjd_remote_coalesced_total",
 		"rcjd_pool_shared_loads_total",
-		"rcjd_sched_batches_total",
-		"rcjd_sched_batched_requests_total",
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("prom exposition missing %q", want)
@@ -325,83 +322,6 @@ func TestResultCacheMetricsExposed(t *testing.T) {
 		if info.CachedResults != 1 {
 			t.Errorf("index %s cached_results = %d, want 1", info.Name, info.CachedResults)
 		}
-	}
-}
-
-// TestServerBatchedJoins drives the scheduler's cross-request batching
-// through the HTTP layer: with one join slot occupied, concurrent identical
-// streaming joins share one traversal and every response is byte-identical.
-func TestServerBatchedJoins(t *testing.T) {
-	pPath, qPath, _, _ := buildSavedIndexes(t, 600)
-	eng := rcj.NewEngine(rcj.EngineConfig{BufferPages: 1024})
-	sch := sched.New(eng, sched.Config{MaxConcurrent: 1, MaxQueue: 8, Batch: sched.BatchConfig{Enabled: true}})
-	srv := New(sch, Config{Backend: rcj.BackendFile})
-	if err := srv.LoadIndex("p", pPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.LoadIndex("q", qPath); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-
-	const q = `{"p":"p","self":true,"max_diameter":200}`
-	want := joinBody(t, ts, q) // solo reference (free slot, no batching)
-
-	// Occupy the slot so the concurrent requests queue and batch.
-	release, err := sch.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	bodies := make([]string, n)
-	errs := make([]error, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer func() { done <- i }()
-			resp, err := http.Post(ts.URL+"/join", "application/json", strings.NewReader(q))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			bodies[i] = string(raw)
-		}(i)
-	}
-	waitFor(t, func() bool {
-		s := sch.Snapshot()
-		return s.OpenBatches == 1 && s.OpenBatchMembers == n
-	})
-	release()
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		gotPairs, gotSum := splitSummary(t, bodies[i])
-		wantPairs, wantSum := splitSummary(t, want)
-		if gotPairs != wantPairs {
-			t.Fatalf("request %d: batched pair stream differs from solo run", i)
-		}
-		if gotSum.Results != wantSum.Results {
-			t.Fatalf("request %d: results %d, want %d", i, gotSum.Results, wantSum.Results)
-		}
-	}
-	snap := sch.Snapshot()
-	if snap.SharedBatches < 1 || snap.BatchedRequests < n {
-		t.Fatalf("batching counters = %d/%d, want >=1 shared batch covering %d requests",
-			snap.SharedBatches, snap.BatchedRequests, n)
 	}
 }
 

@@ -52,7 +52,7 @@ type DaemonConfig struct {
 	// exposed on the service address by accident).
 	PprofAddr string
 	// Sched bounds admission: concurrent joins, queue depth, queue wait,
-	// per-join deadline, cross-request batching (sched.Config semantics).
+	// per-join deadline (sched.Config semantics).
 	Sched sched.Config
 	// ResultCacheEntries sizes the memoized-result cache (Config semantics;
 	// 0 disables it).

@@ -122,11 +122,11 @@ func (s *Server) metricRows() []Series {
 		{JSON: "sched.rejected_queue_timeout", Prom: "rcjd_sched_rejected_queue_timeout_total", Type: counter, Help: "Requests that timed out queued.", Value: snap.RejectedQueueTimeout},
 		{JSON: "sched.rejected_draining", Prom: "rcjd_sched_rejected_draining_total", Type: counter, Help: "Requests rejected during drain.", Value: snap.RejectedDraining},
 		{JSON: "sched.pairs_emitted", Prom: "rcjd_sched_pairs_emitted_total", Type: counter, Help: "Result pairs streamed to clients.", Value: snap.PairsEmitted},
+		// Always 0, and deprecated: traversal batching is gone, but the frozen
+		// benchmark decodes this path (perf/client.go); it goes with the next
+		// benchmark PR.
+		{JSON: "sched.batched_requests", Prom: "rcjd_sched_batched_requests_total", Type: counter, Help: "Always 0: every join runs its own traversal.", Value: 0},
 		{JSON: "sched.bound_killed_candidates", Prom: "rcjd_sched_bound_killed_total", Type: counter, Help: "Candidates killed pre-verification by a tightened TopK bound.", Value: snap.BoundKilledCandidates},
-		{JSON: "sched.shared_batches", Prom: "rcjd_sched_batches_total", Type: counter, Help: "Envelope traversals that served more than one request.", Value: snap.SharedBatches},
-		{JSON: "sched.batched_requests", Prom: "rcjd_sched_batched_requests_total", Type: counter, Help: "Requests served by shared envelope traversals.", Value: snap.BatchedRequests},
-		{JSON: "sched.open_batches", Prom: "rcjd_sched_open_batches", Type: gauge, Help: "Batches still forming in the admission queue.", Value: snap.OpenBatches},
-		{JSON: "sched.open_batch_members", Prom: "rcjd_sched_open_batch_members", Type: gauge, Help: "Requests riding the batches still forming.", Value: snap.OpenBatchMembers},
 		{JSON: "sched.buffer_accesses", Prom: "rcjd_sched_buffer_accesses_total", Type: counter, Help: "Tagged buffer accesses of served joins.", Value: snap.BufferAccesses},
 		{JSON: "sched.buffer_hits", Prom: "rcjd_sched_buffer_hits_total", Type: counter, Help: "Tagged buffer hits of served joins.", Value: snap.BufferHits},
 		{JSON: "sched.buffer_misses", Prom: "rcjd_sched_buffer_misses_total", Type: counter, Help: "Tagged buffer misses of served joins.", Value: snap.BufferMisses},

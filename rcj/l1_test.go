@@ -174,8 +174,8 @@ func TestL1Gate(t *testing.T) {
 }
 
 // TestL1KeysAndValidation closes the hazard of putting two metrics on one
-// path: an L1 query never shares a cache key with its L2 twin, its envelope
-// stays L1, and the combinations with no L1 meaning are refused.
+// path: an L1 query never shares a cache key with its L2 twin, and the
+// combinations with no L1 meaning are refused.
 func TestL1KeysAndValidation(t *testing.T) {
 	for _, base := range []Query{
 		{}, {TopK: 5}, {MaxDiameter: 10, Region: &Rect{MaxX: 1, MaxY: 1}}, {Parallelism: 2, Limit: 3},
@@ -186,9 +186,6 @@ func TestL1KeysAndValidation(t *testing.T) {
 		l1.Metric = L1
 		if base.Canonical() == l1.Canonical() {
 			t.Errorf("%+v: L1 and L2 share the key %q", base, l1.Canonical())
-		}
-		if env := BatchEnvelope([]Query{l1, l1}); env.Metric != L1 {
-			t.Errorf("%+v: envelope of L1 members has metric %v", base, env.Metric)
 		}
 	}
 	for _, bad := range []Query{

@@ -5,7 +5,7 @@ import "repro/internal/plan"
 // This file connects queries to the cost-based planner (internal/plan). A
 // Query whose Algorithm is the zero value without ForceAlgorithm means
 // "planner decides": resolving turns it into a concrete, forced query — so
-// cache keys, batch keys, and the executor all see the resolved plan — and
+// cache keys and the executor both see the resolved plan — and
 // returns the Decision for reporting. A request is planned once: the
 // resolved query carries its decision, and every later resolve returns it.
 
@@ -34,7 +34,7 @@ func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
 // parallelism and predicate order from the inputs' metadata
 // (epoch-aware for mutable indexes: the live point count, not the sealed
 // superblock's). The returned query is marked ForceAlgorithm so Canonical()
-// and batch keys see the concrete plan, and carries the decision: resolving
+// sees the concrete plan, and carries the decision: resolving
 // it again returns the same decision, whatever the arguments. PlanOut, when
 // set, receives the decision. An invalid query is returned as it came, for
 // the executor to refuse.

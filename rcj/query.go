@@ -220,7 +220,7 @@ func (q Query) coreOptions() core.Options {
 // ErrBadQuery as the iterator's first element. qry.PlanOut is filled before
 // Run returns; qry.Stats when the iterator terminates.
 func (e *Engine) Run(ctx context.Context, q, p *Index, qry Query) iter.Seq2[Pair, error] {
-	return runStream(ctx, q, p, qry, pairSink)
+	return runStream(ctx, q, p, qry)
 }
 
 // RunSelf is Run(ctx, ix, ix, qry).
@@ -268,7 +268,7 @@ func (e *Engine) RunSelfCollect(ctx context.Context, ix *Index, qry Query) ([]Pa
 // the stream is consumed — and returns the traversal itself: pin the two
 // views, run the executor, report the run's exact (tagged) statistics. The
 // entry points differ only in sink, which installs where confirmed pairs go
-// (core.Options.Collect, OnPair or OnBatch) before the traversal starts.
+// (core.Options.Collect or OnPair) before the traversal starts.
 func prepare(q, p *Index, qry Query) (func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error), error) {
 	if err := qry.Validate(); err != nil {
 		return nil, err
@@ -310,9 +310,8 @@ func windowBound(q, p *Index, qry Query) float64 {
 // runStream is the streaming adapter: the traversal runs in a producer
 // goroutine bridged to the consumer through a bounded channel, so parallel
 // joins (whose workers emit concurrently) and sequential joins stream
-// through the same iterator. sink wires the executor's callback to the
-// bridge — per pair (pairSink) or per verification batch (batchSink). The
-// bridge's contract:
+// through the same iterator. The executor's OnPair callback feeds the
+// bridge. Its contract:
 //
 //   - emit blocks while the consumer is behind (bounded by streamBuffer)
 //     and returns without delivering once the run's context is cancelled.
@@ -322,33 +321,32 @@ func windowBound(q, p *Index, qry Query) float64 {
 //     so no goroutine outlives the range loop.
 //   - A non-nil error from the traversal is yielded as the final element
 //     (with a zero value), unless the consumer already broke out.
-func runStream[T any](parent context.Context, q, p *Index, qry Query, sink func(*core.Options, func(T))) iter.Seq2[T, error] {
+func runStream(parent context.Context, q, p *Index, qry Query) iter.Seq2[Pair, error] {
 	run, err := prepare(q, p, qry)
 	if err != nil {
-		return func(yield func(T, error) bool) {
-			var zero T
-			yield(zero, err)
+		return func(yield func(Pair, error) bool) {
+			yield(Pair{}, err)
 		}
 	}
 	if parent == nil {
 		parent = context.Background()
 	}
-	return func(yield func(T, error) bool) {
+	return func(yield func(Pair, error) bool) {
 		ctx, cancel := context.WithCancel(parent)
 		defer cancel()
 
-		ch := make(chan T, streamBuffer)
+		ch := make(chan Pair, streamBuffer)
 		done := make(chan error, 1)
-		emit := func(v T) {
+		emit := func(cp core.Pair) {
 			select {
-			case ch <- v:
+			case ch <- fromCorePair(cp):
 			case <-ctx.Done():
 				// The consumer is gone; the executor observes ctx and
 				// unwinds on its own.
 			}
 		}
 		go func() {
-			_, _, err := run(ctx, func(co *core.Options) { sink(co, emit) })
+			_, _, err := run(ctx, func(co *core.Options) { co.OnPair = emit })
 			done <- err
 			close(ch)
 		}()
@@ -363,14 +361,9 @@ func runStream[T any](parent context.Context, q, p *Index, qry Query, sink func(
 			}
 		}
 		if err := <-done; err != nil {
-			var zero T
-			yield(zero, err)
+			yield(Pair{}, err)
 		}
 	}
-}
-
-func pairSink(co *core.Options, emit func(Pair)) {
-	co.OnPair = func(cp core.Pair) { emit(fromCorePair(cp)) }
 }
 
 // selfJoin is the one place the join shape is derived: a join of an index

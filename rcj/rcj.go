@@ -22,7 +22,7 @@
 //	}
 //
 // A join is two indexes and a Query: Engine.Run streams its pairs,
-// RunCollect materializes them, RunBatches yields them a leaf at a time.
+// RunCollect materializes them.
 // Passing the same index twice joins one dataset with itself (the postboxes
 // scenario): each unordered pair once, P.ID < Q.ID.
 // The zero Query is the full join under the planner's choice of algorithm;

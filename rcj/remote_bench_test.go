@@ -58,12 +58,12 @@ func BenchmarkRemoteJoin(b *testing.B) {
 // serving: 8 clients issue the identical cold self-join against an index
 // behind a 1ms-RTT origin. "unshared" gives each client its own engine,
 // pool, and pager — how 8 separate processes behave: every page fetched 8
-// times, the traversal computed 8 times. "shared" serves all 8 the way
-// rcjd's scheduler serves queued identical queries: one engine (so the
-// buffer pool and single-flight pager fetch each page once) running one
-// batched traversal whose output is demuxed to all 8 consumers. The honest
-// numbers are fetches/op (~8x -> ~1x per page) and the aggregate wall-clock
-// for all 8 clients.
+// times, the traversal computed 8 times. "shared" runs the 8 joins
+// concurrently on one engine and one opened index, as rcjd serves them: the
+// buffer pool, the single-flight pager and its coalesced range reads fetch
+// each page about once, while each client still runs its own traversal. The
+// honest numbers are fetches/op and the aggregate wall-clock for all 8
+// clients.
 func BenchmarkSharedRemoteJoin(b *testing.B) {
 	const clients = 8
 	rng := rand.New(rand.NewSource(23))
@@ -137,31 +137,7 @@ func BenchmarkSharedRemoteJoin(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// One traversal, 8 consumers — the scheduler's batch demux. Each
-			// consumer receives every pair, as 8 identical queries would.
-			chans := make([]chan []Pair, clients)
-			var wg sync.WaitGroup
-			for c := range chans {
-				chans[c] = make(chan []Pair, 16)
-				wg.Add(1)
-				go func(ch chan []Pair) {
-					defer wg.Done()
-					for range ch {
-					}
-				}(chans[c])
-			}
-			for prs, err := range eng.RunBatches(context.Background(), re, re, Query{}) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, ch := range chans {
-					ch <- prs
-				}
-			}
-			for _, ch := range chans {
-				close(ch)
-			}
-			wg.Wait()
+			runClients(b, []*Engine{eng}, []*Index{re})
 			rs, _ := re.RemoteStats()
 			fetches += rs.Fetches
 			shared += rs.SharedFetches
