@@ -164,8 +164,11 @@ type Options struct {
 	// results without holding millions of pairs).
 	Collect bool
 	// OnPair, when non-nil, streams each result pair as it is confirmed.
-	// Under TopK the final pairs are only known when the traversal ends, so
-	// OnPair fires at the end, in ascending diameter order.
+	// It is called on the goroutine that called JoinContext, never
+	// concurrently, also under Parallelism (the workers hand their batches
+	// to that goroutine). Under TopK the final pairs are only known when the
+	// traversal ends, so OnPair fires at the end, in ascending diameter
+	// order.
 	OnPair func(Pair)
 
 	// The query predicates below select a subset of the join result and are
@@ -265,41 +268,72 @@ func JoinContext(ctx context.Context, tq, tp SpatialIndex, opts Options) ([]Pair
 
 // joiner carries one run's state. In a parallel run each worker owns a
 // private joiner (stats, scratch, current batch) and shares only the trees,
-// the context, the predicate state (shared) and — through parent — the
-// run's sinks.
+// the context and the predicate state (shared); it hands every finished
+// batch to the run's own joiner (handoff), which alone owns the sinks.
 type joiner struct {
 	tq, tp SpatialIndex
 	opts   Options
 	ctx    context.Context
 	shared *runShared // TopK/Limit state, shared across workers; nil without predicates
 	stats  Stats
-	batch  []Pair // confirmed pairs of the current batch, awaiting deliver
+	out    []Pair // the Collect sink
 
-	// parent is the run's root joiner for a parallel worker, nil otherwise.
-	// The root owns the sinks: out, and mu serializing every deliver.
-	parent *joiner
-	mu     sync.Mutex
-	out    []Pair
+	// handoff carries a parallel worker's finished batches to the run's
+	// goroutine; nil on the run's own joiner (see runParallel).
+	handoff *handoff
 
 	// predOrder is the compiled pair-predicate evaluation order (see
 	// compilePredOrder), resolved once per run and copied to every worker.
 	predOrder [3]Predicate
 
-	// Per-worker scratch reused across filter calls (a joiner is never used
-	// concurrently): the traversal heap, the filter's per-query state
-	// (whose pruner sets and candidate slices would otherwise be the dominant
-	// steady-state allocation — one per leaf point per leaf), the current
-	// outer leaf's points (processLeaf) and the verifier's stack.
-	fheap       filterHeap
-	live        []int32 // the filter's live-list arena (bulkFilter)
-	bulkScratch []bulkQuery
-	leafBuf     []rtree.PointEntry
-	vstack      []*candidate // verifyNode's per-entry candidate lists
+	scratch
 
 	// filtered, when set, observes every batch's filter state before
 	// verification (the pruner sets are recycled by the next batch). Tests
 	// count half-planes through it; a run never sets it.
 	filtered func([]bulkQuery)
+}
+
+// scratch is a joiner's working memory, reused across batches (a joiner is
+// never used concurrently) and, through scratchPool, across runs and
+// parallel workers: the traversal heap, the filter's live-list arena and
+// per-query state (whose pruner sets and candidate slices would otherwise be
+// the dominant steady-state allocation — one per leaf point per leaf), the
+// current outer leaf's points (processLeaf), the candidate batch's backing
+// arrays (candidateBatch), the verifier's stack and the confirmed pairs of
+// the current batch. Every user resets what it takes, so a recycled scratch
+// is only ever a head start on capacity.
+type scratch struct {
+	fheap       filterHeap
+	live        []int32
+	bulkScratch []bulkQuery
+	leafBuf     []rtree.PointEntry
+	candBacking []candidate
+	cands       []*candidate
+	vstack      []*candidate // verifyNode's per-entry candidate lists
+	batch       []Pair       // confirmed pairs of the current batch, awaiting deliver
+}
+
+// scratchPool recycles scratch between joiners.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// takeScratch gives j a recycled scratch; the returned holder goes back
+// with putScratch when j is done.
+func (j *joiner) takeScratch() *scratch {
+	s := scratchPool.Get().(*scratch)
+	j.scratch = *s
+	return s
+}
+
+// putScratch returns j's scratch to the pool through holder s. The stale
+// candidate pointers are cleared first, so a pooled scratch keeps no
+// earlier backing array alive.
+func (j *joiner) putScratch(s *scratch) {
+	clear(j.vstack[:cap(j.vstack)])
+	clear(j.cands[:cap(j.cands)])
+	*s = j.scratch
+	j.scratch = scratch{}
+	scratchPool.Put(s)
 }
 
 // emit records a confirmed result pair in the current batch. Under TopK the
@@ -328,26 +362,25 @@ func (j *joiner) emit(p Pair) {
 // deliver is the one way out of the executor: the current batch — a
 // verification batch's survivors, a brute-force outer point's, or a TopK
 // run's final ranking — is counted and handed to every configured sink
-// (Collect, then OnPair per pair), under the run's lock so parallel workers
-// never interleave inside a sink. Empty batches are skipped; the batch's
-// slice is recycled.
+// (Collect, then OnPair per pair). A parallel worker instead hands the
+// whole batch to the run's goroutine (handoff.send), which delivers it
+// here, so the sinks are only touched on the goroutine that called
+// JoinContext. Empty batches are skipped; the batch's slice is recycled.
 func (j *joiner) deliver() {
 	batch := j.batch
 	if len(batch) == 0 {
 		return
 	}
+	if j.handoff != nil {
+		j.batch = j.handoff.send(batch)
+		return
+	}
 	j.batch = batch[:0]
 	j.stats.Results += int64(len(batch))
-	root := j
-	if j.parent != nil {
-		root = j.parent
+	if j.opts.Collect {
+		j.out = append(j.out, batch...)
 	}
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	if root.opts.Collect {
-		root.out = append(root.out, batch...)
-	}
-	if onPair := root.opts.OnPair; onPair != nil {
+	if onPair := j.opts.OnPair; onPair != nil {
 		for _, p := range batch {
 			onPair(p)
 		}

@@ -51,6 +51,7 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 	if j.opts.hasPredicates() {
 		j.shared = newRunShared(j.opts)
 	}
+	held := j.takeScratch()
 	var err error
 	switch {
 	case j.opts.Algorithm == AlgBrute:
@@ -71,6 +72,8 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 		j.batch = j.shared.topk.sorted()
 		j.deliver()
 	}
+	// Not deferred: a scratch a panic left mid-batch is not worth keeping.
+	j.putScratch(held)
 	return j.out, j.stats, err
 }
 
@@ -122,7 +125,7 @@ func (j *joiner) joinBatch(points []rtree.PointEntry) error {
 	if j.filtered != nil {
 		j.filtered(queries)
 	}
-	return j.verifyAndEmit(candidateBatch(queries, ring))
+	return j.verifyAndEmit(j.candidateBatch(queries, ring))
 }
 
 // verifyAndEmit is the tail of the pipeline: one candidate batch is verified

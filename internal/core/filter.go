@@ -239,14 +239,19 @@ func (j *joiner) resetQueries(points []rtree.PointEntry, symmetric bool) []bulkQ
 // candidates with their enclosing rings — the one batch builder behind every
 // filter (INJ, BIJ, OBJ and the L1 stage; ring is the metric's two-point
 // ball). One backing array serves the whole batch instead of a heap
-// allocation per candidate pair.
-func candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle) []*candidate {
+// allocation per candidate pair; both it and the returned slice are joiner
+// scratch, valid until the next call (verifyAndEmit copies out the pairs it
+// delivers).
+func (j *joiner) candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle) []*candidate {
 	total := 0
 	for i := range queries {
 		total += len(queries[i].cands)
 	}
-	backing := make([]candidate, 0, total)
-	cands := make([]*candidate, 0, total)
+	if cap(j.candBacking) < total {
+		j.candBacking = make([]candidate, 0, total)
+		j.cands = make([]*candidate, 0, total)
+	}
+	backing, cands := j.candBacking[:0], j.cands[:0]
 	for i := range queries {
 		bq := &queries[i]
 		for _, p := range bq.cands {

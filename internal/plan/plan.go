@@ -131,15 +131,17 @@ const (
 	// part of the argument, is paid only per probed point.
 	injMaxOuter = 48
 	// parallelMinAccesses: fan a join that runs to completion out only when
-	// its estimated work amortizes worker startup and emission locking.
-	// Measured on the embedded benchmark (2-CPU Xeon VM, see README): every
-	// 4k x 4k full and self join plans at 963 and runs about twice as fast
-	// on two (warm p50: full 54 -> 24 ms, self 61 -> 29 ms), while every
-	// window and bounded window plans at 606-678. Those read ~136 and ~90
-	// nodes since a window bounds its own diameter, and run in 1.9 and
-	// 0.9 ms (medians of 32 on G20k x U20k, forced OBJ, warm), 1.2 and
-	// 0.6 ms on two workers: a second worker saves them under a
-	// millisecond. The cutoff sits in that gap.
+	// its estimated work amortizes worker startup and the batch handoff.
+	// Measured on the embedded benchmark's inputs (2-CPU Xeon VM, see
+	// README; Engine.Run drained warm, p50 of 31 runs alternating one and
+	// two workers): every 4k x 4k full and self join plans at 963 and runs
+	// 1.8-1.9x as fast on two (full ~49 -> ~27 ms, self ~49 -> ~26 ms),
+	// while every window and bounded window plans at 606-678. Those read
+	// ~136 and ~90 nodes since a window bounds its own diameter; a 600-wide
+	// window on G20k x U20k (forced OBJ) runs in 0.9-1.0 ms, 0.8-0.85 ms on
+	// two workers, and bounded to a diameter of 100 in 0.2 ms either way: a
+	// second worker saves them at most a few tenths of a millisecond. The
+	// cutoff sits in that gap.
 	parallelMinAccesses = 900
 	// defaultLeafCap approximates the R*-tree fanout when the superblock
 	// does not say (4 KiB pages hold ~100 points; stay conservative).

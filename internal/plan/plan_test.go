@@ -109,9 +109,9 @@ func TestPlanEpochs(t *testing.T) {
 // metadata of the embedded benchmark's indexes (default 4 KiB pages: 42-point
 // leaves, three levels). A join that runs to completion fans out once it
 // plans at 900 accesses or more; the 4k x 4k full and self joins plan at 963
-// (and run about twice as fast on two workers), the windows and bounded
-// windows at 606-678 (and run in 1-2 ms, where a second worker saves under a
-// millisecond). A ranked or limited query stays sequential at any size.
+// (and run 1.8-1.9x as fast on two workers), the windows and bounded
+// windows at 606-678 (and run in 0.2-1 ms, where a second worker saves at
+// most a few tenths of a millisecond). A ranked or limited query stays sequential at any size.
 func TestFanOutRule(t *testing.T) {
 	shape := func(count int) IndexMeta {
 		m := meta(count)

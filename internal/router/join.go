@@ -335,8 +335,8 @@ func (m *merger) duplicate(rw row) bool {
 }
 
 // row takes one worker row: held for the merge under top-k, otherwise
-// forwarded and flushed now. errStopStream asks the producing stream to end
-// (limit satisfied or client gone).
+// forwarded now (the JoinWriter decides when it is flushed). errStopStream
+// asks the producing stream to end (limit satisfied or client gone).
 func (m *merger) row(at *attempt, rw row) error {
 	if m.k > 0 {
 		at.held = append(at.held, rw)
@@ -358,7 +358,6 @@ func (m *merger) row(at *attempt, rw row) error {
 	at.forwarded = true
 	m.rt.m.pairsEmitted.Add(1)
 	m.emitted++
-	m.out.Flush()
 	if m.limit > 0 && m.emitted >= int64(m.limit) {
 		m.ended = true
 		m.cancel()

@@ -642,7 +642,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		if cacheOK {
 			collect = append(collect, pr)
 		}
-		out.Flush()
 	}
 	if cacheOK {
 		// The stream completed cleanly while this handler held the indexes'

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/rcj"
 )
@@ -154,16 +155,25 @@ func newSummary(st rcj.Stats, dec rcj.PlanDecision) Summary {
 // rows or emitting a gathered top-k. It owns the content type, the 200 that
 // is written with the first byte of the body (so a caller that fails before
 // any row can still choose another status), the row encodings, how a stream
-// ends, and the flush call. Callers decide when to flush: per pair on a live
-// stream, once for an answer that was complete before its first write. Not
-// safe for concurrent use.
+// ends, and when it is flushed: the first row at once, so a client sees the
+// stream start without waiting for a buffer to fill; then, checked as each
+// row is written, at most once per flushInterval; and at the end. There is
+// no timer: rows written after the last flush leave with the next row past
+// the interval, or with the end. Not safe for concurrent use.
 type JoinWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher // nil when w cannot flush
-	csv     bool
-	started bool
-	buf     []byte // row scratch: no allocation per line
+	w         http.ResponseWriter
+	flusher   http.Flusher // nil when w cannot flush
+	csv       bool
+	started   bool
+	lastFlush time.Time // when a row last flushed the stream; zero before the first row
+	buf       []byte    // row scratch: no allocation per line
 }
+
+// flushInterval is the least time between two flushes of a stream's rows.
+// A flush is a write syscall and a chunk on the wire; flushing every row paid
+// them once per pair, while the first row alone decides how soon a client
+// sees the stream start.
+const flushInterval = 5 * time.Millisecond
 
 // NewJoinWriter returns a writer answering on w in CSV or NDJSON.
 func NewJoinWriter(w http.ResponseWriter, csv bool) *JoinWriter {
@@ -203,12 +213,18 @@ func (jw *JoinWriter) Pair(pr rcj.Pair, ndjson []byte) error {
 		jw.buf = AppendPairNDJSON(jw.buf[:0], pr)
 		line = jw.buf
 	}
-	_, err := jw.w.Write(line)
-	return err
+	if _, err := jw.w.Write(line); err != nil {
+		return err
+	}
+	if jw.lastFlush.IsZero() || time.Since(jw.lastFlush) >= flushInterval {
+		jw.flush()
+		jw.lastFlush = time.Now()
+	}
+	return nil
 }
 
-// Flush pushes what has been written so far to the client.
-func (jw *JoinWriter) Flush() {
+// flush pushes what has been written so far to the client.
+func (jw *JoinWriter) flush() {
 	if jw.flusher != nil {
 		jw.flusher.Flush()
 	}
@@ -236,5 +252,5 @@ func (jw *JoinWriter) end(line any) {
 			jw.w.Write(append(b, '\n'))
 		}
 	}
-	jw.Flush()
+	jw.flush()
 }

@@ -25,10 +25,13 @@ import (
 //		serve(pair)
 //	}
 //
-// The iterator streams pairs as the join confirms them; cancelling ctx (or
-// breaking out of the loop) aborts the join promptly without leaking
-// goroutines. Engine methods are safe for concurrent use; indexes are
-// immutable after build and may be shared by any number of joins.
+// The iterator streams pairs as the join confirms them, on the goroutine
+// ranging over it: the traversal runs inline in the range statement (a
+// parallel join's workers hand their batches to it), so no pair waits in a
+// buffer, none is yielded once ctx is done, and cancelling ctx (or breaking
+// out of the loop, or panicking in it) aborts the join promptly without
+// leaking goroutines. Engine methods are safe for concurrent use; indexes
+// are immutable after build and may be shared by any number of joins.
 type Engine struct {
 	pageSize  int
 	pool      *buffer.Pool
@@ -81,11 +84,6 @@ func (e *Engine) BufferStats() buffer.Stats { return e.pool.Stats() }
 
 // BufferShards returns the number of LRU shards of the shared pool.
 func (e *Engine) BufferShards() int { return e.pool.Shards() }
-
-// streamBuffer is the channel depth between the join workers and the
-// consuming iterator: deep enough to decouple bursts, small enough that a
-// cancelled consumer stops the producer within a leaf or two.
-const streamBuffer = 64
 
 // Collect drains a streaming join into a slice, stopping at the first
 // error. It is the bridge from the iterator form back to the slice-returning

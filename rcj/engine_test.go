@@ -162,7 +162,8 @@ func waitForGoroutines(t *testing.T, base int) {
 }
 
 // TestEngineCancellation checks that a cancelled context aborts a streaming
-// join promptly, surfaces the context error, and leaks no goroutines.
+// join promptly — no pair is yielded once the context is done, sequential or
+// parallel — surfaces the context error, and leaks no goroutines.
 func TestEngineCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	eng := NewEngine(EngineConfig{})
@@ -200,8 +201,8 @@ func TestEngineCancellation(t *testing.T) {
 			if !errors.Is(sawErr, context.Canceled) {
 				t.Fatalf("iterator error = %v, want context.Canceled", sawErr)
 			}
-			if got >= len(total) {
-				t.Fatalf("cancelled join still streamed all %d pairs", got)
+			if got != 5 {
+				t.Fatalf("%d pairs yielded after the context was cancelled", got-5)
 			}
 			waitForGoroutines(t, base)
 		})
@@ -209,7 +210,7 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 // TestEngineEarlyBreak abandons the iterator mid-stream (the k-results use
-// case) and checks the producer goroutines are reaped.
+// case) and checks a parallel run's workers are reaped.
 func TestEngineEarlyBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	eng := NewEngine(EngineConfig{})
@@ -235,6 +236,72 @@ func TestEngineEarlyBreak(t *testing.T) {
 			t.Fatalf("broke after %d pairs, want 3", got)
 		}
 		waitForGoroutines(t, base)
+	}
+}
+
+// TestEnginePanicPropagates checks that a panic in the consumer's loop body
+// leaves the range statement as that panic, sequential or parallel, and
+// that a parallel run's workers are stopped and joined on the way out.
+func TestEnginePanicPropagates(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	eng := NewEngine(EngineConfig{})
+	ixP, _ := eng.BuildIndex(testPoints(rng, 1200, 0), IndexConfig{})
+	ixQ, _ := eng.BuildIndex(testPoints(rng, 1200, 0), IndexConfig{})
+	defer ixP.Close()
+	defer ixQ.Close()
+
+	type bodyPanic struct{}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			got := 0
+			func() {
+				defer func() {
+					if r := recover(); r != (bodyPanic{}) {
+						t.Errorf("recovered %v, want the loop body's panic", r)
+					}
+				}()
+				for _, err := range eng.Run(bg, ixQ, ixP, Query{Parallelism: par}) {
+					if err != nil {
+						t.Errorf("iterator error %v", err)
+						return
+					}
+					if got++; got == 3 {
+						panic(bodyPanic{})
+					}
+				}
+			}()
+			if got != 3 {
+				t.Fatalf("panicked after %d pairs, want 3", got)
+			}
+			waitForGoroutines(t, base)
+		})
+	}
+}
+
+// TestEngineSequentialInline checks that a sequential Engine.Run runs on the
+// goroutine ranging over it: no goroutine is running beside the loop body.
+func TestEngineSequentialInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	eng := NewEngine(EngineConfig{})
+	ixP, _ := eng.BuildIndex(testPoints(rng, 800, 0), IndexConfig{})
+	ixQ, _ := eng.BuildIndex(testPoints(rng, 800, 0), IndexConfig{})
+	defer ixP.Close()
+	defer ixQ.Close()
+
+	base := runtime.NumGoroutine()
+	got := 0
+	for _, err := range eng.Run(bg, ixQ, ixP, Query{Parallelism: 1}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("pair %d: %d goroutines running, baseline %d", got, n, base)
+		}
+		got++
+	}
+	if got == 0 {
+		t.Fatal("the join yields no pair")
 	}
 }
 

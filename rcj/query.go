@@ -307,17 +307,19 @@ func windowBound(q, p *Index, qry Query) float64 {
 	return qry.MaxDiameter
 }
 
-// runStream is the streaming adapter: the traversal runs in a producer
-// goroutine bridged to the consumer through a bounded channel, so parallel
-// joins (whose workers emit concurrently) and sequential joins stream
-// through the same iterator. The executor's OnPair callback feeds the
-// bridge. Its contract:
+// runStream is the streaming adapter: the traversal runs inline, on the
+// goroutine ranging over the iterator, and the executor's OnPair callback
+// yields each pair directly — parallel joins too, whose workers hand their
+// batches to that goroutine (core.Options.OnPair). Its contract:
 //
-//   - emit blocks while the consumer is behind (bounded by streamBuffer)
-//     and returns without delivering once the run's context is cancelled.
+//   - No pair is yielded once yield has returned false or the run's
+//     context is done; a cancellation that suppressed a pair ends the
+//     stream with the context's error even if the traversal had no more
+//     node to read.
 //   - Cancelling parent, or breaking out of the range loop, cancels the
 //     context the traversal runs under; the executor notices and returns.
-//   - The producer goroutine is always joined before the iterator returns,
+//   - A sequential run starts no goroutine; a parallel run's workers are
+//     joined before the iterator returns, also when the loop body panics,
 //     so no goroutine outlives the range loop.
 //   - A non-nil error from the traversal is yielded as the final element
 //     (with a zero value), unless the consumer already broke out.
@@ -335,32 +337,34 @@ func runStream(parent context.Context, q, p *Index, qry Query) iter.Seq2[Pair, e
 		ctx, cancel := context.WithCancel(parent)
 		defer cancel()
 
-		ch := make(chan Pair, streamBuffer)
-		done := make(chan error, 1)
+		var (
+			broke   bool  // the consumer left the loop: yield is not called again
+			dropped error // the context was done at a confirmed pair
+		)
+		done := ctx.Done()
 		emit := func(cp core.Pair) {
-			select {
-			case ch <- fromCorePair(cp):
-			case <-ctx.Done():
-				// The consumer is gone; the executor observes ctx and
-				// unwinds on its own.
-			}
-		}
-		go func() {
-			_, _, err := run(ctx, func(co *core.Options) { co.OnPair = emit })
-			done <- err
-			close(ch)
-		}()
-
-		for v := range ch {
-			if !yield(v, nil) {
-				cancel()
-				for range ch {
-				}
-				<-done
+			if broke || dropped != nil {
 				return
 			}
+			select {
+			case <-done:
+				dropped = ctx.Err()
+				return
+			default:
+			}
+			if !yield(fromCorePair(cp), nil) {
+				broke = true
+				cancel()
+			}
 		}
-		if err := <-done; err != nil {
+		_, _, err := run(ctx, func(co *core.Options) { co.OnPair = emit })
+		if broke {
+			return
+		}
+		if err == nil {
+			err = dropped
+		}
+		if err != nil {
 			yield(Pair{}, err)
 		}
 	}
