@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/storage"
 )
 
 // runBrute is the quadratic baseline of Section 1: a nested loop over P × Q
@@ -15,11 +14,11 @@ import (
 // truth the index algorithms are validated against and is only practical on
 // small inputs.
 func (j *joiner) runBrute() error {
-	ps, err := scanAll(j.tp)
+	ps, err := scanInto(j.tp, nil)
 	if err != nil {
 		return err
 	}
-	qs, err := scanAll(j.tq)
+	qs, err := scanInto(j.tq, nil)
 	if err != nil {
 		return err
 	}
@@ -60,16 +59,6 @@ func (j *joiner) runBrute() error {
 		j.deliver()
 	}
 	return nil
-}
-
-// scanAll returns every point of ix, in leaf order.
-func scanAll(ix SpatialIndex) ([]rtree.PointEntry, error) {
-	var out []rtree.PointEntry
-	_, err := rtree.VisitLeaves(ix, nil, func(_ storage.PageID, n *rtree.Node) error {
-		out = n.AppendPointsTo(out)
-		return nil
-	})
-	return out, err
 }
 
 // VerifyPair checks the ring constraint for one specific pair: whether the

@@ -29,6 +29,10 @@
 //     points the bound admits are ever probed or seeded.
 //   - Brute force (Section 1): nested loop with a circle range search per
 //     pair — the O(|P|·|Q|) baseline of Table 4, with no filter at all.
+//   - Gabriel (not in the paper): RCJ(P, Q) is the bichromatic edge set of
+//     the Gabriel graph of P ∪ Q, so one scan of each tree and one exact
+//     Delaunay triangulation (internal/delaunay) answer an unconstrained
+//     join, reading every page once.
 //
 // Every ring is decided by one exact predicate, geom.DiscSign — the sign of
 // (x−p)·(x−q), ≤ 0 on the closed disc — shared with the brute force, so all
@@ -41,6 +45,7 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
@@ -94,6 +99,9 @@ const (
 	AlgOBJ
 	// AlgBrute is the quadratic nested loop with a range search per pair.
 	AlgBrute
+	// AlgGabriel reads both trees once and joins on one exact Delaunay
+	// triangulation of P ∪ Q (gabriel.go). Euclidean only.
+	AlgGabriel
 )
 
 // String returns the paper's name for the algorithm.
@@ -107,6 +115,8 @@ func (a Algorithm) String() string {
 		return "OBJ"
 	case AlgBrute:
 		return "BRUTE"
+	case AlgGabriel:
+		return "GABRIEL"
 	default:
 		return "unknown"
 	}
@@ -146,13 +156,14 @@ type Options struct {
 	DisableFaceRule bool
 	// RandomLeafOrder processes TQ leaves in a shuffled order instead of
 	// depth-first, quantifying the locality argument of Section 3.4.
-	// Ignored by AlgBrute. Seed fixes the shuffle.
+	// Ignored by AlgBrute and AlgGabriel. Seed fixes the shuffle.
 	RandomLeafOrder bool
 	// Seed seeds the leaf shuffle when RandomLeafOrder is set.
 	Seed int64
 	// Parallelism, when > 1, distributes TQ leaves over that many worker
 	// goroutines. The result set is identical to the sequential run but
-	// the emission order is not deterministic. Ignored by AlgBrute.
+	// the emission order is not deterministic. Ignored by AlgBrute and
+	// AlgGabriel, which run sequentially.
 	Parallelism int
 	// LeafSampleEvery, when > 1, processes only every k-th leaf of TQ —
 	// the sampling mode the cost estimator uses to extrapolate a full
@@ -222,7 +233,8 @@ type Stats struct {
 	// Candidates is the number of candidate pairs that survived the filter
 	// step and entered verification (Table 4's "number of candidate
 	// pairs"). A self-join counts each unordered pair once, since it
-	// verifies only the orientation it emits. For AlgBrute it is |P|·|Q|.
+	// verifies only the orientation it emits. For AlgBrute it is |P|·|Q|,
+	// for AlgGabriel the Delaunay edges it tested (see delaunay.Mesh).
 	Candidates int64
 	// Results is the number of RCJ result pairs.
 	Results int64
@@ -300,8 +312,9 @@ type joiner struct {
 // per-query state (whose pruner sets and candidate slices would otherwise be
 // the dominant steady-state allocation — one per leaf point per leaf), the
 // current outer leaf's points (processLeaf), the candidate batch's backing
-// arrays (candidateBatch), the verifier's stack and the confirmed pairs of
-// the current batch. Every user resets what it takes, so a recycled scratch
+// arrays (candidateBatch), the verifier's stack, the confirmed pairs of
+// the current batch, filterL1's quadrants, and runGabriel's scanned points
+// and triangulation. Every user resets what it takes, so a recycled scratch
 // is only ever a head start on capacity.
 type scratch struct {
 	fheap       filterHeap
@@ -310,8 +323,12 @@ type scratch struct {
 	leafBuf     []rtree.PointEntry
 	candBacking []candidate
 	cands       []*candidate
-	vstack      []*candidate // verifyNode's per-entry candidate lists
-	batch       []Pair       // confirmed pairs of the current batch, awaiting deliver
+	vstack      []*candidate       // verifyNode's per-entry candidate lists
+	l1Pruners   l1Pruners          // filterL1's quadrants
+	batch       []Pair             // confirmed pairs of the current batch, awaiting deliver
+	gabP, gabQ  []rtree.PointEntry // runGabriel's scanned inputs
+	gabOut      []gabrielPair      // and its sorted result
+	mesh        delaunay.Mesh      // and triangulation
 }
 
 // scratchPool recycles scratch between joiners.
@@ -327,10 +344,11 @@ func (j *joiner) takeScratch() *scratch {
 
 // putScratch returns j's scratch to the pool through holder s. The stale
 // candidate pointers are cleared first, so a pooled scratch keeps no
-// earlier backing array alive.
+// earlier backing array alive, and a large triangulation is dropped.
 func (j *joiner) putScratch(s *scratch) {
 	clear(j.vstack[:cap(j.vstack)])
 	clear(j.cands[:cap(j.cands)])
+	j.trimGabriel()
 	*s = j.scratch
 	j.scratch = scratch{}
 	scratchPool.Put(s)

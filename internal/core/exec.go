@@ -26,7 +26,8 @@ import (
 // with Lemma 5 (per query point, on its first probe), BIJ and INJ do not.
 // The Manhattan metric swaps two kernels (quadrant pruner, ball verifier;
 // l1.go) and always batches per point. AlgBrute is the filter-free baseline
-// (brute.go) on the same delivery. The whole pipeline is cancellable: the
+// (brute.go) and AlgGabriel the R-tree-free unconstrained join (gabriel.go),
+// both on the same delivery. The whole pipeline is cancellable: the
 // context is checked once per leaf, per batch, and per node read, so a
 // cancelled join stops promptly without finishing the current traversal.
 
@@ -56,6 +57,8 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 	switch {
 	case j.opts.Algorithm == AlgBrute:
 		err = j.runBrute()
+	case j.opts.Algorithm == AlgGabriel:
+		err = j.runGabriel()
 	case j.opts.Parallelism > 1:
 		err = j.runParallel()
 	default:
@@ -115,7 +118,7 @@ func (j *joiner) joinBatch(points []rtree.PointEntry) error {
 	ring := geom.EnclosingCircle
 	if j.opts.Metric == MetricL1 {
 		ring = l1Ring
-		queries, err = j.filterL1(points[0])
+		queries, err = j.filterL1(points)
 	} else {
 		queries, err = j.bulkFilter(points, j.opts.Algorithm == AlgOBJ)
 	}

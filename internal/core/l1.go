@@ -117,15 +117,17 @@ func BruteForceL1Pairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
 // of an earlier discovery. The query predicates push down as in the
 // Euclidean filter: the traversal ends at the diameter bound (the heap key
 // IS the pair's L1 diameter), and a point the predicates exclude still
-// installs its pruner. The returned slice is joiner scratch, valid until the
-// next filter call.
-func (j *joiner) filterL1(q rtree.PointEntry) ([]bulkQuery, error) {
+// installs its pruner. batch is the one query point, as a slice of the
+// outer leaf; the returned slice and the pruner set are joiner scratch,
+// valid until the next filter call.
+func (j *joiner) filterL1(batch []rtree.PointEntry) ([]bulkQuery, error) {
 	if j.tp.Root() == storage.InvalidPageID {
 		return nil, nil
 	}
-	queries := j.resetQueries([]rtree.PointEntry{q}, false)
+	q := batch[0]
+	queries := j.resetQueries(batch, false)
 	cands := queries[0].cands
-	var pruners l1Pruners
+	pruners := j.l1Pruners[:0]
 	h := &j.fheap
 	h.reset()
 	h.pushNode(0, j.tp.Root(), geom.EmptyRect(), liveSpan{})
@@ -156,6 +158,7 @@ func (j *joiner) filterL1(q rtree.PointEntry) ([]bulkQuery, error) {
 			// An excluded point still prunes, as in the Euclidean filter.
 			if !p.P.Equal(q.P) {
 				pruners = append(pruners, newL1Pruner(q.P, p.P))
+				j.l1Pruners = pruners
 			}
 			continue
 		}

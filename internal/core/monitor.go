@@ -67,7 +67,7 @@ func NewMonitor(tq, tp *rtree.Tree) (*Monitor, error) {
 		pairs: make(map[monitorKey]Pair),
 		byEnd: make(map[endpoint][]monitorKey),
 	}
-	pairs, _, err := Join(tq, tp, Options{Algorithm: AlgOBJ, SelfJoin: m.self, Collect: true})
+	pairs, _, err := Join(tq, tp, Options{Algorithm: AlgGabriel, SelfJoin: m.self, Collect: true})
 	if err != nil {
 		return nil, err
 	}

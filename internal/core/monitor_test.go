@@ -190,111 +190,147 @@ func TestMonitorDensePointStream(t *testing.T) {
 	}
 }
 
-// TestMonitorMutationsMatchBruteForce is the monitor's brute-force gate:
-// random interleaved inserts and deletes on both sides (and on the one set
-// of a self-join) must leave exactly BruteForcePairs after every step, and
-// each step must report exactly the pairs it added and removed.
+// TestMonitorMutationsMatchBruteForce is the monitor's oracle gate: random
+// interleaved inserts and deletes on both sides (and on the one set of a
+// self-join) must leave exactly the oracle's pairs. On workload.Degenerate
+// at 160 points the oracle is BruteForcePairs after every step, and each
+// step must report exactly the pairs it added and removed; on 20k points
+// per side (10k present at a time, uniform and clustered; 4k under -race)
+// it is the Delaunay oracle GabrielPairs after every batch of 100
+// mutations.
 func TestMonitorMutationsMatchBruteForce(t *testing.T) {
-	const n, steps = 160, 120
-	for _, g := range workload.Degenerate(n) {
+	for _, g := range workload.Degenerate(160) {
 		for _, self := range []bool{false, true} {
 			name := g.Name
 			if self {
 				name += "/self"
 			}
 			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(64))
-				// cur holds each side's present points, pool the absent
-				// ones (deleted points go back and may return).
-				var cur, pool [2][]rtree.PointEntry
-				sides := 2
-				if self {
-					sides = 1
-				}
-				for s, pts := range [][]rtree.PointEntry{g.P, g.Q}[:sides] {
-					pts = append([]rtree.PointEntry(nil), pts...)
-					rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-					cur[s], pool[s] = pts[:n/2:n/2], pts[n/2:]
-				}
-				bp := buffer.NewPool(-1)
-				tp := newInsertableTree(t, cur[0], bp, 1)
-				tq := tp
-				if !self {
-					tq = newInsertableTree(t, cur[1], bp, 2)
-				}
-				m, err := NewMonitor(tq, tp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys := func(pairs []Pair) map[monitorKey]bool {
-					out := make(map[monitorKey]bool, len(pairs))
-					for _, p := range pairs {
-						k := monitorKey{p.P.ID, p.Q.ID}
-						if out[k] {
-							t.Fatalf("pair %v listed twice", k)
-						}
-						out[k] = true
-					}
-					return out
-				}
-				minus := func(a, b map[monitorKey]bool) map[monitorKey]bool {
-					out := map[monitorKey]bool{}
-					for k := range a {
-						if !b[k] {
-							out[k] = true
-						}
-					}
-					return out
-				}
-				same := func(a, b map[monitorKey]bool) bool {
-					return len(minus(a, b)) == 0 && len(minus(b, a)) == 0
-				}
-				qside := sides - 1 // a self-join's Q is its P
-				prev := keys(m.Pairs())
-				if want := keys(BruteForcePairs(cur[0], cur[qside], self)); !same(prev, want) {
-					t.Fatalf("initial join holds %d pairs, brute force %d", len(prev), len(want))
-				}
-				for step := 0; step < steps; step++ {
-					s := rng.Intn(sides)
-					insert := len(cur[s]) == 0 || (len(pool[s]) > 0 && rng.Intn(2) == 0)
-					from, to := &cur[s], &pool[s]
-					if insert {
-						from, to = to, from
-					}
-					i := rng.Intn(len(*from))
-					e := (*from)[i]
-					(*from)[i] = (*from)[len(*from)-1]
-					*from = (*from)[:len(*from)-1]
-					*to = append(*to, e)
-					var added, removed []Pair
-					switch {
-					case insert && s == 0:
-						added, removed, err = m.AddP(e.P, e.ID)
-					case insert:
-						added, removed, err = m.AddQ(e.P, e.ID)
-					case s == 0:
-						added, removed, err = m.DeleteP(e.P, e.ID)
-					default:
-						added, removed, err = m.DeleteQ(e.P, e.ID)
-					}
-					what := fmt.Sprintf("step %d (insert %v, side %d, point %d at %v)", step, insert, s, e.ID, e.P)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					want := keys(BruteForcePairs(cur[0], cur[qside], self))
-					got := keys(m.Pairs())
-					if !same(got, want) {
-						t.Fatalf("%s: monitor holds %d pairs, brute force %d; missing %v, extra %v",
-							what, len(got), len(want), minus(want, got), minus(got, want))
-					}
-					if a, r := keys(added), keys(removed); !same(a, minus(got, prev)) || !same(r, minus(prev, got)) {
-						t.Fatalf("%s: reported +%d -%d, set difference +%d -%d",
-							what, len(a), len(r), len(minus(got, prev)), len(minus(prev, got)))
-					}
-					prev = got
-				}
+				monitorMutations(t, g.P, g.Q, self, 120, 1, BruteForcePairs)
 			})
 		}
+	}
+	n := 20000
+	if raceEnabled {
+		n = 4000
+	}
+	big := []workload.Case{
+		{Name: fmt.Sprintf("uniform%d", n), P: workload.Uniform(n, 11), Q: workload.Uniform(n, 12)},
+		{Name: fmt.Sprintf("gauss%d", n), P: workload.GaussianClusters(n, 8, 1000, 13), Q: workload.GaussianClusters(n, 8, 1000, 14)},
+	}
+	for _, g := range big {
+		for _, self := range []bool{false, true} {
+			name := g.Name
+			if self {
+				name += "/self"
+			}
+			t.Run(name, func(t *testing.T) {
+				monitorMutations(t, g.P, g.Q, self, 400, 100, GabrielPairs)
+			})
+		}
+	}
+}
+
+// monitorMutations starts a monitor on a random half of each side, applies
+// steps random inserts and deletes, and compares its pairs with oracle's
+// every checkEvery steps; checking every step, it also compares each
+// step's reported changes with the set difference.
+func monitorMutations(t *testing.T, P, Q []rtree.PointEntry, self bool, steps, checkEvery int, oracle func(ps, qs []rtree.PointEntry, self bool) []Pair) {
+	rng := rand.New(rand.NewSource(64))
+	// cur holds each side's present points, pool the absent
+	// ones (deleted points go back and may return).
+	var cur, pool [2][]rtree.PointEntry
+	sides := 2
+	if self {
+		sides = 1
+	}
+	for s, pts := range [][]rtree.PointEntry{P, Q}[:sides] {
+		pts = append([]rtree.PointEntry(nil), pts...)
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		n := len(pts) / 2
+		cur[s], pool[s] = pts[:n:n], pts[n:]
+	}
+	bp := buffer.NewPool(-1)
+	tp := newInsertableTree(t, cur[0], bp, 1)
+	tq := tp
+	if !self {
+		tq = newInsertableTree(t, cur[1], bp, 2)
+	}
+	m, err := NewMonitor(tq, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(pairs []Pair) map[monitorKey]bool {
+		out := make(map[monitorKey]bool, len(pairs))
+		for _, p := range pairs {
+			k := monitorKey{p.P.ID, p.Q.ID}
+			if out[k] {
+				t.Fatalf("pair %v listed twice", k)
+			}
+			out[k] = true
+		}
+		return out
+	}
+	minus := func(a, b map[monitorKey]bool) map[monitorKey]bool {
+		out := map[monitorKey]bool{}
+		for k := range a {
+			if !b[k] {
+				out[k] = true
+			}
+		}
+		return out
+	}
+	same := func(a, b map[monitorKey]bool) bool {
+		return len(minus(a, b)) == 0 && len(minus(b, a)) == 0
+	}
+	qside := sides - 1 // a self-join's Q is its P
+	prev := keys(m.Pairs())
+	if want := keys(oracle(cur[0], cur[qside], self)); !same(prev, want) {
+		t.Fatalf("initial join holds %d pairs, the oracle %d", len(prev), len(want))
+	}
+	for step := 0; step < steps; step++ {
+		s := rng.Intn(sides)
+		insert := len(cur[s]) == 0 || (len(pool[s]) > 0 && rng.Intn(2) == 0)
+		from, to := &cur[s], &pool[s]
+		if insert {
+			from, to = to, from
+		}
+		i := rng.Intn(len(*from))
+		e := (*from)[i]
+		(*from)[i] = (*from)[len(*from)-1]
+		*from = (*from)[:len(*from)-1]
+		*to = append(*to, e)
+		var added, removed []Pair
+		switch {
+		case insert && s == 0:
+			added, removed, err = m.AddP(e.P, e.ID)
+		case insert:
+			added, removed, err = m.AddQ(e.P, e.ID)
+		case s == 0:
+			added, removed, err = m.DeleteP(e.P, e.ID)
+		default:
+			added, removed, err = m.DeleteQ(e.P, e.ID)
+		}
+		what := fmt.Sprintf("step %d (insert %v, side %d, point %d at %v)", step, insert, s, e.ID, e.P)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if (step+1)%checkEvery != 0 {
+			continue
+		}
+		want := keys(oracle(cur[0], cur[qside], self))
+		got := keys(m.Pairs())
+		if !same(got, want) {
+			t.Fatalf("%s: monitor holds %d pairs, the oracle %d; missing %v, extra %v",
+				what, len(got), len(want), minus(want, got), minus(got, want))
+		}
+		if checkEvery == 1 {
+			if a, r := keys(added), keys(removed); !same(a, minus(got, prev)) || !same(r, minus(prev, got)) {
+				t.Fatalf("%s: reported +%d -%d, set difference +%d -%d",
+					what, len(a), len(r), len(minus(got, prev)), len(minus(prev, got)))
+			}
+		}
+		prev = got
 	}
 }
 

@@ -135,7 +135,7 @@ func TestFig16ResultsAgreeAndGrow(t *testing.T) {
 	var prev int64 = -1
 	for _, n := range []string{"50K", "100K", "200K", "400K", "800K"} {
 		m := results[n]
-		if m[core.AlgINJ] != m[core.AlgBIJ] || m[core.AlgBIJ] != m[core.AlgOBJ] {
+		if m[core.AlgINJ] != m[core.AlgBIJ] || m[core.AlgBIJ] != m[core.AlgOBJ] || m[core.AlgOBJ] != m[core.AlgGabriel] {
 			t.Errorf("n=%s: algorithms disagree: %v", n, m)
 		}
 		if m[core.AlgOBJ] < prev {

@@ -265,6 +265,14 @@ func TestPaperShape(t *testing.T) {
 		}
 	}
 
+	// The Gabriel path reads each page of both trees once, fewer than OBJ
+	// on every Fig. 16 row.
+	for k, f := range faults {
+		if strings.HasPrefix(k, "fig16 ") && !(f["GABRIEL"] > 0 && f["GABRIEL"] < f["OBJ"]) {
+			t.Errorf("%s: faults GABRIEL=%d OBJ=%d, want 0 < GABRIEL < OBJ", k, f["GABRIEL"], f["OBJ"])
+		}
+	}
+
 	// Table 4: symmetric pruning beats single-point probes, which beat
 	// leaf-batch probes without it; no filter loses a result.
 	for _, r := range paperOf[Table4Row](t, "table4") {

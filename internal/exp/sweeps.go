@@ -23,7 +23,9 @@ type SweepRow struct {
 
 // Fig16 regenerates Figure 16 ("The Effect of Data Size n, |P| = |Q| = n, UI
 // data"): time per algorithm and RCJ result cardinality as n sweeps 50K to
-// 800K (× Scale).
+// 800K (× Scale). Each row also runs the Gabriel path (not in the paper),
+// which reads every page of both trees once: its faults and accesses are
+// the two trees' pages, next to OBJ's.
 func Fig16(cfg Config) ([]SweepRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []SweepRow
@@ -34,7 +36,7 @@ func Fig16(cfg Config) ([]SweepRow, error) {
 			return nil, err
 		}
 		label := fmt.Sprintf("%dK", nK)
-		for _, alg := range rcjAlgorithms {
+		for _, alg := range append(rcjAlgorithms[:len(rcjAlgorithms):len(rcjAlgorithms)], core.AlgGabriel) {
 			res, err := env.Run(core.Options{Algorithm: alg})
 			if err != nil {
 				return nil, err

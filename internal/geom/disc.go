@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"cmp"
 	"math"
 	"math/big"
 )
@@ -71,6 +72,103 @@ func L1DiscSign(a, b, x Point) int {
 		s.Sub(&s, r.Abs(r))
 	}
 	return s.Sign()
+}
+
+// The two predicates of a Delaunay triangulation, in DiscSign's idiom: a
+// float determinant behind Shewchuk's static bound for it, settled in
+// rationals when the bound cannot decide. Each bound's absolute term covers
+// products that underflow, weighted by the factors an underflowed term is
+// later multiplied by, and is kept out of the subnormal range, where x86
+// arithmetic is an order of magnitude slower. An overflow makes the float
+// test NaN or ±Inf, which no comparison decides, so it goes to rationals.
+
+// orientErrBound and inCircleErrBound are Shewchuk's ccwerrboundA and
+// iccerrboundA.
+const (
+	orientErrBound   = (3 + 16*0x1p-53) * 0x1p-53
+	inCircleErrBound = (10 + 96*0x1p-53) * 0x1p-53
+)
+
+// Orient2D returns the sign of (a−c)×(b−c): +1 when a, b, c turn
+// counter-clockwise, −1 clockwise, 0 when they are collinear. It is exact.
+func Orient2D(a, b, c Point) int {
+	l := (a.X - c.X) * (b.Y - c.Y)
+	r := (a.Y - c.Y) * (b.X - c.X)
+	det := l - r
+	bound := orientErrBound*(math.Abs(l)+math.Abs(r)) + 0x1p-1020
+	switch {
+	case det > bound:
+		return 1
+	case -det > bound:
+		return -1
+	}
+	return orientExact(a, b, c)
+}
+
+func orientExact(a, b, c Point) int {
+	// A float difference has the exact difference's sign, so each product
+	// does too; unless both have one nonzero sign, theirs decide. This
+	// settles points on a common axis-parallel line (a clamped boundary)
+	// without rationals.
+	if sl, sr := fsign(a.X-c.X)*fsign(b.Y-c.Y), fsign(a.Y-c.Y)*fsign(b.X-c.X); sl != sr || sl == 0 {
+		return cmp.Compare(sl, sr)
+	}
+	l := new(big.Rat).Mul(ratDiff(a.X, c.X), ratDiff(b.Y, c.Y))
+	return l.Sub(l, new(big.Rat).Mul(ratDiff(a.Y, c.Y), ratDiff(b.X, c.X))).Sign()
+}
+
+// InCircle returns the sign of d against the circle through a, b and c
+// taken counter-clockwise: +1 when d is strictly inside, 0 on the circle,
+// −1 outside (signs flip when a, b, c turn clockwise). It is exact.
+func InCircle(a, b, c, d Point) int {
+	adx, ady := a.X-d.X, a.Y-d.Y
+	bdx, bdy := b.X-d.X, b.Y-d.Y
+	cdx, cdy := c.X-d.X, c.Y-d.Y
+	bc, cb := bdx*cdy, cdx*bdy
+	ca, ac := cdx*ady, adx*cdy
+	ab, ba := adx*bdy, bdx*ady
+	al := adx*adx + ady*ady
+	bl := bdx*bdx + bdy*bdy
+	cl := cdx*cdx + cdy*cdy
+	det := al*(bc-cb) + bl*(ca-ac) + cl*(ab-ba)
+	cross := math.Abs(bc) + math.Abs(cb) + math.Abs(ca) + math.Abs(ac) + math.Abs(ab) + math.Abs(ba)
+	perm := (math.Abs(bc)+math.Abs(cb))*al + (math.Abs(ca)+math.Abs(ac))*bl + (math.Abs(ab)+math.Abs(ba))*cl
+	bound := inCircleErrBound*perm + 0x1p-900*(al+bl+cl+cross) + 0x1p-1000
+	switch {
+	case det > bound:
+		return 1
+	case -det > bound:
+		return -1
+	}
+	return inCircleExact(a, b, c, d)
+}
+
+func inCircleExact(a, b, c, d Point) int {
+	var rows [3][3]*big.Rat
+	for i, p := range [3]Point{a, b, c} {
+		x, y := ratDiff(p.X, d.X), ratDiff(p.Y, d.Y)
+		lift := new(big.Rat).Mul(x, x)
+		rows[i] = [3]*big.Rat{x, y, lift.Add(lift, new(big.Rat).Mul(y, y))}
+	}
+	var det big.Rat
+	for i := 0; i < 3; i++ {
+		r1, r2 := rows[(i+1)%3], rows[(i+2)%3]
+		m := new(big.Rat).Mul(r1[0], r2[1])
+		m.Sub(m, new(big.Rat).Mul(r2[0], r1[1]))
+		det.Add(&det, m.Mul(m, rows[i][2]))
+	}
+	return det.Sign()
+}
+
+// fsign returns the sign of v.
+func fsign(v float64) int {
+	switch {
+	case v > 0:
+		return 1
+	case v < 0:
+		return -1
+	}
+	return 0
 }
 
 // ratDiff returns v − w exactly.

@@ -144,3 +144,179 @@ func TestDiscSignMatchesRational(t *testing.T) {
 		t.Errorf("%d of 20000 near-circle triples decided in float: the sample misses the bound's edge", decided)
 	}
 }
+
+// ratDet is the determinant of a square rational matrix by fraction-exact
+// Gaussian elimination: the oracle's formula for Orient2D and InCircle,
+// untranslated, against their expansions about the last point.
+func ratDet(m [][]*big.Rat) int {
+	n, sign := len(m), 1
+	for col := 0; col < n; col++ {
+		piv := -1
+		for r := col; r < n; r++ {
+			if m[r][col].Sign() != 0 {
+				piv = r
+				break
+			}
+		}
+		if piv < 0 {
+			return 0
+		}
+		if piv != col {
+			m[piv], m[col] = m[col], m[piv]
+			sign = -sign
+		}
+		for r := col + 1; r < n; r++ {
+			f := new(big.Rat).Quo(m[r][col], m[col][col])
+			for c := col; c < n; c++ {
+				m[r][c].Sub(m[r][c], new(big.Rat).Mul(f, m[col][c]))
+			}
+		}
+	}
+	s := sign
+	for i := 0; i < n; i++ {
+		s *= m[i][i].Sign()
+	}
+	return s
+}
+
+// ratOrient is the oracle for Orient2D: det [x y 1] over a, b, c.
+func ratOrient(a, b, c Point) int {
+	var m [][]*big.Rat
+	for _, p := range []Point{a, b, c} {
+		m = append(m, []*big.Rat{new(big.Rat).SetFloat64(p.X), new(big.Rat).SetFloat64(p.Y), big.NewRat(1, 1)})
+	}
+	return ratDet(m)
+}
+
+// ratInCircle is the oracle for InCircle: det [x y x²+y² 1] over a, b, c,
+// d, which is positive when d is inside the counter-clockwise circle abc.
+func ratInCircle(a, b, c, d Point) int {
+	var m [][]*big.Rat
+	for _, p := range []Point{a, b, c, d} {
+		x, y := new(big.Rat).SetFloat64(p.X), new(big.Rat).SetFloat64(p.Y)
+		l := new(big.Rat).Mul(x, x)
+		l.Add(l, new(big.Rat).Mul(y, y))
+		m = append(m, []*big.Rat{x, y, l, big.NewRat(1, 1)})
+	}
+	return ratDet(m)
+}
+
+// TestOrientIncircleMatchRational is TestDiscSignMatchesRational's twin
+// for the triangulation's predicates: Orient2D and InCircle equal rational
+// arithmetic on named collinear and cocircular lattice inputs, each also
+// translated by 1e6-1e9 (integers stay exact, so their signs stay known),
+// and on random inputs on and a few ulps off a line or circle, where the
+// float evaluation is just decided or just undecided.
+func TestOrientIncircleMatchRational(t *testing.T) {
+	type orientCase struct {
+		a, b, c Point
+		want    int
+	}
+	type circleCase struct {
+		a, b, c, d Point
+		want       int
+	}
+	orients := []orientCase{
+		{Point{0, 0}, Point{1, 0}, Point{0, 1}, 1},
+		{Point{0, 0}, Point{0, 1}, Point{1, 0}, -1},
+		{Point{0, 0}, Point{2, 2}, Point{1, 1}, 0},
+		{Point{0, 0}, Point{2, 2}, Point{0, 0}, 0},
+		{Point{3, 7}, Point{6, 14}, Point{9, 21}, 0},
+	}
+	// Lattice points on the circle of radius 5 about (0, 0), taken
+	// counter-clockwise, against lattice points on, in and out of it.
+	circles := []circleCase{
+		{Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{3, 4}, 0},
+		{Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{-4, -3}, 0},
+		{Point{3, 4}, Point{-4, 3}, Point{0, -5}, Point{4, -3}, 0},
+		{Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{0, 0}, 1},
+		{Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{4, 4}, -1},
+		{Point{5, 0}, Point{-5, 0}, Point{0, 5}, Point{0, 0}, -1}, // clockwise
+		{Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{5, 0}, 0},
+	}
+	for _, off := range []float64{0, 1e6, 1e7, 1e8, 1e9} {
+		tr := func(p Point) Point { return Point{p.X + off, p.Y + off} }
+		for _, c := range orients {
+			a, b, x := tr(c.a), tr(c.b), tr(c.c)
+			if got, want := ratOrient(a, b, x), c.want; got != want {
+				t.Fatalf("oracle: orient(%v, %v, %v) = %d, table %d", a, b, x, got, want)
+			}
+			if got := Orient2D(a, b, x); got != c.want {
+				t.Errorf("Orient2D(%v, %v, %v) = %d, want %d", a, b, x, got, c.want)
+			}
+		}
+		for _, c := range circles {
+			a, b, x, d := tr(c.a), tr(c.b), tr(c.c), tr(c.d)
+			if got := ratInCircle(a, b, x, d); got != c.want {
+				t.Fatalf("oracle: incircle(%v, %v, %v, %v) = %d, table %d", a, b, x, d, got, c.want)
+			}
+			if got := InCircle(a, b, x, d); got != c.want {
+				t.Errorf("InCircle(%v, %v, %v, %v) = %d, want %d", a, b, x, d, got, c.want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	nudge := func(v float64) float64 {
+		for k := rng.Intn(5); k > 0; k-- {
+			v = math.Nextafter(v, math.Inf(1-2*rng.Intn(2)))
+		}
+		return v
+	}
+	decidedO, decidedC := 0, 0
+	for i := 0; i < 20000; i++ {
+		off := []float64{0, 1e3, 1e6, 1e9}[i%4]
+		scale := math.Pow(10, float64(rng.Intn(10)-5))
+		pt := func() Point { return Point{off + rng.Float64()*scale, off + rng.Float64()*scale} }
+		a, b := pt(), pt()
+		// A point on the rounded line ab, nudged by a few ulps.
+		s := rng.Float64()*3 - 1
+		c := Point{nudge(a.X + s*(b.X-a.X)), nudge(a.Y + s*(b.Y-a.Y))}
+		if rng.Intn(8) == 0 {
+			c = []Point{a, b}[rng.Intn(2)]
+		}
+		l, r := (a.X-c.X)*(b.Y-c.Y), (a.Y-c.Y)*(b.X-c.X)
+		if math.Abs(l-r) > orientErrBound*(math.Abs(l)+math.Abs(r)) {
+			decidedO++
+		}
+		if got, want := Orient2D(a, b, c), ratOrient(a, b, c); got != want {
+			t.Fatalf("Orient2D(%v, %v, %v) = %d, want %d", a, b, c, got, want)
+		}
+
+		// Four points on one rounded circle, the last nudged by a few ulps.
+		centre, rad := pt(), scale*(0.1+rng.Float64())
+		on := func() Point {
+			th := rng.Float64() * 2 * math.Pi
+			return Point{centre.X + rad*math.Cos(th), centre.Y + rad*math.Sin(th)}
+		}
+		ca, cb, cc, cd := on(), on(), on(), on()
+		cd = Point{nudge(cd.X), nudge(cd.Y)}
+		if rng.Intn(8) == 0 {
+			cd = []Point{ca, cb, cc}[rng.Intn(3)]
+		}
+		if got, want := InCircle(ca, cb, cc, cd), ratInCircle(ca, cb, cc, cd); got != want {
+			t.Fatalf("InCircle(%v, %v, %v, %v) = %d, want %d", ca, cb, cc, cd, got, want)
+		}
+		if inCircleFloatDecides(ca, cb, cc, cd) {
+			decidedC++
+		}
+	}
+	t.Logf("float decided %d of 20000 near-line orientations, %d of 20000 near-circle incircles", decidedO, decidedC)
+	for _, d := range []int{decidedO, decidedC} {
+		if d < 1000 || d > 19000 {
+			t.Errorf("%d of 20000 near-degenerate inputs decided in float: the sample misses the bound's edge", d)
+		}
+	}
+}
+
+// inCircleFloatDecides reports whether InCircle's float filter settles the
+// sign on its own.
+func inCircleFloatDecides(a, b, c, d Point) bool {
+	adx, ady := a.X-d.X, a.Y-d.Y
+	bdx, bdy := b.X-d.X, b.Y-d.Y
+	cdx, cdy := c.X-d.X, c.Y-d.Y
+	al, bl, cl := adx*adx+ady*ady, bdx*bdx+bdy*bdy, cdx*cdx+cdy*cdy
+	det := al*(bdx*cdy-cdx*bdy) + bl*(cdx*ady-adx*cdy) + cl*(adx*bdy-bdx*ady)
+	perm := (math.Abs(bdx*cdy)+math.Abs(cdx*bdy))*al + (math.Abs(cdx*ady)+math.Abs(adx*cdy))*bl + (math.Abs(adx*bdy)+math.Abs(bdx*ady))*cl
+	return math.Abs(det) > inCircleErrBound*perm
+}

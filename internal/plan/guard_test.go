@@ -476,10 +476,11 @@ var optionLedger = map[string]option{
 	"plan.Request.Weighted":    opt(query, "predicate: the ranking's bound is static"),
 	"plan.Request.Limit":       opt(query, "predicate: limited, so sequential"),
 	"plan.Request.Parallelism": opt(workload, "caller-fixed fan-out, echoed", "perf/inproc.go#qry.Parallelism = 1", "perf/embed.go#qry.Parallelism = parallelism"),
+	"plan.Request.SelfJoin":    opt(query, "join shape: a self-join's scan reads its one index once"),
 }
 
 // ledgerRows is the size ROADMAP's table tracks.
-const ledgerRows = 125
+const ledgerRows = 126
 
 // ledgerStructs lists the configuration structs whose exported fields the
 // ledger classes, by directory.
@@ -811,5 +812,27 @@ func TestOneWritePath(t *testing.T) {
 	}
 	for _, at := range versionUsers {
 		t.Errorf("%s names a storage.FormatVersion* constant: the writer emits v3 only, and only storage reads versions", at)
+	}
+}
+
+// TestDelaunayImporters is the guard on the Gabriel path's one entry: the
+// triangulation (internal/delaunay) is reached only through the executor
+// (core.AlgGabriel, and core.GabrielPairs as the tests' O(n log n) oracle),
+// so the planner, the cache key and the equivalence gates see every use of
+// it. Test files may import it directly; a second non-test importer has to
+// be argued for here.
+func TestDelaunayImporters(t *testing.T) {
+	var importers []string
+	for rel, f := range sourceFiles(t, ".") {
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "repro/internal/delaunay" {
+				importers = append(importers, filepath.ToSlash(filepath.Dir(rel)))
+			}
+		}
+	}
+	slices.Sort(importers)
+	importers = slices.Compact(importers)
+	if want := []string{"internal/core"}; !slices.Equal(importers, want) {
+		t.Errorf("non-test packages importing internal/delaunay: %v, want exactly %v", importers, want)
 	}
 }

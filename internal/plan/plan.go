@@ -2,10 +2,10 @@
 // ring-constrained join request, metadata the index already carries (count,
 // MBR, height — superblock fields for immutable indexes, live epoch state
 // for mutable ones), and observed serving statistics, it picks the
-// algorithm (INJ/OBJ/brute), parallelism and pair-predicate evaluation
-// order from an estimate of the node accesses each strategy needs. It
-// carries only what changes a decision: nothing is priced in time until a
-// rule reads a price (ROADMAP item 6).
+// algorithm (Gabriel/INJ/OBJ/brute), parallelism and pair-predicate
+// evaluation order from an estimate of the node accesses each strategy
+// needs. It carries only what changes a decision: nothing is priced in
+// time until a rule reads a price (ROADMAP item 6).
 //
 // The planner is equivalency-gated, mirroring janus-datalog's phase
 // reordering: a plan choice may change the cost of a query, never its
@@ -39,6 +39,8 @@ type IndexMeta struct {
 	Height int
 	// LeafCap is the leaf-node entry capacity; 0 = unknown (default used).
 	LeafCap int
+	// Pages is the index's page count; 0 = unknown (estimated from Count).
+	Pages int
 	// MBR is the dataset bounding rectangle when HasMBR is set.
 	MBR    geom.Rect
 	HasMBR bool
@@ -46,6 +48,9 @@ type IndexMeta struct {
 	// a decision can be pinned to the state it planned against; 0 for an
 	// immutable index.
 	Epoch uint64
+	// Live marks a mutable index, whose epoch may still read 0 before its
+	// first batch.
+	Live bool
 }
 
 // Observed is runtime feedback from the serving stack. The zero value means
@@ -71,8 +76,12 @@ type Request struct {
 	// Limit, when > 0, caps the pair count; like TopK it keeps the join
 	// sequential.
 	Limit int
-	// Parallelism, when > 0, is caller-fixed; the planner echoes it.
+	// Parallelism, when > 0, is caller-fixed; the planner echoes it, except
+	// on the Gabriel path, which runs sequentially.
 	Parallelism int
+	// SelfJoin marks the join of one index with itself (outer and inner
+	// are the same input), whose pages a scan reads once.
+	SelfJoin bool
 }
 
 // Decision is one resolved plan.
@@ -85,7 +94,7 @@ type Decision struct {
 	// EstAccesses is the node-access estimate the strategy was chosen on.
 	EstAccesses int64
 	// Rule names the decision for humans and metrics ("tiny-brute",
-	// "small-outer-inj", "default-obj", ...).
+	// "unbounded-gabriel", "small-outer-inj", "default-obj", ...).
 	Rule string
 	// Epochs pins the live epochs the decision planned against (outer,
 	// inner); zero for immutable inputs.
@@ -146,10 +155,17 @@ const (
 	// defaultLeafCap approximates the R*-tree fanout when the superblock
 	// does not say (4 KiB pages hold ~100 points; stay conservative).
 	defaultLeafCap = 64
+	// gabrielMaxPoints caps the points the Gabriel path triangulates in
+	// memory at a 64 MiB budget per join, at core.GabrielPointBytes a point
+	// (~335k points). Larger unconstrained joins stay on OBJ, which holds
+	// one leaf at a time.
+	gabrielMaxPoints = 64 << 20 / core.GabrielPointBytes
 )
 
 // Plan resolves one query. outer is the Q input (the side whose leaves
-// drive the join), inner is P; for a self-join pass the same meta twice.
+// drive the join), inner is P; for a self-join pass the same meta twice
+// and set req.SelfJoin. Only Euclidean joins are planned: an L1 query has
+// one filter strategy and pins its plan (rcj.Query.ResolveObserved).
 func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 	d := Decision{
 		Epochs:         [2]uint64{outer.Epoch, inner.Epoch},
@@ -165,6 +181,20 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 		d.Algorithm = core.AlgBrute
 		d.Rule = "tiny-brute"
 		d.EstAccesses = int64(nQ+nP) / defaultLeafCap // leaf scans only
+	case gabriel(req, outer, inner):
+		// An unconstrained join over sealed inputs is the Gabriel graph of
+		// P ∪ Q: one scan of each tree and one triangulation, 4-8x less CPU
+		// than OBJ at 3k-100k per side, reading each page once where OBJ
+		// reads 10-15x as many (ROADMAP items 3 and 16). It is exactly
+		// priced: a scan reads every page of each input once.
+		d.Algorithm = core.AlgGabriel
+		d.Rule = "unbounded-gabriel"
+		d.EstAccesses = pages(inner)
+		if !req.SelfJoin {
+			d.EstAccesses += pages(outer)
+		}
+		d.Parallelism = 1
+		return d
 	case effOuter <= injMaxOuter:
 		d.Algorithm = core.AlgINJ
 		d.Rule = "small-outer-inj"
@@ -186,6 +216,37 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 	}
 	d.Parallelism = parallelism(req, obs, d.EstAccesses)
 	return d
+}
+
+// gabriel reports whether the Gabriel path answers the request: no
+// predicate, ranking or limit, both inputs sealed (live inputs stay on the
+// R-tree, which their delta and tombstones are served through), few enough
+// points to triangulate in memory, and, when the metadata carries the
+// inputs' MBRs, coordinates narrow enough to triangulate.
+func gabriel(req Request, outer, inner IndexMeta) bool {
+	if req.MaxDiameter != 0 || req.MinDistance != 0 || req.Region != nil || req.TopK != 0 || req.Limit != 0 || req.Weighted {
+		return false
+	}
+	if outer.Live || inner.Live {
+		return false
+	}
+	if outer.HasMBR && inner.HasMBR && !core.GabrielFits(outer.MBR.Union(inner.MBR)) {
+		return false
+	}
+	n := inner.Count
+	if !req.SelfJoin {
+		n += outer.Count
+	}
+	return n <= gabrielMaxPoints
+}
+
+// pages returns the input's page count, or its estimated node count when
+// the metadata does not carry it.
+func pages(m IndexMeta) int64 {
+	if m.Pages > 0 {
+		return int64(m.Pages)
+	}
+	return nodes(m)
 }
 
 // leaves estimates the leaf count of one input.

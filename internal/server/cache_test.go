@@ -419,16 +419,18 @@ func TestJoinPlannedOnce(t *testing.T) {
 }
 
 // TestResultCacheKeepsRankedHits: the planner fans a join out only when it
-// runs to completion, so a planner-resolved top-k on inputs the full join
-// fans out on still plans sequential under the scheduler's free slots, and
-// its repeat is a cache hit.
+// runs to completion, so a planner-resolved top-k on inputs a complete
+// R-tree join fans out on still plans sequential under the scheduler's
+// free slots, and its repeat is a cache hit. The control is a join with a
+// min-distance floor: it runs to completion on the R-tree, where the full
+// join now runs on the (sequential) Gabriel path.
 func TestResultCacheKeepsRankedHits(t *testing.T) {
 	ts, srv := newCachingServer(t, 4000, 16)
 	if runtime.GOMAXPROCS(0) > 1 {
 		// The control: two free slots, spare CPUs, and inputs above the
 		// fan-out cutoff.
-		if _, sum := splitSummary(t, joinBody(t, ts, `{"p":"p","q":"q"}`)); !strings.Contains(sum.Plan, "par=2") {
-			t.Fatalf("full join plans %q, want par=2: the inputs no longer exercise the fan-out", sum.Plan)
+		if _, sum := splitSummary(t, joinBody(t, ts, `{"p":"p","q":"q","min_distance":0.001}`)); !strings.Contains(sum.Plan, "par=2") {
+			t.Fatalf("min-distance join plans %q, want par=2: the inputs no longer exercise the fan-out", sum.Plan)
 		}
 	}
 	const q = `{"p":"p","q":"q","top_k":10}`

@@ -10,13 +10,18 @@ import (
 
 // TestWarmAllocs pins the recycled executor scratch: a warm join drained
 // through Engine.Run allocates what its result and its plan need, not the
-// filter heap, pruner sets, candidate batches and verify stack of every run
-// again. Two shapes of the embedded benchmark: a window on G20k x U20k
-// (which derives its own diameter bound) and a G4k x U4k full join on two
-// workers; they measured 42 and 59 objects per join (530 and 1 433 before
-// the scratch was pooled), and the bounds leave room for a garbage
-// collection emptying the pool mid-measurement. Under -race sync.Pool drops
-// items at random, so the runs execute but the counts are not checked.
+// filter heap, pruner sets, candidate batches, verify stack or
+// triangulation of every run again. Shapes of the embedded benchmark: a
+// window on G20k x U20k (which derives its own diameter bound), a G4k x U4k
+// full join forced onto OBJ on two workers (the R-tree path), and the same
+// join planned (the Gabriel path, whose scans, triangulation and sort keys
+// are pooled too); and an L1 join of U4k x G4k, whose filter runs once per
+// query point. They measured 42, 59, 30 and 46 objects per join (530 and
+// 1 433 before the scratch was pooled; the L1 join 24 636 before its
+// one-point batch and quadrant set were), and the bounds leave room for a
+// garbage collection emptying the pool mid-measurement. Under -race
+// sync.Pool drops items at random, so the runs execute but the counts are
+// not checked.
 func TestWarmAllocs(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	build := func(pts []rtree.PointEntry) *Index {
@@ -44,9 +49,12 @@ func TestWarmAllocs(t *testing.T) {
 		q, p  *Index
 		qry   Query
 		limit float64
+		runs  int
 	}{
-		{"window", u20, g20, Query{Region: window}, 100},
-		{"full-par2", u4, g4, Query{Parallelism: 2}, 200},
+		{"window", u20, g20, Query{Region: window}, 100, 20},
+		{"full-par2", u4, g4, Query{Algorithm: OBJ, Parallelism: 2}, 200, 20},
+		{"full-gabriel", u4, g4, Query{}, 100, 20},
+		{"l1-full", u4, g4, Query{Metric: L1}, 150, 1}, // 0.8 s a join
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			drain := func() {
@@ -62,7 +70,7 @@ func TestWarmAllocs(t *testing.T) {
 				}
 			}
 			drain() // warm the pool and the scratch
-			allocs := testing.AllocsPerRun(20, drain)
+			allocs := testing.AllocsPerRun(tc.runs, drain)
 			t.Logf("%s: %.0f allocations per join", tc.name, allocs)
 			if !raceEnabled && allocs > tc.limit {
 				t.Errorf("%s: %.0f allocations per join, want at most %.0f", tc.name, allocs, tc.limit)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func testPoints(rng *rand.Rand, n int, idBase int64) []Point {
@@ -100,6 +102,16 @@ func pointsOf(t *testing.T, ix *Index) []Point {
 	return pts
 }
 
+// parQuery is the unconstrained join on par workers: planned when par is 0
+// or 1, and forced onto OBJ above, since the planned join runs on the
+// sequential Gabriel path.
+func parQuery(par int) Query {
+	if par > 1 {
+		return Query{Algorithm: OBJ, Parallelism: par}
+	}
+	return Query{Parallelism: par}
+}
+
 // TestEngineStreamMatchesCollect checks the acceptance criterion that the
 // streaming iterator yields exactly the pairs Collect returns.
 func TestEngineStreamMatchesCollect(t *testing.T) {
@@ -111,7 +123,7 @@ func TestEngineStreamMatchesCollect(t *testing.T) {
 	defer ixQ.Close()
 
 	for _, par := range []int{0, 4} {
-		opts := Query{Parallelism: par}
+		opts := parQuery(par)
 		collected, _, err := eng.RunCollect(context.Background(), ixQ, ixP, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -162,8 +174,9 @@ func waitForGoroutines(t *testing.T, base int) {
 }
 
 // TestEngineCancellation checks that a cancelled context aborts a streaming
-// join promptly — no pair is yielded once the context is done, sequential or
-// parallel — surfaces the context error, and leaks no goroutines.
+// join promptly — no pair is yielded once the context is done, sequential
+// (the planned join, on the Gabriel path) or parallel (OBJ on four
+// workers) — surfaces the context error, and leaks no goroutines.
 func TestEngineCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	eng := NewEngine(EngineConfig{})
@@ -186,7 +199,10 @@ func TestEngineCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var got int
 			var sawErr error
-			for pr, err := range eng.Run(ctx, ixQ, ixP, Query{Parallelism: par}) {
+			qry := parQuery(par)
+			var dec PlanDecision
+			qry.PlanOut = &dec
+			for pr, err := range eng.Run(ctx, ixQ, ixP, qry) {
 				if err != nil {
 					sawErr = err
 					break
@@ -203,6 +219,9 @@ func TestEngineCancellation(t *testing.T) {
 			}
 			if got != 5 {
 				t.Fatalf("%d pairs yielded after the context was cancelled", got-5)
+			}
+			if (dec.Algorithm == core.AlgGabriel) != (par == 0) {
+				t.Fatalf("planned %v: the sequential leg is the Gabriel path's", dec)
 			}
 			waitForGoroutines(t, base)
 		})
@@ -222,7 +241,7 @@ func TestEngineEarlyBreak(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		base := runtime.NumGoroutine()
 		got := 0
-		for pr, err := range eng.Run(context.Background(), ixQ, ixP, Query{Parallelism: par}) {
+		for pr, err := range eng.Run(context.Background(), ixQ, ixP, parQuery(par)) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +280,7 @@ func TestEnginePanicPropagates(t *testing.T) {
 						t.Errorf("recovered %v, want the loop body's panic", r)
 					}
 				}()
-				for _, err := range eng.Run(bg, ixQ, ixP, Query{Parallelism: par}) {
+				for _, err := range eng.Run(bg, ixQ, ixP, parQuery(par)) {
 					if err != nil {
 						t.Errorf("iterator error %v", err)
 						return

@@ -122,7 +122,7 @@ func TestParallelJoinPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := testEng.RunCollect(bg, ixQ, ixP, Query{Parallelism: 4})
+	par, _, err := testEng.RunCollect(bg, ixQ, ixP, parQuery(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,9 @@ var pathKinds = []struct {
 // insert-built trees at page sizes 512 and 4096; packed v3 and a live
 // base+delta view with tombstones at 512), under OBJ, BIJ and INJ, at
 // Parallelism 1 and 2 with the face rule on and at Parallelism 1 with it
-// off (a live view with tombstones always runs it off). core.BruteForcePairs
-// on the same points is one more path: every input has one digest.
+// off (a live view with tombstones always runs it off), and on the Gabriel
+// path (one triangulation of the scanned points). core.BruteForcePairs on
+// the same points is one more path: every input has one digest.
 func TestPathsAgree(t *testing.T) {
 	var cases []workload.Case
 	for _, n := range []int{160, 400} {
@@ -111,11 +112,14 @@ func TestPathsAgree(t *testing.T) {
 					if !self {
 						q = kindsQ[i].ix
 					}
-					for _, alg := range []Algorithm{OBJ, core.AlgBIJ, INJ} {
+					for _, alg := range []Algorithm{OBJ, core.AlgBIJ, INJ, core.AlgGabriel} {
 						for _, run := range []struct {
 							par     int
 							faceOff bool
 						}{{1, false}, {2, false}, {1, true}} {
+							if alg == core.AlgGabriel && (run.par > 1 || run.faceOff) {
+								continue // neither applies to a triangulation
+							}
 							var opts core.Options
 							tq, tp, release, err := joinViews(q, kp.ix, &buffer.TagStats{}, &opts)
 							if err != nil {

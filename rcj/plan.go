@@ -61,6 +61,7 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 			Weighted:    q.Weight != nil,
 			Limit:       q.Limit,
 			Parallelism: q.Parallelism,
+			SelfJoin:    selfJoin(qx, px),
 		}
 		if q.Region != nil {
 			r := q.Region.geom()
@@ -87,13 +88,14 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 // planned against.
 func (ix *Index) planMeta() plan.IndexMeta {
 	if ls, ok := ix.LiveStats(); ok {
-		return plan.IndexMeta{Count: ls.Points, Epoch: ls.Seq}
+		return plan.IndexMeta{Count: ls.Points, Epoch: ls.Seq, Live: true}
 	}
 	m := plan.IndexMeta{Count: ix.pts}
 	if ix.tree != nil {
 		m.Count = ix.tree.Size()
 		m.Height = ix.tree.Height()
 		m.LeafCap = ix.tree.LeafCap()
+		m.Pages = ix.tree.NumPages()
 		ix.planMBROnce.Do(func() {
 			if mbr, err := ix.tree.RootMBR(); err == nil {
 				ix.planMBR = mbr

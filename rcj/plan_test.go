@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // plannerCases enumerates predicate combinations over the 1000² universe of
@@ -117,8 +119,11 @@ func TestResolveAutoPicksBySize(t *testing.T) {
 	}
 
 	q2, dec2 := resolve(Query{}, large, large)
-	if dec2.Algorithm != OBJ || dec2.Rule != "default-obj" {
-		t.Errorf("800×800 self-join planned %v, want default-obj", dec2)
+	if dec2.Algorithm != core.AlgGabriel || dec2.Rule != "unbounded-gabriel" {
+		t.Errorf("800×800 self-join planned %v, want unbounded-gabriel", dec2)
+	}
+	if _, dec := resolve(Query{MinDistance: 1}, large, large); dec.Algorithm != OBJ || dec.Rule != "default-obj" {
+		t.Errorf("800×800 self-join with a min-distance floor planned %v, want default-obj", dec)
 	}
 	if _, dec3 := resolve(q2, tiny, tiny); !reflect.DeepEqual(dec3, dec2) {
 		t.Errorf("re-resolve of planned query: %v, want the first decision %v", dec3, dec2)

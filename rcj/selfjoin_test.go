@@ -29,7 +29,7 @@ func TestSameIndexIsSelfJoin(t *testing.T) {
 	}{
 		{50, Query{}, "tiny-brute"},
 		{300, Query{Region: &Rect{MinX: 375, MinY: 375, MaxX: 625, MaxY: 625}}, "small-outer-inj"},
-		{600, Query{}, "default-obj"},
+		{600, Query{}, "unbounded-gabriel"},
 	}
 	plans := []struct {
 		name string
@@ -39,6 +39,7 @@ func TestSameIndexIsSelfJoin(t *testing.T) {
 		{"inj", Query{Algorithm: INJ, ForceAlgorithm: true}},
 		{"obj", Query{Algorithm: OBJ}},
 		{"brute", Query{Algorithm: Brute}},
+		{"gabriel", Query{Algorithm: core.AlgGabriel}},
 		{"l1-planner", Query{Metric: L1}},
 	}
 	rng := rand.New(rand.NewSource(22))
