@@ -36,10 +36,17 @@ func DiscSign(a, b, x Point) int {
 	case -det > bound:
 		return -1
 	}
+	return discExact(a, b, x)
+}
+
+func discExact(a, b, x Point) int {
 	// Sharing a coordinate with an endpoint on each axis (an exact copy of
 	// one, or a corner of the pair's bounding box) zeroes both products.
 	if (x.X == a.X || x.X == b.X) && (x.Y == a.Y || x.Y == b.Y) {
 		return 0
+	}
+	if ps := [...]Point{a, b, x}; scaleDown(ps[:], 500) {
+		return DiscSign(ps[0], ps[1], ps[2])
 	}
 	t := new(big.Rat).Mul(ratDiff(x.X, a.X), ratDiff(x.X, b.X))
 	return t.Add(t, new(big.Rat).Mul(ratDiff(x.Y, a.Y), ratDiff(x.Y, b.Y))).Sign()
@@ -113,6 +120,9 @@ func orientExact(a, b, c Point) int {
 	if sl, sr := fsign(a.X-c.X)*fsign(b.Y-c.Y), fsign(a.Y-c.Y)*fsign(b.X-c.X); sl != sr || sl == 0 {
 		return cmp.Compare(sl, sr)
 	}
+	if ps := [...]Point{a, b, c}; scaleDown(ps[:], 500) {
+		return Orient2D(ps[0], ps[1], ps[2])
+	}
 	l := new(big.Rat).Mul(ratDiff(a.X, c.X), ratDiff(b.Y, c.Y))
 	return l.Sub(l, new(big.Rat).Mul(ratDiff(a.Y, c.Y), ratDiff(b.X, c.X))).Sign()
 }
@@ -144,6 +154,9 @@ func InCircle(a, b, c, d Point) int {
 }
 
 func inCircleExact(a, b, c, d Point) int {
+	if ps := [...]Point{a, b, c, d}; scaleDown(ps[:], 250) {
+		return InCircle(ps[0], ps[1], ps[2], ps[3])
+	}
 	var rows [3][3]*big.Rat
 	for i, p := range [3]Point{a, b, c} {
 		x, y := ratDiff(p.X, d.X), ratDiff(p.Y, d.Y)
@@ -158,6 +171,40 @@ func inCircleExact(a, b, c, d Point) int {
 		det.Add(&det, m.Mul(m, rows[i][2]))
 	}
 	return det.Sign()
+}
+
+// Far from the origin a float product overflows, and a filter that sees
+// ±Inf or NaN decides nothing: past ~1e154 for DiscSign and Orient2D, past
+// ~1e77 for InCircle, whose terms are of degree 4. Each predicate is
+// homogeneous in its coordinates, so scaling all of them by one power of
+// two keeps its sign, and is exact while no nonzero coordinate turns
+// subnormal. Their rational fallbacks first scale the input below the
+// magnitude at which the float filter overflows and run it again: below
+// 2^500 a degree-2 term stays under 2^1003, below 2^250 a degree-4 one
+// under 2^1008.
+
+// scaleDown scales ps in place by one power of two so that every coordinate
+// is below 2^top in magnitude. It reports false, and leaves ps alone, when
+// they are all below it already or when scaling would make a nonzero
+// coordinate subnormal.
+func scaleDown(ps []Point, top int) bool {
+	hi, lo := math.MinInt, math.MaxInt
+	for _, p := range ps {
+		for _, v := range [2]float64{p.X, p.Y} {
+			if v != 0 {
+				_, e := math.Frexp(v) // 2^(e-1) <= |v| < 2^e
+				hi, lo = max(hi, e), min(lo, e)
+			}
+		}
+	}
+	shift := hi - top
+	if shift <= 0 || lo-shift < -1021 { // 2^-1022, the least normal, has e = -1021
+		return false
+	}
+	for i, p := range ps {
+		ps[i] = Point{math.Ldexp(p.X, -shift), math.Ldexp(p.Y, -shift)}
+	}
+	return true
 }
 
 // fsign returns the sign of v.

@@ -145,6 +145,99 @@ func TestDiscSignMatchesRational(t *testing.T) {
 	}
 }
 
+// hugeScale is 2^996 ≈ 6.7e299: lattice inputs scaled by it stay exact, so
+// their signs stay known, and every product of two of them overflows.
+var hugeScale = math.Ldexp(1, 996)
+
+// mixedCoord draws a coordinate whose magnitude is one of 1e300, 1e150, 1,
+// 1e-150 and 1e-300 (or zero), with a random sign: triples of them overflow
+// the float filter, and some cannot be scaled into range without a
+// coordinate turning subnormal.
+func mixedCoord(rng *rand.Rand) float64 {
+	mags := []float64{1e300, 1e150, 1, 1e-150, 1e-300, 0}
+	return float64(1-2*rng.Intn(2)) * mags[rng.Intn(len(mags))] * (1 + rng.Float64())
+}
+
+// TestDiscSignHugeMatchesRational is TestDiscSignMatchesRational at ±1e300,
+// where every float product overflows, and at mixed magnitudes: the named
+// lattice inputs scaled by ±2^996, random triples on and near the circle of
+// pairs ±1e300 wide, and random triples mixing 1e300 with 1e-300. The
+// overflowing inputs are settled by the float filter on a power-of-two
+// rescaling, which must decide most of them.
+func TestDiscSignHugeMatchesRational(t *testing.T) {
+	for _, c := range discTriples() {
+		if c.translated {
+			continue
+		}
+		for _, s := range []float64{hugeScale, -hugeScale} {
+			a := Point{c.a.X * s, c.a.Y * s}
+			b := Point{c.b.X * s, c.b.Y * s}
+			x := Point{c.x.X * s, c.x.Y * s}
+			want := ratSign(a, b, x)
+			if c.check && want != c.want {
+				t.Fatalf("%s ×%g: oracle says %d, table %d", c.name, s, want, c.want)
+			}
+			if got := DiscSign(a, b, x); got != want {
+				t.Errorf("%s ×%g: DiscSign(%v, %v, %v) = %d, want %d", c.name, s, a, b, x, got, want)
+			}
+		}
+	}
+	// On the circle with diameter (−R, 0)-(R, 0): (0, R) is on it, and
+	// (1e-300, R) is outside by 1e-600, which only exact arithmetic sees.
+	const R = 1e300
+	for _, c := range []struct {
+		x    Point
+		want int
+	}{{Point{0, R}, 0}, {Point{1e-300, R}, 1}, {Point{0, -R}, 0}, {Point{1e-300, 0}, -1}, {Point{1, R}, 1}} {
+		if got := DiscSign(Point{-R, 0}, Point{R, 0}, c.x); got != c.want {
+			t.Errorf("DiscSign((−R, 0), (R, 0), %v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(43))
+	decided := 0
+	for i := 0; i < 5000; i++ {
+		scale := float64(1-2*(i%2)) * 1e300 * math.Pow(10, -float64(rng.Intn(10)))
+		off := []float64{0, 0.5, -0.25}[i%3] * scale
+		a := Point{off + rng.Float64()*scale, off + rng.Float64()*scale}
+		b := Point{off + rng.Float64()*scale, off + rng.Float64()*scale}
+		c := EnclosingCircle(a, b)
+		th := rng.Float64() * 2 * math.Pi
+		x := Point{c.Center.X + c.Radius*math.Cos(th), c.Center.Y + c.Radius*math.Sin(th)}
+		for k := rng.Intn(5); k > 0; k-- {
+			x.X = math.Nextafter(x.X, math.Inf(1-2*rng.Intn(2)))
+		}
+		if rng.Intn(8) == 0 {
+			x = []Point{a, b, {a.X, b.Y}, {b.X, a.Y}}[rng.Intn(4)]
+		}
+		if ps := []Point{a, b, x}; scaleDown(ps, 500) {
+			a, b, x := ps[0], ps[1], ps[2]
+			t1, t2 := (x.X-a.X)*(x.X-b.X), (x.Y-a.Y)*(x.Y-b.Y)
+			if math.Abs(t1+t2) > discErrBound*(math.Abs(t1)+math.Abs(t2)) {
+				decided++
+			}
+		}
+		if got, want := DiscSign(a, b, x), ratSign(a, b, x); got != want {
+			t.Fatalf("DiscSign(%v, %v, %v) = %d, want %d", a, b, x, got, want)
+		}
+	}
+	t.Logf("%d of 5000 near-circle triples at 1e300 decided in float after scaling", decided)
+	if decided < 250 || decided > 4750 {
+		t.Errorf("%d of 5000 near-circle triples at 1e300 decided in float after scaling: the sample misses the bound's edge", decided)
+	}
+	for i := 0; i < 5000; i++ {
+		a := Point{mixedCoord(rng), mixedCoord(rng)}
+		b := Point{mixedCoord(rng), mixedCoord(rng)}
+		x := Point{mixedCoord(rng), mixedCoord(rng)}
+		if rng.Intn(4) == 0 {
+			x = Point{[]float64{a.X, b.X}[rng.Intn(2)], mixedCoord(rng)}
+		}
+		if got, want := DiscSign(a, b, x), ratSign(a, b, x); got != want {
+			t.Fatalf("DiscSign(%v, %v, %v) = %d, want %d", a, b, x, got, want)
+		}
+	}
+}
+
 // ratDet is the determinant of a square rational matrix by fraction-exact
 // Gaussian elimination: the oracle's formula for Orient2D and InCircle,
 // untranslated, against their expansions about the last point.
@@ -305,6 +398,113 @@ func TestOrientIncircleMatchRational(t *testing.T) {
 	for _, d := range []int{decidedO, decidedC} {
 		if d < 1000 || d > 19000 {
 			t.Errorf("%d of 20000 near-degenerate inputs decided in float: the sample misses the bound's edge", d)
+		}
+	}
+}
+
+// TestOrientIncircleHugeMatchRational is TestOrientIncircleMatchRational at
+// ±1e300 and at mixed magnitudes: the named lattice inputs scaled by
+// ±2^996, random inputs on and a few ulps off a line or circle ±1e300
+// across, collinear and cocircular inputs mixing 1e300 with 1e-300, and
+// random mixed-magnitude inputs. Most near-degenerate inputs at 1e300 must
+// be decided by the float filter on their power-of-two rescaling.
+func TestOrientIncircleHugeMatchRational(t *testing.T) {
+	lattice := func(s float64, ps ...Point) []Point {
+		out := make([]Point, len(ps))
+		for i, p := range ps {
+			out[i] = Point{p.X * s, p.Y * s}
+		}
+		return out
+	}
+	for _, s := range []float64{hugeScale, -hugeScale} {
+		for _, c := range [][]Point{
+			lattice(s, Point{0, 0}, Point{1, 0}, Point{0, 1}),
+			lattice(s, Point{0, 0}, Point{2, 2}, Point{1, 1}),
+			lattice(s, Point{3, 7}, Point{6, 14}, Point{9, 21}),
+			{{1e300, 1e300}, {-1e300, -1e300}, {1e-300, 1e-300}}, // on y = x
+			{{1e300, 1e300}, {-1e300, -1e300}, {1e-300, 0}},
+			{{1e300, 2e300}, {3, 6}, {1e-300, 2e-300}},
+		} {
+			if got, want := Orient2D(c[0], c[1], c[2]), ratOrient(c[0], c[1], c[2]); got != want {
+				t.Errorf("Orient2D(%v, %v, %v) = %d, want %d", c[0], c[1], c[2], got, want)
+			}
+		}
+		for _, c := range [][]Point{
+			lattice(s, Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{3, 4}),
+			lattice(s, Point{3, 4}, Point{-4, 3}, Point{0, -5}, Point{4, -3}),
+			lattice(s, Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{0, 0}),
+			lattice(s, Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{4, 4}),
+			lattice(s, Point{5, 0}, Point{0, 5}, Point{-5, 0}, Point{5, 0}),
+			append(lattice(s, Point{5, 0}, Point{0, 5}, Point{-5, 0}), Point{1e-300, 0}),
+			append(lattice(s, Point{5, 0}, Point{0, 5}, Point{-5, 0}), Point{1, 1}),
+		} {
+			if got, want := InCircle(c[0], c[1], c[2], c[3]), ratInCircle(c[0], c[1], c[2], c[3]); got != want {
+				t.Errorf("InCircle(%v, %v, %v, %v) = %d, want %d", c[0], c[1], c[2], c[3], got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	nudge := func(v float64) float64 {
+		for k := rng.Intn(5); k > 0; k-- {
+			v = math.Nextafter(v, math.Inf(1-2*rng.Intn(2)))
+		}
+		return v
+	}
+	const n = 2000
+	decidedO, decidedC := 0, 0
+	for i := 0; i < n; i++ {
+		scale := float64(1-2*(i%2)) * 1e300 * math.Pow(10, -float64(rng.Intn(10)))
+		off := []float64{0, 0.5, -0.25}[i%3] * scale
+		pt := func() Point { return Point{off + rng.Float64()*scale, off + rng.Float64()*scale} }
+		a, b := pt(), pt()
+		s := rng.Float64()*3 - 1
+		c := Point{nudge(a.X + s*(b.X-a.X)), nudge(a.Y + s*(b.Y-a.Y))}
+		if rng.Intn(8) == 0 {
+			c = []Point{a, b}[rng.Intn(2)]
+		}
+		if got, want := Orient2D(a, b, c), ratOrient(a, b, c); got != want {
+			t.Fatalf("Orient2D(%v, %v, %v) = %d, want %d", a, b, c, got, want)
+		}
+		if ps := []Point{a, b, c}; scaleDown(ps, 500) {
+			a, b, c := ps[0], ps[1], ps[2]
+			l, r := (a.X-c.X)*(b.Y-c.Y), (a.Y-c.Y)*(b.X-c.X)
+			if math.Abs(l-r) > orientErrBound*(math.Abs(l)+math.Abs(r)) {
+				decidedO++
+			}
+		}
+
+		centre, rad := pt(), math.Abs(scale)*(0.1+rng.Float64())/4
+		on := func() Point {
+			th := rng.Float64() * 2 * math.Pi
+			return Point{centre.X + rad*math.Cos(th), centre.Y + rad*math.Sin(th)}
+		}
+		ca, cb, cc, cd := on(), on(), on(), on()
+		cd = Point{nudge(cd.X), nudge(cd.Y)}
+		if rng.Intn(8) == 0 {
+			cd = []Point{ca, cb, cc}[rng.Intn(3)]
+		}
+		if got, want := InCircle(ca, cb, cc, cd), ratInCircle(ca, cb, cc, cd); got != want {
+			t.Fatalf("InCircle(%v, %v, %v, %v) = %d, want %d", ca, cb, cc, cd, got, want)
+		}
+		if ps := []Point{ca, cb, cc, cd}; scaleDown(ps, 250) && inCircleFloatDecides(ps[0], ps[1], ps[2], ps[3]) {
+			decidedC++
+		}
+	}
+	t.Logf("float decided %d of %d near-line orientations, %d of %d near-circle incircles at 1e300 after scaling", decidedO, n, decidedC, n)
+	for _, d := range []int{decidedO, decidedC} {
+		if d < n/20 || d > n-n/20 {
+			t.Errorf("%d of %d near-degenerate inputs at 1e300 decided in float after scaling: the sample misses the bound's edge", d, n)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		p := func() Point { return Point{mixedCoord(rng), mixedCoord(rng)} }
+		a, b, c, d := p(), p(), p(), p()
+		if got, want := Orient2D(a, b, c), ratOrient(a, b, c); got != want {
+			t.Fatalf("Orient2D(%v, %v, %v) = %d, want %d", a, b, c, got, want)
+		}
+		if got, want := InCircle(a, b, c, d), ratInCircle(a, b, c, d); got != want {
+			t.Fatalf("InCircle(%v, %v, %v, %v) = %d, want %d", a, b, c, d, got, want)
 		}
 	}
 }

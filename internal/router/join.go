@@ -181,9 +181,9 @@ func (rt *Router) suspect(l server.PairLine) bool {
 }
 
 // fetchSub performs one sub-query attempt and decodes the worker stream:
-// rows go to onRow, the summary is returned. A non-nil error means the
-// shard's answer is incomplete (unless it is errStopStream, a deliberate
-// local abort).
+// rows, parsed by server.ParsePairNDJSON, go to onRow, the summary is
+// returned. A non-nil error means the shard's answer is incomplete (unless
+// it is errStopStream, a deliberate local abort).
 func (rt *Router) fetchSub(ctx context.Context, url string, body *server.JoinRequest, onRow func(row) error) (*server.Summary, error) {
 	rt.m.subqueries.Add(1)
 	rt.m.perWorker[url].Add(1)
@@ -229,8 +229,8 @@ func (rt *Router) fetchSub(ctx context.Context, url string, body *server.JoinReq
 			if summary != nil {
 				return nil, errors.New("row after summary in worker stream")
 			}
-			var pl server.PairLine
-			if err := json.Unmarshal(line, &pl); err != nil {
+			pl, err := server.ParsePairNDJSON(line)
+			if err != nil {
 				return nil, fmt.Errorf("bad result row %.120q: %v", line, err)
 			}
 			raw := make([]byte, 0, len(line)+1)

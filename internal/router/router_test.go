@@ -10,10 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/server"
@@ -603,6 +606,101 @@ func TestRouterNoFailoverAfterForwardedRow(t *testing.T) {
 	}
 	if n := rt.m.perWorker[healthy.URL].Load(); n != 0 {
 		t.Errorf("healthy replica received %d sub-queries, want 0", n)
+	}
+}
+
+// TestRouterHostileRows: a worker row in any shape but the one rcjd's
+// encoder writes ends the request as a shard_failure — a 502 when it is the
+// stream's first row, the in-band record after rows already forwarded —
+// counts one sub-query failure, and leaves no goroutine behind.
+func TestRouterHostileRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	man, err := shard.Build(filepath.Join(t.TempDir(), "deploy.rcjm"),
+		testPoints(rng, 50, 0, 499), testPoints(rng, 50, 10000, 501),
+		shard.BuildConfig{Shards: 1, MaxDiameter: testMaxD, Name: "deploy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const good = `{"p_id":1,"q_id":10002,"cx":250.5,"cy":0.125,"r":3.5}`
+	var stream atomic.Value // the worker's whole response body
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, stream.Load().(string))
+	}))
+	defer worker.Close()
+	rt, err := New(Config{Manifest: man, Workers: []Worker{{URL: worker.URL}}, Retries: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	var requests int64
+	for _, tc := range []struct{ name, row string }{
+		{"truncated", `{"p_id":1,"q_id":10002,"cx":250.5`},
+		{"nan", `{"p_id":1,"q_id":10002,"cx":NaN,"cy":0.125,"r":3.5}`},
+		{"inf", `{"p_id":1,"q_id":10002,"cx":250.5,"cy":0.125,"r":+Inf}`},
+		{"hex", `{"p_id":1,"q_id":10002,"cx":250.5,"cy":0x1p-2,"r":3.5}`},
+		{"underscore", `{"p_id":1_0,"q_id":10002,"cx":250.5,"cy":0.125,"r":3.5}`},
+		{"reordered", `{"p_id":1,"q_id":10002,"cy":0.125,"cx":250.5,"r":3.5}`},
+		{"extra field", `{"p_id":1,"q_id":10002,"cx":250.5,"cy":0.125,"r":3.5,"s":1}`},
+		{"inner whitespace", `{"p_id":1, "q_id":10002,"cx":250.5,"cy":0.125,"r":3.5}`},
+		{"fractional id", `{"p_id":1,"q_id":10002.5,"cx":250.5,"cy":0.125,"r":3.5}`},
+		{"bytes after brace", good + `x`},
+	} {
+		for _, before := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/after_%d_rows", tc.name, before), func(t *testing.T) {
+				stream.Store(strings.Repeat(good+"\n", before) + tc.row + "\n" +
+					`{"summary":{"results":` + fmt.Sprint(before+1) + `}}` + "\n")
+				failures := rt.m.failures.Load()
+				base := runtime.NumGoroutine()
+				status, data := postJoin(t, front.URL, `{"p":"p","q":"q"}`)
+				requests++
+				var e streamError
+				switch before {
+				case 0:
+					if status != http.StatusBadGateway || json.Unmarshal(data, &e) != nil {
+						t.Fatalf("status %d (%s), want a 502 shard_failure", status, data)
+					}
+				default:
+					if status != http.StatusOK {
+						t.Fatalf("status %d (%s), want 200 and an in-band shard_failure", status, data)
+					}
+					rows, _ := splitStream(t, data, false)
+					if len(rows) != before {
+						t.Errorf("%d rows forwarded, want the %d good ones", len(rows), before)
+					}
+					last := bytes.TrimSpace(data)
+					json.Unmarshal(last[bytes.LastIndexByte(last, '\n')+1:], &e)
+				}
+				if e.Code != "shard_failure" || !strings.Contains(e.Error, "bad result row") {
+					t.Errorf("failure %+v, want a shard_failure on a bad result row: %s", e, data)
+				}
+				if n := rt.m.failures.Load() - failures; n != 1 {
+					t.Errorf("subquery failures rose by %d, want 1", n)
+				}
+				http.DefaultClient.CloseIdleConnections()
+				rt.client.CloseIdleConnections()
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+					time.Sleep(10 * time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Fatalf("%d goroutines running, %d before the request", n, base)
+				}
+			})
+		}
+	}
+	resp, err := http.Get(front.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf("rcjrouter_subquery_failures_total %d\n", requests)
+	if !strings.Contains(string(prom), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }
 

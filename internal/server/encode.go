@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strconv"
 
@@ -58,6 +61,84 @@ func AppendPairNDJSON(b []byte, pr rcj.Pair) []byte {
 	b = appendJSONFloat(b, pr.Radius)
 	b = append(b, '}', '\n')
 	return b
+}
+
+// ParsePairNDJSON is AppendPairNDJSON's inverse: it reads one result row
+// (its trailing newline optional) back into a PairLine. It accepts only the
+// bytes the encoder writes — the five fields in order, no whitespace, each
+// number a JSON number in the encoder's own form — so a row it accepts is
+// one json.Unmarshal reads into the same PairLine, bit for bit, and
+// re-encodes to the same bytes. Numbers are read with strconv on the line
+// itself: no reflection, and no allocation unless the row is refused. The
+// router parses every worker row with it.
+func ParsePairNDJSON(line []byte) (PairLine, error) {
+	var l PairLine
+	b, ok := bytes.CutPrefix(line, []byte(`{"p_id":`))
+	if !ok {
+		return l, errors.New(`row does not start with {"p_id":`)
+	}
+	var err error
+	if l.PID, b, err = cutRowInt(b, `,"q_id":`); err != nil {
+		return l, err
+	}
+	if l.QID, b, err = cutRowInt(b, `,"cx":`); err != nil {
+		return l, err
+	}
+	if l.CX, b, err = cutRowFloat(b, `,"cy":`); err != nil {
+		return l, err
+	}
+	if l.CY, b, err = cutRowFloat(b, `,"r":`); err != nil {
+		return l, err
+	}
+	if l.Radius, b, err = cutRowFloat(b, `}`); err != nil {
+		return l, err
+	}
+	if len(b) > 1 || len(b) == 1 && b[0] != '\n' {
+		return l, errors.New("bytes after the row's closing brace")
+	}
+	return l, nil
+}
+
+// cutRowInt reads the id AppendInt wrote at the front of b, which must be
+// followed by next, and returns the bytes after next. AppendInt writes no
+// '+', no leading zero and no "-0"; ParseInt refuses everything else that
+// is not a decimal int64.
+func cutRowInt(b []byte, next string) (int64, []byte, error) {
+	tok, rest, ok := cutRowNumber(b, next)
+	digits := bytes.TrimPrefix(tok, []byte{'-'})
+	if ok && len(digits) > 0 && ('1' <= digits[0] && digits[0] <= '9' || len(tok) == 1) {
+		if v, err := strconv.ParseInt(string(tok), 10, 64); err == nil {
+			return v, rest, nil
+		}
+	}
+	return 0, nil, fmt.Errorf("no int64 in AppendInt's form before %s", next)
+}
+
+// cutRowFloat reads the float appendJSONFloat wrote at the front of b,
+// which must be followed by next, and returns the bytes after next. A
+// finite value the encoder writes back unchanged is a JSON number in its
+// one spelling; that refuses NaN, infinities, hex floats, underscores and
+// every other spelling of the same value ("1.0", "1E2", ".5").
+func cutRowFloat(b []byte, next string) (float64, []byte, error) {
+	tok, rest, ok := cutRowNumber(b, next)
+	if ok {
+		var canon [32]byte
+		v, err := strconv.ParseFloat(string(tok), 64)
+		if err == nil && !math.IsInf(v, 0) && !math.IsNaN(v) && bytes.Equal(appendJSONFloat(canon[:0], v), tok) {
+			return v, rest, nil
+		}
+	}
+	return 0, nil, fmt.Errorf("no float64 in the encoder's form before %s", next)
+}
+
+// cutRowNumber splits b where next starts (no number the encoder writes
+// holds next's first byte) and returns the bytes before it and after it.
+func cutRowNumber(b []byte, next string) (tok, rest []byte, ok bool) {
+	i := bytes.IndexByte(b, next[0])
+	if i < 0 || !bytes.HasPrefix(b[i:], []byte(next)) {
+		return nil, nil, false
+	}
+	return b[:i], b[i+len(next):], true
 }
 
 // AppendPairCSV appends one CSV row in the /join CSV format: ids, then the

@@ -76,7 +76,7 @@ func (r *JoinRequest) Query() (qry rcj.Query, csv bool, err error) {
 }
 
 // PairLine is one NDJSON result row (AppendPairNDJSON writes it without
-// reflection; the router parses worker rows back into it).
+// reflection; the router reads worker rows back with ParsePairNDJSON).
 type PairLine struct {
 	PID    int64   `json:"p_id"`
 	QID    int64   `json:"q_id"`

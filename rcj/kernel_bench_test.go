@@ -7,14 +7,18 @@ import (
 	"testing"
 )
 
-// BenchmarkLeafKernels measures the warm join path the leaf kernels serve:
-// every page resident, so per-op cost is decode + filter + verify CPU work —
-// the columnar leaf representation, the bulk distance pass, and the leaf
-// verify kernel, with no I/O in the loop.
+// BenchmarkLeafKernels measures the warm join paths: every page resident,
+// so per-op cost is decode + filter + verify CPU work — the columnar leaf
+// representation, the bulk distance pass, and the leaf verify kernel, with
+// no I/O in the loop.
 //
-//   - selfjoin/warm: the self-join over one opened index.
-//   - join/warm: the binary join over two opened indexes (blob decode is
-//     paid once per pool miss, amortized to ~zero warm).
+//   - selfjoin/warm and join/warm: the R-tree's self-join over one opened
+//     index and binary join over two, forced to OBJ (blob decode is paid
+//     once per pool miss, amortized to ~zero warm). Live, forced and
+//     fanned-out full joins run this kernel.
+//   - gabriel-selfjoin/warm and gabriel-join/warm: the same joins as the
+//     planner runs them, Query{} on sealed indexes: one scan of each tree
+//     and one exact Delaunay triangulation (rule=unbounded-gabriel).
 //   - topk10/warm and maxd/warm: the binary join under a global TopK 10 and
 //     under a MaxDiameter of about one point spacing — the bounded filter,
 //     which tests the bound before it scans or seeds a query point's
@@ -73,17 +77,27 @@ func BenchmarkLeafKernels(b *testing.B) {
 		}
 	}
 
-	b.Run("selfjoin/warm", func(b *testing.B) {
-		eng := NewEngine(EngineConfig{})
-		ix := open(b, eng, paths["p"])
-		defer ix.Close()
-		warm(b, eng, ix, ix, Query{})
-	})
+	obj := Query{Algorithm: OBJ, ForceAlgorithm: true}
+	for _, self := range []struct {
+		name string
+		qry  Query
+	}{
+		{"selfjoin/warm", obj},
+		{"gabriel-selfjoin/warm", Query{}},
+	} {
+		b.Run(self.name, func(b *testing.B) {
+			eng := NewEngine(EngineConfig{})
+			ix := open(b, eng, paths["p"])
+			defer ix.Close()
+			warm(b, eng, ix, ix, self.qry)
+		})
+	}
 	for _, binary := range []struct {
 		name string
 		qry  Query
 	}{
-		{"join/warm", Query{}},
+		{"join/warm", obj},
+		{"gabriel-join/warm", Query{}},
 		{"topk10/warm", Query{TopK: 10}},
 		{"maxd/warm", Query{MaxDiameter: 15}},
 	} {
