@@ -50,13 +50,12 @@
 // reports the sharing: rcjd_result_cache_*, rcjd_remote_shared_total,
 // rcjd_remote_coalesced_total.
 //
-// Adaptive planning (on by default): a join that names no algorithm
-// ("alg" absent or "auto") is planned per query by the cost-based planner
-// from index metadata and live scheduler load; naming one ("obj", "inj",
-// "brute") forces it verbatim. Each NDJSON summary reports the
-// resolved plan ("alg", "parallelism", "plan"); /metrics reports
-// rcjd_plan_auto_total, rcjd_plan_fixed_total, and per-algorithm/-rule
-// breakdowns.
+// Adaptive planning (on by default): a join that names no algorithm ("alg"
+// absent or "auto") is planned per query by the cost-based planner from
+// index metadata; naming one ("obj", "inj", "brute") forces it verbatim.
+// Each NDJSON summary reports the resolved plan ("alg", "parallelism" —
+// always 1 — and "plan"); /metrics reports rcjd_plan_auto_total,
+// rcjd_plan_fixed_total, and per-algorithm/-rule breakdowns.
 package main
 
 import (

@@ -7,7 +7,6 @@
 //	rcjjoin -p restaurants.csv -q residences.csv > stations.csv
 //	rcjjoin -p buildings.csv -self > postboxes.csv         # self-join
 //	rcjjoin -p a.csv -q b.csv -metric l1 -sort             # Manhattan, sorted
-//	rcjjoin -p a.csv -q b.csv -parallel 8                  # force 8 workers
 //
 //	# Constrained queries (predicate pushdown — the index traversal is
 //	# pruned, not the materialized result):
@@ -37,8 +36,7 @@
 // index inputs skip the build entirely and are served through the backend
 // chosen with -backend (URLs imply -backend http).
 // Output rows are "p_id,q_id,center_x,center_y,radius", one per RCJ pair.
-// Results stream as the join finds them — in a repeatable order only under
-// -parallel 1, since by default the planner may fan the join out; -sort
+// Results stream as the join finds them, in a repeatable order; -sort
 // buffers them for ascending ring-diameter order instead. Interrupting the
 // process (Ctrl-C) cancels the join cleanly.
 package main
@@ -76,7 +74,6 @@ func main() {
 		metric   = flag.String("metric", "l2", "distance metric: l2 (Euclidean) or l1 (Manhattan)")
 		sorted   = flag.Bool("sort", false, "sort output by ascending ring diameter (buffers all pairs)")
 		algStr   = flag.String("alg", "", "algorithm: auto, inj, obj, brute (default: auto — the cost-based planner decides)")
-		parallel = flag.Int("parallel", 0, "worker goroutines for the join (0 = the planner decides; 1 makes the streamed row order repeatable)")
 		bufPages = flag.Int("buffer", 0, "shared buffer pool size in pages (0 = unbounded)")
 		saveP    = flag.String("save-index-p", "", "after building P's index, save it to this file (skip the build next run by passing it as -p)")
 		saveQ    = flag.String("save-index-q", "", "after building Q's index, save it to this file")
@@ -153,7 +150,6 @@ func main() {
 		Algorithm:      alg,
 		ForceAlgorithm: *algStr != "" && *algStr != "auto",
 		Metric:         met,
-		Parallelism:    *parallel,
 		TopK:           *topK,
 		MaxDiameter:    *maxDiam,
 		MinDistance:    *minDist,

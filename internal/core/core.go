@@ -64,8 +64,8 @@ type SpatialIndex interface {
 	// Root returns the root page, or storage.InvalidPageID when empty.
 	Root() storage.PageID
 	// ReadNode fetches one node, counting buffer accesses/faults. The node
-	// is immutable and stays valid after later reads: the parallel executor
-	// reads an outer leaf on one goroutine and processes it on another. The
+	// is immutable and stays valid after later reads: the outer walk holds
+	// a leaf's ancestors while the pipeline reads the inner tree. The
 	// buffer pool caches decoded nodes and eviction only drops its
 	// reference; nothing recycles a node. Every backend, and every shard of
 	// a sharded index, reads through an rtree.Tree on that pool;
@@ -160,10 +160,11 @@ type Options struct {
 	RandomLeafOrder bool
 	// Seed seeds the leaf shuffle when RandomLeafOrder is set.
 	Seed int64
-	// Parallelism, when > 1, distributes TQ leaves over that many worker
-	// goroutines. The result set is identical to the sequential run but
-	// the emission order is not deterministic. Ignored by AlgBrute and
-	// AlgGabriel, which run sequentially.
+	// Parallelism is ignored: every join runs to completion on the
+	// goroutine that called JoinContext.
+	//
+	// Deprecated: kept only because the frozen benchmark names it
+	// (perf/stacks.go:77); it goes with the next benchmark PR.
 	Parallelism int
 	// LeafSampleEvery, when > 1, processes only every k-th leaf of TQ —
 	// the sampling mode the cost estimator uses to extrapolate a full
@@ -174,12 +175,10 @@ type Options struct {
 	// only statistics are gathered (the large experiment sweeps count
 	// results without holding millions of pairs).
 	Collect bool
-	// OnPair, when non-nil, streams each result pair as it is confirmed.
-	// It is called on the goroutine that called JoinContext, never
-	// concurrently, also under Parallelism (the workers hand their batches
-	// to that goroutine). Under TopK the final pairs are only known when the
-	// traversal ends, so OnPair fires at the end, in ascending diameter
-	// order.
+	// OnPair, when non-nil, streams each result pair as it is confirmed,
+	// on the goroutine that called JoinContext. Under TopK the final pairs
+	// are only known when the traversal ends, so OnPair fires at the end,
+	// in ascending diameter order.
 	OnPair func(Pair)
 
 	// The query predicates below select a subset of the join result and are
@@ -202,8 +201,7 @@ type Options struct {
 	// TopK, when > 0, keeps only the k pairs with the smallest diameters
 	// (ties broken by ascending P.ID then Q.ID), returned in ascending
 	// order. The current k-th diameter dynamically tightens the traversal's
-	// distance bound (branch-and-bound), shared atomically across parallel
-	// workers.
+	// distance bound (branch-and-bound).
 	TopK int
 	// Limit, when > 0, stops the join after this many pairs. Without TopK
 	// the returned pairs are traversal-order-dependent (any Limit-sized
@@ -217,7 +215,7 @@ type Options struct {
 	// before verification. The output equals the head of
 	// RankPairsByWeight over the unconstrained join; the weighted ranking
 	// arrives in one final batch, in descending score order. Weight must be
-	// pure and is called concurrently under Parallelism.
+	// pure.
 	Weight func(rtree.PointEntry) float64
 	// PredicateOrder, when non-empty, is the order admitPair evaluates the
 	// pair-level predicates in (a planner puts the most selective first).
@@ -254,11 +252,6 @@ type Stats struct {
 	// RegionDiameter) — the observable work pushdown saved versus the
 	// unconstrained join.
 	NodesPruned int64
-	// BoundKilledCandidates counts filtered candidates dropped at the start
-	// of verification because the diameter bound had tightened past them
-	// since they were filtered (TopK's dynamic bound) — verification work
-	// the bound saved beyond filtering.
-	BoundKilledCandidates int64
 }
 
 // Join computes the ring-constrained join of the pointsets indexed by tq
@@ -278,24 +271,24 @@ func JoinContext(ctx context.Context, tq, tp SpatialIndex, opts Options) ([]Pair
 	return j.execute(ctx)
 }
 
-// joiner carries one run's state. In a parallel run each worker owns a
-// private joiner (stats, scratch, current batch) and shares only the trees,
-// the context and the predicate state (shared); it hands every finished
-// batch to the run's own joiner (handoff), which alone owns the sinks.
+// joiner carries one run's state. A run executes on the goroutine that
+// called JoinContext, start to finish, so nothing in it is shared.
 type joiner struct {
 	tq, tp SpatialIndex
 	opts   Options
 	ctx    context.Context
-	shared *runShared // TopK/Limit state, shared across workers; nil without predicates
 	stats  Stats
 	out    []Pair // the Collect sink
 
-	// handoff carries a parallel worker's finished batches to the run's
-	// goroutine; nil on the run's own joiner (see runParallel).
-	handoff *handoff
+	// topk is a TopK run's bounded heap and dynamic bound; nil otherwise.
+	topk *topkState
+	// emitted counts a Limit run's pairs (without TopK, which subsumes
+	// Limit); stopped is set when it reaches the limit.
+	emitted int
+	stopped bool
 
 	// predOrder is the compiled pair-predicate evaluation order (see
-	// compilePredOrder), resolved once per run and copied to every worker.
+	// compilePredOrder), resolved once per run.
 	predOrder [3]Predicate
 
 	scratch
@@ -306,16 +299,15 @@ type joiner struct {
 	filtered func([]bulkQuery)
 }
 
-// scratch is a joiner's working memory, reused across batches (a joiner is
-// never used concurrently) and, through scratchPool, across runs and
-// parallel workers: the traversal heap, the filter's live-list arena and
-// per-query state (whose pruner sets and candidate slices would otherwise be
-// the dominant steady-state allocation — one per leaf point per leaf), the
-// current outer leaf's points (processLeaf), the candidate batch's backing
-// arrays (candidateBatch), the verifier's stack, the confirmed pairs of
-// the current batch, filterL1's quadrants, and runGabriel's scanned points
-// and triangulation. Every user resets what it takes, so a recycled scratch
-// is only ever a head start on capacity.
+// scratch is a joiner's working memory, reused across batches and, through
+// scratchPool, across runs: the traversal heap, the filter's live-list arena
+// and per-query state (whose pruner sets and candidate slices would
+// otherwise be the dominant steady-state allocation — one per leaf point per
+// leaf), the current outer leaf's points (processLeaf), the candidate
+// batch's backing arrays (candidateBatch), the verifier's stack, the
+// confirmed pairs of the current batch, filterL1's quadrants, and
+// runGabriel's scanned points and triangulation. Every user resets what it
+// takes, so a recycled scratch is only ever a head start on capacity.
 type scratch struct {
 	fheap       filterHeap
 	live        []int32
@@ -355,24 +347,20 @@ func (j *joiner) putScratch(s *scratch) {
 }
 
 // emit records a confirmed result pair in the current batch. Under TopK the
-// pair enters the shared bounded heap instead (delivered when the run ends);
-// under Limit the emission beyond the cap is suppressed and the run flagged
-// to stop.
+// pair enters the bounded heap instead (delivered when the run ends); under
+// Limit the emission beyond the cap is suppressed and the run flagged to
+// stop.
 func (j *joiner) emit(p Pair) {
-	if sh := j.shared; sh != nil {
-		if sh.topk != nil {
-			sh.topk.offer(p)
+	if j.topk != nil {
+		j.topk.offer(p)
+		return
+	}
+	if limit := j.opts.Limit; limit > 0 {
+		if j.stopped {
 			return
 		}
-		if sh.limit > 0 {
-			n := sh.emitted.Add(1)
-			if n > sh.limit {
-				return
-			}
-			if n == sh.limit {
-				sh.stopped.Store(true)
-			}
-		}
+		j.emitted++
+		j.stopped = j.emitted == limit
 	}
 	j.batch = append(j.batch, p)
 }
@@ -380,17 +368,11 @@ func (j *joiner) emit(p Pair) {
 // deliver is the one way out of the executor: the current batch — a
 // verification batch's survivors, a brute-force outer point's, or a TopK
 // run's final ranking — is counted and handed to every configured sink
-// (Collect, then OnPair per pair). A parallel worker instead hands the
-// whole batch to the run's goroutine (handoff.send), which delivers it
-// here, so the sinks are only touched on the goroutine that called
-// JoinContext. Empty batches are skipped; the batch's slice is recycled.
+// (Collect, then OnPair per pair). Empty batches are skipped; the batch's
+// slice is recycled.
 func (j *joiner) deliver() {
 	batch := j.batch
 	if len(batch) == 0 {
-		return
-	}
-	if j.handoff != nil {
-		j.batch = j.handoff.send(batch)
 		return
 	}
 	j.batch = batch[:0]

@@ -11,10 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the join executor: one pipeline with two switches. One outer
-// walk (forEachQLeaf: leaf order, sampling) reads each TQ leaf once and hands
-// it to processLeaf, directly or through a worker pool (parallel.go), and
-// every leaf streams through the same stages:
+// This file is the join executor: one pipeline with two switches, run to
+// completion on the goroutine that called JoinContext. One outer walk
+// (forEachQLeaf: leaf order, sampling) reads each TQ leaf once and hands it
+// to processLeaf, and every leaf streams through the same stages:
 //
 //	filter (bulkFilter) → candidateBatch → verify (both trees) → deliver
 //
@@ -49,9 +49,7 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 		}
 	}
 	j.predOrder = compilePredOrder(j.opts)
-	if j.opts.hasPredicates() {
-		j.shared = newRunShared(j.opts)
-	}
+	j.topk = newTopK(j.opts)
 	held := j.takeScratch()
 	var err error
 	switch {
@@ -59,20 +57,18 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 		err = j.runBrute()
 	case j.opts.Algorithm == AlgGabriel:
 		err = j.runGabriel()
-	case j.opts.Parallelism > 1:
-		err = j.runParallel()
 	default:
-		err = j.forEachQLeaf(j.processLeaf)
+		err = j.forEachQLeaf()
 	}
 	if errors.Is(err, errLimitReached) {
 		// Limit satisfied: the early stop is a clean completion.
 		err = nil
 	}
-	if err == nil && j.shared != nil && j.shared.topk != nil {
+	if err == nil && j.topk != nil {
 		// TopK runs cannot stream mid-join — a later, tighter pair may evict
 		// an earlier one — so the ranking leaves as one final batch, in
 		// ascending ranking order.
-		j.batch = j.shared.topk.sorted()
+		j.batch = j.topk.h.sorted()
 		j.deliver()
 	}
 	// Not deferred: a scratch a panic left mid-batch is not worth keeping.
@@ -81,8 +77,7 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 }
 
 // processLeaf runs the pipeline for one TQ leaf, cut into the algorithm's
-// batches. It is the unit of work both the sequential loop and the parallel
-// workers schedule. The leaf's points are copied into the joiner's leafBuf:
+// batches. The leaf's points are copied into the joiner's leafBuf:
 // no stage keeps them past the call (the filter and candidateBatch copy what
 // they keep), so one buffer serves every leaf.
 func (j *joiner) processLeaf(n *rtree.Node) error {
@@ -147,7 +142,6 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 		cands = kept
 	}
 	j.stats.Candidates += int64(len(cands))
-	j.boundBatch(cands)
 	if !j.opts.SkipVerification {
 		if err := j.verifyBoth(cands); err != nil {
 			return err
@@ -230,13 +224,12 @@ func (j *joiner) outerSkip() func(geom.Rect) bool {
 }
 
 // forEachQLeaf is the outer walk over TQ leaves, reading each leaf once and
-// handing it to fn — processLeaf itself when sequential, the worker pool's
-// feed when parallel: depth-first by default (Section 3.4's locality
+// handing it to processLeaf: depth-first by default (Section 3.4's locality
 // argument), by explicit page list when the order is shuffled or sampled.
-func (j *joiner) forEachQLeaf(fn func(*rtree.Node) error) error {
+func (j *joiner) forEachQLeaf() error {
 	if !j.opts.RandomLeafOrder && j.opts.LeafSampleEvery <= 1 {
 		skipped, err := rtree.VisitLeaves(j.tq, j.outerSkip(), func(_ storage.PageID, n *rtree.Node) error {
-			return fn(n)
+			return j.processLeaf(n)
 		})
 		j.stats.NodesPruned += skipped
 		return err
@@ -250,7 +243,7 @@ func (j *joiner) forEachQLeaf(fn func(*rtree.Node) error) error {
 		if err != nil {
 			return err
 		}
-		if err := fn(n); err != nil {
+		if err := j.processLeaf(n); err != nil {
 			return err
 		}
 	}
@@ -307,7 +300,7 @@ func (j *joiner) ctxErr() error {
 	if err := ctxDone(j.ctx); err != nil {
 		return err
 	}
-	if j.shared != nil && j.shared.stopped.Load() {
+	if j.stopped {
 		return errLimitReached
 	}
 	return nil

@@ -32,8 +32,9 @@ const filterCountsGolden = "testdata/filter_counts.golden"
 // a live input runs), at Parallelism 1 and 2. A row holds the result
 // digest, candidates, filter heap pops, verified nodes and pruned nodes;
 // at Parallelism 1 also the node accesses of both trees and the half-planes
-// every batch's pruner sets held when its filter returned. Parallel top-k
-// rows are omitted: workers tighten the shared bound in no fixed order.
+// every batch's pruner sets held when its filter returned. The deprecated
+// Options.Parallelism is ignored, so a par2 row must repeat its par1 row's
+// columns (top-k classes have no par2 row).
 //
 // A change to the filter that claims identical work must leave every byte
 // of the golden as it is; a deliberate change re-records it with

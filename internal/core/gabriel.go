@@ -36,7 +36,7 @@ func (j *joiner) runGabriel() error {
 	pairs, cands, err := j.gabrielPairs(ps, qs, j.ctxErr)
 	if errors.Is(err, delaunay.ErrRange) {
 		j.opts.Algorithm = AlgOBJ
-		return j.forEachQLeaf(j.processLeaf)
+		return j.forEachQLeaf()
 	}
 	if err != nil {
 		return err

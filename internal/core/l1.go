@@ -12,7 +12,7 @@ import (
 // join sketched in the paper's future work (Section 6), as one more pair of
 // kernels on the one executor: Options.Metric = MetricL1 makes joinBatch
 // call the quadrant filter below and verifyAndEmit the ball verifier below,
-// and nothing else changes — outer loop, batch builder, parallel workers,
+// and nothing else changes — outer loop, batch builder,
 // predicates, delivery and statistics are the Euclidean join's. The "ring"
 // becomes the smallest L1 ball (a diamond) centered at the midpoint of p and
 // q, and a pair qualifies when that ball covers no other point of P ∪ Q. A

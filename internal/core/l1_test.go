@@ -13,7 +13,7 @@ import (
 
 // checkL1 runs the Manhattan join through the one executor — every filter
 // strategy Options.Algorithm can name must be ignored in favour of the L1
-// stage, sequentially and across workers — and compares with the oracle.
+// stage — and compares with the oracle.
 func checkL1(t *testing.T, ps, qs []rtree.PointEntry, self bool) {
 	t.Helper()
 	pool := buffer.NewPool(-1)
@@ -28,7 +28,6 @@ func checkL1(t *testing.T, ps, qs []rtree.PointEntry, self bool) {
 	for _, opts := range []Options{
 		{},
 		{Algorithm: AlgOBJ},
-		{Parallelism: 3},
 	} {
 		opts.Metric, opts.SelfJoin, opts.Collect = MetricL1, self, true
 		got, stats, err := Join(tq, tp, opts)

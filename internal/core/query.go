@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -25,8 +23,7 @@ import (
 //     exceeds it.
 //   - TopK runs branch-and-bound: a bounded pair-heap of the k best pairs
 //     seen so far publishes its current k-th diameter as a dynamic
-//     MaxDiameter that tightens mid-traversal, shared atomically across
-//     parallel workers.
+//     MaxDiameter that tightens mid-traversal.
 //   - Region prunes TP subtrees whose midpoint rect with the query point —
 //     the set of circle centers the subtree can produce — misses the window,
 //     and outer TQ subtrees likewise (exec.go's outerSkip), or beyond the
@@ -96,96 +93,57 @@ func (o Options) hasPredicates() bool {
 	return o.MaxDiameter > 0 || o.MinDistance > 0 || o.Region != nil || o.TopK > 0 || o.Limit > 0
 }
 
-// runShared is the predicate state shared by every worker of one run: the
-// TopK heap with its dynamic bound, or the Limit countdown. One instance per
-// execute; nil when the run has no predicates.
-type runShared struct {
-	topk    *topkState
-	limit   int64 // emission cap when topk is nil; 0 = none
-	emitted atomic.Int64
-	stopped atomic.Bool
-}
-
-// newRunShared compiles the predicate set of one run. TopK subsumes Limit:
-// the k tightest pairs truncated to Limit are the min(k, Limit) tightest.
-// With a Weight function the ranking flips to descending combined endpoint
-// weight (the school-bus scenario) and the dynamic bound becomes a score
-// floor instead of a diameter ceiling.
-func newRunShared(opts Options) *runShared {
-	sh := &runShared{}
-	if opts.TopK > 0 {
-		k := opts.TopK
-		if opts.Limit > 0 && opts.Limit < k {
-			k = opts.Limit
-		}
-		t := &topkState{weight: opts.Weight}
-		if t.weight != nil {
-			t.h = pairHeap{k: k, before: weightBefore(t.weight)}
-			t.score.Store(math.Float64bits(math.Inf(-1)))
-		} else {
-			t.h = pairHeap{k: k, before: pairBefore}
-		}
-		t.diam.Store(math.Float64bits(math.Inf(1)))
-		sh.topk = t
-	} else if opts.Limit > 0 {
-		sh.limit = int64(opts.Limit)
+// newTopK compiles a TopK run's ranking, or returns nil without TopK. TopK
+// subsumes Limit: the k tightest pairs truncated to Limit are the
+// min(k, Limit) tightest. With a Weight function the ranking flips to
+// descending combined endpoint weight (the school-bus scenario) and the
+// dynamic bound becomes a score floor instead of a diameter ceiling.
+func newTopK(opts Options) *topkState {
+	if opts.TopK <= 0 {
+		return nil
 	}
-	return sh
+	k := opts.TopK
+	if opts.Limit > 0 && opts.Limit < k {
+		k = opts.Limit
+	}
+	t := &topkState{weight: opts.Weight, diam: math.Inf(1), score: math.Inf(-1)}
+	if t.weight != nil {
+		t.h = pairHeap{k: k, before: weightBefore(t.weight)}
+	} else {
+		t.h = pairHeap{k: k, before: pairBefore}
+	}
+	return t
 }
 
 // topkState is the bounded pair-heap of a TopK run. Its current k-th
-// diameter is published through diam so every worker's filter traversal
-// reads the tightest bound with one atomic load, no lock — the
-// branch-and-bound of the paper's browsing scenario.
+// diameter is kept in diam, the tightest bound the filter traversal reads —
+// the branch-and-bound of the paper's browsing scenario.
 //
 // A weight-ranked run (weight != nil) keeps the k best pairs by descending
 // combined endpoint weight instead. Diameter no longer orders the heap, so
 // diam stays +Inf (the traversal's distance bound is only the static
-// MaxDiameter); the dynamic bound is the k-th combined score, published
-// through score: once the heap is full, a pair whose combined weight is
-// strictly below it can never enter the ranking and is killed before
-// verification.
+// MaxDiameter); the dynamic bound is the k-th combined score, kept in
+// score: once the heap is full, a pair whose combined weight is strictly
+// below it can never enter the ranking and is dropped by the filter.
 type topkState struct {
-	diam   atomic.Uint64 // Float64bits of the current diameter bound; +Inf until the heap fills
-	score  atomic.Uint64 // weight-ranked runs: Float64bits of the k-th combined score; -Inf until full
+	diam   float64 // current diameter bound: wider pairs cannot enter; +Inf until the heap fills
+	score  float64 // weight-ranked runs: the k-th combined score; -Inf until full
 	weight func(rtree.PointEntry) float64
-	mu     sync.Mutex
 	h      pairHeap
 }
 
-// bound returns the current dynamic diameter bound: pairs strictly wider
-// cannot enter the final top k. Always +Inf for weight-ranked runs.
-func (t *topkState) bound() float64 { return math.Float64frombits(t.diam.Load()) }
-
-// scoreBound returns the weight-ranked run's current dynamic score floor:
-// pairs whose combined weight is strictly below it cannot enter the final
-// top k. -Inf until the heap fills (and always for diameter-ranked runs,
-// which never load it).
-func (t *topkState) scoreBound() float64 { return math.Float64frombits(t.score.Load()) }
-
-// pairScore is the weight-ranked run's combined endpoint weight.
-func (t *topkState) pairScore(p Pair) float64 { return t.weight(p.P) + t.weight(p.Q) }
-
 // offer submits one verified pair. The heap keeps the k best under the
-// deterministic ranking order; whenever the k-th pair improves, the
-// published bound tightens.
+// deterministic ranking order; whenever the k-th pair improves, the bound
+// tightens.
 func (t *topkState) offer(p Pair) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.h.offer(p) && t.h.full() {
+		w := t.h.worst()
 		if t.weight != nil {
-			t.score.Store(math.Float64bits(t.pairScore(t.h.worst())))
+			t.score = t.weight(w.P) + t.weight(w.Q)
 		} else {
-			t.diam.Store(math.Float64bits(2 * t.h.worst().Circle.Radius))
+			t.diam = 2 * w.Circle.Radius
 		}
 	}
-}
-
-// sorted drains the heap into ascending ranking order.
-func (t *topkState) sorted() []Pair {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.h.sorted()
 }
 
 // pairHeap keeps the k best pairs under before (a strict total order, best
@@ -329,10 +287,8 @@ func (j *joiner) maxPairDiameter() float64 {
 	if j.opts.MaxDiameter > 0 {
 		d = j.opts.MaxDiameter
 	}
-	if j.shared != nil && j.shared.topk != nil {
-		if b := j.shared.topk.bound(); b < d {
-			d = b
-		}
+	if j.topk != nil && j.topk.diam < d {
+		d = j.topk.diam
 	}
 	return d
 }
@@ -373,21 +329,10 @@ func (j *joiner) admitPairDist(d float64, a, b rtree.PointEntry) bool {
 			}
 		}
 	}
-	if t := j.weightedTopK(); t != nil {
-		if t.weight(a)+t.weight(b) < t.scoreBound() {
-			return false
-		}
+	if t := j.topk; t != nil && t.weight != nil && t.weight(a)+t.weight(b) < t.score {
+		return false
 	}
 	return true
-}
-
-// weightedTopK returns the run's weight-ranked top-k state, or nil when the
-// run is unranked or diameter-ranked.
-func (j *joiner) weightedTopK() *topkState {
-	if j.shared != nil && j.shared.topk != nil && j.shared.topk.weight != nil {
-		return j.shared.topk
-	}
-	return nil
 }
 
 // regionPrunesRect reports whether the Region window rules out every pair of

@@ -62,8 +62,8 @@ func predicateCases() []Options {
 }
 
 // TestQueryPredicateEquivalence checks that every predicate combination,
-// under every algorithm, sequential and parallel, two-set and self-join,
-// returns exactly the post-filtered unconstrained result.
+// under every algorithm, two-set and self-join, returns exactly the
+// post-filtered unconstrained result.
 func TestQueryPredicateEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ps := randomPoints(rng, 400)
@@ -81,32 +81,26 @@ func TestQueryPredicateEquivalence(t *testing.T) {
 			t.Fatalf("unconstrained join: %v", err)
 		}
 		for _, alg := range []Algorithm{AlgINJ, AlgBIJ, AlgOBJ, AlgBrute} {
-			for _, par := range []int{1, 4} {
-				if alg == AlgBrute && par > 1 {
-					continue // brute ignores Parallelism
+			for ci, pred := range predicateCases() {
+				opts := pred
+				opts.Algorithm = alg
+				opts.SelfJoin = self
+				opts.Collect = true
+				got, st, err := Join(outer, inner, opts)
+				if err != nil {
+					t.Fatalf("%v self=%v case=%d: %v", alg, self, ci, err)
 				}
-				for ci, pred := range predicateCases() {
-					opts := pred
-					opts.Algorithm = alg
-					opts.SelfJoin = self
-					opts.Parallelism = par
-					opts.Collect = true
-					got, st, err := Join(outer, inner, opts)
-					if err != nil {
-						t.Fatalf("%v self=%v par=%d case=%d: %v", alg, self, par, ci, err)
-					}
-					want := postFilter(full, opts)
-					label := fmt.Sprintf("%v self=%v par=%d case=%d", alg, self, par, ci)
-					diffPairs(t, label, want, got)
-					if st.Results != int64(len(got)) {
-						t.Errorf("%s: Stats.Results = %d, want %d", label, st.Results, len(got))
-					}
-					if opts.TopK > 0 {
-						// TopK output is the ranking order, deterministically.
-						for i := 1; i < len(got); i++ {
-							if pairBefore(got[i], got[i-1]) {
-								t.Errorf("%s: top-k output not in ranking order at %d", label, i)
-							}
+				want := postFilter(full, opts)
+				label := fmt.Sprintf("%v self=%v case=%d", alg, self, ci)
+				diffPairs(t, label, want, got)
+				if st.Results != int64(len(got)) {
+					t.Errorf("%s: Stats.Results = %d, want %d", label, st.Results, len(got))
+				}
+				if opts.TopK > 0 {
+					// TopK output is the ranking order, deterministically.
+					for i := 1; i < len(got); i++ {
+						if pairBefore(got[i], got[i-1]) {
+							t.Errorf("%s: top-k output not in ranking order at %d", label, i)
 						}
 					}
 				}
@@ -117,7 +111,7 @@ func TestQueryPredicateEquivalence(t *testing.T) {
 
 // TestQueryLimit checks that Limit returns a subset of the unconstrained
 // result of exactly min(Limit, total) pairs, and that a satisfied limit is a
-// clean (error-free) early stop, sequential and parallel.
+// clean (error-free) early stop.
 func TestQueryLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ps := randomPoints(rng, 300)
@@ -131,29 +125,24 @@ func TestQueryLimit(t *testing.T) {
 	}
 	fullSet := pairSet(full)
 	for _, alg := range []Algorithm{AlgINJ, AlgOBJ, AlgBrute} {
-		for _, par := range []int{1, 3} {
-			if alg == AlgBrute && par > 1 {
-				continue
+		for _, limit := range []int{1, 5, len(full), len(full) + 10} {
+			got, st, err := Join(tq, tp, Options{Algorithm: alg, Collect: true, Limit: limit})
+			if err != nil {
+				t.Fatalf("%v limit=%d: %v", alg, limit, err)
 			}
-			for _, limit := range []int{1, 5, len(full), len(full) + 10} {
-				got, st, err := Join(tq, tp, Options{Algorithm: alg, Parallelism: par, Collect: true, Limit: limit})
-				if err != nil {
-					t.Fatalf("%v par=%d limit=%d: %v", alg, par, limit, err)
-				}
-				want := limit
-				if len(full) < want {
-					want = len(full)
-				}
-				if len(got) != want {
-					t.Errorf("%v par=%d limit=%d: got %d pairs, want %d", alg, par, limit, len(got), want)
-				}
-				if st.Results != int64(len(got)) {
-					t.Errorf("%v par=%d limit=%d: Stats.Results = %d, want %d", alg, par, limit, st.Results, len(got))
-				}
-				for _, p := range got {
-					if _, ok := fullSet[pairKey(p)]; !ok {
-						t.Errorf("%v par=%d limit=%d: pair %s not in unconstrained result", alg, par, limit, pairKey(p))
-					}
+			want := limit
+			if len(full) < want {
+				want = len(full)
+			}
+			if len(got) != want {
+				t.Errorf("%v limit=%d: got %d pairs, want %d", alg, limit, len(got), want)
+			}
+			if st.Results != int64(len(got)) {
+				t.Errorf("%v limit=%d: Stats.Results = %d, want %d", alg, limit, st.Results, len(got))
+			}
+			for _, p := range got {
+				if _, ok := fullSet[pairKey(p)]; !ok {
+					t.Errorf("%v limit=%d: pair %s not in unconstrained result", alg, limit, pairKey(p))
 				}
 			}
 		}
@@ -465,59 +454,11 @@ func TestTopKDynamicBoundTightens(t *testing.T) {
 	}
 }
 
-// TestBoundBatchKillsStaleCandidates unit-tests the verification-time bound
-// re-check: candidates filtered under an older, looser bound are killed
-// before any tree descent once the dynamic bound has tightened past them, and
-// ties with the bound survive (slack).
-func TestBoundBatchKillsStaleCandidates(t *testing.T) {
-	mk := func(r float64, id int64) *candidate {
-		return &candidate{alive: true, pair: Pair{
-			P:      rtree.PointEntry{ID: id},
-			Q:      rtree.PointEntry{ID: id},
-			Circle: geom.Circle{Radius: r},
-		}}
-	}
-
-	t.Run("static bound is a no-op", func(t *testing.T) {
-		j := &joiner{opts: Options{MaxDiameter: 100}}
-		cands := []*candidate{mk(50, 1), mk(10, 2)} // diameters 100, 20: both admissible
-		j.boundBatch(cands)
-		if !cands[0].alive || !cands[1].alive {
-			t.Fatal("candidate within the static bound killed")
-		}
-		if j.stats.BoundKilledCandidates != 0 {
-			t.Fatalf("BoundKilledCandidates = %d", j.stats.BoundKilledCandidates)
-		}
-	})
-
-	t.Run("tightened dynamic bound kills", func(t *testing.T) {
-		j := &joiner{opts: Options{TopK: 2}}
-		j.shared = newRunShared(j.opts)
-		// Fill the heap so the published bound tightens to diameter 40.
-		j.shared.topk.offer(mk(10, 100).pair)
-		j.shared.topk.offer(mk(20, 101).pair)
-		// A batch filtered before the tightening: diameters 90, 40, 30.
-		cands := []*candidate{mk(45, 1), mk(20, 2), mk(15, 3)}
-		j.boundBatch(cands)
-		if cands[0].alive {
-			t.Fatal("stale candidate beyond the tightened bound survived")
-		}
-		if j.stats.BoundKilledCandidates != 1 {
-			t.Fatalf("BoundKilledCandidates = %d, want 1", j.stats.BoundKilledCandidates)
-		}
-		// Tie with the bound (diameter 40 == 2×worst radius 20) survives.
-		if !cands[1].alive || !cands[2].alive {
-			t.Fatalf("candidate within the tightened bound killed: alive %v,%v", cands[1].alive, cands[2].alive)
-		}
-	})
-}
-
 // TestRegionOuterPruning extends the pushdown-equivalence property to the
 // outer traversal: a selective Region window must skip outer TQ leaves whose
 // midpoint rect with TP misses the window — strictly fewer OuterLeaves than
 // the unpruned run and NodesPruned > 0 — while returning exactly the
-// post-filtered unconstrained result, on both the sequential and parallel
-// paths.
+// post-filtered unconstrained result.
 func TestRegionOuterPruning(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ps := randomPoints(rng, 1200)
@@ -535,21 +476,17 @@ func TestRegionOuterPruning(t *testing.T) {
 	want := postFilter(full, Options{Region: window})
 
 	for _, alg := range []Algorithm{AlgINJ, AlgBIJ, AlgOBJ} {
-		for _, par := range []int{1, 3} {
-			got, st, err := Join(tq, tp, Options{
-				Algorithm: alg, Parallelism: par, Collect: true, Region: window,
-			})
-			if err != nil {
-				t.Fatalf("%v par=%d: %v", alg, par, err)
-			}
-			diffPairs(t, fmt.Sprintf("%v par=%d region", alg, par), want, got)
-			if st.OuterLeaves >= base.OuterLeaves {
-				t.Errorf("%v par=%d: OuterLeaves = %d, not below unpruned %d — outer Region pushdown never engaged",
-					alg, par, st.OuterLeaves, base.OuterLeaves)
-			}
-			if st.NodesPruned == 0 {
-				t.Errorf("%v par=%d: NodesPruned = 0", alg, par)
-			}
+		got, st, err := Join(tq, tp, Options{Algorithm: alg, Collect: true, Region: window})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		diffPairs(t, fmt.Sprintf("%v region", alg), want, got)
+		if st.OuterLeaves >= base.OuterLeaves {
+			t.Errorf("%v: OuterLeaves = %d, not below unpruned %d — outer Region pushdown never engaged",
+				alg, st.OuterLeaves, base.OuterLeaves)
+		}
+		if st.NodesPruned == 0 {
+			t.Errorf("%v: NodesPruned = 0", alg)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/geom"
 	"repro/internal/storage"
 )
@@ -67,41 +65,6 @@ func (j *joiner) excludedIDs(c *candidate, s side) (int64, int64) {
 		return c.pair.Q.ID, c.pair.Q.ID
 	}
 	return c.pair.P.ID, c.pair.P.ID
-}
-
-// boundBatch re-applies the run's dynamic bound at verification time:
-// candidates admitted when they were filtered but strictly beyond the
-// CURRENT bound are killed before either tree is traversed, each one a full
-// two-tree descent saved. Only a parallel TopK run can fire it — another
-// worker's verified pairs tighten the shared bound between this batch's
-// filter and its verification; a sequential run cannot move the bound
-// inside a batch, and a static MaxDiameter was already enforced by the
-// filter.
-//
-// The diameter kill uses the boundSlack-widened bound, like every
-// traversal-level check: under-pruning a boundary tie is free, over-pruning
-// would break the post-filter set identity. A weight-ranked run's bound is
-// a score floor instead, checked exactly (same w(P)+w(Q) arithmetic as the
-// heap — no slack needed); its diameter bound is the static MaxDiameter.
-func (j *joiner) boundBatch(cands []*candidate) {
-	if limit := j.maxPairDiameter() * boundSlack; !math.IsInf(limit, 1) {
-		for _, c := range cands {
-			if c.alive && 2*c.pair.Circle.Radius > limit {
-				c.alive = false
-				j.stats.BoundKilledCandidates++
-			}
-		}
-	}
-	if t := j.weightedTopK(); t != nil {
-		if floor := t.scoreBound(); !math.IsInf(floor, -1) {
-			for _, c := range cands {
-				if c.alive && t.pairScore(c.pair) < floor {
-					c.alive = false
-					j.stats.BoundKilledCandidates++
-				}
-			}
-		}
-	}
 }
 
 // verify runs Algorithm 3 for all alive candidates against tree t, marking

@@ -120,7 +120,7 @@ var selfForwards = map[string]string{
 	"Engine.RunSelf":        "Run",
 	"Engine.RunSelfCollect": "RunCollect",
 	"Scheduler.RunSelf":     "Run",
-	"Query.Resolve":         "ResolveObserved",
+	"Query.Resolve":         "ResolvePlan",
 }
 
 // pairResult matches the result types a join hands its pairs back in.
@@ -331,7 +331,7 @@ var backendUsers = []string{"perf/embed.go#rcj.IndexConfig{Backend: rcj.BackendM
 // every exported field of the configuration structs ("pkg.Type.Field"). A
 // new row has to be argued for here, against the class it claims; the size
 // of the table is the configuration surface the tests and the benchmark must
-// cover (rcjd 15 flags + 2 repeatable lists, rcjjoin 23, rcjrouter 5 + 1).
+// cover (rcjd 15 flags + 2 repeatable lists, rcjjoin 22, rcjrouter 5 + 1).
 var optionLedger = map[string]option{
 	"rcjd -addr":                  opt(deployment, "listen address"),
 	"rcjd -index":                 opt(deployment, "name=path or URL of a saved index (repeatable)"),
@@ -357,7 +357,6 @@ var optionLedger = map[string]option{
 	"rcjjoin -metric":             opt(query, "L2 or L1 ring"),
 	"rcjjoin -sort":               opt(query, "output order: ascending diameter"),
 	"rcjjoin -alg":                opt(paper, "the paper's algorithms (Fig. 13); auto = the planner"),
-	"rcjjoin -parallel":           opt(workload, "forced 1 for repeatable counts, 0 = the planner", "perf/inproc.go#qry.Parallelism = 1", "perf/embed.go#qry.Parallelism = parallelism"),
 	"rcjjoin -buffer":             opt(paper, "LRU buffer size in pages"),
 	"rcjjoin -save-index-p":       opt(deployment, "path to save P's index to"),
 	"rcjjoin -save-index-q":       opt(deployment, "path to save Q's index to"),
@@ -466,21 +465,17 @@ var optionLedger = map[string]option{
 	"storage.HTTPPagerConfig.RetryBackoff": opt(seam, "tests shrink the backoff"),
 	"storage.HTTPPagerConfig.MaxBackoff":   opt(seam, "tests shrink the backoff"),
 
-	"plan.Observed.FreeSlots": opt(measured, "the scheduler's idle slots", "internal/sched/sched.go#obs.FreeSlots = s.cfg.MaxConcurrent - s.running"),
-	"plan.Observed.MaxProcs":  opt(seam, "planner tests pin the CPU count"),
-
 	"plan.Request.MaxDiameter": opt(query, "predicate: ranks the diameter predicate"),
 	"plan.Request.MinDistance": opt(query, "predicate: ranks the min-distance predicate"),
 	"plan.Request.Region":      opt(query, "predicate: prices the outer pushdown, picks INJ on a needle window"),
-	"plan.Request.TopK":        opt(query, "predicate: ranked, so sequential"),
+	"plan.Request.TopK":        opt(query, "predicate: ranks the diameter predicate first, keeps the join off the Gabriel path"),
 	"plan.Request.Weighted":    opt(query, "predicate: the ranking's bound is static"),
-	"plan.Request.Limit":       opt(query, "predicate: limited, so sequential"),
-	"plan.Request.Parallelism": opt(workload, "caller-fixed fan-out, echoed", "perf/inproc.go#qry.Parallelism = 1", "perf/embed.go#qry.Parallelism = parallelism"),
+	"plan.Request.Limit":       opt(query, "predicate: keeps the join off the Gabriel path"),
 	"plan.Request.SelfJoin":    opt(query, "join shape: a self-join's scan reads its one index once"),
 }
 
 // ledgerRows is the size ROADMAP's table tracks.
-const ledgerRows = 126
+const ledgerRows = 122
 
 // ledgerStructs lists the configuration structs whose exported fields the
 // ledger classes, by directory.
@@ -493,7 +488,7 @@ var ledgerStructs = map[string][]string{
 	"internal/live":    {"Config"},
 	"internal/rtree":   {"Config"},
 	"internal/storage": {"HTTPPagerConfig"},
-	"internal/plan":    {"Observed", "Request"},
+	"internal/plan":    {"Request"},
 }
 
 // TestOptionLedger is the guard on "every option earns its keep": it lists
@@ -567,6 +562,29 @@ func TestOptionLedger(t *testing.T) {
 	}
 	if len(optionLedger) != ledgerRows {
 		t.Errorf("the ledger has %d rows, ROADMAP's size table says %d: update both together", len(optionLedger), ledgerRows)
+	}
+}
+
+// TestNoGoStatement is the guard on "a join runs on its caller's
+// goroutine": no non-test file of the executor, the planner or the
+// triangulation starts a goroutine. Every workload runs its joins
+// sequentially, and the paper measures its algorithms on one thread; a
+// join that fans out again has to be argued for here, with the benchmark
+// row that justifies it.
+func TestNoGoStatement(t *testing.T) {
+	for _, dir := range []string{"internal/core", "internal/plan", "internal/delaunay"} {
+		files := parseNonTest(t, dir)
+		if len(files) == 0 {
+			t.Fatalf("%s: no source files", dir)
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: a go statement starts %s", dir, types.ExprString(g.Call.Fun))
+				}
+				return true
+			})
+		}
 	}
 }
 

@@ -1,17 +1,15 @@
 // Package plan is the cost-based query planner: given the shape of one
 // ring-constrained join request, metadata the index already carries (count,
 // MBR, height — superblock fields for immutable indexes, live epoch state
-// for mutable ones), and observed serving statistics, it picks the
-// algorithm (Gabriel/INJ/OBJ/brute), parallelism and pair-predicate
-// evaluation order from an estimate of the node accesses each strategy
+// for mutable ones), it picks the algorithm (Gabriel/INJ/OBJ/brute) and
+// pair-predicate evaluation order from an estimate of the node accesses each strategy
 // needs. It carries only what changes a decision: nothing is priced in
 // time until a rule reads a price (ROADMAP item 6).
 //
 // The planner is equivalency-gated, mirroring janus-datalog's phase
 // reordering: a plan choice may change the cost of a query, never its
-// result set. Every algorithm in the family returns the identical pair set,
-// predicate order is a conjunction reorder, and parallelism only changes
-// emission order — so the planner is free to be wrong about cost without
+// result set. Every algorithm in the family returns the identical pair set
+// and predicate order is a conjunction reorder — so the planner is free to be wrong about cost without
 // ever being wrong about answers. The randomized equivalence suite in rcj
 // holds it to that.
 package plan
@@ -19,7 +17,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -53,16 +50,6 @@ type IndexMeta struct {
 	Live bool
 }
 
-// Observed is runtime feedback from the serving stack. The zero value means
-// "nothing observed yet" and yields conservative defaults.
-type Observed struct {
-	// FreeSlots describes scheduler pressure: parallel fan-out is pointless
-	// when concurrent requests already saturate the CPUs.
-	FreeSlots int
-	// MaxProcs caps parallelism; 0 = runtime.GOMAXPROCS.
-	MaxProcs int
-}
-
 // Request is the predicate shape of the query being planned.
 type Request struct {
 	MaxDiameter float64
@@ -73,12 +60,8 @@ type Request struct {
 	// endpoint weight, so the diameter bound does not tighten dynamically
 	// and is ranked as the static predicate it is.
 	Weighted bool
-	// Limit, when > 0, caps the pair count; like TopK it keeps the join
-	// sequential.
+	// Limit, when > 0, caps the pair count.
 	Limit int
-	// Parallelism, when > 0, is caller-fixed; the planner echoes it, except
-	// on the Gabriel path, which runs sequentially.
-	Parallelism int
 	// SelfJoin marks the join of one index with itself (outer and inner
 	// are the same input), whose pages a scan reads once.
 	SelfJoin bool
@@ -86,7 +69,12 @@ type Request struct {
 
 // Decision is one resolved plan.
 type Decision struct {
-	Algorithm   core.Algorithm
+	Algorithm core.Algorithm
+	// Parallelism is always 1: every join runs on its caller's goroutine.
+	// The plan string and the /join summary still report it.
+	//
+	// Deprecated: kept only because the frozen benchmark reads it
+	// (perf/micro.go:161); it goes with the next benchmark PR.
 	Parallelism int
 	// PredicateOrder is the pair-predicate evaluation order, most selective
 	// first. Empty when at most one predicate is set (nothing to reorder).
@@ -139,19 +127,6 @@ const (
 	// domain the order flips (2.3 vs 1.1 ms). OBJ's Lemma-5 seeding, once
 	// part of the argument, is paid only per probed point.
 	injMaxOuter = 48
-	// parallelMinAccesses: fan a join that runs to completion out only when
-	// its estimated work amortizes worker startup and the batch handoff.
-	// Measured on the embedded benchmark's inputs (2-CPU Xeon VM, see
-	// README; Engine.Run drained warm, p50 of 31 runs alternating one and
-	// two workers): every 4k x 4k full and self join plans at 963 and runs
-	// 1.8-1.9x as fast on two (full ~49 -> ~27 ms, self ~49 -> ~26 ms),
-	// while every window and bounded window plans at 606-678. Those read
-	// ~136 and ~90 nodes since a window bounds its own diameter; a 600-wide
-	// window on G20k x U20k (forced OBJ) runs in 0.9-1.0 ms, 0.8-0.85 ms on
-	// two workers, and bounded to a diameter of 100 in 0.2 ms either way: a
-	// second worker saves them at most a few tenths of a millisecond. The
-	// cutoff sits in that gap.
-	parallelMinAccesses = 900
 	// defaultLeafCap approximates the R*-tree fanout when the superblock
 	// does not say (4 KiB pages hold ~100 points; stay conservative).
 	defaultLeafCap = 64
@@ -165,9 +140,10 @@ const (
 // Plan resolves one query. outer is the Q input (the side whose leaves
 // drive the join), inner is P; for a self-join pass the same meta twice
 // and set req.SelfJoin. Only Euclidean joins are planned: an L1 query has
-// one filter strategy and pins its plan (rcj.Query.ResolveObserved).
-func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
+// one filter strategy and pins its plan (rcj.Query.ResolvePlan).
+func Plan(req Request, outer, inner IndexMeta) Decision {
 	d := Decision{
+		Parallelism:    1,
 		Epochs:         [2]uint64{outer.Epoch, inner.Epoch},
 		PredicateOrder: predicateOrder(req, outer, inner),
 	}
@@ -193,8 +169,6 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 		if !req.SelfJoin {
 			d.EstAccesses += pages(outer)
 		}
-		d.Parallelism = 1
-		return d
 	case effOuter <= injMaxOuter:
 		d.Algorithm = core.AlgINJ
 		d.Rule = "small-outer-inj"
@@ -214,7 +188,6 @@ func Plan(req Request, outer, inner IndexMeta, obs Observed) Decision {
 		// a handful of its leaves (height + a fringe of siblings).
 		d.EstAccesses = nodes(outer) + lq*int64(height(inner)+6)
 	}
-	d.Parallelism = parallelism(req, obs, d.EstAccesses)
 	return d
 }
 
@@ -373,41 +346,4 @@ func extentOf(a, b IndexMeta) float64 {
 		e = math.Max(e, math.Max(m.MBR.MaxX-m.MBR.MinX, m.MBR.MaxY-m.MBR.MinY))
 	}
 	return e
-}
-
-// parallelism picks the worker count: the caller's when fixed, otherwise
-// fanned out only when the join runs to completion, the estimated work
-// amortizes it, the host has spare CPUs, and concurrent requests are not
-// already using them. A ranked (TopK, weighted included) or limited query
-// stays sequential: racing workers decide its ties and which pairs fill a
-// Limit, so only its sequential run replays byte-identically, and the
-// result cache memoizes only sequential runs — exactly the bounded queries
-// it holds. Workers sharing one dynamic bound also prune less (top-10 on
-// G20k x U20k: 3 645 -> 3 645-3 663 accesses), and a lone top-10 on two
-// idle CPUs no longer runs clearly faster (p50 7.6-9.7 ms sequential,
-// 7.3-8.9 ms on two workers, quartiles overlapping; 2-CPU Xeon VM).
-func parallelism(req Request, obs Observed, estAccesses int64) int {
-	if req.Parallelism > 0 {
-		return req.Parallelism
-	}
-	procs := obs.MaxProcs
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if procs <= 1 || req.TopK > 0 || req.Limit > 0 || estAccesses < parallelMinAccesses {
-		return 1
-	}
-	par := procs
-	if par > 8 {
-		par = 8
-	}
-	// Under concurrent load the scheduler's free slots are a better signal
-	// of spare CPU than GOMAXPROCS.
-	if obs.FreeSlots > 0 && obs.FreeSlots < par {
-		par = obs.FreeSlots
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
 }

@@ -151,7 +151,6 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) subRequest(req *server.JoinRequest, sub subQuery, bound float64) *server.JoinRequest {
 	sr := &server.JoinRequest{
 		Alg:         req.Alg,
-		Parallelism: req.Parallelism,
 		TimeoutMS:   req.TimeoutMS,
 		Format:      "ndjson",
 		MaxDiameter: bound,
@@ -279,7 +278,6 @@ func addCounts(a *server.Counts, s *server.Summary) {
 	a.NodeAccesses += s.NodeAccesses
 	a.PageFaults += s.PageFaults
 	a.NodesPruned += s.NodesPruned
-	a.BoundKilled += s.BoundKilled
 }
 
 // merger is what one request does with the rows its sub-queries return.

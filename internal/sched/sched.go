@@ -131,11 +131,6 @@ type Snapshot struct {
 	SubscriptionsStarted int64 `json:"subscriptions_started"`
 	SubscriptionsEnded   int64 `json:"subscriptions_ended"`
 
-	// BoundKilledCandidates sums rcj.Stats.BoundKilledCandidates over served
-	// joins: candidates a TopK run's tightened diameter bound killed before
-	// verification — branch-and-bound work the serving tier saved.
-	BoundKilledCandidates int64 `json:"bound_killed_candidates"`
-
 	// Exact tagged buffer attribution summed over completed serving joins.
 	BufferAccesses int64 `json:"buffer_accesses"`
 	BufferHits     int64 `json:"buffer_hits"`
@@ -180,7 +175,6 @@ type Scheduler struct {
 	rejectedQueueTimeout atomic.Int64
 	rejectedDraining     atomic.Int64
 	pairsEmitted         atomic.Int64
-	boundKilled          atomic.Int64
 	bufAccesses          atomic.Int64
 	bufHits              atomic.Int64
 	bufMisses            atomic.Int64
@@ -354,36 +348,20 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// Observe reports the scheduler's live pressure to the planner: free slots
-// damp the planner's chosen fan-out while concurrent joins already hold the
-// CPUs.
-func (s *Scheduler) Observe() rcj.PlanObserved {
-	var obs rcj.PlanObserved
-	s.mu.Lock()
-	obs.FreeSlots = s.cfg.MaxConcurrent - s.running
-	s.mu.Unlock()
-	if obs.FreeSlots < 1 {
-		// This request will own a slot once admitted; never report "unknown"
-		// (0) under saturation, which would let the fan-out default win.
-		obs.FreeSlots = 1
-	}
-	return obs
-}
-
 // Run admits the streaming join (q, p, qry) — the same index twice is the
-// self-join, as in rcj.Engine.Run — in three steps. It resolves the plan,
-// feeding the planner the scheduler's live pressure (free slots) so the
-// chosen fan-out respects concurrent load; a query that arrives resolved
-// keeps its decision, and an invalid one passes through for the engine to
-// refuse. It then blocks in admission control (Acquire), so typed
-// rejections surface before any result bytes are produced, and returns a
-// single-use iterator streaming the pairs exactly as rcj.Engine.Run would.
-// The slot is held until the iterator terminates — completion, error, or
-// the consumer breaking out — and is released automatically then; callers
-// must consume (or at least begin and break out of) the iterator. When stats is non-nil it receives the join's exact
-// per-request statistics once the iterator has terminated.
+// self-join, as in rcj.Engine.Run — in three steps. It resolves the plan;
+// a query that arrives resolved keeps its decision, and an invalid one
+// passes through for the engine to refuse. It then blocks in admission
+// control (Acquire), so typed rejections surface before any result bytes
+// are produced, and returns a single-use iterator streaming the pairs
+// exactly as rcj.Engine.Run would, on the goroutine ranging over it. The
+// slot is held until the iterator terminates — completion, error, or the
+// consumer breaking out — and is released automatically then; callers must
+// consume (or at least begin and break out of) the iterator. When stats is
+// non-nil it receives the join's exact per-request statistics once the
+// iterator has terminated.
 func (s *Scheduler) Run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, stats *rcj.Stats) (iter.Seq2[rcj.Pair, error], error) {
-	qry, _ = qry.ResolveObserved(q, p, s.Observe())
+	qry, _ = qry.ResolvePlan(q, p)
 	release, err := s.Acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -415,7 +393,6 @@ func (s *Scheduler) Run(ctx context.Context, q, p *rcj.Index, qry rcj.Query, sta
 			}
 		}
 		s.pairsEmitted.Add(pairs)
-		s.boundKilled.Add(st.BoundKilledCandidates)
 		s.bufAccesses.Add(st.NodeAccesses)
 		s.bufHits.Add(st.NodeAccesses - st.PageFaults)
 		s.bufMisses.Add(st.PageFaults)
@@ -457,7 +434,6 @@ func (s *Scheduler) Snapshot() Snapshot {
 	snap.PairsEmitted = s.pairsEmitted.Load()
 	snap.SubscriptionsStarted = s.subsStarted.Load()
 	snap.SubscriptionsEnded = s.subsEnded.Load()
-	snap.BoundKilledCandidates = s.boundKilled.Load()
 	snap.BufferAccesses = s.bufAccesses.Load()
 	snap.BufferHits = s.bufHits.Load()
 	snap.BufferMisses = s.bufMisses.Load()

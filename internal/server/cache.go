@@ -88,12 +88,10 @@ func cacheKey(pName, pGen, qName, qGen string, qry rcj.Query) string {
 }
 
 // cacheable reports whether a query's result set is bounded tightly enough
-// to memoize: TopK and Limit both cap the pair count, but only sequential
-// runs are deterministic enough to replay byte-identically (a parallel
-// traversal may emit a different order, and a parallel TopK may break
-// radius ties differently), so parallel queries are never cached.
+// to memoize: TopK and Limit both cap the pair count, and a join runs on
+// one goroutine, so its replay is byte-identical.
 func (c *resultCache) cacheable(qry rcj.Query) bool {
-	if c == nil || qry.Parallelism > 1 {
+	if c == nil {
 		return false
 	}
 	// Weight functions are opaque: Canonical cannot tell two of them apart,

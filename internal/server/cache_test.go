@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -145,22 +144,13 @@ func TestResultCacheKeyDiscrimination(t *testing.T) {
 	}
 }
 
-// TestResultCacheUncacheable: unbounded or parallel queries never enter the
-// cache.
+// TestResultCacheUncacheable: unbounded queries never enter the cache.
 func TestResultCacheUncacheable(t *testing.T) {
 	ts, srv := newCachingServer(t, 400, 16)
 	bodies := []string{
 		`{"p":"p","q":"q"}`,                    // unbounded
 		`{"p":"p","q":"q","max_diameter":100}`, // still unbounded in count
 		`{"p":"p","q":"q","limit":5000000}`,    // bounded, but looser than maxPairs
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		// Parallel runs are not order-deterministic, so they bypass the
-		// cache — but the handler clamps parallelism to GOMAXPROCS, so on a
-		// one-CPU box these degrade to cacheable sequential runs.
-		bodies = append(bodies,
-			`{"p":"p","q":"q","limit":5,"parallelism":2}`,
-			`{"p":"p","q":"q","top_k":5,"parallelism":2}`)
 	}
 	for _, b := range bodies {
 		joinBody(t, ts, b)
@@ -169,6 +159,25 @@ func TestResultCacheUncacheable(t *testing.T) {
 	cs := srv.cache.snapshot()
 	if cs.Stores != 0 || cs.Hits != 0 || cs.Entries != 0 {
 		t.Fatalf("uncacheable queries touched the cache: %+v", cs)
+	}
+}
+
+// TestResultCacheIgnoresParallelism: "parallelism" is no request field, so a
+// body naming it asks for the same query as one without it — it stores and
+// hits under the same key, with the same rows.
+func TestResultCacheIgnoresParallelism(t *testing.T) {
+	ts, srv := newCachingServer(t, 400, 16)
+	for i, bodies := range [][2]string{
+		{`{"p":"p","q":"q","limit":5,"format":"csv"}`, `{"p":"p","q":"q","limit":5,"parallelism":2,"format":"csv"}`},
+		{`{"p":"p","q":"q","top_k":5,"parallelism":2,"format":"csv"}`, `{"p":"p","q":"q","top_k":5,"format":"csv"}`},
+	} {
+		stored := joinBody(t, ts, bodies[0])
+		if hit := joinBody(t, ts, bodies[1]); hit != stored {
+			t.Errorf("%s answered\n%q\nafter %s answered\n%q", bodies[1], hit, bodies[0], stored)
+		}
+		if cs := srv.cache.snapshot(); cs.Stores != int64(i+1) || cs.Hits != int64(i+1) {
+			t.Fatalf("after %s and %s: cache stats %+v, want %d stores and %d hits", bodies[0], bodies[1], cs, i+1, i+1)
+		}
 	}
 }
 
@@ -418,20 +427,15 @@ func TestJoinPlannedOnce(t *testing.T) {
 	}
 }
 
-// TestResultCacheKeepsRankedHits: the planner fans a join out only when it
-// runs to completion, so a planner-resolved top-k on inputs a complete
-// R-tree join fans out on still plans sequential under the scheduler's
-// free slots, and its repeat is a cache hit. The control is a join with a
-// min-distance floor: it runs to completion on the R-tree, where the full
-// join now runs on the (sequential) Gabriel path.
+// TestResultCacheKeepsRankedHits: every join runs on one goroutine, so a
+// planner-resolved top-k plans par=1 and its repeat is a byte-identical
+// cache hit. The control is a join with a min-distance floor, which runs to
+// completion on the R-tree (the full join runs on the Gabriel path): it
+// plans par=1 too.
 func TestResultCacheKeepsRankedHits(t *testing.T) {
 	ts, srv := newCachingServer(t, 4000, 16)
-	if runtime.GOMAXPROCS(0) > 1 {
-		// The control: two free slots, spare CPUs, and inputs above the
-		// fan-out cutoff.
-		if _, sum := splitSummary(t, joinBody(t, ts, `{"p":"p","q":"q","min_distance":0.001}`)); !strings.Contains(sum.Plan, "par=2") {
-			t.Fatalf("min-distance join plans %q, want par=2: the inputs no longer exercise the fan-out", sum.Plan)
-		}
+	if _, sum := splitSummary(t, joinBody(t, ts, `{"p":"p","q":"q","min_distance":0.001}`)); !strings.Contains(sum.Plan, "par=1 rule=default-obj") {
+		t.Fatalf("min-distance join plans %q, want par=1 on default-obj", sum.Plan)
 	}
 	const q = `{"p":"p","q":"q","top_k":10}`
 	firstPairs, first := splitSummary(t, joinBody(t, ts, q))

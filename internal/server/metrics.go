@@ -126,7 +126,6 @@ func (s *Server) metricRows() []Series {
 		// benchmark decodes this path (perf/client.go); it goes with the next
 		// benchmark PR.
 		{JSON: "sched.batched_requests", Prom: "rcjd_sched_batched_requests_total", Type: counter, Help: "Always 0: every join runs its own traversal.", Value: 0},
-		{JSON: "sched.bound_killed_candidates", Prom: "rcjd_sched_bound_killed_total", Type: counter, Help: "Candidates killed pre-verification by a tightened TopK bound.", Value: snap.BoundKilledCandidates},
 		{JSON: "sched.buffer_accesses", Prom: "rcjd_sched_buffer_accesses_total", Type: counter, Help: "Tagged buffer accesses of served joins.", Value: snap.BufferAccesses},
 		{JSON: "sched.buffer_hits", Prom: "rcjd_sched_buffer_hits_total", Type: counter, Help: "Tagged buffer hits of served joins.", Value: snap.BufferHits},
 		{JSON: "sched.buffer_misses", Prom: "rcjd_sched_buffer_misses_total", Type: counter, Help: "Tagged buffer misses of served joins.", Value: snap.BufferMisses},

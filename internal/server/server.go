@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -564,11 +563,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Clamp worker fan-out server-side: admission control bounds *joins*, so
-	// one request must not multiply itself past the hardware underneath.
-	if maxPar := runtime.GOMAXPROCS(0); qry.Parallelism > maxPar {
-		qry.Parallelism = maxPar
-	}
 	// Pin the indexes for the lifetime of the stream so a concurrent
 	// DELETE /indexes/{name} cannot unmap pages a running traversal reads.
 	// The join is (eQ.ix, eP.ix, qry): "self", like naming one index on both
@@ -594,7 +588,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// resolved plan, never by the ambiguous "planner decides" zero value.
 	// The resolved query carries the decision through the scheduler and the
 	// executor: this is the request's one planning step.
-	qry, dec := qry.ResolveObserved(eQ.ix, eP.ix, s.sched.Observe())
+	qry, dec := qry.ResolvePlan(eQ.ix, eP.ix)
 	s.recordPlan(dec)
 
 	// Result cache: a bounded sequential query whose exact result set is

@@ -22,13 +22,12 @@ import (
 // pushed down into the index traversal — a top-k request prunes the join
 // instead of computing it fully and truncating.
 type JoinRequest struct {
-	P           string `json:"p"`
-	Q           string `json:"q,omitempty"`
-	Self        bool   `json:"self,omitempty"`
-	Alg         string `json:"alg,omitempty"`         // "auto" (default), "inj", "obj", "brute"
-	Parallelism int    `json:"parallelism,omitempty"` // worker goroutines; 0 = planner decides
-	TimeoutMS   int64  `json:"timeout_ms,omitempty"`  // per-request cap under the server's JoinTimeout
-	Format      string `json:"format,omitempty"`      // "ndjson" (default) or "csv"
+	P         string `json:"p"`
+	Q         string `json:"q,omitempty"`
+	Self      bool   `json:"self,omitempty"`
+	Alg       string `json:"alg,omitempty"`        // "auto" (default), "inj", "obj", "brute"
+	TimeoutMS int64  `json:"timeout_ms,omitempty"` // per-request cap under the server's JoinTimeout
+	Format    string `json:"format,omitempty"`     // "ndjson" (default) or "csv"
 
 	MaxDiameter float64   `json:"max_diameter,omitempty"` // > 0: only pairs at most this wide
 	MinDistance float64   `json:"min_distance,omitempty"` // > 0: drop pairs tighter than this
@@ -60,7 +59,6 @@ func (r *JoinRequest) Query() (qry rcj.Query, csv bool, err error) {
 	qry = rcj.Query{
 		Algorithm:      alg,
 		ForceAlgorithm: r.Alg != "" && r.Alg != "auto",
-		Parallelism:    r.Parallelism,
 		MaxDiameter:    r.MaxDiameter,
 		MinDistance:    r.MinDistance,
 		TopK:           r.TopK,
@@ -108,8 +106,8 @@ type Counts struct {
 	NodeAccesses int64 `json:"node_accesses"`
 	PageFaults   int64 `json:"page_faults"`
 	NodesPruned  int64 `json:"nodes_pruned"`
-	// BoundKilled is Stats.BoundKilledCandidates: candidates a TopK run's
-	// tightened diameter bound killed before verification.
+	// BoundKilled is always 0; it leaves the wire together with
+	// rcj.Stats.BoundKilledCandidates.
 	BoundKilled int64 `json:"bound_killed_candidates"`
 }
 
@@ -120,8 +118,7 @@ type Summary struct {
 	BufferHit float64 `json:"buffer_hit_ratio"`
 	ElapsedMS int64   `json:"elapsed_ms"`
 	// Alg and Parallelism are the EFFECTIVE values the join ran with — the
-	// resolved plan's algorithm, and the worker fan-out after the planner's
-	// choice and the server-side GOMAXPROCS clamp.
+	// resolved plan's algorithm, and 1: every join runs on one goroutine.
 	Alg         string `json:"alg"`
 	Parallelism int    `json:"parallelism"`
 	// Plan is the resolved plan decision, human-readable: rule, predicate
@@ -141,7 +138,6 @@ func newSummary(st rcj.Stats, dec rcj.PlanDecision) Summary {
 			NodeAccesses: st.NodeAccesses,
 			PageFaults:   st.PageFaults,
 			NodesPruned:  st.NodesPruned,
-			BoundKilled:  st.BoundKilledCandidates,
 		},
 		BufferHit:   st.BufferHitRatio(),
 		Alg:         strings.ToLower(dec.Algorithm.String()),

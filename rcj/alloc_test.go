@@ -13,10 +13,10 @@ import (
 // filter heap, pruner sets, candidate batches, verify stack or
 // triangulation of every run again. Shapes of the embedded benchmark: a
 // window on G20k x U20k (which derives its own diameter bound), a G4k x U4k
-// full join forced onto OBJ on two workers (the R-tree path), and the same
-// join planned (the Gabriel path, whose scans, triangulation and sort keys
-// are pooled too); and an L1 join of U4k x G4k, whose filter runs once per
-// query point. They measured 42, 59, 30 and 46 objects per join (530 and
+// full join forced onto OBJ (the R-tree path), and the same join planned
+// (the Gabriel path, whose scans, triangulation and sort keys are pooled
+// too); and an L1 join of U4k x G4k, whose filter runs once per query
+// point. They measure 41, 17, 18 and 17 objects per join (530 and
 // 1 433 before the scratch was pooled; the L1 join 24 636 before its
 // one-point batch and quadrant set were), and the bounds leave room for a
 // garbage collection emptying the pool mid-measurement. Under -race
@@ -52,7 +52,7 @@ func TestWarmAllocs(t *testing.T) {
 		runs  int
 	}{
 		{"window", u20, g20, Query{Region: window}, 100, 20},
-		{"full-par2", u4, g4, Query{Algorithm: OBJ, Parallelism: 2}, 200, 20},
+		{"full-obj", u4, g4, Query{Algorithm: OBJ}, 100, 20},
 		{"full-gabriel", u4, g4, Query{}, 100, 20},
 		{"l1-full", u4, g4, Query{Metric: L1}, 150, 1}, // 0.8 s a join
 	} {

@@ -7,8 +7,7 @@ import (
 )
 
 // Canonical returns a stable textual form of the query's result-shaping
-// fields — resolved algorithm, metric, parallelism, predicates, TopK, Limit
-// — for use as a cache key: two queries with equal Canonical strings produce
+// fields — resolved algorithm, metric, predicates, TopK, Limit — for use as a cache key: two queries with equal Canonical strings produce
 // the same result set over the same index generation. Float predicates are
 // rendered by exact bit pattern, so no two distinct bounds collide.
 func (q Query) Canonical() string {
@@ -17,8 +16,6 @@ func (q Query) Canonical() string {
 	b.WriteString(q.algorithm().String())
 	b.WriteString(";metric=")
 	b.WriteString(strconv.Itoa(int(q.Metric)))
-	b.WriteString(";par=")
-	b.WriteString(strconv.Itoa(q.Parallelism))
 	b.WriteString(";md=")
 	b.WriteString(strconv.FormatUint(math.Float64bits(q.MaxDiameter), 16))
 	b.WriteString(";mind=")

@@ -4,7 +4,8 @@ import "testing"
 
 // TestQueryCanonical pins the cache-key property: equal result-shaping
 // fields collide, different ones never do, and the INJ default resolves
-// like the executor will.
+// like the executor will. The deprecated Parallelism is ignored, so it
+// shapes no key.
 func TestQueryCanonical(t *testing.T) {
 	a := Query{MaxDiameter: 500, TopK: 10}
 	b := Query{MaxDiameter: 500, TopK: 10, SortByDiameter: true, Stats: &Stats{}}
@@ -22,7 +23,6 @@ func TestQueryCanonical(t *testing.T) {
 		{TopK: 10},
 		{TopK: 11},
 		{Limit: 10},
-		{Parallelism: 2},
 	}
 	seen := map[string]int{}
 	for i, q := range distinct {
@@ -31,6 +31,11 @@ func TestQueryCanonical(t *testing.T) {
 			t.Fatalf("queries %d and %d share canonical form %q", j, i, k)
 		}
 		seen[k] = i
+	}
+	for _, par := range []int{1, 4} {
+		if got, want := (Query{TopK: 10, Parallelism: par}).Canonical(), (Query{TopK: 10}).Canonical(); got != want {
+			t.Errorf("Parallelism %d: canonical form %q, want %q", par, got, want)
+		}
 	}
 	// The zero query resolves INJ→OBJ like the executor.
 	if (Query{}).Canonical() != (Query{Algorithm: OBJ}).Canonical() {

@@ -9,32 +9,26 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // The exact-count gate. A fixed-seed corpus is joined under six query
-// classes, forced OBJ and INJ, at Parallelism 1, over every way an index
+// classes, forced OBJ and INJ, over every way an index
 // reaches the executor — built in memory, reopened from the committed v2
 // files (testdata/counts_*.v2.rcjx, written by the last build whose writer
 // emitted v2: the verbatim pread path), from a packed v3 file through a tiny
 // LRU, from v3 loaded whole, and behind a live index with a delta and
 // tombstones on either side — and each run's result
 // count, candidates, node accesses, page faults, pruned subtrees, bound-killed
-// candidates and pair digest must equal testdata/join_counts.golden line for
-// line. Every row whose answer does not depend on traversal order (no TopK,
-// no Limit) is run again at Parallelism 2 and must repeat all of it but the
-// faults. The file was recorded at the commit before the storage read path and
+// candidates (always 0) and pair digest must equal testdata/join_counts.golden line for
+// line. The file was recorded at the commit before the storage read path and
 // the leaf walk were each folded into one place (ISSUE 20); the four rows it
 // was allowed to move, and the sixteen sealed window rows a window's derived
 // diameter bound moved later, are annotated there. `go test ./rcj -run
 // TestJoinCountsGolden -update` rewrites it from the current build ('#' lines
 // are not compared and not regenerated).
-
-// faultsCol matches a count row's faults column.
-var faultsCol = regexp.MustCompile(` faults=\d+`)
 
 var updateCounts = flag.Bool("update", false, "rewrite testdata/join_counts.golden from this build's joins")
 
@@ -200,7 +194,7 @@ func countsRow(t *testing.T, v string, open func(*testing.T) countsInputs, c str
 	}
 	pairs, st, err := in.eng.RunCollect(bg, q, p, qry)
 	if err != nil {
-		t.Fatalf("%s/%s/%v parallelism %d: %v", v, c, qry.Algorithm, qry.Parallelism, err)
+		t.Fatalf("%s/%s/%v: %v", v, c, qry.Algorithm, err)
 	}
 	return fmt.Sprintf("%s/%s/%v results=%d candidates=%d accesses=%d faults=%d pruned=%d killed=%d digest=%s",
 		v, c, qry.Algorithm, st.Results, st.Candidates, st.NodeAccesses, st.PageFaults,
@@ -213,23 +207,8 @@ func TestJoinCountsGolden(t *testing.T) {
 		for _, c := range countsClasses() {
 			for _, alg := range []Algorithm{OBJ, INJ} {
 				qry := c.qry
-				qry.Algorithm, qry.ForceAlgorithm, qry.Parallelism = alg, true, 1
-				seq := countsRow(t, v.name, v.open, c.name, c.self, qry)
-				fmt.Fprintln(&got, seq)
-				if qry.TopK > 0 || qry.Limit > 0 {
-					// A parallel top-k may break radius ties differently, and
-					// which pairs fill a Limit depends on which worker
-					// finishes first.
-					continue
-				}
-				// Two workers fed by the one outer walk read each outer leaf
-				// once, as the sequential run does: every count but faults
-				// (two workers interleave on a shared LRU) is the same.
-				qry.Parallelism = 2
-				par := countsRow(t, v.name, v.open, c.name, c.self, qry)
-				if par, seq := faultsCol.ReplaceAllString(par, ""), faultsCol.ReplaceAllString(seq, ""); par != seq {
-					t.Errorf("parallelism 2 diverges from 1:\n got %s\nwant %s", par, seq)
-				}
+				qry.Algorithm, qry.ForceAlgorithm = alg, true
+				fmt.Fprintln(&got, countsRow(t, v.name, v.open, c.name, c.self, qry))
 			}
 		}
 	}

@@ -26,9 +26,8 @@ import (
 //	}
 //
 // The iterator streams pairs as the join confirms them, on the goroutine
-// ranging over it: the traversal runs inline in the range statement (a
-// parallel join's workers hand their batches to it), so no pair waits in a
-// buffer, none is yielded once ctx is done, and cancelling ctx (or breaking
+// ranging over it: the traversal runs inline in the range statement, so no
+// pair waits in a buffer, none is yielded once ctx is done, and cancelling ctx (or breaking
 // out of the loop, or panicking in it) aborts the join promptly without
 // leaking goroutines. Engine methods are safe for concurrent use; indexes
 // are immutable after build and may be shared by any number of joins.
@@ -88,8 +87,7 @@ func (e *Engine) BufferShards() int { return e.pool.Shards() }
 // Collect drains a streaming join into a slice, stopping at the first
 // error. It is the bridge from the iterator form back to the slice-returning
 // form: for any query, Collect(eng.Run(...)) returns exactly the pairs
-// eng.RunCollect(...) does (in unspecified order when parallel, and without
-// SortByDiameter).
+// eng.RunCollect(...) does (without SortByDiameter).
 func Collect(seq iter.Seq2[Pair, error]) ([]Pair, error) {
 	var out []Pair
 	for pr, err := range seq {

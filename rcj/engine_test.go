@@ -73,7 +73,7 @@ func TestEngineConcurrentJoins(t *testing.T) {
 			defer wg.Done()
 			opts := Query{}
 			if i%3 == 1 {
-				opts.Parallelism = 4 // mix parallel joins into the load
+				opts = parQuery(4) // mix R-tree joins into the load
 			}
 			if i%2 == 0 {
 				results[i], _, errs[i] = eng.RunCollect(context.Background(), ixQ, ixP, opts)
@@ -102,9 +102,9 @@ func pointsOf(t *testing.T, ix *Index) []Point {
 	return pts
 }
 
-// parQuery is the unconstrained join on par workers: planned when par is 0
-// or 1, and forced onto OBJ above, since the planned join runs on the
-// sequential Gabriel path.
+// parQuery is the unconstrained join: planned (the Gabriel path) when par
+// is 0 or 1, and above it forced onto OBJ (the R-tree path) with the
+// deprecated Parallelism set to par, which must change nothing.
 func parQuery(par int) Query {
 	if par > 1 {
 		return Query{Algorithm: OBJ, Parallelism: par}
@@ -174,9 +174,9 @@ func waitForGoroutines(t *testing.T, base int) {
 }
 
 // TestEngineCancellation checks that a cancelled context aborts a streaming
-// join promptly — no pair is yielded once the context is done, sequential
-// (the planned join, on the Gabriel path) or parallel (OBJ on four
-// workers) — surfaces the context error, and leaks no goroutines.
+// join promptly — no pair is yielded once the context is done, on the
+// Gabriel path (the planned join) or the R-tree's (parQuery(4)) — surfaces
+// the context error, and leaks no goroutines.
 func TestEngineCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	eng := NewEngine(EngineConfig{})
@@ -220,8 +220,8 @@ func TestEngineCancellation(t *testing.T) {
 			if got != 5 {
 				t.Fatalf("%d pairs yielded after the context was cancelled", got-5)
 			}
-			if (dec.Algorithm == core.AlgGabriel) != (par == 0) {
-				t.Fatalf("planned %v: the sequential leg is the Gabriel path's", dec)
+			if (dec.Algorithm == core.AlgGabriel) != (par == 0) || dec.Parallelism != 1 {
+				t.Fatalf("planned %v: the par=0 leg is the Gabriel path's, and every join runs at par=1", dec)
 			}
 			waitForGoroutines(t, base)
 		})
@@ -229,7 +229,7 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 // TestEngineEarlyBreak abandons the iterator mid-stream (the k-results use
-// case) and checks a parallel run's workers are reaped.
+// case) and checks no goroutine is left behind.
 func TestEngineEarlyBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	eng := NewEngine(EngineConfig{})
@@ -259,8 +259,8 @@ func TestEngineEarlyBreak(t *testing.T) {
 }
 
 // TestEnginePanicPropagates checks that a panic in the consumer's loop body
-// leaves the range statement as that panic, sequential or parallel, and
-// that a parallel run's workers are stopped and joined on the way out.
+// leaves the range statement as that panic, on either path, and leaves no
+// goroutine behind.
 func TestEnginePanicPropagates(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	eng := NewEngine(EngineConfig{})
@@ -298,8 +298,9 @@ func TestEnginePanicPropagates(t *testing.T) {
 	}
 }
 
-// TestEngineSequentialInline checks that a sequential Engine.Run runs on the
-// goroutine ranging over it: no goroutine is running beside the loop body.
+// TestEngineSequentialInline checks that Engine.Run runs on the goroutine
+// ranging over it: no goroutine is running beside the loop body, on the
+// Gabriel path or the R-tree's, whatever the deprecated Parallelism says.
 func TestEngineSequentialInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	eng := NewEngine(EngineConfig{})
@@ -309,18 +310,20 @@ func TestEngineSequentialInline(t *testing.T) {
 	defer ixQ.Close()
 
 	base := runtime.NumGoroutine()
-	got := 0
-	for _, err := range eng.Run(bg, ixQ, ixP, Query{Parallelism: 1}) {
-		if err != nil {
-			t.Fatal(err)
+	for _, qry := range []Query{{Parallelism: 1}, parQuery(4)} {
+		got := 0
+		for _, err := range eng.Run(bg, ixQ, ixP, qry) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := runtime.NumGoroutine(); n != base {
+				t.Fatalf("Parallelism %d, pair %d: %d goroutines running, baseline %d", qry.Parallelism, got, n, base)
+			}
+			got++
 		}
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("pair %d: %d goroutines running, baseline %d", got, n, base)
+		if got == 0 {
+			t.Fatal("the join yields no pair")
 		}
-		got++
-	}
-	if got == 0 {
-		t.Fatal("the join yields no pair")
 	}
 }
 

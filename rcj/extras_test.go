@@ -114,6 +114,8 @@ func TestIndexStats(t *testing.T) {
 	}
 }
 
+// TestParallelJoinPublicAPI checks that the deprecated Query.Parallelism
+// changes no answer of the public API.
 func TestParallelJoinPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ixP := mustIndex(t, randomPoints(rng, 300), IndexConfig{})
@@ -127,7 +129,7 @@ func TestParallelJoinPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameKeys(keySet(seq), keySet(par)) {
-		t.Fatal("parallel public join disagrees with sequential")
+		t.Fatal("a join with Parallelism 4 set disagrees with the planned join")
 	}
 }
 

@@ -67,10 +67,9 @@ var l1GateForms = []struct {
 
 // TestL1Gate is the equivalence gate of the Manhattan join on the one
 // executor: Query{Metric: L1} × {two-set, self} × every input form × every
-// predicate class × Parallelism {1, 2}, collected and streamed, equals the
-// index-free oracle core.BruteForceL1Pairs post-filtered with Query.Matches
-// (plus the ranking head for TopK, subset-of for a bare Limit). Run under
-// -race it also covers the L1 stage on the parallel workers.
+// predicate class, collected and streamed, equals the index-free oracle
+// core.BruteForceL1Pairs post-filtered with Query.Matches (plus the ranking
+// head for TopK, subset-of for a bare Limit).
 func TestL1Gate(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	ps, qs := testPoints(rng, 200, 0), testPoints(rng, 170, 0)
@@ -124,48 +123,46 @@ func TestL1Gate(t *testing.T) {
 				if len(want) == 0 || selective == (len(want) == len(full)) {
 					t.Fatalf("%s self=%v %s: case selects %d of %d pairs", form.name, self, c.name, len(want), len(full))
 				}
-				for _, par := range []int{1, 2} {
-					label := fmt.Sprintf("%s self=%v %s par=%d", form.name, self, c.name, par)
-					qry := c.qry
-					qry.Metric, qry.Parallelism = L1, par
-					var st Stats
-					qry.Stats = &st
-					collected, _, err := eng.RunCollect(bg, q, p, qry)
-					streamed, serr := Collect(eng.Run(bg, q, p, qry))
-					if err != nil || serr != nil {
-						t.Fatalf("%s: collect %v, stream %v", label, err, serr)
-					}
-					if st.Results != int64(len(streamed)) || st.NodeAccesses == 0 {
-						t.Errorf("%s: stats %+v for %d pairs", label, st, len(streamed))
-					}
-					for how, got := range map[string][]Pair{"RunCollect": collected, "Collect(Run)": streamed} {
-						switch {
-						case qry.TopK > 0:
-							// A ranking: same pairs in the same order.
-							if len(got) != len(want) {
-								t.Fatalf("%s %s: %d pairs, want %d", label, how, len(got), len(want))
-							}
-							for i := range want {
-								if got[i] != want[i] {
-									t.Fatalf("%s %s: rank %d is %+v, want %+v", label, how, i, got[i], want[i])
-								}
-							}
-						case qry.Limit > 0:
-							if len(got) != qry.Limit {
-								t.Fatalf("%s %s: %d pairs, want %d", label, how, len(got), qry.Limit)
-							}
-							if all := keySet(full); len(keySet(got)) != len(got) {
-								t.Fatalf("%s %s: duplicate pairs", label, how)
-							} else {
-								for k := range keySet(got) {
-									if !all[k] {
-										t.Fatalf("%s %s: pair %v is not in the full join", label, how, k)
-									}
-								}
-							}
-						default:
-							samePairs(t, label+" "+how, want, got)
+				label := fmt.Sprintf("%s self=%v %s", form.name, self, c.name)
+				qry := c.qry
+				qry.Metric = L1
+				var st Stats
+				qry.Stats = &st
+				collected, _, err := eng.RunCollect(bg, q, p, qry)
+				streamed, serr := Collect(eng.Run(bg, q, p, qry))
+				if err != nil || serr != nil {
+					t.Fatalf("%s: collect %v, stream %v", label, err, serr)
+				}
+				if st.Results != int64(len(streamed)) || st.NodeAccesses == 0 {
+					t.Errorf("%s: stats %+v for %d pairs", label, st, len(streamed))
+				}
+				for how, got := range map[string][]Pair{"RunCollect": collected, "Collect(Run)": streamed} {
+					switch {
+					case qry.TopK > 0:
+						// A ranking: same pairs in the same order.
+						if len(got) != len(want) {
+							t.Fatalf("%s %s: %d pairs, want %d", label, how, len(got), len(want))
 						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s %s: rank %d is %+v, want %+v", label, how, i, got[i], want[i])
+							}
+						}
+					case qry.Limit > 0:
+						if len(got) != qry.Limit {
+							t.Fatalf("%s %s: %d pairs, want %d", label, how, len(got), qry.Limit)
+						}
+						if all := keySet(full); len(keySet(got)) != len(got) {
+							t.Fatalf("%s %s: duplicate pairs", label, how)
+						} else {
+							for k := range keySet(got) {
+								if !all[k] {
+									t.Fatalf("%s %s: pair %v is not in the full join", label, how, k)
+								}
+							}
+						}
+					default:
+						samePairs(t, label+" "+how, want, got)
 					}
 				}
 			}
@@ -178,7 +175,7 @@ func TestL1Gate(t *testing.T) {
 // combinations with no L1 meaning are refused.
 func TestL1KeysAndValidation(t *testing.T) {
 	for _, base := range []Query{
-		{}, {TopK: 5}, {MaxDiameter: 10, Region: &Rect{MaxX: 1, MaxY: 1}}, {Parallelism: 2, Limit: 3},
+		{}, {TopK: 5}, {MaxDiameter: 10, Region: &Rect{MaxX: 1, MaxY: 1}}, {Limit: 3},
 		// The algorithm an L1 query resolves to: only the metric differs.
 		{Algorithm: INJ, ForceAlgorithm: true},
 	} {
@@ -201,11 +198,11 @@ func TestL1KeysAndValidation(t *testing.T) {
 	// executor both re-validate a resolved query.
 	rng := rand.New(rand.NewSource(5))
 	ix := mustIndex(t, randomPoints(rng, 40), IndexConfig{})
-	resolved, dec := resolve(Query{Metric: L1, Parallelism: 2}, ix, ix)
+	resolved, dec := resolve(Query{Metric: L1}, ix, ix)
 	if err := resolved.Validate(); err != nil {
 		t.Errorf("resolved L1 query no longer validates: %v", err)
 	}
-	if dec.Rule != "fixed" || dec.Algorithm != INJ || dec.Parallelism != 2 || resolved.Metric != L1 {
+	if dec.Rule != "fixed" || dec.Algorithm != INJ || dec.Parallelism != 1 || resolved.Metric != L1 {
 		t.Errorf("L1 resolves to %+v (query %+v), want the fixed INJ echo", dec, resolved)
 	}
 }

@@ -214,7 +214,7 @@ func testConcurrentOpens(t *testing.T, pathP, pathQ string, wantLen int) {
 					defer wg.Done()
 					opts := Query{}
 					if w%2 == 1 {
-						opts.Parallelism = 2
+						opts.Algorithm = OBJ // mix R-tree joins into the load
 					}
 					pairs, _, err := eng.RunCollect(context.Background(), ixQ, ixP, opts)
 					errs[w], lens[w] = err, len(pairs)

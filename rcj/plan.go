@@ -12,33 +12,26 @@ import "repro/internal/plan"
 // PlanDecision is one resolved query plan (see internal/plan.Decision).
 type PlanDecision = plan.Decision
 
-// PlanObserved is the runtime feedback a serving stack can hand the planner
-// (see internal/plan.Observed).
-type PlanObserved = plan.Observed
-
-// Resolve is ResolveObserved with nothing observed; self is ignored, the
-// join shape being qx == px.
+// Resolve is ResolvePlan; self is ignored, the join shape being qx == px.
 //
 // Deprecated: kept only because the frozen benchmark names it
 // (perf/micro.go:160); it goes with the next benchmark PR.
 func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
-	return q.ResolveObserved(qx, px, PlanObserved{})
+	return q.ResolvePlan(qx, px)
 }
 
-// ResolveObserved resolves the query against the two join inputs (the same
-// index twice for a self-join) under the observed state obs — the zero
-// value, or a serving stack's signals (sched.Observe). When the query
-// pins its plan — ForceAlgorithm, an explicit non-zero Algorithm, or the L1
-// metric with its one index-nested-loop filter — the fixed plan is echoed
-// verbatim (rule "fixed"); otherwise the planner picks algorithm,
-// parallelism and predicate order from the inputs' metadata
-// (epoch-aware for mutable indexes: the live point count, not the sealed
-// superblock's). The returned query is marked ForceAlgorithm so Canonical()
+// ResolvePlan resolves the query against the two join inputs (the same
+// index twice for a self-join). When the query pins its plan —
+// ForceAlgorithm, an explicit non-zero Algorithm, or the L1 metric with its
+// one index-nested-loop filter — the fixed plan is echoed verbatim (rule
+// "fixed"); otherwise the planner picks algorithm and predicate order from
+// the inputs' metadata (epoch-aware for mutable indexes: the live point
+// count, not the sealed superblock's). The returned query is marked ForceAlgorithm so Canonical()
 // sees the concrete plan, and carries the decision: resolving
 // it again returns the same decision, whatever the arguments. PlanOut, when
 // set, receives the decision. An invalid query is returned as it came, for
 // the executor to refuse.
-func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDecision) {
+func (q Query) ResolvePlan(qx, px *Index) (Query, PlanDecision) {
 	if q.plan != nil {
 		return q, *q.plan
 	}
@@ -49,7 +42,7 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 	if q.ForceAlgorithm || q.Algorithm != INJ || q.Metric == L1 {
 		dec = PlanDecision{
 			Algorithm:   q.algorithm(),
-			Parallelism: max(q.Parallelism, 1),
+			Parallelism: 1,
 			Rule:        "fixed",
 			Epochs:      [2]uint64{qx.Epoch(), px.Epoch()},
 		}
@@ -60,18 +53,14 @@ func (q Query) ResolveObserved(qx, px *Index, obs PlanObserved) (Query, PlanDeci
 			TopK:        q.TopK,
 			Weighted:    q.Weight != nil,
 			Limit:       q.Limit,
-			Parallelism: q.Parallelism,
 			SelfJoin:    selfJoin(qx, px),
 		}
 		if q.Region != nil {
 			r := q.Region.geom()
 			req.Region = &r
 		}
-		dec = plan.Plan(req, qx.planMeta(), px.planMeta(), obs)
+		dec = plan.Plan(req, qx.planMeta(), px.planMeta())
 		q.Algorithm = dec.Algorithm
-		if q.Parallelism < 1 {
-			q.Parallelism = dec.Parallelism
-		}
 	}
 	q.ForceAlgorithm = true
 	q.plan = &dec

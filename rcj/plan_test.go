@@ -36,7 +36,7 @@ func plannerCases() []Query {
 
 // resolve resolves qry for the join (q, p) the way the executor does.
 func resolve(qry Query, q, p *Index) (Query, PlanDecision) {
-	return qry.ResolveObserved(q, p, PlanObserved{})
+	return qry.ResolvePlan(q, p)
 }
 
 // TestResolveFixedEcho pins the fixed path: a query that names its algorithm
@@ -56,12 +56,11 @@ func TestResolveFixedEcho(t *testing.T) {
 	if !resolved.ForceAlgorithm || resolved.Algorithm != OBJ {
 		t.Errorf("resolved = {alg:%v force:%v}, want forced OBJ", resolved.Algorithm, resolved.ForceAlgorithm)
 	}
-	if dec.Rule != "fixed" || dec.Algorithm != OBJ || dec.Parallelism != 3 {
-		t.Errorf("decision = %v, want fixed OBJ par=3", dec)
+	// Every join runs on one goroutine: the decision reports Parallelism 1,
+	// whatever the deprecated field says.
+	if dec.Rule != "fixed" || dec.Algorithm != OBJ || dec.Parallelism != 1 {
+		t.Errorf("decision = %v, want fixed OBJ par=1", dec)
 	}
-
-	// A forced query with no explicit Parallelism runs sequentially; the
-	// decision must report that effective value, not echo the zero.
 	if _, d := resolve(Query{Algorithm: OBJ}, ix, ix); d.Parallelism != 1 {
 		t.Errorf("forced OBJ with Parallelism 0: decision reports par=%d, want 1", d.Parallelism)
 	}
@@ -160,7 +159,7 @@ func TestRunFillsPlanOut(t *testing.T) {
 	if _, _, err := eng.RunCollect(ctx, ixQ, ixP, Query{TopK: 5, PlanOut: &dec}); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Rule == "" || dec.Parallelism < 1 {
+	if dec.Rule == "" || dec.Parallelism != 1 {
 		t.Errorf("RunCollect left PlanOut unfilled: %v", dec)
 	}
 
@@ -285,7 +284,6 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 					forced := base
 					forced.Algorithm = alg
 					forced.ForceAlgorithm = true
-					forced.Parallelism = 1
 					want, _, err := eng.RunCollect(ctx, ixQ, ixP, forced)
 					if err != nil {
 						t.Fatalf("mutable=%v self=%v case=%d %v: %v", mutable, self, ci, alg, err)

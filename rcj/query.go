@@ -32,8 +32,7 @@ func (r Rect) geom() geom.Rect {
 var ErrBadQuery = errors.New("rcj: invalid query")
 
 // Query is the composable ring-constrained join request: which algorithm to
-// run, how wide to fan out, and which subset of the result to return. The
-// zero value is the unconstrained join under OBJ, the paper's best
+// run and which subset of the result to return. The zero value is the unconstrained join under OBJ, the paper's best
 // algorithm.
 //
 // The predicates — MaxDiameter, MinDistance, Region, TopK, Limit — are
@@ -46,7 +45,7 @@ var ErrBadQuery = errors.New("rcj: invalid query")
 type Query struct {
 	// Algorithm picks the strategy. The zero value without ForceAlgorithm
 	// means "planner decides": the query resolves through the cost-based
-	// planner (ResolveObserved), which picks among the paper's algorithms
+	// planner (ResolvePlan), which picks among the paper's algorithms
 	// from the inputs' metadata and the calibrated cost model. Entry points
 	// that cannot consult a planner fall back to OBJ, the paper's dominant
 	// algorithm, so the zero value never silently runs INJ.
@@ -60,10 +59,11 @@ type Query struct {
 	// are then Manhattan ones. The L1 join has one filter strategy, so it
 	// takes no Algorithm.
 	Metric Metric
-	// Parallelism, when > 1, runs the join across that many goroutines, and
-	// when 0 lets the planner choose. The result set is identical; emission
-	// order is not deterministic (TopK output is always in ranking order
-	// regardless).
+	// Parallelism is ignored: every join runs on the goroutine that called
+	// the entry point.
+	//
+	// Deprecated: kept only because the frozen benchmark sets it
+	// (perf/embed.go:308); it goes with the next benchmark PR.
 	Parallelism int
 
 	// MaxDiameter, when > 0, keeps only pairs whose ring diameter is at
@@ -101,15 +101,15 @@ type Query struct {
 	// covering the heaviest point pairs. The output equals the head of
 	// RankPairsByWeight over the unconstrained result, and the k-th combined
 	// score becomes a dynamic traversal bound (pairs that cannot reach it
-	// are killed before verification). The function must be pure; it is
-	// called concurrently. Requires TopK > 0.
+	// are dropped by the filter). The function must be pure. Requires
+	// TopK > 0.
 	Weight func(Point) float64
 	// PlanOut, when non-nil, receives the resolved plan (the planner's
 	// decision, or the echoed fixed plan) when the query is first resolved —
 	// explicitly, or by the entry point that executes it.
 	PlanOut *PlanDecision
 
-	// plan is the decision the query resolved to, set by ResolveObserved and
+	// plan is the decision the query resolved to, set by ResolvePlan and
 	// carried with the query so one request is planned once: every later
 	// resolve — the scheduler's, the executor's — returns it unchanged, and
 	// the executor reads the planner's predicate order from it.
@@ -122,8 +122,6 @@ func (q Query) Validate() error {
 	// which would otherwise read as "unset" and silently run the
 	// unconstrained join, or prune the whole of it.
 	switch {
-	case q.Parallelism < 0:
-		return fmt.Errorf("%w: negative parallelism %d", ErrBadQuery, q.Parallelism)
 	case !(q.MaxDiameter >= 0):
 		return fmt.Errorf("%w: max diameter %g is not a non-negative number", ErrBadQuery, q.MaxDiameter)
 	case !(q.MinDistance >= 0):
@@ -179,7 +177,6 @@ func (q Query) coreOptions() core.Options {
 	co := core.Options{
 		Algorithm:   q.algorithm(),
 		Metric:      q.Metric,
-		Parallelism: q.Parallelism,
 		MaxDiameter: q.MaxDiameter,
 		MinDistance: q.MinDistance,
 		TopK:        q.TopK,
@@ -273,7 +270,7 @@ func prepare(q, p *Index, qry Query) (func(ctx context.Context, sink func(*core.
 	if err := qry.Validate(); err != nil {
 		return nil, err
 	}
-	qry, _ = qry.ResolveObserved(q, p, PlanObserved{})
+	qry, _ = qry.ResolvePlan(q, p)
 	return func(ctx context.Context, sink func(*core.Options)) ([]core.Pair, Stats, error) {
 		coreOpts := qry.coreOptions()
 		sink(&coreOpts)
@@ -309,8 +306,7 @@ func windowBound(q, p *Index, qry Query) float64 {
 
 // runStream is the streaming adapter: the traversal runs inline, on the
 // goroutine ranging over the iterator, and the executor's OnPair callback
-// yields each pair directly — parallel joins too, whose workers hand their
-// batches to that goroutine (core.Options.OnPair). Its contract:
+// yields each pair directly (core.Options.OnPair). Its contract:
 //
 //   - No pair is yielded once yield has returned false or the run's
 //     context is done; a cancellation that suppressed a pair ends the
@@ -318,9 +314,8 @@ func windowBound(q, p *Index, qry Query) float64 {
 //     node to read.
 //   - Cancelling parent, or breaking out of the range loop, cancels the
 //     context the traversal runs under; the executor notices and returns.
-//   - A sequential run starts no goroutine; a parallel run's workers are
-//     joined before the iterator returns, also when the loop body panics,
-//     so no goroutine outlives the range loop.
+//   - The run starts no goroutine, so none outlives the range loop, also
+//     when the loop body panics.
 //   - A non-nil error from the traversal is yielded as the final element
 //     (with a zero value), unless the consumer already broke out.
 func runStream(parent context.Context, q, p *Index, qry Query) iter.Seq2[Pair, error] {
@@ -434,11 +429,10 @@ func joinViews(q, p *Index, rec *buffer.TagStats, coreOpts *core.Options) (tq, t
 func statsFrom(st core.Stats, rec *buffer.TagStats) Stats {
 	r := rec.Stats()
 	return Stats{
-		Candidates:            st.Candidates,
-		Results:               st.Results,
-		NodesPruned:           st.NodesPruned,
-		BoundKilledCandidates: st.BoundKilledCandidates,
-		PageFaults:            r.Misses,
-		NodeAccesses:          r.Accesses,
+		Candidates:   st.Candidates,
+		Results:      st.Results,
+		NodesPruned:  st.NodesPruned,
+		PageFaults:   r.Misses,
+		NodeAccesses: r.Accesses,
 	}
 }

@@ -59,10 +59,8 @@ func queryCases() []Query {
 }
 
 // TestRunPushdownProperty is the randomized equivalence property: for any
-// predicate combination, any algorithm, self- or two-set join, sequential
-// or parallel, streaming Engine.Run returns exactly the post-filtered
-// unconstrained join. Run under -race in CI, it also exercises the shared
-// dynamic TopK bound across workers.
+// predicate combination, any algorithm, self- or two-set join, streaming
+// Engine.Run returns exactly the post-filtered unconstrained join.
 func TestRunPushdownProperty(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	rng := rand.New(rand.NewSource(123))
@@ -90,23 +88,20 @@ func TestRunPushdownProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range []Algorithm{INJ, OBJ} {
-			for _, par := range []int{1, 4} {
-				for ci, qry := range queryCases() {
-					qry.Algorithm = alg
-					qry.ForceAlgorithm = true
-					qry.Parallelism = par
-					var st Stats
-					qry.Stats = &st
-					got, err := Collect(eng.Run(ctx, ixQ, ixP, qry))
-					if err != nil {
-						t.Fatalf("%v self=%v par=%d case=%d: %v", alg, self, par, ci, err)
-					}
-					want := postFilterQuery(full, qry)
-					label := fmt.Sprintf("%v self=%v par=%d case=%d", alg, self, par, ci)
-					samePairs(t, label, sortedPairs(want), sortedPairs(got))
-					if st.Results != int64(len(got)) {
-						t.Errorf("%s: Stats.Results = %d, want %d", label, st.Results, len(got))
-					}
+			for ci, qry := range queryCases() {
+				qry.Algorithm = alg
+				qry.ForceAlgorithm = true
+				var st Stats
+				qry.Stats = &st
+				got, err := Collect(eng.Run(ctx, ixQ, ixP, qry))
+				if err != nil {
+					t.Fatalf("%v self=%v case=%d: %v", alg, self, ci, err)
+				}
+				want := postFilterQuery(full, qry)
+				label := fmt.Sprintf("%v self=%v case=%d", alg, self, ci)
+				samePairs(t, label, sortedPairs(want), sortedPairs(got))
+				if st.Results != int64(len(got)) {
+					t.Errorf("%s: Stats.Results = %d, want %d", label, st.Results, len(got))
 				}
 			}
 		}
@@ -129,26 +124,24 @@ func TestRunLimitSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullKeys := keySet(full)
-	for _, par := range []int{1, 3} {
-		for _, limit := range []int{1, 7, len(full) + 5} {
-			got, st, err := eng.RunCollect(ctx, ixQ, ixP, Query{Limit: limit, Parallelism: par})
-			if err != nil {
-				t.Fatalf("par=%d limit=%d: %v", par, limit, err)
-			}
-			want := limit
-			if len(full) < want {
-				want = len(full)
-			}
-			if len(got) != want {
-				t.Errorf("par=%d limit=%d: %d pairs, want %d", par, limit, len(got), want)
-			}
-			if st.Results != int64(len(got)) {
-				t.Errorf("par=%d limit=%d: Stats.Results = %d, want %d", par, limit, st.Results, len(got))
-			}
-			for _, p := range got {
-				if !fullKeys[[2]int64{p.P.ID, p.Q.ID}] {
-					t.Errorf("par=%d limit=%d: pair (%d,%d) not in unconstrained result", par, limit, p.P.ID, p.Q.ID)
-				}
+	for _, limit := range []int{1, 7, len(full) + 5} {
+		got, st, err := eng.RunCollect(ctx, ixQ, ixP, Query{Limit: limit})
+		if err != nil {
+			t.Fatalf("limit=%d: %v", limit, err)
+		}
+		want := limit
+		if len(full) < want {
+			want = len(full)
+		}
+		if len(got) != want {
+			t.Errorf("limit=%d: %d pairs, want %d", limit, len(got), want)
+		}
+		if st.Results != int64(len(got)) {
+			t.Errorf("limit=%d: Stats.Results = %d, want %d", limit, st.Results, len(got))
+		}
+		for _, p := range got {
+			if !fullKeys[[2]int64{p.P.ID, p.Q.ID}] {
+				t.Errorf("limit=%d: pair (%d,%d) not in unconstrained result", limit, p.P.ID, p.Q.ID)
 			}
 		}
 	}
@@ -325,7 +318,6 @@ func TestQueryValidate(t *testing.T) {
 		{Limit: -2},
 		{MaxDiameter: -0.5},
 		{MinDistance: -1},
-		{Parallelism: -3},
 		{Region: &Rect{MinX: 10, MaxX: 5, MinY: 0, MaxY: 1}},
 		// A NaN coordinate would otherwise silently prune everything.
 		{Region: &Rect{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}},

@@ -338,10 +338,12 @@ type Stats struct {
 	// without reading (0 for unconstrained joins) — how much work the
 	// pushdown saved versus computing the full join.
 	NodesPruned int64
-	// BoundKilledCandidates counts filtered candidates killed at the start
-	// of verification because a TopK run's dynamic diameter bound had
-	// tightened past them since they were filtered — verification work the
-	// branch-and-bound saved beyond filtering.
+	// BoundKilledCandidates is always 0: a join runs on one goroutine, so
+	// the bound never tightens between a batch's filter and its
+	// verification.
+	//
+	// Deprecated: kept only because the frozen benchmark reads it
+	// (perf/embed.go:344); it goes with the next benchmark PR.
 	BoundKilledCandidates int64
 }
 

@@ -15,16 +15,16 @@ import (
 
 // TestRegionBoundExact is the exactness gate of the window's derived
 // diameter bound (core.RegionDiameter, which the executor derives as its
-// MaxDiameter): on every degenerate input, two-set and self,
-// under OBJ, BIJ and INJ, sequential and parallel, ranked and unranked, a
-// window query must return exactly the post-filtered unconstrained join of
-// the same algorithm, and the bound itself must cover the widest pair the
-// window admits. The windows run from zero area, centred on result centres
-// (where the bound is tight: the centre's nearest point is an endpoint), and
-// 1e-9 of the data's extent, through 1-20 % of it, to 150 % of it and one
-// disjoint from the data. The unconstrained join of the same algorithm is
-// the reference, not BruteForcePairs, which disagrees with every algorithm
-// on `duplicates` (ROADMAP item 2).
+// MaxDiameter): on every degenerate input, two-set and self, under OBJ, BIJ
+// and INJ, ranked and unranked, a window query must return exactly the
+// post-filtered unconstrained join of the same algorithm, and the bound
+// itself must cover the widest pair the window admits. The windows run from
+// zero area, centred on result centres (where the bound is tight: the
+// centre's nearest point is an endpoint), and 1e-9 of the data's extent,
+// through 1-20 % of it, to 150 % of it and one disjoint from the data. The
+// unconstrained join of the same algorithm is the reference, not
+// BruteForcePairs, which disagrees with every algorithm on `duplicates`
+// (ROADMAP item 2).
 func TestRegionBoundExact(t *testing.T) {
 	const n = 160
 	eng := NewEngine(EngineConfig{PageSize: countsPageSize})
@@ -53,7 +53,7 @@ func TestRegionBoundExact(t *testing.T) {
 					qs = nil
 				}
 				for _, alg := range []Algorithm{OBJ, core.AlgBIJ, INJ} {
-					full, _, err := eng.RunCollect(bg, q, p, Query{Algorithm: alg, ForceAlgorithm: true, Parallelism: 1})
+					full, _, err := eng.RunCollect(bg, q, p, Query{Algorithm: alg, ForceAlgorithm: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -64,21 +64,19 @@ func TestRegionBoundExact(t *testing.T) {
 						} else if !math.IsInf(d, 1) {
 							bounded++
 						}
-						for _, par := range []int{1, 2} {
-							for _, k := range []int{0, 5} {
-								qry := Query{Algorithm: alg, ForceAlgorithm: true, Parallelism: par, TopK: k, Region: &w}
-								got, _, err := eng.RunCollect(bg, q, p, qry)
-								if err != nil {
-									t.Fatal(err)
-								}
-								runs++
-								label := fmt.Sprintf("%v window %d %+v par=%d k=%d", alg, wi, w, par, k)
-								if want := postFilterQuery(full, qry); k > 0 {
-									samePairOrder(t, label, want, got)
-								} else if pairDigest(got) != pairDigest(want) {
-									t.Fatalf("%s: %d pairs (digest %s), want %d (digest %s)",
-										label, len(got), pairDigest(got), len(want), pairDigest(want))
-								}
+						for _, k := range []int{0, 5} {
+							qry := Query{Algorithm: alg, ForceAlgorithm: true, TopK: k, Region: &w}
+							got, _, err := eng.RunCollect(bg, q, p, qry)
+							if err != nil {
+								t.Fatal(err)
+							}
+							runs++
+							label := fmt.Sprintf("%v window %d %+v k=%d", alg, wi, w, k)
+							if want := postFilterQuery(full, qry); k > 0 {
+								samePairOrder(t, label, want, got)
+							} else if pairDigest(got) != pairDigest(want) {
+								t.Fatalf("%s: %d pairs (digest %s), want %d (digest %s)",
+									label, len(got), pairDigest(got), len(want), pairDigest(want))
 							}
 						}
 					}
@@ -164,7 +162,7 @@ func TestRegionBoundScope(t *testing.T) {
 			}
 			for _, alg := range []Algorithm{OBJ, INJ} {
 				qry := c.qry
-				qry.Algorithm, qry.ForceAlgorithm, qry.Parallelism = alg, true, 1
+				qry.Algorithm, qry.ForceAlgorithm = alg, true
 				got = append(got, countsRow(t, v.name, v.open, c.name, c.self, qry))
 			}
 		}
