@@ -73,7 +73,7 @@ func main() {
 		self     = flag.Bool("self", false, "compute the self-join of P")
 		metric   = flag.String("metric", "l2", "distance metric: l2 (Euclidean) or l1 (Manhattan)")
 		sorted   = flag.Bool("sort", false, "sort output by ascending ring diameter (buffers all pairs)")
-		algStr   = flag.String("alg", "", "algorithm: auto, inj, obj, brute (default: auto — the cost-based planner decides)")
+		algStr   = flag.String("alg", "", "algorithm: auto, inj, obj, brute (default: auto — the cost-based planner decides; obj under -metric l1)")
 		bufPages = flag.Int("buffer", 0, "shared buffer pool size in pages (0 = unbounded)")
 		saveP    = flag.String("save-index-p", "", "after building P's index, save it to this file (skip the build next run by passing it as -p)")
 		saveQ    = flag.String("save-index-q", "", "after building Q's index, save it to this file")

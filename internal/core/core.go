@@ -138,11 +138,14 @@ const (
 type Options struct {
 	// Algorithm picks the evaluation strategy (default AlgINJ).
 	Algorithm Algorithm
-	// Metric picks the ring's distance (default MetricL2). MetricL1 swaps
-	// exactly two kernels — the filter's pruner (quadrants, one query point
-	// per batch whatever Algorithm says) and the ball verifier — and nothing
-	// else: pairs carry the L1 ball in Circle, so every predicate below
-	// reads the Manhattan diameter. AlgBrute is Euclidean only.
+	// Metric picks the ring's distance (default MetricL2). MetricL1 runs
+	// the same filter traversal and verifier under INJ, BIJ and OBJ alike,
+	// with three kernels swapped inside them — the filter's regions
+	// (quadrants), its exact pair distance (L1Dist) and the verifier's exact
+	// sign (L1DiscSign) — and nothing else: pairs carry the L1 ball in
+	// Circle, so every predicate below reads the Manhattan diameter.
+	// AlgBrute and AlgGabriel are Euclidean only: JoinContext refuses them
+	// under MetricL1.
 	Metric Metric
 	// SelfJoin declares that TP and TQ are the same tree over one dataset
 	// (the paper's postboxes scenario). Identity pairs are excluded and
@@ -305,7 +308,7 @@ type joiner struct {
 // otherwise be the dominant steady-state allocation — one per leaf point per
 // leaf), the current outer leaf's points (processLeaf), the candidate
 // batch's backing arrays (candidateBatch), the verifier's stack, the
-// confirmed pairs of the current batch, filterL1's quadrants, and
+// confirmed pairs of the current batch, and
 // runGabriel's scanned points and triangulation. Every user resets what it
 // takes, so a recycled scratch is only ever a head start on capacity.
 type scratch struct {
@@ -316,7 +319,6 @@ type scratch struct {
 	candBacking []candidate
 	cands       []*candidate
 	vstack      []*candidate       // verifyNode's per-entry candidate lists
-	l1Pruners   l1Pruners          // filterL1's quadrants
 	batch       []Pair             // confirmed pairs of the current batch, awaiting deliver
 	gabP, gabQ  []rtree.PointEntry // runGabriel's scanned inputs
 	gabOut      []gabrielPair      // and its sorted result

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -24,8 +25,10 @@ import (
 // leaf, so a batch — the unit that is filtered, verified and delivered
 // together — is a point or a leaf. Symmetric seeding: OBJ seeds the filter
 // with Lemma 5 (per query point, on its first probe), BIJ and INJ do not.
-// The Manhattan metric swaps two kernels (quadrant pruner, ball verifier;
-// l1.go) and always batches per point. AlgBrute is the filter-free baseline
+// The Manhattan metric adds no stage, only three kernels inside them: the
+// filter's regions (quadrants), its exact pair distance (L1Dist) and the
+// verifier's exact sign (L1DiscSign; l1.go); it seeds nothing, so an L1
+// OBJ batches as BIJ does. AlgBrute is the filter-free baseline
 // (brute.go) and AlgGabriel the R-tree-free unconstrained join (gabriel.go),
 // both on the same delivery. The whole pipeline is cancellable: the
 // context is checked once per leaf, per batch, and per node read, so a
@@ -37,6 +40,10 @@ func (j *joiner) execute(ctx context.Context) ([]Pair, Stats, error) {
 		ctx = context.Background()
 	}
 	j.ctx = ctx
+	if j.opts.Metric == MetricL1 && (j.opts.Algorithm == AlgBrute || j.opts.Algorithm == AlgGabriel) {
+		// Both build and decide Euclidean rings only.
+		return nil, j.stats, fmt.Errorf("core: %v is Euclidean only; an L1 join runs INJ, BIJ or OBJ", j.opts.Algorithm)
+	}
 	if j.opts.derivesRegionBound() {
 		// The window bounds its own diameter: it runs as a bounded window,
 		// which skips the window's far reflection, with the same pairs.
@@ -87,7 +94,7 @@ func (j *joiner) processLeaf(n *rtree.Node) error {
 	j.stats.OuterLeaves++
 	j.leafBuf = n.AppendPointsTo(j.leafBuf[:0])
 	points := j.leafBuf
-	if j.opts.Metric != MetricL1 && (j.opts.Algorithm == AlgBIJ || j.opts.Algorithm == AlgOBJ) {
+	if j.opts.Algorithm == AlgBIJ || j.opts.Algorithm == AlgOBJ {
 		return j.joinBatch(points)
 	}
 	for i := range points {
@@ -106,24 +113,14 @@ func (j *joiner) processLeaf(n *rtree.Node) error {
 // follows the batch's filter synchronously, so a run sees the buffer-access
 // interleaving of the paper's sequential formulation.
 func (j *joiner) joinBatch(points []rtree.PointEntry) error {
-	var (
-		queries []bulkQuery
-		err     error
-	)
-	ring := geom.EnclosingCircle
-	if j.opts.Metric == MetricL1 {
-		ring = l1Ring
-		queries, err = j.filterL1(points)
-	} else {
-		queries, err = j.bulkFilter(points, j.opts.Algorithm == AlgOBJ)
-	}
+	queries, err := j.bulkFilter(points, j.opts.Algorithm == AlgOBJ && j.opts.Metric != MetricL1)
 	if err != nil {
 		return err
 	}
 	if j.filtered != nil {
 		j.filtered(queries)
 	}
-	return j.verifyAndEmit(j.candidateBatch(queries, ring))
+	return j.verifyAndEmit(j.candidateBatch(queries))
 }
 
 // verifyAndEmit is the tail of the pipeline: one candidate batch is verified
@@ -157,19 +154,15 @@ func (j *joiner) verifyAndEmit(cands []*candidate) error {
 }
 
 // verifyBoth verifies a candidate batch against TQ and then, unless it is
-// the same tree, against TP, with the run's metric's verifier.
+// the same tree, against TP.
 func (j *joiner) verifyBoth(cands []*candidate) error {
-	verify := j.verify
-	if j.opts.Metric == MetricL1 {
-		verify = j.verifyL1
-	}
-	if err := verify(j.tq, cands, sideQ); err != nil {
+	if err := j.verify(j.tq, cands, sideQ); err != nil {
 		return err
 	}
 	if j.sameTree() {
 		return nil
 	}
-	return verify(j.tp, cands, sideP)
+	return j.verify(j.tp, cands, sideP)
 }
 
 // sameTree reports whether both join inputs are the identical tree, in which

@@ -15,7 +15,8 @@ import (
 // "the query prunes it"), so there is one traversal, bulkFilter: it retrieves
 // from TP the candidate points that may form RCJ pairs with the query
 // point(s), pruning with the Ψ− half-plane regions of Lemmas 1 and 3 (and,
-// for OBJ, Lemma 5). Per (point, query) pair the order of work is: the
+// for a Euclidean OBJ, Lemma 5), or under the Manhattan metric with the
+// quadrants of l1.go. Per (point, query) pair the order of work is: the
 // squared diameter bound, if any; then the query point's pruners, seeded
 // with its Lemma-5 siblings on its first probe; then the exact bound and
 // the query predicates.
@@ -183,12 +184,19 @@ func (h *filterHeap) pushChildren(n *rtree.Node, ref geom.Point, live liveSpan, 
 }
 
 // bulkQuery is the per-point state of the filter: the query point, its
-// accumulated pruning regions, and its candidate set q.S. seeded reports
-// whether the Lemma-5 sibling half-planes are in pruners yet (always true
-// without symmetric pruning).
+// accumulated pruning regions — half-planes in pruners, or under the
+// Manhattan metric quadrants in l1, the other set staying empty — and its
+// candidate set q.S. seeded reports whether the Lemma-5 sibling
+// half-planes are in pruners yet (always true without symmetric pruning,
+// so always under L1). bulkFilter picks the set at each probe and add from
+// one flag per run (l1), not through a type parameter, whose method calls
+// go through a dictionary, nor a helper method, which with its two calls is
+// over the inliner's budget: either would cost every Euclidean probe an
+// extra call.
 type bulkQuery struct {
 	q       rtree.PointEntry
 	pruners geom.PrunerSet
+	l1      l1Pruners
 	cands   []rtree.PointEntry
 	seeded  bool
 }
@@ -229,6 +237,7 @@ func (j *joiner) resetQueries(points []rtree.PointEntry, symmetric bool) []bulkQ
 	for i, q := range points {
 		queries[i].q = q
 		queries[i].pruners.Reset()
+		queries[i].l1 = queries[i].l1[:0]
 		queries[i].cands = queries[i].cands[:0]
 		queries[i].seeded = !symmetric
 	}
@@ -237,12 +246,15 @@ func (j *joiner) resetQueries(points []rtree.PointEntry, symmetric bool) []bulkQ
 
 // candidateBatch wraps one filter call's surviving points into verification
 // candidates with their enclosing rings — the one batch builder behind every
-// filter (INJ, BIJ, OBJ and the L1 stage; ring is the metric's two-point
-// ball). One backing array serves the whole batch instead of a heap
-// allocation per candidate pair; both it and the returned slice are joiner
-// scratch, valid until the next call (verifyAndEmit copies out the pairs it
-// delivers).
-func (j *joiner) candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) geom.Circle) []*candidate {
+// filter batch (INJ, BIJ, OBJ), under the run's metric's two-point ball.
+// One backing array serves the whole batch instead of a heap allocation per
+// candidate pair; both it and the returned slice are joiner scratch, valid
+// until the next call (verifyAndEmit copies out the pairs it delivers).
+func (j *joiner) candidateBatch(queries []bulkQuery) []*candidate {
+	ring := geom.EnclosingCircle
+	if j.opts.Metric == MetricL1 {
+		ring = l1Ring
+	}
 	total := 0
 	for i := range queries {
 		total += len(queries[i].cands)
@@ -317,6 +329,12 @@ func (j *joiner) candidateBatch(queries []bulkQuery, ring func(p, q geom.Point) 
 // point forms no pair with itself and its degenerate pruning region would
 // annihilate the search).
 //
+// Under the Manhattan metric the traversal is the same: keys, the stop
+// rule, the squared pre-test and rectDead stay Euclidean (sound for an L1
+// bound, since ‖v‖₂ ≤ ‖v‖₁; see l1.go), the regions are quadrants, and the
+// exact pair distance handed to the predicates is L1Dist. There is no
+// symmetric pruning (the caller passes symmetric false; l1.go says why).
+//
 // The returned slice is scratch owned by the joiner, valid until the next
 // filter call.
 func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bulkQuery, error) {
@@ -346,6 +364,7 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 		j.live = append(j.live, int32(qi))
 	}
 	constrained := j.opts.hasPredicates()
+	l1 := j.opts.Metric == MetricL1
 	h := &j.fheap
 	h.reset()
 	h.pushNode(0, j.tp.Root(), geom.EmptyRect(), liveSpan{0, int32(len(queries))})
@@ -389,7 +408,11 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 						continue
 					}
 				}
-				if bq.pruners.PrunesPoint(item.point.P) {
+				if l1 {
+					if bq.l1.prunesPoint(item.point.P) {
+						continue
+					}
+				} else if bq.pruners.PrunesPoint(item.point.P) {
 					continue
 				}
 				if !bq.seeded {
@@ -399,7 +422,12 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 					}
 				}
 				if constrained {
-					d := bq.q.P.Dist(item.point.P)
+					var d float64
+					if l1 {
+						d = bq.q.P.L1Dist(item.point.P)
+					} else {
+						d = bq.q.P.Dist(item.point.P)
+					}
 					if bounded && d > bound {
 						continue
 					}
@@ -411,7 +439,11 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 				}
 				// A point excluded by MinDistance/Region still prunes: the join
 				// predicate behind Ψ− is independent of the query predicates.
-				bq.pruners.Add(bq.q.P, geom.Point{X: px, Y: py})
+				if l1 {
+					bq.l1.add(bq.q.P, item.point.P)
+				} else {
+					bq.pruners.Add(bq.q.P, geom.Point{X: px, Y: py})
+				}
 			}
 			continue
 		}
@@ -440,10 +472,14 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 					continue
 				}
 				predicatesOnly = false
-				if prunedForAll {
-					if bq.pruners.PrunesRect(item.rect) {
+				if l1 {
+					if bq.l1.prunesRect(item.rect) {
 						continue
 					}
+				} else if bq.pruners.PrunesRect(item.rect) {
+					continue
+				}
+				if prunedForAll {
 					if !bq.seeded {
 						bq.seed(leafPoints)
 						if bq.pruners.PrunesRect(item.rect) {
@@ -454,8 +490,6 @@ func (j *joiner) bulkFilter(leafPoints []rtree.PointEntry, symmetric bool) ([]bu
 					if bounded {
 						break
 					}
-				} else if bq.pruners.PrunesRect(item.rect) {
-					continue
 				}
 				j.live = append(j.live, qi)
 			}

@@ -17,9 +17,14 @@ import (
 // set, mirroring admitPair/pairBefore exactly — the oracle the pushdown is
 // validated against.
 func postFilter(pairs []Pair, opts Options) []Pair {
+	return postFilterDist(pairs, opts, geom.Point.Dist)
+}
+
+// postFilterDist is postFilter with the diameter measured by dist.
+func postFilterDist(pairs []Pair, opts Options, dist func(a, b geom.Point) float64) []Pair {
 	var out []Pair
 	for _, p := range pairs {
-		d := p.P.P.Dist(p.Q.P)
+		d := dist(p.P.P, p.Q.P)
 		if opts.MaxDiameter > 0 && d > opts.MaxDiameter {
 			continue
 		}

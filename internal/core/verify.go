@@ -23,16 +23,22 @@ import (
 // dropped witnesses on a disc's extreme x or y. The match set is therefore
 // exactly what IntersectsRect admits.
 //
-// Every decision is geom.DiscSign on the pair's endpoints: a leaf point
-// kills a candidate when its sign is ≤ 0 (the closed disc), and a face
+// Every decision is the exact sign of the run's ring on the pair's
+// endpoints — geom.DiscSign, or geom.L1DiscSign under the Manhattan metric,
+// picked by one flag per run at each call (a wrapper would be over the
+// inliner's budget and cost every Euclidean decision a second call): a leaf
+// point kills a candidate when its sign is ≤ 0 (the closed ring), and a face
 // counts as inside when both its corners have sign < 0. The float tests in
 // front of them — the leaf kernel's compare and IntersectsRect — use the
 // candidate's outward geom.Band, so they only ever send a point or a
-// subtree on to the exact test. The face rule uses the *strict* interior: the
-// guaranteed point on a strictly-inside face is strictly inside the circle,
-// and the pair's endpoints and every exact copy of them have sign 0, so the
-// point is a witness whatever its id and the removal never needs the
-// exclusion check a descent would perform.
+// subtree on to the exact test. The band is Euclidean under both metrics:
+// an L1 ball lies inside the disc of the same centre and radius. The face
+// rule uses the *strict* interior: the guaranteed point on a
+// strictly-inside face is strictly inside the ring, and the pair's
+// endpoints and every exact copy of them have sign 0, so the point is a
+// witness whatever its id and the removal never needs the exclusion check
+// a descent would perform. An open L1 ball is convex, like a disc, so a
+// face whose two corners are strictly inside lies strictly inside.
 
 // candidate is one filtered pair undergoing verification. The excluded id is
 // side-dependent: P and Q have independent ID namespaces, so verification
@@ -41,7 +47,7 @@ import (
 type candidate struct {
 	pair Pair
 	// band is the ring's outward float test, set by verify for the
-	// Euclidean verifier's pass.
+	// verifier's pass.
 	band  geom.Band
 	alive bool
 }
@@ -106,6 +112,7 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 		// points are — so the id exclusions and the exact sign run only
 		// for points at or near the disc.
 		xs, ys, ids := n.Xs, n.Ys, n.IDs
+		l1 := j.opts.Metric == MetricL1
 		for _, c := range cands {
 			if !c.alive {
 				continue
@@ -119,7 +126,17 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 						break
 					}
 				}
-				if i < len(ids) && geom.DiscSign(c.pair.P.P, c.pair.Q.P, geom.Point{X: xs[i], Y: ys[i]}) <= 0 {
+				if i == len(ids) {
+					break
+				}
+				x := geom.Point{X: xs[i], Y: ys[i]}
+				var sign int
+				if l1 {
+					sign = geom.L1DiscSign(c.pair.P.P, c.pair.Q.P, x)
+				} else {
+					sign = geom.DiscSign(c.pair.P.P, c.pair.Q.P, x)
+				}
+				if sign <= 0 {
 					c.alive = false
 					break
 				}
@@ -138,7 +155,7 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 			if !c.alive || !c.band.IntersectsRect(e.MBR) {
 				continue
 			}
-			if !j.opts.DisableFaceRule && containsFaceStrict(&c.pair, e.MBR) {
+			if !j.opts.DisableFaceRule && containsFaceStrict(&c.pair, e.MBR, j.opts.Metric == MetricL1) {
 				c.alive = false
 				continue
 			}
@@ -157,13 +174,17 @@ func (j *joiner) verifyNode(t SpatialIndex, page storage.PageID, cands []*candid
 }
 
 // containsFaceStrict reports whether some face of r lies strictly inside
-// the pair's circle: both its corners have DiscSign < 0 (see the comment at
-// the top of the file).
-func containsFaceStrict(pr *Pair, r geom.Rect) bool {
+// the pair's ring, the L1 ball under l1: both its corners have a sign < 0
+// (see the comment at the top of the file).
+func containsFaceStrict(pr *Pair, r geom.Rect, l1 bool) bool {
 	corners := r.Corners()
 	in := [4]bool{}
 	for i, pt := range corners {
-		in[i] = geom.DiscSign(pr.P.P, pr.Q.P, pt) < 0
+		if l1 {
+			in[i] = geom.L1DiscSign(pr.P.P, pr.Q.P, pt) < 0
+		} else {
+			in[i] = geom.DiscSign(pr.P.P, pr.Q.P, pt) < 0
+		}
 	}
 	for i := 0; i < 4; i++ {
 		if in[i] && in[(i+1)%4] {

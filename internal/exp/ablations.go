@@ -34,6 +34,10 @@ type AblationRow struct {
 //     shortcut (Algorithm 3 case 4)
 //   - no buffer: the 1% buffer against none at all
 //   - build method: STR bulk load vs R* insertion (index construction)
+//   - split policy: R* split vs Guttman's linear split
+//   - L1 metric: INJ, BIJ and OBJ on Fig. 13's LP input under the
+//     Manhattan ring (Section 6), which run the Euclidean join's filter
+//     traversal and verifier with quadrant regions and L1 signs
 func Ablations(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.scaled(200_000)
@@ -171,6 +175,25 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			Variant: pol.name,
 			Cost:    res.Cost,
 			Counts:  map[string]int64{"faults": res.Cost.Faults, "pages": int64(tq.NumPages() + tp.NumPages())},
+		})
+	}
+
+	// L1 metric (Section 6): the three index algorithms on one Fig. 13 input
+	// pair under the Manhattan ring. An L1 join seeds nothing, so OBJ reads
+	// what BIJ reads; the rows are what an unforced L1 query's fixed
+	// algorithm (rcj.Query.ResolvePlan) is chosen by.
+	lp, _ := ComboByName("LP")
+	lpEnv, err := cfg.NewComboEnv(lp)
+	if err != nil {
+		return nil, err
+	}
+	for _, alg := range rcjAlgorithms {
+		res, err := lpEnv.Run(core.Options{Algorithm: alg, Metric: core.MetricL1})
+		if err != nil {
+			return nil, err
+		}
+		add("l1-metric", alg.String(), res, map[string]int64{
+			"candidates": res.Stats.Candidates, "results": res.Stats.Results, "verify_visits": res.Stats.VerifiedNodes,
 		})
 	}
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/core"
@@ -88,8 +89,19 @@ func TestAblationStudies(t *testing.T) {
 	if noBuf.Cost.Faults < withBuf.Cost.Faults {
 		t.Errorf("bufferless run faulted less: %d < %d", noBuf.Cost.Faults, withBuf.Cost.Faults)
 	}
+	// The L1 join returns one result set under every algorithm, and OBJ,
+	// which seeds nothing under L1, reads what BIJ reads.
+	l1 := byStudy["l1-metric"]
+	for _, alg := range []string{"INJ", "BIJ"} {
+		if l1[alg].Counts["results"] != l1["OBJ"].Counts["results"] {
+			t.Errorf("L1 %s: %d results, OBJ %d", alg, l1[alg].Counts["results"], l1["OBJ"].Counts["results"])
+		}
+	}
+	if !maps.Equal(l1["BIJ"].Counts, l1["OBJ"].Counts) {
+		t.Errorf("L1 OBJ counts %v, BIJ %v: an L1 join seeds nothing", l1["OBJ"].Counts, l1["BIJ"].Counts)
+	}
 	// All studies present.
-	for _, s := range []string{"search-order", "symmetric-pruning", "face-rule", "buffer", "build-method", "split-policy"} {
+	for _, s := range []string{"search-order", "symmetric-pruning", "face-rule", "buffer", "build-method", "split-policy", "l1-metric"} {
 		if len(byStudy[s]) < 2 {
 			t.Errorf("study %s has %d variants", s, len(byStudy[s]))
 		}

@@ -640,18 +640,18 @@ func typeSpec(files map[string]*ast.File, name string) ast.Expr {
 }
 
 // TestOneFilterTraversal is the guard on "one filter traversal, one
-// verifier, one way out of the executor": in internal/core exactly two
-// functions drive the filter heap — bulkFilter (Algorithm 7, and on a
+// verifier, one way out of the executor": in internal/core exactly one
+// function drives the filter heap — bulkFilter (Algorithm 7, and on a
 // one-point batch Algorithm 2: INJ, BIJ and OBJ are batch granularity and
-// Lemma-5 seeding on it) and filterL1 (the Manhattan pruner kernel) —
-// exactly two descend the verifier into a node's entries with
-// IntersectsRect — verifyNode (Algorithm 3, which VerifyPair runs on a
-// one-candidate batch) and anyInL1Ball (the Manhattan ball verifier) — no
-// function uses the float Circle.Covers (every ring is decided by
-// geom.DiscSign or geom.L1DiscSign), and the two result sinks of
+// Lemma-5 seeding on it, under either metric) — exactly one descends the
+// verifier into a node's entries with IntersectsRect — verifyNode
+// (Algorithm 3, which VerifyPair runs on a one-candidate batch, under
+// either metric) — no function uses the float Circle.Covers (every ring is
+// decided by geom.DiscSign or geom.L1DiscSign), and the two result sinks of
 // core.Options are each read in exactly one function, deliver. A second
-// traversal, a second Euclidean verifier, a float ring decision or a second
-// place that hands pairs to a caller has to be argued for here.
+// traversal, a second verifier (for a metric or anything else), a float
+// ring decision or a second place that hands pairs to a caller has to be
+// argued for here.
 func TestOneFilterTraversal(t *testing.T) {
 	users := map[string][]string{} // selector name -> functions mentioning it
 	for _, f := range parseNonTest(t, "internal/core") {
@@ -680,8 +680,8 @@ func TestOneFilterTraversal(t *testing.T) {
 		}
 	}
 	for name, want := range map[string][]string{
-		"pop":            {"joiner.bulkFilter", "joiner.filterL1"},
-		"IntersectsRect": {"joiner.anyInL1Ball", "joiner.verifyNode"},
+		"pop":            {"joiner.bulkFilter"},
+		"IntersectsRect": {"joiner.verifyNode"},
 		"Covers":         {},
 		"Collect":        {"joiner.deliver"},
 		"OnPair":         {"joiner.deliver"},

@@ -4,7 +4,10 @@
 // for mutable ones), it picks the algorithm (Gabriel/INJ/OBJ/brute) and
 // pair-predicate evaluation order from an estimate of the node accesses each strategy
 // needs. It carries only what changes a decision: nothing is priced in
-// time until a rule reads a price (ROADMAP item 6).
+// time until a rule reads a price (ROADMAP item 6). It plans Euclidean
+// joins only; a Manhattan (L1) join runs the same executor — one filter
+// traversal, one verifier, INJ/BIJ/OBJ batching — on a fixed plan, OBJ
+// unless the query forces another.
 //
 // The planner is equivalency-gated, mirroring janus-datalog's phase
 // reordering: a plan choice may change the cost of a query, never its
@@ -139,8 +142,9 @@ const (
 
 // Plan resolves one query. outer is the Q input (the side whose leaves
 // drive the join), inner is P; for a self-join pass the same meta twice
-// and set req.SelfJoin. Only Euclidean joins are planned: an L1 query has
-// one filter strategy and pins its plan (rcj.Query.ResolvePlan).
+// and set req.SelfJoin. Only Euclidean joins are planned: an L1 query runs
+// the same INJ/BIJ/OBJ batching but has no cost model or Gabriel path here,
+// so it pins its plan, OBJ unless forced (rcj.Query.ResolvePlan).
 func Plan(req Request, outer, inner IndexMeta) Decision {
 	d := Decision{
 		Parallelism:    1,

@@ -15,10 +15,11 @@ import (
 // window on G20k x U20k (which derives its own diameter bound), a G4k x U4k
 // full join forced onto OBJ (the R-tree path), and the same join planned
 // (the Gabriel path, whose scans, triangulation and sort keys are pooled
-// too); and an L1 join of U4k x G4k, whose filter runs once per query
-// point. They measure 41, 17, 18 and 17 objects per join (530 and
-// 1 433 before the scratch was pooled; the L1 join 24 636 before its
-// one-point batch and quadrant set were), and the bounds leave room for a
+// too); and an L1 join of U4k x G4k, on OBJ like the Euclidean one (its
+// quadrant sets are recycled with the pruner sets). They measure 41, 17,
+// 18 and 17 objects per join (530 and 1 433 before the scratch was pooled;
+// the L1 join 24 636 before its one-point batch and quadrant set were),
+// and the bounds leave room for a
 // garbage collection emptying the pool mid-measurement. Under -race
 // sync.Pool drops items at random, so the runs execute but the counts are
 // not checked.
@@ -54,7 +55,7 @@ func TestWarmAllocs(t *testing.T) {
 		{"window", u20, g20, Query{Region: window}, 100, 20},
 		{"full-obj", u4, g4, Query{Algorithm: OBJ}, 100, 20},
 		{"full-gabriel", u4, g4, Query{}, 100, 20},
-		{"l1-full", u4, g4, Query{Metric: L1}, 150, 1}, // 0.8 s a join
+		{"l1-full", u4, g4, Query{Metric: L1}, 150, 1}, // 0.3 s a join
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			drain := func() {

@@ -171,13 +171,14 @@ func TestL1Gate(t *testing.T) {
 }
 
 // TestL1KeysAndValidation closes the hazard of putting two metrics on one
-// path: an L1 query never shares a cache key with its L2 twin, and the
-// combinations with no L1 meaning are refused.
+// path: an L1 query never shares a cache key with its L2 twin, INJ and OBJ
+// are each accepted under L1 with a key of their own, the combination
+// with no L1 meaning (Brute, a Euclidean baseline) is refused, and an
+// unforced L1 query resolves to the fixed OBJ echo.
 func TestL1KeysAndValidation(t *testing.T) {
 	for _, base := range []Query{
 		{}, {TopK: 5}, {MaxDiameter: 10, Region: &Rect{MaxX: 1, MaxY: 1}}, {Limit: 3},
-		// The algorithm an L1 query resolves to: only the metric differs.
-		{Algorithm: INJ, ForceAlgorithm: true},
+		{Algorithm: INJ, ForceAlgorithm: true}, {Algorithm: OBJ},
 	} {
 		l1 := base
 		l1.Metric = L1
@@ -185,8 +186,18 @@ func TestL1KeysAndValidation(t *testing.T) {
 			t.Errorf("%+v: L1 and L2 share the key %q", base, l1.Canonical())
 		}
 	}
+	keys := map[string]Algorithm{}
+	for _, alg := range []Algorithm{INJ, OBJ} {
+		q := Query{Metric: L1, Algorithm: alg, ForceAlgorithm: true}
+		if err := q.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", q, err)
+		}
+		if prev, dup := keys[q.Canonical()]; dup {
+			t.Errorf("L1 %v and %v share the key %q", alg, prev, q.Canonical())
+		}
+		keys[q.Canonical()] = alg
+	}
 	for _, bad := range []Query{
-		{Metric: L1, Algorithm: OBJ, ForceAlgorithm: true},
 		{Metric: L1, Algorithm: Brute, ForceAlgorithm: true},
 		{Metric: L1 + 1},
 	} {
@@ -202,7 +213,10 @@ func TestL1KeysAndValidation(t *testing.T) {
 	if err := resolved.Validate(); err != nil {
 		t.Errorf("resolved L1 query no longer validates: %v", err)
 	}
-	if dec.Rule != "fixed" || dec.Algorithm != INJ || dec.Parallelism != 1 || resolved.Metric != L1 {
-		t.Errorf("L1 resolves to %+v (query %+v), want the fixed INJ echo", dec, resolved)
+	if dec.Rule != "fixed" || dec.Algorithm != OBJ || dec.Parallelism != 1 || resolved.Metric != L1 {
+		t.Errorf("L1 resolves to %+v (query %+v), want the fixed OBJ echo", dec, resolved)
+	}
+	if want := (Query{Metric: L1, Algorithm: OBJ, ForceAlgorithm: true}).Canonical(); resolved.Canonical() != want {
+		t.Errorf("resolved unforced L1 key %q, want forced OBJ's %q", resolved.Canonical(), want)
 	}
 }

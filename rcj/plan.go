@@ -22,9 +22,11 @@ func (q Query) Resolve(qx, px *Index, self bool) (Query, PlanDecision) {
 
 // ResolvePlan resolves the query against the two join inputs (the same
 // index twice for a self-join). When the query pins its plan —
-// ForceAlgorithm, an explicit non-zero Algorithm, or the L1 metric with its
-// one index-nested-loop filter — the fixed plan is echoed verbatim (rule
-// "fixed"); otherwise the planner picks algorithm and predicate order from
+// ForceAlgorithm, an explicit non-zero Algorithm, or the L1 metric, which
+// the planner does not price (unforced, it runs OBJ, which under L1 batches
+// a leaf unseeded: on BENCH_paper.json's L1 rows it reads 4 336 nodes
+// against INJ's 85 577) — the fixed plan is echoed
+// verbatim (rule "fixed"); otherwise the planner picks algorithm and predicate order from
 // the inputs' metadata (epoch-aware for mutable indexes: the live point
 // count, not the sealed superblock's). The returned query is marked ForceAlgorithm so Canonical()
 // sees the concrete plan, and carries the decision: resolving
@@ -60,8 +62,8 @@ func (q Query) ResolvePlan(qx, px *Index) (Query, PlanDecision) {
 			req.Region = &r
 		}
 		dec = plan.Plan(req, qx.planMeta(), px.planMeta())
-		q.Algorithm = dec.Algorithm
 	}
+	q.Algorithm = dec.Algorithm
 	q.ForceAlgorithm = true
 	q.plan = &dec
 	if q.PlanOut != nil {

@@ -70,6 +70,17 @@ func TestResolveFixedEcho(t *testing.T) {
 		t.Errorf("forced INJ: decision = %v, want fixed INJ", d)
 	}
 
+	// An L1 query is never planned: a forced index algorithm is echoed,
+	// and an unforced one runs OBJ under rule "fixed".
+	for _, alg := range []Algorithm{INJ, OBJ} {
+		if _, d := resolve(Query{Metric: L1, Algorithm: alg, ForceAlgorithm: true}, ix, ix); d.Rule != "fixed" || d.Algorithm != alg {
+			t.Errorf("forced L1 %v: decision = %v, want fixed %v", alg, d, alg)
+		}
+	}
+	if _, d := resolve(Query{Metric: L1}, ix, ix); d.Rule != "fixed" || d.Algorithm != OBJ {
+		t.Errorf("unforced L1: decision = %v, want fixed OBJ", d)
+	}
+
 	// Idempotence: resolving a resolved query changes nothing.
 	again, dec2 := resolve(resolved, ix, ix)
 	if again.Algorithm != resolved.Algorithm || !again.ForceAlgorithm || !reflect.DeepEqual(dec2, dec) {

@@ -56,8 +56,10 @@ type Query struct {
 	// Metric picks the distance the ring is measured in: L2 (the zero
 	// value, the paper's Euclidean circle) or L1 (the Manhattan diamond).
 	// Every other field means the same under both — diameters and distances
-	// are then Manhattan ones. The L1 join has one filter strategy, so it
-	// takes no Algorithm.
+	// are then Manhattan ones. Both metrics run the one filter traversal and
+	// the one verifier, so INJ and OBJ batch an L1 join as they batch an L2
+	// one; Brute is Euclidean only. The planner does not price L1: an L1
+	// query without a forced Algorithm runs OBJ.
 	Metric Metric
 	// Parallelism is ignored: every join runs on the goroutine that called
 	// the entry point.
@@ -132,10 +134,10 @@ func (q Query) Validate() error {
 		return fmt.Errorf("%w: negative limit %d", ErrBadQuery, q.Limit)
 	case q.Metric > L1:
 		return fmt.Errorf("%w: unknown metric %d", ErrBadQuery, q.Metric)
-	case q.Metric == L1 && q.Algorithm != INJ:
-		// There is one L1 filter (an index nested loop), and the brute-force
-		// baseline is Euclidean.
-		return fmt.Errorf("%w: the L1 join takes no Algorithm (got %s)", ErrBadQuery, q.Algorithm)
+	case q.Metric == L1 && q.Algorithm > OBJ:
+		// The brute-force baseline (and the planner's Gabriel path) are
+		// Euclidean.
+		return fmt.Errorf("%w: %s is Euclidean only", ErrBadQuery, q.Algorithm)
 	}
 	if r := q.Region; r != nil && !(r.MinX <= r.MaxX && r.MinY <= r.MaxY) {
 		return fmt.Errorf("%w: empty region window %+v", ErrBadQuery, *r)
@@ -165,7 +167,7 @@ func (q Query) Matches(p Pair) bool {
 }
 
 func (q Query) algorithm() Algorithm {
-	if !q.ForceAlgorithm && q.Algorithm == INJ && q.Metric == L2 {
+	if !q.ForceAlgorithm && q.Algorithm == INJ {
 		return OBJ
 	}
 	return q.Algorithm

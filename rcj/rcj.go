@@ -105,12 +105,13 @@ func (p Pair) Diameter() float64 { return 2 * p.Radius }
 type Algorithm = core.Algorithm
 
 // The paper's algorithms a query may force, from baseline to most optimized
-// (BIJ, the middle one, lives on in internal/core for the Fig. 13 study only:
-// OBJ dominates it everywhere). OBJ wins in all of the paper's experiments
-// and is the default. The planner also runs an unconstrained join of sealed
-// indexes on one exact Delaunay triangulation of both inputs, read once
-// (core.AlgGabriel, rule unbounded-gabriel), which has no constant here:
-// the planner takes it wherever it applies.
+// (BIJ, the middle one, lives on in internal/core for the Fig. 13 and L1
+// studies only: OBJ dominates or equals it everywhere). OBJ wins in all of
+// the paper's experiments and is the default. Brute is Euclidean only. The
+// planner also runs an unconstrained join of sealed indexes on one exact
+// Delaunay triangulation of both inputs, read once (core.AlgGabriel, rule
+// unbounded-gabriel), which has no constant here: the planner takes it
+// wherever it applies.
 const (
 	INJ   = core.AlgINJ
 	OBJ   = core.AlgOBJ

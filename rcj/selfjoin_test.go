@@ -14,7 +14,7 @@ import (
 // it. For three sizes — each steering the planner to a different rule; the
 // largest is 600 points, not more, because the cubic oracle runs under -race
 // in CI — × {planner, every algorithm a caller can force} under L2 and the
-// planner under L1 (which takes no Algorithm) × {immutable, live}: Run and
+// unforced query under L1 (its fixed OBJ) × {immutable, live}: Run and
 // RunCollect over (ix, ix) and the deprecated RunSelf forwards all equal the
 // index-free self-join oracle, every pair is canonical (P.ID < Q.ID), and
 // VerifyPair(ix, ix, P, Q) agrees with each Euclidean pair. Before self-ness
