@@ -300,6 +300,11 @@ type joiner struct {
 	// verification (the pruner sets are recycled by the next batch). Tests
 	// count half-planes through it; a run never sets it.
 	filtered func([]bulkQuery)
+	// shortRound, when set, observes each of shortTopK's rounds: its
+	// radius, whether Short answered, and whether that answer ended the
+	// run. Tests read the ranked path's exits through it; a run never sets
+	// it.
+	shortRound func(r float64, ok, done bool)
 }
 
 // scratch is a joiner's working memory, reused across batches and, through

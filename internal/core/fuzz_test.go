@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -14,7 +15,8 @@ import (
 // pointsets and cross-checks the result against the brute-force oracle —
 // the fuzzing analogue of the randomized equivalence tests, aimed at the
 // degenerate coordinate patterns fuzzers are good at finding (duplicates,
-// collinearity, extreme proximity).
+// collinearity, extreme proximity). A TopK leg holds the ranked Gabriel
+// path to the oracle's ranking on the same inputs.
 func FuzzJoinMatchesOracle(f *testing.F) {
 	f.Add(float64(1), float64(2), float64(3), float64(4), float64(5), float64(6), uint8(3), uint8(2))
 	f.Add(float64(0), float64(0), float64(0), float64(0), float64(0), float64(0), uint8(4), uint8(4))
@@ -66,6 +68,18 @@ func FuzzJoinMatchesOracle(f *testing.F) {
 				if !wantSet[[2]int64{gp.P.ID, gp.Q.ID}] {
 					t.Fatalf("%v: extra pair <%d,%d>", alg, gp.P.ID, gp.Q.ID)
 				}
+			}
+		}
+		// The ranked Gabriel path (short edges, else the triangulation)
+		// returns the head of the oracle's ranking, in order.
+		for _, k := range []int{1, 3, len(want) + 1} {
+			opts := Options{Algorithm: AlgGabriel, TopK: k, Collect: true}
+			got, _, err := Join(tq, tp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := rankedKeys(got), rankedKeys(postFilter(want, opts)); !slices.Equal(g, w) {
+				t.Fatalf("Gabriel top-%d: %v, oracle %v (P=%v Q=%v)", k, g, w, ps, qs)
 			}
 		}
 	})

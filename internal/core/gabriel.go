@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -17,10 +18,11 @@ import (
 // one exact Delaunay triangulation, and two geom.DiscSign tests per edge.
 // Pairs leave sorted by (P id, Q id), a self-join's in keepSelfPair's
 // orientation, in batches of gabrielBatch; the query predicates select
-// from them as post-filters (admitPair, and emit's TopK and Limit), which
-// the planner never asks of this path. An input too wide for the
-// triangulation's super triangle (GabrielFits, which the planner checks
-// first) runs on the R-tree as OBJ after the scan.
+// from them as post-filters (admitPair, and emit's TopK and Limit). An
+// unweighted TopK run is answered from the short Gabriel edges first
+// (shortTopK), with no triangulation unless they do not suffice. An input
+// too wide for the triangulation's super triangle (GabrielFits, which the
+// planner checks first) runs on the R-tree as OBJ after the scan.
 func (j *joiner) runGabriel() error {
 	var err error
 	if j.gabP, err = scanInto(j.tp, j.gabP[:0]); err != nil {
@@ -33,6 +35,11 @@ func (j *joiner) runGabriel() error {
 		}
 		qs = j.gabQ
 	}
+	if j.topk != nil && j.topk.weight == nil {
+		if done, err := j.shortTopK(ps, qs); done || err != nil {
+			return err
+		}
+	}
 	pairs, cands, err := j.gabrielPairs(ps, qs, j.ctxErr)
 	if errors.Is(err, delaunay.ErrRange) {
 		j.opts.Algorithm = AlgOBJ
@@ -41,7 +48,7 @@ func (j *joiner) runGabriel() error {
 	if err != nil {
 		return err
 	}
-	j.stats.Candidates = cands
+	j.stats.Candidates += cands
 	for k, pr := range pairs {
 		if k%gabrielBatch == 0 {
 			j.deliver()
@@ -56,6 +63,74 @@ func (j *joiner) runGabriel() error {
 	}
 	j.deliver()
 	return nil
+}
+
+// shortTopK answers an unweighted TopK run from the short Gabriel edges
+// (delaunay.Mesh.Short): from rankStart's radius it doubles r until at
+// least k admitted pairs have Dist ≤ r, then offers them to the top-k
+// heap, which ranks them as every path does. Every pair it leaves out is
+// longer than r, so its Radius (Dist/2, exact from r ≥ 2⁻¹⁰²⁰ on) is
+// above theirs and it ranks after all k. A static MaxDiameter caps r: at r
+// = MaxDiameter every admitted pair is found, however few. It reports
+// false, having offered nothing, when Short gives up (clustered or
+// coincident-heavy input) or r reaches the inputs' diagonal; the caller
+// then triangulates.
+func (j *joiner) shortTopK(ps, qs []rtree.PointEntry) (bool, error) {
+	k := j.topk.h.k
+	r, diag := rankStart(ps, qs, j.opts.SelfJoin, k)
+	for ; r < diag; r *= 2 {
+		capped := j.opts.MaxDiameter > 0 && r >= j.opts.MaxDiameter
+		if capped {
+			r = j.opts.MaxDiameter
+		}
+		pairs, cands, ok, err := j.mesh.Short(ps, qs, j.opts.SelfJoin, r, j.ctxErr)
+		j.stats.Candidates += cands
+		kept := j.gabOut[:0]
+		for _, pr := range pairs {
+			if g, keep := j.orient(ps, qs, pr); keep && j.admitPair(qs[g.q], ps[g.p]) {
+				kept = append(kept, g)
+			}
+		}
+		j.gabOut = kept
+		done := ok && (len(kept) >= k || capped)
+		if j.shortRound != nil {
+			j.shortRound(r, ok, done)
+		}
+		if err != nil || !ok {
+			return false, err
+		}
+		if done {
+			for _, g := range kept {
+				p, q := ps[g.p], qs[g.q]
+				j.emit(Pair{P: p, Q: q, Circle: geom.EnclosingCircle(p.P, q.P)})
+			}
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// rankStart returns shortTopK's first radius and the diagonal of the
+// inputs' bounding box. The radius is 2√(k·area/(π·|P|·|Q|)), within which
+// |P|·|Q| points spread uniformly over the box hold about 4k pairs
+// (2k·width/(|P|·|Q|) on a line), and at least 2⁻³⁰ of the diagonal, so
+// that few doublings reach it, and 2⁻¹⁰²⁰, above which halving a distance
+// is exact.
+func rankStart(ps, qs []rtree.PointEntry, self bool, k int) (r, diag float64) {
+	nq := len(qs)
+	if self {
+		qs, nq = nil, len(ps)
+	}
+	minX, minY, maxX, maxY := delaunay.Bounds(ps, qs)
+	w, h := maxX-minX, maxY-minY
+	pairs := float64(len(ps)) * float64(nq)
+	diag = math.Hypot(w, h)
+	if area := w * h; area > 0 {
+		r = 2 * math.Sqrt(float64(k)*area/(math.Pi*pairs))
+	} else {
+		r = 2 * float64(k) * diag / pairs
+	}
+	return math.Max(r, math.Max(diag*0x1p-30, 0x1p-1020)), diag
 }
 
 // gabrielBatch is the number of pairs runGabriel delivers at a time.
@@ -78,12 +153,8 @@ func (j *joiner) gabrielPairs(ps, qs []rtree.PointEntry, stop func() error) ([]g
 	}
 	out := slices.Grow(j.gabOut[:0], len(pairs))
 	for _, pr := range pairs {
-		p, q := ps[pr.P], qs[pr.Q]
-		switch {
-		case !j.opts.SelfJoin || j.keepSelfPair(p, q):
-			out = append(out, gabrielPair{p.ID, q.ID, pr.P, pr.Q})
-		case j.keepSelfPair(q, p):
-			out = append(out, gabrielPair{q.ID, p.ID, pr.Q, pr.P})
+		if g, keep := j.orient(ps, qs, pr); keep {
+			out = append(out, g)
 		}
 	}
 	slices.SortFunc(out, func(a, b gabrielPair) int {
@@ -94,6 +165,19 @@ func (j *joiner) gabrielPairs(ps, qs []rtree.PointEntry, stop func() error) ([]g
 	})
 	j.gabOut = out
 	return out, cands, nil
+}
+
+// orient keys one pair of the mesh's result: a self-join's in
+// keepSelfPair's orientation, or false when it keeps neither.
+func (j *joiner) orient(ps, qs []rtree.PointEntry, pr delaunay.Pair) (gabrielPair, bool) {
+	p, q := ps[pr.P], qs[pr.Q]
+	switch {
+	case !j.opts.SelfJoin || j.keepSelfPair(p, q):
+		return gabrielPair{p.ID, q.ID, pr.P, pr.Q}, true
+	case j.keepSelfPair(q, p):
+		return gabrielPair{q.ID, p.ID, pr.Q, pr.P}, true
+	}
+	return gabrielPair{}, false
 }
 
 // GabrielFits reports whether the Gabriel path can triangulate points whose
@@ -107,7 +191,9 @@ func GabrielFits(r geom.Rect) bool { return delaunay.Fits(r) }
 // or ~2 of a self-join (8 B in the mesh, 24 B sorted), with append slack.
 // TestGabrielFootprint holds it to what a join's scratch keeps at its end,
 // when every buffer is live: 146 B a point for a uniform two-set join, 179
-// for a self-join.
+// for a self-join. A ranked join answered by the short edges holds the
+// scanned points and Short's grid, 57 B a point; one that falls back
+// holds the triangulation alone (Gabriel drops the grid).
 const GabrielPointBytes = 200
 
 // gabrielKeepBytes is the most Gabriel scratch a pooled scratch keeps

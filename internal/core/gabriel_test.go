@@ -158,9 +158,10 @@ func TestGabrielTooWide(t *testing.T) {
 
 // TestGabrielFootprint measures what runGabriel's scratch holds per
 // triangulated point against GabrielPointBytes, the figure the planner's
-// memory cap divides by, and checks that a triangulation above
-// gabrielKeepBytes is dropped before its scratch is pooled while a small
-// one is kept.
+// memory cap divides by, unranked and ranked (on the short edges, and
+// falling back to the triangulation on clustered input), and checks that
+// scratch above gabrielKeepBytes is dropped before it is pooled while a
+// small one is kept.
 func TestGabrielFootprint(t *testing.T) {
 	n := 1 << 15
 	if raceEnabled {
@@ -170,17 +171,22 @@ func TestGabrielFootprint(t *testing.T) {
 	tp := buildTree(t, workload.Uniform(n, 1), pool, 1, true)
 	tq := buildTree(t, workload.Uniform(n, 2), pool, 2, true)
 	small := buildTree(t, workload.Uniform(500, 3), pool, 3, true)
+	clusters := buildTree(t, workload.TwoDistantClusters(n, 50, 4), pool, 4, true)
 	for _, c := range []struct {
 		name   string
 		tq, tp *rtree.Tree
 		self   bool
 		points int
+		topk   int
 	}{
-		{"two-set", tq, tp, false, 2 * n},
-		{"self", tp, tp, true, n},
-		{"small", small, small, true, 500},
+		{"two-set", tq, tp, false, 2 * n, 0},
+		{"self", tp, tp, true, n, 0},
+		{"small", small, small, true, 500, 0},
+		{"ranked two-set", tq, tp, false, 2 * n, 10},                // the short edges answer
+		{"ranked self, clustered", clusters, clusters, true, n, 10}, // Short gives up: triangulated
 	} {
-		j := &joiner{tq: c.tq, tp: c.tp, ctx: context.Background(), opts: Options{Algorithm: AlgGabriel, SelfJoin: c.self}}
+		j := &joiner{tq: c.tq, tp: c.tp, ctx: context.Background(), opts: Options{Algorithm: AlgGabriel, SelfJoin: c.self, TopK: c.topk}}
+		j.topk = newTopK(j.opts)
 		if err := j.runGabriel(); err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -176,15 +177,24 @@ func TestL1RefusesEuclideanOnly(t *testing.T) {
 
 // BenchmarkJoinL1 measures the Manhattan-metric join of 2K x 2K uniform
 // points over a warm, unbounded buffer under each index algorithm (an
-// unforced L1 query resolves to OBJ).
+// unforced L1 query resolves to OBJ). Each leg builds its own pool and
+// trees and collects the garbage before its timer starts, so no leg runs
+// on the heap an earlier one grew: run alone (-bench 'JoinL1/OBJ') or
+// after the others, a leg reads the same.
 func BenchmarkJoinL1(b *testing.B) {
-	pool := buffer.NewPool(-1)
-	tq := buildTree(b, workload.Uniform(2000, 1), pool, 1, true)
-	tp := buildTree(b, workload.Uniform(2000, 2), pool, 2, true)
 	for _, alg := range []Algorithm{AlgINJ, AlgBIJ, AlgOBJ} {
 		b.Run(alg.String(), func(b *testing.B) {
+			pool := buffer.NewPool(-1)
+			tq := buildTree(b, workload.Uniform(2000, 1), pool, 1, true)
+			tp := buildTree(b, workload.Uniform(2000, 2), pool, 2, true)
+			opts := Options{Algorithm: alg, Metric: MetricL1}
+			if _, _, err := Join(tq, tp, opts); err != nil { // fault every page in
+				b.Fatal(err)
+			}
+			runtime.GC()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Join(tq, tp, Options{Algorithm: alg, Metric: MetricL1}); err != nil {
+				if _, _, err := Join(tq, tp, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,6 +24,14 @@
 // are exactly two of them, a P and a Q point or, in a self-join, any two.
 // All-collinear input has no triangle: its Gabriel edges join consecutive
 // locations in sorted order.
+//
+// A ranked join needs only the short edges. Mesh.Short finds the RCJ pairs
+// no longer than r with no triangulation: a pair is decided by its own
+// closed disc, which lies within |pq| of p, so a bucket grid of the points
+// with cells of side at least r holds every point that can kill it in the
+// cells around p. Its rings are the same geom.DiscSign tests, and it gives
+// up (for the caller to triangulate) when clustered or coincident-heavy
+// input would make the cells' work pass a fixed multiple of n.
 package delaunay
 
 import (
@@ -57,6 +65,9 @@ type Mesh struct {
 	keys  []uint64           // insertion order: Hilbert key << 32 | input point
 	stack []int32            // triangles whose edge opposite corner 0 awaits a flip test
 	out   []Pair             // the result, reused by the next join
+	cell  []int32            // Short's bucket grid: per cell, its first slot in at (and one entry past the last cell)
+	at    []int32            // per grid slot: its input point, grouped by cell
+	atXY  []geom.Point       // per grid slot: the point's coordinates
 }
 
 // ErrRange is returned for inputs whose bounding box is too wide for a
@@ -82,9 +93,32 @@ func superTriangle(minX, minY, maxX, maxY float64) (cx, cy, far float64, ok bool
 	return cx, cy, far, !math.IsInf(math.Abs(cx)+math.Abs(cy)+3*far, 0)
 }
 
+// Bounds returns the bounding box of ps and qs (+Inf and -Inf when both
+// are empty).
+func Bounds(ps, qs []rtree.PointEntry) (minX, minY, maxX, maxY float64) {
+	minX, minY, maxX, maxY = math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
+	for _, set := range [2][]rtree.PointEntry{ps, qs} {
+		for _, e := range set {
+			if e.P.X < minX {
+				minX = e.P.X
+			}
+			if e.P.X > maxX {
+				maxX = e.P.X
+			}
+			if e.P.Y < minY {
+				minY = e.P.Y
+			}
+			if e.P.Y > maxY {
+				maxY = e.P.Y
+			}
+		}
+	}
+	return minX, minY, maxX, maxY
+}
+
 // Bytes returns the memory m's buffers hold.
 func (m *Mesh) Bytes() int {
-	return 16*cap(m.xy) + 4*(cap(m.tv)+cap(m.tn)+cap(m.head)+cap(m.cnt)+cap(m.next)+cap(m.stack)) + 8*(cap(m.keys)+cap(m.out))
+	return 16*(cap(m.xy)+cap(m.atXY)) + 4*(cap(m.tv)+cap(m.tn)+cap(m.head)+cap(m.cnt)+cap(m.next)+cap(m.stack)+cap(m.cell)+cap(m.at)) + 8*(cap(m.keys)+cap(m.out))
 }
 
 // pollEvery is the number of insertions between two stop polls.
@@ -102,6 +136,7 @@ func (m *Mesh) Gabriel(ps, qs []rtree.PointEntry, self bool, stop func() error) 
 	}
 	m.ps, m.qs, m.np, m.n, m.self = ps, qs, len(ps), len(ps)+len(qs), self
 	m.out = m.out[:0]
+	m.cell, m.at, m.atXY = nil, nil, nil // a triangulation holds no grid beside it
 	defer func() { m.ps, m.qs = nil, nil }()
 	if m.n < 2 || !self && (len(ps) == 0 || len(qs) == 0) {
 		return m.out, 0, nil
@@ -225,12 +260,7 @@ func (m *Mesh) join(v, i int32) {
 // triangulate builds the Delaunay triangulation of the input locations
 // inside the super triangle, merging coincident points.
 func (m *Mesh) triangulate(stop func() error) error {
-	minX, minY, maxX, maxY := math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
-	for i := int32(0); int(i) < m.n; i++ {
-		p := m.pt(i)
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-	}
+	minX, minY, maxX, maxY := Bounds(m.ps, m.qs)
 	cx, cy, far, ok := superTriangle(minX, minY, maxX, maxY)
 	if !ok {
 		return ErrRange

@@ -85,7 +85,8 @@ type Decision struct {
 	// EstAccesses is the node-access estimate the strategy was chosen on.
 	EstAccesses int64
 	// Rule names the decision for humans and metrics ("tiny-brute",
-	// "unbounded-gabriel", "small-outer-inj", "default-obj", ...).
+	// "unbounded-gabriel", "ranked-gabriel", "small-outer-inj",
+	// "default-obj", ...).
 	Rule string
 	// Epochs pins the live epochs the decision planned against (outer,
 	// inner); zero for immutable inputs.
@@ -161,14 +162,22 @@ func Plan(req Request, outer, inner IndexMeta) Decision {
 		d.Algorithm = core.AlgBrute
 		d.Rule = "tiny-brute"
 		d.EstAccesses = int64(nQ+nP) / defaultLeafCap // leaf scans only
-	case gabriel(req, outer, inner):
+	case gabriel(req, outer, inner), rankedGabriel(req, outer, inner):
 		// An unconstrained join over sealed inputs is the Gabriel graph of
 		// P ∪ Q: one scan of each tree and one triangulation, 4-8x less CPU
 		// than OBJ at 3k-100k per side, reading each page once where OBJ
-		// reads 10-15x as many (ROADMAP items 3 and 16). It is exactly
-		// priced: a scan reads every page of each input once.
+		// reads 10-15x as many (ROADMAP items 3 and 16). An unweighted top-k
+		// is its diameter-sorted head: the k tightest pairs are short
+		// Gabriel edges, found and verified on a bucket grid of the scanned
+		// points (delaunay.Mesh.Short), with the triangulation as the
+		// fallback, where the R-tree's branch-and-bound read ~3.7x the pages
+		// of both inputs on G20k x U20k. Both are exactly priced: a scan
+		// reads every page of each input once.
 		d.Algorithm = core.AlgGabriel
 		d.Rule = "unbounded-gabriel"
+		if req.TopK > 0 {
+			d.Rule = "ranked-gabriel"
+		}
 		d.EstAccesses = pages(inner)
 		if !req.SelfJoin {
 			d.EstAccesses += pages(outer)
@@ -195,15 +204,30 @@ func Plan(req Request, outer, inner IndexMeta) Decision {
 	return d
 }
 
-// gabriel reports whether the Gabriel path answers the request: no
-// predicate, ranking or limit, both inputs sealed (live inputs stay on the
-// R-tree, which their delta and tombstones are served through), few enough
-// points to triangulate in memory, and, when the metadata carries the
-// inputs' MBRs, coordinates narrow enough to triangulate.
+// gabriel reports whether the Gabriel path answers the request whole: no
+// predicate, ranking or limit, on inputs gabrielFits takes.
 func gabriel(req Request, outer, inner IndexMeta) bool {
 	if req.MaxDiameter != 0 || req.MinDistance != 0 || req.Region != nil || req.TopK != 0 || req.Limit != 0 || req.Weighted {
 		return false
 	}
+	return gabrielFits(req, outer, inner)
+}
+
+// rankedGabriel reports whether the Gabriel path ranks the request: a
+// top-k by diameter (not by weight) with no Region window, on inputs
+// gabrielFits takes. MaxDiameter, MinDistance and Limit are post-filters
+// there. Windows keep the R-tree, whose outer walk skips what they miss;
+// every sharded sub-query carries one.
+func rankedGabriel(req Request, outer, inner IndexMeta) bool {
+	return req.TopK > 0 && !req.Weighted && req.Region == nil && gabrielFits(req, outer, inner)
+}
+
+// gabrielFits reports whether the Gabriel path can take the inputs: both
+// sealed (live inputs stay on the R-tree, which their delta and tombstones
+// are served through), few enough points to triangulate in memory, and,
+// when the metadata carries the inputs' MBRs, coordinates narrow enough to
+// triangulate.
+func gabrielFits(req Request, outer, inner IndexMeta) bool {
 	if outer.Live || inner.Live {
 		return false
 	}

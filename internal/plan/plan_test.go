@@ -50,7 +50,6 @@ func TestPlanRuleSelection(t *testing.T) {
 		"live inner":         {Request{}, big, live},
 		"min distance":       {Request{MinDistance: 1}, big, big},
 		"max diameter":       {Request{MaxDiameter: 1}, big, big},
-		"top-k":              {Request{TopK: 1}, big, big},
 		"limit":              {Request{Limit: 1}, big, big},
 		"weighted top-k":     {Request{TopK: 1, Weighted: true}, big, big},
 		"region (half-wide)": {Request{Region: &geom.Rect{MaxX: 500, MaxY: 1000}}, big, big},
@@ -136,7 +135,8 @@ func TestPlanParallelismAndPrefetch(t *testing.T) {
 		{"tiny", Request{}, meta(10), meta(10), "tiny-brute"},
 		{"full and self 4k x 4k, live", Request{}, m4k, m4k, "default-obj"},
 		{"full and self 4k x 4k, sealed", Request{}, sealed4k, sealed4k, "unbounded-gabriel"},
-		{"top-10 20k x 20k", Request{TopK: 10}, m20k, m20k, "default-obj"},
+		{"top-10 20k x 20k", Request{TopK: 10}, m20k, m20k, "ranked-gabriel"},
+		{"top-10 4k x 4k, live", Request{TopK: 10}, m4k, m4k, "default-obj"},
 		{"weighted top-10 20k x 20k", Request{TopK: 10, Weighted: true}, m20k, m20k, "default-obj"},
 		{"limit 20k x 20k", Request{Limit: 100}, m20k, m20k, "default-obj"},
 		{"window 20k x 20k", Request{Region: window}, m20k, m20k, "region-pruned-obj"},
@@ -148,11 +148,67 @@ func TestPlanParallelismAndPrefetch(t *testing.T) {
 			t.Errorf("%s: planned %s, want rule=%s at par=1", c.name, d, c.rule)
 		}
 		switch {
-		case d.Rule == "unbounded-gabriel" || d.Rule == "tiny-brute" || d.Rule == "small-outer-inj":
+		case d.Rule == "unbounded-gabriel" || d.Rule == "ranked-gabriel" || d.Rule == "tiny-brute" || d.Rule == "small-outer-inj":
 		case c.outer.Count == 4_000 && d.EstAccesses != 963:
 			t.Errorf("%s: estimate %d, the embedded 4k joins plan at 963", c.name, d.EstAccesses)
 		case c.req.Region != nil && d.EstAccesses > 678:
 			t.Errorf("%s: estimate %d, the embedded windows plan at <= 678", c.name, d.EstAccesses)
+		}
+	}
+}
+
+// TestRankedGabrielRule checks where rule ranked-gabriel applies: an
+// unweighted top-k with no window over sealed inputs that fit the
+// triangulation, MaxDiameter, MinDistance and Limit included, priced at
+// one read of each page. Every shape it excludes keeps the rule it planned
+// before: weighted, windowed, live, too wide and over-budget top-k.
+func TestRankedGabrielRule(t *testing.T) {
+	big := meta(100_000)
+	big.Pages = 1700
+	for name, req := range map[string]Request{
+		"top-k":                {TopK: 10},
+		"top-k, max diameter":  {TopK: 10, MaxDiameter: 5},
+		"top-k, min distance":  {TopK: 10, MinDistance: 1},
+		"top-k, limit":         {TopK: 10, Limit: 3},
+		"top-k, self-join":     {TopK: 10, SelfJoin: true},
+		"top-k, every filter":  {TopK: 10, MaxDiameter: 5, MinDistance: 1, Limit: 3},
+		"top-1000, self-join":  {TopK: 1000, SelfJoin: true},
+		"top-k over the whole": {TopK: 1 << 30},
+	} {
+		d := Plan(req, big, big)
+		want := int64(3400)
+		if req.SelfJoin {
+			want = 1700
+		}
+		if d.Algorithm != core.AlgGabriel || d.Rule != "ranked-gabriel" || d.EstAccesses != want {
+			t.Errorf("%s: planned %v, want ranked-gabriel at est_accesses=%d", name, d, want)
+		}
+	}
+	live := big
+	live.Live = true
+	wide := big
+	wide.MBR = geom.Rect{MinX: -1e307, MinY: -1e307, MaxX: 1e307, MaxY: 1e307}
+	huge := meta(gabrielMaxPoints/2 + 1)
+	window := &geom.Rect{MinX: 0, MinY: 0, MaxX: 500, MaxY: 1000}
+	for _, c := range []struct {
+		name         string
+		req          Request
+		outer, inner IndexMeta
+		rule         string
+	}{
+		{"weighted", Request{TopK: 10, Weighted: true}, big, big, "default-obj"},
+		{"windowed", Request{TopK: 10, Region: window}, big, big, "region-pruned-obj"},
+		{"windowed, bounded", Request{TopK: 10, Region: window, MaxDiameter: 5}, big, big, "region-pruned-obj"},
+		{"live outer", Request{TopK: 10}, live, big, "default-obj"},
+		{"live inner", Request{TopK: 10}, big, live, "default-obj"},
+		{"live self-join", Request{TopK: 10, SelfJoin: true}, live, live, "default-obj"},
+		{"too wide", Request{TopK: 10}, wide, big, "default-obj"},
+		{"over the budget", Request{TopK: 10}, huge, huge, "default-obj"},
+		{"tiny", Request{TopK: 10}, meta(10), meta(10), "tiny-brute"},
+		{"limit alone", Request{Limit: 10}, big, big, "default-obj"},
+	} {
+		if d := Plan(c.req, c.outer, c.inner); d.Rule != c.rule {
+			t.Errorf("%s: planned %v, want rule=%s", c.name, d, c.rule)
 		}
 	}
 }

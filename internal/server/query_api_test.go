@@ -54,8 +54,9 @@ func newOverlapServer(t *testing.T, n int, cfg sched.Config) (*httptest.Server, 
 
 // TestJoinPredicates exercises the pushdown fields of POST /join: a top_k
 // request returns exactly the k tightest pairs of the full join in ranking
-// order, region/max_diameter return the post-filtered subset, and the
-// summary line reports the pruning.
+// order, planned (ranked-gabriel) or forced onto the R-tree, where the
+// summary line reports the pruning, and region/max_diameter return the
+// post-filtered subset.
 func TestJoinPredicates(t *testing.T) {
 	ts, _ := newOverlapServer(t, 1500, sched.Config{MaxConcurrent: 2})
 
@@ -83,11 +84,27 @@ func TestJoinPredicates(t *testing.T) {
 				t.Errorf("rank %d: got (%d,%d), want (%d,%d)", i, pr.P.ID, pr.Q.ID, want[i].P.ID, want[i].Q.ID)
 			}
 		}
-		if summary == nil || summary.NodesPruned == 0 {
-			t.Errorf("summary = %+v, want NodesPruned > 0", summary)
+		if summary == nil || summary.Results != 5 || !strings.Contains(summary.Plan, "rule=ranked-gabriel") {
+			t.Fatalf("summary = %+v, want 5 results planned ranked-gabriel", summary)
 		}
-		if summary.Results != 5 {
-			t.Errorf("summary.Results = %d, want 5", summary.Results)
+		// On the R-tree the ranking is a pushdown, and the summary reports
+		// what it pruned.
+		resp = postJoin(t, ts, `{"p":"p","q":"q","top_k":5,"alg":"obj"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		tree, summary := decodeStream(t, resp.Body)
+		resp.Body.Close()
+		if len(tree) != 5 {
+			t.Fatalf("top_k=5 on OBJ returned %d pairs", len(tree))
+		}
+		for i, pr := range tree {
+			if pr.P.ID != want[i].P.ID || pr.Q.ID != want[i].Q.ID {
+				t.Errorf("OBJ rank %d: got (%d,%d), want (%d,%d)", i, pr.P.ID, pr.Q.ID, want[i].P.ID, want[i].Q.ID)
+			}
+		}
+		if summary == nil || summary.NodesPruned == 0 {
+			t.Errorf("OBJ summary = %+v, want NodesPruned > 0", summary)
 		}
 	})
 

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/rtree"
+	"repro/internal/workload"
 )
 
 // BenchmarkLeafKernels measures the warm join paths: every page resident,
@@ -19,10 +22,17 @@ import (
 //   - gabriel-selfjoin/warm and gabriel-join/warm: the same joins as the
 //     planner runs them, Query{} on sealed indexes: one scan of each tree
 //     and one exact Delaunay triangulation (rule=unbounded-gabriel).
-//   - topk10/warm and maxd/warm: the binary join under a global TopK 10 and
-//     under a MaxDiameter of about one point spacing — the bounded filter,
-//     which tests the bound before it scans or seeds a query point's
-//     pruners.
+//   - topk10/warm: the binary join under a global TopK 10 as the planner
+//     runs it on sealed indexes (rule=ranked-gabriel): one scan of each
+//     tree, then the short Gabriel edges on a bucket grid.
+//   - obj-topk10/warm and maxd/warm: the binary join forced to OBJ under a
+//     TopK 10, and planned under a MaxDiameter of about one point spacing
+//     — the R-tree's bounded filter, which tests the bound before it scans
+//     or seeds a query point's pruners. Live, weighted and windowed top-k
+//     run this kernel.
+//   - gauss-topk10/warm: the planned TopK 10 on a pair shaped like the
+//     embedded benchmark's, 20k points in 10 Gaussian clusters (sigma 1000)
+//     against 20k uniform, built in memory.
 //
 // The buffer pool is sized above the working set: unlike
 // BenchmarkJoinBackends, which keeps the pool small to exercise the
@@ -99,6 +109,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 		{"join/warm", obj},
 		{"gabriel-join/warm", Query{}},
 		{"topk10/warm", Query{TopK: 10}},
+		{"obj-topk10/warm", Query{TopK: 10, Algorithm: OBJ, ForceAlgorithm: true}},
 		{"maxd/warm", Query{MaxDiameter: 15}},
 	} {
 		b.Run(binary.name, func(b *testing.B) {
@@ -110,4 +121,25 @@ func BenchmarkLeafKernels(b *testing.B) {
 			warm(b, eng, ixQ, ixP, binary.qry)
 		})
 	}
+	b.Run("gauss-topk10/warm", func(b *testing.B) {
+		eng := NewEngine(EngineConfig{})
+		build := func(pts []rtree.PointEntry) *Index {
+			rp := make([]Point, 0, len(pts))
+			for _, e := range pts {
+				if e.P.X > 0 && e.P.X < workload.Domain && e.P.Y > 0 && e.P.Y < workload.Domain {
+					rp = append(rp, Point{X: e.P.X, Y: e.P.Y, ID: int64(len(rp))})
+				}
+			}
+			ix, err := eng.BuildIndex(rp, IndexConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ix
+		}
+		g := build(workload.GaussianClusters(20000, 10, 1000, 2))
+		defer g.Close()
+		u := build(workload.Uniform(20000, 1))
+		defer u.Close()
+		warm(b, eng, u, g, Query{TopK: 10})
+	})
 }

@@ -38,8 +38,10 @@ var ErrBadQuery = errors.New("rcj: invalid query")
 // The predicates — MaxDiameter, MinDistance, Region, TopK, Limit — are
 // pushed down into the index traversal rather than applied to a
 // materialized result: subtrees that cannot contribute a qualifying pair
-// are pruned (observable via Stats.NodesPruned), and a TopK query tightens
-// its own distance bound as better pairs are found (branch-and-bound). For
+// are pruned (observable via Stats.NodesPruned), and a TopK query on the
+// R-tree tightens its own distance bound as better pairs are found
+// (branch-and-bound; over sealed inputs the planner ranks from one scan
+// instead, see TopK). For
 // every combination the output is set-identical to post-filtering the
 // unconstrained join with Matches (plus the TopK/Limit truncation).
 type Query struct {
@@ -80,8 +82,13 @@ type Query struct {
 	// TopK, when > 0, returns only the k pairs with the smallest ring
 	// diameters (ties broken by ascending P.ID then Q.ID), in ascending
 	// order — the head of the paper's browsing order, computed without
-	// materializing the rest. TopK results do not stream incrementally: the
-	// iterator yields them when the traversal completes.
+	// materializing the rest. Over two sealed indexes an unweighted TopK
+	// without a Region plans rule ranked-gabriel: one scan of each index,
+	// then the k tightest pairs found and verified locally among the short
+	// Gabriel edges (a pair is decided by its own closed disc), so every
+	// page is read once. Otherwise (live inputs, Weight, Region, L1) the
+	// R-tree runs it as branch-and-bound. TopK results do not stream
+	// incrementally: the iterator yields them when the join completes.
 	TopK int
 	// Limit, when > 0, stops the join after this many pairs. Combined with
 	// TopK it truncates the ranking; alone it returns a traversal-dependent

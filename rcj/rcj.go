@@ -110,8 +110,10 @@ type Algorithm = core.Algorithm
 // the paper's experiments and is the default. Brute is Euclidean only. The
 // planner also runs an unconstrained join of sealed indexes on one exact
 // Delaunay triangulation of both inputs, read once (core.AlgGabriel, rule
-// unbounded-gabriel), which has no constant here: the planner takes it
-// wherever it applies.
+// unbounded-gabriel), and an unweighted, windowless top-k of sealed
+// indexes on the same scan (rule ranked-gabriel, the short Gabriel edges
+// first). It has no constant here: the planner takes it wherever it
+// applies.
 const (
 	INJ   = core.AlgINJ
 	OBJ   = core.AlgOBJ
