@@ -326,7 +326,6 @@ type scratch struct {
 	vstack      []*candidate       // verifyNode's per-entry candidate lists
 	batch       []Pair             // confirmed pairs of the current batch, awaiting deliver
 	gabP, gabQ  []rtree.PointEntry // runGabriel's scanned inputs
-	gabOut      []gabrielPair      // and its sorted result
 	mesh        delaunay.Mesh      // and triangulation
 }
 

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"unsafe"
 
 	"repro/internal/delaunay"
@@ -56,7 +54,7 @@ func (j *joiner) runGabriel() error {
 				return err
 			}
 		}
-		p, q := ps[pr.p], qs[pr.q]
+		p, q := ps[pr.P], qs[pr.Q]
 		if j.admitPair(q, p) {
 			j.emit(Pair{P: p, Q: q, Circle: geom.EnclosingCircle(p.P, q.P)})
 		}
@@ -68,30 +66,35 @@ func (j *joiner) runGabriel() error {
 // shortTopK answers an unweighted TopK run from the short Gabriel edges
 // (delaunay.Mesh.Short): from rankStart's radius it doubles r until at
 // least k admitted pairs have Dist ≤ r, then offers them to the top-k
-// heap, which ranks them as every path does. Every pair it leaves out is
-// longer than r, so its Radius (Dist/2, exact from r ≥ 2⁻¹⁰²⁰ on) is
-// above theirs and it ranks after all k. A static MaxDiameter caps r: at r
-// = MaxDiameter every admitted pair is found, however few. It reports
+// heap, which ranks them as every path does. The rounds share one bounding
+// box and, while the cell side stays the same, one bucket grid. Every pair
+// it leaves out is longer than r, so its Radius (Dist/2, exact from r ≥
+// 2⁻¹⁰²⁰ on) is above theirs and it ranks after all k. A static
+// MaxDiameter caps r: at r = MaxDiameter every admitted pair is found,
+// however few. It reports
 // false, having offered nothing, when Short gives up (clustered or
 // coincident-heavy input) or r reaches the inputs' diagonal; the caller
 // then triangulates.
 func (j *joiner) shortTopK(ps, qs []rtree.PointEntry) (bool, error) {
-	k := j.topk.h.k
-	r, diag := rankStart(ps, qs, j.opts.SelfJoin, k)
+	k, self := j.topk.h.k, j.opts.SelfJoin
+	nq := len(qs)
+	if self {
+		nq = len(ps)
+	}
+	r, diag := rankStart(j.mesh.ShortInput(ps, qs, self), len(ps), nq, k)
 	for ; r < diag; r *= 2 {
 		capped := j.opts.MaxDiameter > 0 && r >= j.opts.MaxDiameter
 		if capped {
 			r = j.opts.MaxDiameter
 		}
-		pairs, cands, ok, err := j.mesh.Short(ps, qs, j.opts.SelfJoin, r, j.ctxErr)
+		pairs, cands, ok, err := j.mesh.Short(r, j.ctxErr)
 		j.stats.Candidates += cands
-		kept := j.gabOut[:0]
+		kept := pairs[:0]
 		for _, pr := range pairs {
-			if g, keep := j.orient(ps, qs, pr); keep && j.admitPair(qs[g.q], ps[g.p]) {
+			if g, keep := j.orient(ps, qs, pr); keep && j.admitPair(qs[g.Q], ps[g.P]) {
 				kept = append(kept, g)
 			}
 		}
-		j.gabOut = kept
 		done := ok && (len(kept) >= k || capped)
 		if j.shortRound != nil {
 			j.shortRound(r, ok, done)
@@ -101,7 +104,7 @@ func (j *joiner) shortTopK(ps, qs []rtree.PointEntry) (bool, error) {
 		}
 		if done {
 			for _, g := range kept {
-				p, q := ps[g.p], qs[g.q]
+				p, q := ps[g.P], qs[g.Q]
 				j.emit(Pair{P: p, Q: q, Circle: geom.EnclosingCircle(p.P, q.P)})
 			}
 			return true, nil
@@ -110,20 +113,15 @@ func (j *joiner) shortTopK(ps, qs []rtree.PointEntry) (bool, error) {
 	return false, nil
 }
 
-// rankStart returns shortTopK's first radius and the diagonal of the
-// inputs' bounding box. The radius is 2√(k·area/(π·|P|·|Q|)), within which
-// |P|·|Q| points spread uniformly over the box hold about 4k pairs
-// (2k·width/(|P|·|Q|) on a line), and at least 2⁻³⁰ of the diagonal, so
-// that few doublings reach it, and 2⁻¹⁰²⁰, above which halving a distance
-// is exact.
-func rankStart(ps, qs []rtree.PointEntry, self bool, k int) (r, diag float64) {
-	nq := len(qs)
-	if self {
-		qs, nq = nil, len(ps)
-	}
-	minX, minY, maxX, maxY := delaunay.Bounds(ps, qs)
-	w, h := maxX-minX, maxY-minY
-	pairs := float64(len(ps)) * float64(nq)
+// rankStart returns shortTopK's first radius and the diagonal of box, the
+// inputs' bounding box, for np P points and nq Q points. The radius is
+// 2√(k·area/(π·|P|·|Q|)), within which |P|·|Q| points spread uniformly
+// over the box hold about 4k pairs (2k·width/(|P|·|Q|) on a line), and at
+// least 2⁻³⁰ of the diagonal, so that few doublings reach it, and 2⁻¹⁰²⁰,
+// above which halving a distance is exact.
+func rankStart(box geom.Rect, np, nq, k int) (r, diag float64) {
+	w, h := box.MaxX-box.MinX, box.MaxY-box.MinY
+	pairs := float64(np) * float64(nq)
 	diag = math.Hypot(w, h)
 	if area := w * h; area > 0 {
 		r = 2 * math.Sqrt(float64(k)*area/(math.Pi*pairs))
@@ -136,48 +134,36 @@ func rankStart(ps, qs []rtree.PointEntry, self bool, k int) (r, diag float64) {
 // gabrielBatch is the number of pairs runGabriel delivers at a time.
 const gabrielBatch = 256
 
-// gabrielPair is one result of the triangulation, keyed for sorting: the
-// ids, then the indexes into the scanned points.
-type gabrielPair struct {
-	pid, qid int64
-	p, q     int32
-}
-
 // gabrielPairs returns the RCJ pairs of ps and qs (of ps alone in a
 // self-join, where qs is ps) sorted by (P id, Q id), and the candidates
-// the triangulation tested. The slice is joiner scratch.
-func (j *joiner) gabrielPairs(ps, qs []rtree.PointEntry, stop func() error) ([]gabrielPair, int64, error) {
+// the triangulation tested. The slice is the mesh's, valid until its next
+// call.
+func (j *joiner) gabrielPairs(ps, qs []rtree.PointEntry, stop func() error) ([]delaunay.Pair, int64, error) {
 	pairs, cands, err := j.mesh.Gabriel(ps, qs, j.opts.SelfJoin, stop)
 	if err != nil {
 		return nil, cands, err
 	}
-	out := slices.Grow(j.gabOut[:0], len(pairs))
+	out := pairs[:0]
 	for _, pr := range pairs {
 		if g, keep := j.orient(ps, qs, pr); keep {
 			out = append(out, g)
 		}
 	}
-	slices.SortFunc(out, func(a, b gabrielPair) int {
-		if c := cmp.Compare(a.pid, b.pid); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.qid, b.qid)
-	})
-	j.gabOut = out
+	j.mesh.SortByID(out, ps, qs)
 	return out, cands, nil
 }
 
-// orient keys one pair of the mesh's result: a self-join's in
+// orient orients one pair of the mesh's result: a self-join's in
 // keepSelfPair's orientation, or false when it keeps neither.
-func (j *joiner) orient(ps, qs []rtree.PointEntry, pr delaunay.Pair) (gabrielPair, bool) {
+func (j *joiner) orient(ps, qs []rtree.PointEntry, pr delaunay.Pair) (delaunay.Pair, bool) {
 	p, q := ps[pr.P], qs[pr.Q]
 	switch {
 	case !j.opts.SelfJoin || j.keepSelfPair(p, q):
-		return gabrielPair{p.ID, q.ID, pr.P, pr.Q}, true
+		return pr, true
 	case j.keepSelfPair(q, p):
-		return gabrielPair{q.ID, p.ID, pr.Q, pr.P}, true
+		return delaunay.Pair{P: pr.Q, Q: pr.P}, true
 	}
-	return gabrielPair{}, false
+	return delaunay.Pair{}, false
 }
 
 // GabrielFits reports whether the Gabriel path can triangulate points whose
@@ -187,13 +173,14 @@ func GabrielFits(r geom.Rect) bool { return delaunay.Fits(r) }
 
 // GabrielPointBytes bounds the memory the Gabriel path holds per
 // triangulated point: the scanned point (24 B), its vertex, ~2 triangles of
-// corners and twins, its insertion key, and its ~1 pair of a two-set join
-// or ~2 of a self-join (8 B in the mesh, 24 B sorted), with append slack.
-// TestGabrielFootprint holds it to what a join's scratch keeps at its end,
-// when every buffer is live: 146 B a point for a uniform two-set join, 179
-// for a self-join. A ranked join answered by the short edges holds the
-// scanned points and Short's grid, 57 B a point; one that falls back
-// holds the triangulation alone (Gabriel drops the grid).
+// corners and twins, its insertion key and half a key of sort scratch, and
+// its ~1 pair of a two-set join or ~2 of a self-join (8 B, sorted in place,
+// and 8 B of sort scratch), with append slack. TestGabrielFootprint holds
+// it to what a join's scratch keeps at its end, when every buffer is live:
+// 134 B a point for a uniform two-set join, 152 for a self-join. A ranked
+// join answered by the short edges holds the scanned points and Short's
+// grid, 57 B a point; one that falls back holds the triangulation alone
+// (Gabriel drops the grid).
 const GabrielPointBytes = 200
 
 // gabrielKeepBytes is the most Gabriel scratch a pooled scratch keeps
@@ -203,15 +190,14 @@ const gabrielKeepBytes = 4 << 20
 
 // gabrielBytes returns the memory runGabriel's scratch holds.
 func (s *scratch) gabrielBytes() int {
-	return int(unsafe.Sizeof(rtree.PointEntry{}))*(cap(s.gabP)+cap(s.gabQ)) +
-		int(unsafe.Sizeof(gabrielPair{}))*cap(s.gabOut) + s.mesh.Bytes()
+	return int(unsafe.Sizeof(rtree.PointEntry{}))*(cap(s.gabP)+cap(s.gabQ)) + s.mesh.Bytes()
 }
 
 // trimGabriel drops runGabriel's buffers if they hold more than
 // gabrielKeepBytes.
 func (s *scratch) trimGabriel() {
 	if s.gabrielBytes() > gabrielKeepBytes {
-		s.gabP, s.gabQ, s.gabOut, s.mesh = nil, nil, nil, delaunay.Mesh{}
+		s.gabP, s.gabQ, s.mesh = nil, nil, delaunay.Mesh{}
 	}
 }
 
@@ -230,7 +216,7 @@ func GabrielPairs(ps, qs []rtree.PointEntry, selfJoin bool) []Pair {
 	}
 	out := make([]Pair, len(pairs))
 	for i, pr := range pairs {
-		p, q := ps[pr.p], qs[pr.q]
+		p, q := ps[pr.P], qs[pr.Q]
 		out[i] = Pair{P: p, Q: q, Circle: geom.EnclosingCircle(p.P, q.P)}
 	}
 	return out

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -199,6 +200,84 @@ func TestGabrielFootprint(t *testing.T) {
 		j.trimGabriel()
 		if kept := j.gabrielBytes(); (held > gabrielKeepBytes) != (kept == 0) || kept != 0 && kept != held {
 			t.Errorf("%s: %d bytes held, %d kept for the pool (keep bound %d)", c.name, held, kept, gabrielKeepBytes)
+		}
+	}
+}
+
+// TestGabrielEmissionOrder checks the order in which the Gabriel path emits
+// its pairs, through GabrielPairs and a forced AlgGabriel join, against a
+// test-side slices.SortFunc on (P id, Q id), on every workload.Degenerate
+// generator, two-set and self, with ids renumbered negative, sparse (steps
+// of 2⁴⁰, both signs) and duplicated (three points to an id). The pairs
+// are brute force's on the original, distinct ids, renumbered: ids only
+// name points, except that a self-join keeps a pair under its smaller id
+// first and drops a pair of one id.
+func TestGabrielEmissionOrder(t *testing.T) {
+	ids := map[string]func(id int64) int64{
+		"negative":   func(id int64) int64 { return -id - 1 },
+		"sparse":     func(id int64) int64 { return (id - 200) << 40 },
+		"duplicated": func(id int64) int64 { return id / 3 },
+	}
+	keys := func(pairs []Pair) [][2]int64 {
+		out := make([][2]int64, len(pairs))
+		for i, p := range pairs {
+			out[i] = [2]int64{p.P.ID, p.Q.ID}
+		}
+		return out
+	}
+	byIDs := func(a, b [2]int64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	}
+	for _, c := range workload.Degenerate(160) {
+		for name, f := range ids {
+			renumber := func(pts []rtree.PointEntry) []rtree.PointEntry {
+				out := slices.Clone(pts)
+				for i := range out {
+					out[i].ID = f(out[i].ID)
+				}
+				return out
+			}
+			ps, qsTwo := renumber(c.P), renumber(c.Q)
+			pool := buffer.NewPool(-1)
+			tp, tq := buildTree(t, ps, pool, 1, true), buildTree(t, qsTwo, pool, 2, true)
+			for _, self := range []bool{false, true} {
+				label := fmt.Sprintf("%s/%s/self=%v", c.Name, name, self)
+				qs, outer := qsTwo, tq
+				if self {
+					qs, outer = ps, tp
+				}
+				cq := c.Q
+				if self {
+					cq = c.P
+				}
+				var want [][2]int64
+				for _, k := range keys(BruteForcePairs(c.P, cq, self)) {
+					a, b := f(k[0]), f(k[1])
+					switch {
+					case !self || a < b:
+						want = append(want, [2]int64{a, b})
+					case b < a:
+						want = append(want, [2]int64{b, a})
+					}
+				}
+				slices.SortFunc(want, byIDs)
+				joined, _, err := Join(outer, tp, Options{Algorithm: AlgGabriel, SelfJoin: self, Collect: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for how, pairs := range map[string][]Pair{"GabrielPairs": GabrielPairs(ps, qs, self), "forced AlgGabriel": joined} {
+					got := keys(pairs)
+					if !slices.IsSortedFunc(got, byIDs) {
+						t.Errorf("%s: %s emits out of (P id, Q id) order", label, how)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: %s emits %d pairs, brute force has %d (or other pairs)", label, how, len(got), len(want))
+					}
+				}
+			}
 		}
 	}
 }

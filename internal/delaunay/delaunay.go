@@ -16,7 +16,16 @@
 // edges between inputs are then the same with or without its corners.
 // Every decision is exact (geom.Orient2D, geom.InCircle, geom.DiscSign), so
 // the answer is a function of the float64 coordinates alone and equals the
-// R-tree join's on every input, degenerate ones included.
+// R-tree join's on every input, degenerate ones included. Each test first
+// goes through a geom.Filter made once per join from the inputs' bounding
+// box (a semi-static filter: one bound, the dynamic bound's own formula at
+// the box's width, so a sign it accepts is the exact one) and falls back to
+// the exact predicate; a test with a corner of the super triangle, outside
+// the box, goes to the exact predicate at once.
+//
+// The path's three orderings, BRIO's rounds, the line order of collinear
+// input and the result's (P id, Q id) order (Mesh.SortByID), are one stable
+// LSD radix sort that passes only over the bytes in which the keys differ.
 //
 // Coincident points merge into one vertex. An exact copy of a point is on
 // every disc the point spans, so a vertex holding two or more points has no
@@ -35,7 +44,6 @@
 package delaunay
 
 import (
-	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -63,8 +71,13 @@ type Mesh struct {
 	cnt   []int32            // per vertex: how many input points it holds
 	next  []int32            // per input point: the next one at its vertex, or -1
 	keys  []uint64           // insertion order: Hilbert key << 32 | input point
+	tmp   []uint64           // sortByKey's scratch for keys
 	stack []int32            // triangles whose edge opposite corner 0 awaits a flip test
 	out   []Pair             // the result, reused by the next join
+	ptmp  []Pair             // sortByKey's scratch for SortByID
+	f     geom.Filter        // the predicates' static filter for the input's box
+	box   geom.Rect          // ShortInput's bounding box
+	g     grid               // Short's grid, while cell, at and atXY hold it (nx = 0: none)
 	cell  []int32            // Short's bucket grid: per cell, its first slot in at (and one entry past the last cell)
 	at    []int32            // per grid slot: its input point, grouped by cell
 	atXY  []geom.Point       // per grid slot: the point's coordinates
@@ -93,9 +106,9 @@ func superTriangle(minX, minY, maxX, maxY float64) (cx, cy, far float64, ok bool
 	return cx, cy, far, !math.IsInf(math.Abs(cx)+math.Abs(cy)+3*far, 0)
 }
 
-// Bounds returns the bounding box of ps and qs (+Inf and -Inf when both
+// bounds returns the bounding box of ps and qs (+Inf and -Inf when both
 // are empty).
-func Bounds(ps, qs []rtree.PointEntry) (minX, minY, maxX, maxY float64) {
+func bounds(ps, qs []rtree.PointEntry) (minX, minY, maxX, maxY float64) {
 	minX, minY, maxX, maxY = math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
 	for _, set := range [2][]rtree.PointEntry{ps, qs} {
 		for _, e := range set {
@@ -118,7 +131,7 @@ func Bounds(ps, qs []rtree.PointEntry) (minX, minY, maxX, maxY float64) {
 
 // Bytes returns the memory m's buffers hold.
 func (m *Mesh) Bytes() int {
-	return 16*(cap(m.xy)+cap(m.atXY)) + 4*(cap(m.tv)+cap(m.tn)+cap(m.head)+cap(m.cnt)+cap(m.next)+cap(m.stack)+cap(m.cell)+cap(m.at)) + 8*(cap(m.keys)+cap(m.out))
+	return 16*(cap(m.xy)+cap(m.atXY)) + 4*(cap(m.tv)+cap(m.tn)+cap(m.head)+cap(m.cnt)+cap(m.next)+cap(m.stack)+cap(m.cell)+cap(m.at)) + 8*(cap(m.keys)+cap(m.tmp)+cap(m.out)+cap(m.ptmp))
 }
 
 // pollEvery is the number of insertions between two stop polls.
@@ -136,7 +149,7 @@ func (m *Mesh) Gabriel(ps, qs []rtree.PointEntry, self bool, stop func() error) 
 	}
 	m.ps, m.qs, m.np, m.n, m.self = ps, qs, len(ps), len(ps)+len(qs), self
 	m.out = m.out[:0]
-	m.cell, m.at, m.atXY = nil, nil, nil // a triangulation holds no grid beside it
+	m.g, m.cell, m.at, m.atXY = grid{}, nil, nil, nil // a triangulation holds no grid beside it
 	defer func() { m.ps, m.qs = nil, nil }()
 	if m.n < 2 || !self && (len(ps) == 0 || len(qs) == 0) {
 		return m.out, 0, nil
@@ -217,13 +230,8 @@ func (m *Mesh) sortedLine() int64 {
 	for i := 0; i < m.n; i++ {
 		order = append(order, uint64(i))
 	}
-	slices.SortFunc(order, func(x, y uint64) int {
-		p, q := m.pt(int32(x)), m.pt(int32(y))
-		if p.X != q.X {
-			return cmp.Compare(p.X, q.X)
-		}
-		return cmp.Compare(p.Y, q.Y)
-	})
+	m.tmp = sortByKey(order, m.tmp, func(i uint64) uint64 { return floatKey(m.pt(int32(i)).Y) })
+	m.tmp = sortByKey(order, m.tmp, func(i uint64) uint64 { return floatKey(m.pt(int32(i)).X) })
 	m.keys = order
 	m.resetVertices()
 	for k, o := range order {
@@ -260,12 +268,13 @@ func (m *Mesh) join(v, i int32) {
 // triangulate builds the Delaunay triangulation of the input locations
 // inside the super triangle, merging coincident points.
 func (m *Mesh) triangulate(stop func() error) error {
-	minX, minY, maxX, maxY := Bounds(m.ps, m.qs)
+	minX, minY, maxX, maxY := bounds(m.ps, m.qs)
 	cx, cy, far, ok := superTriangle(minX, minY, maxX, maxY)
 	if !ok {
 		return ErrRange
 	}
 	w := math.Max(maxX-minX, maxY-minY)
+	m.f = geom.NewFilter(geom.Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY})
 	m.resetVertices()
 	m.xy, m.cnt, m.head = slices.Grow(m.xy, m.n+3), slices.Grow(m.cnt, m.n+3), slices.Grow(m.head, m.n+3)
 	m.tv, m.tn = slices.Grow(m.tv[:0], 6*m.n+3), slices.Grow(m.tn[:0], 6*m.n+3)
@@ -308,7 +317,7 @@ func (m *Mesh) order(minX, minY, w float64) {
 		if start < 256 {
 			start = 0
 		}
-		slices.Sort(m.keys[start:end])
+		m.tmp = sortByKey(m.keys[start:end], m.tmp, func(k uint64) uint64 { return k })
 		end = start
 	}
 }
@@ -422,7 +431,7 @@ walk:
 			if s == came {
 				continue // p is strictly inside this edge
 			}
-			switch geom.Orient2D(m.xy[m.tv[next(s)]], m.xy[m.tv[prev(s)]], p) {
+			switch m.orient(m.tv[next(s)], m.tv[prev(s)], p) {
 			case -1:
 				came = m.tn[s]
 				t = came / 3
@@ -433,6 +442,16 @@ walk:
 		}
 		return t, on
 	}
+}
+
+// orient is geom.Orient2D of vertices a and b and point p (an input), through
+// the join's static filter unless a or b is a corner of the super triangle,
+// which lies outside the filter's box.
+func (m *Mesh) orient(a, b int32, p geom.Point) int {
+	if a < 3 || b < 3 {
+		return geom.Orient2D(m.xy[a], m.xy[b], p)
+	}
+	return m.f.Orient2D(m.xy[a], m.xy[b], p)
 }
 
 // set writes triangle t's vertices.
@@ -508,7 +527,7 @@ func (m *Mesh) legalize(p int32) int32 {
 			continue
 		}
 		a, b, d := m.tv[3*t+1], m.tv[3*t+2], m.tv[f]
-		if geom.InCircle(m.xy[p], m.xy[a], m.xy[b], m.xy[d]) <= 0 {
+		if m.inCircle(p, a, b, d) <= 0 {
 			continue
 		}
 		// t = (p, a, b) and u = (d, b, a) become (p, a, d) and (p, d, b).
@@ -526,6 +545,15 @@ func (m *Mesh) legalize(p int32) int32 {
 		last = t
 	}
 	return last
+}
+
+// inCircle is geom.InCircle of vertices a, b, c and d, through the join's
+// static filter unless one is a corner of the super triangle.
+func (m *Mesh) inCircle(a, b, c, d int32) int {
+	if a < 3 || b < 3 || c < 3 || d < 3 {
+		return geom.InCircle(m.xy[a], m.xy[b], m.xy[c], m.xy[d])
+	}
+	return m.f.InCircle(m.xy[a], m.xy[b], m.xy[c], m.xy[d])
 }
 
 // edges emits the Gabriel pairs of the triangulation: every edge between
@@ -547,10 +575,19 @@ func (m *Mesh) edges() int64 {
 			continue
 		}
 		cands++
-		pa, pb := m.xy[a], m.xy[b]
-		if geom.DiscSign(pa, pb, m.xy[m.tv[s]]) > 0 && geom.DiscSign(pa, pb, m.xy[m.tv[o]]) > 0 {
+		if m.outside(a, b, m.tv[s]) && m.outside(a, b, m.tv[o]) {
 			m.emit(ia, ib)
 		}
 	}
 	return cands
+}
+
+// outside reports whether vertex x lies outside the closed disc with
+// diameter ab (two inputs): geom.DiscSign, through the join's static filter
+// unless x is a corner of the super triangle.
+func (m *Mesh) outside(a, b, x int32) bool {
+	if x < 3 {
+		return geom.DiscSign(m.xy[a], m.xy[b], m.xy[x]) > 0
+	}
+	return m.f.DiscSign(m.xy[a], m.xy[b], m.xy[x]) > 0
 }

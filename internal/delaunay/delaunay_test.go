@@ -2,6 +2,7 @@ package delaunay_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -96,6 +97,38 @@ func TestGabrielRandomMatchesBruteForce(t *testing.T) {
 			want := idPairs(core.BruteForcePairs(ps, q, self))
 			if got := idPairs(core.GabrielPairs(ps, q, self)); !slices.Equal(got, want) {
 				t.Fatalf("iteration %d self=%v: Gabriel %v, brute force %v\nP=%v\nQ=%v", it, self, got, want, ps, qs)
+			}
+		}
+	}
+}
+
+// TestVerticalLineThroughSignedZero runs the collinear path on a vertical
+// line at x = ±0: the two zeros are one coordinate, so the line's order is
+// by y alone, whatever the zeros' signs. A sort that kept −0 before +0
+// would walk the line twice and join the wrong neighbours.
+func TestVerticalLineThroughSignedZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	gen := func(n int, id0 int64) []rtree.PointEntry {
+		out := make([]rtree.PointEntry, n)
+		for i := range out {
+			out[i].ID = id0 + int64(i)
+			out[i].P.Y = float64(rng.Intn(3 * n))
+			if rng.Intn(2) == 0 {
+				out[i].P.X = math.Copysign(0, -1)
+			}
+		}
+		return out
+	}
+	for it := 0; it < 50; it++ {
+		ps, qs := gen(2+rng.Intn(40), 0), gen(2+rng.Intn(40), 1000)
+		for _, self := range []bool{false, true} {
+			q := qs
+			if self {
+				q = ps
+			}
+			want := idPairs(core.BruteForcePairs(ps, q, self))
+			if got := idPairs(core.GabrielPairs(ps, q, self)); !slices.Equal(got, want) {
+				t.Fatalf("iteration %d self=%v: Gabriel %v, brute force %v", it, self, got, want)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func DiscSign(a, b, x Point) int {
 	t1 := (x.X - a.X) * (x.X - b.X)
 	t2 := (x.Y - a.Y) * (x.Y - b.Y)
 	det := t1 + t2
-	bound := discErrBound*(math.Abs(t1)+math.Abs(t2)) + 0x1p-1020
+	bound := discBound(math.Abs(t1), math.Abs(t2))
 	switch {
 	case det > bound:
 		return 1
@@ -38,6 +38,9 @@ func DiscSign(a, b, x Point) int {
 	}
 	return discExact(a, b, x)
 }
+
+// discBound is DiscSign's error bound for products of magnitudes t1 and t2.
+func discBound(t1, t2 float64) float64 { return discErrBound*(t1+t2) + 0x1p-1020 }
 
 func discExact(a, b, x Point) int {
 	// Sharing a coordinate with an endpoint on each axis (an exact copy of
@@ -102,7 +105,7 @@ func Orient2D(a, b, c Point) int {
 	l := (a.X - c.X) * (b.Y - c.Y)
 	r := (a.Y - c.Y) * (b.X - c.X)
 	det := l - r
-	bound := orientErrBound*(math.Abs(l)+math.Abs(r)) + 0x1p-1020
+	bound := orientBound(math.Abs(l), math.Abs(r))
 	switch {
 	case det > bound:
 		return 1
@@ -111,6 +114,9 @@ func Orient2D(a, b, c Point) int {
 	}
 	return orientExact(a, b, c)
 }
+
+// orientBound is Orient2D's error bound for products of magnitudes l and r.
+func orientBound(l, r float64) float64 { return orientErrBound*(l+r) + 0x1p-1020 }
 
 func orientExact(a, b, c Point) int {
 	// A float difference has the exact difference's sign, so each product
@@ -141,9 +147,7 @@ func InCircle(a, b, c, d Point) int {
 	bl := bdx*bdx + bdy*bdy
 	cl := cdx*cdx + cdy*cdy
 	det := al*(bc-cb) + bl*(ca-ac) + cl*(ab-ba)
-	cross := math.Abs(bc) + math.Abs(cb) + math.Abs(ca) + math.Abs(ac) + math.Abs(ab) + math.Abs(ba)
-	perm := (math.Abs(bc)+math.Abs(cb))*al + (math.Abs(ca)+math.Abs(ac))*bl + (math.Abs(ab)+math.Abs(ba))*cl
-	bound := inCircleErrBound*perm + 0x1p-900*(al+bl+cl+cross) + 0x1p-1000
+	bound := inCircleBound(math.Abs(bc), math.Abs(cb), math.Abs(ca), math.Abs(ac), math.Abs(ab), math.Abs(ba), al, bl, cl)
 	switch {
 	case det > bound:
 		return 1
@@ -151,6 +155,14 @@ func InCircle(a, b, c, d Point) int {
 		return -1
 	}
 	return inCircleExact(a, b, c, d)
+}
+
+// inCircleBound is InCircle's error bound for cross products of magnitudes
+// bc … ba and lifts al, bl and cl.
+func inCircleBound(bc, cb, ca, ac, ab, ba, al, bl, cl float64) float64 {
+	cross := bc + cb + ca + ac + ab + ba
+	perm := (bc+cb)*al + (ca+ac)*bl + (ab+ba)*cl
+	return inCircleErrBound*perm + 0x1p-900*(al+bl+cl+cross) + 0x1p-1000
 }
 
 func inCircleExact(a, b, c, d Point) int {
@@ -185,8 +197,8 @@ func inCircleExact(a, b, c, d Point) int {
 
 // scaleDown scales ps in place by one power of two so that every coordinate
 // is below 2^top in magnitude. It reports false, and leaves ps alone, when
-// they are all below it already or when scaling would make a nonzero
-// coordinate subnormal.
+// they are all below it already (all zero included) or when scaling would
+// make a nonzero coordinate subnormal.
 func scaleDown(ps []Point, top int) bool {
 	hi, lo := math.MinInt, math.MaxInt
 	for _, p := range ps {
@@ -196,6 +208,9 @@ func scaleDown(ps []Point, top int) bool {
 				hi, lo = max(hi, e), min(lo, e)
 			}
 		}
+	}
+	if hi < lo {
+		return false // every coordinate is zero
 	}
 	shift := hi - top
 	if shift <= 0 || lo-shift < -1021 { // 2^-1022, the least normal, has e = -1021

@@ -33,6 +33,13 @@ import (
 //   - gauss-topk10/warm: the planned TopK 10 on a pair shaped like the
 //     embedded benchmark's, 20k points in 10 Gaussian clusters (sigma 1000)
 //     against 20k uniform, built in memory.
+//   - gauss-join/warm and gauss-selfjoin/warm: the planned full join and
+//     self-join (rule=unbounded-gabriel) on the embedded benchmark's
+//     shapes, 4k Gaussian points against 4k uniform and the 4k Gaussian
+//     points alone, built the same way.
+//
+// The Gaussian sets drop the samples the generator clamps onto the
+// domain's edges, as the embedded benchmark does.
 //
 // The buffer pool is sized above the working set: unlike
 // BenchmarkJoinBackends, which keeps the pool small to exercise the
@@ -121,25 +128,41 @@ func BenchmarkLeafKernels(b *testing.B) {
 			warm(b, eng, ixQ, ixP, binary.qry)
 		})
 	}
-	b.Run("gauss-topk10/warm", func(b *testing.B) {
-		eng := NewEngine(EngineConfig{})
-		build := func(pts []rtree.PointEntry) *Index {
-			rp := make([]Point, 0, len(pts))
-			for _, e := range pts {
-				if e.P.X > 0 && e.P.X < workload.Domain && e.P.Y > 0 && e.P.Y < workload.Domain {
-					rp = append(rp, Point{X: e.P.X, Y: e.P.Y, ID: int64(len(rp))})
-				}
+	// build indexes pts in memory, clamped samples dropped.
+	build := func(b *testing.B, eng *Engine, pts []rtree.PointEntry) *Index {
+		b.Helper()
+		rp := make([]Point, 0, len(pts))
+		for _, e := range pts {
+			if e.P.X > 0 && e.P.X < workload.Domain && e.P.Y > 0 && e.P.Y < workload.Domain {
+				rp = append(rp, Point{X: e.P.X, Y: e.P.Y, ID: int64(len(rp))})
 			}
-			ix, err := eng.BuildIndex(rp, IndexConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return ix
 		}
-		g := build(workload.GaussianClusters(20000, 10, 1000, 2))
-		defer g.Close()
-		u := build(workload.Uniform(20000, 1))
-		defer u.Close()
-		warm(b, eng, u, g, Query{TopK: 10})
-	})
+		ix, err := eng.BuildIndex(rp, IndexConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ix
+	}
+	for _, g := range []struct {
+		name string
+		n    int
+		self bool
+		qry  Query
+	}{
+		{"gauss-topk10/warm", 20000, false, Query{TopK: 10}},
+		{"gauss-join/warm", 4000, false, Query{}},
+		{"gauss-selfjoin/warm", 4000, true, Query{}},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			eng := NewEngine(EngineConfig{})
+			p := build(b, eng, workload.GaussianClusters(g.n, 10, 1000, 2))
+			defer p.Close()
+			q := p
+			if !g.self {
+				q = build(b, eng, workload.Uniform(g.n, 1))
+				defer q.Close()
+			}
+			warm(b, eng, q, p, g.qry)
+		})
+	}
 }
