@@ -66,28 +66,22 @@ func (j *joiner) runGabriel() error {
 // shortTopK answers an unweighted TopK run from the short Gabriel edges
 // (delaunay.Mesh.Short): from rankStart's radius it doubles r until at
 // least k admitted pairs have Dist ≤ r, then offers them to the top-k
-// heap, which ranks them as every path does. The rounds share one bounding
-// box and, while the cell side stays the same, one bucket grid. Every pair
-// it leaves out is longer than r, so its Radius (Dist/2, exact from r ≥
-// 2⁻¹⁰²⁰ on) is above theirs and it ranks after all k. A static
-// MaxDiameter caps r: at r = MaxDiameter every admitted pair is found,
-// however few. It reports
+// heap, which ranks them as every path does. Every pair it leaves out is
+// longer than r, so its Radius (Dist/2, exact from r ≥ 2⁻¹⁰²⁰ on) is
+// above theirs and it ranks after all k. A static MaxDiameter caps r: at r
+// = MaxDiameter every admitted pair is found, however few. It reports
 // false, having offered nothing, when Short gives up (clustered or
 // coincident-heavy input) or r reaches the inputs' diagonal; the caller
 // then triangulates.
 func (j *joiner) shortTopK(ps, qs []rtree.PointEntry) (bool, error) {
-	k, self := j.topk.h.k, j.opts.SelfJoin
-	nq := len(qs)
-	if self {
-		nq = len(ps)
-	}
-	r, diag := rankStart(j.mesh.ShortInput(ps, qs, self), len(ps), nq, k)
+	k := j.topk.h.k
+	r, diag := rankStart(ps, qs, j.opts.SelfJoin, k)
 	for ; r < diag; r *= 2 {
 		capped := j.opts.MaxDiameter > 0 && r >= j.opts.MaxDiameter
 		if capped {
 			r = j.opts.MaxDiameter
 		}
-		pairs, cands, ok, err := j.mesh.Short(r, j.ctxErr)
+		pairs, cands, ok, err := j.mesh.Short(ps, qs, j.opts.SelfJoin, r, j.ctxErr)
 		j.stats.Candidates += cands
 		kept := pairs[:0]
 		for _, pr := range pairs {
@@ -113,15 +107,20 @@ func (j *joiner) shortTopK(ps, qs []rtree.PointEntry) (bool, error) {
 	return false, nil
 }
 
-// rankStart returns shortTopK's first radius and the diagonal of box, the
-// inputs' bounding box, for np P points and nq Q points. The radius is
-// 2√(k·area/(π·|P|·|Q|)), within which |P|·|Q| points spread uniformly
-// over the box hold about 4k pairs (2k·width/(|P|·|Q|) on a line), and at
-// least 2⁻³⁰ of the diagonal, so that few doublings reach it, and 2⁻¹⁰²⁰,
-// above which halving a distance is exact.
-func rankStart(box geom.Rect, np, nq, k int) (r, diag float64) {
-	w, h := box.MaxX-box.MinX, box.MaxY-box.MinY
-	pairs := float64(np) * float64(nq)
+// rankStart returns shortTopK's first radius and the diagonal of the
+// inputs' bounding box. The radius is 2√(k·area/(π·|P|·|Q|)), within which
+// |P|·|Q| points spread uniformly over the box hold about 4k pairs
+// (2k·width/(|P|·|Q|) on a line), and at least 2⁻³⁰ of the diagonal, so
+// that few doublings reach it, and 2⁻¹⁰²⁰, above which halving a distance
+// is exact.
+func rankStart(ps, qs []rtree.PointEntry, self bool, k int) (r, diag float64) {
+	nq := len(qs)
+	if self {
+		qs, nq = nil, len(ps)
+	}
+	minX, minY, maxX, maxY := delaunay.Bounds(ps, qs)
+	w, h := maxX-minX, maxY-minY
+	pairs := float64(len(ps)) * float64(nq)
 	diag = math.Hypot(w, h)
 	if area := w * h; area > 0 {
 		r = 2 * math.Sqrt(float64(k)*area/(math.Pi*pairs))

@@ -76,8 +76,6 @@ type Mesh struct {
 	out   []Pair             // the result, reused by the next join
 	ptmp  []Pair             // sortByKey's scratch for SortByID
 	f     geom.Filter        // the predicates' static filter for the input's box
-	box   geom.Rect          // ShortInput's bounding box
-	g     grid               // Short's grid, while cell, at and atXY hold it (nx = 0: none)
 	cell  []int32            // Short's bucket grid: per cell, its first slot in at (and one entry past the last cell)
 	at    []int32            // per grid slot: its input point, grouped by cell
 	atXY  []geom.Point       // per grid slot: the point's coordinates
@@ -106,9 +104,9 @@ func superTriangle(minX, minY, maxX, maxY float64) (cx, cy, far float64, ok bool
 	return cx, cy, far, !math.IsInf(math.Abs(cx)+math.Abs(cy)+3*far, 0)
 }
 
-// bounds returns the bounding box of ps and qs (+Inf and -Inf when both
+// Bounds returns the bounding box of ps and qs (+Inf and -Inf when both
 // are empty).
-func bounds(ps, qs []rtree.PointEntry) (minX, minY, maxX, maxY float64) {
+func Bounds(ps, qs []rtree.PointEntry) (minX, minY, maxX, maxY float64) {
 	minX, minY, maxX, maxY = math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
 	for _, set := range [2][]rtree.PointEntry{ps, qs} {
 		for _, e := range set {
@@ -149,7 +147,7 @@ func (m *Mesh) Gabriel(ps, qs []rtree.PointEntry, self bool, stop func() error) 
 	}
 	m.ps, m.qs, m.np, m.n, m.self = ps, qs, len(ps), len(ps)+len(qs), self
 	m.out = m.out[:0]
-	m.g, m.cell, m.at, m.atXY = grid{}, nil, nil, nil // a triangulation holds no grid beside it
+	m.cell, m.at, m.atXY = nil, nil, nil // a triangulation holds no grid beside it
 	defer func() { m.ps, m.qs = nil, nil }()
 	if m.n < 2 || !self && (len(ps) == 0 || len(qs) == 0) {
 		return m.out, 0, nil
@@ -268,7 +266,7 @@ func (m *Mesh) join(v, i int32) {
 // triangulate builds the Delaunay triangulation of the input locations
 // inside the super triangle, merging coincident points.
 func (m *Mesh) triangulate(stop func() error) error {
-	minX, minY, maxX, maxY := bounds(m.ps, m.qs)
+	minX, minY, maxX, maxY := Bounds(m.ps, m.qs)
 	cx, cy, far, ok := superTriangle(minX, minY, maxX, maxY)
 	if !ok {
 		return ErrRange

@@ -15,37 +15,19 @@ import (
 // points into a cell and passes it.
 const shortWork = 32
 
-// ShortInput makes ps and qs (ps with itself when self, qs then unused) the
-// input of the Short calls that follow it, up to the next ShortInput or
-// Gabriel call, and returns their bounding box. The calls share the box,
-// the predicates' static filter and, while its cell side stays the same,
-// the bucket grid. ps and qs must not change in between.
-func (m *Mesh) ShortInput(ps, qs []rtree.PointEntry, self bool) geom.Rect {
-	if self {
-		qs = nil
-	}
-	m.ps, m.qs, m.np, m.n, m.self = ps, qs, len(ps), len(ps)+len(qs), self
-	m.g = grid{}
-	minX, minY, maxX, maxY := bounds(ps, qs)
-	m.box = geom.Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
-	m.f = geom.NewFilter(m.box)
-	return m.box
-}
-
-// Short returns the RCJ pairs of ShortInput's input whose distance
-// geom.Point.Dist is at most r, and the number of candidate pairs it
-// tested: those within r. It needs no triangulation. ok is false, with no
-// pairs, when the work would pass shortWork visits per input point, or the
-// input is too wide to triangulate (Fits): the caller then answers from
-// Gabriel. The result is in no particular order and valid until the next
-// call on m. stop, when non-nil, is polled every 1024 points; its error
-// ends the call.
+// Short returns the RCJ pairs of ps and qs (of ps with itself when self,
+// qs then unused) whose distance geom.Point.Dist is at most r, and the
+// number of candidate pairs it tested: those within r. It needs no
+// triangulation. ok is false, with no pairs, when the work would pass
+// shortWork visits per input point, or the input is too wide to
+// triangulate (Fits): the caller then answers from Gabriel. The result is
+// in no particular order and valid until the next call on m. stop, when
+// non-nil, is polled every 1024 points; its error ends the call.
 //
 // The points are counting-sorted into a grid of square cells of side
 // max(r, √(area/n), width/n), where area and width are those of the
 // inputs' bounding box (the last term keeps a thin box to at most 3n + 1
-// cells); a call whose side is the previous call's keeps its grid. For
-// each P point p (each point, in a self-join) Short scans the
+// cells). For each P point p (each point, in a self-join) Short scans the
 // cells within reach of p on both axes, and keeps a pair (p, q) of those
 // cells with Dist(p, q) ≤ r iff no third point x of the same cells has
 // geom.DiscSign(p, q, x) ≤ 0. Those cells hold every point of the pair's
@@ -69,26 +51,28 @@ func (m *Mesh) ShortInput(ps, qs []rtree.PointEntry, self bool) geom.Rect {
 // float lies between the roundings of two reals that bound it — and the
 // cell of x lies between the cells of the two rounded bounds, which are
 // the cells Short scans.
-func (m *Mesh) Short(r float64, stop func() error) (pairs []Pair, cands int64, ok bool, err error) {
-	self := m.self
+func (m *Mesh) Short(ps, qs []rtree.PointEntry, self bool, r float64, stop func() error) (pairs []Pair, cands int64, ok bool, err error) {
+	if self {
+		qs = nil
+	}
+	m.ps, m.qs, m.np, m.n, m.self = ps, qs, len(ps), len(ps)+len(qs), self
 	m.out = m.out[:0]
-	if m.n < 2 || !self && (m.np == 0 || m.n == m.np) {
+	defer func() { m.ps, m.qs = nil, nil }()
+	if m.n < 2 || !self && (len(ps) == 0 || len(qs) == 0) {
 		return m.out, 0, true, nil
 	}
-	minX, minY, maxX, maxY := m.box.MinX, m.box.MinY, m.box.MaxX, m.box.MaxY
+	minX, minY, maxX, maxY := Bounds(ps, qs)
 	if _, _, _, fits := superTriangle(minX, minY, maxX, maxY); !fits || !(r >= 0) || math.IsInf(r, 1) {
 		return nil, 0, false, nil
 	}
+	m.f = geom.NewFilter(geom.Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY})
 	w, h := maxX-minX, maxY-minY
 	side := math.Max(r, math.Max(math.Sqrt(w*h/float64(m.n)), math.Max(w, h)/float64(m.n)))
 	if !(side > 0) {
 		side = 1 // one location, r = 0
 	}
-	if g := (grid{minX: minX, minY: minY, inv: 1 / side, nx: int(w/side) + 1, ny: int(h/side) + 1}); g != m.g {
-		m.g = g
-		m.bucket(g)
-	}
-	g := m.g
+	g := grid{minX: minX, minY: minY, inv: 1 / side, nx: int(w/side) + 1, ny: int(h/side) + 1}
+	m.bucket(g)
 	reach := r*(1+0x1p-40) + 0x1p-1022
 	limit, work := shortWork*int64(m.n), int64(0)
 	for s, a := range m.at {
@@ -117,7 +101,7 @@ func (m *Mesh) Short(r float64, stop func() error) (pairs []Pair, cands int64, o
 					continue
 				}
 				cands++
-				if m.emptyDisc(b, a, o, p, q, &work) {
+				if m.emptyDisc(g, b, a, o, p, q, &work) {
 					m.emit(a, o)
 				}
 				if work > limit {
@@ -191,13 +175,12 @@ func (m *Mesh) bucket(g grid) {
 	}
 }
 
-// emptyDisc reports whether no input point of the grid's cells in b other
-// than a and o lies in the closed disc with diameter pq (their
-// coordinates), adding the points it looks at to work.
-func (m *Mesh) emptyDisc(b span, a, o int32, p, q geom.Point, work *int64) bool {
-	nx := m.g.nx
+// emptyDisc reports whether no input point of the cells in b other than a
+// and o lies in the closed disc with diameter pq (their coordinates),
+// adding the points it looks at to work.
+func (m *Mesh) emptyDisc(g grid, b span, a, o int32, p, q geom.Point, work *int64) bool {
 	for y := b.y0; y <= b.y1; y++ {
-		lo, hi := m.cell[y*nx+b.x0], m.cell[y*nx+b.x1+1]
+		lo, hi := m.cell[y*g.nx+b.x0], m.cell[y*g.nx+b.x1+1]
 		*work += int64(hi - lo)
 		for t := lo; t < hi; t++ {
 			if x := m.at[t]; x != a && x != o && m.f.DiscSign(p, q, m.atXY[t]) <= 0 {

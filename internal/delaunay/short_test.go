@@ -25,15 +25,14 @@ func shortOracle(ps, qs []rtree.PointEntry, self bool, r float64) [][2]int64 {
 	return idPairs(keep)
 }
 
-// shortKeys runs Short on m's input, ps and qs (ps with itself when
-// self), and returns its pairs as sorted keys, each self-join pair with the
-// smaller id first, as brute force reports it.
+// shortKeys runs Short and returns its pairs as sorted keys, each
+// self-join pair with the smaller id first, as brute force reports it.
 func shortKeys(t *testing.T, m *delaunay.Mesh, ps, qs []rtree.PointEntry, self bool, r float64) ([][2]int64, bool) {
 	t.Helper()
 	if self {
 		qs = ps
 	}
-	pairs, _, ok, err := m.Short(r, nil)
+	pairs, _, ok, err := m.Short(ps, qs, self, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +56,8 @@ func shortKeys(t *testing.T, m *delaunay.Mesh, ps, qs []rtree.PointEntry, self b
 // workload.Degenerate generator at radii from a nearest-neighbour
 // distance to a third of the domain; Short may give up on the wider radii
 // (the caller then triangulates), never on a lattice's unit radius or the
-// float below it. One Mesh serves every call, one ShortInput each input's
-// radii in turn, so its reused buffers and its grid, kept while the cell
-// side is unchanged, are exercised too.
+// float below it. One Mesh serves every call, so its reused buffers are
+// exercised too.
 func TestShortMatchesBruteForce(t *testing.T) {
 	lattice := func(side int, id0 int64, offset, scale float64, skip int) []rtree.PointEntry {
 		var out []rtree.PointEntry
@@ -91,7 +89,6 @@ func TestShortMatchesBruteForce(t *testing.T) {
 	m := new(delaunay.Mesh)
 	for _, in := range inputs {
 		for _, self := range []bool{false, true} {
-			m.ShortInput(in.ps, in.qs, self)
 			for i, r := range in.radii {
 				name := fmt.Sprintf("%s self=%v r=%g", in.name, self, r)
 				got, ok := shortKeys(t, m, in.ps, in.qs, self, r)

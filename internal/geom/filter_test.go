@@ -70,7 +70,7 @@ func TestFilterMatchesRational(t *testing.T) {
 	if testing.Short() {
 		n = 400
 	}
-	accepted := 0
+	accepted, tried := 0, 0
 	for _, box := range []struct {
 		name       string
 		x0, y0     float64
@@ -122,6 +122,7 @@ func TestFilterMatchesRational(t *testing.T) {
 			}
 			g := boxFilter(append(corners, a, b, c, d)...)
 			checkFilter(t, box.name, g, a, b, c, d)
+			tried++
 			if det := (a.X-c.X)*(b.Y-c.Y) - (a.Y-c.Y)*(b.X-c.X); math.Abs(det) > g.orient {
 				accepted++
 			}
@@ -139,8 +140,10 @@ func TestFilterMatchesRational(t *testing.T) {
 			checkFilter(t, box.name+"/corners", f, d, opp, corners[i^1], corners[i^2])
 		}
 	}
-	if accepted < n {
-		t.Errorf("the static filter settled %d orientations of %d random ones: the sample misses it", accepted, 9*n)
+	// About 70 % settle: the subnormal boxes' products underflow and every
+	// fourth sample is collinear within an ulp.
+	if 2*accepted < tried {
+		t.Errorf("the static filter settled %d orientations of %d random ones, under half: the sample misses it", accepted, tried)
 	}
 
 	// Collinear and cocircular lattices, translated: the signs are known.

@@ -152,20 +152,17 @@ func newSummary(st rcj.Stats, dec rcj.PlanDecision) Summary {
 // is written with the first byte of the body (so a caller that fails before
 // any row can still choose another status), the row encodings, how a stream
 // ends, and when it is flushed: the first row at once, so a client sees the
-// stream start without waiting for a buffer to fill; then at most once per
-// flushInterval, checked on every clockEvery-th row; and at the end. There
-// is no timer: rows written after the last flush leave with the first
-// checked row past the interval, or with the end. Not safe for concurrent
-// use.
+// stream start without waiting for a buffer to fill; then, checked as each
+// row is written, at most once per flushInterval; and at the end. There is
+// no timer: rows written after the last flush leave with the next row past
+// the interval, or with the end. Not safe for concurrent use.
 type JoinWriter struct {
 	w         http.ResponseWriter
 	flusher   http.Flusher // nil when w cannot flush
 	csv       bool
 	started   bool
-	lastFlush time.Time        // when a row last flushed the stream; zero before the first row
-	unchecked int              // rows written since the clock was last read
-	now       func() time.Time // the clock
-	buf       []byte           // row scratch: no allocation per line
+	lastFlush time.Time // when a row last flushed the stream; zero before the first row
+	buf       []byte    // row scratch: no allocation per line
 }
 
 // flushInterval is the least time between two flushes of a stream's rows.
@@ -174,17 +171,10 @@ type JoinWriter struct {
 // sees the stream start.
 const flushInterval = 5 * time.Millisecond
 
-// clockEvery is how many rows share one read of the clock. A row costs
-// about a microsecond to encode and write and a clock read some tens of
-// nanoseconds, so reading it on every row was a few percent of a stream's
-// cost; a row past the interval waits for at most clockEvery−1 more rows
-// (or the end).
-const clockEvery = 32
-
 // NewJoinWriter returns a writer answering on w in CSV or NDJSON.
 func NewJoinWriter(w http.ResponseWriter, csv bool) *JoinWriter {
 	flusher, _ := w.(http.Flusher)
-	return &JoinWriter{w: w, flusher: flusher, csv: csv, now: time.Now, buf: make([]byte, 0, 256)}
+	return &JoinWriter{w: w, flusher: flusher, csv: csv, buf: make([]byte, 0, 256)}
 }
 
 // Started reports whether the status line is gone: from then on a failure
@@ -222,12 +212,9 @@ func (jw *JoinWriter) Pair(pr rcj.Pair, ndjson []byte) error {
 	if _, err := jw.w.Write(line); err != nil {
 		return err
 	}
-	if jw.unchecked++; jw.lastFlush.IsZero() || jw.unchecked >= clockEvery {
-		jw.unchecked = 0
-		if t := jw.now(); jw.lastFlush.IsZero() || t.Sub(jw.lastFlush) >= flushInterval {
-			jw.flush()
-			jw.lastFlush = t
-		}
+	if jw.lastFlush.IsZero() || time.Since(jw.lastFlush) >= flushInterval {
+		jw.flush()
+		jw.lastFlush = time.Now()
 	}
 	return nil
 }

@@ -20,8 +20,7 @@ func (f *flushCounter) Flush() {
 }
 
 // TestJoinWriterFlushRule pins JoinWriter's one flush rule: the first row
-// at once, then at most once per flushInterval as rows are written (on the
-// first row that reads the clock past it, at most clockEvery rows on), and
+// at once, then at most once per flushInterval as rows are written, and
 // the end of the stream.
 func TestJoinWriterFlushRule(t *testing.T) {
 	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
@@ -46,71 +45,13 @@ func TestJoinWriterFlushRule(t *testing.T) {
 		t.Fatalf("500 rows in %v flushed %d times, want at most %d", time.Since(start), rec.flushes, most)
 	}
 	time.Sleep(flushInterval)
-	before, rows := rec.flushes, 0
-	for rec.flushes == before && rows < clockEvery {
-		row()
-		rows++
-	}
+	before := rec.flushes
+	row()
 	if rec.flushes != before+1 {
-		t.Fatalf("%d rows %v after the last flush: %d flushes, want %d", rows, flushInterval, rec.flushes, before+1)
+		t.Fatalf("a row %v after the last flush: %d flushes, want %d", flushInterval, rec.flushes, before+1)
 	}
-	jw.Summary(map[string]int{"results": 501 + rows})
+	jw.Summary(map[string]int{"results": 502})
 	if rec.flushes != before+2 {
 		t.Fatalf("the summary: %d flushes, want %d", rec.flushes, before+2)
-	}
-}
-
-// TestJoinWriterClockEveryNRows pins the flush rule on a fake clock: the
-// first row flushes at once, the clock is read once per clockEvery rows
-// after it, rows within flushInterval of the last flush never flush
-// however many they are, and the first row to read the clock past the
-// interval flushes.
-func TestJoinWriterClockEveryNRows(t *testing.T) {
-	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
-	jw := NewJoinWriter(rec, true)
-	clock, reads := time.Unix(0, 0), 0
-	jw.now = func() time.Time {
-		reads++
-		return clock
-	}
-	pr := rcj.Pair{P: rcj.Point{X: 1, Y: 2, ID: 3}, Q: rcj.Point{X: 4, Y: 6, ID: 7}}
-	row := func() {
-		t.Helper()
-		if err := jw.Pair(pr, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row()
-	if rec.flushes != 1 || reads != 1 {
-		t.Fatalf("the first row: %d flushes and %d clock reads, want 1 and 1", rec.flushes, reads)
-	}
-	// 100 intervals' worth of rows, the clock a hair short of the
-	// interval throughout: the clock is read once per clockEvery rows and
-	// nothing flushes.
-	clock = clock.Add(flushInterval - 1)
-	for range 100 * clockEvery {
-		row()
-	}
-	if rec.flushes != 1 || reads != 1+100 {
-		t.Fatalf("%d rows within the interval: %d flushes and %d clock reads, want 1 and %d", 100*clockEvery, rec.flushes, reads, 1+100)
-	}
-	// Past the interval, the next clock read flushes, and restarts it.
-	clock = clock.Add(1)
-	for range clockEvery {
-		row()
-	}
-	if rec.flushes != 2 || reads != 102 {
-		t.Fatalf("%d rows past the interval: %d flushes and %d clock reads, want 2 and 102", clockEvery, rec.flushes, reads)
-	}
-	clock = clock.Add(flushInterval - 1)
-	for range 10 * clockEvery {
-		row()
-	}
-	if rec.flushes != 2 {
-		t.Fatalf("rows within the restarted interval: %d flushes, want 2", rec.flushes)
-	}
-	jw.Summary(nil)
-	if rec.flushes != 3 {
-		t.Fatalf("the end: %d flushes, want 3", rec.flushes)
 	}
 }
